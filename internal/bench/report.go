@@ -15,7 +15,7 @@ import (
 // snapshot; version 1 (schema "regions-bench/v1") had neither.
 const ReportSchemaVersion = 2
 
-// Report is the checked-in benchmark artifact (BENCH_PR4.json); see
+// Report is the checked-in benchmark artifact (BENCH_PR10.json); see
 // docs/PERFORMANCE.md for the field-by-field schema and how to regenerate
 // it. Wall-clock fields vary with the host; the simulated-cycle fields and
 // checksums are deterministic.

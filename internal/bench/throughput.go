@@ -39,16 +39,16 @@ type ThroughputResult struct {
 // ThroughputOpts are the optional knobs of RunThroughputOpts. The zero
 // value reproduces RunThroughput exactly.
 type ThroughputOpts struct {
-	// Metrics, when non-nil, is attached to every shard (see shard.Config).
+	// Metrics, when non-nil, is attached to every shard (see shard.WithMetrics).
 	Metrics *metrics.Registry
-	// HeapProfileEvery is forwarded to shard.Config: capture a heap profile
-	// on each shard every N completed tasks (0 disables).
+	// HeapProfileEvery is forwarded to shard.WithHeapProfileEvery: capture a
+	// heap profile on each shard every N completed tasks (0 disables).
 	HeapProfileEvery int
 	// OnEngine, when non-nil, receives the engine right after it starts —
 	// before any task is submitted — so a caller can hold it for live
 	// inspection (regionbench's /heap endpoint).
 	OnEngine func(*shard.Engine)
-	// NoSteal pins every task to its home shard (see shard.Config.NoSteal);
+	// NoSteal pins every task to its home shard (see shard.WithNoSteal);
 	// the imbalance benchmark uses it as the A side of its A/B.
 	NoSteal bool
 }

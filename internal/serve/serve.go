@@ -155,8 +155,8 @@ type Config struct {
 	// barrier (default 0.5). Only meaningful with ResizeTo.
 	ResizeAfter float64
 	// Metrics, when non-nil, receives the serve series (and attaches every
-	// shard runtime, as in shard.Config). A private registry is used when
-	// nil, so percentiles work either way.
+	// shard runtime, as shard.WithMetrics does). A private registry is used
+	// when nil, so percentiles work either way.
 	Metrics *metrics.Registry
 	// Spans turns on request-level span tracing: every completed session's
 	// critical path — queue wait, parse, work, delete, and re-attributed
@@ -329,10 +329,12 @@ var latencyBounds = func() []uint64 {
 	return b
 }()
 
-// server holds one run's cached metric handles and, in tenant mode, the
+// server is one serving run: its configuration, cached metric handles, the
+// engine and per-shard states it drives, and, in tenant mode, the
 // driver-side tenant table.
 type server struct {
 	cfg       Config
+	reg       *metrics.Registry
 	admitted  *metrics.Counter
 	completed *metrics.Counter
 	queued    *metrics.Counter
@@ -350,6 +352,14 @@ type server struct {
 	// functions of the session (tenant mode only; see Config.Tenants).
 	content bool
 	tenants []*tenantState
+
+	eng    *shard.Engine
+	states []*shardState // indexed by shard position
+
+	// Resize barrier readings (Config.ResizeTo only): each shard's busy
+	// cycles and the highest sweep-debt peak when phase 1 had drained.
+	phase1Busy      []uint64
+	phase1SweepPeak int
 }
 
 // Tenant-state layout: each session appends tenantNodes*weight scanned
@@ -371,7 +381,7 @@ const (
 type tenantState struct {
 	r    *core.Region
 	head core.Ptr
-	home int // current home shard (engine position == Stats.Shard id here)
+	home int // current home shard position
 }
 
 // shardState is one shard's modelled queue and tally. It is touched only by
@@ -398,38 +408,69 @@ type shardState struct {
 }
 
 // Run executes one serving run: draw the schedule, pin every session to its
-// home shard, serve, drain, verify every shard's heap, and report. The only
-// error returns are infrastructure failures (a task panic, a corrupt heap at
+// home shard, serve (in two phases around a resize barrier when ResizeTo is
+// set), drain, verify every shard's heap, and report. The only error
+// returns are infrastructure failures (a task panic, a corrupt heap at
 // drain); overload is never an error — it is the Shed* counters and
 // FirstOverload in the Result.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	sv := newServer(cfg)
+	// Snapshot first so percentiles subtract anything a reused registry
+	// already held in the latency histogram.
+	before := sv.reg.Snapshot()
+	sv.startEngine()
+
+	sessions, split := schedule(cfg)
+	sv.submitWait(sessions[:split])
+	if cfg.ResizeTo > 0 {
+		if err := sv.resizeBarrier(sessions[split:]); err != nil {
+			return nil, err
+		}
+	}
+	sv.submitWait(sessions[split:])
+	return sv.report(before)
+}
+
+// validate rejects configurations Run cannot serve. cfg has its defaults
+// applied.
+func (cfg Config) validate() error {
 	if cfg.Sessions <= 0 {
-		return nil, fmt.Errorf("serve: Sessions must be positive, got %d", cfg.Sessions)
+		return fmt.Errorf("serve: Sessions must be positive, got %d", cfg.Sessions)
 	}
 	if cfg.Profile != "" && profileByName(cfg.Profile) == nil {
-		return nil, fmt.Errorf("serve: unknown profile %q", cfg.Profile)
+		return fmt.Errorf("serve: unknown profile %q", cfg.Profile)
 	}
 	if cfg.Tenants < 0 {
-		return nil, fmt.Errorf("serve: Tenants must not be negative, got %d", cfg.Tenants)
+		return fmt.Errorf("serve: Tenants must not be negative, got %d", cfg.Tenants)
 	}
 	if cfg.ResizeTo > 0 {
 		if cfg.Tenants == 0 {
-			return nil, fmt.Errorf("serve: ResizeTo requires Tenants > 0")
+			return fmt.Errorf("serve: ResizeTo requires Tenants > 0")
 		}
 		if cfg.ResizeTo <= cfg.Shards {
-			return nil, fmt.Errorf("serve: ResizeTo (%d) must exceed Shards (%d)", cfg.ResizeTo, cfg.Shards)
+			return fmt.Errorf("serve: ResizeTo (%d) must exceed Shards (%d)", cfg.ResizeTo, cfg.Shards)
 		}
 		if cfg.ResizeAfter <= 0 || cfg.ResizeAfter >= 1 {
-			return nil, fmt.Errorf("serve: ResizeAfter must be in (0, 1), got %g", cfg.ResizeAfter)
+			return fmt.Errorf("serve: ResizeAfter must be in (0, 1), got %g", cfg.ResizeAfter)
 		}
 	}
+	return nil
+}
+
+// newServer resolves a validated config into a server: its registry and
+// metric handles, span sink, checksum mode, and tenant table.
+func newServer(cfg Config) *server {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	sv := &server{
 		cfg:       cfg,
+		reg:       reg,
 		admitted:  reg.Counter("regions_serve_admitted_total"),
 		completed: reg.Counter("regions_serve_completed_total"),
 		queued:    reg.Counter("regions_serve_queued_total"),
@@ -464,78 +505,62 @@ func Run(cfg Config) (*Result, error) {
 			sv.tenants[t] = &tenantState{home: tenantHome(t, cfg.Tenants, cfg.Shards)}
 		}
 	}
-	// Snapshot first so percentiles subtract anything a reused registry
-	// already held in the latency histogram.
-	before := reg.Snapshot()
+	return sv
+}
 
-	// IdleSweep stays off: the engine's idle sweeping depends on wall-clock
-	// scheduling, which would make sweep progress (and so every latency
-	// percentile) nondeterministic. serveOne models idle sweeping on the
-	// simulated clock instead.
-	engOpts := []shard.Option{shard.WithShards(cfg.Shards), shard.WithMetrics(cfg.Metrics)}
+// startEngine starts the shard engine and sets up every shard. The engine
+// does no idle sweeping of its own: serveOne models it on the simulated
+// clock, which keeps sweep progress, and so every latency percentile,
+// deterministic.
+func (sv *server) startEngine() {
+	cfg := sv.cfg
+	opts := []shard.Option{shard.WithShards(cfg.Shards), shard.WithMetrics(cfg.Metrics)}
 	if cfg.DeferredDelete {
-		engOpts = append(engOpts, shard.WithDeferredDelete(cfg.SweepBudget, cfg.SweepHighWater))
+		opts = append(opts, shard.WithDeferredDelete(cfg.SweepBudget, cfg.SweepHighWater))
 	}
 	if cfg.NoStrPool {
-		engOpts = append(engOpts, shard.WithNoStrPool())
+		opts = append(opts, shard.WithNoStrPool())
 	}
 	if sv.spanT != nil {
 		// The engine brackets its own pauses (the resize barrier's migration
 		// export/import tasks) on the same ring, as shard-track spans on the
 		// shards' raw clocks.
-		engOpts = append(engOpts, shard.WithSpanTracer(sv.spanT))
+		opts = append(opts, shard.WithSpanTracer(sv.spanT))
 	}
-	eng := shard.NewEngine(engOpts...)
-	states := make([]*shardState, cfg.Shards)
-	for i := range states {
-		env := eng.Env(i)
-		if cfg.PageLimit > 0 {
-			env.Space().SetPageLimit(cfg.PageLimit)
-		}
-		if cfg.FaultPlan != nil {
-			env.Space().SetFaultPlan(cfg.FaultPlan)
-		}
-		states[i] = &shardState{
-			id:         i,
-			env:        env,
-			cln:        registerCleanups(env.Runtime()),
-			depthGauge: reg.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, i)),
-		}
-		states[i].stats.Shard = i
-		states[i].firstSID = -1
+	sv.eng = shard.NewEngine(opts...)
+	for i := 0; i < cfg.Shards; i++ {
+		sv.states = append(sv.states, sv.newShardState(i))
 	}
+}
 
-	keys := homeKeys(eng)
+// newShardState applies the run's per-shard setup to engine shard i — the
+// page limit, the fault plan, and the cleanup registrations ImportRegion
+// requires on a receiving runtime before any tenant can migrate in — and
+// returns the shard's serving state. The engine must be idle: before the
+// first submit, or at the resize barrier.
+func (sv *server) newShardState(i int) *shardState {
+	env := sv.eng.Env(i)
+	if sv.cfg.PageLimit > 0 {
+		env.Space().SetPageLimit(sv.cfg.PageLimit)
+	}
+	if sv.cfg.FaultPlan != nil {
+		env.Space().SetFaultPlan(sv.cfg.FaultPlan)
+	}
+	st := &shardState{
+		id:         i,
+		env:        env,
+		cln:        registerCleanups(env.Runtime()),
+		depthGauge: sv.reg.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, i)),
+		firstSID:   -1,
+	}
+	st.stats.Shard = i
+	return st
+}
+
+// schedule draws the run's sessions and the index the resize barrier splits
+// them at: len(sessions) when there is no resize.
+func schedule(cfg Config) ([]*session, int) {
 	sessions := genSessions(cfg)
-	// submitWait submits one batch of sessions as pinned tasks and blocks
-	// until every completion callback has fired — a full engine barrier,
-	// which the resize path needs between its two phases. The single-phase
-	// path uses it too; waiting before Close is free.
-	submitWait := func(batch []*session) {
-		if len(batch) == 0 {
-			return
-		}
-		var done sync.WaitGroup
-		done.Add(len(batch))
-		tasks := make([]shard.Task, len(batch))
-		for i, s := range batch {
-			s := s
-			st := states[s.shard]
-			tasks[i] = shard.Task{
-				Name:     fmt.Sprintf("sess-%d", s.id),
-				Affinity: keys[s.shard],
-				Pin:      true, // the session's regions live on this runtime
-				Run:      func(appkit.RegionEnv) uint32 { return sv.serveOne(st, s) },
-				Done: func(res shard.TaskResult) {
-					sv.complete(st, s, res)
-					done.Done()
-				},
-			}
-		}
-		eng.SubmitBatch(tasks)
-		done.Wait()
-	}
-
 	split := len(sessions)
 	if cfg.ResizeTo > 0 {
 		split = int(float64(len(sessions)) * cfg.ResizeAfter)
@@ -543,87 +568,100 @@ func Run(cfg Config) (*Result, error) {
 			split = 1
 		}
 	}
-	submitWait(sessions[:split])
+	return sessions, split
+}
 
-	var phase1Busy []uint64
-	var sweepPhases []int
-	if cfg.ResizeTo > 0 {
-		// The barrier: every phase-1 session has completed, so the engine is
-		// idle and the driver may touch shard runtimes directly (the same
-		// quiescence contract Env documents for before-first-submit access).
-		phase1Busy = make([]uint64, cfg.Shards)
-		peak := 0
-		for i, st := range states {
-			phase1Busy[i] = st.env.Counters().TotalCycles()
-			rt := st.env.Runtime()
-			if p := rt.SweepDebtPeak(); p > peak {
-				peak = p
-			}
-			rt.ResetSweepDebtPeak()
-		}
-		if cfg.DeferredDelete {
-			sweepPhases = append(sweepPhases, peak)
-		}
-
-		if _, err := eng.Resize(cfg.ResizeTo); err != nil {
-			return nil, fmt.Errorf("serve: resize to %d shards: %w", cfg.ResizeTo, err)
-		}
-		// New shards need the same per-shard setup the originals got —
-		// crucially the cleanup registrations, which ImportRegion requires
-		// on the receiving runtime before any tenant can migrate in.
-		for i := cfg.Shards; i < cfg.ResizeTo; i++ {
-			env := eng.Env(i)
-			if cfg.PageLimit > 0 {
-				env.Space().SetPageLimit(cfg.PageLimit)
-			}
-			if cfg.FaultPlan != nil {
-				env.Space().SetFaultPlan(cfg.FaultPlan)
-			}
-			st := &shardState{
-				id:         i,
-				env:        env,
-				cln:        registerCleanups(env.Runtime()),
-				depthGauge: reg.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, i)),
-			}
-			st.stats.Shard = i
-			st.firstSID = -1
-			states = append(states, st)
-		}
-		keys = homeKeys(eng)
-
-		// Rebalance: move every materialized tenant whose home shifts under
-		// the weight-balanced placement, and translate the driver-held chain
-		// head through the transfer record.
-		homes := tenantHomes(cfg.Tenants, cfg.ResizeTo)
-		for t, ts := range sv.tenants {
-			newHome := homes[t]
-			if newHome == ts.home {
-				continue
-			}
-			if ts.r != nil {
-				m, err := eng.MigrateRegion(ts.r, ts.home, newHome)
-				if err != nil {
-					return nil, fmt.Errorf("serve: migrate tenant %d from shard %d to %d: %w",
-						t, ts.home, newHome, err)
-				}
-				ts.r = m.New
-				if ts.head != 0 {
-					np, ok := m.Rec.Translate(ts.head)
-					if !ok {
-						return nil, fmt.Errorf("serve: tenant %d chain head did not translate", t)
-					}
-					ts.head = np
-				}
-			}
-			ts.home = newHome
-		}
-		// Phase 2 follows the tenants to their new homes.
-		for _, s := range sessions[split:] {
-			s.shard = homes[s.tenant]
+// submitWait submits batch as tasks pinned to each session's home shard and
+// blocks until every completion callback has fired — a full engine
+// barrier, which the resize path needs between its two phases. The
+// single-phase path uses it too; waiting before Close is free.
+func (sv *server) submitWait(batch []*session) {
+	if len(batch) == 0 {
+		return
+	}
+	var done sync.WaitGroup
+	done.Add(len(batch))
+	tasks := make([]shard.Task, len(batch))
+	for i, s := range batch {
+		s := s
+		st := sv.states[s.shard]
+		tasks[i] = shard.Task{
+			Name: fmt.Sprintf("sess-%d", s.id),
+			Home: s.shard + 1,
+			Pin:  true, // the session's regions live on this runtime
+			Run:  func(appkit.RegionEnv) uint32 { return sv.serveOne(st, s) },
+			Done: func(res shard.TaskResult) {
+				sv.complete(st, s, res)
+				done.Done()
+			},
 		}
 	}
-	submitWait(sessions[split:])
-	agg := eng.Close()
+	sv.eng.SubmitBatch(tasks)
+	done.Wait()
+}
+
+// resizeBarrier runs between the two phases of a resize run. Every phase-1
+// session has completed, so the engine is idle and the driver may touch
+// shard runtimes directly (the same quiescence contract Env documents for
+// before-first-submit access). It records the phase-1 readings, grows the
+// engine and sets up the new shards, moves every materialized tenant whose
+// home shifts under the weight-balanced placement — translating the
+// driver-held chain head through the transfer record — and rehomes the
+// remaining sessions after their tenants.
+func (sv *server) resizeBarrier(rest []*session) error {
+	cfg := sv.cfg
+	sv.phase1Busy = make([]uint64, cfg.Shards)
+	for i, st := range sv.states {
+		sv.phase1Busy[i] = st.env.Counters().TotalCycles()
+		rt := st.env.Runtime()
+		if p := rt.SweepDebtPeak(); p > sv.phase1SweepPeak {
+			sv.phase1SweepPeak = p
+		}
+		rt.ResetSweepDebtPeak()
+	}
+
+	if err := sv.eng.Resize(cfg.ResizeTo); err != nil {
+		return fmt.Errorf("serve: resize to %d shards: %w", cfg.ResizeTo, err)
+	}
+	for i := cfg.Shards; i < cfg.ResizeTo; i++ {
+		sv.states = append(sv.states, sv.newShardState(i))
+	}
+
+	homes := tenantHomes(cfg.Tenants, cfg.ResizeTo)
+	for t, ts := range sv.tenants {
+		newHome := homes[t]
+		if newHome == ts.home {
+			continue
+		}
+		if ts.r != nil {
+			m, err := sv.eng.MigrateRegion(ts.r, ts.home, newHome)
+			if err != nil {
+				return fmt.Errorf("serve: migrate tenant %d from shard %d to %d: %w",
+					t, ts.home, newHome, err)
+			}
+			ts.r = m.New
+			if ts.head != 0 {
+				np, ok := m.Rec.Translate(ts.head)
+				if !ok {
+					return fmt.Errorf("serve: tenant %d chain head did not translate", t)
+				}
+				ts.head = np
+			}
+		}
+		ts.home = newHome
+	}
+	for _, s := range rest {
+		s.shard = homes[s.tenant]
+	}
+	return nil
+}
+
+// report closes the engine, checks that every shard drained clean, and
+// folds the engine aggregate, the per-shard serving tallies, and the
+// latency histogram's growth since before into the Result.
+func (sv *server) report(before *metrics.Snapshot) (*Result, error) {
+	cfg := sv.cfg
+	agg := sv.eng.Close()
 	if agg.Failures > 0 {
 		for _, s := range agg.PerShard {
 			if s.LastError != "" {
@@ -632,8 +670,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return nil, fmt.Errorf("serve: %d session task failures", agg.Failures)
 	}
-	for i := range states {
-		rt := eng.Env(i).Runtime()
+	for i, st := range sv.states {
+		rt := st.env.Runtime()
 		if d := rt.SweepDebt(); d != 0 {
 			return nil, fmt.Errorf("serve: shard %d still carries %d pages of sweep debt at drain", i, d)
 		}
@@ -661,7 +699,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	firstSID := -1
-	for _, st := range states {
+	for _, st := range sv.states {
 		res.Admitted += st.stats.Admitted
 		res.Completed += st.stats.Completed
 		res.Queued += st.stats.Queued
@@ -689,7 +727,7 @@ func Run(cfg Config) (*Result, error) {
 	if total := res.StrNew + res.StrReuse; total > 0 {
 		res.StrReuseRatio = float64(res.StrReuse) / float64(total)
 	}
-	if h, ok := reg.Snapshot().Sub(before).Histogram("regions_serve_latency_cycles"); ok && h.Count > 0 {
+	if h, ok := sv.reg.Snapshot().Sub(before).Histogram("regions_serve_latency_cycles"); ok && h.Count > 0 {
 		res.P50 = h.Quantile(0.50)
 		res.P99 = h.Quantile(0.99)
 		res.P999 = h.Quantile(0.999)
@@ -700,34 +738,32 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Tenants > 0 {
 		res.Tenants = cfg.Tenants
 		res.ResizeTo = cfg.ResizeTo
-		res.Migrations, res.MigratedPages = eng.Migrations()
+		res.Migrations, res.MigratedPages = sv.eng.Migrations()
 		// The engine has drained and closed, so reading the runtimes is
 		// safe; tenant regions outlive their sessions by design and are
 		// reclaimed with the shard heaps.
 		for _, ts := range sv.tenants {
 			if ts.r != nil {
-				res.TenantChecksum += eng.Env(ts.home).Runtime().ContentChecksum(ts.r)
+				res.TenantChecksum += sv.states[ts.home].env.Runtime().ContentChecksum(ts.r)
 			}
 		}
 	}
 	if cfg.ResizeTo > 0 {
-		res.Phase1BusyRatio = busyRatio(phase1Busy)
-		phase2Busy := make([]uint64, len(states))
+		res.Phase1BusyRatio = busyRatio(sv.phase1Busy)
+		phase2Busy := make([]uint64, len(agg.PerShard))
 		peak2 := 0
-		for _, s := range agg.PerShard {
-			if s.Shard < len(phase2Busy) {
-				phase2Busy[s.Shard] = s.SimCycles
+		for i, s := range agg.PerShard {
+			phase2Busy[i] = s.SimCycles
+			if i < len(sv.phase1Busy) {
+				phase2Busy[i] -= sv.phase1Busy[i]
 			}
 			if s.SweepDebtPeak > peak2 {
 				peak2 = s.SweepDebtPeak
 			}
 		}
-		for i, b := range phase1Busy {
-			phase2Busy[i] -= b
-		}
 		res.Phase2BusyRatio = busyRatio(phase2Busy)
 		if cfg.DeferredDelete {
-			res.SweepDebtPeakPhases = append(sweepPhases, peak2)
+			res.SweepDebtPeakPhases = []int{sv.phase1SweepPeak, peak2}
 		}
 	}
 	if sv.spanT != nil {
@@ -1164,20 +1200,4 @@ func registerCleanups(rt *core.Runtime) map[string]core.CleanupID {
 	cln[tenantSite] = rt.RegisterCleanup(tenantSite,
 		func(*core.Runtime, core.Ptr) int { return tenantNodeSize })
 	return cln
-}
-
-// homeKeys finds, for each shard, an affinity key that hashes to it, so the
-// driver's round-robin session→shard assignment survives the engine's
-// affinity hashing unchanged.
-func homeKeys(eng *shard.Engine) []string {
-	keys := make([]string, eng.Shards())
-	found := 0
-	for i := 0; found < len(keys); i++ {
-		k := fmt.Sprintf("home-%d", i)
-		if s := eng.ShardFor(k); keys[s] == "" {
-			keys[s] = k
-			found++
-		}
-	}
-	return keys
 }

@@ -228,15 +228,16 @@ func TestServePercentilesOrdered(t *testing.T) {
 	}
 }
 
-// TestHomeKeys checks the affinity-key probe covers every shard.
-func TestHomeKeys(t *testing.T) {
+// TestSessionHomesCoverEveryShard checks that sessions land on the home
+// shards the schedule assigned them, round-robin over every shard.
+func TestSessionHomesCoverEveryShard(t *testing.T) {
 	cfg := testConfig()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round-robin placement over covered home keys means every shard served
-	// an equal share (Sessions divisible by Shards here).
+	// Round-robin homes mean every shard served an equal share (Sessions
+	// divisible by Shards here).
 	for _, st := range res.PerShard {
 		if got := st.Completed + st.ShedQueue + st.ShedOOM; got != uint64(cfg.Sessions/cfg.Shards) {
 			t.Errorf("shard %d handled %d sessions, want %d", st.Shard, got, cfg.Sessions/cfg.Shards)

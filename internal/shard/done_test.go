@@ -14,16 +14,16 @@ import (
 // simulated-cycle windows.
 func TestDoneFIFOOnPinned(t *testing.T) {
 	e := NewEngine(WithShards(2))
-	const n = 64
+	const n, home = 64, 1
 	var mu sync.Mutex
 	var order []int
 	var results []TaskResult
 	for i := 0; i < n; i++ {
 		i := i
 		e.Submit(Task{
-			Name:     fmt.Sprintf("t%d", i),
-			Affinity: "pinned-home",
-			Pin:      true,
+			Name: fmt.Sprintf("t%d", i),
+			Home: home + 1,
+			Pin:  true,
 			Run: func(env appkit.RegionEnv) uint32 {
 				r := env.NewRegion()
 				p := env.Ralloc(r, 16, env.SizeCleanup(16))
@@ -42,7 +42,6 @@ func TestDoneFIFOOnPinned(t *testing.T) {
 	if len(order) != n {
 		t.Fatalf("got %d Done calls, want %d", len(order), n)
 	}
-	home := e.ShardFor("pinned-home")
 	var prevEnd uint64
 	for k, i := range order {
 		if i != k {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
@@ -12,10 +11,13 @@ import (
 	"regions/internal/trace"
 )
 
-// DefaultPageBatch is the free-page cache batch used by shard runtimes when
-// the config does not name one: each shard requests pages from its simulated
-// OS 64 at a time and serves region churn from the cache.
+// DefaultPageBatch is the free-page cache batch of every shard runtime: each
+// shard requests pages from its simulated OS 64 at a time and serves region
+// churn from the cache.
 const DefaultPageBatch = 64
+
+// queueCap is the capacity of each shard's stealable and pinned deques.
+const queueCap = 32
 
 // Task is one unit of work for the engine. Run receives the executing
 // shard's environment and returns a checksum; checksums are summed (a
@@ -26,11 +28,11 @@ const DefaultPageBatch = 64
 type Task struct {
 	// Name labels the task in failure reports.
 	Name string
-	// Affinity, when non-empty, names the task's home shard: all tasks
-	// with this key hash to the same shard. It is a soft preference —
-	// an idle shard may still steal the task — unless Pin is also set.
-	// Empty-key tasks are placed round-robin.
-	Affinity string
+	// Home, when nonzero, names the task's home shard: the shard at
+	// position (Home-1) mod Shards(). Zero places the task round-robin.
+	// A home is a soft preference — an idle shard may still steal the
+	// task — unless Pin is also set. Home must not be negative.
+	Home int
 	// Pin makes the task unstealable: it executes on its home shard, and
 	// pinned tasks on one shard run in submission order (FIFO). Tasks
 	// that touch regions owned by a specific shard's runtime must pin;
@@ -68,82 +70,25 @@ type TaskResult struct {
 	StartCycles, EndCycles uint64
 }
 
-// Config sizes an Engine for the deprecated New constructor. New code
-// should use NewEngine with functional options (see options.go); each
-// field here corresponds to one With* option.
-type Config struct {
-	// Shards is the number of independent runtimes; values below 1 become 1.
-	Shards int
-	// PageBatch overrides DefaultPageBatch for each shard's free-page
-	// cache; 1 disables batching, 0 means the default.
-	PageBatch int
-	// Queue is the per-shard pending-task deque capacity (default 32).
-	Queue int
-	// NoSteal disables work stealing: every task runs on its home shard,
-	// the engine's pre-stealing static placement. Exists for A/B
-	// measurement (the imbalance benchmark) and as an escape hatch.
-	NoSteal bool
-	// Unsafe runs every shard on the unsafe region library (no reference
-	// counting), for measuring the cost of safety under load.
-	Unsafe bool
-	// Metrics, when non-nil, attaches every shard's runtime and space to
-	// the registry (core/mem series are shared across shards; the registry
-	// is atomic) and adds per-shard labeled series: tasks, failures, busy
-	// simulated cycles, steals, and live queue depth. Close records the
-	// engine's makespan and utilization gauges.
-	Metrics *metrics.Registry
-	// HeapProfileEvery, when above 0, makes each shard capture a heap
-	// profile of its runtime every N completed tasks (plus after its
-	// first task and once at drain, so short runs still expose one),
-	// exposed via HeapReports — the data behind regionbench's /heap
-	// endpoint. Capture runs on the shard's own goroutine, so it is safe
-	// without locking the runtime.
-	HeapProfileEvery int
-	// DeferredDelete runs every shard runtime with core.Options.
-	// DeferredDelete: region deletion detaches pages and the per-page
-	// reclamation runs in bounded sweep slices — on idle cycles when
-	// IdleSweep is set, via the allocation tax above the high-water mark,
-	// and in a final drain when the engine closes (recorded per shard as
-	// Stats.DrainSweepCycles).
-	DeferredDelete bool
-	// SweepBudget and SweepHighWater forward to the shard runtimes'
-	// core.Options fields; zero keeps the core defaults.
-	SweepBudget    int
-	SweepHighWater int
-	// NoStrPool runs every shard runtime with the pooled string allocator's
-	// free lists disabled (core.Options.NoStrPool) — the A/B escape hatch
-	// for measuring explicit string reuse.
-	NoStrPool bool
-	// IdleSweep makes a worker that finds no runnable task sweep one slice
-	// of its runtime's debt before blocking, turning scheduler idle cycles
-	// into reclamation. Off by default because sweep progress then depends
-	// on wall-clock scheduling: drivers that need deterministic simulated
-	// clocks (internal/serve) model their own idle sweeping instead.
-	IdleSweep bool
-}
-
-// Stats is one shard's tally, owned by the shard goroutine until it exits
-// (Close, or retirement by a shrinking Resize).
+// Stats is one shard's tally, owned by the shard goroutine until Close.
 type Stats struct {
 	Shard     int
 	Tasks     uint64
 	Failures  uint64
-	LastError string        // first line of the most recent task failure
-	Checksum  uint32        // sum of completed task checksums
-	Steals    uint64        // tasks this shard stole from siblings' deques
-	SimCycles uint64        // simulated cycles charged on this shard
-	OSBytes   uint64        // memory the shard requested from its OS
-	Busy      time.Duration // wall-clock time spent inside tasks
+	LastError string // first line of the most recent task failure
+	Checksum  uint32 // sum of completed task checksums
+	Steals    uint64 // tasks this shard stole from siblings' deques
+	SimCycles uint64 // simulated cycles charged on this shard
+	OSBytes   uint64 // memory the shard requested from its OS
 
-	// Deferred-reclamation tallies (Config.DeferredDelete only).
+	// Deferred-reclamation tallies (WithDeferredDelete only).
 	SweptPages       uint64 // pages the shard's sweeper poisoned
 	SweepDebtPeak    int    // highest sweep debt the shard ever carried
 	DrainSweepCycles uint64 // simulated cycles of the close-time debt drain
 }
 
-// Aggregate is the whole engine's tally after Close. When the engine was
-// resized, PerShard includes retired shards (sorted by shard id) and Shards
-// counts only the workers live at Close.
+// Aggregate is the whole engine's tally after Close, with PerShard in shard
+// order.
 type Aggregate struct {
 	Shards   int
 	Tasks    uint64
@@ -180,23 +125,12 @@ func newWorkerMetrics(reg *metrics.Registry, shard int) *workerMetrics {
 }
 
 type worker struct {
-	id      int // stable shard id; also the metric label and Env name
+	id      int // position in the worker set; also the metric label and Env name
 	env     *Env
 	dq      deque // stealable tasks: owner pops back, thieves take front
 	pinned  deque // pinned tasks: FIFO, never stolen
 	npinned atomic.Int64
 	stats   Stats
-
-	// retiring tells the worker to exit once its own queues are drained;
-	// done closes when its goroutine has exited. Set only by Resize.
-	retiring atomic.Bool
-	done     chan struct{}
-
-	// pubBusy and pubSteals publish the shard's simulated busy cycles and
-	// steal count after every task, regardless of metrics attachment, so
-	// the migration coordinator can watch load without a registry.
-	pubBusy   atomic.Uint64
-	pubSteals atomic.Uint64
 
 	met       *workerMetrics
 	profEvery int
@@ -204,18 +138,17 @@ type worker struct {
 }
 
 // Engine distributes tasks over N shard workers with work stealing: Submit
-// places a task on its home shard's deque (affinity hash, or round-robin),
-// the owner pops its own deque newest-first, and a worker that runs dry
-// takes the oldest task from the first non-empty sibling deque. Pinned
-// tasks never move. Submit and SubmitBatch may be called from any
-// goroutine; Close waits for the queues to drain and returns the tally.
+// places a task on its home shard's deque (Task.Home, or round-robin), the
+// owner pops its own deque newest-first, and a worker that runs dry takes
+// the oldest task from the first non-empty sibling deque. Pinned tasks
+// never move. Submit and SubmitBatch may be called from any goroutine;
+// Close waits for the queues to drain and returns the tally.
 //
-// The worker set is dynamic: Resize grows it by starting fresh shards or
-// shrinks it by retiring the highest-indexed ones and migrating their
-// resident regions (see migrate.go). The live slice is published through an
-// atomic pointer, so Submit and the steal sweep always act on a consistent
-// snapshot; Resize must not race Submit/SubmitBatch/Close — the driver
-// quiesces submissions first (see Resize).
+// The worker set only grows: Resize appends fresh shards, so a worker's id
+// is its position for the engine's whole life. The live slice is published
+// through an atomic pointer, so Submit and the steal sweep always act on a
+// consistent snapshot; Resize must not race Submit/SubmitBatch/Close — the
+// driver quiesces submissions first (see Resize).
 //
 // Sleep/wake protocol: e.stealable counts tasks sitting in stealable
 // deques engine-wide and each worker counts its own pinned backlog, both
@@ -228,64 +161,45 @@ type Engine struct {
 	ws        atomic.Pointer[[]*worker]
 	rr        atomic.Uint32
 	wg        sync.WaitGroup
-	reg       *metrics.Registry
-	set       settings // resolved options; template for workers Resize adds
-	noSteal   bool
-	deferred  bool          // shards run with core.Options.DeferredDelete
-	idleSweep bool          // idle workers sweep debt before sleeping
-	spanT     *trace.Tracer // span sink (WithSpanTracer), nil for none
+	set       settings     // resolved options; template for workers Resize adds
 	stealable atomic.Int64 // tasks currently in stealable deques, engine-wide
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	closed atomic.Bool
 
-	// Resize/Close serialization and retired-worker bookkeeping.
+	// resizeMu serializes Resize, MigrateRegion, and Close.
 	resizeMu sync.Mutex
-	nextID   int
-	retired  []*worker
 
-	// Migration tallies and coordinator plumbing (see migrate.go).
+	// Migration tallies (see migrate.go).
 	migrations    atomic.Uint64
 	migratedPages atomic.Uint64
-	coordStop     chan struct{}
-	coordDone     chan struct{}
 	migTotal      *metrics.Counter
 	migPages      *metrics.Counter
 	migCycles     *metrics.Histogram
 }
 
 // NewEngine starts an engine configured by functional options (see
-// options.go), each worker owning an independent safe (or unsafe) region
-// runtime with a batched free-page cache.
+// options.go), each worker owning an independent safe region runtime with a
+// batched free-page cache.
 func NewEngine(opts ...Option) *Engine {
 	var s settings
 	for _, o := range opts {
 		o(&s)
 	}
-	if s.Shards < 1 {
-		s.Shards = 1
+	if s.shards < 1 {
+		s.shards = 1
 	}
-	if s.Queue <= 0 {
-		s.Queue = 32
-	}
-	if s.PageBatch == 0 {
-		s.PageBatch = DefaultPageBatch
-	}
-	if s.placement == nil {
-		s.placement = defaultPlacement
-	}
-	e := &Engine{reg: s.Metrics, set: s, noSteal: s.NoSteal, spanT: s.spanT,
-		deferred: s.DeferredDelete, idleSweep: s.DeferredDelete && s.IdleSweep}
+	e := &Engine{set: s}
 	e.cond = sync.NewCond(&e.mu)
-	if e.reg != nil {
-		e.migTotal = e.reg.Counter("regions_migrations_total")
-		e.migPages = e.reg.Counter("regions_migrated_pages_total")
-		e.migCycles = e.reg.Histogram("regions_migration_cycles", migrationCycleBounds)
+	if reg := s.metrics; reg != nil {
+		e.migTotal = reg.Counter("regions_migrations_total")
+		e.migPages = reg.Counter("regions_migrated_pages_total")
+		e.migCycles = reg.Histogram("regions_migration_cycles", migrationCycleBounds)
 	}
-	ws := make([]*worker, s.Shards)
+	ws := make([]*worker, s.shards)
 	for i := range ws {
-		ws[i] = e.newWorker()
+		ws[i] = e.newWorker(i)
 	}
 	// Publish the full slice before starting anyone: a worker's steal sweep
 	// reads the whole worker set.
@@ -294,44 +208,30 @@ func NewEngine(opts ...Option) *Engine {
 		e.wg.Add(1)
 		go w.loop(e)
 	}
-	if s.migration.Enabled {
-		e.coordStop = make(chan struct{})
-		e.coordDone = make(chan struct{})
-		go e.coordinate(s.migration)
-	}
 	return e
 }
 
-// New starts an engine sized by a Config literal.
-//
-// Deprecated: use NewEngine with functional options. New remains as a thin
-// adapter and configures exactly what the equivalent With* options would.
-func New(cfg Config) *Engine { return NewEngine(withConfig(cfg)) }
-
-// newWorker builds (but does not start) a worker from the engine's resolved
-// settings, assigning the next stable shard id.
-func (e *Engine) newWorker() *worker {
-	id := e.nextID
-	e.nextID++
+// newWorker builds (but does not start) the worker at position id from the
+// engine's resolved settings.
+func (e *Engine) newWorker(id int) *worker {
 	w := &worker{
 		id: id,
 		env: NewEnv(shardName(id), core.Options{
-			Safe:           !e.set.Unsafe,
-			PageBatch:      e.set.PageBatch,
-			DeferredDelete: e.set.DeferredDelete,
-			SweepBudget:    e.set.SweepBudget,
-			SweepHighWater: e.set.SweepHighWater,
-			NoStrPool:      e.set.NoStrPool,
+			Safe:           true,
+			PageBatch:      DefaultPageBatch,
+			DeferredDelete: e.set.deferredDelete,
+			SweepBudget:    e.set.sweepBudget,
+			SweepHighWater: e.set.sweepHighWater,
+			NoStrPool:      e.set.noStrPool,
 		}),
-		dq:        newDeque(e.set.Queue),
-		pinned:    newDeque(e.set.Queue),
-		done:      make(chan struct{}),
-		profEvery: e.set.HeapProfileEvery,
+		dq:        newDeque(queueCap),
+		pinned:    newDeque(queueCap),
+		profEvery: e.set.heapProfileEvery,
 	}
-	if e.reg != nil {
-		w.env.Runtime().SetMetrics(e.reg)
-		w.env.Space().SetMetrics(e.reg)
-		w.met = newWorkerMetrics(e.reg, id)
+	if reg := e.set.metrics; reg != nil {
+		w.env.Runtime().SetMetrics(reg)
+		w.env.Space().SetMetrics(reg)
+		w.met = newWorkerMetrics(reg, id)
 	}
 	w.stats.Shard = id
 	return w
@@ -344,27 +244,20 @@ func (e *Engine) workers() []*worker { return *e.ws.Load() }
 // Shards returns the number of live workers.
 func (e *Engine) Shards() int { return len(e.workers()) }
 
-// Env returns shard i's environment (by position in the live worker set).
-// The worker goroutine owns its environment while tasks run, so callers may
-// touch it only before the first Submit (to install fault plans, page
-// limits, cleanups), from a task pinned to shard i, or after Close (to
-// Verify the drained heap).
+// Env returns shard i's environment. The worker goroutine owns its
+// environment while tasks run, so callers may touch it only before the
+// first Submit (to install fault plans, page limits, cleanups), from a task
+// pinned to shard i, or after Close (to Verify the drained heap).
 func (e *Engine) Env(i int) *Env { return e.workers()[i].env }
 
-// ShardFor returns the home shard index an affinity key maps to under the
-// engine's placement function (WithPlacement; FNV-1a mod shards by
-// default).
-func (e *Engine) ShardFor(key string) int {
-	return e.set.placement(key, len(e.workers()))
-}
-
-// homeWorker picks t's home worker from ws: the placement function when an
-// affinity key is set, round-robin otherwise.
-func (e *Engine) homeWorker(ws []*worker, t Task) *worker {
-	if t.Affinity != "" {
-		return ws[e.set.placement(t.Affinity, len(ws))]
+// home returns t's home position among n shards: Home-1 mod n when Home is
+// set, the next round-robin slot otherwise. Homed tasks do not advance the
+// round-robin counter.
+func (e *Engine) home(t Task, n int) int {
+	if t.Home != 0 {
+		return (t.Home - 1) % n
 	}
-	return ws[int((e.rr.Add(1)-1)%uint32(len(ws)))]
+	return int((e.rr.Add(1) - 1) % uint32(n))
 }
 
 // Submit places t on its home shard's deque (the pinned queue when t.Pin
@@ -374,8 +267,8 @@ func (e *Engine) Submit(t Task) {
 	if e.closed.Load() {
 		panic("shard: Submit after Close")
 	}
-	w := e.homeWorker(e.workers(), t)
-	e.submitTo(w, t)
+	ws := e.workers()
+	e.submitTo(ws[e.home(t, len(ws))], t)
 }
 
 // submitTo places t on w's queue (pinned queue when t.Pin is set),
@@ -410,12 +303,8 @@ func (e *Engine) SubmitBatch(ts []Task) {
 	ws := e.workers()
 	steal := make([][]Task, len(ws))
 	pin := make([][]Task, len(ws))
-	index := make(map[*worker]int, len(ws))
-	for i, w := range ws {
-		index[w] = i
-	}
 	for _, t := range ts {
-		i := index[e.homeWorker(ws, t)]
+		i := e.home(t, len(ws))
 		if t.Pin {
 			pin[i] = append(pin[i], t)
 		} else {
@@ -479,10 +368,8 @@ func (e *Engine) wake() {
 // w's pinned queue first (FIFO, nobody else can run those), then the newest
 // task on w's own deque (LIFO keeps the shard working what it was just
 // given), then — unless stealing is off — the oldest task of the first
-// non-empty sibling deque, sweeping rightward from w's own position in the
-// live worker set. A worker marked retiring exits (ok=false) as soon as
-// its own queues are dry instead of stealing or sleeping. Blocks while
-// nothing is runnable; ok=false otherwise means the engine is closed and
+// non-empty sibling deque, sweeping rightward from w's own position. Blocks
+// while nothing is runnable; ok=false means the engine is closed and
 // drained.
 func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 	for {
@@ -496,50 +383,24 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 			w.notePopped(w)
 			return t, false, true
 		}
-		if w.retiring.Load() {
-			return Task{}, false, false
-		}
-		if !e.noSteal {
-			// The live slice can change across iterations of the outer loop
-			// (Resize), so find our own position fresh each sweep; a worker
-			// no longer in the slice (mid-retirement) simply doesn't steal.
+		if !e.set.noSteal {
 			ws := e.workers()
-			self := -1
-			for i, v := range ws {
-				if v == w {
-					self = i
-					break
+			for i := 1; i < len(ws); i++ {
+				v := ws[(w.id+i)%len(ws)]
+				if t, ok := v.dq.popFront(); ok {
+					e.stealable.Add(-1)
+					w.notePopped(v)
+					return t, true, true
 				}
-			}
-			if self >= 0 {
-				for i := 1; i < len(ws); i++ {
-					v := ws[(self+i)%len(ws)]
-					if t, ok := v.dq.popFront(); ok {
-						e.stealable.Add(-1)
-						w.notePopped(v)
-						return t, true, true
-					}
-				}
-			}
-		}
-		// Nothing runnable anywhere: spend the idle cycles on sweep debt,
-		// one bounded slice per pass so a task arriving mid-drain is picked
-		// up after at most one slice.
-		if e.idleSweep {
-			if rt := w.env.Runtime(); rt.SweepDebt() > 0 {
-				before := w.env.Counters().TotalCycles()
-				rt.SweepSlice()
-				e.emitSpan(trace.SpanSweep, w.id, before, w.env.Counters().TotalCycles())
-				continue
 			}
 		}
 		e.mu.Lock()
 		for {
 			if w.npinned.Load() > 0 || w.dq.len() > 0 ||
-				(!e.noSteal && e.stealable.Load() > 0) {
+				(!e.set.noSteal && e.stealable.Load() > 0) {
 				break
 			}
-			if e.closed.Load() || w.retiring.Load() {
+			if e.closed.Load() {
 				e.mu.Unlock()
 				return Task{}, false, false
 			}
@@ -556,11 +417,11 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 // Both halves are emitted together, after the fact, which the analyzer
 // accepts because it orders by the stamps, not by arrival.
 func (e *Engine) emitSpan(kind trace.SpanKind, shard int, begin, end uint64) {
-	if e.spanT == nil {
+	if e.set.spanT == nil {
 		return
 	}
-	e.spanT.Emit(trace.SpanBegin(kind, -1, shard, begin))
-	e.spanT.Emit(trace.SpanEnd(kind, -1, shard, end))
+	e.set.spanT.Emit(trace.SpanBegin(kind, -1, shard, begin))
+	e.set.spanT.Emit(trace.SpanEnd(kind, -1, shard, end))
 }
 
 // notePopped records a task leaving owner's queue; the caller's loop then
@@ -573,7 +434,7 @@ func (w *worker) notePopped(owner *worker) {
 
 // HeapReports returns the most recent heap profile captured by each live
 // shard, in shard order, omitting shards that have not captured one yet.
-// Profiles are taken by the shard goroutines (see Config.HeapProfileEvery);
+// Profiles are taken by the shard goroutines (see WithHeapProfileEvery);
 // reading them is safe at any time.
 func (e *Engine) HeapReports() []*metrics.HeapReport {
 	var out []*metrics.HeapReport
@@ -596,15 +457,9 @@ func (w *worker) captureHeapProfile() {
 	w.lastProf.Store(rep)
 }
 
-// Close drains every queue, stops the workers (and the migration
-// coordinator, if one is running), and returns the aggregated stats —
-// including shards retired by earlier Resize calls, sorted by shard id.
+// Close drains every queue, stops the workers, and returns the aggregated
+// stats in shard order.
 func (e *Engine) Close() Aggregate {
-	if e.coordStop != nil {
-		close(e.coordStop)
-		<-e.coordDone
-		e.coordStop = nil
-	}
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
 	e.mu.Lock()
@@ -612,11 +467,9 @@ func (e *Engine) Close() Aggregate {
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	e.wg.Wait()
-	live := e.workers()
-	all := append(append([]*worker(nil), e.retired...), live...)
-	sortWorkersByID(all)
-	agg := Aggregate{Shards: len(live)}
-	for _, w := range all {
+	ws := e.workers()
+	agg := Aggregate{Shards: len(ws)}
+	for _, w := range ws {
 		s := w.stats
 		agg.Tasks += s.Tasks
 		agg.Failures += s.Failures
@@ -628,37 +481,26 @@ func (e *Engine) Close() Aggregate {
 		}
 		agg.PerShard = append(agg.PerShard, s)
 	}
-	if e.reg != nil {
-		e.reg.Gauge("regions_shard_makespan_cycles").Set(int64(agg.MakespanCycles))
+	if reg := e.set.metrics; reg != nil {
+		reg.Gauge("regions_shard_makespan_cycles").Set(int64(agg.MakespanCycles))
 		if agg.MakespanCycles > 0 && agg.Shards > 0 {
 			util := agg.TotalCycles * 100 / (agg.MakespanCycles * uint64(agg.Shards))
-			e.reg.Gauge("regions_shard_utilization_pct").Set(int64(util))
+			reg.Gauge("regions_shard_utilization_pct").Set(int64(util))
 		}
-		if e.spanT != nil {
+		if e.set.spanT != nil {
 			// Span reconstruction is only as good as the ring: publish the
 			// events lost to wraparound so a scrape (and the SpanProfile
 			// consumer) can tell a complete account from a truncated window.
-			if d := e.spanT.Stats().Dropped; d > 0 {
-				e.reg.Counter("regions_trace_dropped_total").Add(d)
+			if d := e.set.spanT.Stats().Dropped; d > 0 {
+				reg.Counter("regions_trace_dropped_total").Add(d)
 			}
 		}
 	}
 	return agg
 }
 
-// sortWorkersByID is an insertion sort (the slice is small and mostly
-// ordered: retired ids then live ids, each ascending).
-func sortWorkersByID(ws []*worker) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j-1].id > ws[j].id; j-- {
-			ws[j-1], ws[j] = ws[j], ws[j-1]
-		}
-	}
-}
-
 func (w *worker) loop(e *Engine) {
 	defer e.wg.Done()
-	defer close(w.done)
 	var prevCycles uint64
 	for {
 		t, stolen, ok := e.next(w)
@@ -667,10 +509,8 @@ func (w *worker) loop(e *Engine) {
 		}
 		// A pop freed a deque slot; unblock any submitter waiting on it.
 		e.wake()
-		start := time.Now()
 		simBefore := w.env.Counters().TotalCycles()
 		sum, err := w.runTask(t)
-		w.stats.Busy += time.Since(start)
 		w.stats.Tasks++
 		if stolen {
 			w.stats.Steals++
@@ -686,8 +526,6 @@ func (w *worker) loop(e *Engine) {
 			w.stats.Checksum += sum
 		}
 		simAfter := w.env.Counters().TotalCycles()
-		w.pubBusy.Store(simAfter)
-		w.pubSteals.Store(w.stats.Steals)
 		if w.met != nil {
 			w.met.tasks.Inc()
 			if stolen {
@@ -716,7 +554,7 @@ func (w *worker) loop(e *Engine) {
 			w.captureHeapProfile()
 		}
 	}
-	if e.deferred {
+	if e.set.deferredDelete {
 		// Drain remaining sweep debt before the books close, so Close hands
 		// back fully poisoned heaps and debt provably returns to zero.
 		rt := w.env.Runtime()
@@ -761,14 +599,4 @@ func (w *worker) runDone(t Task, res TaskResult) {
 		}
 	}()
 	t.Done(res)
-}
-
-// fnv32a is the 32-bit FNV-1a hash, inlined to keep Submit allocation-free.
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

@@ -2,8 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
@@ -11,8 +9,7 @@ import (
 )
 
 // This file is the engine's elastic-sharding layer: live migration of
-// regions between shard runtimes and live resizing of the worker set,
-// ROADMAP item 2 (shard rebalancing beyond work stealing).
+// regions between shard runtimes and live growth of the worker set.
 //
 // Work stealing moves *tasks*, but a task pinned to the shard that owns its
 // regions cannot move — a tenant whose state lives on shard 0 hammers shard
@@ -24,17 +21,14 @@ import (
 // pinned tasks on the owning workers, so each runtime is only ever touched
 // by its own goroutine — the shared-nothing discipline survives.
 //
+// Ownership moves only at explicit program points: the driver calls Resize
+// and MigrateRegion at a barrier of its choosing (internal/serve does so
+// between its two phases). The engine never migrates on its own.
+//
 // Checksum discipline: migration tasks return checksum 0, and region
 // content is placement-independent by construction (core.ContentChecksum),
 // so an engine's summed checksum is bit-identical with migration forced on
 // or off — the determinism gate extends across migration.
-//
-// The coordinator watches each worker's published busy-cycle and steal
-// counters (pubBusy/pubSteals, maintained wait-free by the workers) and
-// migrates a region from the busiest to the idlest shard after sustained
-// skew. Resize(n) grows the worker set with fresh shards or retires the
-// highest-indexed ones, migrating every resident region off before the
-// shard's books close.
 
 // migrationCycleBounds buckets the simulated cost of one migration
 // (export + import task cycles) for the regions_migration_cycles histogram.
@@ -44,9 +38,7 @@ var migrationCycleBounds = []uint64{
 
 // Migration describes one region moved between shards.
 type Migration struct {
-	// From and To are the donor and receiver shard ids (Stats.Shard /
-	// metric-label ids, which match slice positions until a shrink
-	// retires workers).
+	// From and To are the donor and receiver shard positions.
 	From, To int
 	// Old is the donor-side handle, now migrated: any use faults with
 	// core.FaultMigratedRegion. New is the live handle on the receiver.
@@ -62,98 +54,53 @@ type Migration struct {
 }
 
 // Migrations returns the engine's totals: completed migrations and pages
-// moved (coordinator-, MigrateRegion-, and Resize-initiated alike).
+// moved.
 func (e *Engine) Migrations() (count, pages uint64) {
 	return e.migrations.Load(), e.migratedPages.Load()
 }
 
-// exportOn runs pick as a pinned task on w and returns the records it
-// exported. pick runs on the worker goroutine with exclusive access to the
-// runtime; it must leave the runtime verified.
-func (e *Engine) exportOn(w *worker, pick func(rt *core.Runtime) ([]Migration, error)) ([]Migration, error) {
-	var out []Migration
-	var pickErr error
+// onShard runs step as a pinned task on w, giving it exclusive use of w's
+// runtime, and returns the task's simulated cycles with step's error (or
+// the task's recovered panic). A step that succeeds is bracketed in a
+// migrate span on w's track.
+func (e *Engine) onShard(w *worker, name string, step func(rt *core.Runtime) error) (uint64, error) {
+	var stepErr error
+	var cycles uint64
 	done := make(chan error, 1)
 	e.submitTo(w, Task{
-		Name: "migrate-export",
+		Name: name,
 		Pin:  true,
 		Run: func(appkit.RegionEnv) uint32 {
-			out, pickErr = pick(w.env.Runtime())
-			if pickErr == nil && len(out) > 0 {
-				if err := w.env.Runtime().Verify(); err != nil {
-					panic(err)
-				}
-			}
+			stepErr = step(w.env.Runtime())
 			return 0
 		},
 		Done: func(res TaskResult) {
-			for i := range out {
-				out[i].Cycles += res.EndCycles - res.StartCycles
-			}
-			if len(out) > 0 {
+			cycles = res.EndCycles - res.StartCycles
+			if res.Err == nil && stepErr == nil {
 				e.emitSpan(trace.SpanMigrate, res.Shard, res.StartCycles, res.EndCycles)
 			}
 			done <- res.Err
 		},
 	})
 	if err := <-done; err != nil {
-		return nil, err
+		return cycles, err
 	}
-	return out, pickErr
+	return cycles, stepErr
 }
 
-// importOn imports rec as a pinned task on w, returning the new handle and
-// the task's simulated cycles.
-func (e *Engine) importOn(w *worker, rec *core.RegionRecord) (*core.Region, uint64, error) {
-	var newR *core.Region
-	done := make(chan error, 1)
-	var cycles uint64
-	e.submitTo(w, Task{
-		Name: "migrate-import",
-		Pin:  true,
-		Run: func(appkit.RegionEnv) uint32 {
-			r, err := w.env.Runtime().ImportRegion(rec)
-			if err != nil {
-				panic(err)
-			}
-			if err := w.env.Runtime().Verify(); err != nil {
-				panic(err)
-			}
-			newR = r
-			return 0
-		},
-		Done: func(res TaskResult) {
-			cycles = res.EndCycles - res.StartCycles
-			e.emitSpan(trace.SpanMigrate, res.Shard, res.StartCycles, res.EndCycles)
-			done <- res.Err
-		},
-	})
-	if err := <-done; err != nil {
-		return nil, cycles, err
-	}
-	return newR, cycles, nil
-}
-
-// recordMigration books one completed move into the engine counters,
-// metrics, and the configured OnMigrate callback.
-func (e *Engine) recordMigration(m Migration) {
-	e.migrations.Add(1)
-	e.migratedPages.Add(uint64(m.Pages))
-	if e.migTotal != nil {
-		e.migTotal.Inc()
-		e.migPages.Add(uint64(m.Pages))
-		e.migCycles.Observe(m.Cycles)
-	}
-	if fn := e.set.migration.OnMigrate; fn != nil {
-		fn(m)
+// mustVerify panics if rt's heap fails its structural checks: a migration
+// step that corrupts a runtime is a task failure, not a refused move.
+func mustVerify(rt *core.Runtime) {
+	if err := rt.Verify(); err != nil {
+		panic(err)
 	}
 }
 
-// MigrateRegion moves r from shard from to shard to (positions in the live
-// worker set) and returns the completed Migration. The export and import
-// run as pinned tasks on the owning workers; between them the region exists
-// only as a serialized record, and afterwards r faults with
-// core.FaultMigratedRegion while Migration.New is the live handle.
+// MigrateRegion moves r from shard from to shard to and returns the
+// completed Migration. The export and import run as pinned tasks on the
+// owning workers; between them the region exists only as a serialized
+// record, and afterwards r faults with core.FaultMigratedRegion while
+// Migration.New is the live handle.
 //
 // The region must be quiescent: unreferenced from other regions, frames,
 // and globals, with no outbound cross-region pointers (else
@@ -176,255 +123,75 @@ func (e *Engine) MigrateRegion(r *core.Region, from, to int) (Migration, error) 
 	if from == to {
 		return Migration{}, fmt.Errorf("shard: MigrateRegion: donor and receiver are both shard %d", from)
 	}
-	return e.migrateOne(ws[from], ws[to], r)
-}
-
-// migrateOne moves one region (nil means "donor's best exportable choice")
-// from donor to recv. Caller holds resizeMu.
-func (e *Engine) migrateOne(donor, recv *worker, r *core.Region) (Migration, error) {
-	migs, err := e.exportOn(donor, func(rt *core.Runtime) ([]Migration, error) {
-		pick := r
-		if pick == nil {
-			pick = largestExportable(rt)
-			if pick == nil {
-				return nil, nil
-			}
-		}
-		rec, err := rt.ExportRegion(pick)
+	m := Migration{From: from, To: to, Old: r}
+	cycles, err := e.onShard(ws[from], "migrate-export", func(rt *core.Runtime) error {
+		rec, err := rt.ExportRegion(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []Migration{{From: donor.id, To: recv.id, Old: pick, Rec: rec, Pages: rec.Pages}}, nil
+		m.Rec, m.Pages = rec, rec.Pages
+		mustVerify(rt)
+		return nil
 	})
 	if err != nil {
-		return Migration{}, fmt.Errorf("shard: export from shard %d: %w", donor.id, err)
+		return Migration{}, fmt.Errorf("shard: export from shard %d: %w", from, err)
 	}
-	if len(migs) == 0 {
-		return Migration{}, errNoExportable
+	m.Cycles = cycles
+	importInto := func(rt *core.Runtime) error {
+		newR, err := rt.ImportRegion(m.Rec)
+		if err != nil {
+			return err
+		}
+		m.New = newR
+		mustVerify(rt)
+		return nil
 	}
-	m := migs[0]
-	newR, cycles, err := e.importOn(recv, m.Rec)
+	cycles, err = e.onShard(ws[to], "migrate-import", importInto)
 	if err != nil {
 		// Receiver could not take the region; put it back where it was.
-		if _, backCycles, backErr := e.importOn(donor, m.Rec); backErr != nil {
+		if _, backErr := e.onShard(ws[from], "migrate-rollback", importInto); backErr != nil {
 			return Migration{}, fmt.Errorf("shard: import into shard %d failed (%v) and rollback into shard %d failed: %w",
-				recv.id, err, donor.id, backErr)
-		} else {
-			_ = backCycles
+				to, err, from, backErr)
 		}
-		return Migration{}, fmt.Errorf("shard: import into shard %d (rolled back): %w", recv.id, err)
+		return Migration{}, fmt.Errorf("shard: import into shard %d (rolled back): %w", to, err)
 	}
-	m.New = newR
 	m.Cycles += cycles
-	e.recordMigration(m)
+	e.migrations.Add(1)
+	e.migratedPages.Add(uint64(m.Pages))
+	if e.migTotal != nil {
+		e.migTotal.Inc()
+		e.migPages.Add(uint64(m.Pages))
+		e.migCycles.Observe(m.Cycles)
+	}
 	return m, nil
 }
 
-// errNoExportable reports a rebalance attempt that found no quiescent
-// region to move; the coordinator treats it as "nothing to do".
-var errNoExportable = fmt.Errorf("shard: donor has no exportable region")
-
-// largestExportable returns the live region with the most allocated bytes
-// that passes a quiescence probe, or nil. Probing costs one scan per
-// candidate, so candidates are ordered largest-first and the first success
-// wins — moving the biggest movable region shifts the most load per
-// migration.
-func largestExportable(rt *core.Runtime) *core.Region {
-	live := rt.LiveRegions()
-	sort.SliceStable(live, func(i, j int) bool {
-		return live[i].Bytes() > live[j].Bytes()
-	})
-	for _, r := range live {
-		if rt.Exportable(r) {
-			return r
-		}
-	}
-	return nil
-}
-
-// Resize grows or shrinks the live worker set to n shards and returns the
-// migrations a shrink performed. Growing appends fresh shards (new ids, new
-// empty runtimes) that immediately join placement and stealing. Shrinking
-// retires the highest-indexed shards: each drains its own queues, exits,
-// and has every resident region exported and imported round-robin into the
-// survivors; a retired shard's stats join the Close aggregate.
+// Resize grows the live worker set to n shards. The new shards take the
+// next positions, start with empty runtimes, and join placement and
+// stealing at once; a driver that wants state on them moves it with
+// MigrateRegion. The worker set never shrinks: n below Shards() is an
+// error, and n equal to it does nothing.
 //
 // Resize must not race Submit/SubmitBatch — the driver quiesces submission
-// first (internal/serve resizes at a phase barrier). Every region on a
-// retiring shard must be quiescent (exportable); a region that is not
-// fails the resize with the worker already retired.
-func (e *Engine) Resize(n int) ([]Migration, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: Resize(%d): need at least one shard", n)
-	}
+// first (internal/serve resizes at a phase barrier).
+func (e *Engine) Resize(n int) error {
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
 	if e.closed.Load() {
-		return nil, fmt.Errorf("shard: Resize after Close")
+		return fmt.Errorf("shard: Resize after Close")
 	}
 	ws := e.workers()
-	switch {
-	case n == len(ws):
-		return nil, nil
-	case n > len(ws):
-		grown := append([]*worker(nil), ws...)
-		added := make([]*worker, 0, n-len(ws))
-		for len(grown) < n {
-			w := e.newWorker()
-			grown = append(grown, w)
-			added = append(added, w)
-		}
-		e.ws.Store(&grown)
-		for _, w := range added {
-			e.wg.Add(1)
-			go w.loop(e)
-		}
-		return nil, nil
+	if n < len(ws) {
+		return fmt.Errorf("shard: Resize(%d): engine has %d shards and cannot shrink", n, len(ws))
 	}
-	// Shrink: publish the survivors first so new placement and steal sweeps
-	// stop seeing the victims, then let the victims drain and exit.
-	survivors := append([]*worker(nil), ws[:n]...)
-	victims := ws[n:]
-	e.ws.Store(&survivors)
-	for _, v := range victims {
-		v.retiring.Store(true)
+	grown := append([]*worker(nil), ws...)
+	for len(grown) < n {
+		grown = append(grown, e.newWorker(len(grown)))
 	}
-	e.wake()
-	for _, v := range victims {
-		<-v.done
+	e.ws.Store(&grown)
+	for _, w := range grown[len(ws):] {
+		e.wg.Add(1)
+		go w.loop(e)
 	}
-	var migs []Migration
-	var firstErr error
-	for _, v := range victims {
-		// The victim goroutine has exited; its runtime is safe to drive from
-		// here. Export every live region and import each into a survivor,
-		// spreading round-robin by global migration order.
-		rt := v.env.Runtime()
-		for _, r := range rt.LiveRegions() {
-			rec, err := rt.ExportRegion(r)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard: resize: evacuating shard %d: %w", v.id, err)
-				}
-				continue
-			}
-			dst := survivors[len(migs)%len(survivors)]
-			newR, cycles, err := e.importOn(dst, rec)
-			if err != nil {
-				// Survivor refused (OOM): the region's pages are gone from the
-				// victim too, so restore it there directly — the victim's
-				// goroutine is gone and its runtime is ours to drive.
-				if back, backErr := rt.ImportRegion(rec); backErr != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("shard: resize: import into shard %d failed (%v) and restore into shard %d failed: %w",
-							dst.id, err, v.id, backErr)
-					}
-				} else {
-					_ = back
-					if firstErr == nil {
-						firstErr = fmt.Errorf("shard: resize: import into shard %d (region restored on retired shard %d): %w",
-							dst.id, v.id, err)
-					}
-				}
-				continue
-			}
-			m := Migration{From: v.id, To: dst.id, Old: r, New: newR, Rec: rec,
-				Pages: rec.Pages, Cycles: cycles}
-			e.recordMigration(m)
-			migs = append(migs, m)
-		}
-		if err := rt.Verify(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard: resize: verify retired shard %d: %w", v.id, err)
-		}
-		// The evacuation charged cycles after the worker snapshotted its
-		// stats at exit; refresh so the Close aggregate stays truthful.
-		v.stats.SimCycles = v.env.Counters().TotalCycles()
-		v.stats.OSBytes = v.env.Space().MappedBytes()
-	}
-	e.retired = append(e.retired, victims...)
-	return migs, firstErr
-}
-
-// coordinate is the migration coordinator goroutine: every cfg.Interval it
-// reads each live worker's published busy-cycle and steal deltas, and after
-// cfg.SustainedPolls consecutive skewed polls migrates up to cfg.MaxMoves
-// regions from the busiest to the idlest shard. Skew means the busiest
-// shard's delta exceeds SkewRatio times the idlest's (a fully idle shard
-// always qualifies); when stealing is on, a window with steals corroborates
-// that the scheduler is already shuttling tasks — but an idle window with
-// zero steals and zero idle-side work also counts, since pinned tasks never
-// steal.
-func (e *Engine) coordinate(cfg MigrationConfig) {
-	defer close(e.coordDone)
-	tick := time.NewTicker(cfg.Interval)
-	defer tick.Stop()
-	type snap struct{ busy, steals uint64 }
-	last := make(map[int]snap)
-	streak := 0
-	for {
-		select {
-		case <-e.coordStop:
-			return
-		case <-tick.C:
-		}
-		ws := e.workers()
-		if len(ws) < 2 {
-			streak = 0
-			continue
-		}
-		var donor, recv *worker
-		var maxD, minD uint64
-		cur := make(map[int]snap, len(ws))
-		for _, w := range ws {
-			s := snap{busy: w.pubBusy.Load(), steals: w.pubSteals.Load()}
-			cur[w.id] = s
-			d := s.busy - last[w.id].busy
-			if donor == nil || d > maxD {
-				donor, maxD = w, d
-			}
-			if recv == nil || d < minD {
-				recv, minD = w, d
-			}
-		}
-		last = cur
-		skewed := donor != recv && maxD > 0 &&
-			(minD == 0 || float64(maxD) >= cfg.SkewRatio*float64(minD))
-		if !skewed {
-			streak = 0
-			continue
-		}
-		streak++
-		if streak < cfg.SustainedPolls {
-			continue
-		}
-		streak = 0
-		e.rebalance(donor, recv, cfg.MaxMoves)
-	}
-}
-
-// rebalance moves up to maxMoves of donor's exportable regions to recv,
-// re-validating both against the live worker set under resizeMu (a Resize
-// may have retired either since the coordinator sampled them). Errors are
-// swallowed: a failed or impossible rebalance leaves both shards intact and
-// the next poll tries again.
-func (e *Engine) rebalance(donor, recv *worker, maxMoves int) {
-	e.resizeMu.Lock()
-	defer e.resizeMu.Unlock()
-	if e.closed.Load() {
-		return
-	}
-	ws := e.workers()
-	liveDonor, liveRecv := false, false
-	for _, w := range ws {
-		liveDonor = liveDonor || w == donor
-		liveRecv = liveRecv || w == recv
-	}
-	if !liveDonor || !liveRecv {
-		return
-	}
-	for i := 0; i < maxMoves; i++ {
-		if _, err := e.migrateOne(donor, recv, nil); err != nil {
-			return
-		}
-	}
+	return nil
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
-	"regions/internal/metrics"
 )
 
 // pinnedDo runs fn as a pinned task on shard i's worker goroutine — the
@@ -277,9 +275,8 @@ func TestMigrateUnderLoad(t *testing.T) {
 }
 
 // TestResizeGrowAndShrink exercises both directions live: grow 2→4 with
-// work landing on the new shards, then shrink 4→1 with every resident
-// region evacuated into the survivor, digests intact, and retired shards'
-// stats joining the Close aggregate.
+// work landing on the new shards and resident regions untouched, then a
+// shrink that the grow-only engine refuses without disturbing anything.
 func TestResizeGrowAndShrink(t *testing.T) {
 	eng := NewEngine(WithShards(2))
 
@@ -297,148 +294,69 @@ func TestResizeGrowAndShrink(t *testing.T) {
 		}
 	}
 
-	migs, err := eng.Resize(4)
-	if err != nil || len(migs) != 0 {
-		t.Fatalf("grow: migs=%v err=%v", migs, err)
+	if err := eng.Resize(4); err != nil {
+		t.Fatalf("grow: %v", err)
 	}
 	if eng.Shards() != 4 {
 		t.Fatalf("Shards() = %d after grow, want 4", eng.Shards())
 	}
-	// Pin one task directly onto each grown shard and confirm it runs there.
+	// Home one pinned task on each grown shard and confirm it runs there.
 	done := make(chan int, 2)
 	for i := 2; i < 4; i++ {
 		tk := workTask(uint32(i), 8)
+		tk.Home = i + 1
 		tk.Pin = true
 		tk.Done = func(res TaskResult) { done <- res.Shard }
-		e := eng
-		e.submitTo(e.workers()[i], tk)
+		eng.Submit(tk)
 	}
 	got := map[int]bool{<-done: true, <-done: true}
 	if !got[2] || !got[3] {
 		t.Fatalf("pinned tasks ran on shards %v, want the grown shards 2 and 3", got)
 	}
 
-	migs, err = eng.Resize(1)
-	if err != nil {
-		t.Fatalf("shrink: %v", err)
-	}
-	if eng.Shards() != 1 {
-		t.Fatalf("Shards() = %d after shrink, want 1", eng.Shards())
-	}
-	// Shard 1's traveler must have been evacuated into shard 0; shard 0's
-	// never moved.
-	moved := map[*core.Region]*Migration{}
-	for i := range migs {
-		moved[migs[i].Old] = &migs[i]
-	}
-	m1 := moved[tr[1].r]
-	if m1 == nil {
-		t.Fatalf("shard 1's region was not evacuated (migrations: %v)", migs)
-	}
-	if m1.To != 0 || m1.From != 1 {
-		t.Fatalf("evacuation went %d→%d, want 1→0", m1.From, m1.To)
-	}
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
-		if got := rt.ContentChecksum(m1.New); got != tr[1].want {
-			panic(fmt.Sprintf("evacuated digest %#x, want %#x", got, tr[1].want))
+	for _, n := range []int{1, 0} {
+		if err := eng.Resize(n); err == nil {
+			t.Fatalf("Resize(%d) accepted on a 4-shard engine", n)
 		}
-		if got := rt.ContentChecksum(tr[0].r); got != tr[0].want {
-			panic(fmt.Sprintf("resident digest %#x, want %#x", got, tr[0].want))
-		}
-		if !rt.DeleteRegion(m1.New) || !rt.DeleteRegion(tr[0].r) {
-			panic("post-shrink regions not deletable")
-		}
-		if err := rt.Verify(); err != nil {
-			panic(err)
-		}
-	}); err != nil {
-		t.Fatalf("survivor-side checks: %v", err)
 	}
-
-	if _, err := eng.Resize(0); err == nil {
-		t.Fatal("Resize(0) accepted")
+	if err := eng.Resize(4); err != nil {
+		t.Fatalf("Resize to the current size: %v", err)
+	}
+	if eng.Shards() != 4 {
+		t.Fatalf("Shards() = %d after refused shrink, want 4", eng.Shards())
+	}
+	for i := range tr {
+		i := i
+		if err := pinnedDo(eng, i, func(rt *core.Runtime) {
+			if got := rt.ContentChecksum(tr[i].r); got != tr[i].want {
+				panic(fmt.Sprintf("resident digest %#x, want %#x", got, tr[i].want))
+			}
+			if !rt.DeleteRegion(tr[i].r) {
+				panic("resident region not deletable")
+			}
+			if err := rt.Verify(); err != nil {
+				panic(err)
+			}
+		}); err != nil {
+			t.Fatalf("shard %d checks: %v", i, err)
+		}
 	}
 
 	agg := eng.Close()
-	if agg.Shards != 1 {
-		t.Fatalf("aggregate Shards = %d, want 1", agg.Shards)
-	}
-	if len(agg.PerShard) != 4 {
-		t.Fatalf("aggregate PerShard has %d entries, want 4 (retired included)", len(agg.PerShard))
-	}
-	for i, s := range agg.PerShard {
-		if s.Shard != i {
-			t.Fatalf("PerShard[%d].Shard = %d, want sorted ids", i, s.Shard)
-		}
+	if agg.Shards != 4 || len(agg.PerShard) != 4 {
+		t.Fatalf("aggregate Shards = %d with %d PerShard entries, want 4 and 4", agg.Shards, len(agg.PerShard))
 	}
 	var perShardTasks uint64
-	for _, s := range agg.PerShard {
+	for i, s := range agg.PerShard {
+		if s.Shard != i {
+			t.Fatalf("PerShard[%d].Shard = %d, want shard order", i, s.Shard)
+		}
 		perShardTasks += s.Tasks
 	}
 	if perShardTasks != agg.Tasks {
 		t.Fatalf("per-shard tasks sum %d != aggregate %d", perShardTasks, agg.Tasks)
 	}
-}
-
-// TestCoordinatorMigratesOnSkew drives one shard hot with pinned work while
-// its sibling idles and waits for the coordinator to move the hot shard's
-// resident region over, proving the busy-counter watch path end to end.
-func TestCoordinatorMigratesOnSkew(t *testing.T) {
-	reg := metrics.NewRegistry()
-	movedCh := make(chan Migration, 4)
-	eng := NewEngine(WithShards(2), WithMetrics(reg), WithMigration(MigrationConfig{
-		Enabled:        true,
-		Interval:       time.Millisecond,
-		SustainedPolls: 2,
-		MaxMoves:       1,
-		OnMigrate:      func(m Migration) { movedCh <- m },
-	}))
-	registerSizeCleanups(t, eng, 8)
-
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
-		r, _ := buildChain(rt, 128)
-		_ = r
-	}); err != nil {
-		t.Fatalf("build: %v", err)
-	}
-
-	// Pinned work keyed to home on shard 0, where the region lives.
-	key := "hot"
-	for i := 0; eng.ShardFor(key) != 0; i++ {
-		key = fmt.Sprintf("hot-%d", i)
-	}
-	hot := func() Task {
-		tk := workTask(1, 64)
-		tk.Pin = true
-		tk.Affinity = key
-		return tk
-	}
-
-	deadline := time.After(5 * time.Second)
-	var m Migration
-loop:
-	for {
-		select {
-		case m = <-movedCh:
-			break loop
-		case <-deadline:
-			t.Fatal("coordinator never migrated despite sustained skew")
-		default:
-			eng.Submit(hot())
-		}
-	}
-	if m.From != 0 || m.To != 1 || m.Pages == 0 {
-		t.Fatalf("coordinator migration %+v, want a move 0→1", m)
-	}
-	agg := eng.Close()
-	if agg.Failures != 0 {
-		t.Fatalf("%d failures", agg.Failures)
-	}
-	snap := reg.Snapshot()
-	if c, ok := snap.Counter("regions_migrations_total"); !ok || c == 0 {
-		t.Fatalf("regions_migrations_total = %d (present=%v), want > 0", c, ok)
-	}
-	if c, ok := snap.Counter("regions_migrated_pages_total"); !ok || c == 0 {
-		t.Fatalf("regions_migrated_pages_total = %d (present=%v), want > 0", c, ok)
+	if err := eng.Resize(8); err == nil {
+		t.Fatal("Resize after Close accepted")
 	}
 }

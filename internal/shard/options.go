@@ -1,155 +1,81 @@
 package shard
 
 import (
-	"time"
-
 	"regions/internal/metrics"
 	"regions/internal/trace"
 )
 
 // This file is the engine's construction surface: functional options over a
-// private settings struct. The Config literal grew a field per PR (sharding,
-// stealing, metrics, heap profiling, deferred deletion, idle sweeping...)
-// and migration/resize would have added several more; options keep each knob
-// a named, documented, composable unit — shard.NewEngine(shard.WithShards(8),
-// shard.WithMigration(cfg)) — while New(Config) survives as a thin
-// deprecated adapter for existing callers.
-
-// PlacementFunc maps an affinity key to a home shard index in [0, shards).
-// It must be a pure function of its arguments: placement runs on every
-// Submit and, under Resize, with a changing shard count.
-type PlacementFunc func(key string, shards int) int
-
-// defaultPlacement is the engine's historical placement: FNV-1a mod shards.
-func defaultPlacement(key string, shards int) int {
-	return int(fnv32a(key) % uint32(shards))
-}
-
-// MigrationConfig tunes the background migration coordinator (see
-// migrate.go). The zero value leaves the coordinator off; WithMigration
-// applies defaults to zero fields when Enabled is set.
-type MigrationConfig struct {
-	// Enabled starts the coordinator goroutine.
-	Enabled bool
-	// Interval is the poll period over the shards' published busy-cycle and
-	// steal counters (default 2ms of wall clock).
-	Interval time.Duration
-	// SkewRatio is the busiest/idlest busy-cycle delta ratio that counts a
-	// poll as skewed (default 4). An idle shard (zero delta) opposite a busy
-	// one always counts as skewed.
-	SkewRatio float64
-	// SustainedPolls is how many consecutive skewed polls trigger a
-	// rebalance (default 3), so a single bursty poll doesn't move regions.
-	SustainedPolls int
-	// MaxMoves bounds the regions migrated per rebalance (default 1).
-	MaxMoves int
-	// OnMigrate, when non-nil, is called after each completed migration
-	// (coordinator- and Resize-initiated) on the initiating goroutine. The
-	// driver uses it to re-root any untracked pointers it holds into the
-	// moved region, via Migration.Rec.Translate.
-	OnMigrate func(m Migration)
-}
-
-func (c *MigrationConfig) withDefaults() MigrationConfig {
-	out := *c
-	if out.Interval <= 0 {
-		out.Interval = 2 * time.Millisecond
-	}
-	if out.SkewRatio <= 1 {
-		out.SkewRatio = 4
-	}
-	if out.SustainedPolls <= 0 {
-		out.SustainedPolls = 3
-	}
-	if out.MaxMoves <= 0 {
-		out.MaxMoves = 1
-	}
-	return out
-}
+// private settings struct, one option per knob a caller actually turns —
+// shard.NewEngine(shard.WithShards(8), shard.WithNoSteal()).
 
 // settings is the resolved engine configuration NewEngine builds from its
-// options. Config is embedded so the deprecated New(Config) adapter is one
-// assignment.
+// options.
 type settings struct {
-	Config
-	placement PlacementFunc
-	migration MigrationConfig
-	spanT     *trace.Tracer
+	shards           int
+	noSteal          bool
+	metrics          *metrics.Registry
+	heapProfileEvery int
+	deferredDelete   bool
+	sweepBudget      int
+	sweepHighWater   int
+	noStrPool        bool
+	spanT            *trace.Tracer
 }
 
 // Option configures an Engine at construction.
 type Option func(*settings)
 
 // WithShards sets the initial worker count (default 1; values below 1
-// become 1). Engine.Resize can change it later.
-func WithShards(n int) Option { return func(s *settings) { s.Shards = n } }
+// become 1). Engine.Resize can grow it later.
+func WithShards(n int) Option { return func(s *settings) { s.shards = n } }
 
-// WithPageBatch sets each shard's free-page cache batch (default
-// DefaultPageBatch; 1 disables batching).
-func WithPageBatch(n int) Option { return func(s *settings) { s.PageBatch = n } }
+// WithNoSteal disables work stealing: every task runs on its home shard,
+// the engine's pre-stealing static placement. Exists for A/B measurement
+// (the imbalance benchmark) and as an escape hatch.
+func WithNoSteal() Option { return func(s *settings) { s.noSteal = true } }
 
-// WithQueueCap sets the per-shard pending-task deque capacity (default 32).
-func WithQueueCap(c int) Option { return func(s *settings) { s.Queue = c } }
-
-// WithNoSteal disables work stealing: every task runs on its home shard.
-func WithNoSteal() Option { return func(s *settings) { s.NoSteal = true } }
-
-// WithUnsafe runs every shard on the unsafe region library.
-func WithUnsafe() Option { return func(s *settings) { s.Unsafe = true } }
-
-// WithMetrics attaches every shard's runtime, space, and per-shard labeled
-// series to reg, plus the engine's migration counters.
+// WithMetrics attaches every shard's runtime and space to reg (core/mem
+// series are shared across shards; the registry is atomic) and adds
+// per-shard labeled series: tasks, failures, busy simulated cycles, steals,
+// and live queue depth, plus the engine's migration counters. Close records
+// the engine's makespan and utilization gauges. Nil attaches nothing.
 func WithMetrics(reg *metrics.Registry) Option {
-	return func(s *settings) { s.Metrics = reg }
+	return func(s *settings) { s.metrics = reg }
 }
 
-// WithHeapProfileEvery makes each shard capture a heap profile every n
-// completed tasks (see Config.HeapProfileEvery).
+// WithHeapProfileEvery makes each shard capture a heap profile of its
+// runtime every n completed tasks (plus after its first task and once at
+// drain, so short runs still expose one), exposed via HeapReports — the
+// data behind regionbench's /heap endpoint. Capture runs on the shard's own
+// goroutine, so it is safe without locking the runtime. Zero disables it.
 func WithHeapProfileEvery(n int) Option {
-	return func(s *settings) { s.HeapProfileEvery = n }
+	return func(s *settings) { s.heapProfileEvery = n }
 }
 
-// WithDeferredDelete runs every shard runtime with deferred reclamation
-// (detach + incremental sweep); budget and highWater forward to the core
-// options, zero keeping the core defaults.
+// WithDeferredDelete runs every shard runtime with core.Options.
+// DeferredDelete: region deletion detaches pages and the per-page
+// reclamation runs in bounded sweep slices — via the allocation tax above
+// the high-water mark, wherever the driver calls SweepSlice, and in a final
+// drain when the engine closes (recorded per shard as
+// Stats.DrainSweepCycles). budget and highWater forward to the core
+// options' SweepBudget and SweepHighWater; zero keeps the core defaults.
 func WithDeferredDelete(budget, highWater int) Option {
 	return func(s *settings) {
-		s.DeferredDelete = true
-		s.SweepBudget = budget
-		s.SweepHighWater = highWater
+		s.deferredDelete = true
+		s.sweepBudget = budget
+		s.sweepHighWater = highWater
 	}
 }
-
-// WithIdleSweep makes workers that find no runnable task sweep one slice of
-// sweep debt before blocking (meaningful only with WithDeferredDelete).
-func WithIdleSweep(on bool) Option { return func(s *settings) { s.IdleSweep = on } }
 
 // WithNoStrPool disables the pooled string allocator's free lists on every
 // shard runtime (core.Options.NoStrPool): RstrFree becomes accounting-only
 // and every RstrAlloc bumps, for A/B comparison against the pooled default.
-func WithNoStrPool() Option { return func(s *settings) { s.NoStrPool = true } }
-
-// WithPlacement replaces the affinity-key placement function (default:
-// FNV-1a hash mod shard count). Round-robin placement of empty-key tasks is
-// unaffected.
-func WithPlacement(fn PlacementFunc) Option {
-	return func(s *settings) {
-		if fn != nil {
-			s.placement = fn
-		}
-	}
-}
-
-// WithMigration configures live region migration: cfg.Enabled starts the
-// skew-watching coordinator; Engine.MigrateRegion and Engine.Resize work
-// regardless, but honor cfg.OnMigrate.
-func WithMigration(cfg MigrationConfig) Option {
-	return func(s *settings) { s.migration = cfg.withDefaults() }
-}
+func WithNoStrPool() Option { return func(s *settings) { s.noStrPool = true } }
 
 // WithSpanTracer attaches t as the engine's span sink: workers bracket
-// idle-sweep slices, close-time sweep drains, stolen-task executions, and
-// migration export/import pauses in begin/end span pairs (trace.SpanBegin /
+// close-time sweep drains, stolen-task executions, and migration
+// export/import pauses in begin/end span pairs (trace.SpanBegin /
 // trace.SpanEnd) stamped with the executing shard's own simulated clock.
 // The tracer must be clock-less (no SetClock) so those per-shard stamps
 // survive; it is shared by all workers, which is safe because Emit locks.
@@ -158,9 +84,4 @@ func WithMigration(cfg MigrationConfig) Option {
 // spans on or off.
 func WithSpanTracer(t *trace.Tracer) Option {
 	return func(s *settings) { s.spanT = t }
-}
-
-// withConfig is the deprecated-adapter bridge from a Config literal.
-func withConfig(cfg Config) Option {
-	return func(s *settings) { s.Config = cfg }
 }

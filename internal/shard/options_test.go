@@ -1,39 +1,6 @@
 package shard
 
-import (
-	"fmt"
-	"math/rand"
-	"testing"
-)
-
-// TestDeprecatedNewMatchesOptions pins the adapter contract: New(Config)
-// must configure exactly what the equivalent With* options do, so existing
-// callers can migrate field by field. Both engines run the same task set
-// and must agree on shard count, drained totals, and summed checksum.
-func TestDeprecatedNewMatchesOptions(t *testing.T) {
-	tasks := randomTasks(rand.New(rand.NewSource(7)), 120)
-
-	run := func(e *Engine) Aggregate {
-		e.SubmitBatch(tasks)
-		return e.Close()
-	}
-	old := run(New(Config{Shards: 3, NoSteal: true, Queue: 8, PageBatch: 16}))
-	opt := run(NewEngine(WithShards(3), WithNoSteal(), WithQueueCap(8), WithPageBatch(16)))
-
-	if old.Shards != opt.Shards {
-		t.Fatalf("shards: adapter %d, options %d", old.Shards, opt.Shards)
-	}
-	if old.Tasks != opt.Tasks || old.Failures != opt.Failures {
-		t.Fatalf("totals: adapter (%d, %d), options (%d, %d)",
-			old.Tasks, old.Failures, opt.Tasks, opt.Failures)
-	}
-	if old.Checksum != opt.Checksum {
-		t.Fatalf("checksum: adapter %#x, options %#x", old.Checksum, opt.Checksum)
-	}
-	if old.Steals != 0 || opt.Steals != 0 {
-		t.Fatalf("NoSteal ignored: steals %d / %d", old.Steals, opt.Steals)
-	}
-}
+import "testing"
 
 // TestDefaultsApply checks the resolved defaults: zero options mean one
 // shard, and sub-minimum shard counts clamp to one.
@@ -49,38 +16,4 @@ func TestDefaultsApply(t *testing.T) {
 		t.Fatalf("Shards() = %d with WithShards(-3), want 1", e.Shards())
 	}
 	e.Close()
-}
-
-// TestWithPlacement replaces the hash placement with a fixed-target
-// function and verifies both ShardFor and actual pinned execution follow
-// it, while stealing is disabled so nothing can drift.
-func TestWithPlacement(t *testing.T) {
-	const target = 2
-	e := NewEngine(WithShards(4), WithNoSteal(),
-		WithPlacement(func(key string, shards int) int { return target % shards }))
-	for _, key := range []string{"a", "b", "anything"} {
-		if got := e.ShardFor(key); got != target {
-			t.Fatalf("ShardFor(%q) = %d, want %d", key, got, target)
-		}
-	}
-	const n = 12
-	for i := 0; i < n; i++ {
-		tk := workTask(uint32(i), 4)
-		tk.Affinity = fmt.Sprintf("key-%d", i)
-		tk.Pin = true
-		e.Submit(tk)
-	}
-	agg := e.Close()
-	if agg.Failures != 0 {
-		t.Fatalf("%d failures", agg.Failures)
-	}
-	for _, s := range agg.PerShard {
-		want := uint64(0)
-		if s.Shard == target {
-			want = n
-		}
-		if s.Tasks != want {
-			t.Fatalf("shard %d ran %d tasks, want %d under fixed placement", s.Shard, s.Tasks, want)
-		}
-	}
 }

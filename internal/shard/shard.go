@@ -7,9 +7,9 @@
 // paper's single-threaded fast paths (bump allocation, dense page-index
 // lookup) untouched.
 //
-// Placement is either round-robin (throughput) or region-affinity: tasks
-// submitted with the same affinity key always execute on the same shard, so
-// a pipeline of tasks can share regions created by its predecessors without
+// Placement is either round-robin (throughput) or homed: pinned tasks
+// submitted with the same Task.Home always execute on the same shard, so a
+// pipeline of tasks can share regions created by its predecessors without
 // any cross-shard synchronization — the sharded analogue of the paper's
 // single-machine model.
 package shard
@@ -40,7 +40,8 @@ type Env struct {
 }
 
 // NewEnv builds a shard environment with the given core options. PageBatch
-// in opts controls the shard's free-page cache; Safe is honored as given.
+// in opts controls the shard's free-page cache; Safe is honored as given
+// (engine shards are always safe).
 func NewEnv(name string, opts core.Options) *Env {
 	c := &stats.Counters{}
 	sp := mem.NewSpace(c)

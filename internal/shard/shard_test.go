@@ -87,14 +87,14 @@ func TestChecksumIsPlacementIndependent(t *testing.T) {
 func TestAffinityTasksShareAShard(t *testing.T) {
 	eng := NewEngine(WithShards(4))
 	// The first task of the pipeline creates a region and leaves it live;
-	// the second, sharing its affinity key and pinned (affinity alone is a
-	// soft preference under work stealing), allocates in it and deletes
-	// it. This only works if both run, in order, on one runtime.
+	// the second, sharing its home and pinned (a home alone is a soft
+	// preference under work stealing), allocates in it and deletes it. This
+	// only works if both run, in order, on one runtime.
 	var shared appkit.Region
 	eng.Submit(Task{
-		Name:     "produce",
-		Affinity: "pipeline-1",
-		Pin:      true,
+		Name: "produce",
+		Home: 3,
+		Pin:  true,
 		Run: func(e appkit.RegionEnv) uint32 {
 			shared = e.NewRegion()
 			e.RstrAlloc(shared, 64)
@@ -102,9 +102,9 @@ func TestAffinityTasksShareAShard(t *testing.T) {
 		},
 	})
 	eng.Submit(Task{
-		Name:     "consume",
-		Affinity: "pipeline-1",
-		Pin:      true,
+		Name: "consume",
+		Home: 3,
+		Pin:  true,
 		Run: func(e appkit.RegionEnv) uint32 {
 			e.RstrAlloc(shared, 64)
 			if !e.DeleteRegion(shared) {
@@ -120,7 +120,7 @@ func TestAffinityTasksShareAShard(t *testing.T) {
 				t.Log(s.LastError)
 			}
 		}
-		t.Fatal("affinity pipeline failed")
+		t.Fatal("homed pipeline failed")
 	}
 	if agg.Checksum != 3 {
 		t.Fatalf("checksum %#x, want 3", agg.Checksum)
@@ -193,18 +193,5 @@ func TestAppOnShardMatchesDedicatedEnv(t *testing.T) {
 	}
 	if err := eng.workers()[0].env.Runtime().Verify(); err != nil {
 		t.Fatalf("shard invariants violated after app runs: %v", err)
-	}
-}
-
-func TestShardForIsStable(t *testing.T) {
-	eng := NewEngine(WithShards(8))
-	defer eng.Close()
-	for _, key := range []string{"a", "b", "pipeline-1", "pipeline-2"} {
-		first := eng.ShardFor(key)
-		for i := 0; i < 4; i++ {
-			if got := eng.ShardFor(key); got != first {
-				t.Fatalf("ShardFor(%q) unstable: %d then %d", key, first, got)
-			}
-		}
 	}
 }

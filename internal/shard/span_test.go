@@ -70,7 +70,7 @@ func TestEngineSpansParity(t *testing.T) {
 func TestEngineStealSpans(t *testing.T) {
 	tasks := randomTasks(rand.New(rand.NewSource(11)), 300)
 	tr := trace.New(1 << 16)
-	eng := NewEngine(WithShards(4), WithSpanTracer(tr), WithDeferredDelete(4, 8), WithIdleSweep(true))
+	eng := NewEngine(WithShards(4), WithSpanTracer(tr), WithDeferredDelete(4, 8))
 	eng.SubmitBatch(tasks)
 	agg := eng.Close()
 
@@ -120,8 +120,8 @@ func TestEngineMigrateSpans(t *testing.T) {
 // when the span ring wrapped, and leaves the series absent when it did not.
 func TestEngineDroppedMetric(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tr := trace.New(8) // tiny ring: guaranteed wraparound
-	eng := NewEngine(WithShards(2), WithDeferredDelete(2, 4), WithIdleSweep(true),
+	tr := trace.New(2) // tiny ring: the two drain spans alone wrap it
+	eng := NewEngine(WithShards(2), WithDeferredDelete(2, 4),
 		WithMetrics(reg), WithSpanTracer(tr))
 	eng.SubmitBatch(randomTasks(rand.New(rand.NewSource(3)), 200))
 	eng.Close()

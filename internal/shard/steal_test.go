@@ -32,19 +32,31 @@ func workTask(seed uint32, objs int) Task {
 	}
 }
 
-// randomTasks builds a reproducible mix of plain round-robin tasks,
-// affinity-keyed stealable tasks, and pinned tasks, with object counts
-// spanning two orders of magnitude. Each task is self-contained, so the
-// summed checksum is a pure function of the task set.
+// keyHome gives the randomized mix's named keys their homes: FNV-1a of the
+// key, so a handful of keys lands irregularly across every shard count.
+// TestNoStealGolden pins the placement this yields.
+func keyHome(key string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h) + 1
+}
+
+// randomTasks builds a reproducible mix of plain round-robin tasks, homed
+// stealable tasks, and pinned tasks, with object counts spanning two orders
+// of magnitude. Each task is self-contained, so the summed checksum is a
+// pure function of the task set.
 func randomTasks(rng *rand.Rand, n int) []Task {
 	tasks := make([]Task, 0, n)
 	for i := 0; i < n; i++ {
 		tk := workTask(rng.Uint32(), 1+rng.Intn(96))
 		switch rng.Intn(4) {
 		case 0:
-			tk.Affinity = fmt.Sprintf("key-%d", rng.Intn(5))
+			tk.Home = keyHome(fmt.Sprintf("key-%d", rng.Intn(5)))
 		case 1:
-			tk.Affinity = fmt.Sprintf("pin-%d", rng.Intn(3))
+			tk.Home = keyHome(fmt.Sprintf("pin-%d", rng.Intn(3)))
 			tk.Pin = true
 		}
 		tasks = append(tasks, tk)
@@ -96,11 +108,10 @@ func TestImbalancedWorkloadIsStolen(t *testing.T) {
 		t.Skip("stealing needs a sibling worker actually running")
 	}
 	eng := NewEngine(WithShards(4))
-	home := eng.ShardFor("hot")
-	const tasks = 48
+	const tasks, home = 48, 2
 	for i := 0; i < tasks; i++ {
 		tk := workTask(uint32(i), 128)
-		tk.Affinity = "hot"
+		tk.Home = home + 1
 		eng.Submit(tk)
 	}
 	agg := eng.Close()
@@ -129,16 +140,15 @@ func TestImbalancedWorkloadIsStolen(t *testing.T) {
 	}
 }
 
-// TestNoStealKeepsTasksHome pins down the A/B control: with Config.NoSteal
-// the engine is the old static-placement scheduler — zero steals, and an
-// imbalanced workload stays exactly where affinity put it.
+// TestNoStealKeepsTasksHome pins down the A/B control: with WithNoSteal the
+// engine is the static-placement scheduler — zero steals, and an
+// imbalanced workload stays exactly where its home put it.
 func TestNoStealKeepsTasksHome(t *testing.T) {
 	eng := NewEngine(WithShards(4), WithNoSteal())
-	home := eng.ShardFor("hot")
-	const tasks = 24
+	const tasks, home = 24, 2
 	for i := 0; i < tasks; i++ {
 		tk := workTask(uint32(i), 16)
-		tk.Affinity = "hot"
+		tk.Home = home + 1
 		eng.Submit(tk)
 	}
 	agg := eng.Close()
@@ -180,8 +190,8 @@ func TestPanicIsolationUnderStealing(t *testing.T) {
 	const bad = 8
 	for i := 0; i < bad; i++ {
 		eng.Submit(Task{
-			Name:     "bad",
-			Affinity: "hot", // all homed together so some panics run stolen
+			Name: "bad",
+			Home: 1, // all homed together so some panics run stolen
 			Run: func(e appkit.RegionEnv) uint32 {
 				r := e.NewRegion()
 				e.DeleteRegion(r)

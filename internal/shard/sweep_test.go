@@ -11,7 +11,7 @@ import (
 
 // blobTask is a request that allocates multi-page blobs in a fresh region,
 // folds them into a checksum, and deletes the region. Under DeferredDelete
-// the delete only detaches the pages; the worker's idle loop and the
+// the delete only detaches the pages; the allocation tax and the
 // close-time drain sweep them behind later tasks.
 func blobTask(seed uint32) Task {
 	return Task{
@@ -37,11 +37,11 @@ func blobTask(seed uint32) Task {
 	}
 }
 
-// TestDeferredSweepRacesDeletes races task-driven deletions against the
-// background sweeper under the race detector, in the two interleavings that
-// matter: a flooded submission where workers never go idle (debt is
-// cancelled by reuse or drained at close) and a paced submission whose idle
-// gaps let the sweeper poison pages between tasks. A shared metrics
+// TestDeferredSweepRacesDeletes runs task-driven deletions under deferred
+// reclamation with the race detector on, in two interleavings: a flooded
+// submission where workers never go idle (debt is cancelled by reuse or
+// drained at close) and a paced submission whose idle gaps let workers
+// sleep with debt outstanding between tasks. A shared metrics
 // registry is scraped concurrently throughout, like a live /metrics
 // endpoint. Both deferred interleavings must produce the synchronous run's
 // checksum, end with zero debt, and leave every shard's heap invariants
@@ -50,7 +50,7 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 	const tasks = 240
 	run := func(deferred, paced bool) uint32 {
 		reg := metrics.NewRegistry()
-		engOpts := []Option{WithShards(4), WithMetrics(reg), WithIdleSweep(deferred)}
+		engOpts := []Option{WithShards(4), WithMetrics(reg)}
 		if deferred {
 			engOpts = append(engOpts, WithDeferredDelete(2, 0))
 		}
@@ -74,7 +74,7 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 		for i := 0; i < tasks; i++ {
 			eng.Submit(blobTask(uint32(i)))
 			if paced && i%8 == 7 {
-				time.Sleep(time.Millisecond) // idle window: the sweeper runs
+				time.Sleep(time.Millisecond) // idle window: workers sleep in debt
 			}
 		}
 		agg := eng.Close()
@@ -112,6 +112,6 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 		t.Fatalf("flooded deferred checksum %#x, sync %#x — deferral changed results", got, want)
 	}
 	if got := run(true, true); got != want {
-		t.Fatalf("paced deferred checksum %#x, sync %#x — idle sweeping changed results", got, want)
+		t.Fatalf("paced deferred checksum %#x, sync %#x — pacing changed results", got, want)
 	}
 }
