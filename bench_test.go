@@ -181,44 +181,15 @@ func TestAllocFastPathAllocsPerRun(t *testing.T) {
 // machine. A workload run bare and run fully instrumented must report
 // identical stats.Counters, cycle for cycle.
 func TestMeteredCountersUnchanged(t *testing.T) {
-	workload := func(sys *regions.System) {
-		cln := sys.SizeCleanup(16)
-		g := sys.AllocGlobals(4)
-		outer := sys.NewRegion()
-		f := sys.PushFrame(2)
-		for i := 0; i < 200; i++ {
-			r := sys.NewRegion()
-			f.Set(0, sys.Ralloc(r, 16, cln))
-			p := sys.Ralloc(r, 48, cln)
-			q := sys.Ralloc(outer, 16, cln)
-			sys.StorePtr(p, q)
-			sys.StorePtr(p+4, f.Get(0)) // sameregion
-			sys.StoreGlobalPtr(g, p)
-			sys.RstrAlloc(r, 33)
-			sys.RarrayAlloc(r, 4, 12, cln)
-			sys.StoreGlobalPtr(g, 0)
-			sys.StorePtr(p, 0)
-			sys.StorePtr(p+4, 0)
-			f.Set(0, 0)
-			if !sys.DeleteRegion(r) {
-				t.Fatal("inner region did not delete")
-			}
-		}
-		sys.PopFrame()
-		if !sys.DeleteRegion(outer) {
-			t.Fatal("outer region did not delete")
-		}
-	}
-
 	bare := regions.New()
-	workload(bare)
+	meteredWorkload(t, bare)
 
 	instrumented := regions.New()
 	instrumented.SetTracer(regions.NewTracer(1 << 12))
 	reg := regions.NewMetricsRegistry()
 	reg.SetSiteSampling(8)
 	instrumented.SetMetrics(reg)
-	workload(instrumented)
+	meteredWorkload(t, instrumented)
 
 	if *bare.Counters() != *instrumented.Counters() {
 		t.Errorf("instrumented counters differ from bare run:\nbare:         %+v\ninstrumented: %+v",

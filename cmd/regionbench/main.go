@@ -163,8 +163,8 @@ func main() {
 		}
 		bench.PrintThroughput(w, r)
 		if reg != nil {
-			fmt.Fprintf(w, "metrics: %d simulated allocs across the run\n",
-				reg.Counter("regions_core_allocs_total").Value())
+			allocs, _ := reg.Snapshot().Counter("regions_core_allocs_total")
+			fmt.Fprintf(w, "metrics: %d simulated allocs across the run\n", allocs)
 		}
 		return
 	}

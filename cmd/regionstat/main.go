@@ -8,18 +8,18 @@
 // Usage:
 //
 //	regionstat [-app cfrac] [-env safe] [-scale N] [-heap] [-top N]
-//	           [-json] [-every 1s] [-sample N]
+//	           [-json] [-sample N]
 //
-// -every prints a one-line progress reading of the registry at that
-// interval while the app runs (the registry is safe to read concurrently).
-// -sample N records every Nth allocation into the site profile.
+// -sample N records every Nth allocation into the site profile. The
+// registry is read once, after the run: its counters and gauges come from
+// the runtime's own counts, which only the goroutine running the app may
+// read while it runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/bench"
@@ -34,7 +34,6 @@ func main() {
 		heap   = flag.Bool("heap", false, "profile the heap when the workload returns")
 		top    = flag.Int("top", 10, "regions shown in the heap-profile table")
 		asJSON = flag.Bool("json", false, "emit JSON instead of Prometheus text / tables")
-		every  = flag.Duration("every", 0, "print a progress line at this interval (0 disables)")
 		sample = flag.Int("sample", 64, "record every Nth allocation in the site profile (0 disables)")
 	)
 	flag.Parse()
@@ -53,10 +52,6 @@ func main() {
 	}
 	if *sample < 0 {
 		fmt.Fprintf(os.Stderr, "regionstat: -sample must be at least 0, got %d\n", *sample)
-		os.Exit(2)
-	}
-	if *every < 0 {
-		fmt.Fprintf(os.Stderr, "regionstat: -every must not be negative, got %v\n", *every)
 		os.Exit(2)
 	}
 	var chosen *appkit.App
@@ -80,7 +75,6 @@ func main() {
 	if *sample > 0 {
 		reg.SetSiteSampling(*sample)
 	}
-	stopProgress := startProgress(reg, *every)
 
 	e := appkit.NewRegionEnv(*env, appkit.Config{Metrics: reg})
 	sum := chosen.Region(e, *scale)
@@ -104,7 +98,6 @@ func main() {
 		prof.CapturedCycle = e.Counters().TotalCycles()
 	}
 	e.Finalize()
-	stopProgress()
 
 	fmt.Fprintf(os.Stderr, "app %s, env %s, scale %d: checksum %08x\n", *app, *env, *scale, sum)
 	snap := reg.Snapshot()
@@ -126,40 +119,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "regionstat:", err)
 		os.Exit(1)
 	}
-}
-
-// startProgress prints a one-line reading of the registry every interval
-// until the returned stop function is called. The registry's metrics are
-// individually atomic, so reading them while the app runs is safe; the line
-// is a progress indicator, not a consistent snapshot.
-func startProgress(reg *metrics.Registry, interval time.Duration) func() {
-	if interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		start := time.Now()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				fmt.Fprintf(os.Stderr,
-					"%6.1fs allocs=%d alloc-bytes=%d live-regions=%d barriers=%d pages-mapped=%d\n",
-					time.Since(start).Seconds(),
-					reg.Counter("regions_core_allocs_total").Value(),
-					reg.Counter("regions_core_alloc_bytes_total").Value(),
-					reg.Gauge("regions_core_live_regions").Value(),
-					reg.Counter("regions_core_barrier_region_total").Value()+
-						reg.Counter("regions_core_barrier_global_total").Value(),
-					reg.Counter("regions_mem_pages_mapped_total").Value(),
-				)
-			}
-		}
-	}()
-	return func() { close(done); <-finished }
 }

@@ -114,9 +114,10 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Metrics, when non-nil, attaches the environment's space (OS-level
 	// series) and, where one exists, its region runtime or collector to the
-	// registry (see internal/metrics). Like tracing, metering is host-side
-	// only: it charges no simulated cycles and leaves stats.Counters
-	// untouched.
+	// registry (see internal/metrics). The registry reads their counts when
+	// snapshotted, so snapshot it from the goroutine running the
+	// environment. Like tracing, metering is host-side only: it charges no
+	// simulated cycles and leaves stats.Counters untouched.
 	Metrics *metrics.Registry
 }
 

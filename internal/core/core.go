@@ -210,8 +210,12 @@ type Options struct {
 type Runtime struct {
 	space *mem.Space
 	c     *stats.Counters
-	safe  bool
-	opts  Options
+	// t is the runtime's host-side counts beside c (see metrics.go),
+	// allocated apart from the runtime so a metrics source can hold it
+	// without holding the heap.
+	t    *Tally
+	safe bool
+	opts Options
 
 	regions   []*Region
 	pages     pageIndex       // dense page number -> region map (see pageindex.go)
@@ -222,13 +226,10 @@ type Runtime struct {
 
 	// Deferred-reclamation state (Options.DeferredDelete; see sweep.go).
 	// sweepq[sweepHead:] lists the detached page runs awaiting their sweep;
-	// sweepDebt counts detached-but-unswept pages across the heap.
-	sweepq      []sweepEntry
-	sweepHead   int
-	sweepDebt   int
-	sweepPeak   int
-	sweptPages  uint64
-	sweepSlices uint64
+	// the debt itself, the pages detached but not yet swept, is t.SweepDebt.
+	sweepq    []sweepEntry
+	sweepHead int
+	sweepPeak int
 	// sweepTaxCycles accumulates the simulated cycles charged by allocation-tax
 	// sweep slices — the slices acquirePages runs above the high-water mark,
 	// inside some caller's allocation phase rather than in idle time. The
@@ -237,17 +238,12 @@ type Runtime struct {
 	sweepTaxCycles uint64
 	sweepTaxSlices uint64
 
-	// Pooled string allocator accounting (see strpool.go): strCeil is the
-	// capacity-class ceiling, strPooling whether free lists are in use
-	// (false under Options.NoStrPool), strNew/strReuse/strFreed the
-	// per-class counters, strBig the above-ceiling count, strSiteKeys the
-	// precomputed "str:<class>" census keys.
+	// Pooled string allocator configuration (see strpool.go): strCeil is
+	// the capacity-class ceiling, strPooling whether free lists are in use
+	// (false under Options.NoStrPool), strSiteKeys the precomputed
+	// "str:<class>" census keys. The pool's counts are in t.
 	strCeil     int
 	strPooling  bool
-	strNew      []uint64
-	strReuse    []uint64
-	strFreed    []uint64
-	strBig      uint64
 	strSiteKeys []string
 
 	cleanups     []cleanupEntry
@@ -274,10 +270,10 @@ type Runtime struct {
 	// guarded by a nil check so the untraced runtime pays one predicate.
 	tracer *trace.Tracer
 
-	// met, when non-nil, holds cached handles into a metrics registry (see
+	// met, when non-nil, holds the histograms of a metrics registry (see
 	// metrics.go and internal/metrics). Same contract as tracer: every
-	// update site is nil-guarded, updates are host-side only, and a metered
-	// run's stats.Counters are identical to a bare run's.
+	// observation site is nil-guarded, observations are host-side only, and
+	// a metered run's stats.Counters are identical to a bare run's.
 	met *runtimeMetrics
 }
 
@@ -293,6 +289,7 @@ func NewRuntimeOpts(space *mem.Space, opts Options) *Runtime {
 	rt := &Runtime{
 		space: space,
 		c:     space.Counters(),
+		t:     &Tally{},
 		safe:  opts.Safe,
 		opts:  opts,
 	}
@@ -363,7 +360,7 @@ func (rt *Runtime) notePages(first Ptr, n int, r *Region) {
 // (refilled in batches when Options.PageBatch is set); freed multi-page
 // spans are reused for allocations of the same page count.
 func (rt *Runtime) acquirePages(n int, r *Region) Ptr {
-	if rt.sweepDebt > 0 && rt.sweepDebt > rt.sweepHighWaterPages() {
+	if rt.t.SweepDebt > 0 && rt.t.SweepDebt > rt.sweepHighWaterPages() {
 		// Allocation tax: above the high-water mark every acquisition sweeps
 		// one slice first, so debt is bounded even when no idle cycles ever
 		// arrive (see sweep.go). The tax variant additionally accounts the
@@ -381,7 +378,7 @@ func (rt *Runtime) acquirePages(n int, r *Region) Ptr {
 			rt.cancelDetached(p, 1)
 			rt.space.ZeroPageFree(p)
 			rt.notePages(p, 1, r)
-			rt.meterPagesAcquired(1)
+			rt.t.PagesAcquired++
 			return p
 		}
 	}
@@ -392,7 +389,7 @@ func (rt *Runtime) acquirePages(n int, r *Region) Ptr {
 				rt.space.ZeroPageFree(p + Ptr(i)<<mem.PageShift)
 			}
 			rt.notePages(p, n, r)
-			rt.meterPagesAcquired(n)
+			rt.t.PagesAcquired += uint64(n)
 			return p
 		}
 	}
@@ -401,15 +398,8 @@ func (rt *Runtime) acquirePages(n int, r *Region) Ptr {
 		return 0
 	}
 	rt.notePages(p, n, r)
-	rt.meterPagesAcquired(n)
+	rt.t.PagesAcquired += uint64(n)
 	return p
-}
-
-// meterPagesAcquired records n pages handed to a region, from any source.
-func (rt *Runtime) meterPagesAcquired(n int) {
-	if m := rt.met; m != nil {
-		m.pagesAcquired.Add(uint64(n))
-	}
 }
 
 // releaseEntry returns a page-list entry to the free lists and clears its
@@ -420,9 +410,7 @@ func (rt *Runtime) meterPagesAcquired(n int) {
 func (rt *Runtime) releaseEntry(first Ptr, n int) {
 	rt.charge(stats.ModeFree, uint64(1+n))
 	rt.notePages(first, n, nil)
-	if m := rt.met; m != nil {
-		m.pagesReleased.Add(uint64(n))
-	}
+	rt.t.PagesReleased += uint64(n)
 	if !rt.opts.NoPoison {
 		for i := 0; i < n; i++ {
 			rt.space.PoisonPageFree(first + Ptr(i)<<mem.PageShift)
@@ -440,15 +428,13 @@ func (rt *Runtime) releaseEntry(first Ptr, n int) {
 // cache answered — the region-write barrier charges hits and misses
 // differently. A miss fills the entry (nil translations are cacheable too:
 // "not a region address" is as stable as ownership, and notePages drops the
-// entry on any change). Metrics here are host-side; simulated cycles are
-// charged at the call sites.
+// entry on any change). The probe counts are host-side; simulated cycles
+// are charged at the call sites.
 func (rt *Runtime) regionOf(p Ptr) (*Region, bool) {
 	pg := p >> mem.PageShift
 	if !rt.opts.NoRegionCache {
 		if e := &rt.lr[pg&(lrSize-1)]; e.page == pg {
-			if m := rt.met; m != nil {
-				m.lrHits.Inc()
-			}
+			rt.t.LRHits++
 			return e.r, true
 		}
 	}
@@ -459,12 +445,9 @@ func (rt *Runtime) regionOf(p Ptr) (*Region, bool) {
 	if !rt.opts.NoRegionCache {
 		rt.lr[pg&(lrSize-1)] = lrEntry{page: pg, r: r}
 	}
-	if m := rt.met; m != nil {
-		m.lrMisses.Inc()
-		m.lookups.Inc()
-		if r != nil {
-			m.lookupHits.Inc()
-		}
+	rt.t.LRMisses++
+	if r != nil {
+		rt.t.PageIndexHits++
 	}
 	return r, false
 }
@@ -531,10 +514,6 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 	rt.c.RegionCreated()
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindRegionCreate, Region: r.id, Addr: hdr, Aux: -1})
-	}
-	if m := rt.met; m != nil {
-		m.regionsCreated.Inc()
-		m.liveRegions.Inc()
 	}
 	return r, nil
 }
@@ -657,8 +636,6 @@ func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 			Site: rt.cleanups[cln-1].name})
 	}
 	if m := rt.met; m != nil {
-		m.allocs.Inc()
-		m.allocBytes.Add(uint64(data))
 		m.allocSize.Observe(uint64(data))
 		m.reg.SampleAlloc(rt.cleanups[cln-1].name, uint64(data))
 	}
@@ -713,8 +690,6 @@ func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Pt
 			Site: rt.cleanups[cln-1].name})
 	}
 	if m := rt.met; m != nil {
-		m.allocs.Inc()
-		m.allocBytes.Add(uint64(data))
 		m.allocSize.Observe(uint64(data))
 		m.reg.SampleAlloc(rt.cleanups[cln-1].name, uint64(data))
 	}
@@ -767,12 +742,12 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 			return 0, rt.oomFault("rstralloc", r.id)
 		}
 		if idx >= 0 {
-			rt.strNew[idx]++
+			rt.t.StrNew[idx]++
 		} else {
-			rt.strBig++
+			rt.t.StrBig++
 		}
 	} else {
-		rt.strReuse[idx]++
+		rt.t.StrReuse[idx]++
 	}
 
 	r.bytes += uint64(data)
@@ -787,16 +762,7 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 			Addr: p, Size: int32(data), Aux: aux})
 	}
 	if m := rt.met; m != nil {
-		m.allocs.Inc()
-		m.allocBytes.Add(uint64(data))
 		m.allocSize.Observe(uint64(data))
-		if reused {
-			m.strReuse.Inc()
-		} else if idx >= 0 {
-			m.strNew.Inc()
-		} else {
-			m.strBig.Inc()
-		}
 		m.reg.SampleAlloc(rt.strSiteKey(idx), uint64(data))
 	}
 	return p, nil
@@ -855,8 +821,9 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 	}
 	r.bytes -= uint64(data)
 	rt.c.AddFree(int64(data))
+	rt.t.StrFreeBytes += uint64(data)
 	if data <= rt.strCeil {
-		rt.strFreed[strClassIdx(data)]++
+		rt.t.StrFreed[strClassIdx(data)]++
 	}
 	if rt.tracer != nil {
 		aux := int32(0)
@@ -865,10 +832,6 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 		}
 		rt.tracer.Emit(trace.Event{Kind: trace.KindRstrFree, Region: r.id,
 			Addr: p, Size: int32(data), Aux: aux})
-	}
-	if m := rt.met; m != nil {
-		m.strFrees.Inc()
-		m.strFreeBytes.Add(uint64(data))
 	}
 	return nil
 }
@@ -937,9 +900,6 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 				rt.tracer.Emit(trace.Event{Kind: trace.KindRegionDeleteFail,
 					Region: r.id, Aux: int32(rc)})
 			}
-			if m := rt.met; m != nil {
-				m.deleteFails.Inc()
-			}
 			return false, nil
 		}
 		rt.runCleanups(r)
@@ -984,8 +944,6 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 			Size: int32(bytes), Aux: int32(r.allocs)})
 	}
 	if m := rt.met; m != nil {
-		m.regionsDeleted.Inc()
-		m.liveRegions.Dec()
 		m.regionLifetime.Observe(rt.c.TotalCycles() - r.born)
 	}
 	return true, nil

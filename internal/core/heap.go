@@ -233,10 +233,10 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, *Fault) {
 	}); f != nil {
 		return nil, f
 	}
-	if detachedSeen != rt.sweepDebt {
+	if detachedSeen != rt.t.SweepDebt {
 		return nil, rt.invariant(0, -1,
 			"sweep debt is %d pages but %d detached pages are on the free lists",
-			rt.sweepDebt, detachedSeen)
+			rt.t.SweepDebt, detachedSeen)
 	}
 	for _, r := range rt.regions {
 		if got := detachedPer[r]; r.unswept != got {

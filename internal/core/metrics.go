@@ -4,16 +4,18 @@ import (
 	"strconv"
 
 	"regions/internal/metrics"
+	"regions/internal/stats"
 )
 
 // This file wires the runtime into the live metrics registry
-// (internal/metrics), the counterpart of tracing for aggregate telemetry.
-// The pattern is identical to SetTracer: an unmetered runtime holds a nil
-// *runtimeMetrics and every emission site pays one predicate; a metered
-// runtime resolves each series once, here, so hot paths update cached
-// atomic counters and never touch the registry's name maps. Metric updates
-// are host-side bookkeeping outside the machine model — they charge no
-// simulated cycles and leave stats.Counters identical to a bare run.
+// (internal/metrics). Counters and gauges are pulled: the runtime keeps
+// stats.Counters and its Tally whether or not a registry is attached, and a
+// registry reads them at Snapshot time. Histograms and the site sampler are
+// pushed, because they record one observation per event; an unmetered
+// runtime holds a nil *runtimeMetrics and every observation site pays one
+// predicate, the same contract as SetTracer. Both halves are host-side
+// bookkeeping outside the machine model — they charge no simulated cycles
+// and leave stats.Counters identical to a bare run.
 
 // Histogram bucket bounds. Alloc sizes follow the power-of-two spread of
 // the paper's benchmark object sizes; region lifetimes span the decades
@@ -29,128 +31,140 @@ var (
 	sweepSliceCycleBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 )
 
-// runtimeMetrics caches direct pointers to every series the runtime emits.
+// maxStrClasses bounds the string pool's capacity classes: one per power
+// of two from strClassMin to 2 GiB, every floor a 32-bit capacity can have.
+const maxStrClasses = 30
+
+// Tally is the runtime's host-side counts beside stats.Counters: the
+// translation cache, reference-count updates, page traffic, the sweeper,
+// and the string pool. Like stats.Counters it is plain data the runtime
+// keeps whether or not a registry is attached, and none of it charges a
+// simulated cycle.
+type Tally struct {
+	// LRHits and LRMisses count last-region cache probes. Every miss is one
+	// dense page-index lookup; PageIndexHits of them found a region.
+	LRHits, LRMisses, PageIndexHits uint64
+	RCIncs, RCDecs                  uint64
+	// BarrierFast counts region writes that took the cached fast path.
+	BarrierFast uint64
+	// PagesAcquired and PagesReleased count pages handed to regions, from
+	// any source, and pages taken back by deletion, detach or export.
+	PagesAcquired, PagesReleased uint64
+
+	// SweepDebt is the detached-but-unswept page count (sweep.go);
+	// SweptPages and SweepSlices count the sweeper's work.
+	SweepDebt               int
+	SweptPages, SweepSlices uint64
+
+	// String pool (strpool.go), per capacity class below StrClasses: bump
+	// allocations, pool hits, frees, and blocks parked now across live
+	// regions. StrBig counts allocations above the ceiling; StrFreeBytes
+	// sums every freed block's aligned size.
+	StrClasses                 int
+	StrNew, StrReuse, StrFreed [maxStrClasses]uint64
+	StrParked                  [maxStrClasses]int64
+	StrBig, StrFreeBytes       uint64
+}
+
+// Spine is a copy of every count a runtime's pulled series read.
+type Spine struct {
+	Counters stats.Counters
+	Tally    Tally
+}
+
+// Spine returns a copy of the runtime's counts. It does not allocate, so
+// an owner can publish it after every unit of work (the shard engine does).
+func (rt *Runtime) Spine() Spine { return Spine{Counters: *rt.c, Tally: *rt.t} }
+
+// Emit reports sp as the runtime's counter and gauge series: the
+// regions_core_*, regions_sweep_* and regions_str_* families.
+func (sp *Spine) Emit(s *metrics.Sink) {
+	c, t := &sp.Counters, &sp.Tally
+	s.Counter("regions_core_allocs_total", c.Allocs)
+	s.Counter("regions_core_alloc_bytes_total", c.BytesRequested)
+	s.Counter("regions_core_regions_created_total", c.RegionsCreated)
+	s.Counter("regions_core_regions_deleted_total", c.RegionsDeleted)
+	s.Counter("regions_core_region_delete_fails_total", c.DeleteFails)
+	s.Gauge("regions_core_live_regions", c.LiveRegions)
+	s.Counter("regions_core_barrier_global_total", c.Barriers.Global)
+	s.Counter("regions_core_barrier_region_total", c.Barriers.Region)
+	s.Counter("regions_core_barrier_sameregion_total", c.Barriers.SameRegion)
+	s.Counter("regions_core_barrier_fast_total", t.BarrierFast)
+	s.Counter("regions_core_stack_scans_total", c.FramesScanned)
+	s.Counter("regions_core_stack_unscans_total", c.FramesUnscanned)
+	s.Counter("regions_core_rc_incs_total", t.RCIncs)
+	s.Counter("regions_core_rc_decs_total", t.RCDecs)
+	s.Counter("regions_core_pageindex_lookups_total", t.LRMisses)
+	s.Counter("regions_core_pageindex_hits_total", t.PageIndexHits)
+	s.Counter("regions_core_lrcache_hits_total", t.LRHits)
+	s.Counter("regions_core_lrcache_misses_total", t.LRMisses)
+	s.Counter("regions_core_pages_acquired_total", t.PagesAcquired)
+	s.Counter("regions_core_pages_released_total", t.PagesReleased)
+	s.Gauge("regions_sweep_debt_pages", int64(t.SweepDebt))
+	s.Counter("regions_sweep_slices_total", t.SweepSlices)
+	s.Counter("regions_swept_pages_total", t.SweptPages)
+	var strNew, strReuse uint64
+	for i := 0; i < t.StrClasses; i++ {
+		strNew += t.StrNew[i]
+		strReuse += t.StrReuse[i]
+		s.Gauge(`regions_str_pool_blocks{class="`+strconv.Itoa(strClassSize(i))+`"}`, t.StrParked[i])
+	}
+	s.Counter("regions_str_new_total", strNew)
+	s.Counter("regions_str_reuse_total", strReuse)
+	s.Counter("regions_str_big_total", t.StrBig)
+	s.Counter("regions_str_free_total", c.FreeCalls)
+	s.Counter("regions_str_free_bytes_total", t.StrFreeBytes)
+}
+
+// runtimeMetrics caches the histograms the runtime pushes observations to.
 type runtimeMetrics struct {
 	reg *metrics.Registry
 
-	allocs     *metrics.Counter
-	allocBytes *metrics.Counter
-	allocSize  *metrics.Histogram
-
-	regionsCreated *metrics.Counter
-	regionsDeleted *metrics.Counter
-	deleteFails    *metrics.Counter
-	liveRegions    *metrics.Gauge
-	regionLifetime *metrics.Histogram
-
-	barrierGlobal *metrics.Counter
-	barrierRegion *metrics.Counter
-	barrierSame   *metrics.Counter
-	barrierFast   *metrics.Counter
-	barrierCycles *metrics.Histogram
-
-	stackScans   *metrics.Counter
-	stackUnscans *metrics.Counter
-	rcIncs       *metrics.Counter
-	rcDecs       *metrics.Counter
-
-	lookups    *metrics.Counter
-	lookupHits *metrics.Counter
-	lrHits     *metrics.Counter
-	lrMisses   *metrics.Counter
-
-	pagesAcquired *metrics.Counter
-	pagesReleased *metrics.Counter
-
-	sweepDebt        *metrics.Gauge
-	sweepSlices      *metrics.Counter
-	sweptPages       *metrics.Counter
+	allocSize        *metrics.Histogram
+	regionLifetime   *metrics.Histogram
+	barrierCycles    *metrics.Histogram
 	sweepSliceCycles *metrics.Histogram
 
-	// Pooled string allocator (see strpool.go): New/Reuse are the
-	// str_reuse_ratio-derivable pair, strPoolBlocks the per-capacity-class
-	// occupancy gauges, indexed like rt.strNew.
-	strNew        *metrics.Counter
-	strReuse      *metrics.Counter
-	strBig        *metrics.Counter
-	strFrees      *metrics.Counter
-	strFreeBytes  *metrics.Counter
-	strPoolBlocks []*metrics.Gauge
+	// unmeter removes the runtime's pulled source; nil under SetHistograms.
+	unmeter func()
 }
 
-func newRuntimeMetrics(reg *metrics.Registry, classes int) *runtimeMetrics {
-	pool := make([]*metrics.Gauge, classes)
-	for i := range pool {
-		pool[i] = reg.Gauge(`regions_str_pool_blocks{class="` +
-			strconv.Itoa(strClassSize(i)) + `"}`)
-	}
-	return &runtimeMetrics{
-		reg: reg,
-
-		allocs:     reg.Counter("regions_core_allocs_total"),
-		allocBytes: reg.Counter("regions_core_alloc_bytes_total"),
-		allocSize:  reg.Histogram("regions_core_alloc_size_bytes", allocSizeBounds),
-
-		regionsCreated: reg.Counter("regions_core_regions_created_total"),
-		regionsDeleted: reg.Counter("regions_core_regions_deleted_total"),
-		deleteFails:    reg.Counter("regions_core_region_delete_fails_total"),
-		liveRegions:    reg.Gauge("regions_core_live_regions"),
-		regionLifetime: reg.Histogram("regions_core_region_lifetime_cycles", regionLifetimeBounds),
-
-		barrierGlobal: reg.Counter("regions_core_barrier_global_total"),
-		barrierRegion: reg.Counter("regions_core_barrier_region_total"),
-		barrierSame:   reg.Counter("regions_core_barrier_sameregion_total"),
-		barrierFast:   reg.Counter("regions_core_barrier_fast_total"),
-		barrierCycles: reg.Histogram("regions_core_barrier_cycles", barrierCycleBounds),
-
-		stackScans:   reg.Counter("regions_core_stack_scans_total"),
-		stackUnscans: reg.Counter("regions_core_stack_unscans_total"),
-		rcIncs:       reg.Counter("regions_core_rc_incs_total"),
-		rcDecs:       reg.Counter("regions_core_rc_decs_total"),
-
-		lookups:    reg.Counter("regions_core_pageindex_lookups_total"),
-		lookupHits: reg.Counter("regions_core_pageindex_hits_total"),
-		lrHits:     reg.Counter("regions_core_lrcache_hits_total"),
-		lrMisses:   reg.Counter("regions_core_lrcache_misses_total"),
-
-		pagesAcquired: reg.Counter("regions_core_pages_acquired_total"),
-		pagesReleased: reg.Counter("regions_core_pages_released_total"),
-
-		sweepDebt:        reg.Gauge("regions_sweep_debt_pages"),
-		sweepSlices:      reg.Counter("regions_sweep_slices_total"),
-		sweptPages:       reg.Counter("regions_swept_pages_total"),
-		sweepSliceCycles: reg.Histogram("regions_sweep_slice_cycles", sweepSliceCycleBounds),
-
-		strNew:        reg.Counter("regions_str_new_total"),
-		strReuse:      reg.Counter("regions_str_reuse_total"),
-		strBig:        reg.Counter("regions_str_big_total"),
-		strFrees:      reg.Counter("regions_str_free_total"),
-		strFreeBytes:  reg.Counter("regions_str_free_bytes_total"),
-		strPoolBlocks: pool,
-	}
-}
-
-// SetMetrics attaches the runtime to a metrics registry (nil detaches).
-// Series are resolved once here; see docs/OBSERVABILITY.md for the list.
-// The per-class pool-occupancy gauges are re-seeded from the live regions'
-// pools on attach, so a registry attached mid-run reads correctly.
+// SetMetrics attaches a lone runtime to reg (nil detaches): its histograms
+// and site samples are pushed as they happen, and a source reads its
+// counters and gauges at every Snapshot. The source reads the runtime's
+// counts directly, so snapshot the registry only from the goroutine that
+// owns the runtime; an owner that shares the runtime's counts with other
+// goroutines uses SetHistograms and publishes Spine copies itself. The
+// source holds the counts, not the runtime, so the registry never keeps
+// the heap alive. See docs/OBSERVABILITY.md for the series.
 func (rt *Runtime) SetMetrics(reg *metrics.Registry) {
+	rt.SetHistograms(reg)
+	if reg != nil {
+		c, t := rt.c, rt.t
+		rt.met.unmeter = reg.AddSource(func(s *metrics.Sink) {
+			sp := Spine{Counters: *c, Tally: *t}
+			sp.Emit(s)
+		})
+	}
+}
+
+// SetHistograms attaches only the runtime's pushed half to reg — its
+// histograms and site samples — replacing any earlier attachment; nil
+// detaches. The caller reports the counters and gauges from Spine copies.
+func (rt *Runtime) SetHistograms(reg *metrics.Registry) {
+	if m := rt.met; m != nil && m.unmeter != nil {
+		m.unmeter()
+	}
+	rt.met = nil
 	if reg == nil {
-		rt.met = nil
 		return
 	}
-	rt.met = newRuntimeMetrics(reg, len(rt.strNew))
-	counts := make([]int64, len(rt.strNew))
-	for _, r := range rt.regions {
-		if r.deleted {
-			continue
-		}
-		for idx, list := range r.strPool {
-			counts[idx] += int64(len(list))
-		}
-	}
-	for idx, g := range rt.met.strPoolBlocks {
-		g.Set(counts[idx])
+	rt.met = &runtimeMetrics{
+		reg:              reg,
+		allocSize:        reg.Histogram("regions_core_alloc_size_bytes", allocSizeBounds),
+		regionLifetime:   reg.Histogram("regions_core_region_lifetime_cycles", regionLifetimeBounds),
+		barrierCycles:    reg.Histogram("regions_core_barrier_cycles", barrierCycleBounds),
+		sweepSliceCycles: reg.Histogram("regions_sweep_slice_cycles", sweepSliceCycleBounds),
 	}
 }
 

@@ -173,12 +173,10 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 
 	r.deleted = true
 	r.migrated = true
+	rt.c.LiveRegions--
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindMigrate, Region: r.id,
 			Addr: rec.OldHdr, Size: int32(rec.Pages), Aux: 0})
-	}
-	if m := rt.met; m != nil {
-		m.liveRegions.Dec()
 	}
 	return rec, nil
 }
@@ -480,12 +478,13 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 		}
 		rt.strPoolPut(r, np, int(b.Cap))
 	}
+	rt.c.LiveRegions++
+	if rt.c.LiveRegions > rt.c.MaxLiveRegions {
+		rt.c.MaxLiveRegions = rt.c.LiveRegions
+	}
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindMigrate, Region: r.id,
 			Addr: newHdr, Size: int32(rec.Pages), Aux: 1})
-	}
-	if m := rt.met; m != nil {
-		m.liveRegions.Inc()
 	}
 	return r, nil
 }

@@ -12,9 +12,7 @@ import (
 func (rt *Runtime) rcInc(r *Region) {
 	v := rt.space.Load(r.hdr + offRC)
 	rt.space.Store(r.hdr+offRC, v+1)
-	if m := rt.met; m != nil {
-		m.rcIncs.Inc()
-	}
+	rt.t.RCIncs++
 }
 
 // rcDec decrements r's reference count, panicking with a *Fault of kind
@@ -27,9 +25,7 @@ func (rt *Runtime) rcDec(r *Region) {
 			"reference count underflow", nil))
 	}
 	rt.space.Store(r.hdr+offRC, v-1)
-	if m := rt.met; m != nil {
-		m.rcDecs.Inc()
-	}
+	rt.t.RCDecs++
 }
 
 // StorePtr implements *slot = val where slot is a word inside a region
@@ -63,7 +59,6 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 
 	t := rt.space.Load(slot)
 	var ra, rold, rnew *Region
-	fast := false
 	if rt.opts.NoRegionCache {
 		rt.charge(stats.ModeRC, regionWriteExtra)
 		ra = rt.RegionOf(slot)
@@ -77,9 +72,8 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 		if t != 0 {
 			rold, h2 = rt.regionOf(t)
 		}
-		fast = h1 && h2 && h3 && rnew != nil && rnew == ra &&
-			(rold == nil || rold == ra)
-		if fast {
+		if h1 && h2 && h3 && rnew != nil && rnew == ra && (rold == nil || rold == ra) {
+			rt.t.BarrierFast++
 			rt.charge(stats.ModeRC, barrierFastExtra)
 		} else {
 			extra := uint64(regionWriteBase)
@@ -116,13 +110,6 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 			Region: regionID(rnew), Aux: regionID(rold)})
 	}
 	if m != nil {
-		m.barrierRegion.Inc()
-		if sameregion {
-			m.barrierSame.Inc()
-		}
-		if fast {
-			m.barrierFast.Inc()
-		}
 		m.barrierCycles.Observe(rt.c.TotalCycles() - start)
 	}
 }
@@ -162,7 +149,6 @@ func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
 			Region: regionID(rnew), Aux: regionID(rold)})
 	}
 	if m != nil {
-		m.barrierGlobal.Inc()
 		m.barrierCycles.Observe(rt.c.TotalCycles() - start)
 	}
 }

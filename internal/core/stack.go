@@ -153,9 +153,6 @@ func (s *stack) scanForDelete() {
 			rt.tracer.Emit(trace.Event{Kind: trace.KindStackScan,
 				Region: -1, Size: int32(i), Aux: int32(len(f.slots))})
 		}
-		if m := rt.met; m != nil {
-			m.stackScans.Inc()
-		}
 	}
 	if s.hwm < len(s.frames)-1 {
 		s.hwm = len(s.frames) - 1
@@ -175,8 +172,5 @@ func (s *stack) unscan(f *Frame) {
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindStackUnscan,
 			Region: -1, Aux: int32(len(f.slots))})
-	}
-	if m := rt.met; m != nil {
-		m.stackUnscans.Inc()
 	}
 }

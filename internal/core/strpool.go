@@ -89,8 +89,8 @@ func strClassIdx(n int) int { return bits.Len32(uint32(n)) - 3 }
 func strClassSize(idx int) int { return strClassMin << idx }
 
 // initStrPool resolves the pool configuration at runtime construction: the
-// accounting ceiling (rounded up to a power of two), the per-class counter
-// slices, and the precomputed "str:<class>" census keys. The counters and
+// accounting ceiling (rounded up to a power of two), the tally's class
+// count, and the precomputed "str:<class>" census keys. The counters and
 // census keys are active even under Options.NoStrPool, so an A/B pair
 // reports comparable New/Big columns; only the free lists are disabled.
 func (rt *Runtime) initStrPool() {
@@ -105,9 +105,7 @@ func (rt *Runtime) initStrPool() {
 	rt.strCeil = max
 	rt.strPooling = !rt.opts.NoStrPool
 	n := strClassIdx(max) + 1
-	rt.strNew = make([]uint64, n)
-	rt.strReuse = make([]uint64, n)
-	rt.strFreed = make([]uint64, n)
+	rt.t.StrClasses = n
 	keys := make([]string, n+1)
 	for i := 0; i < n; i++ {
 		keys[i] = "str:" + strconv.Itoa(strClassSize(i))
@@ -148,9 +146,7 @@ func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
 			copy(list[n-1-i:], list[n-i:])
 			r.strPool[idx] = list[:n-1]
 			r.strPoolBytes -= uint64(b.cap)
-			if m := rt.met; m != nil {
-				m.strPoolBlocks[idx].Dec()
-			}
+			rt.t.StrParked[idx]--
 			return b.p
 		}
 	}
@@ -165,24 +161,15 @@ func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
 	idx := strClassIdx(cap)
 	r.strPool[idx] = append(r.strPool[idx], strBlock{p: p, cap: int32(cap)})
 	r.strPoolBytes += uint64(cap)
-	if m := rt.met; m != nil {
-		m.strPoolBlocks[idx].Inc()
-	}
+	rt.t.StrParked[idx]++
 }
 
 // strPoolClear drops r's pool. The blocks' memory is reclaimed by the
 // caller's page release or detach; this only retires the host-side lists
-// and keeps the class-occupancy gauges exact.
+// and keeps the parked-block counts exact.
 func (rt *Runtime) strPoolClear(r *Region) {
-	if r.strPool == nil {
-		return
-	}
-	if m := rt.met; m != nil {
-		for idx, list := range r.strPool {
-			if len(list) > 0 {
-				m.strPoolBlocks[idx].Add(-int64(len(list)))
-			}
-		}
+	for idx, list := range r.strPool {
+		rt.t.StrParked[idx] -= int64(len(list))
 	}
 	r.strPool = nil
 	r.strPoolBytes = 0
@@ -228,15 +215,15 @@ func (rt *Runtime) StrPoolStats() StrPoolStats {
 	out := StrPoolStats{
 		Enabled: rt.strPooling,
 		Ceiling: rt.strCeil,
-		Big:     rt.strBig,
-		Classes: make([]StrClassStats, len(rt.strNew)),
+		Big:     rt.t.StrBig,
+		Classes: make([]StrClassStats, rt.t.StrClasses),
 	}
 	for i := range out.Classes {
 		c := &out.Classes[i]
 		c.Size = strClassSize(i)
-		c.New = rt.strNew[i]
-		c.Reuse = rt.strReuse[i]
-		c.Freed = rt.strFreed[i]
+		c.New = rt.t.StrNew[i]
+		c.Reuse = rt.t.StrReuse[i]
+		c.Freed = rt.t.StrFreed[i]
 		out.New += c.New
 		out.Reuse += c.Reuse
 		out.Freed += c.Freed

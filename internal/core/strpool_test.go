@@ -342,38 +342,41 @@ func TestStrPoolImportIntoNoStrPool(t *testing.T) {
 }
 
 // TestStrPoolGauges: the per-class occupancy gauges track park/take/clear
-// exactly, and SetMetrics seeds them from live pools.
+// exactly, and a registry attached mid-flight reads the live pools.
 func TestStrPoolGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	rt := NewRuntimeOpts(mem.NewSpace(&stats.Counters{}), Options{Safe: true})
 	rt.SetMetrics(reg)
-	g64 := reg.Gauge(`regions_str_pool_blocks{class="64"}`)
+	g64 := func() int64 {
+		v, _ := reg.Snapshot().Gauge(`regions_str_pool_blocks{class="64"}`)
+		return v
+	}
 	r := rt.NewRegion()
 	p1, p2 := rt.RstrAlloc(r, 64), rt.RstrAlloc(r, 64)
 	rt.RstrFree(r, p1, 64)
 	rt.RstrFree(r, p2, 64)
-	if got := g64.Value(); got != 2 {
+	if got := g64(); got != 2 {
 		t.Fatalf("gauge after two frees: %d, want 2", got)
 	}
 	rt.RstrAlloc(r, 64)
-	if got := g64.Value(); got != 1 {
+	if got := g64(); got != 1 {
 		t.Fatalf("gauge after reuse: %d, want 1", got)
 	}
-	if got := reg.Counter("regions_str_reuse_total").Value(); got != 1 {
+	if got, _ := reg.Snapshot().Counter("regions_str_reuse_total"); got != 1 {
 		t.Fatalf("reuse counter %d, want 1", got)
 	}
 	rt.DeleteRegion(r)
-	if got := g64.Value(); got != 0 {
+	if got := g64(); got != 0 {
 		t.Fatalf("gauge after delete: %d, want 0", got)
 	}
-	// Attaching a registry mid-flight seeds gauges from the live pools.
+	// A registry attached mid-flight reads the live pools.
 	rt2 := NewRuntimeOpts(mem.NewSpace(&stats.Counters{}), Options{Safe: true})
 	r2 := rt2.NewRegion()
 	rt2.RstrFree(r2, rt2.RstrAlloc(r2, 32), 32)
 	reg2 := metrics.NewRegistry()
 	rt2.SetMetrics(reg2)
-	if got := reg2.Gauge(`regions_str_pool_blocks{class="32"}`).Value(); got != 1 {
-		t.Fatalf("seeded gauge %d, want 1", got)
+	if got, _ := reg2.Snapshot().Gauge(`regions_str_pool_blocks{class="32"}`); got != 1 {
+		t.Fatalf("mid-run attach reads %d parked blocks, want 1", got)
 	}
 }
 

@@ -46,7 +46,7 @@ import (
 // Invariant surface (enforced by Verify, see heap.go): a detached page is
 // on exactly one free list, owned by no region, attributed to a deleted
 // region whose unswept count sums its flags, present in sweepq, and exempt
-// from the poison check until swept; rt.sweepDebt equals the number of
+// from the poison check until swept; the tally's SweepDebt equals the number of
 // flagged pages. Dangling reads between detach and sweep see stale contents
 // instead of poison — the only observable difference from synchronous
 // deletion, and one the RC check already proved no tracked pointer can
@@ -80,7 +80,7 @@ func (rt *Runtime) sweepHighWaterPages() int {
 }
 
 // detachEntry is releaseEntry's deferred twin: same free-list updates, same
-// ownership clear, same pagesReleased metering, but the pages keep their
+// ownership clear, same PagesReleased count, but the pages keep their
 // contents, get flagged as detached, and join the sweep queue as debt. The
 // entry charges 1 ModeFree cycle; the per-page remainder is charged as the
 // sweeper retires each page.
@@ -90,14 +90,11 @@ func (rt *Runtime) detachEntry(first Ptr, n int, r *Region) {
 	rt.pages.setDetached(first, n, r)
 	r.unswept += n
 	rt.sweepq = append(rt.sweepq, sweepEntry{first: first, pages: n})
-	rt.sweepDebt += n
-	if rt.sweepDebt > rt.sweepPeak {
-		rt.sweepPeak = rt.sweepDebt
+	rt.t.SweepDebt += n
+	if rt.t.SweepDebt > rt.sweepPeak {
+		rt.sweepPeak = rt.t.SweepDebt
 	}
-	if m := rt.met; m != nil {
-		m.pagesReleased.Add(uint64(n))
-		m.sweepDebt.Set(int64(rt.sweepDebt))
-	}
+	rt.t.PagesReleased += uint64(n)
 	if n > 1 {
 		rt.spans.put(first, n)
 		return
@@ -110,22 +107,15 @@ func (rt *Runtime) detachEntry(first Ptr, n int, r *Region) {
 // poisoning is no longer owed; the debt just disappears. Host-side only —
 // no simulated cycles, mirroring the uncharged poisoning it cancels.
 func (rt *Runtime) cancelDetached(first Ptr, n int) {
-	if rt.sweepDebt == 0 {
+	if rt.t.SweepDebt == 0 {
 		return
 	}
-	cancelled := 0
 	for i := 0; i < n; i++ {
 		pg := int(first>>mem.PageShift) + i
 		if r := rt.pages.detachedAt(pg); r != nil {
 			rt.pages.clearDetached(pg)
 			r.unswept--
-			rt.sweepDebt--
-			cancelled++
-		}
-	}
-	if cancelled > 0 {
-		if m := rt.met; m != nil {
-			m.sweepDebt.Set(int64(rt.sweepDebt))
+			rt.t.SweepDebt--
 		}
 	}
 }
@@ -143,7 +133,7 @@ func (rt *Runtime) SweepSlice() int { return rt.sweepSlice(0) }
 // free: cancellation cleared their flags, and every queued page is visited
 // at most once over the queue's lifetime.
 func (rt *Runtime) sweepSlice(budget int) int {
-	if rt.sweepDebt == 0 {
+	if rt.t.SweepDebt == 0 {
 		return 0
 	}
 	if budget <= 0 {
@@ -158,7 +148,7 @@ func (rt *Runtime) sweepSlice(budget int) int {
 			if r := rt.pages.detachedAt(pg); r != nil {
 				rt.pages.clearDetached(pg)
 				r.unswept--
-				rt.sweepDebt--
+				rt.t.SweepDebt--
 				if !rt.opts.NoPoison {
 					rt.space.PoisonPageFree(e.first)
 				}
@@ -179,16 +169,13 @@ func (rt *Runtime) sweepSlice(budget int) int {
 	if swept == 0 {
 		return 0
 	}
-	rt.sweptPages += uint64(swept)
-	rt.sweepSlices++
+	rt.t.SweptPages += uint64(swept)
+	rt.t.SweepSlices++
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindSweepSlice, Region: -1,
-			Size: int32(swept), Aux: int32(rt.sweepDebt)})
+			Size: int32(swept), Aux: int32(rt.t.SweepDebt)})
 	}
 	if m := rt.met; m != nil {
-		m.sweepSlices.Inc()
-		m.sweptPages.Add(uint64(swept))
-		m.sweepDebt.Set(int64(rt.sweepDebt))
 		m.sweepSliceCycles.Observe(rt.c.TotalCycles() - start)
 	}
 	return swept
@@ -228,14 +215,14 @@ func (rt *Runtime) SweepTaxSlices() uint64 { return rt.sweepTaxSlices }
 // SweepDrain sweeps until no debt remains and returns the pages swept.
 func (rt *Runtime) SweepDrain() int {
 	total := 0
-	for rt.sweepDebt > 0 {
+	for rt.t.SweepDebt > 0 {
 		total += rt.sweepSlice(0)
 	}
 	return total
 }
 
 // SweepDebt returns the current detached-but-unswept page count.
-func (rt *Runtime) SweepDebt() int { return rt.sweepDebt }
+func (rt *Runtime) SweepDebt() int { return rt.t.SweepDebt }
 
 // SweepDebtPeak returns the highest sweep debt the runtime has ever carried.
 func (rt *Runtime) SweepDebtPeak() int { return rt.sweepPeak }
@@ -244,12 +231,12 @@ func (rt *Runtime) SweepDebtPeak() int { return rt.sweepPeak }
 // so a measurement window (a serving phase, an A/B arm) can report its own
 // peak instead of the process lifetime's. Host-side only: no simulated
 // cycles, no effect on the debt itself.
-func (rt *Runtime) ResetSweepDebtPeak() { rt.sweepPeak = rt.sweepDebt }
+func (rt *Runtime) ResetSweepDebtPeak() { rt.sweepPeak = rt.t.SweepDebt }
 
 // SweptPages returns the total pages the sweeper has poisoned (reused pages
 // whose debt was cancelled are not counted).
-func (rt *Runtime) SweptPages() uint64 { return rt.sweptPages }
+func (rt *Runtime) SweptPages() uint64 { return rt.t.SweptPages }
 
 // SweepSlices returns the number of sweep slices that retired at least one
 // page.
-func (rt *Runtime) SweepSlices() uint64 { return rt.sweepSlices }
+func (rt *Runtime) SweepSlices() uint64 { return rt.t.SweepSlices }

@@ -165,7 +165,7 @@ func TestVerifyDetachedStateAndSweepPoisons(t *testing.T) {
 	if rep.DetachedPages != debt {
 		t.Fatalf("heap report counts %d detached pages, sweep debt is %d", rep.DetachedPages, debt)
 	}
-	if v := reg.Gauge("regions_sweep_debt_pages").Value(); int(v) != debt {
+	if v, _ := reg.Snapshot().Gauge("regions_sweep_debt_pages"); int(v) != debt {
 		t.Fatalf("debt gauge %d, runtime reports %d", v, debt)
 	}
 
@@ -195,13 +195,14 @@ func TestVerifyDetachedStateAndSweepPoisons(t *testing.T) {
 		}
 	})
 
-	if v := reg.Gauge("regions_sweep_debt_pages").Value(); v != 0 {
+	snap := reg.Snapshot()
+	if v, _ := snap.Gauge("regions_sweep_debt_pages"); v != 0 {
 		t.Fatalf("debt gauge %d after drain, want 0", v)
 	}
-	if v := reg.Counter("regions_swept_pages_total").Value(); v != uint64(debt) {
+	if v, _ := snap.Counter("regions_swept_pages_total"); v != uint64(debt) {
 		t.Fatalf("swept-pages counter %d, want %d", v, debt)
 	}
-	if v := reg.Counter("regions_sweep_slices_total").Value(); v != rt.SweepSlices() {
+	if v, _ := snap.Counter("regions_sweep_slices_total"); v != rt.SweepSlices() {
 		t.Fatalf("slice counter %d, runtime ran %d", v, rt.SweepSlices())
 	}
 	slices := 0

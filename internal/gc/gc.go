@@ -63,25 +63,26 @@ type Collector struct {
 	rootHi Ptr
 
 	bytesSinceGC uint64
-	liveAfterGC  uint64
 	minCollect   uint64
 	pending      bool
+
+	// t holds the counts the metrics registry reads, allocated apart from
+	// the collector so a source can hold it without holding the heap.
+	t *tally
 
 	work []Ptr // mark worklist (collector-private, like BW's mark stack)
 
 	tracer *trace.Tracer // nil unless event tracing is attached
 
-	met *gcMetrics // nil unless a metrics registry is attached
+	unmeter func() // removes the collector's source from its registry
 }
 
-// gcMetrics caches the series the collector emits (nil-guarded, like the
-// tracer; updates charge no simulated cycles).
-type gcMetrics struct {
-	reg *metrics.Registry
-
-	collections         *metrics.Counter
-	pressureCollections *metrics.Counter
-	liveBytes           *metrics.Gauge
+// tally is the collector's host-side counts beside stats.Counters: the
+// live bytes the last collection found (the growth policy's threshold) and
+// the collections the OS forced by refusing pages.
+type tally struct {
+	liveAfterGC         uint64
+	pressureCollections uint64
 }
 
 // New creates a collector on sp.
@@ -92,6 +93,7 @@ func New(sp *mem.Space) *Collector {
 		bigPages:   map[Ptr]int{},
 		freeBig:    map[int][]Ptr{},
 		minCollect: 256 * 1024,
+		t:          &tally{},
 	}
 	old := sp.SetMode(stats.ModeAlloc)
 	g.meta = sp.MapPages(1)
@@ -121,26 +123,25 @@ func (g *Collector) SetTracer(t *trace.Tracer) {
 	}
 }
 
-// SetMetrics attaches the collector to a metrics registry (nil detaches).
+// SetMetrics registers the collector's counts with reg as a pulled source,
+// replacing any earlier registration; nil detaches. The source reads the
+// counts directly, so snapshot the registry only from the goroutine that
+// owns the collector. It holds the counts, not the collector, so the
+// registry never keeps the heap alive.
 func (g *Collector) SetMetrics(reg *metrics.Registry) {
+	if g.unmeter != nil {
+		g.unmeter()
+		g.unmeter = nil
+	}
 	if reg == nil {
-		g.met = nil
 		return
 	}
-	g.met = &gcMetrics{
-		reg:                 reg,
-		collections:         reg.Counter("regions_gc_collections_total"),
-		pressureCollections: reg.Counter("regions_gc_pressure_collections_total"),
-		liveBytes:           reg.Gauge("regions_gc_live_bytes"),
-	}
-}
-
-// Metrics returns the attached registry, or nil.
-func (g *Collector) Metrics() *metrics.Registry {
-	if g.met == nil {
-		return nil
-	}
-	return g.met.reg
+	c, t := g.c, g.t
+	g.unmeter = reg.AddSource(func(s *metrics.Sink) {
+		s.Counter("regions_gc_collections_total", c.GCCollections)
+		s.Counter("regions_gc_pressure_collections_total", t.pressureCollections)
+		s.Gauge("regions_gc_live_bytes", int64(t.liveAfterGC))
+	})
 }
 
 func (g *Collector) notePages(first Ptr, n int, class int16) {
@@ -210,9 +211,7 @@ func (g *Collector) TryAlloc(size int) (Ptr, error) {
 // regardless of the growth policy's pending flag.
 func (g *Collector) emergencyCollect() {
 	g.pending = false
-	if g.met != nil {
-		g.met.pressureCollections.Inc()
-	}
+	g.t.pressureCollections++
 	g.Collect()
 }
 
@@ -312,7 +311,7 @@ func (g *Collector) RequestedSize(p Ptr) int {
 // so values held only in host-side temporaries between safepoints are never
 // collected — the role the C stack scan plays for the real collector.
 func (g *Collector) noteAllocated(n uint64) {
-	threshold := g.liveAfterGC
+	threshold := g.t.liveAfterGC
 	if threshold < g.minCollect {
 		threshold = g.minCollect
 	}
@@ -363,12 +362,8 @@ func (g *Collector) Collect() {
 
 	g.sweep()
 	g.bytesSinceGC = 0
-	if g.met != nil {
-		g.met.collections.Inc()
-		g.met.liveBytes.Set(int64(g.liveAfterGC))
-	}
 	if g.tracer != nil {
-		live := g.liveAfterGC
+		live := g.t.liveAfterGC
 		if live > 1<<31-1 {
 			live = 1<<31 - 1
 		}
@@ -482,7 +477,7 @@ func (g *Collector) sweep() {
 			delete(g.bigPages, page)
 		}
 	}
-	g.liveAfterGC = live
+	g.t.liveAfterGC = live
 }
 
 // --- Shadow stack of conservative roots -----------------------------------

@@ -96,13 +96,6 @@ func (s *Space) SetFaultPlan(plan *FaultPlan) {
 // the limit is permanent OS state: every request past it fails.
 func (s *Space) SetPageLimit(pages int) { s.pageLimit = pages }
 
-// MapCalls returns the number of MapPages calls made so far, successful or
-// not (for aligning FaultPlan.FailNth with a workload).
-func (s *Space) MapCalls() uint64 { return s.mapCalls }
-
-// MapFailures returns how many MapPages calls were refused.
-func (s *Space) MapFailures() uint64 { return s.mapFails }
-
 // LastMapFailure describes the most recent refused MapPages call, or nil.
 func (s *Space) LastMapFailure() *MapFailure {
 	if s.lastFail == nil {
@@ -115,7 +108,7 @@ func (s *Space) LastMapFailure() *MapFailure {
 // OOM builds the typed error for op from the most recent refused mapping.
 // Allocators call it right after observing MapPages return 0.
 func (s *Space) OOM(op string) *OOMError {
-	e := &OOMError{Op: op, Mapped: s.mappedBytes, Cause: "unknown"}
+	e := &OOMError{Op: op, Mapped: s.os.MappedBytes, Cause: "unknown"}
 	if s.lastFail != nil {
 		e.Pages = s.lastFail.Pages
 		e.Mapped = s.lastFail.Mapped
@@ -136,7 +129,7 @@ func (s *Space) refuse(n int) string {
 	}
 	if p := s.plan; p != nil {
 		s.planCalls++
-		if p.ByteBudget > 0 && s.mappedBytes+uint64(n)*PageSize > p.ByteBudget {
+		if p.ByteBudget > 0 && s.os.MappedBytes+uint64(n)*PageSize > p.ByteBudget {
 			return CauseByteBudget
 		}
 		if p.FailNth != 0 && s.planCalls == p.FailNth {

@@ -21,8 +21,8 @@ func TestFailNthFailsExactlyThatCall(t *testing.T) {
 			t.Fatalf("call %d should have succeeded", i)
 		}
 	}
-	if got := sp.MapFailures(); got != 1 {
-		t.Fatalf("MapFailures = %d, want 1", got)
+	if got := sp.OSCounts().MapFails; got != 1 {
+		t.Fatalf("MapFails = %d, want 1", got)
 	}
 	f := sp.LastMapFailure()
 	if f == nil || f.Cause != CauseFailNth || f.Pages != 1 {
@@ -118,8 +118,8 @@ func TestMapCallCountersAndOOM(t *testing.T) {
 	sp.MapPages(1)
 	sp.MapPages(3)
 	sp.MapPages(1)
-	if sp.MapCalls() != 3 || sp.MapFailures() != 1 {
-		t.Fatalf("MapCalls=%d MapFailures=%d, want 3 and 1", sp.MapCalls(), sp.MapFailures())
+	if n := sp.OSCounts(); n.MapCalls != 3 || n.MapFails != 1 {
+		t.Fatalf("MapCalls=%d MapFails=%d, want 3 and 1", n.MapCalls, n.MapFails)
 	}
 	err := sp.OOM("testop")
 	if err.Op != "testop" || err.Pages != 3 || err.Cause != CauseFailNth {

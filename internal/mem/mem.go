@@ -57,7 +57,9 @@ type page struct {
 type Space struct {
 	pages []*page // index = page number; nil entries are unmapped
 
-	mappedBytes uint64
+	// os is the MapPages tally, allocated apart from the space so a
+	// metrics source can hold it without holding the pages.
+	os *OSCounts
 
 	mode  stats.Mode
 	c     *stats.Counters
@@ -73,13 +75,11 @@ type Space struct {
 	plan      *FaultPlan
 	planRNG   *rand.Rand
 	planCalls uint64
-	mapCalls  uint64
-	mapFails  uint64
 	lastFail  *MapFailure
 
-	// met, when non-nil, mirrors OS-level events into a metrics registry
-	// (see metrics.go); every update site is nil-guarded.
-	met *spaceMetrics
+	// unmeter removes the counts' registration with a metrics registry
+	// (see metrics.go).
+	unmeter func()
 }
 
 // NewSpace returns an empty address space whose accesses are charged to c.
@@ -87,6 +87,7 @@ type Space struct {
 func NewSpace(c *stats.Counters) *Space {
 	return &Space{
 		pages:  make([]*page, 1, 1024),
+		os:     &OSCounts{},
 		c:      c,
 		charge: true,
 	}
@@ -116,7 +117,7 @@ func (s *Space) Mode() stats.Mode { return s.mode }
 
 // MappedBytes returns the total memory requested from the simulated OS.
 // It never shrinks: like sbrk, the simulated OS only grows.
-func (s *Space) MappedBytes() uint64 { return s.mappedBytes }
+func (s *Space) MappedBytes() uint64 { return s.os.MappedBytes }
 
 // MapPages maps n fresh zeroed pages contiguously and returns the address of
 // the first. It returns 0 — the never-mapped nil address — when the simulated
@@ -128,28 +129,18 @@ func (s *Space) MapPages(n int) Addr {
 	if n <= 0 {
 		panic("mem: MapPages of non-positive count")
 	}
-	s.mapCalls++
-	if s.met != nil {
-		s.met.mapCalls.Inc()
-	}
+	s.os.MapCalls++
 	if cause := s.refuse(n); cause != "" {
-		s.mapFails++
-		s.lastFail = &MapFailure{Call: s.mapCalls, Pages: n, Mapped: s.mappedBytes, Cause: cause}
-		if s.met != nil {
-			s.met.mapFailures.Inc()
-			s.met.failureCounter(cause).Inc()
-		}
+		s.os.MapFails++
+		s.os.FailsByCause[causeIndex(cause)]++
+		s.lastFail = &MapFailure{Call: s.os.MapCalls, Pages: n, Mapped: s.os.MappedBytes, Cause: cause}
 		return 0
 	}
 	first := len(s.pages)
 	for i := 0; i < n; i++ {
 		s.pages = append(s.pages, &page{})
 	}
-	s.mappedBytes += uint64(n) * PageSize
-	if s.met != nil {
-		s.met.pagesMapped.Add(uint64(n))
-		s.met.mappedBytes.Set(int64(s.mappedBytes))
-	}
+	s.os.MappedBytes += uint64(n) * PageSize
 	return Addr(first) << PageShift
 }
 

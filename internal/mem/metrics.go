@@ -2,71 +2,69 @@ package mem
 
 import "regions/internal/metrics"
 
-// Metrics hooks for the simulated OS layer, following the runtime's
-// nil-guarded pattern: an unmetered space pays one predicate per MapPages
-// call (the only operation worth metering at this layer — Load/Store
-// traffic is already counted, in simulated cycles, by stats.Counters).
-// Refusals are broken out by cause so an operator can tell an injected
-// fault plan from genuine address-space or budget exhaustion.
-
-// spaceMetrics caches the series a Space emits.
-type spaceMetrics struct {
-	reg *metrics.Registry
-
-	mapCalls    *metrics.Counter
-	mapFailures *metrics.Counter
-	pagesMapped *metrics.Counter
-	mappedBytes *metrics.Gauge
-
-	// byCause caches the per-cause refusal counters, keyed by the Cause*
-	// constant observed.
-	byCause map[string]*metrics.Counter
+// OSCounts is the simulated OS's tally of MapPages traffic. Like
+// stats.Counters it is plain data the space keeps whether or not a registry
+// is attached; it charges no simulated cycle. Refusals are broken out by
+// cause so an operator can tell an injected fault plan from genuine
+// address-space or budget exhaustion.
+type OSCounts struct {
+	// MapCalls counts MapPages calls, refused or not (what a test aligns
+	// FaultPlan.FailNth against); MapFails counts the refused ones.
+	MapCalls, MapFails uint64
+	// MappedBytes is the memory handed out; like sbrk, it never shrinks.
+	MappedBytes uint64
+	// FailsByCause splits MapFails by cause, indexed like causes.
+	FailsByCause [len(causes)]uint64
 }
 
-// causeSlug maps the Cause* strings to Prometheus label values.
-var causeSlug = map[string]string{
-	CauseAddressSpace: "address-space",
-	CausePageLimit:    "page-limit",
-	CauseByteBudget:   "byte-budget",
-	CauseFailNth:      "fail-nth",
-	CauseFailProb:     "fail-prob",
+// causes lists the Cause* refusal reasons with their Prometheus label
+// values.
+var causes = [...]struct{ cause, slug string }{
+	{CauseAddressSpace, "address-space"},
+	{CausePageLimit, "page-limit"},
+	{CauseByteBudget, "byte-budget"},
+	{CauseFailNth, "fail-nth"},
+	{CauseFailProb, "fail-prob"},
 }
 
-// failureCounter returns the refusal counter for cause, resolving and
-// caching it on first use.
-func (sm *spaceMetrics) failureCounter(cause string) *metrics.Counter {
-	if c, ok := sm.byCause[cause]; ok {
-		return c
+// causeIndex returns cause's position in causes.
+func causeIndex(cause string) int {
+	for i, c := range causes {
+		if c.cause == cause {
+			return i
+		}
 	}
-	slug, ok := causeSlug[cause]
-	if !ok {
-		slug = "other"
-	}
-	c := sm.reg.Counter(`regions_mem_map_failures_by_cause_total{cause="` + slug + `"}`)
-	sm.byCause[cause] = c
-	return c
+	panic("mem: unknown refusal cause " + cause)
 }
 
-// SetMetrics attaches the space to a metrics registry (nil detaches).
+// Emit reports the counts as the regions_mem_* series. A cause appears once
+// it has refused a call.
+func (o *OSCounts) Emit(s *metrics.Sink) {
+	s.Counter("regions_mem_map_calls_total", o.MapCalls)
+	s.Counter("regions_mem_map_failures_total", o.MapFails)
+	s.Counter("regions_mem_pages_mapped_total", o.MappedBytes/PageSize)
+	s.Gauge("regions_mem_mapped_bytes", int64(o.MappedBytes))
+	for i, n := range o.FailsByCause {
+		if n > 0 {
+			s.Counter(`regions_mem_map_failures_by_cause_total{cause="`+causes[i].slug+`"}`, n)
+		}
+	}
+}
+
+// OSCounts returns a copy of the space's counts.
+func (s *Space) OSCounts() OSCounts { return *s.os }
+
+// SetMetrics registers the space's counts with reg as a pulled source,
+// replacing any earlier registration; nil detaches. The source reads the
+// counts directly, so snapshot the registry only from the goroutine that
+// owns the space. It holds the counts, not the space, so the registry never
+// keeps the simulated memory alive.
 func (s *Space) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		s.met = nil
-		return
+	if s.unmeter != nil {
+		s.unmeter()
+		s.unmeter = nil
 	}
-	s.met = &spaceMetrics{
-		reg:         reg,
-		mapCalls:    reg.Counter("regions_mem_map_calls_total"),
-		mapFailures: reg.Counter("regions_mem_map_failures_total"),
-		pagesMapped: reg.Counter("regions_mem_pages_mapped_total"),
-		mappedBytes: reg.Gauge("regions_mem_mapped_bytes"),
-		byCause:     map[string]*metrics.Counter{},
+	if reg != nil {
+		s.unmeter = reg.AddSource(s.os.Emit)
 	}
-}
-
-// Metrics returns the attached registry, or nil.
-func (s *Space) Metrics() *metrics.Registry {
-	if s.met == nil {
-		return nil
-	}
-	return s.met.reg
 }

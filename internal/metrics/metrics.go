@@ -1,16 +1,23 @@
 // Package metrics is the always-on telemetry layer of the region runtime: a
-// low-overhead registry of atomic counters, gauges, and fixed-bucket
-// histograms, populated by every layer of the stack (internal/core,
-// internal/mem, internal/gc, internal/shard) behind the same nil-guarded
-// hook pattern as internal/trace — a runtime without a registry pays one
-// predicate per operation and nothing else, and a metered run reports the
-// same stats.Counters as a bare one, because metric updates are host-side
-// bookkeeping outside the simulated machine model.
+// registry of counters, gauges, and fixed-bucket histograms over every
+// layer of the stack (internal/core, internal/mem, internal/gc,
+// internal/shard, internal/serve).
+//
+// Counters and gauges are pulled. Each layer already keeps plain counts of
+// what it does — stats.Counters, the runtime's Tally, the simulated OS's
+// OSCounts, the engine's per-shard Stats — and registers a Source that reads
+// them when Snapshot runs, so no event is counted twice. Histograms and the
+// allocation-site sampler are pushed: they record one observation per
+// event (an allocation's size, a region's lifetime, a barrier's cycles),
+// which no plain count can reconstruct, behind the same nil-guarded hook
+// pattern as internal/trace. Either way the work is host-side bookkeeping
+// outside the simulated machine model, so a metered run reports the same
+// stats.Counters as a bare one.
 //
 // The aggregate counters of internal/stats answer the paper's questions
 // after a run ends; this package answers "what is the runtime doing right
-// now": Snapshot() is cheap, consistent, and diffable into per-interval
-// rates, WritePrometheus emits the text exposition format, WriteJSON a
+// now": Snapshot() is cheap and diffable into per-interval rates,
+// WritePrometheus emits the text exposition format, WriteJSON a
 // schema-versioned JSON document (embedded in regionbench reports), and
 // HeapProfile turns the verifier's page walk into a per-region heap report.
 // docs/OBSERVABILITY.md documents the semantics; cmd/regionstat drives
@@ -95,21 +102,47 @@ type siteEntry struct {
 	bytes   uint64
 }
 
-// Registry is a named collection of metrics. Counter, Gauge, and Histogram
-// are get-or-create and take the registry lock; the returned pointers are
-// what hot paths hold on to, so steady-state updates never touch the lock
-// or the name maps. Names follow Prometheus conventions and may carry a
-// label suffix (`regions_shard_tasks_total{shard="0"}`); series sharing a
-// base name are grouped under one # TYPE line by WritePrometheus.
+// Sink receives the series the registry's sources report during one
+// Snapshot. Values reported under one name add up, across sources and with
+// a pushed series of that name: N shard runtimes reporting
+// regions_core_allocs_total read as their total, and so does a gauge they
+// share.
+type Sink struct {
+	counters map[string]uint64
+	gauges   map[string]int64
+}
+
+// Counter reports v for the counter called name.
+func (s *Sink) Counter(name string, v uint64) { s.counters[name] += v }
+
+// Gauge reports v for the gauge called name.
+func (s *Sink) Gauge(name string, v int64) { s.gauges[name] += v }
+
+// A Source reports counters and gauges read from counts its owner keeps
+// anyway. The registry calls it at every Snapshot, on the snapshotting
+// goroutine, so a source either reads state that goroutine may touch or
+// copies taken under its owner's lock.
+type Source func(*Sink)
+
+// Registry is a named collection of metrics. Counters and gauges come from
+// sources (AddSource); Histogram is get-or-create and takes the registry
+// lock, and the returned pointer is what hot paths hold on to, so
+// observations never touch the lock or the name maps. Counter and Gauge are
+// the push-side equivalents for callers with no count of their own. Names
+// follow Prometheus conventions and may carry a label suffix
+// (`regions_shard_tasks_total{shard="0"}`); series sharing a base name are
+// grouped under one # TYPE line by WritePrometheus.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	siteEvery atomic.Int64
-	siteTick  atomic.Uint64
-	siteMu    sync.Mutex
-	sites     map[string]*siteEntry
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	hists      map[string]*Histogram
+	sources    map[int]Source
+	nextSource int
+	siteEvery  atomic.Int64
+	siteTick   atomic.Uint64
+	siteMu     sync.Mutex
+	sites      map[string]*siteEntry
 }
 
 // NewRegistry returns an empty registry.
@@ -118,7 +151,23 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+		sources:  map[int]Source{},
 		sites:    map[string]*siteEntry{},
+	}
+}
+
+// AddSource registers src, which every later Snapshot calls, and returns
+// the function that removes it again.
+func (r *Registry) AddSource(src Source) (remove func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.nextSource++
+	id := r.nextSource
+	r.sources[id] = src
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		delete(r.sources, id)
 	}
 }
 

@@ -102,6 +102,37 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 	}
 }
 
+// TestSourcesSumAndRemove: series several sources report under one name
+// read as their sum, pushed series included, and a removed source stops
+// contributing.
+func TestSourcesSumAndRemove(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("n_total").Add(1)
+	src := func(n uint64) Source {
+		return func(s *Sink) {
+			s.Counter("n_total", n)
+			s.Gauge("depth", int64(n))
+		}
+	}
+	r.AddSource(src(10))
+	remove := r.AddSource(src(100))
+	snap := r.Snapshot()
+	if v, _ := snap.Counter("n_total"); v != 111 {
+		t.Errorf("n_total = %d, want 111", v)
+	}
+	if v, _ := snap.Gauge("depth"); v != 110 {
+		t.Errorf("depth = %d, want 110", v)
+	}
+	remove()
+	snap = r.Snapshot()
+	if v, _ := snap.Counter("n_total"); v != 11 {
+		t.Errorf("n_total after remove = %d, want 11", v)
+	}
+	if v, _ := snap.Gauge("depth"); v != 10 {
+		t.Errorf("depth after remove = %d, want 10", v)
+	}
+}
+
 func TestSiteSampling(t *testing.T) {
 	r := NewRegistry()
 	// Disabled sampler records nothing.

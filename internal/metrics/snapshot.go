@@ -46,11 +46,12 @@ type SiteSample struct {
 	Bytes   uint64 `json:"bytes"`
 }
 
-// Snapshot is one consistent-enough view of a registry: every series is
-// read with a single atomic load, series are name-sorted so two snapshots
-// diff line by line, and the whole operation takes the registry lock only
-// long enough to copy the name maps. Cross-series skew is bounded by the
-// operations in flight during the copy; each individual value is exact.
+// Snapshot is one consistent-enough view of a registry: every source is
+// read once, every pushed series with a single atomic load, and series are
+// name-sorted so two snapshots diff line by line. A source reports its
+// counts as of one instant (the shard engine's, for example, as of each
+// shard's last completed task); skew between sources is bounded by the
+// work in flight while they are read.
 type Snapshot struct {
 	SchemaVersion int              `json:"schema_version"`
 	Counters      []CounterValue   `json:"counters"`
@@ -59,16 +60,20 @@ type Snapshot struct {
 	Sites         []SiteSample     `json:"sites,omitempty"`
 }
 
-// Snapshot captures the registry's current values.
+// Snapshot captures the registry's current values: it calls every source
+// and reads every pushed series.
 func (r *Registry) Snapshot() *Snapshot {
+	sink := Sink{counters: map[string]uint64{}, gauges: map[string]int64{}}
 	r.mu.Lock()
-	counters := make([]CounterValue, 0, len(r.counters))
 	for name, c := range r.counters {
-		counters = append(counters, CounterValue{Name: name, Value: c.Value()})
+		sink.Counter(name, c.Value())
 	}
-	gauges := make([]GaugeValue, 0, len(r.gauges))
 	for name, g := range r.gauges {
-		gauges = append(gauges, GaugeValue{Name: name, Value: g.Value()})
+		sink.Gauge(name, g.Value())
+	}
+	sources := make([]Source, 0, len(r.sources))
+	for _, src := range r.sources {
+		sources = append(sources, src)
 	}
 	hists := make([]HistogramValue, 0, len(r.hists))
 	for name, h := range r.hists {
@@ -83,7 +88,18 @@ func (r *Registry) Snapshot() *Snapshot {
 		hists = append(hists, hv)
 	}
 	r.mu.Unlock()
+	for _, src := range sources {
+		src(&sink)
+	}
 
+	counters := make([]CounterValue, 0, len(sink.counters))
+	for name, v := range sink.counters {
+		counters = append(counters, CounterValue{Name: name, Value: v})
+	}
+	gauges := make([]GaugeValue, 0, len(sink.gauges))
+	for name, v := range sink.gauges {
+		gauges = append(gauges, GaugeValue{Name: name, Value: v})
+	}
 	sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
 	sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })
 	sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })

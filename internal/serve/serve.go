@@ -24,7 +24,9 @@
 // an OOM shed. Admitted/shed/queued counters, a queue-depth gauge per
 // shard, and the latency histogram are exported through the standard
 // metrics registry, so `regionserve -metrics-addr` serves them at /metrics
-// live. docs/SERVING.md is the full story; cmd/regionserve the CLI.
+// live: each shard publishes its tally after every completion, and the
+// registry reads the published tallies when scraped. docs/SERVING.md is the
+// full story; cmd/regionserve the CLI.
 package serve
 
 import (
@@ -329,19 +331,15 @@ var latencyBounds = func() []uint64 {
 	return b
 }()
 
-// server is one serving run: its configuration, cached metric handles, the
-// engine and per-shard states it drives, and, in tenant mode, the
-// driver-side tenant table.
+// server is one serving run: its configuration, registry and histogram
+// handles, the board its shards publish their tallies to, the engine and
+// per-shard states it drives, and, in tenant mode, the driver-side tenant
+// table.
 type server struct {
-	cfg       Config
-	reg       *metrics.Registry
-	admitted  *metrics.Counter
-	completed *metrics.Counter
-	queued    *metrics.Counter
-	shedQueue *metrics.Counter
-	shedOOM   *metrics.Counter
-	latency   *metrics.Histogram
-	sloMiss   *metrics.Counter
+	cfg     Config
+	reg     *metrics.Registry
+	latency *metrics.Histogram
+	board   *board
 
 	// Span tracing (Config.Spans; see spans.go). spanT nil means off —
 	// every recording site nil-checks it, the one-predicate contract.
@@ -399,12 +397,61 @@ type shardState struct {
 	pending   []uint64
 	busyUntil uint64
 
-	stats         ShardStats
+	stats ShardStats
+	// sloMisses counts completions over the SLO target; depth is the
+	// modelled queue depth when the shard last admitted a session.
+	sloMisses     uint64
+	depth         int
 	leaked        uint64
 	firstOverload error
 	firstSID      int
 
-	depthGauge *metrics.Gauge
+	slot *slot // on the server's board
+}
+
+// board is where shards publish their serving tallies for the run's
+// metrics source, at the end of every completion callback, so a live
+// scrape reads them without a per-event atomic.
+type board struct {
+	mu    sync.Mutex
+	slots []*slot
+}
+
+// slot is one shard's published tally.
+type slot struct {
+	stats     ShardStats
+	sloMisses uint64
+	depth     int
+}
+
+// emit is the run's metrics source.
+func (b *board) emit(s *metrics.Sink) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, sl := range b.slots {
+		s.Counter("regions_serve_admitted_total", sl.stats.Admitted)
+		s.Counter("regions_serve_completed_total", sl.stats.Completed)
+		s.Counter("regions_serve_queued_total", sl.stats.Queued)
+		s.Counter(`regions_serve_shed_total{reason="queue"}`, sl.stats.ShedQueue)
+		s.Counter(`regions_serve_shed_total{reason="oom"}`, sl.stats.ShedOOM)
+		s.Counter("regions_serve_slo_miss_total", sl.sloMisses)
+		s.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, sl.stats.Shard), int64(sl.depth))
+	}
+}
+
+// add gives st a slot on the board.
+func (b *board) add(st *shardState) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st.slot = &slot{stats: st.stats}
+	b.slots = append(b.slots, st.slot)
+}
+
+// publish copies st's tally into its slot.
+func (b *board) publish(st *shardState) {
+	b.mu.Lock()
+	*st.slot = slot{stats: st.stats, sloMisses: st.sloMisses, depth: st.depth}
+	b.mu.Unlock()
 }
 
 // Run executes one serving run: draw the schedule, pin every session to its
@@ -461,24 +508,21 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// newServer resolves a validated config into a server: its registry and
-// metric handles, span sink, checksum mode, and tenant table.
+// newServer resolves a validated config into a server: its registry,
+// histogram handles and metrics source, span sink, checksum mode, and
+// tenant table.
 func newServer(cfg Config) *server {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	sv := &server{
-		cfg:       cfg,
-		reg:       reg,
-		admitted:  reg.Counter("regions_serve_admitted_total"),
-		completed: reg.Counter("regions_serve_completed_total"),
-		queued:    reg.Counter("regions_serve_queued_total"),
-		shedQueue: reg.Counter(`regions_serve_shed_total{reason="queue"}`),
-		shedOOM:   reg.Counter(`regions_serve_shed_total{reason="oom"}`),
-		latency:   reg.Histogram("regions_serve_latency_cycles", latencyBounds),
-		sloMiss:   reg.Counter("regions_serve_slo_miss_total"),
+		cfg:     cfg,
+		reg:     reg,
+		latency: reg.Histogram("regions_serve_latency_cycles", latencyBounds),
+		board:   &board{},
 	}
+	reg.AddSource(sv.board.emit)
 	if cfg.Spans {
 		sv.spanT = cfg.SpanTracer
 		if sv.spanT == nil {
@@ -547,13 +591,13 @@ func (sv *server) newShardState(i int) *shardState {
 		env.Space().SetFaultPlan(sv.cfg.FaultPlan)
 	}
 	st := &shardState{
-		id:         i,
-		env:        env,
-		cln:        registerCleanups(env.Runtime()),
-		depthGauge: sv.reg.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, i)),
-		firstSID:   -1,
+		id:       i,
+		env:      env,
+		cln:      registerCleanups(env.Runtime()),
+		firstSID: -1,
 	}
 	st.stats.Shard = i
+	sv.board.add(st)
 	return st
 }
 
@@ -891,16 +935,22 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	return sum
 }
 
-// complete is the engine completion callback: it advances the shard's
-// modelled clock by the simulated cycles the session actually consumed
-// (res.EndCycles - res.StartCycles, measured by the engine around the
-// task), records the session's latency, and updates the counters. Pinned
-// tasks deliver Done calls in FIFO order on the shard goroutine, so this is
-// single-threaded per shard by construction.
+// complete is the engine completion callback: it accounts the session
+// and publishes the shard's tally. Pinned tasks deliver Done calls in FIFO
+// order on the shard goroutine, so this is single-threaded per shard by
+// construction.
 func (sv *server) complete(st *shardState, s *session, res shard.TaskResult) {
+	sv.account(st, s, res)
+	sv.board.publish(st)
+}
+
+// account advances the shard's modelled clock by the simulated cycles the
+// session actually consumed (res.EndCycles - res.StartCycles, measured by
+// the engine around the task), records the session's latency, and updates
+// the shard's tally.
+func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 	if s.outcome == outcomeShedQueue {
 		st.stats.ShedQueue++
-		sv.shedQueue.Inc()
 		st.noteOverload(s)
 		return
 	}
@@ -924,25 +974,21 @@ func (sv *server) complete(st *shardState, s *session, res shard.TaskResult) {
 	if len(st.pending) > st.stats.MaxDepth {
 		st.stats.MaxDepth = len(st.pending)
 	}
-	st.depthGauge.Set(int64(len(st.pending)))
+	st.depth = len(st.pending)
 	st.stats.BusyUntilCycles = completion
 	st.stats.Admitted++
-	sv.admitted.Inc()
 	if s.waited {
 		st.stats.Queued++
-		sv.queued.Inc()
 	}
 	if s.outcome == outcomeShedOOM {
 		st.stats.ShedOOM++
-		sv.shedOOM.Inc()
 		st.noteOverload(s)
 		return
 	}
 	st.stats.Completed++
-	sv.completed.Inc()
 	sv.latency.Observe(completion - s.arrival)
 	if completion-s.arrival > sv.cfg.SLOP99 {
-		sv.sloMiss.Inc()
+		st.sloMisses++
 	}
 	if sv.spanT != nil {
 		sv.emitSessionSpans(st, s, prevBusy, start, completion)

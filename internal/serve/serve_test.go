@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -173,13 +174,44 @@ func TestServeTotalFaultShedsEverything(t *testing.T) {
 // TestServeMetricsCounters checks the exported serve series against the
 // result: the /metrics story is only trustworthy if the counters and the
 // report agree.
-func TestServeMetricsCounters(t *testing.T) {
+func TestServeMetricsCounters(t *testing.T) { checkServeMetrics(t, false) }
+
+// TestServeMetricsUnderConcurrentScrape runs the same check while a scraper
+// renders the registry in a loop, as a live /metrics endpoint does; under
+// -race it shows that reading the published tallies never races the shards.
+func TestServeMetricsUnderConcurrentScrape(t *testing.T) { checkServeMetrics(t, true) }
+
+// checkServeMetrics runs a page-limited serving run (completions and OOM
+// sheds) into a fresh registry, scraped throughout when scrape is set, and
+// checks the serve series against the result.
+func checkServeMetrics(t *testing.T, scrape bool) {
 	reg := metrics.NewRegistry()
 	cfg := testConfig()
 	cfg.Sessions = 500
 	cfg.PageLimit = 3 // force a mixed outcome: completions and OOM sheds
 	cfg.Metrics = reg
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		for scrape {
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
+				if err := metrics.WritePrometheus(io.Discard, reg.Snapshot()); err != nil {
+					scraped <- err
+					return
+				}
+			}
+		}
+		scraped <- nil
+	}()
 	res, err := Run(cfg)
+	close(stop)
+	if scrapeErr := <-scraped; scrapeErr != nil {
+		t.Fatal(scrapeErr)
+	}
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -18,8 +18,8 @@ type deque struct {
 	count int
 }
 
-func newDeque(capacity int) deque {
-	return deque{buf: make([]Task, capacity)}
+func newDeque(capacity int) *deque {
+	return &deque{buf: make([]Task, capacity)}
 }
 
 // push appends t at the back; it reports false when the deque is full.

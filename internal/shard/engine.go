@@ -7,6 +7,7 @@ import (
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
+	"regions/internal/mem"
 	"regions/internal/metrics"
 	"regions/internal/trace"
 )
@@ -104,37 +105,83 @@ type Aggregate struct {
 	PerShard    []Stats
 }
 
-// workerMetrics caches one shard's labeled series.
-type workerMetrics struct {
-	tasks      *metrics.Counter
-	failures   *metrics.Counter
-	busyCycles *metrics.Counter
-	steals     *metrics.Counter
-	queueDepth *metrics.Gauge
+// board is where workers publish their counts for the engine's metrics
+// source. After every task, and once more after the close-time drain, a
+// worker copies its runtime's spine, its OS counts and its Stats into its
+// slot; the source reads the slots, the live queue lengths, the migration
+// tallies and, after Close, the aggregate. So a live scrape is race-free
+// without a per-event atomic, and since the board holds no runtime, a
+// registry that outlives the engine does not keep the shard heaps alive.
+type board struct {
+	mu    sync.Mutex
+	slots []*slot // by worker id
+	agg   *Aggregate
+	// dropped is the span events lost to ring wraparound, read at Close.
+	dropped uint64
+
+	migrations    atomic.Uint64
+	migratedPages atomic.Uint64
 }
 
-func newWorkerMetrics(reg *metrics.Registry, shard int) *workerMetrics {
-	label := fmt.Sprintf(`{shard="%d"}`, shard)
-	return &workerMetrics{
-		tasks:      reg.Counter("regions_shard_tasks_total" + label),
-		failures:   reg.Counter("regions_shard_failures_total" + label),
-		busyCycles: reg.Counter("regions_shard_busy_cycles_total" + label),
-		steals:     reg.Counter("regions_shard_steals_total" + label),
-		queueDepth: reg.Gauge("regions_shard_queue_depth" + label),
+// slot is one worker's published counts.
+type slot struct {
+	label      string // the shard's Prometheus label
+	spine      core.Spine
+	os         mem.OSCounts
+	stats      Stats
+	busy       uint64 // shard clock at the end of the last task; drains are not busy time
+	dq, pinned *deque
+}
+
+// emit is the engine's metrics source.
+func (b *board) emit(s *metrics.Sink) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, sl := range b.slots {
+		sl.spine.Emit(s)
+		sl.os.Emit(s)
+		s.Counter("regions_shard_tasks_total"+sl.label, sl.stats.Tasks)
+		s.Counter("regions_shard_failures_total"+sl.label, sl.stats.Failures)
+		s.Counter("regions_shard_busy_cycles_total"+sl.label, sl.busy)
+		s.Counter("regions_shard_steals_total"+sl.label, sl.stats.Steals)
+		s.Gauge("regions_shard_queue_depth"+sl.label, int64(sl.dq.len()+sl.pinned.len()))
+	}
+	s.Counter("regions_migrations_total", b.migrations.Load())
+	s.Counter("regions_migrated_pages_total", b.migratedPages.Load())
+	if agg := b.agg; agg != nil {
+		s.Gauge("regions_shard_makespan_cycles", int64(agg.MakespanCycles))
+		if agg.MakespanCycles > 0 && agg.Shards > 0 {
+			util := agg.TotalCycles * 100 / (agg.MakespanCycles * uint64(agg.Shards))
+			s.Gauge("regions_shard_utilization_pct", int64(util))
+		}
+		if b.dropped > 0 {
+			s.Counter("regions_trace_dropped_total", b.dropped)
+		}
 	}
 }
 
 type worker struct {
 	id      int // position in the worker set; also the metric label and Env name
 	env     *Env
-	dq      deque // stealable tasks: owner pops back, thieves take front
-	pinned  deque // pinned tasks: FIFO, never stolen
+	dq      *deque // stealable tasks: owner pops back, thieves take front
+	pinned  *deque // pinned tasks: FIFO, never stolen
 	npinned atomic.Int64
 	stats   Stats
+	slot    *slot // on the engine's board
 
-	met       *workerMetrics
 	profEvery int
 	lastProf  atomic.Value // *metrics.HeapReport
+}
+
+// publish copies w's counts into its slot; busy is the shard clock at the
+// end of its last task. It does not allocate.
+func (w *worker) publish(b *board, busy uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	sl := w.slot
+	sl.spine = w.env.Runtime().Spine()
+	sl.os = w.env.Space().OSCounts()
+	sl.stats, sl.busy = w.stats, busy
 }
 
 // Engine distributes tasks over N shard workers with work stealing: Submit
@@ -171,12 +218,8 @@ type Engine struct {
 	// resizeMu serializes Resize, MigrateRegion, and Close.
 	resizeMu sync.Mutex
 
-	// Migration tallies (see migrate.go).
-	migrations    atomic.Uint64
-	migratedPages atomic.Uint64
-	migTotal      *metrics.Counter
-	migPages      *metrics.Counter
-	migCycles     *metrics.Histogram
+	board     *board
+	migCycles *metrics.Histogram // nil unless metered (see migrate.go)
 }
 
 // NewEngine starts an engine configured by functional options (see
@@ -190,12 +233,11 @@ func NewEngine(opts ...Option) *Engine {
 	if s.shards < 1 {
 		s.shards = 1
 	}
-	e := &Engine{set: s}
+	e := &Engine{set: s, board: &board{}}
 	e.cond = sync.NewCond(&e.mu)
 	if reg := s.metrics; reg != nil {
-		e.migTotal = reg.Counter("regions_migrations_total")
-		e.migPages = reg.Counter("regions_migrated_pages_total")
 		e.migCycles = reg.Histogram("regions_migration_cycles", migrationCycleBounds)
+		reg.AddSource(e.board.emit)
 	}
 	ws := make([]*worker, s.shards)
 	for i := range ws {
@@ -212,7 +254,7 @@ func NewEngine(opts ...Option) *Engine {
 }
 
 // newWorker builds (but does not start) the worker at position id from the
-// engine's resolved settings.
+// engine's resolved settings and gives it a slot on the board.
 func (e *Engine) newWorker(id int) *worker {
 	w := &worker{
 		id: id,
@@ -228,12 +270,13 @@ func (e *Engine) newWorker(id int) *worker {
 		pinned:    newDeque(queueCap),
 		profEvery: e.set.heapProfileEvery,
 	}
-	if reg := e.set.metrics; reg != nil {
-		w.env.Runtime().SetMetrics(reg)
-		w.env.Space().SetMetrics(reg)
-		w.met = newWorkerMetrics(reg, id)
-	}
+	w.env.Runtime().SetHistograms(e.set.metrics)
 	w.stats.Shard = id
+	w.slot = &slot{label: fmt.Sprintf(`{shard="%d"}`, id), dq: w.dq, pinned: w.pinned}
+	w.publish(e.board, 0)
+	e.board.mu.Lock()
+	e.board.slots = append(e.board.slots, w.slot)
+	e.board.mu.Unlock()
 	return w
 }
 
@@ -276,9 +319,9 @@ func (e *Engine) Submit(t Task) {
 // a specific worker — migration uses it to pin export/import tasks to a
 // donor or receiver regardless of placement.
 func (e *Engine) submitTo(w *worker, t Task) {
-	q := &w.dq
+	q := w.dq
 	if t.Pin {
-		q = &w.pinned
+		q = w.pinned
 	}
 	if !q.push(t) {
 		e.mu.Lock()
@@ -312,8 +355,8 @@ func (e *Engine) SubmitBatch(ts []Task) {
 		}
 	}
 	for i, w := range ws {
-		e.enqueue(w, &w.dq, false, steal[i])
-		e.enqueue(w, &w.pinned, true, pin[i])
+		e.enqueue(w, w.dq, false, steal[i])
+		e.enqueue(w, w.pinned, true, pin[i])
 	}
 }
 
@@ -349,9 +392,6 @@ func (e *Engine) noteQueued(w *worker, pinned bool, n int) {
 	} else {
 		e.stealable.Add(int64(n))
 	}
-	if w.met != nil {
-		w.met.queueDepth.Add(int64(n))
-	}
 	e.wake()
 }
 
@@ -375,12 +415,10 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 	for {
 		if t, ok := w.pinned.popFront(); ok {
 			w.npinned.Add(-1)
-			w.notePopped(w)
 			return t, false, true
 		}
 		if t, ok := w.dq.popBack(); ok {
 			e.stealable.Add(-1)
-			w.notePopped(w)
 			return t, false, true
 		}
 		if !e.set.noSteal {
@@ -389,7 +427,6 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 				v := ws[(w.id+i)%len(ws)]
 				if t, ok := v.dq.popFront(); ok {
 					e.stealable.Add(-1)
-					w.notePopped(v)
 					return t, true, true
 				}
 			}
@@ -422,14 +459,6 @@ func (e *Engine) emitSpan(kind trace.SpanKind, shard int, begin, end uint64) {
 	}
 	e.set.spanT.Emit(trace.SpanBegin(kind, -1, shard, begin))
 	e.set.spanT.Emit(trace.SpanEnd(kind, -1, shard, end))
-}
-
-// notePopped records a task leaving owner's queue; the caller's loop then
-// broadcasts so submitters blocked on the freed slot retry.
-func (w *worker) notePopped(owner *worker) {
-	if owner.met != nil {
-		owner.met.queueDepth.Dec()
-	}
 }
 
 // HeapReports returns the most recent heap profile captured by each live
@@ -481,27 +510,21 @@ func (e *Engine) Close() Aggregate {
 		}
 		agg.PerShard = append(agg.PerShard, s)
 	}
-	if reg := e.set.metrics; reg != nil {
-		reg.Gauge("regions_shard_makespan_cycles").Set(int64(agg.MakespanCycles))
-		if agg.MakespanCycles > 0 && agg.Shards > 0 {
-			util := agg.TotalCycles * 100 / (agg.MakespanCycles * uint64(agg.Shards))
-			reg.Gauge("regions_shard_utilization_pct").Set(int64(util))
-		}
-		if e.set.spanT != nil {
-			// Span reconstruction is only as good as the ring: publish the
-			// events lost to wraparound so a scrape (and the SpanProfile
-			// consumer) can tell a complete account from a truncated window.
-			if d := e.set.spanT.Stats().Dropped; d > 0 {
-				reg.Counter("regions_trace_dropped_total").Add(d)
-			}
-		}
+	e.board.mu.Lock()
+	e.board.agg = &agg
+	if e.set.spanT != nil {
+		// Span reconstruction is only as good as the ring: publish the
+		// events lost to wraparound so a scrape (and the SpanProfile
+		// consumer) can tell a complete account from a truncated window.
+		e.board.dropped = e.set.spanT.Stats().Dropped
 	}
+	e.board.mu.Unlock()
 	return agg
 }
 
 func (w *worker) loop(e *Engine) {
 	defer e.wg.Done()
-	var prevCycles uint64
+	var busy uint64
 	for {
 		t, stolen, ok := e.next(w)
 		if !ok {
@@ -519,21 +542,10 @@ func (w *worker) loop(e *Engine) {
 			w.stats.Failures++
 			w.stats.LastError = err.Error()
 			w.env.reset()
-			if w.met != nil {
-				w.met.failures.Inc()
-			}
 		} else {
 			w.stats.Checksum += sum
 		}
 		simAfter := w.env.Counters().TotalCycles()
-		if w.met != nil {
-			w.met.tasks.Inc()
-			if stolen {
-				w.met.steals.Inc()
-			}
-			w.met.busyCycles.Add(simAfter - prevCycles)
-			prevCycles = simAfter
-		}
 		if stolen {
 			// The thief shard spent this window running work homed elsewhere;
 			// the span names those cycles so a shard's track shows how much of
@@ -550,6 +562,8 @@ func (w *worker) loop(e *Engine) {
 				EndCycles:   simAfter,
 			})
 		}
+		busy = simAfter
+		w.publish(e.board, busy)
 		if w.profEvery > 0 && (w.stats.Tasks == 1 || w.stats.Tasks%uint64(w.profEvery) == 0) {
 			w.captureHeapProfile()
 		}
@@ -569,6 +583,7 @@ func (w *worker) loop(e *Engine) {
 	}
 	w.stats.SimCycles = w.env.Counters().TotalCycles()
 	w.stats.OSBytes = w.env.Space().MappedBytes()
+	w.publish(e.board, busy)
 	if w.profEvery > 0 {
 		w.captureHeapProfile()
 	}
@@ -593,9 +608,6 @@ func (w *worker) runDone(t Task, res TaskResult) {
 		if r := recover(); r != nil {
 			w.stats.Failures++
 			w.stats.LastError = fmt.Sprintf("shard: done %q: %v", t.Name, r)
-			if w.met != nil {
-				w.met.failures.Inc()
-			}
 		}
 	}()
 	t.Done(res)

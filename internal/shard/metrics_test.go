@@ -5,8 +5,91 @@ import (
 	"fmt"
 	"testing"
 
+	"regions/internal/core"
 	"regions/internal/metrics"
 )
+
+// TestSharedGaugesReadTheirSum: a gauge every shard reports reads as the
+// total over shards, through a resize and the reuse that follows it. Two
+// shards each park four 64-byte string blocks and leave sweep debt behind a
+// deferred delete; a third shard joins; then shard 0 reuses its blocks.
+func TestSharedGaugesReadTheirSum(t *testing.T) {
+	reg := metrics.NewRegistry()
+	eng := NewEngine(WithShards(2), WithMetrics(reg), WithDeferredDelete(0, 0))
+	defer eng.Close()
+	gauge := func(name string) int64 {
+		v, _ := reg.Snapshot().Gauge(name)
+		return v
+	}
+	sum := func(read func(rt *core.Runtime) int64) int64 {
+		var total int64
+		for i := 0; i < eng.Shards(); i++ {
+			if err := pinnedDo(eng, i, func(rt *core.Runtime) { total += read(rt) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return total
+	}
+	const pool = `regions_str_pool_blocks{class="64"}`
+
+	kept := make([]*core.Region, 2)
+	for i := range kept {
+		if err := pinnedDo(eng, i, func(rt *core.Runtime) {
+			kept[i] = rt.NewRegion()
+			var blocks []core.Ptr
+			for j := 0; j < 4; j++ {
+				blocks = append(blocks, rt.RstrAlloc(kept[i], 64))
+			}
+			for _, p := range blocks {
+				rt.RstrFree(kept[i], p, 64)
+			}
+			dead := rt.NewRegion()
+			rt.RstrAlloc(dead, 3*4096)
+			rt.DeleteRegion(dead)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	debt := sum(func(rt *core.Runtime) int64 { return int64(rt.SweepDebt()) })
+	if debt == 0 {
+		t.Fatal("deferred deletes left no sweep debt")
+	}
+	if got := gauge("regions_sweep_debt_pages"); got != debt {
+		t.Errorf("regions_sweep_debt_pages = %d, shards carry %d", got, debt)
+	}
+
+	if err := eng.Resize(3); err != nil {
+		t.Fatal(err)
+	}
+	mapped := sum(func(rt *core.Runtime) int64 { return int64(rt.Space().MappedBytes()) })
+	if got := gauge("regions_mem_mapped_bytes"); got != mapped {
+		t.Errorf("regions_mem_mapped_bytes = %d, shards mapped %d", got, mapped)
+	}
+	if got := gauge(pool); got != 8 {
+		t.Errorf("%s = %d after the resize, want 8", pool, got)
+	}
+	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+		for j := 0; j < 4; j++ {
+			rt.RstrAlloc(kept[0], 64)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge(pool); got != 4 {
+		t.Errorf("%s = %d after shard 0 reused its blocks, want 4", pool, got)
+	}
+}
+
+// TestPublishDoesNotAllocate: a worker publishes its counts after every
+// task, so the copy must cost no Go allocation.
+func TestPublishDoesNotAllocate(t *testing.T) {
+	eng := NewEngine(WithMetrics(metrics.NewRegistry()))
+	defer eng.Close()
+	w := eng.workers()[0]
+	if n := testing.AllocsPerRun(100, func() { w.publish(eng.board, 1) }); n != 0 {
+		t.Errorf("publish costs %.1f allocations, want 0", n)
+	}
+}
 
 // TestMetricsUnderConcurrentScrape is the observability race test: four
 // shards churn allocations while a scraper loop snapshots the shared

@@ -56,7 +56,7 @@ type Migration struct {
 // Migrations returns the engine's totals: completed migrations and pages
 // moved.
 func (e *Engine) Migrations() (count, pages uint64) {
-	return e.migrations.Load(), e.migratedPages.Load()
+	return e.board.migrations.Load(), e.board.migratedPages.Load()
 }
 
 // onShard runs step as a pinned task on w, giving it exclusive use of w's
@@ -156,11 +156,9 @@ func (e *Engine) MigrateRegion(r *core.Region, from, to int) (Migration, error) 
 		return Migration{}, fmt.Errorf("shard: import into shard %d (rolled back): %w", to, err)
 	}
 	m.Cycles += cycles
-	e.migrations.Add(1)
-	e.migratedPages.Add(uint64(m.Pages))
-	if e.migTotal != nil {
-		e.migTotal.Inc()
-		e.migPages.Add(uint64(m.Pages))
+	e.board.migrations.Add(1)
+	e.board.migratedPages.Add(uint64(m.Pages))
+	if e.migCycles != nil {
 		e.migCycles.Observe(m.Cycles)
 	}
 	return m, nil

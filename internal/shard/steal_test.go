@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"regions/internal/apps/appkit"
 )
@@ -102,16 +104,44 @@ func TestStealingKeepsChecksumAndDrains(t *testing.T) {
 
 // TestImbalancedWorkloadIsStolen homes every task on one shard, unpinned:
 // the other three workers have nothing of their own and must steal. Verifies
-// steals are counted coherently and that the load actually spread.
+// steals are counted coherently and that the load actually spread. The
+// first task to start waits (up to 10 s) until a task has started on
+// another shard, so a busy host cannot let one worker drain all 48 tasks —
+// the home shard before any sibling is scheduled, or one thief before the
+// home shard wakes. A scheduler that never steals still fails.
 func TestImbalancedWorkloadIsStolen(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("stealing needs a sibling worker actually running")
 	}
 	eng := NewEngine(WithShards(4))
 	const tasks, home = 48, 2
+	var (
+		mu        sync.Mutex
+		first     string // the shard the first task started on
+		spread    sync.Once
+		elsewhere = make(chan struct{}) // closed once a task starts on another shard
+	)
 	for i := 0; i < tasks; i++ {
 		tk := workTask(uint32(i), 128)
 		tk.Home = home + 1
+		run := tk.Run
+		tk.Run = func(e appkit.RegionEnv) uint32 {
+			mu.Lock()
+			isFirst := first == ""
+			if isFirst {
+				first = e.Name()
+			} else if e.Name() != first {
+				spread.Do(func() { close(elsewhere) })
+			}
+			mu.Unlock()
+			if isFirst {
+				select {
+				case <-elsewhere:
+				case <-time.After(10 * time.Second):
+				}
+			}
+			return run(e)
+		}
 		eng.Submit(tk)
 	}
 	agg := eng.Close()

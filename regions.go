@@ -194,9 +194,9 @@ func WithFaultPlan(p *FaultPlan) Option { return func(c *config) { c.faultPlan =
 // mid-run for attaching, swapping, or detaching (nil) a tracer.
 func WithTracer(t *Tracer) Option { return func(c *config) { c.tracer = t } }
 
-// WithMetrics attaches a metrics registry at construction, so page mappings
-// charged while warming the system are already counted; see SetMetrics,
-// which remains legal mid-run (gauges re-seed on attach, nil detaches).
+// WithMetrics attaches a metrics registry at construction; see SetMetrics,
+// which remains legal mid-run (nil detaches). Either way the registry reads
+// the system's counts since New.
 func WithMetrics(reg *MetricsRegistry) Option { return func(c *config) { c.metrics = reg } }
 
 // New creates a System.
@@ -586,10 +586,10 @@ func (s *System) Trace() *Tracer { return s.rt.Tracer() }
 
 // --- metrics and heap profiling -------------------------------------------------
 
-// MetricsRegistry is a registry of live counters, gauges, and fixed-bucket
-// histograms updated by the runtime as it works, the always-on companion to
-// the event-level Tracer. Snapshot gives a consistent, diffable reading;
-// WritePrometheus and WriteJSON render it. See docs/OBSERVABILITY.md.
+// MetricsRegistry is a registry of counters, gauges, and fixed-bucket
+// histograms over the runtime, the always-on companion to the event-level
+// Tracer. Snapshot gives a consistent, diffable reading; WritePrometheus
+// and WriteJSON render it. See docs/OBSERVABILITY.md.
 type MetricsRegistry = metrics.Registry
 
 // MetricsSnapshot is one consistent, sorted reading of a registry.
@@ -603,11 +603,16 @@ type HeapReport = metrics.HeapReport
 // NewMetricsRegistry returns an empty metrics registry ready to attach.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// SetMetrics attaches reg to the system: the runtime and its simulated OS
-// then update live counters, gauges, and histograms as they work. Pass nil
-// to detach. Like tracing, metrics are host-side observability: a system
-// without a registry pays one nil check per operation, and a metered run
-// charges exactly the same simulated cycles as a bare one.
+// SetMetrics attaches reg to the system, replacing any earlier registry;
+// pass nil to detach. The registry reads the counters and gauges from the
+// counts the runtime and its simulated OS keep anyway, at every Snapshot —
+// totals since New, whenever the registry was attached — and the system
+// pushes histogram observations as it works. Because Snapshot reads the
+// system's own counts, call it from the goroutine that uses the system, or
+// after it is done. Detaching removes the system's series from later
+// snapshots. Like tracing, metrics are host-side observability: a system
+// without a registry pays one nil check per histogram site, and a metered
+// run charges exactly the same simulated cycles as a bare one.
 func (s *System) SetMetrics(reg *MetricsRegistry) {
 	s.rt.SetMetrics(reg)
 	s.sp.SetMetrics(reg)
