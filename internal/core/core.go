@@ -164,10 +164,6 @@ type Options struct {
 	// pays a barrier and deletion needs no stack scan. This is the
 	// expensive design the paper's deferred scheme exists to avoid.
 	EagerLocals bool
-	// NoPoison disables the 0xdeadbeef fill of freed pages. Poisoning is
-	// uncharged (freed memory is outside the paper's machine model) but
-	// makes use-after-delete detectable by Verify and by dangling reads.
-	NoPoison bool
 	// NoRegionCache disables the last-region translation cache and the
 	// write barrier's cached fast path: every regionof probe goes to the
 	// dense page index and every region write charges the flat Figure 5
@@ -403,18 +399,16 @@ func (rt *Runtime) acquirePages(n int, r *Region) Ptr {
 }
 
 // releaseEntry returns a page-list entry to the free lists and clears its
-// region ownership. Unless Options.NoPoison is set, the freed pages are
-// filled with mem.PoisonWord (uncharged — freed memory is outside the
-// machine model) so dangling reads are unmistakable and Verify can detect
-// stray writes into free pages; reuse paths re-zero before handing out.
+// region ownership. The freed pages are filled with mem.PoisonWord
+// (uncharged — freed memory is outside the machine model) so dangling reads
+// are unmistakable and Verify can detect stray writes into free pages;
+// reuse paths re-zero before handing out.
 func (rt *Runtime) releaseEntry(first Ptr, n int) {
 	rt.charge(stats.ModeFree, uint64(1+n))
 	rt.notePages(first, n, nil)
 	rt.t.PagesReleased += uint64(n)
-	if !rt.opts.NoPoison {
-		for i := 0; i < n; i++ {
-			rt.space.PoisonPageFree(first + Ptr(i)<<mem.PageShift)
-		}
+	for i := 0; i < n; i++ {
+		rt.space.PoisonPageFree(first + Ptr(i)<<mem.PageShift)
 	}
 	if n > 1 {
 		rt.spans.put(first, n)
@@ -814,9 +808,7 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 	}
 	pooled := rt.strPooling && data <= rt.strCeil && int(p%mem.PageSize)+data <= mem.PageSize
 	if pooled {
-		if !rt.opts.NoPoison {
-			rt.space.PoisonRange(p, data)
-		}
+		rt.space.PoisonRange(p, data)
 		rt.strPoolPut(r, p, data)
 	}
 	r.bytes -= uint64(data)

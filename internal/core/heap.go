@@ -208,9 +208,6 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, *Fault) {
 				detachedPer[det]++
 				continue // poison deferred until the sweep
 			}
-			if rt.opts.NoPoison {
-				continue
-			}
 			for off := Ptr(0); off < mem.PageSize; off += mem.WordSize {
 				if w := rt.space.Load(a + off); w != mem.PoisonWord {
 					return rt.invariant(a+off, -1,
@@ -351,12 +348,10 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 				return rt.invariant(b.p, r.id,
 					"pooled string block extends past the head page's bump offset")
 			}
-			if !rt.opts.NoPoison {
-				for o := 0; o < cap; o += mem.WordSize {
-					if w := rt.space.Load(b.p + Ptr(o)); w != mem.PoisonWord {
-						return rt.invariant(b.p+Ptr(o), r.id,
-							"pooled string block word is %#x, not poison (stray write after free?)", w)
-					}
+			for o := 0; o < cap; o += mem.WordSize {
+				if w := rt.space.Load(b.p + Ptr(o)); w != mem.PoisonWord {
+					return rt.invariant(b.p+Ptr(o), r.id,
+						"pooled string block word is %#x, not poison (stray write after free?)", w)
 				}
 			}
 			bytes += uint64(cap)

@@ -462,8 +462,9 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	// A block the receiver cannot pool (pooling disabled, or capacity above
 	// this runtime's class ceiling) is dropped: its memory stays dead until
 	// the region dies, exactly as if it had been freed here unpooled. Blocks
-	// are re-poisoned so a NoPoison exporter's record still satisfies this
-	// runtime's Verify.
+	// are re-poisoned rather than trusted to arrive poisoned: a record is
+	// plain data its holder may build or edit, and this runtime's Verify
+	// must not rest on the exporter's heap having kept the discipline.
 	for _, b := range rec.StrPool {
 		if !rt.strPooling || int(b.Cap) > rt.strCeil {
 			continue
@@ -473,9 +474,7 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 			continue // unreachable for a well-formed record
 		}
 		np := npg<<mem.PageShift | b.OldAddr&Ptr(mem.PageSize-1)
-		if !rt.opts.NoPoison {
-			rt.space.PoisonRange(np, int(b.Cap))
-		}
+		rt.space.PoisonRange(np, int(b.Cap))
 		rt.strPoolPut(r, np, int(b.Cap))
 	}
 	rt.c.LiveRegions++

@@ -174,9 +174,7 @@ func (rt *Runtime) refillPageCache() {
 	}
 	for i := 0; i < batch; i++ {
 		pg := p + Ptr(i)<<mem.PageShift
-		if !rt.opts.NoPoison {
-			rt.space.PoisonPageFree(pg)
-		}
+		rt.space.PoisonPageFree(pg)
 		rt.freePages = append(rt.freePages, pg)
 	}
 }

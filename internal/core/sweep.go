@@ -149,9 +149,7 @@ func (rt *Runtime) sweepSlice(budget int) int {
 				rt.pages.clearDetached(pg)
 				r.unswept--
 				rt.t.SweepDebt--
-				if !rt.opts.NoPoison {
-					rt.space.PoisonPageFree(e.first)
-				}
+				rt.space.PoisonPageFree(e.first)
 				rt.charge(stats.ModeFree, 1)
 				swept++
 			}

@@ -34,23 +34,23 @@ import (
 //     one list, and attributed to that region in the page→region map.
 //  2. Page map: every page the map attributes to a region must belong to a
 //     live region and appear in that region's census.
-//  3. Free lists: free pages and spans must be unowned and — unless
-//     Options.NoPoison — still filled with mem.PoisonWord, so a stray write
-//     into freed memory is detected. Pages detached by a deferred deletion
-//     (Options.DeferredDelete) are exempt from the poison check until the
-//     incremental sweeper retires them; instead they must be attributed to
-//     a deleted region, present in the sweep queue, and sum to exactly the
-//     runtime's sweep debt and each region's unswept count.
+//  3. Free lists: free pages and spans must be unowned and still filled
+//     with mem.PoisonWord, so a stray write into freed memory is detected.
+//     Pages detached by a deferred deletion (Options.DeferredDelete) are
+//     exempt from the poison check until the incremental sweeper retires
+//     them; instead they must be attributed to a deleted region, present in
+//     the sweep queue, and sum to exactly the runtime's sweep debt and each
+//     region's unswept count.
 //  4. Object headers: every normal-allocator entry's filled prefix must
 //     parse as a sequence of valid headers whose extents (cleanup sizes,
 //     array bounds) stay inside the entry.
 //  5. String pools: every block parked on a region's capacity-class free
 //     lists (RstrFree) must lie on that region's own string pages inside
 //     the head page's allocated prefix, be filed under the class its
-//     recorded capacity floors to, hold poison in every word (unless
-//     Options.NoPoison), and overlap no other parked block; the region's
-//     recorded pool byte total must equal the blocks' capacity sum. A
-//     double RstrFree is caught here as an overlap.
+//     recorded capacity floors to, hold poison in every word, and overlap
+//     no other parked block; the region's recorded pool byte total must
+//     equal the blocks' capacity sum. A double RstrFree is caught here as an
+//     overlap.
 //  6. Shadow stack: frames below the high-water mark are scanned, frames at
 //     or above it are not, and the active frame is never scanned.
 //  7. Reference counts (safe runtime only): each live region's stored count

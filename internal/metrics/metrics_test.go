@@ -86,6 +86,12 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 	if _, ok := s1.Counter("missing"); ok {
 		t.Error("Counter(missing) found")
 	}
+	if h, ok := s1.Histogram("sizes"); !ok || h.Count != 1 || h.Sum != 20 {
+		t.Errorf("Histogram(sizes) = %+v,%v", h, ok)
+	}
+	if _, ok := s1.Histogram("missing"); ok {
+		t.Error("Histogram(missing) found")
+	}
 
 	r.Counter("a_total").Add(5)
 	r.Gauge("live").Set(9)

@@ -139,40 +139,6 @@ func (s *Snapshot) Histogram(name string) (*HistogramValue, bool) {
 	return nil, false
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) of the observations in
-// h by linear interpolation inside the bucket holding the target rank —
-// the standard fixed-bucket estimate (what PromQL's histogram_quantile
-// computes). The overflow bucket has no upper bound, so a quantile landing
-// there returns the last finite bound: a lower bound on the true value.
-// Deterministic for a given bucket layout; returns 0 on an empty histogram.
-func (h *HistogramValue) Quantile(q float64) uint64 {
-	if h.Count == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	var seen float64
-	var lower uint64
-	for _, b := range h.Buckets {
-		next := seen + float64(b.Count)
-		if b.UpperBound == 0 { // overflow bucket: clamp to the last bound
-			return lower
-		}
-		if next >= rank {
-			if b.Count == 0 {
-				return b.UpperBound
-			}
-			frac := (rank - seen) / float64(b.Count)
-			return lower + uint64(frac*float64(b.UpperBound-lower))
-		}
-		seen = next
-		lower = b.UpperBound
-	}
-	return lower
-}
-
 // CounterSum sums every counter whose name starts with prefix — the way to
 // aggregate labeled series (`regions_shard_tasks_total{...}`) without
 // parsing labels.

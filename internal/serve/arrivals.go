@@ -32,6 +32,9 @@ type session struct {
 	outcome uint8
 	waited  bool // entered the modelled queue (nonzero queue wait)
 	err     error
+	// latency is completion - arrival on the modelled clock, set when the
+	// session completes (outcomeOK): the population Result's quantiles read.
+	latency uint64
 	// sweepCycles is the simulated cost of the idle-gap sweep slices
 	// serveOne ran before this session's service; complete subtracts it
 	// from the measured task window so sweeping never bills a session.

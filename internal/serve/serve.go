@@ -32,6 +32,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"regions/internal/apps/appkit"
@@ -156,9 +157,10 @@ type Config struct {
 	// ResizeAfter is the fraction of sessions served before the resize
 	// barrier (default 0.5). Only meaningful with ResizeTo.
 	ResizeAfter float64
-	// Metrics, when non-nil, receives the serve series (and attaches every
-	// shard runtime, as shard.WithMetrics does). A private registry is used
-	// when nil, so percentiles work either way.
+	// Metrics, when non-nil, receives the serve series — the regions_serve_*
+	// counters and queue-depth gauges, the latency histogram, and with Spans
+	// the per-phase histograms — and attaches every shard runtime, as
+	// shard.WithMetrics does. Nil meters nothing; Result never reads it.
 	Metrics *metrics.Registry
 	// Spans turns on request-level span tracing: every completed session's
 	// critical path — queue wait, parse, work, delete, and re-attributed
@@ -243,9 +245,9 @@ type Result struct {
 	// the safety machinery refused — but a reclamation debt worth seeing).
 	Leaked uint64 `json:"leaked,omitempty"`
 
-	// Latency percentiles over completed sessions, in simulated cycles,
-	// estimated from the fixed-bucket regions_serve_latency_cycles
-	// histogram.
+	// Latency order statistics over completed sessions, in simulated
+	// cycles: each quantile is exact, the ceil(q·n)-th smallest latency
+	// (trace.QuantileExact's rule), and Mean is the integer mean.
 	P50  uint64 `json:"p50Cycles"`
 	P99  uint64 `json:"p99Cycles"`
 	P999 uint64 `json:"p999Cycles"`
@@ -331,13 +333,12 @@ var latencyBounds = func() []uint64 {
 	return b
 }()
 
-// server is one serving run: its configuration, registry and histogram
-// handles, the board its shards publish their tallies to, the engine and
-// per-shard states it drives, and, in tenant mode, the driver-side tenant
-// table.
+// server is one serving run: its configuration, the histogram handles of
+// the caller's registry (nil without one), the board its shards publish
+// their tallies to, the engine and per-shard states it drives, and, in
+// tenant mode, the driver-side tenant table.
 type server struct {
 	cfg     Config
-	reg     *metrics.Registry
 	latency *metrics.Histogram
 	board   *board
 
@@ -466,9 +467,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	sv := newServer(cfg)
-	// Snapshot first so percentiles subtract anything a reused registry
-	// already held in the latency histogram.
-	before := sv.reg.Snapshot()
 	sv.startEngine()
 
 	sessions, split := schedule(cfg)
@@ -479,7 +477,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	sv.submitWait(sessions[split:])
-	return sv.report(before)
+	return sv.report(sessions)
 }
 
 // validate rejects configurations Run cannot serve. cfg has its defaults
@@ -508,21 +506,22 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// newServer resolves a validated config into a server: its registry,
-// histogram handles and metrics source, span sink, checksum mode, and
-// tenant table.
+// newServer resolves a validated config into a server: the histogram
+// handles and metrics source on the caller's registry, span sink, checksum
+// mode, and tenant table.
 func newServer(cfg Config) *server {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
+	sv := &server{cfg: cfg, board: &board{}}
+	if reg := cfg.Metrics; reg != nil {
+		sv.latency = reg.Histogram("regions_serve_latency_cycles", latencyBounds)
+		reg.AddSource(sv.board.emit)
+		if cfg.Spans {
+			sv.phaseHist = make([]*metrics.Histogram, trace.NumSpanKinds)
+			for _, k := range trace.SpanKinds() {
+				sv.phaseHist[k] = reg.Histogram(
+					fmt.Sprintf(`regions_serve_phase_cycles{phase=%q}`, k.String()), latencyBounds)
+			}
+		}
 	}
-	sv := &server{
-		cfg:     cfg,
-		reg:     reg,
-		latency: reg.Histogram("regions_serve_latency_cycles", latencyBounds),
-		board:   &board{},
-	}
-	reg.AddSource(sv.board.emit)
 	if cfg.Spans {
 		sv.spanT = cfg.SpanTracer
 		if sv.spanT == nil {
@@ -530,11 +529,6 @@ func newServer(cfg Config) *server {
 			// private ring so a normal run never truncates (truncation would
 			// disable the conservation check, not corrupt it).
 			sv.spanT = trace.New(16*cfg.Sessions + 1024)
-		}
-		sv.phaseHist = make([]*metrics.Histogram, trace.NumSpanKinds)
-		for _, k := range trace.SpanKinds() {
-			sv.phaseHist[k] = reg.Histogram(
-				fmt.Sprintf(`regions_serve_phase_cycles{phase=%q}`, k.String()), latencyBounds)
 		}
 	}
 	if p := profileByName(cfg.Profile); p != nil && p.recycle {
@@ -702,8 +696,8 @@ func (sv *server) resizeBarrier(rest []*session) error {
 
 // report closes the engine, checks that every shard drained clean, and
 // folds the engine aggregate, the per-shard serving tallies, and the
-// latency histogram's growth since before into the Result.
-func (sv *server) report(before *metrics.Snapshot) (*Result, error) {
+// completed sessions' latency order statistics into the Result.
+func (sv *server) report(sessions []*session) (*Result, error) {
 	cfg := sv.cfg
 	agg := sv.eng.Close()
 	if agg.Failures > 0 {
@@ -771,12 +765,19 @@ func (sv *server) report(before *metrics.Snapshot) (*Result, error) {
 	if total := res.StrNew + res.StrReuse; total > 0 {
 		res.StrReuseRatio = float64(res.StrReuse) / float64(total)
 	}
-	if h, ok := sv.reg.Snapshot().Sub(before).Histogram("regions_serve_latency_cycles"); ok && h.Count > 0 {
-		res.P50 = h.Quantile(0.50)
-		res.P99 = h.Quantile(0.99)
-		res.P999 = h.Quantile(0.999)
-		res.Mean = h.Sum / h.Count
+	lat := make([]uint64, 0, res.Completed)
+	var sum uint64
+	for _, s := range sessions {
+		if s.outcome == outcomeOK {
+			lat = append(lat, s.latency)
+			sum += s.latency
+		}
 	}
+	slices.Sort(lat)
+	res.P50 = trace.QuantileSorted(lat, 0.50)
+	res.P99 = trace.QuantileSorted(lat, 0.99)
+	res.P999 = trace.QuantileSorted(lat, 0.999)
+	res.Mean = sum / max(1, uint64(len(lat)))
 	res.SLOPass = res.P99 <= cfg.SLOP99
 
 	if cfg.Tenants > 0 {
@@ -986,8 +987,11 @@ func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 		return
 	}
 	st.stats.Completed++
-	sv.latency.Observe(completion - s.arrival)
-	if completion-s.arrival > sv.cfg.SLOP99 {
+	s.latency = completion - s.arrival
+	if sv.latency != nil {
+		sv.latency.Observe(s.latency)
+	}
+	if s.latency > sv.cfg.SLOP99 {
 		st.sloMisses++
 	}
 	if sv.spanT != nil {

@@ -243,9 +243,8 @@ func checkServeMetrics(t *testing.T, scrape bool) {
 	}
 }
 
-// TestServePercentilesOrdered sanity-checks the histogram-derived
-// percentiles: monotone, nonzero for a run with completions, and consistent
-// with the SLO verdict.
+// TestServePercentilesOrdered sanity-checks the percentiles: monotone,
+// nonzero for a run with completions, and consistent with the SLO verdict.
 func TestServePercentilesOrdered(t *testing.T) {
 	res, err := Run(testConfig())
 	if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"regions/internal/trace"
 )
@@ -101,9 +102,7 @@ func (sv *server) emitSessionSpans(st *shardState, s *session, prevBusy, start, 
 	}
 	if sv.phaseHist != nil {
 		for _, k := range trace.SpanKinds() {
-			if h := sv.phaseHist[k]; h != nil {
-				h.Observe(phases[k])
-			}
+			sv.phaseHist[k].Observe(phases[k])
 		}
 	}
 }
@@ -170,20 +169,15 @@ func buildSpanReport(t *trace.Tracer, topK int) (*SpanReport, error) {
 		Truncated:     p.Truncated,
 	}
 	for _, k := range trace.SpanKinds() {
-		vals := p.PhaseValues(k)
-		var max uint64
-		for _, v := range vals {
-			if v > max {
-				max = v
-			}
-		}
+		vals := p.PhaseValues(k) // a fresh slice: sort it in place
+		slices.Sort(vals)
 		rep.Phases = append(rep.Phases, PhaseStats{
 			Phase:       k.String(),
 			TotalCycles: p.PhaseTotals[k],
-			P50:         trace.QuantileExact(vals, 0.50),
-			P99:         trace.QuantileExact(vals, 0.99),
-			P999:        trace.QuantileExact(vals, 0.999),
-			Max:         max,
+			P50:         trace.QuantileSorted(vals, 0.50),
+			P99:         trace.QuantileSorted(vals, 0.99),
+			P999:        trace.QuantileSorted(vals, 0.999),
+			Max:         trace.QuantileSorted(vals, 1),
 		})
 	}
 	for _, r := range p.Slowest(topK) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -320,17 +321,17 @@ func (p *SpanProfile) Slowest(k int) []*RequestSpans {
 // exact rather than histogram-interpolated: the ceil(q*n)-th smallest
 // value. Returns 0 on an empty population.
 func QuantileExact(values []uint64, q float64) uint64 {
-	if len(values) == 0 {
+	s := slices.Clone(values)
+	slices.Sort(s)
+	return QuantileSorted(s, q)
+}
+
+// QuantileSorted is QuantileExact over a population already sorted
+// ascending, so a caller reading several quantiles sorts once.
+func QuantileSorted(sorted []uint64, q float64) uint64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	s := append([]uint64(nil), values...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(q*float64(len(s))+0.999999) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	i := int(q*float64(len(sorted))+0.999999) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
 }
