@@ -108,6 +108,25 @@ func TestCoreEnvRarrayAndDynamicStore(t *testing.T) {
 	e.Finalize()
 }
 
+// TestCoreEnvGlobalsAreRuntimeGlobals: globals a real-runtime env hands
+// out are the runtime's own global storage, so Verify recounts a region
+// pointer stored there and Referrers names the global holding it.
+func TestCoreEnvGlobalsAreRuntimeGlobals(t *testing.T) {
+	e := NewRegionEnv("safe", Config{})
+	r := e.NewRegion()
+	p := e.Ralloc(r, 8, e.SizeCleanup(8))
+	g := e.AllocGlobals(1)
+	e.StoreGlobalPtr(g, p)
+	rt := RuntimeOf(e)
+	if err := rt.Verify(); err != nil {
+		t.Fatalf("Verify with a global reference: %v", err)
+	}
+	refs := rt.Referrers(r.(*core.Region))
+	if len(refs) != 1 || refs[0].Kind != core.RefGlobal || refs[0].Addr != g || refs[0].Value != p {
+		t.Fatalf("Referrers = %v, want the global at %#x holding %#x", refs, g, p)
+	}
+}
+
 func TestEnvNamesDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for _, k := range MallocKinds {

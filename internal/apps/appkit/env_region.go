@@ -53,7 +53,7 @@ func (e *coreEnv) SizeCleanup(size int) CleanupID { return e.rt.SizeCleanup(size
 func (e *coreEnv) Destroy(p Ptr)                  { e.rt.Destroy(p) }
 func (e *coreEnv) StorePtr(slot, val Ptr)         { e.rt.StorePtr(slot, val) }
 func (e *coreEnv) StoreGlobalPtr(slot, val Ptr)   { e.rt.StoreGlobalPtr(slot, val) }
-func (e *coreEnv) AllocGlobals(nwords int) Ptr    { return e.allocGlobalWords(nwords) }
+func (e *coreEnv) AllocGlobals(nwords int) Ptr    { return e.rt.AllocGlobals(nwords) }
 
 func (e *coreEnv) Finalize() { e.rt.FinalizeStats() }
 

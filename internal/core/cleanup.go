@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"regions/internal/mem"
 	"regions/internal/stats"
 	"regions/internal/trace"
 )
@@ -97,64 +96,28 @@ func (rt *Runtime) Destroy(p Ptr) {
 	}
 }
 
-// runCleanups walks every normal-allocator page entry of r and invokes each
-// object's cleanup, following Figure 7 of the paper. The end of an entry's
-// filled prefix is marked by a zero header word.
+// runCleanups invokes the cleanup of every object in r's normal-allocator
+// entries, following Figure 7 of the paper: each call is counted and charged
+// before it runs, and an array's cleanup runs once per element.
 func (rt *Runtime) runCleanups(r *Region) {
 	old := rt.space.SetMode(stats.ModeCleanup)
 	defer rt.space.SetMode(old)
 	rt.deleting = r
 	defer func() { rt.deleting = nil }()
 
-	homePage := r.hdr &^ Ptr(mem.PageSize-1)
-	entry := rt.space.Load(r.hdr + offNormalFirst)
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		next := link &^ Ptr(mem.PageSize-1)
-		count := int(link&(mem.PageSize-1)) + 1
-		end := entry + Ptr(count*mem.PageSize)
-
-		deleting := entry + mem.WordSize
-		if entry == homePage {
-			deleting = r.hdr + hdrBytes // skip the region structure
-		}
-		for deleting < end {
-			hdr := rt.space.Load(deleting)
-			if hdr == 0 {
-				break // end of filled prefix
-			}
-			rt.c.CleanupCalls++
-			rt.charge(stats.ModeCleanup, 3)
-			id := CleanupID(hdr &^ arrayFlag)
-			if id <= 0 || int(id) > len(rt.cleanups) {
-				panic(rt.fault(FaultCorruptHeader, deleting, r.id,
-					fmt.Sprintf("corrupt object header %#x", hdr), nil))
-			}
-			fn := rt.cleanups[id-1].fn
-			if hdr&arrayFlag != 0 {
-				n := int(rt.space.Load(deleting + 4))
-				esz := int(rt.space.Load(deleting + 8))
-				obj := deleting + 3*mem.WordSize
-				for i := 0; i < n; i++ {
-					fn(rt, obj+Ptr(i*esz))
-				}
-				if rt.tracer != nil {
-					rt.tracer.Emit(trace.Event{Kind: trace.KindCleanup,
-						Region: r.id, Addr: obj, Size: int32(n * esz),
-						Aux: int32(n), Site: rt.cleanups[id-1].name})
-				}
-				deleting += Ptr(3*mem.WordSize + n*esz)
-			} else {
-				size := fn(rt, deleting+mem.WordSize)
-				if rt.tracer != nil {
-					rt.tracer.Emit(trace.Event{Kind: trace.KindCleanup,
-						Region: r.id, Addr: deleting + mem.WordSize,
-						Size: int32(align4(size)), Aux: -1,
-						Site: rt.cleanups[id-1].name})
-				}
-				deleting += Ptr(mem.WordSize + align4(size))
-			}
-		}
-		entry = next
+	count := func(id CleanupID) CleanupID {
+		rt.c.CleanupCalls++
+		rt.charge(stats.ModeCleanup, 3)
+		return id
 	}
+	mustWalk(rt.walkObjects(FaultCorruptHeader, r, count, func(o object) error {
+		for i := 0; i < o.n; i++ {
+			rt.cleanups[o.id-1].fn(rt, o.data+Ptr(i*o.esz))
+		}
+		if rt.tracer != nil {
+			rt.tracer.Emit(trace.Event{Kind: trace.KindCleanup, Region: r.id, Addr: o.data,
+				Size: int32(o.end - o.data), Aux: int32(o.n), Site: rt.cleanups[o.id-1].name})
+		}
+		return nil
+	}))
 }

@@ -195,10 +195,6 @@ type Options struct {
 	// columns. Exists for ablation and the pooling-on/off determinism
 	// gate; see strpool.go.
 	NoStrPool bool
-	// StrPoolMax is the pool's capacity-class ceiling in bytes (rounded up
-	// to a power of two; default defaultStrPoolMax). Requests above it are
-	// "Big": bump-allocated, counted, never pooled.
-	StrPoolMax int
 }
 
 // Runtime is one region-based memory management instance over one simulated
@@ -233,14 +229,6 @@ type Runtime struct {
 	// phase it interrupted (see internal/serve).
 	sweepTaxCycles uint64
 	sweepTaxSlices uint64
-
-	// Pooled string allocator configuration (see strpool.go): strCeil is
-	// the capacity-class ceiling, strPooling whether free lists are in use
-	// (false under Options.NoStrPool), strSiteKeys the precomputed
-	// "str:<class>" census keys. The pool's counts are in t.
-	strCeil     int
-	strPooling  bool
-	strSiteKeys []string
 
 	cleanups     []cleanupEntry
 	sizeCleanups map[int]CleanupID
@@ -290,7 +278,6 @@ func NewRuntimeOpts(space *mem.Space, opts Options) *Runtime {
 		opts:  opts,
 	}
 	rt.stack.rt = rt
-	rt.initStrPool()
 	return rt
 }
 
@@ -722,11 +709,11 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 
 	data := align4(size)
 	idx := -1
-	if data <= rt.strCeil {
+	if data <= defaultStrPoolMax {
 		idx = strClassIdx(data)
 	}
 	var p Ptr
-	if idx >= 0 && rt.strPooling {
+	if idx >= 0 && !rt.opts.NoStrPool {
 		p = rt.strPoolTake(r, idx, data)
 	}
 	reused := p != 0
@@ -757,7 +744,7 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 	}
 	if m := rt.met; m != nil {
 		m.allocSize.Observe(uint64(data))
-		m.reg.SampleAlloc(rt.strSiteKey(idx), uint64(data))
+		m.reg.SampleAlloc(strSiteKey(idx), uint64(data))
 	}
 	return p, nil
 }
@@ -806,7 +793,7 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 		return rt.fault(FaultDanglingDestroy, p, r.id,
 			"core: RstrFree of pointer outside the region", nil)
 	}
-	pooled := rt.strPooling && data <= rt.strCeil && int(p%mem.PageSize)+data <= mem.PageSize
+	pooled := !rt.opts.NoStrPool && data <= defaultStrPoolMax && int(p%mem.PageSize)+data <= mem.PageSize
 	if pooled {
 		rt.space.PoisonRange(p, data)
 		rt.strPoolPut(r, p, data)
@@ -814,7 +801,7 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 	r.bytes -= uint64(data)
 	rt.c.AddFree(int64(data))
 	rt.t.StrFreeBytes += uint64(data)
-	if data <= rt.strCeil {
+	if data <= defaultStrPoolMax {
 		rt.t.StrFreed[strClassIdx(data)]++
 	}
 	if rt.tracer != nil {
@@ -865,28 +852,7 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	}
 
 	if rt.safe {
-		// Scan all frames but the active one; the active frame (which plays
-		// the role of deleteregion's own frame, not itself scanned) is
-		// counted temporarily so the reference count read below is exact.
-		// Under the EagerLocals ablation the count is always exact and no
-		// scanning happens.
-		var active *Frame
-		if !rt.opts.EagerLocals {
-			rt.stack.scanForDelete()
-			if n := len(rt.stack.frames); n > 0 {
-				active = rt.stack.frames[n-1]
-			}
-		}
-		mode := rt.space.SetMode(stats.ModeScan)
-		if active != nil {
-			rt.stack.countFrame(active, +1)
-		}
-		rc := rt.space.Load(r.hdr + offRC)
-		if active != nil {
-			rt.stack.countFrame(active, -1)
-		}
-		rt.space.SetMode(mode)
-		if rc != 0 {
+		if rc := rt.quiescedRC(r); rc != 0 {
 			rt.c.DeleteFails++
 			if rt.tracer != nil {
 				rt.tracer.Emit(trace.Event{Kind: trace.KindRegionDeleteFail,
@@ -910,18 +876,15 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	// as sweep debt.
 	old := rt.space.SetMode(stats.ModeFree)
 	heads := [2]Ptr{rt.space.Load(r.hdr + offNormalFirst), rt.space.Load(r.hdr + offStringFirst)}
-	for _, entry := range heads {
-		for entry != 0 {
-			link := rt.space.Load(entry + pageLink)
-			next := link &^ Ptr(mem.PageSize-1)
-			count := int(link&(mem.PageSize-1)) + 1
+	for _, head := range heads {
+		mustWalk(rt.walkList(FaultCorruptHeader, r, head, func(first Ptr, pages int) error {
 			if rt.opts.DeferredDelete {
-				rt.detachEntry(entry, count, r)
+				rt.detachEntry(first, pages, r)
 			} else {
-				rt.releaseEntry(entry, count)
+				rt.releaseEntry(first, pages)
 			}
-			entry = next
-		}
+			return nil
+		}))
 	}
 	rt.space.SetMode(old)
 
@@ -939,6 +902,32 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 		m.regionLifetime.Observe(rt.c.TotalCycles() - r.born)
 	}
 	return true, nil
+}
+
+// quiescedRC returns r's exact reference count, the read deleteregion's
+// safety check (and export's) rests on. All frames but the active one are
+// scanned; the active frame, which plays the role of deleteregion's own
+// frame and is not itself scanned, is counted temporarily so the read is
+// exact. Under the EagerLocals ablation the count is always exact and no
+// scanning happens. The read is charged to ModeScan.
+func (rt *Runtime) quiescedRC(r *Region) Word {
+	var active *Frame
+	if !rt.opts.EagerLocals {
+		rt.stack.scanForDelete()
+		if n := len(rt.stack.frames); n > 0 {
+			active = rt.stack.frames[n-1]
+		}
+	}
+	mode := rt.space.SetMode(stats.ModeScan)
+	if active != nil {
+		rt.stack.countFrame(active, +1)
+	}
+	rc := rt.space.Load(r.hdr + offRC)
+	if active != nil {
+		rt.stack.countFrame(active, -1)
+	}
+	rt.space.SetMode(mode)
+	return rc
 }
 
 // FinalizeStats folds regions still live at the end of a run into the

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"regions/internal/mem"
-)
+import "fmt"
 
 // This file is the "environment for debugging regions" the paper wishes
 // for in Section 5.1: "The other difficulty is finding stale pointers that
@@ -71,15 +67,11 @@ func (rt *Runtime) Referrers(target *Region) []Ref {
 				}
 			})
 		}
-		ranges := append(append([][2]Ptr(nil), rt.globalRanges...),
-			[2]Ptr{rt.globalSeg, rt.globalNext})
-		for _, seg := range ranges {
-			for a := seg[0]; a < seg[1]; a += mem.WordSize {
-				if v := rt.space.Load(a); pointsIn(v) {
-					refs = append(refs, Ref{Kind: RefGlobal, Addr: a, Value: v})
-				}
+		rt.forEachGlobalWord(func(a Ptr, v Word) {
+			if pointsIn(v) {
+				refs = append(refs, Ref{Kind: RefGlobal, Addr: a, Value: v})
 			}
-		}
+		})
 		for fi, f := range rt.stack.frames {
 			for si, v := range f.slots {
 				if pointsIn(v) {

@@ -28,8 +28,11 @@ const (
 	// FaultRCUnderflow: a reference-count decrement found a zero count; the
 	// barrier discipline was violated.
 	FaultRCUnderflow
-	// FaultCorruptHeader: deleteregion's cleanup walk found an object
-	// header that is not a registered cleanup id.
+	// FaultCorruptHeader: deletion, export or import met a malformed region
+	// layout — an object header naming no registered cleanup, a cyclic,
+	// misaligned or unmapped page link, or an object overrunning its page
+	// entry (see walk.go). Verify reports the same defects as
+	// FaultInvariant.
 	FaultCorruptHeader
 	// FaultDeletedRegion: an operation targeted an already-deleted region.
 	FaultDeletedRegion

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"regions/internal/mem"
@@ -154,6 +155,118 @@ func TestPanicPathsCarryTypedFaults(t *testing.T) {
 		rt.Space().Uncharged(func() { rt.Space().Store(p-4, 0xffff) })
 		recoverFault(t, FaultCorruptHeader, func() { rt.DeleteRegion(r) })
 	})
+}
+
+// TestMalformedLayoutFaultsEveryWalk: each region walk meets a malformed
+// layout with a typed fault naming the defect — a panic where the walk has
+// no error path, an error where it has one, FaultInvariant from the
+// verifier, never the simulated machine's own access panic. The array case
+// stores a count and element size whose product is 2^32, zero in 32 bits,
+// so an extent computed in 32 bits would wrap back inside the entry; only
+// the object walks decode it, the word walks (the content digest and
+// Referrers) read past it.
+func TestMalformedLayoutFaultsEveryWalk(t *testing.T) {
+	for _, c := range []struct {
+		name, msg string
+		link      bool
+		corrupt   func(rt *Runtime, r *Region)
+	}{
+		{"unmapped link", "page-list entry unmapped", true, func(rt *Runtime, r *Region) {
+			rt.Space().Store(r.hdr&^Ptr(mem.PageSize-1)+pageLink, 0x7fff0000)
+		}},
+		{"misaligned head", "page-list entry not page-aligned", true, func(rt *Runtime, r *Region) {
+			rt.Space().Store(r.hdr+offNormalFirst, r.hdr)
+		}},
+		{"array overrun", "runs past its page entry", false, func(rt *Runtime, r *Region) {
+			p := rt.RarrayAlloc(r, 2, 8, rt.SizeCleanup(8))
+			rt.Space().Store(p-8, 0x10000)
+			rt.Space().Store(p-4, 0x10000)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			setup := func() (*Runtime, *Region) {
+				rt, _ := newRT(true)
+				r := rt.NewRegion()
+				rt.Ralloc(r, 8, rt.SizeCleanup(8))
+				rt.Space().Uncharged(func() { c.corrupt(rt, r) })
+				return rt, r
+			}
+			named := func(f *Fault) {
+				t.Helper()
+				if !strings.Contains(f.Error(), c.msg) {
+					t.Fatalf("fault %q does not name %q", f, c.msg)
+				}
+			}
+			rt, r := setup()
+			var f *Fault
+			if err := rt.Verify(); !errors.As(err, &f) || f.Kind != FaultInvariant {
+				t.Fatalf("Verify = %v, want a FaultInvariant *Fault", err)
+			}
+			named(f)
+			if _, err := rt.ExportRegion(r); !errors.As(err, &f) || f.Kind != FaultCorruptHeader {
+				t.Fatalf("ExportRegion = %v, want a FaultCorruptHeader *Fault", err)
+			}
+			named(f)
+			if r.Migrated() {
+				t.Fatal("refused export left a tombstone")
+			}
+			if c.link {
+				named(recoverFault(t, FaultCorruptHeader, func() { rt.ContentChecksum(r) }))
+				named(recoverFault(t, FaultCorruptHeader, func() { rt.Referrers(rt.NewRegion()) }))
+			}
+			named(recoverFault(t, FaultCorruptHeader, func() { rt.DeleteRegion(r) }))
+			rt, r = setup()
+			rt.opts.DeferredDelete = true
+			named(recoverFault(t, FaultCorruptHeader, func() { rt.DeleteRegion(r) }))
+		})
+	}
+}
+
+// TestCyclicPageListFaults: a page list linked back on itself stops the
+// walks that follow it with a cycle fault instead of looping. (Verify
+// reports the same list as a page claimed twice; see
+// TestVerifyCatchesPageListCorruption.)
+func TestCyclicPageListFaults(t *testing.T) {
+	rt, _ := newRT(true)
+	r := rt.NewRegion()
+	rt.Ralloc(r, 8, rt.SizeCleanup(8))
+	home := r.hdr &^ Ptr(mem.PageSize-1)
+	rt.Space().Uncharged(func() { rt.Space().Store(home+pageLink, home) })
+	for _, walk := range []func(){
+		func() { rt.ContentChecksum(r) },
+		func() { rt.DeleteRegion(r) },
+	} {
+		if f := recoverFault(t, FaultCorruptHeader, walk); !strings.Contains(f.Error(), "page list cycle") {
+			t.Fatalf("fault %q does not name the cycle", f)
+		}
+	}
+}
+
+// TestImportFaultsOnUnlistedCleanup: import walks the relinked list through
+// the record's remapped cleanup ids, so an object naming an id the record
+// does not list is a typed fault, and the refused import leaves the
+// receiver exactly as it was.
+func TestImportFaultsOnUnlistedCleanup(t *testing.T) {
+	src, _ := newRT(true)
+	dst, _ := newRT(true)
+	r := src.NewRegion()
+	src.Ralloc(r, 8, src.SizeCleanup(8))
+	dst.SizeCleanup(8)
+	rec, err := src.ExportRegion(r)
+	if err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	rec.Cleanups = nil
+	var f *Fault
+	if _, err := dst.ImportRegion(rec); !errors.As(err, &f) || f.Kind != FaultCorruptHeader {
+		t.Fatalf("ImportRegion = %v, want a FaultCorruptHeader *Fault", err)
+	}
+	if n := len(dst.LiveRegions()); n != 0 {
+		t.Fatalf("refused import left %d live regions", n)
+	}
+	if err := dst.Verify(); err != nil {
+		t.Fatalf("Verify after refused import: %v", err)
+	}
 }
 
 func TestFaultsEmitTraceEvents(t *testing.T) {

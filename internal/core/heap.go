@@ -7,15 +7,14 @@ import (
 	"regions/internal/metrics"
 )
 
-// This file is the runtime's single heap-structure walk. Verify and the
-// heap profiler used to duplicate it (as did Referrers, with a third copy
-// of the entry iteration); now heapWalk audits the structural invariants —
-// page census, page↔region map agreement, free-list poison, object-header
-// parse — and, when asked, builds the machine-readable per-region report
-// (metrics.HeapReport) behind cmd/regionstat and regionbench's /heap
-// endpoint. One walk, two consumers: the profiler sees exactly the heap the
-// verifier certifies, and a structurally broken heap yields a fault, not a
-// bogus profile.
+// This file is the runtime's heap audit. heapWalk checks the structural
+// invariants — page census, page↔region map agreement, free-list poison,
+// object-header parse — and, when asked, builds the machine-readable
+// per-region report (metrics.HeapReport) behind cmd/regionstat and
+// regionbench's /heap endpoint. One audit, two consumers: the profiler sees
+// exactly the heap the verifier certifies, and a structurally broken heap
+// yields a fault, not a bogus profile. The page lists and objects it audits
+// are decoded by walk.go, the decoder every other region walk shares.
 
 // HeapReport captures a per-region heap profile: page census, live bytes,
 // occupancy, internal fragmentation, the string-vs-scanned split, and a
@@ -26,19 +25,17 @@ import (
 // invariants (Verify steps 6-7) are not checked here.
 func (rt *Runtime) HeapReport() (*metrics.HeapReport, error) {
 	var rep *metrics.HeapReport
-	var f *Fault
-	rt.space.Uncharged(func() { rep, f = rt.heapWalk(true) })
-	if f != nil {
-		return nil, f
-	}
-	return rep, nil
+	var err error
+	rt.space.Uncharged(func() { rep, err = rt.heapWalk(true) })
+	return rep, err
 }
 
 // heapWalk audits the heap's structural invariants (Verify steps 1-5) and,
 // when collect is set, accumulates the per-region heap report along the
 // way. With collect false it allocates nothing beyond the census map and
-// behaves exactly as the verifier always has.
-func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, *Fault) {
+// behaves exactly as the verifier always has. A violation is a *Fault of
+// kind FaultInvariant.
+func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 	seen := make(map[int]int32) // page number -> region whose list claims it
 
 	var rep *metrics.HeapReport
@@ -87,19 +84,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, *Fault) {
 			if li == 1 {
 				strHead, strAvail = entry, avail
 			}
-			steps := 0
-			for entry != 0 {
-				if steps++; steps > rt.space.NumPages() {
-					return nil, rt.invariant(entry, r.id, "page list cycle")
-				}
-				if entry&(mem.PageSize-1) != 0 {
-					return nil, rt.invariant(entry, r.id, "page-list entry not page-aligned")
-				}
-				if !rt.space.Mapped(entry) {
-					return nil, rt.invariant(entry, r.id, "page-list entry unmapped")
-				}
-				link := rt.space.Load(entry + pageLink)
-				count := int(link&(mem.PageSize-1)) + 1
+			if err := rt.walkList(FaultInvariant, r, entry, func(first Ptr, count int) error {
 				if rh != nil {
 					if li == 0 {
 						rh.NormalPages += count
@@ -109,21 +94,18 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, *Fault) {
 					rh.BookkeepingBytes += mem.WordSize // the entry's link word
 				}
 				for i := 0; i < count; i++ {
-					pg := int(entry>>mem.PageShift) + i
+					pg := int(first>>mem.PageShift) + i
 					a := Ptr(pg) << mem.PageShift
-					if !rt.space.Mapped(a) {
-						return nil, rt.invariant(a, r.id, "page-list page unmapped")
-					}
 					if li == 1 && strPages != nil {
 						strPages[pg] = true
 					}
 					if prev, dup := seen[pg]; dup {
-						return nil, rt.invariant(a, r.id,
+						return rt.invariant(a, r.id,
 							"page also on region #%d's lists", prev)
 					}
 					seen[pg] = r.id
 					if det := rt.pages.detachedAt(pg); det != nil {
-						return nil, rt.invariant(a, r.id,
+						return rt.invariant(a, r.id,
 							"live page marked detached (from region #%d)", det.id)
 					}
 					if owner := rt.pages.ownerAt(pg); owner != r {
@@ -131,11 +113,13 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, *Fault) {
 						if owner != nil {
 							ownerID = owner.id
 						}
-						return nil, rt.invariant(a, r.id,
+						return rt.invariant(a, r.id,
 							"page map attributes page to %d, page list to %d", ownerID, r.id)
 					}
 				}
-				entry = link &^ Ptr(mem.PageSize-1)
+				return nil
+			}); err != nil {
+				return nil, err
 			}
 		}
 		// 1.5: the string pool's free lists. Every parked block must sit on
@@ -316,7 +300,7 @@ func strPoolReport(s StrPoolStats) *metrics.HeapStrPool {
 // census heapWalk just built: strPages is the set of pages on r's string
 // list, strHead/strAvail the list's head page and its bump offset.
 func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAvail Ptr) *Fault {
-	if !rt.strPooling {
+	if rt.opts.NoStrPool {
 		return rt.invariant(r.hdr, r.id, "string pool populated with pooling disabled")
 	}
 	var all []strBlock
@@ -327,7 +311,7 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 			if b.p == 0 || b.p%mem.WordSize != 0 {
 				return rt.invariant(b.p, r.id, "pooled string block misaligned")
 			}
-			if cap < strClassMin || cap > rt.strCeil || cap%mem.WordSize != 0 {
+			if cap < strClassMin || cap > defaultStrPoolMax || cap%mem.WordSize != 0 {
 				return rt.invariant(b.p, r.id, "pooled string block capacity %d outside the pool", cap)
 			}
 			if strClassIdx(cap) != idx {
@@ -373,13 +357,13 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 	return nil
 }
 
-// censusObjects re-walks every live region's normal-allocator entries the
-// way runCleanups would, dry-running cleanup functions (Destroy disabled
-// via rt.verifying) to measure object extents without mutating counts.
-// When rep is non-nil it also fills each region's object census — object
-// count, data bytes, header bookkeeping — and the report's by-site census,
-// attributing objects to their cleanup's registered name.
-func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metrics.HeapReport) *Fault {
+// censusObjects walks every live region's objects the way runCleanups
+// would, dry-running cleanup functions (Destroy disabled via rt.verifying)
+// to measure object extents without mutating counts. When rep is non-nil it
+// also fills each region's object census — object count, data bytes, header
+// bookkeeping — and the report's by-site census, attributing objects to
+// their cleanup's registered name.
+func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metrics.HeapReport) error {
 	rt.verifying = true
 	defer func() { rt.verifying = false }()
 
@@ -392,62 +376,25 @@ func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metric
 			continue
 		}
 		rh := byID[r.id]
-		homePage := r.hdr &^ Ptr(mem.PageSize-1)
-		entry := rt.space.Load(r.hdr + offNormalFirst)
-		for entry != 0 {
-			link := rt.space.Load(entry + pageLink)
-			count := int(link&(mem.PageSize-1)) + 1
-			end := entry + Ptr(count*mem.PageSize)
-			p := entry + mem.WordSize
-			if entry == homePage {
-				p = r.hdr + hdrBytes
+		if err := rt.walkObjects(FaultInvariant, r, nil, func(o object) error {
+			if rh == nil {
+				return nil
 			}
-			for p < end {
-				hdr := rt.space.Load(p)
-				if hdr == 0 {
-					break // end of the entry's filled prefix
-				}
-				id := CleanupID(hdr &^ arrayFlag)
-				if id <= 0 || int(id) > len(rt.cleanups) {
-					return rt.invariant(p, r.id, "corrupt object header %#x", hdr)
-				}
-				var extent, data, book uint64
-				if hdr&arrayFlag != 0 {
-					n := uint64(rt.space.Load(p + 4))
-					esz := uint64(rt.space.Load(p + 8))
-					data = n * esz
-					book = 3 * mem.WordSize
-					extent = book + data
-				} else {
-					size := rt.cleanups[id-1].fn(rt, p+mem.WordSize)
-					if size < 0 {
-						return rt.invariant(p, r.id,
-							"cleanup %q reported negative size %d", rt.cleanups[id-1].name, size)
-					}
-					data = uint64(align4(size))
-					book = mem.WordSize
-					extent = book + data
-				}
-				if uint64(p)+extent > uint64(end) {
-					return rt.invariant(p, r.id,
-						"object extent %d runs past its page entry", extent)
-				}
-				if rh != nil {
-					rh.Objects++
-					rh.NormalBytes += data
-					rh.BookkeepingBytes += book
-					name := rt.cleanups[id-1].name
-					s, ok := sites[name]
-					if !ok {
-						s = &metrics.HeapSite{Site: name}
-						sites[name] = s
-					}
-					s.Objects++
-					s.Bytes += data
-				}
-				p += Ptr(extent)
+			data := uint64(o.end - o.data)
+			rh.Objects++
+			rh.NormalBytes += data
+			rh.BookkeepingBytes += uint64(o.data - o.at)
+			name := rt.cleanups[o.id-1].name
+			s, ok := sites[name]
+			if !ok {
+				s = &metrics.HeapSite{Site: name}
+				sites[name] = s
 			}
-			entry = link &^ Ptr(mem.PageSize-1)
+			s.Objects++
+			s.Bytes += data
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 	if rep != nil {
@@ -464,26 +411,17 @@ func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metric
 	return nil
 }
 
-// forEachNormalWord visits every nonzero word in reg's normal-allocator
-// page entries, skipping the link words and the region structure — the
-// scanned-data iteration shared by the reference-count verifier and
-// Referrers, which used to carry independent copies of it.
-func (rt *Runtime) forEachNormalWord(reg *Region, visit func(addr Ptr, v Word)) {
-	homePage := reg.hdr &^ Ptr(mem.PageSize-1)
-	entry := rt.space.Load(reg.hdr + offNormalFirst)
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		count := int(link&(mem.PageSize-1)) + 1
-		end := entry + Ptr(count*mem.PageSize)
-		a := entry + mem.WordSize
-		if entry == homePage {
-			a = reg.hdr + hdrBytes
-		}
+// forEachNormalWord visits every nonzero word in r's normal-allocator page
+// entries, skipping the link words and the region structure — the
+// scanned-data iteration shared by the reference-count verifier, Referrers
+// and the content digest.
+func (rt *Runtime) forEachNormalWord(r *Region, visit func(addr Ptr, v Word)) {
+	mustWalk(rt.walkNormal(FaultCorruptHeader, r, func(a, end Ptr) error {
 		for ; a < end; a += mem.WordSize {
 			if v := rt.space.Load(a); v != 0 {
 				visit(a, v)
 			}
 		}
-		entry = link &^ Ptr(mem.PageSize-1)
-	}
+		return nil
+	}))
 }

@@ -31,10 +31,6 @@ var (
 	sweepSliceCycleBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 )
 
-// maxStrClasses bounds the string pool's capacity classes: one per power
-// of two from strClassMin to 2 GiB, every floor a 32-bit capacity can have.
-const maxStrClasses = 30
-
 // Tally is the runtime's host-side counts beside stats.Counters: the
 // translation cache, reference-count updates, page traffic, the sweeper,
 // and the string pool. Like stats.Counters it is plain data the runtime
@@ -56,13 +52,12 @@ type Tally struct {
 	SweepDebt               int
 	SweptPages, SweepSlices uint64
 
-	// String pool (strpool.go), per capacity class below StrClasses: bump
-	// allocations, pool hits, frees, and blocks parked now across live
-	// regions. StrBig counts allocations above the ceiling; StrFreeBytes
-	// sums every freed block's aligned size.
-	StrClasses                 int
-	StrNew, StrReuse, StrFreed [maxStrClasses]uint64
-	StrParked                  [maxStrClasses]int64
+	// String pool (strpool.go), per capacity class: bump allocations, pool
+	// hits, frees, and blocks parked now across live regions. StrBig counts
+	// allocations above the ceiling; StrFreeBytes sums every freed block's
+	// aligned size.
+	StrNew, StrReuse, StrFreed [strClasses]uint64
+	StrParked                  [strClasses]int64
 	StrBig, StrFreeBytes       uint64
 }
 
@@ -104,7 +99,7 @@ func (sp *Spine) Emit(s *metrics.Sink) {
 	s.Counter("regions_sweep_slices_total", t.SweepSlices)
 	s.Counter("regions_swept_pages_total", t.SweptPages)
 	var strNew, strReuse uint64
-	for i := 0; i < t.StrClasses; i++ {
+	for i := 0; i < strClasses; i++ {
 		strNew += t.StrNew[i]
 		strReuse += t.StrReuse[i]
 		s.Gauge(`regions_str_pool_blocks{class="`+strconv.Itoa(strClassSize(i))+`"}`, t.StrParked[i])

@@ -181,29 +181,6 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 	return rec, nil
 }
 
-// quiescedRC performs the exact reference-count read deleteregion's quiesce
-// check performs: scan all frames but the active one, temporarily count the
-// active frame, and read the region's count under ModeScan.
-func (rt *Runtime) quiescedRC(r *Region) Word {
-	var active *Frame
-	if !rt.opts.EagerLocals {
-		rt.stack.scanForDelete()
-		if n := len(rt.stack.frames); n > 0 {
-			active = rt.stack.frames[n-1]
-		}
-	}
-	mode := rt.space.SetMode(stats.ModeScan)
-	if active != nil {
-		rt.stack.countFrame(active, +1)
-	}
-	rc := rt.space.Load(r.hdr + offRC)
-	if active != nil {
-		rt.stack.countFrame(active, -1)
-	}
-	rt.space.SetMode(mode)
-	return rc
-}
-
 // Exportable reports whether r would pass ExportRegion's refusals right
 // now: live, exact reference count zero, and no scanned data word pointing
 // into another region. The reference-count probe charges what deleteregion's
@@ -241,8 +218,13 @@ func (rt *Runtime) serializeRegion(r *Region, rec *RegionRecord) error {
 	for _, id := range ids {
 		rec.Cleanups = append(rec.Cleanups, CleanupRef{ID: id, Name: rt.cleanups[id-1].name})
 	}
-	rec.Normal = rt.serializeList(rt.space.Load(r.hdr + offNormalFirst))
-	rec.Str = rt.serializeList(rt.space.Load(r.hdr + offStringFirst))
+	var err error
+	if rec.Normal, err = rt.serializeList(r, rt.space.Load(r.hdr+offNormalFirst)); err != nil {
+		return err
+	}
+	if rec.Str, err = rt.serializeList(r, rt.space.Load(r.hdr+offStringFirst)); err != nil {
+		return err
+	}
 	for _, run := range rec.Normal {
 		rec.Pages += run.Pages
 	}
@@ -259,20 +241,18 @@ func (rt *Runtime) serializeRegion(r *Region, rec *RegionRecord) error {
 	return nil
 }
 
-// serializeList copies every entry of one page list, head first.
-func (rt *Runtime) serializeList(entry Ptr) []PageRun {
+// serializeList copies every entry of one of r's page lists, head first.
+func (rt *Runtime) serializeList(r *Region, entry Ptr) ([]PageRun, error) {
 	var runs []PageRun
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		count := int(link&(mem.PageSize-1)) + 1
-		words := make([]Word, count*mem.PageSize/mem.WordSize)
+	err := rt.walkList(FaultCorruptHeader, r, entry, func(first Ptr, pages int) error {
+		words := make([]Word, pages*mem.PageSize/mem.WordSize)
 		for i := range words {
-			words[i] = rt.space.Load(entry + Ptr(i*mem.WordSize))
+			words[i] = rt.space.Load(first + Ptr(i*mem.WordSize))
 		}
-		runs = append(runs, PageRun{OldFirst: entry, Pages: count, Words: words})
-		entry = link &^ Ptr(mem.PageSize-1)
-	}
-	return runs
+		runs = append(runs, PageRun{OldFirst: first, Pages: pages, Words: words})
+		return nil
+	})
+	return runs, err
 }
 
 // exportScan walks r's objects the way deleteregion's cleanup pass would,
@@ -282,9 +262,9 @@ func (rt *Runtime) serializeList(entry Ptr) []PageRun {
 func (rt *Runtime) exportScan(r *Region, used map[CleanupID]bool) error {
 	rt.verifying = true
 	defer func() { rt.verifying = false }()
-
-	checkWords := func(from, to Ptr) error {
-		for a := from; a < to; a += mem.WordSize {
+	return rt.walkObjects(FaultCorruptHeader, r, nil, func(o object) error {
+		used[o.id] = true
+		for a := o.data; a < o.end; a += mem.WordSize {
 			w := rt.space.Load(a)
 			if w == 0 {
 				continue
@@ -295,49 +275,7 @@ func (rt *Runtime) exportScan(r *Region, used map[CleanupID]bool) error {
 			}
 		}
 		return nil
-	}
-	homePage := r.hdr &^ Ptr(mem.PageSize-1)
-	entry := rt.space.Load(r.hdr + offNormalFirst)
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		count := int(link&(mem.PageSize-1)) + 1
-		end := entry + Ptr(count*mem.PageSize)
-		p := entry + mem.WordSize
-		if entry == homePage {
-			p = r.hdr + hdrBytes
-		}
-		for p < end {
-			hdr := rt.space.Load(p)
-			if hdr == 0 {
-				break // end of the entry's filled prefix
-			}
-			id := CleanupID(hdr &^ arrayFlag)
-			if id <= 0 || int(id) > len(rt.cleanups) {
-				return rt.fault(FaultCorruptHeader, p, r.id,
-					fmt.Sprintf("corrupt object header %#x", hdr), nil)
-			}
-			used[id] = true
-			var extent Ptr
-			if hdr&arrayFlag != 0 {
-				n := int(rt.space.Load(p + 4))
-				esz := int(rt.space.Load(p + 8))
-				extent = Ptr(3*mem.WordSize + n*esz)
-			} else {
-				size := rt.cleanups[id-1].fn(rt, p+mem.WordSize)
-				extent = Ptr(mem.WordSize + align4(size))
-			}
-			var dataFrom Ptr = p + mem.WordSize
-			if hdr&arrayFlag != 0 {
-				dataFrom = p + 3*mem.WordSize
-			}
-			if err := checkWords(dataFrom, p+extent); err != nil {
-				return err
-			}
-			p += extent
-		}
-		entry = link &^ Ptr(mem.PageSize-1)
-	}
-	return nil
+	})
 }
 
 // ImportRegion materializes rec in this runtime and returns the new live
@@ -439,11 +377,11 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	}
 	note(rec.Normal, newNormal)
 	note(rec.Str, newStr)
-	newHdr := newNormal[homeIdx] + (rec.OldHdr - rec.Normal[homeIdx].OldFirst)
+	r.hdr = newNormal[homeIdx] + (rec.OldHdr - rec.Normal[homeIdx].OldFirst)
 
 	var werr error
 	rt.space.Uncharged(func() {
-		werr = rt.materialize(rec, newNormal, newStr, newHdr, idMap, pageMap)
+		werr = rt.materialize(rec, r, newNormal, newStr, idMap, pageMap)
 	})
 	if werr != nil {
 		rollback()
@@ -452,21 +390,20 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	rt.charge(stats.ModeAlloc, 2*uint64(rec.Pages))
 	rec.newPages = pageMap
 
-	r.hdr = newHdr
 	r.bytes = rec.Bytes
 	r.allocs = rec.Allocs
 	r.born = rt.c.TotalCycles()
 	rt.regions = append(rt.regions, r)
 
 	// Re-park the record's string-pool blocks at their relocated addresses.
-	// A block the receiver cannot pool (pooling disabled, or capacity above
-	// this runtime's class ceiling) is dropped: its memory stays dead until
-	// the region dies, exactly as if it had been freed here unpooled. Blocks
-	// are re-poisoned rather than trusted to arrive poisoned: a record is
-	// plain data its holder may build or edit, and this runtime's Verify
-	// must not rest on the exporter's heap having kept the discipline.
+	// A receiver with pooling disabled drops them: their memory stays dead
+	// until the region dies, exactly as if it had been freed here unpooled.
+	// Blocks are re-poisoned rather than trusted to arrive poisoned: a
+	// record is plain data its holder may build or edit, and this runtime's
+	// Verify must not rest on the exporter's heap having kept the
+	// discipline.
 	for _, b := range rec.StrPool {
-		if !rt.strPooling || int(b.Cap) > rt.strCeil {
+		if rt.opts.NoStrPool {
 			continue
 		}
 		npg, ok := pageMap[b.OldAddr>>mem.PageShift]
@@ -483,19 +420,20 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	}
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindMigrate, Region: r.id,
-			Addr: newHdr, Size: int32(rec.Pages), Aux: 1})
+			Addr: r.hdr, Size: int32(rec.Pages), Aux: 1})
 	}
 	return r, nil
 }
 
 // materialize copies the record's payload onto the freshly acquired (zeroed)
-// runs and performs every fixup: link words rebuilt from the run order,
-// region structure repointed, cleanup ids remapped, and intra-region
-// pointers translated page-by-page. Runs uncharged. An error (a record
-// whose objects name a cleanup absent from its own Cleanups table) leaves
-// only the acquired pages dirty; the caller releases them.
-func (rt *Runtime) materialize(rec *RegionRecord, newNormal, newStr []Ptr,
-	newHdr Ptr, idMap map[CleanupID]CleanupID, pageMap map[Ptr]Ptr) error {
+// runs of r, whose header address is already set, and performs every fixup:
+// link words rebuilt from the run order, region structure repointed, cleanup
+// ids remapped, and intra-region pointers translated page-by-page. Runs
+// uncharged. An error (a record whose objects name a cleanup absent from its
+// own Cleanups table, or a malformed layout) leaves only the acquired pages
+// dirty; the caller releases them.
+func (rt *Runtime) materialize(rec *RegionRecord, r *Region, newNormal, newStr []Ptr,
+	idMap map[CleanupID]CleanupID, pageMap map[Ptr]Ptr) error {
 	copyRuns := func(runs []PageRun, news []Ptr) {
 		for i := range runs {
 			for j, w := range runs[i].Words {
@@ -524,67 +462,33 @@ func (rt *Runtime) materialize(rec *RegionRecord, newNormal, newStr []Ptr,
 
 	// Region structure: count stays zero (the region arrives quiesced), the
 	// list heads move, the bump offsets carry over verbatim with the copy.
-	rt.space.Store(newHdr+offRC, 0)
-	rt.space.Store(newHdr+offNormalFirst, newNormal[0])
+	rt.space.Store(r.hdr+offRC, 0)
+	rt.space.Store(r.hdr+offNormalFirst, newNormal[0])
 	if len(newStr) > 0 {
-		rt.space.Store(newHdr+offStringFirst, newStr[0])
+		rt.space.Store(r.hdr+offStringFirst, newStr[0])
 	} else {
-		rt.space.Store(newHdr+offStringFirst, 0)
+		rt.space.Store(r.hdr+offStringFirst, 0)
 	}
 
-	// Object-aware pointer rewrite over the normal runs.
+	// Object-aware pointer rewrite down the relinked normal list: each
+	// header gets its cleanup's id on this runtime, and every data word
+	// whose page moved is rewritten to the same offset on the new page.
 	rt.verifying = true
 	defer func() { rt.verifying = false }()
-	translate := func(a Ptr) {
-		w := rt.space.Load(a)
-		if w == 0 {
-			return
+	remap := func(id CleanupID) CleanupID { return idMap[id] }
+	return rt.walkObjects(FaultCorruptHeader, r, remap, func(o object) error {
+		rt.space.Store(o.at, rt.encodeCleanup(o.id, o.n >= 0))
+		for a := o.data; a < o.end; a += mem.WordSize {
+			w := rt.space.Load(a)
+			if w == 0 {
+				continue
+			}
+			if npg, ok := pageMap[Ptr(w)>>mem.PageShift]; ok {
+				rt.space.Store(a, npg<<mem.PageShift|w&Ptr(mem.PageSize-1))
+			}
 		}
-		if npg, ok := pageMap[Ptr(w)>>mem.PageShift]; ok {
-			rt.space.Store(a, npg<<mem.PageShift|w&Ptr(mem.PageSize-1))
-		}
-	}
-	newHome := newHdr &^ Ptr(mem.PageSize-1)
-	for i := range rec.Normal {
-		entry := newNormal[i]
-		end := entry + Ptr(rec.Normal[i].Pages*mem.PageSize)
-		p := entry + mem.WordSize
-		if entry == newHome {
-			p = newHdr + hdrBytes
-		}
-		for p < end {
-			hdr := rt.space.Load(p)
-			if hdr == 0 {
-				break
-			}
-			nid, ok := idMap[CleanupID(hdr&^arrayFlag)]
-			if !ok {
-				return fmt.Errorf("core: importregion: object header %#x at %#x names a cleanup missing from the record",
-					hdr, p)
-			}
-			nh := Word(nid)
-			if hdr&arrayFlag != 0 {
-				nh |= arrayFlag
-			}
-			rt.space.Store(p, nh)
-			var extent, dataFrom Ptr
-			if hdr&arrayFlag != 0 {
-				n := int(rt.space.Load(p + 4))
-				esz := int(rt.space.Load(p + 8))
-				extent = Ptr(3*mem.WordSize + n*esz)
-				dataFrom = p + 3*mem.WordSize
-			} else {
-				size := rt.cleanups[nid-1].fn(rt, p+mem.WordSize)
-				extent = Ptr(mem.WordSize + align4(size))
-				dataFrom = p + mem.WordSize
-			}
-			for a := dataFrom; a < p+extent; a += mem.WordSize {
-				translate(a)
-			}
-			p += extent
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ContentChecksum folds r's live contents into a placement-independent
@@ -617,18 +521,15 @@ func (rt *Runtime) contentChecksum(r *Region) uint32 {
 	// Number the region's pages in page-list order (normal first, then
 	// string); the ordinal survives relocation, the page number does not.
 	ord := map[Ptr]uint32{}
-	walk := func(entry Ptr) {
-		for entry != 0 {
-			link := rt.space.Load(entry + pageLink)
-			count := int(link&(mem.PageSize-1)) + 1
-			for i := 0; i < count; i++ {
-				ord[entry>>mem.PageShift+Ptr(i)] = uint32(len(ord))
+	heads := [2]Ptr{rt.space.Load(r.hdr + offNormalFirst), rt.space.Load(r.hdr + offStringFirst)}
+	for _, head := range heads {
+		mustWalk(rt.walkList(FaultCorruptHeader, r, head, func(first Ptr, pages int) error {
+			for i := 0; i < pages; i++ {
+				ord[first>>mem.PageShift+Ptr(i)] = uint32(len(ord))
 			}
-			entry = link &^ Ptr(mem.PageSize-1)
-		}
+			return nil
+		}))
 	}
-	walk(rt.space.Load(r.hdr + offNormalFirst))
-	walk(rt.space.Load(r.hdr + offStringFirst))
 
 	h := uint32(2166136261)
 	mix := func(v uint32) {
@@ -661,18 +562,15 @@ func (rt *Runtime) contentChecksum(r *Region) uint32 {
 		}
 	})
 	// String-allocator payloads are pointer-free: fold raw, skip the links.
-	entry := rt.space.Load(r.hdr + offStringFirst)
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		count := int(link&(mem.PageSize-1)) + 1
-		end := entry + Ptr(count*mem.PageSize)
-		for a := entry + mem.WordSize; a < end; a += mem.WordSize {
+	mustWalk(rt.walkList(FaultCorruptHeader, r, heads[1], func(first Ptr, pages int) error {
+		end := first + Ptr(pages*mem.PageSize)
+		for a := first + mem.WordSize; a < end; a += mem.WordSize {
 			if v := rt.space.Load(a); v != 0 {
 				mix(rel(a))
 				mix(uint32(v))
 			}
 		}
-		entry = link &^ Ptr(mem.PageSize-1)
-	}
+		return nil
+	}))
 	return h
 }

@@ -23,11 +23,10 @@ import (
 //   - RstrFree(r, p, size) retires one rstralloc block. The block is
 //     poisoned (uncharged, like every freed-memory fill) and parked on a
 //     per-region free list bucketed by the floor power of two of its aligned
-//     capacity, from strClassMin up to the configurable ceiling
-//     (Options.StrPoolMax, default defaultStrPoolMax). Blocks above the
-//     ceiling — and every free under Options.NoStrPool — are accounting-only:
-//     the bytes stop counting as live and the memory waits for region
-//     deletion, exactly as before.
+//     capacity, from strClassMin up to the fixed ceiling defaultStrPoolMax.
+//     Blocks above the ceiling — and every free under Options.NoStrPool —
+//     are accounting-only: the bytes stop counting as live and the memory
+//     waits for region deletion, exactly as before.
 //   - TryRstrAlloc first probes the request's floor class, newest block
 //     first, for a parked block whose recorded capacity fits (at most
 //     strPoolProbe entries, first fit). A hit charges 1 cycle per probe
@@ -62,10 +61,13 @@ const (
 	// minimum rstralloc ever allocates.
 	strClassMin = mem.WordSize
 
-	// defaultStrPoolMax is the capacity-class ceiling when
-	// Options.StrPoolMax is unset. Requests above the ceiling are "Big":
-	// bump-allocated and never pooled.
+	// defaultStrPoolMax is the capacity-class ceiling. Requests above it
+	// are "Big": bump-allocated and never pooled.
 	defaultStrPoolMax = 2048
+
+	// strClasses counts the capacity classes, strClassMin (4 bytes) to
+	// defaultStrPoolMax by powers of two.
+	strClasses = 10
 
 	// strPoolProbe bounds the blocks examined per allocation. The newest
 	// block is probed first, so steady-state same-size recycling hits on
@@ -88,40 +90,27 @@ func strClassIdx(n int) int { return bits.Len32(uint32(n)) - 3 }
 // strClassSize returns class idx's floor capacity in bytes.
 func strClassSize(idx int) int { return strClassMin << idx }
 
-// initStrPool resolves the pool configuration at runtime construction: the
-// accounting ceiling (rounded up to a power of two), the tally's class
-// count, and the precomputed "str:<class>" census keys. The counters and
-// census keys are active even under Options.NoStrPool, so an A/B pair
-// reports comparable New/Big columns; only the free lists are disabled.
-func (rt *Runtime) initStrPool() {
-	max := rt.opts.StrPoolMax
-	if max <= 0 {
-		max = defaultStrPoolMax
-	}
-	if max < strClassMin {
-		max = strClassMin
-	}
-	max = 1 << uint(bits.Len32(uint32(max-1))) // round up to a power of two
-	rt.strCeil = max
-	rt.strPooling = !rt.opts.NoStrPool
-	n := strClassIdx(max) + 1
-	rt.t.StrClasses = n
-	keys := make([]string, n+1)
-	for i := 0; i < n; i++ {
+// strSiteKeys are the alloc-census keys of the string path: "str:<class>"
+// per capacity class, then "str:big" for requests above the ceiling, so
+// string-path sites rank separately from cleanup-named normal sites in the
+// sampled site profile. They are counted even under Options.NoStrPool, so
+// an A/B pair reports comparable columns.
+var strSiteKeys = func() []string {
+	keys := make([]string, strClasses+1)
+	for i := 0; i < strClasses; i++ {
 		keys[i] = "str:" + strconv.Itoa(strClassSize(i))
 	}
-	keys[n] = "str:big"
-	rt.strSiteKeys = keys
-}
+	keys[strClasses] = "str:big"
+	return keys
+}()
 
 // strSiteKey returns the alloc-census key for class idx (-1 = above the
-// ceiling), so string-path sites rank separately from cleanup-named normal
-// sites in the sampled site profile.
-func (rt *Runtime) strSiteKey(idx int) string {
+// ceiling).
+func strSiteKey(idx int) string {
 	if idx < 0 {
-		return rt.strSiteKeys[len(rt.strSiteKeys)-1]
+		return strSiteKeys[strClasses]
 	}
-	return rt.strSiteKeys[idx]
+	return strSiteKeys[idx]
 }
 
 // strPoolTake pops a parked block of capacity >= data from r's class-idx
@@ -156,7 +145,7 @@ func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
 // strPoolPut parks the freed block [p, p+cap) on r's floor-class free list.
 func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
 	if r.strPool == nil {
-		r.strPool = make([][]strBlock, strClassIdx(rt.strCeil)+1)
+		r.strPool = make([][]strBlock, strClasses)
 	}
 	idx := strClassIdx(cap)
 	r.strPool[idx] = append(r.strPool[idx], strBlock{p: p, cap: int32(cap)})
@@ -213,10 +202,10 @@ func (s StrPoolStats) ReuseRatio() float64 {
 // per-class occupancy across live regions.
 func (rt *Runtime) StrPoolStats() StrPoolStats {
 	out := StrPoolStats{
-		Enabled: rt.strPooling,
-		Ceiling: rt.strCeil,
+		Enabled: !rt.opts.NoStrPool,
+		Ceiling: defaultStrPoolMax,
 		Big:     rt.t.StrBig,
-		Classes: make([]StrClassStats, rt.t.StrClasses),
+		Classes: make([]StrClassStats, strClasses),
 	}
 	for i := range out.Classes {
 		c := &out.Classes[i]

@@ -96,38 +96,25 @@ func TestStrPoolClassBoundaries(t *testing.T) {
 // TestStrPoolBigAboveCeiling: requests above the ceiling are "Big" — bump
 // only, counted separately, and their frees park nothing.
 func TestStrPoolBigAboveCeiling(t *testing.T) {
-	rt, _ := newRTOpts(Options{Safe: true, StrPoolMax: 256})
+	rt, _ := newRT(true)
 	r := rt.NewRegion()
-	p := rt.RstrAlloc(r, 512)
+	p := rt.RstrAlloc(r, 3000)
 	s := rt.StrPoolStats()
 	if s.Big != 1 || s.New != 0 {
 		t.Fatalf("big=%d new=%d after above-ceiling alloc, want 1/0", s.Big, s.New)
 	}
-	if s.Ceiling != 256 {
-		t.Fatalf("ceiling %d, want 256", s.Ceiling)
+	if s.Ceiling != 2048 {
+		t.Fatalf("ceiling %d, want 2048", s.Ceiling)
 	}
-	rt.RstrFree(r, p, 512)
+	rt.RstrFree(r, p, 3000)
 	if got := r.strPoolBytes; got != 0 {
 		t.Fatalf("above-ceiling free parked %d bytes, want 0", got)
 	}
-	if q := rt.RstrAlloc(r, 512); q == p {
+	if q := rt.RstrAlloc(r, 3000); q == p {
 		t.Fatal("above-ceiling realloc reused a block the pool should not hold")
 	}
 	if err := rt.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
-	}
-}
-
-// TestStrPoolMaxRounding: the ceiling rounds up to a power of two and
-// floors at the word size.
-func TestStrPoolMaxRounding(t *testing.T) {
-	for _, v := range []struct{ in, want int }{
-		{1, strClassMin}, {4, 4}, {5, 8}, {100, 128}, {2048, 2048}, {3000, 4096},
-	} {
-		rt, _ := newRTOpts(Options{Safe: true, StrPoolMax: v.in})
-		if got := rt.StrPoolStats().Ceiling; got != v.want {
-			t.Fatalf("StrPoolMax %d: ceiling %d, want %d", v.in, got, v.want)
-		}
 	}
 }
 
@@ -389,10 +376,9 @@ func TestStrPoolGauges(t *testing.T) {
 func TestStrPoolRandomizedSoak(t *testing.T) {
 	for _, opt := range []Options{
 		{Safe: true},
-		{Safe: true, StrPoolMax: 256},
 		{Safe: true, DeferredDelete: true, SweepBudget: 2},
 	} {
-		t.Run(fmt.Sprintf("max=%d,deferred=%v", opt.StrPoolMax, opt.DeferredDelete), func(t *testing.T) {
+		t.Run(fmt.Sprintf("max=0,deferred=%v", opt.DeferredDelete), func(t *testing.T) {
 			rt, _ := newRTOpts(opt)
 			rng := rand.New(rand.NewSource(42))
 			sizes := []int{4, 7, 8, 9, 24, 31, 32, 33, 63, 64, 65, 127, 128, 129,

@@ -65,12 +65,9 @@ import (
 // memory will see false mismatches; the string allocator is exempt (never
 // scanned, never counted).
 func (rt *Runtime) Verify() error {
-	var f *Fault
-	rt.space.Uncharged(func() { f = rt.verify() })
-	if f != nil {
-		return f
-	}
-	return nil
+	var err error
+	rt.space.Uncharged(func() { err = rt.verify() })
+	return err
 }
 
 // invariant builds the FaultInvariant fault for a Verify violation.
@@ -78,7 +75,7 @@ func (rt *Runtime) invariant(addr Ptr, region int32, format string, args ...inte
 	return rt.fault(FaultInvariant, addr, region, fmt.Sprintf(format, args...), nil)
 }
 
-func (rt *Runtime) verify() *Fault {
+func (rt *Runtime) verify() error {
 	// 0. Translation cache: every last-region cache entry must agree with
 	// the dense page index. Checked first — the RC recomputation below
 	// translates through RegionOf, so a stale entry could otherwise fool
@@ -93,8 +90,8 @@ func (rt *Runtime) verify() *Fault {
 	}
 
 	// 1-4. Heap structure: page census, page map, free lists, object headers.
-	if _, f := rt.heapWalk(false); f != nil {
-		return f
+	if _, err := rt.heapWalk(false); err != nil {
+		return err
 	}
 
 	// 5. Shadow stack.
@@ -142,18 +139,12 @@ func (rt *Runtime) verifyRC() *Fault {
 		})
 	}
 
-	// Global storage, all segments ever allocated.
-	ranges := append(append([][2]Ptr(nil), rt.globalRanges...),
-		[2]Ptr{rt.globalSeg, rt.globalNext})
-	for _, seg := range ranges {
-		for a := seg[0]; a < seg[1]; a += mem.WordSize {
-			if v := rt.space.Load(a); v != 0 {
-				if t := rt.RegionOf(v); t != nil {
-					want[t.id]++
-				}
-			}
+	// Global storage.
+	rt.forEachGlobalWord(func(_ Ptr, v Word) {
+		if t := rt.RegionOf(v); t != nil {
+			want[t.id]++
 		}
-	}
+	})
 
 	// Counted frame slots: scanned frames, or every frame under EagerLocals.
 	for _, fr := range rt.stack.frames {
@@ -178,4 +169,21 @@ func (rt *Runtime) verifyRC() *Fault {
 		}
 	}
 	return nil
+}
+
+// forEachGlobalWord visits every nonzero word of global storage, in every
+// segment ever allocated — the global iteration shared by the
+// reference-count verifier and Referrers.
+func (rt *Runtime) forEachGlobalWord(visit func(addr Ptr, v Word)) {
+	scan := func(from, to Ptr) {
+		for a := from; a < to; a += mem.WordSize {
+			if v := rt.space.Load(a); v != 0 {
+				visit(a, v)
+			}
+		}
+	}
+	for _, seg := range rt.globalRanges {
+		scan(seg[0], seg[1])
+	}
+	scan(rt.globalSeg, rt.globalNext)
 }

@@ -177,7 +177,7 @@ func strHeavyProfile() *Profile {
 		},
 		work: []site{
 			{"strheavy/buf", allocStr, 512, 12},
-			{"strheavy/blob", allocStr, 4096, 2}, // above the default ceiling: Big
+			{"strheavy/blob", allocStr, 4096, 2}, // above the ceiling: Big
 			{"strheavy/sym", allocPtr, 16, 4},
 		},
 		stores: 10,

@@ -131,7 +131,6 @@ type config struct {
 	sweepBudget    int
 	sweepHighWater int
 	noStrPool      bool
-	strPoolMax     int
 	pageLimit      int
 	faultPlan      *mem.FaultPlan
 	tracer         *trace.Tracer
@@ -172,11 +171,6 @@ func WithSweepHighWater(pages int) Option { return func(c *config) { c.sweepHigh
 // frees, its exact address stream are identical with pooling on or off.
 func NoStrPool() Option { return func(c *config) { c.noStrPool = true } }
 
-// WithStrPoolMax sets the pooled string allocator's capacity-class ceiling
-// in bytes (default 2048, rounded up to a power of two). Frees above the
-// ceiling are accounting-only and allocations above it are counted "Big".
-func WithStrPoolMax(bytes int) Option { return func(c *config) { c.strPoolMax = bytes } }
-
 // WithPageLimit caps the simulated OS at the given number of 4 KB pages
 // from the first allocation on, exactly as calling SetPageLimit right after
 // New would. SetPageLimit remains legal mid-run (it may raise, lower, or
@@ -216,7 +210,6 @@ func New(opts ...Option) *System {
 		SweepBudget:    cfg.sweepBudget,
 		SweepHighWater: cfg.sweepHighWater,
 		NoStrPool:      cfg.noStrPool,
-		StrPoolMax:     cfg.strPoolMax,
 	})
 	s := &System{rt: rt, sp: sp}
 	if cfg.pageLimit > 0 {
