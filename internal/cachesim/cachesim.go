@@ -3,19 +3,18 @@
 // cycles lost to read stalls (waiting for the result of a load) and write
 // stalls (store buffer full).
 //
-// The model is a two-level set-associative cache with LRU replacement and a
-// leaky-bucket store buffer. Each simulated memory access is pushed through
-// Access, which returns the stall cycles that access causes. The model is
-// deterministic: the same access trace always yields the same stall counts.
+// The model is a two-level direct-mapped cache, as on the paper's machine,
+// plus a leaky-bucket store buffer. Each simulated memory access is pushed
+// through Access, which returns the stall cycles that access causes. The
+// model is deterministic: the same access trace always yields the same
+// stall counts.
 package cachesim
 
 // Config describes the cache hierarchy. The zero value is not useful; use
 // UltraSparcI for the paper's machine.
 type Config struct {
-	L1Size  int // bytes
-	L1Assoc int // ways
-	L2Size  int // bytes
-	L2Assoc int // ways
+	L1Size int // bytes
+	L2Size int // bytes
 	// LineSize is shared by both levels, in bytes. The paper offsets region
 	// headers by the 64-byte second-level line size.
 	LineSize int
@@ -32,13 +31,12 @@ type Config struct {
 }
 
 // UltraSparcI returns a configuration approximating the paper's machine:
-// 16 KB direct-mapped L1 data cache, 512 KB unified L2, 64-byte L2 lines.
+// 16 KB direct-mapped L1 data cache, 512 KB direct-mapped unified L2,
+// 64-byte L2 lines.
 func UltraSparcI() Config {
 	return Config{
 		L1Size:         16 * 1024,
-		L1Assoc:        1,
 		L2Size:         512 * 1024,
-		L2Assoc:        1,
 		LineSize:       64,
 		L1MissPenalty:  6,
 		L2MissPenalty:  42,
@@ -47,62 +45,16 @@ func UltraSparcI() Config {
 	}
 }
 
-type set struct {
-	tags []uint32 // line tags, most recently used first; 0 means empty
-}
-
-type level struct {
-	sets     []set
-	assoc    int
-	setShift uint // log2(lineSize)
-	setMask  uint32
-}
-
-func newLevel(size, assoc, lineSize int) *level {
-	nsets := size / (assoc * lineSize)
-	if nsets < 1 {
-		nsets = 1
-	}
-	l := &level{
-		sets:    make([]set, nsets),
-		assoc:   assoc,
-		setMask: uint32(nsets - 1),
-	}
-	for s := lineSize; s > 1; s >>= 1 {
-		l.setShift++
-	}
-	for i := range l.sets {
-		l.sets[i].tags = make([]uint32, 0, assoc)
-	}
-	return l
-}
-
-// access returns true on a hit, inserting the line on a miss.
-// Tags are the full line address plus one so that 0 can mean "empty".
-func (l *level) access(addr uint32) bool {
-	line := (addr >> l.setShift) + 1
-	s := &l.sets[line&l.setMask]
-	for i, t := range s.tags {
-		if t == line {
-			// Move to front (LRU).
-			copy(s.tags[1:i+1], s.tags[:i])
-			s.tags[0] = line
-			return true
-		}
-	}
-	if len(s.tags) < l.assoc {
-		s.tags = append(s.tags, 0)
-	}
-	copy(s.tags[1:], s.tags)
-	s.tags[0] = line
-	return false
-}
-
-// Cache is a two-level cache plus store-buffer model.
+// Cache is a two-level direct-mapped cache plus store-buffer model.
 type Cache struct {
-	cfg     Config
-	l1, l2  *level
-	pending int // cycles of write work queued in the store buffer
+	cfg Config
+	// l1 and l2 hold one tag per line slot: the line address plus one, so
+	// that 0 means empty. A line's slot is its tag masked to the level's
+	// size.
+	l1, l2         []uint32
+	l1Mask, l2Mask uint32
+	lineShift      uint // log2(LineSize)
+	pending        int  // cycles of write work queued in the store buffer
 
 	Reads       uint64
 	Writes      uint64
@@ -114,16 +66,23 @@ type Cache struct {
 
 // New builds a cache from cfg. Sizes must be powers of two.
 func New(cfg Config) *Cache {
-	return &Cache{
+	c := &Cache{
 		cfg: cfg,
-		l1:  newLevel(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
-		l2:  newLevel(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
+		l1:  make([]uint32, max(cfg.L1Size/cfg.LineSize, 1)),
+		l2:  make([]uint32, max(cfg.L2Size/cfg.LineSize, 1)),
 	}
+	c.l1Mask = uint32(len(c.l1) - 1)
+	c.l2Mask = uint32(len(c.l2) - 1)
+	for s := cfg.LineSize; s > 1; s >>= 1 {
+		c.lineShift++
+	}
+	return c
 }
 
 // Access simulates one memory access and returns (readStall, writeStall)
 // cycles caused by it. Both caches are write-allocate, so reads and writes
-// probe identically; only the stall attribution differs.
+// probe identically; only the stall attribution differs. A miss installs
+// the line, evicting the slot's previous line.
 func (c *Cache) Access(addr uint32, write bool) (readStall, writeStall uint64) {
 	// Drain the store buffer.
 	c.pending -= c.cfg.DrainPerAccess
@@ -132,11 +91,14 @@ func (c *Cache) Access(addr uint32, write bool) (readStall, writeStall uint64) {
 	}
 
 	penalty := 0
-	if !c.l1.access(addr) {
+	line := addr>>c.lineShift + 1
+	if t1 := &c.l1[line&c.l1Mask]; *t1 != line {
+		*t1 = line
 		c.L1Misses++
-		if c.l2.access(addr) {
+		if t2 := &c.l2[line&c.l2Mask]; *t2 == line {
 			penalty = c.cfg.L1MissPenalty
 		} else {
+			*t2 = line
 			c.L2Misses++
 			penalty = c.cfg.L2MissPenalty
 		}

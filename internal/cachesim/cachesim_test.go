@@ -4,8 +4,7 @@ import "testing"
 
 func small() Config {
 	return Config{
-		L1Size: 256, L1Assoc: 1,
-		L2Size: 1024, L2Assoc: 2,
+		L1Size: 256, L2Size: 1024,
 		LineSize:      64,
 		L1MissPenalty: 6, L2MissPenalty: 40,
 		StoreBufferCap: 80, DrainPerAccess: 8,
@@ -36,23 +35,6 @@ func TestL1ConflictL2Hit(t *testing.T) {
 	r, _ := c.Access(0x0, false)
 	if r != 6 {
 		t.Fatalf("L1 conflict, L2 hit: read stall %d, want 6", r)
-	}
-}
-
-func TestLRUWithinSet(t *testing.T) {
-	cfg := small()
-	cfg.L1Size = 128
-	cfg.L1Assoc = 2 // one set of two ways
-	c := New(cfg)
-	c.Access(0x000, false) // miss
-	c.Access(0x040, false) // miss; set is {40, 00}
-	c.Access(0x000, false) // hit; set is {00, 40}
-	c.Access(0x080, false) // miss; evicts LRU 0x40
-	if r, _ := c.Access(0x000, false); r != 0 {
-		t.Fatalf("0x000 should still be in L1 (MRU), got stall %d", r)
-	}
-	if r, _ := c.Access(0x040, false); r == 0 {
-		t.Fatal("0x040 should have been evicted from L1")
 	}
 }
 
@@ -141,5 +123,54 @@ func TestUltraSparcIConfig(t *testing.T) {
 	c := New(cfg)
 	if r, w := c.Access(0x4000, false); r == 0 || w != 0 {
 		t.Fatalf("cold read stalls (%d,%d)", r, w)
+	}
+}
+
+func TestL2ConflictEvicts(t *testing.T) {
+	c := New(UltraSparcI())
+	// 0x1000 and 0x81000 are 512 KB apart, so they share a slot in both
+	// direct-mapped levels: each read evicts the other line from L1 and L2
+	// and pays the full memory penalty.
+	for i := 0; i < 6; i++ {
+		addr := uint32(0x1000)
+		if i%2 == 1 {
+			addr = 0x81000
+		}
+		if r, w := c.Access(addr, false); r != 42 || w != 0 {
+			t.Fatalf("read %d of %#x: stalls (%d,%d), want (42,0)", i, addr, r, w)
+		}
+	}
+	if c.L1Misses != 6 || c.L2Misses != 6 {
+		t.Fatalf("l1miss=%d l2miss=%d, want 6 and 6", c.L1Misses, c.L2Misses)
+	}
+}
+
+func TestNewAllocatesThreeObjects(t *testing.T) {
+	// The cache itself plus one tag array per level.
+	if n := testing.AllocsPerRun(10, func() { New(UltraSparcI()) }); n > 3 {
+		t.Fatalf("New(UltraSparcI()) made %v allocations, want at most 3", n)
+	}
+}
+
+var sinkCache *Cache
+
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkCache = New(UltraSparcI())
+	}
+}
+
+var sinkStall uint64
+
+func BenchmarkAccess(b *testing.B) {
+	c := New(UltraSparcI())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A 1 MB strided walk: L1 hits within a line, and L1 and L2 misses
+		// as it wraps both levels.
+		r, w := c.Access(uint32(i*4)&(1<<20-1), i%4 == 0)
+		sinkStall += r + w
 	}
 }

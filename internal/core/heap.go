@@ -192,11 +192,9 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 				detachedPer[det]++
 				continue // poison deferred until the sweep
 			}
-			for off := Ptr(0); off < mem.PageSize; off += mem.WordSize {
-				if w := rt.space.Load(a + off); w != mem.PoisonWord {
-					return rt.invariant(a+off, -1,
-						"free page word is %#x, not poison (stray write after free?)", w)
-				}
+			if bad := rt.space.FirstNonPoison(a, mem.PageSize); bad != 0 {
+				return rt.invariant(bad, -1,
+					"free page word is %#x, not poison (stray write after free?)", rt.space.Load(bad))
 			}
 		}
 		return nil
@@ -332,11 +330,9 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 				return rt.invariant(b.p, r.id,
 					"pooled string block extends past the head page's bump offset")
 			}
-			for o := 0; o < cap; o += mem.WordSize {
-				if w := rt.space.Load(b.p + Ptr(o)); w != mem.PoisonWord {
-					return rt.invariant(b.p+Ptr(o), r.id,
-						"pooled string block word is %#x, not poison (stray write after free?)", w)
-				}
+			if bad := rt.space.FirstNonPoison(b.p, cap); bad != 0 {
+				return rt.invariant(bad, r.id,
+					"pooled string block word is %#x, not poison (stray write after free?)", rt.space.Load(bad))
 			}
 			bytes += uint64(cap)
 			all = append(all, b)

@@ -139,14 +139,13 @@ func TestPoisonPageFree(t *testing.T) {
 	p := sp.MapPages(1)
 	sp.Store(p, 123)
 	sp.PoisonPageFree(p)
-	var w0, wLast uint32
 	sp.Uncharged(func() {
-		w0 = sp.Load(p)
-		wLast = sp.Load(p + PageSize - WordSize)
+		for off := Addr(0); off < PageSize; off += WordSize {
+			if w := sp.Load(p + off); w != PoisonWord {
+				t.Fatalf("poisoned page reads %#x at offset %d, want %#x", w, off, PoisonWord)
+			}
+		}
 	})
-	if w0 != PoisonWord || wLast != PoisonWord {
-		t.Fatalf("poisoned page reads %#x / %#x, want %#x", w0, wLast, PoisonWord)
-	}
 }
 
 func TestFaultPlanClearRestoresService(t *testing.T) {

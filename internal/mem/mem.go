@@ -55,7 +55,7 @@ type page struct {
 // Space is one simulated address space. It is not safe for concurrent use;
 // each experiment run owns its own Space.
 type Space struct {
-	pages []*page // index = page number; nil entries are unmapped
+	pages []*page // index = page number; only page 0 is unmapped (nil)
 
 	// os is the MapPages tally, allocated apart from the space so a
 	// metrics source can hold it without holding the pages.
@@ -68,6 +68,11 @@ type Space struct {
 	// charge disables cycle accounting when false (used while an allocator
 	// initializes pages it has not yet handed to anyone).
 	charge bool
+	// Each access adds inc to *cyc, the current mode's cycle counter. inc is
+	// set by SetMode and Uncharged (setCharge) and is 0 while uncharged, so
+	// an access makes no mode test.
+	cyc *uint64
+	inc uint64
 
 	// Failure model (see fault.go): an optional hard page limit plus an
 	// optional injected fault plan, and the bookkeeping of refused calls.
@@ -85,12 +90,14 @@ type Space struct {
 // NewSpace returns an empty address space whose accesses are charged to c.
 // Page 0 is reserved so that address 0 stays invalid.
 func NewSpace(c *stats.Counters) *Space {
-	return &Space{
+	s := &Space{
 		pages:  make([]*page, 1, 1024),
 		os:     &OSCounts{},
 		c:      c,
 		charge: true,
 	}
+	s.setCharge()
+	return s
 }
 
 // AttachCache routes subsequent accesses through the given cache model.
@@ -109,7 +116,22 @@ func (s *Space) Counters() *stats.Counters { return s.c }
 func (s *Space) SetMode(m stats.Mode) stats.Mode {
 	old := s.mode
 	s.mode = m
+	s.setCharge()
 	return old
+}
+
+// setCharge recomputes the per-access charge from the mode and the charge
+// flag.
+func (s *Space) setCharge() {
+	s.cyc = &s.c.Cycles[s.mode]
+	switch {
+	case !s.charge:
+		s.inc = 0
+	case s.mode == stats.ModeApp:
+		s.inc = AppComputeFactor
+	default:
+		s.inc = 1
+	}
 }
 
 // Mode returns the current accounting mode.
@@ -144,52 +166,68 @@ func (s *Space) MapPages(n int) Addr {
 	return Addr(first) << PageShift
 }
 
-// Mapped reports whether a is inside a mapped page.
+// Mapped reports whether a is inside a mapped page. Pages are only ever
+// appended, so page 0 is the one unmapped slot below NumPages.
 func (s *Space) Mapped(a Addr) bool {
-	p := int(a >> PageShift)
-	return p > 0 && p < len(s.pages) && s.pages[p] != nil
+	p := a >> PageShift
+	return p > 0 && int(p) < len(s.pages)
 }
 
 // NumPages returns the number of page slots, including the reserved page 0.
 func (s *Space) NumPages() int { return len(s.pages) }
 
+// AccessError is the panic value of an access to an unaligned or unmapped
+// address: a load or store that is not word-aligned, or any access outside
+// the mapped pages (page 0, which holds the nil address, or past the last
+// mapped page). The faulting access charges no cycle and leaves the cache
+// model untouched.
+type AccessError struct {
+	Addr Addr // the faulting address
+}
+
+// Error implements error.
+func (e AccessError) Error() string {
+	if e.Addr&(WordSize-1) != 0 {
+		return fmt.Sprintf("mem: unaligned access at %#x", e.Addr)
+	}
+	return fmt.Sprintf("mem: access to unmapped address %#x", e.Addr)
+}
+
+// page returns the page holding the word-aligned address a, or panics with
+// an AccessError. It is small enough to inline into every access; keep
+// formatting out of it.
+func (s *Space) page(a Addr) *page {
+	p := a >> PageShift
+	if a&(WordSize-1) != 0 || p == 0 || int(p) >= len(s.pages) {
+		panic(AccessError{Addr: a})
+	}
+	return s.pages[p]
+}
+
+// access charges one access at a to the current mode and, while charged,
+// pushes it through the cache model. Callers check the address first, so a
+// faulting access leaves no trace.
 func (s *Space) access(a Addr, write bool) {
-	if !s.charge {
-		return
-	}
-	if s.mode == stats.ModeApp {
-		s.c.Cycles[stats.ModeApp] += AppComputeFactor
-	} else {
-		s.c.Cycles[s.mode]++
-	}
-	if s.cache != nil {
+	*s.cyc += s.inc
+	if s.cache != nil && s.inc != 0 {
 		r, w := s.cache.Access(a, write)
 		s.c.ReadStalls += r
 		s.c.WriteStalls += w
 	}
 }
 
-func (s *Space) page(a Addr) *page {
-	if a&(WordSize-1) != 0 {
-		panic(fmt.Sprintf("mem: unaligned access at %#x", a))
-	}
-	p := int(a >> PageShift)
-	if p <= 0 || p >= len(s.pages) || s.pages[p] == nil {
-		panic(fmt.Sprintf("mem: access to unmapped address %#x", a))
-	}
-	return s.pages[p]
-}
-
 // Load returns the word at the 4-byte-aligned address a.
 func (s *Space) Load(a Addr) Word {
+	p := s.page(a)
 	s.access(a, false)
-	return s.page(a).words[(a%PageSize)/WordSize]
+	return p.words[(a%PageSize)/WordSize]
 }
 
 // Store writes v to the 4-byte-aligned address a.
 func (s *Space) Store(a Addr, v Word) {
+	p := s.page(a)
 	s.access(a, true)
-	s.page(a).words[(a%PageSize)/WordSize] = v
+	p.words[(a%PageSize)/WordSize] = v
 }
 
 // LoadByte returns the byte at address a (no alignment requirement).
@@ -221,8 +259,7 @@ func (s *Space) ZeroRange(a Addr, size int) {
 // reuses pages from its free page list, and freshly OS-mapped pages arrive
 // zeroed either way.
 func (s *Space) ZeroPageFree(a Addr) {
-	p := s.page(a &^ (PageSize - 1))
-	p.words = [PageWords]Word{}
+	*s.page(a &^ (PageSize - 1)) = page{}
 }
 
 // PoisonWord fills freed pages (PoisonPageFree) so that reads through
@@ -235,11 +272,17 @@ const PoisonWord Word = 0xdeadbeef
 // pages are re-zeroed (ZeroPageFree) before reuse, so poisoning is
 // observable only through dangling pointers.
 func (s *Space) PoisonPageFree(a Addr) {
-	p := s.page(a &^ (PageSize - 1))
+	*s.page(a &^ (PageSize - 1)) = poisonPage
+}
+
+// poisonPage is a page of PoisonWord, copied whole by PoisonPageFree and in
+// part by PoisonRange. It is never written after initialisation.
+var poisonPage = func() (p page) {
 	for i := range p.words {
 		p.words[i] = PoisonWord
 	}
-}
+	return p
+}()
 
 // PoisonRange fills size bytes starting at the word-aligned address a with
 // PoisonWord without charging cycles — the sub-page sibling of
@@ -247,11 +290,29 @@ func (s *Space) PoisonPageFree(a Addr) {
 // still owns (the region library's pooled string frees). size must be a
 // multiple of WordSize and the range must not cross a page boundary.
 func (s *Space) PoisonRange(a Addr, size int) {
-	p := s.page(a)
-	base := (a % PageSize) / WordSize
-	for i := 0; i < size/WordSize; i++ {
-		p.words[base+Addr(i)] = PoisonWord
+	copy(s.pageWords(a, size), poisonPage.words[:])
+}
+
+// FirstNonPoison returns the address of the first word in the size bytes
+// starting at the word-aligned address a that is not PoisonWord, or 0 when
+// every word is poison. Like PoisonRange, size is a multiple of WordSize and
+// the range stays within one page. It reads the page directly: it charges
+// no cycle and does not touch the cache model, so verifiers can audit freed
+// memory without perturbing the measurement.
+func (s *Space) FirstNonPoison(a Addr, size int) Addr {
+	for i, w := range s.pageWords(a, size) {
+		if w != PoisonWord {
+			return a + Addr(i)*WordSize
+		}
 	}
+	return 0
+}
+
+// pageWords returns the words of the size-byte range at the word-aligned
+// address a, which must lie within one mapped page.
+func (s *Space) pageWords(a Addr, size int) []Word {
+	base := (a % PageSize) / WordSize
+	return s.page(a).words[base : base+Addr(size/WordSize)]
 }
 
 // Uncharged runs f with cycle accounting disabled. It exists for test
@@ -259,6 +320,10 @@ func (s *Space) PoisonRange(a Addr, size int) {
 func (s *Space) Uncharged(f func()) {
 	old := s.charge
 	s.charge = false
-	defer func() { s.charge = old }()
+	s.setCharge()
+	defer func() {
+		s.charge = old
+		s.setCharge()
+	}()
 	f()
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"regions/internal/cachesim"
@@ -63,6 +65,7 @@ func TestCycleCharging(t *testing.T) {
 
 func TestUncharged(t *testing.T) {
 	s, c := newSpace()
+	s.AttachCache(cachesim.New(cachesim.UltraSparcI()))
 	a := s.MapPages(1)
 	s.Uncharged(func() {
 		for i := 0; i < 100; i++ {
@@ -71,6 +74,10 @@ func TestUncharged(t *testing.T) {
 	})
 	if c.Cycles[stats.ModeApp] != 0 {
 		t.Fatalf("uncharged accesses cost %d cycles", c.Cycles[stats.ModeApp])
+	}
+	if s.Cache().Reads != 0 || c.ReadStalls != 0 {
+		t.Fatalf("uncharged accesses reached the cache model: %d reads, %d stall cycles",
+			s.Cache().Reads, c.ReadStalls)
 	}
 }
 
@@ -203,5 +210,179 @@ func TestNumPages(t *testing.T) {
 	s.MapPages(3)
 	if s.NumPages() != 4 {
 		t.Fatalf("NumPages=%d, want 4", s.NumPages())
+	}
+}
+
+// accessPanic runs f and returns the value it panicked with, or nil.
+func accessPanic(f func()) (v interface{}) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+func cacheCounts(c *cachesim.Cache) [6]uint64 {
+	return [6]uint64{c.Reads, c.Writes, c.L1Misses, c.L2Misses, c.ReadStalls, c.WriteStalls}
+}
+
+func TestAccessFaultLeavesNoTrace(t *testing.T) {
+	s, c := newSpace()
+	cache := cachesim.New(cachesim.UltraSparcI())
+	s.AttachCache(cache)
+	s.MapPages(8)
+	// Addresses 16 KB apart share a slot in the direct-mapped L1. Each case
+	// first caches a mapped victim line in the faulting address's slot; had
+	// the fault installed its own line, the victim would miss afterwards.
+	const l1 = 16 * 1024
+	end := Addr(s.NumPages()) << PageShift
+	ops := []struct {
+		name string
+		op   func(Addr)
+	}{
+		{"Load", func(a Addr) { s.Load(a) }},
+		{"Store", func(a Addr) { s.Store(a, 7) }},
+		{"LoadByte", func(a Addr) { s.LoadByte(a) }},
+		{"StoreByte", func(a Addr) { s.StoreByte(a, 7) }},
+		{"ZeroPageFree", s.ZeroPageFree},
+		{"PoisonPageFree", s.PoisonPageFree},
+		{"PoisonRange", func(a Addr) { s.PoisonRange(a, 16) }},
+	}
+	type fault struct {
+		name         string
+		addr, victim Addr
+		op           func(Addr)
+	}
+	var faults []fault
+	for _, o := range ops {
+		faults = append(faults,
+			fault{o.name + "/page0", 0, l1, o.op},
+			fault{o.name + "/pastEnd", end, end - l1, o.op})
+	}
+	faults = append(faults,
+		fault{"Load/unaligned", 0x1000 + l1 + 2, 0x1000, ops[0].op},
+		fault{"Store/unaligned", 0x1000 + l1 + 2, 0x1000, ops[1].op})
+
+	for _, f := range faults {
+		s.Load(f.victim)
+		before, cacheBefore := *c, cacheCounts(cache)
+		v := accessPanic(func() { f.op(f.addr) })
+		e, ok := v.(AccessError)
+		if !ok || e.Addr != f.addr || !strings.Contains(e.Error(), fmt.Sprintf("%#x", f.addr)) {
+			t.Errorf("%s at %#x: panic value %#v, want AccessError{Addr: %#x} naming it", f.name, f.addr, v, f.addr)
+			continue
+		}
+		if *c != before {
+			t.Errorf("%s at %#x changed the counters:\n%+v\n%+v", f.name, f.addr, before, *c)
+		}
+		if got := cacheCounts(cache); got != cacheBefore {
+			t.Errorf("%s at %#x changed the cache counters: %v -> %v", f.name, f.addr, cacheBefore, got)
+		}
+		stalls := c.ReadStalls
+		s.Load(f.victim)
+		if c.ReadStalls != stalls {
+			t.Errorf("%s at %#x evicted the victim line %#x", f.name, f.addr, f.victim)
+		}
+	}
+}
+
+func TestFirstNonPoisonMatchesLoads(t *testing.T) {
+	s, c := newSpace()
+	s.AttachCache(cachesim.New(cachesim.UltraSparcI()))
+	p := s.MapPages(1)
+	// loads is the per-word scan FirstNonPoison replaces.
+	loads := func(a Addr, size int) (bad Addr) {
+		s.Uncharged(func() {
+			for off := 0; off < size && bad == 0; off += WordSize {
+				if s.Load(a+Addr(off)) != PoisonWord {
+					bad = a + Addr(off)
+				}
+			}
+		})
+		return bad
+	}
+	const none = Addr(0)
+	block := p + 64 // a 48-byte pooled block inside the page
+	for _, tc := range []struct {
+		name  string
+		stray Addr // word overwritten after poisoning, or none
+		a     Addr
+		size  int
+		want  Addr
+	}{
+		{"clean page", none, p, PageSize, none},
+		{"stray at offset 0", p, p, PageSize, p},
+		{"stray mid-page", p + 2048, p, PageSize, p + 2048},
+		{"stray in last word", p + PageSize - WordSize, p, PageSize, p + PageSize - WordSize},
+		{"clean block", none, block, 48, none},
+		{"stray in block", block + 20, block, 48, block + 20},
+		{"stray before block", block - WordSize, block, 48, none},
+		{"stray after block", block + 48, block, 48, none},
+	} {
+		s.PoisonPageFree(p)
+		if tc.stray != none {
+			s.Store(tc.stray, 7)
+		}
+		before := *c
+		got := s.FirstNonPoison(tc.a, tc.size)
+		if *c != before {
+			t.Errorf("%s: FirstNonPoison charged the counters", tc.name)
+		}
+		if ref := loads(tc.a, tc.size); got != ref || got != tc.want {
+			t.Errorf("%s: FirstNonPoison = %#x, Load scan = %#x, want %#x", tc.name, got, ref, tc.want)
+		}
+	}
+}
+
+func TestWordPathDoesNotAllocate(t *testing.T) {
+	s, _ := newSpace()
+	s.AttachCache(cachesim.New(cachesim.UltraSparcI()))
+	p := s.MapPages(2)
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Load", func() { s.Load(p + 8) }},
+		{"Store", func() { s.Store(p+8, 1) }},
+		{"PoisonPageFree", func() { s.PoisonPageFree(p + PageSize) }},
+		{"FirstNonPoison", func() { s.FirstNonPoison(p+PageSize, PageSize) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.f); n != 0 {
+			t.Errorf("%s made %v allocations, want 0", tc.name, n)
+		}
+	}
+}
+
+// benchSpace maps a 256 KB span: it overflows the 16 KB L1 but fits the
+// 512 KB L2, so a cached walk mixes L1 hits and misses.
+func benchSpace(cached bool) (s *Space, base Addr, span Addr) {
+	s, _ = newSpace()
+	if cached {
+		s.AttachCache(cachesim.New(cachesim.UltraSparcI()))
+	}
+	return s, s.MapPages(64), 64 * PageSize
+}
+
+var sinkWord Word
+
+func BenchmarkLoad(b *testing.B) {
+	for _, cached := range []bool{false, true} {
+		b.Run(map[bool]string{false: "nocache", true: "cache"}[cached], func(b *testing.B) {
+			s, base, span := benchSpace(cached)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkWord += s.Load(base + Addr(i*WordSize)%span)
+			}
+		})
+	}
+}
+
+func BenchmarkStore(b *testing.B) {
+	for _, cached := range []bool{false, true} {
+		b.Run(map[bool]string{false: "nocache", true: "cache"}[cached], func(b *testing.B) {
+			s, base, span := benchSpace(cached)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Store(base+Addr(i*WordSize)%span, Word(i))
+			}
+		})
 	}
 }
