@@ -163,9 +163,11 @@ type token struct {
 	text string
 }
 
+// lex reads the source out of the heap buffer and tokenizes it, reusing
+// the previous file's token slice.
 func (c *compiler) lex(text appkit.Ptr, n int) []token {
 	sp := c.sp
-	var toks []token
+	toks := c.toks[:0]
 	i := 0
 	read := func(k int) byte {
 		if k >= n {

@@ -160,10 +160,11 @@ type token struct {
 	num  int32
 }
 
-// lex reads the source out of the heap buffer and tokenizes it.
+// lex reads the source out of the heap buffer and tokenizes it, reusing
+// the previous file's token slice.
 func (c *compiler) lex(text appkit.Ptr, n int) []token {
 	sp := c.sp
-	var toks []token
+	toks := c.toks[:0]
 	i := 0
 	read := func(k int) byte { return sp.LoadByte(text + appkit.Ptr(k)) }
 	for i < n {

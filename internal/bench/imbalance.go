@@ -91,7 +91,9 @@ func RunImbalance(shards, scaleDiv int, reg *metrics.Registry) (*ImbalanceResult
 			engOpts = append(engOpts, shard.WithNoSteal())
 		}
 		eng := shard.NewEngine(engOpts...)
-		eng.SubmitBatch(makeTasks())
+		for _, t := range makeTasks() {
+			eng.Submit(t)
+		}
 		agg := eng.Close()
 		if agg.Failures > 0 {
 			return ThroughputResult{}, fmt.Errorf("bench: imbalance run had %d failures", agg.Failures)

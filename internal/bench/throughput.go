@@ -93,7 +93,9 @@ func RunThroughputOpts(shards, scaleDiv, repeats int, opts ThroughputOpts) (Thro
 		}
 	}
 	start := time.Now()
-	eng.SubmitBatch(tasks)
+	for _, t := range tasks {
+		eng.Submit(t)
+	}
 	agg := eng.Close()
 	wall := time.Since(start).Seconds()
 	if agg.Failures > 0 {

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"regions/internal/mem"
 	"regions/internal/stats"
@@ -209,12 +210,22 @@ type Runtime struct {
 	safe bool
 	opts Options
 
+	// regions lists, in creation order, every region that may still own
+	// memory: the live ones, and the deleted ones whose detached pages
+	// await the sweeper. Deleted regions that own nothing are dropped when
+	// the list would otherwise grow (see addRegion). nextID numbers regions
+	// in creation order.
 	regions   []*Region
+	nextID    int32
 	pages     pageIndex       // dense page number -> region map (see pageindex.go)
 	lr        [lrSize]lrEntry // last-region translation cache over pages
 	freePages []Ptr           // single free pages available for reuse
 	spans     freeSpanTable
 	colorSeq  int
+
+	// strPoolSpare holds the string-pool class tables of dead regions,
+	// emptied, for reuse by the next region that pools (see strpool.go).
+	strPoolSpare [][][]strBlock
 
 	// Deferred-reclamation state (Options.DeferredDelete; see sweep.go).
 	// sweepq[sweepHead:] lists the detached page runs awaiting their sweep;
@@ -468,13 +479,12 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 	defer rt.space.SetMode(old)
 	rt.charge(stats.ModeAlloc, 3)
 
-	id := int32(len(rt.regions))
-	r := &Region{rt: rt, id: id}
+	r := &Region{rt: rt, id: rt.nextID}
 	page := rt.acquirePages(1, r)
 	if page == 0 {
-		return nil, rt.oomFault("newregion", id)
+		return nil, rt.oomFault("newregion", r.id)
 	}
-	rt.regions = append(rt.regions, r)
+	rt.addRegion(r)
 
 	color := Ptr(rt.colorSeq*colorStep) % (colorMax + colorStep)
 	if rt.opts.NoColoring {
@@ -497,6 +507,33 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindRegionCreate, Region: r.id, Addr: hdr, Aux: -1})
 	}
 	return r, nil
+}
+
+// addRegion consumes r's id, the next in creation order, and appends r to
+// the region list. When the append would grow the list, the regions that
+// own nothing any more — deleted and fully swept, or migrated away — are
+// dropped first, in place and in creation order, so the list tracks the
+// regions that hold memory rather than every region ever made. A dropped
+// region becomes collectable once no handle holds it; a handle that does
+// still faults, since the region knows it is deleted. The list grows
+// anyway when dropping freed less than half of it, so a create costs
+// amortized O(1).
+func (rt *Runtime) addRegion(r *Region) {
+	rt.nextID++
+	if n := len(rt.regions); n == cap(rt.regions) {
+		kept := rt.regions[:0]
+		for _, q := range rt.regions {
+			if !q.deleted || q.unswept > 0 {
+				kept = append(kept, q)
+			}
+		}
+		clear(rt.regions[len(kept):n])
+		rt.regions = kept
+		if len(kept) > n/2 {
+			rt.regions = slices.Grow(kept, n)
+		}
+	}
+	rt.regions = append(rt.regions, r)
 }
 
 func align4(n int) int { return (n + 3) &^ 3 }

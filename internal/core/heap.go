@@ -165,6 +165,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 	// region's unswept count.
 	detachedSeen := 0
 	detachedPer := map[*Region]int{}
+	var detachedOwners []*Region // in free-list order of first sight
 	queued := map[int]bool{}
 	for _, e := range rt.sweepq[rt.sweepHead:] {
 		for i := 0; i < e.pages; i++ {
@@ -189,6 +190,9 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 					return rt.invariant(a, det.id, "detached page missing from the sweep queue")
 				}
 				detachedSeen++
+				if detachedPer[det] == 0 {
+					detachedOwners = append(detachedOwners, det)
+				}
 				detachedPer[det]++
 				continue // poison deferred until the sweep
 			}
@@ -217,11 +221,16 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 			"sweep debt is %d pages but %d detached pages are on the free lists",
 			rt.t.SweepDebt, detachedSeen)
 	}
-	for _, r := range rt.regions {
-		if got := detachedPer[r]; r.unswept != got {
-			return nil, rt.invariant(r.hdr, r.id,
-				"region unswept count %d, %d of its detached pages on the free lists",
-				r.unswept, got)
+	// The region list holds every region whose count says it owns detached
+	// pages; the regions that do own some are checked too, so a count
+	// corrupted to zero cannot hide behind the list's compaction.
+	for _, rs := range [2][]*Region{rt.regions, detachedOwners} {
+		for _, r := range rs {
+			if got := detachedPer[r]; r.unswept != got {
+				return nil, rt.invariant(r.hdr, r.id,
+					"region unswept count %d, %d of its detached pages on the free lists",
+					r.unswept, got)
+			}
 		}
 	}
 	if rep != nil {

@@ -111,7 +111,7 @@ func (sp *Spine) Emit(s *metrics.Sink) {
 	s.Counter("regions_str_free_bytes_total", t.StrFreeBytes)
 }
 
-// runtimeMetrics caches the histograms the runtime pushes observations to.
+// runtimeMetrics holds the runtime's own histogram cells on a registry.
 type runtimeMetrics struct {
 	reg *metrics.Registry
 
@@ -146,9 +146,17 @@ func (rt *Runtime) SetMetrics(reg *metrics.Registry) {
 // SetHistograms attaches only the runtime's pushed half to reg — its
 // histograms and site samples — replacing any earlier attachment; nil
 // detaches. The caller reports the counters and gauges from Spine copies.
+// The runtime observes into histogram cells of its own, which the registry
+// sums by name with every other runtime's at Snapshot; detaching retires
+// them into the registry's histograms, so no observation is lost.
 func (rt *Runtime) SetHistograms(reg *metrics.Registry) {
-	if m := rt.met; m != nil && m.unmeter != nil {
-		m.unmeter()
+	if m := rt.met; m != nil {
+		if m.unmeter != nil {
+			m.unmeter()
+		}
+		for _, h := range [...]*metrics.Histogram{m.allocSize, m.regionLifetime, m.barrierCycles, m.sweepSliceCycles} {
+			m.reg.RetireCell(h)
+		}
 	}
 	rt.met = nil
 	if reg == nil {
@@ -156,10 +164,10 @@ func (rt *Runtime) SetHistograms(reg *metrics.Registry) {
 	}
 	rt.met = &runtimeMetrics{
 		reg:              reg,
-		allocSize:        reg.Histogram("regions_core_alloc_size_bytes", allocSizeBounds),
-		regionLifetime:   reg.Histogram("regions_core_region_lifetime_cycles", regionLifetimeBounds),
-		barrierCycles:    reg.Histogram("regions_core_barrier_cycles", barrierCycleBounds),
-		sweepSliceCycles: reg.Histogram("regions_sweep_slice_cycles", sweepSliceCycleBounds),
+		allocSize:        reg.HistogramCell("regions_core_alloc_size_bytes", allocSizeBounds),
+		regionLifetime:   reg.HistogramCell("regions_core_region_lifetime_cycles", regionLifetimeBounds),
+		barrierCycles:    reg.HistogramCell("regions_core_barrier_cycles", barrierCycleBounds),
+		sweepSliceCycles: reg.HistogramCell("regions_sweep_slice_cycles", sweepSliceCycleBounds),
 	}
 }
 

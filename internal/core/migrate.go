@@ -330,7 +330,7 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	defer rt.space.SetMode(old)
 	rt.charge(stats.ModeAlloc, 3)
 
-	r := &Region{rt: rt, id: int32(len(rt.regions))}
+	r := &Region{rt: rt, id: rt.nextID}
 
 	type run struct {
 		first Ptr
@@ -393,7 +393,7 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	r.bytes = rec.Bytes
 	r.allocs = rec.Allocs
 	r.born = rt.c.TotalCycles()
-	rt.regions = append(rt.regions, r)
+	rt.addRegion(r)
 
 	// Re-park the record's string-pool blocks at their relocated addresses.
 	// A receiver with pooling disabled drops them: their memory stays dead

@@ -143,9 +143,16 @@ func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
 }
 
 // strPoolPut parks the freed block [p, p+cap) on r's floor-class free list.
+// A region's first pooled free takes a class table parked by an earlier
+// region's strPoolClear before making a new one.
 func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
 	if r.strPool == nil {
-		r.strPool = make([][]strBlock, strClasses)
+		if n := len(rt.strPoolSpare); n > 0 {
+			r.strPool = rt.strPoolSpare[n-1]
+			rt.strPoolSpare = rt.strPoolSpare[:n-1]
+		} else {
+			r.strPool = make([][]strBlock, strClasses)
+		}
 	}
 	idx := strClassIdx(cap)
 	r.strPool[idx] = append(r.strPool[idx], strBlock{p: p, cap: int32(cap)})
@@ -155,11 +162,18 @@ func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
 
 // strPoolClear drops r's pool. The blocks' memory is reclaimed by the
 // caller's page release or detach; this only retires the host-side lists
-// and keeps the parked-block counts exact.
+// and keeps the parked-block counts exact. The class table, its lists cut
+// to length 0, is parked on the runtime for the next region that pools, so
+// region churn does not make a table per region.
 func (rt *Runtime) strPoolClear(r *Region) {
+	if r.strPool == nil {
+		return
+	}
 	for idx, list := range r.strPool {
 		rt.t.StrParked[idx] -= int64(len(list))
+		r.strPool[idx] = list[:0]
 	}
+	rt.strPoolSpare = append(rt.strPoolSpare, r.strPool)
 	r.strPool = nil
 	r.strPoolBytes = 0
 }

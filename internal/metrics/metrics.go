@@ -10,9 +10,11 @@
 // allocation-site sampler are pushed: they record one observation per
 // event (an allocation's size, a region's lifetime, a barrier's cycles),
 // which no plain count can reconstruct, behind the same nil-guarded hook
-// pattern as internal/trace. Either way the work is host-side bookkeeping
-// outside the simulated machine model, so a metered run reports the same
-// stats.Counters as a bare one.
+// pattern as internal/trace. A runtime pushes into histogram cells of its
+// own (HistogramCell), which Snapshot sums by name, so shard runtimes on
+// different goroutines never write the same cache line. Either way the work
+// is host-side bookkeeping outside the simulated machine model, so a
+// metered run reports the same stats.Counters as a bare one.
 //
 // The aggregate counters of internal/stats answer the paper's questions
 // after a run ends; this package answers "what is the runtime doing right
@@ -94,6 +96,15 @@ func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 // Bounds returns the histogram's upper bounds (not a copy; do not mutate).
 func (h *Histogram) Bounds() []uint64 { return h.bounds }
 
+// add folds o's observations into h; both have the same bounds.
+func (h *Histogram) add(o *Histogram) {
+	for i := range o.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	h.count.Add(o.Count())
+	h.sum.Add(o.Sum())
+}
+
 // siteEntry accumulates the sampled allocation-site profile. Values are
 // scaled up by the sampling interval at record time, so they estimate the
 // full population.
@@ -127,16 +138,22 @@ type Source func(*Sink)
 // Registry is a named collection of metrics. Counters and gauges come from
 // sources (AddSource); Histogram is get-or-create and takes the registry
 // lock, and the returned pointer is what hot paths hold on to, so
-// observations never touch the lock or the name maps. Counter and Gauge are
-// the push-side equivalents for callers with no count of their own. Names
-// follow Prometheus conventions and may carry a label suffix
+// observations never touch the lock or the name maps. HistogramCell gives
+// one owner a histogram of its own under a shared name. Counter and Gauge
+// are the push-side equivalents for callers with no count of their own.
+// Names follow Prometheus conventions and may carry a label suffix
 // (`regions_shard_tasks_total{shard="0"}`); series sharing a base name are
 // grouped under one # TYPE line by WritePrometheus.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	hists      map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	// cells maps each live histogram cell to its name (see HistogramCell).
+	cells map[*Histogram]string
+	// bounds holds each histogram name's bounds, which its histogram and
+	// its cells share.
+	bounds     map[string][]uint64
 	sources    map[int]Source
 	nextSource int
 	siteEvery  atomic.Int64
@@ -151,6 +168,8 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+		cells:    map[*Histogram]string{},
+		bounds:   map[string][]uint64{},
 		sources:  map[int]Source{},
 		sites:    map[string]*siteEntry{},
 	}
@@ -196,25 +215,67 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the histogram named name, creating it with the given
-// upper bounds if needed. Bounds must be ascending; they are copied. A
-// histogram that already exists keeps its original bounds.
+// upper bounds if needed. Bounds must be ascending; they are copied. A name
+// that already has a histogram or cells keeps its original bounds.
 func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.histogram(name, bounds)
+}
+
+// histogram is Histogram with r.mu held.
+func (r *Registry) histogram(name string, bounds []uint64) *Histogram {
 	h, ok := r.hists[name]
+	if !ok {
+		h = r.newHistogram(name, bounds)
+		r.hists[name] = h
+	}
+	return h
+}
+
+// newHistogram returns an empty histogram over the bounds name already
+// has, or, for a new name, over a copy of bounds, which must be ascending.
+// r.mu is held.
+func (r *Registry) newHistogram(name string, bounds []uint64) *Histogram {
+	b, ok := r.bounds[name]
 	if !ok {
 		for i := 1; i < len(bounds); i++ {
 			if bounds[i] <= bounds[i-1] {
 				panic("metrics: histogram bounds must be ascending")
 			}
 		}
-		h = &Histogram{
-			bounds:  append([]uint64(nil), bounds...),
-			buckets: make([]atomic.Uint64, len(bounds)+1),
-		}
-		r.hists[name] = h
+		b = append([]uint64(nil), bounds...)
+		r.bounds[name] = b
 	}
+	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
+}
+
+// HistogramCell returns a new histogram that only its caller observes
+// into, reported under name: Snapshot sums every cell of a name with the
+// registry's own Histogram of that name, the way it sums same-name
+// counters across sources. An owner on its own goroutine (a shard runtime)
+// then never contends with another for the cell's cache lines. Bounds
+// follow Histogram's rule: a name that already exists keeps its original
+// bounds. RetireCell takes the cell out again.
+func (r *Registry) HistogramCell(name string, bounds []uint64) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.newHistogram(name, bounds)
+	r.cells[h] = name
 	return h
+}
+
+// RetireCell removes cell h and folds its observations into the registry's
+// own histogram of h's name, so a detached owner's history stays in every
+// later snapshot. Its owner must have stopped observing into h. Retiring a
+// histogram that is not a live cell does nothing.
+func (r *Registry) RetireCell(h *Histogram) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if name, ok := r.cells[h]; ok {
+		delete(r.cells, h)
+		r.histogram(name, nil).add(h)
+	}
 }
 
 // SetSiteSampling enables the sampled allocation-site profile: every Nth

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -139,6 +140,54 @@ func TestSourcesSumAndRemove(t *testing.T) {
 	}
 }
 
+// TestHistogramCellsSumAndRetire: cells of one name read as one histogram,
+// summed with the registry's own histogram of that name, exactly as a
+// single shared histogram fed the same observations; a retired cell's
+// observations stay in the sum, and a cell keeps the bounds its name
+// already has.
+func TestHistogramCellsSumAndRetire(t *testing.T) {
+	bounds := []uint64{10, 100}
+	obs := [][]uint64{{1, 10, 11}, {100, 101}, {5000, 7}}
+	shared := NewRegistry()
+	for _, vs := range obs {
+		for _, v := range vs {
+			shared.Histogram("h", bounds).Observe(v)
+		}
+	}
+	r := NewRegistry()
+	own := r.Histogram("h", bounds)
+	cells := []*Histogram{own, r.HistogramCell("h", bounds), r.HistogramCell("h", []uint64{1, 2, 3})}
+	for i, vs := range obs {
+		for _, v := range vs {
+			cells[i].Observe(v)
+		}
+	}
+	if got := cells[2].Bounds(); !slices.Equal(got, bounds) {
+		t.Errorf("a cell under an existing name has bounds %v, want %v", got, bounds)
+	}
+	want := shared.Snapshot()
+	expo := func(s *Snapshot) string {
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if got := r.Snapshot(); expo(got) != expo(want) {
+		t.Errorf("cells expose\n%s\nwant the shared histogram's\n%s", expo(got), expo(want))
+	}
+	r.RetireCell(cells[1])
+	r.RetireCell(cells[1]) // no longer a cell: nothing happens
+	r.RetireCell(own)      // not a cell
+	if got := r.Snapshot(); expo(got) != expo(want) {
+		t.Errorf("after retiring a cell\n%s\nwant\n%s", expo(got), expo(want))
+	}
+	cells[1].Observe(1) // a retired cell is not read again
+	if h, _ := r.Snapshot().Histogram("h"); h.Count != 7 {
+		t.Errorf("count %d after an observation into a retired cell, want 7", h.Count)
+	}
+}
+
 func TestSiteSampling(t *testing.T) {
 	r := NewRegistry()
 	// Disabled sampler records nothing.
@@ -234,8 +283,8 @@ func TestHandlerServesScrape(t *testing.T) {
 }
 
 // TestConcurrentUpdates exercises the lock-free update paths under the race
-// detector: many goroutines hammering shared series while another snapshots
-// and renders.
+// detector: many goroutines hammering shared series and their own histogram
+// cells while another snapshots and renders.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	r.SetSiteSampling(2)
@@ -247,10 +296,12 @@ func TestConcurrentUpdates(t *testing.T) {
 			c := r.Counter("shared_total")
 			g := r.Gauge("shared")
 			h := r.Histogram("shared_hist", []uint64{8, 64})
+			cell := r.HistogramCell("cell_hist", []uint64{8, 64})
 			for j := 0; j < 5000; j++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(uint64(j % 100))
+				cell.Observe(uint64(j % 100))
 				r.SampleAlloc("site", 16)
 			}
 		}()
@@ -279,5 +330,8 @@ func TestConcurrentUpdates(t *testing.T) {
 
 	if got := r.Counter("shared_total").Value(); got != 4*5000 {
 		t.Errorf("shared_total = %d, want %d", got, 4*5000)
+	}
+	if h, _ := r.Snapshot().Histogram("cell_hist"); h == nil || h.Count != 4*5000 {
+		t.Errorf("cell_hist = %+v, want %d observations", h, 4*5000)
 	}
 }

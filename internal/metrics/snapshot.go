@@ -61,7 +61,8 @@ type Snapshot struct {
 }
 
 // Snapshot captures the registry's current values: it calls every source
-// and reads every pushed series.
+// and reads every pushed series. Histogram cells of one name read as their
+// sum, with the registry's own histogram of that name.
 func (r *Registry) Snapshot() *Snapshot {
 	sink := Sink{counters: map[string]uint64{}, gauges: map[string]int64{}}
 	r.mu.Lock()
@@ -75,19 +76,33 @@ func (r *Registry) Snapshot() *Snapshot {
 	for _, src := range r.sources {
 		sources = append(sources, src)
 	}
-	hists := make([]HistogramValue, 0, len(r.hists))
-	for name, h := range r.hists {
-		hv := HistogramValue{Name: name, Count: h.Count(), Sum: h.Sum()}
-		for i := range h.buckets {
-			b := BucketValue{Count: h.buckets[i].Load()}
-			if i < len(h.bounds) {
-				b.UpperBound = h.bounds[i]
+	byName := make(map[string]*HistogramValue, len(r.hists)+len(r.cells))
+	read := func(name string, h *Histogram) {
+		hv := byName[name]
+		if hv == nil {
+			hv = &HistogramValue{Name: name, Buckets: make([]BucketValue, len(h.buckets))}
+			for i, b := range h.bounds {
+				hv.Buckets[i].UpperBound = b
 			}
-			hv.Buckets = append(hv.Buckets, b)
+			byName[name] = hv
 		}
-		hists = append(hists, hv)
+		hv.Count += h.Count()
+		hv.Sum += h.Sum()
+		for i := range h.buckets {
+			hv.Buckets[i].Count += h.buckets[i].Load()
+		}
+	}
+	for name, h := range r.hists {
+		read(name, h)
+	}
+	for h, name := range r.cells {
+		read(name, h)
 	}
 	r.mu.Unlock()
+	hists := make([]HistogramValue, 0, len(byName))
+	for _, hv := range byName {
+		hists = append(hists, *hv)
+	}
 	for _, src := range sources {
 		src(&sink)
 	}

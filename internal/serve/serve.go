@@ -609,21 +609,21 @@ func schedule(cfg Config) ([]*session, int) {
 	return sessions, split
 }
 
-// submitWait submits batch as tasks pinned to each session's home shard and
-// blocks until every completion callback has fired — a full engine
-// barrier, which the resize path needs between its two phases. The
-// single-phase path uses it too; waiting before Close is free.
+// submitWait submits batch, in arrival order, as tasks pinned to each
+// session's home shard, and blocks until every completion callback has
+// fired — a full engine barrier, which the resize path needs between its
+// two phases. The single-phase path uses it too; waiting before Close is
+// free. Submitting one task at a time feeds every shard from the first
+// session on, so the shards serve at once.
 func (sv *server) submitWait(batch []*session) {
 	if len(batch) == 0 {
 		return
 	}
 	var done sync.WaitGroup
 	done.Add(len(batch))
-	tasks := make([]shard.Task, len(batch))
-	for i, s := range batch {
-		s := s
+	for _, s := range batch {
 		st := sv.states[s.shard]
-		tasks[i] = shard.Task{
+		sv.eng.Submit(shard.Task{
 			Name: fmt.Sprintf("sess-%d", s.id),
 			Home: s.shard + 1,
 			Pin:  true, // the session's regions live on this runtime
@@ -632,9 +632,8 @@ func (sv *server) submitWait(batch []*session) {
 				sv.complete(st, s, res)
 				done.Done()
 			},
-		}
+		})
 	}
-	sv.eng.SubmitBatch(tasks)
 	done.Wait()
 }
 

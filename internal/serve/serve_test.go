@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"regions/internal/mem"
 	"regions/internal/metrics"
+	"regions/internal/race"
 )
 
 // testConfig is a small, fast serving run used by most tests.
@@ -390,5 +392,30 @@ func TestOverloadErrorChains(t *testing.T) {
 				t.Fatal("empty error message")
 			}
 		})
+	}
+}
+
+// TestHostAllocsPerSession gates the serving path's host allocations: a
+// two-shard strheavy run allocates a bounded number of Go objects per
+// session. The engine copies no batch, string-pool tables and region list
+// slots are reused, and what is left is the session itself, its task and
+// the regions it creates.
+func TestHostAllocsPerSession(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const sessions = 10_000
+	cfg := Config{Sessions: sessions, Seed: 1, Shards: 2, Rate: 500, Profile: "strheavy"}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	objs := float64(after.Mallocs-before.Mallocs) / sessions
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / sessions
+	t.Logf("%.2f objects, %.0f bytes per session", objs, bytes)
+	if objs > 9 {
+		t.Errorf("%.2f Go objects allocated per session, want at most 9", objs)
 	}
 }

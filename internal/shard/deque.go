@@ -34,23 +34,6 @@ func (d *deque) push(t Task) bool {
 	return true
 }
 
-// pushN appends as many of ts as fit at the back, in order, and returns how
-// many it took — the batched-injection path, one lock round for a whole
-// group of tasks.
-func (d *deque) pushN(ts []Task) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.buf) - d.count
-	if n > len(ts) {
-		n = len(ts)
-	}
-	for i := 0; i < n; i++ {
-		d.buf[(d.head+d.count)%len(d.buf)] = ts[i]
-		d.count++
-	}
-	return n
-}
-
 // popBack removes and returns the back (newest) element — the owner's LIFO
 // pop.
 func (d *deque) popBack() (Task, bool) {
@@ -79,13 +62,6 @@ func (d *deque) popFront() (Task, bool) {
 	d.head = (d.head + 1) % len(d.buf)
 	d.count--
 	return t, true
-}
-
-// full reports whether a push would fail.
-func (d *deque) full() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.count == len(d.buf)
 }
 
 // len returns the current element count.

@@ -27,8 +27,8 @@ func TestDequeSequentialSemantics(t *testing.T) {
 	if d.push(idTask(99)) {
 		t.Fatal("push succeeded on a full deque")
 	}
-	if !d.full() || d.len() != 4 {
-		t.Fatalf("full=%v len=%d, want full 4", d.full(), d.len())
+	if d.len() != 4 {
+		t.Fatalf("len=%d, want 4", d.len())
 	}
 	// Owner pops the back: newest first.
 	if tk, ok := d.popBack(); !ok || runID(tk) != 3 {
@@ -38,9 +38,14 @@ func TestDequeSequentialSemantics(t *testing.T) {
 	if tk, ok := d.popFront(); !ok || runID(tk) != 0 {
 		t.Fatalf("popFront = %v %v, want task 0", tk, ok)
 	}
-	// pushN takes only what fits, and the ring wraps around head.
-	if n := d.pushN([]Task{idTask(4), idTask(5), idTask(6)}); n != 2 {
-		t.Fatalf("pushN took %d, want 2", n)
+	// push takes only what fits, and the ring wraps around head.
+	for _, id := range []uint32{4, 5} {
+		if !d.push(idTask(id)) {
+			t.Fatalf("push %d failed below capacity", id)
+		}
+	}
+	if d.push(idTask(6)) {
+		t.Fatal("push succeeded on a full, wrapped deque")
 	}
 	for i, want := range []uint32{1, 2, 4, 5} {
 		tk, ok := d.popFront()
@@ -57,8 +62,8 @@ func TestDequeSequentialSemantics(t *testing.T) {
 }
 
 // TestDequeConcurrentOwnerAndThieves hammers one bounded deque from a
-// batching submitter, an owner popping the back, and two thieves popping the
-// front — the exact concurrent access pattern the engine produces. Run under
+// submitter, an owner popping the back, and two thieves popping the front —
+// the exact concurrent access pattern the engine produces. Run under
 // -race this is the scheduler's memory-safety gate; the checksum proves
 // every task is delivered exactly once regardless of interleaving.
 func TestDequeConcurrentOwnerAndThieves(t *testing.T) {
@@ -99,25 +104,11 @@ func TestDequeConcurrentOwnerAndThieves(t *testing.T) {
 	go consume(true)
 
 	wg.Add(1)
-	go func() { // the submitter, alternating single pushes and batches
+	go func() { // the submitter
 		defer wg.Done()
-		i := uint32(0)
-		for i < total {
-			if i%3 == 0 && total-i >= 4 {
-				batch := []Task{idTask(i), idTask(i + 1), idTask(i + 2), idTask(i + 3)}
-				for len(batch) > 0 {
-					n := d.pushN(batch)
-					batch = batch[n:]
-					if n == 0 {
-						runtime.Gosched()
-					}
-				}
-				i += 4
-			} else {
-				for !d.push(idTask(i)) {
-					runtime.Gosched()
-				}
-				i++
+		for i := uint32(0); i < total; i++ {
+			for !d.push(idTask(i)) {
+				runtime.Gosched()
 			}
 		}
 	}()

@@ -188,14 +188,14 @@ func (w *worker) publish(b *board, busy uint64) {
 // places a task on its home shard's deque (Task.Home, or round-robin), the
 // owner pops its own deque newest-first, and a worker that runs dry takes
 // the oldest task from the first non-empty sibling deque. Pinned tasks
-// never move. Submit and SubmitBatch may be called from any goroutine;
-// Close waits for the queues to drain and returns the tally.
+// never move. Submit may be called from any goroutine; Close waits for the
+// queues to drain and returns the tally.
 //
 // The worker set only grows: Resize appends fresh shards, so a worker's id
 // is its position for the engine's whole life. The live slice is published
 // through an atomic pointer, so Submit and the steal sweep always act on a
-// consistent snapshot; Resize must not race Submit/SubmitBatch/Close — the
-// driver quiesces submissions first (see Resize).
+// consistent snapshot; Resize must not race Submit/Close — the caller
+// quiesces submissions first (see Resize).
 //
 // Sleep/wake protocol: e.stealable counts tasks sitting in stealable
 // deques engine-wide and each worker counts its own pinned backlog, both
@@ -304,8 +304,10 @@ func (e *Engine) home(t Task, n int) int {
 }
 
 // Submit places t on its home shard's deque (the pinned queue when t.Pin
-// is set) and blocks only while that queue is full. Submitting after Close
-// panics, like writing to a closed pipe.
+// is set) and blocks only while that queue is full. A caller with many
+// tasks submits them one by one, in order: each shard starts on its first
+// task as soon as it is queued, and pinned queues keep submission order.
+// Submitting after Close panics, like writing to a closed pipe.
 func (e *Engine) Submit(t Task) {
 	if e.closed.Load() {
 		panic("shard: Submit after Close")
@@ -334,63 +336,12 @@ func (e *Engine) submitTo(w *worker, t Task) {
 		}
 		e.mu.Unlock()
 	}
-	e.noteQueued(w, t.Pin, 1)
-}
-
-// SubmitBatch submits tasks in order, grouped per destination queue so a
-// large injection pays one deque lock round and one wakeup per shard
-// instead of one per task. Order is preserved within each (shard, pinned)
-// queue — the only order the engine promises, since stealable tasks may be
-// rearranged by stealing anyway while pinned queues are FIFO.
-func (e *Engine) SubmitBatch(ts []Task) {
-	ws := e.workers()
-	steal := make([][]Task, len(ws))
-	pin := make([][]Task, len(ws))
-	for _, t := range ts {
-		i := e.home(t, len(ws))
-		if t.Pin {
-			pin[i] = append(pin[i], t)
-		} else {
-			steal[i] = append(steal[i], t)
-		}
-	}
-	for i, w := range ws {
-		e.enqueue(w, w.dq, false, steal[i])
-		e.enqueue(w, w.pinned, true, pin[i])
-	}
-}
-
-// enqueue pushes ts onto q in order, blocking while the queue is full.
-func (e *Engine) enqueue(w *worker, q *deque, pinned bool, ts []Task) {
-	for len(ts) > 0 {
-		if e.closed.Load() {
-			panic("shard: Submit after Close")
-		}
-		n := q.pushN(ts)
-		if n == 0 {
-			e.mu.Lock()
-			for q.full() {
-				if e.closed.Load() {
-					e.mu.Unlock()
-					panic("shard: Submit after Close")
-				}
-				e.cond.Wait()
-			}
-			e.mu.Unlock()
-			continue
-		}
-		e.noteQueued(w, pinned, n)
-		ts = ts[n:]
-	}
-}
-
-// noteQueued publishes n newly queued tasks on w: counters first, then a
-// broadcast so sleeping workers re-check and find them.
-func (e *Engine) noteQueued(w *worker, pinned bool, n int) {
-	if pinned {
-		w.npinned.Add(int64(n))
+	// Counters first, then a broadcast, so sleeping workers re-check and
+	// find the task.
+	if t.Pin {
+		w.npinned.Add(1)
 	} else {
-		e.stealable.Add(int64(n))
+		e.stealable.Add(1)
 	}
 	e.wake()
 }

@@ -63,7 +63,7 @@ func TestEngineExpositionGolden(t *testing.T) {
 			tk.Home, tk.Pin = i%2+1, true
 			ts = append(ts, tk)
 		}
-		eng.SubmitBatch(ts)
+		submitAll(eng, ts)
 	}
 	batch(0, 24)
 	if _, err := eng.MigrateRegion(tenant, 0, 1); err != nil {

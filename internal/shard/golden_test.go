@@ -13,7 +13,7 @@ import (
 // checksum, which is placement-independent, would not notice.
 func TestNoStealGolden(t *testing.T) {
 	eng := NewEngine(WithShards(4), WithNoSteal())
-	eng.SubmitBatch(randomTasks(rand.New(rand.NewSource(7)), 300))
+	submitAll(eng, randomTasks(rand.New(rand.NewSource(7)), 300))
 	agg := eng.Close()
 	var perShard []uint64
 	for _, s := range agg.PerShard {

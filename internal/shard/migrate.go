@@ -170,8 +170,8 @@ func (e *Engine) MigrateRegion(r *core.Region, from, to int) (Migration, error) 
 // MigrateRegion. The worker set never shrinks: n below Shards() is an
 // error, and n equal to it does nothing.
 //
-// Resize must not race Submit/SubmitBatch — the driver quiesces submission
-// first (internal/serve resizes at a phase barrier).
+// Resize must not race Submit — the caller quiesces submission first
+// (internal/serve resizes at a phase barrier).
 func (e *Engine) Resize(n int) error {
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()

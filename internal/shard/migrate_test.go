@@ -192,7 +192,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 				if end > len(tasks) {
 					end = len(tasks)
 				}
-				eng.SubmitBatch(tasks[at:end])
+				submitAll(eng, tasks[at:end])
 				at = end
 			}
 		}

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"regions/internal/apps/appkit"
@@ -193,5 +195,40 @@ func TestAppOnShardMatchesDedicatedEnv(t *testing.T) {
 	}
 	if err := eng.workers()[0].env.Runtime().Verify(); err != nil {
 		t.Fatalf("shard invariants violated after app runs: %v", err)
+	}
+}
+
+// TestSubmitFeedsEveryShardFromItsFirstTask: a caller submitting a long
+// run of pinned tasks in order keeps every shard fed from the start. Shard
+// 1 starts its first task while shard 0 is still early in its queue, so
+// the shards serve at once rather than one after the other.
+func TestSubmitFeedsEveryShardFromItsFirstTask(t *testing.T) {
+	eng := NewEngine(WithShards(2))
+	var completed [2]atomic.Int64
+	var atFirst atomic.Int64 // shard 0's completions when shard 1 started
+	atFirst.Store(-1)
+	var first sync.Once
+	tasks := make([]Task, 200)
+	for i := range tasks {
+		home := i % 2
+		tk := workTask(uint32(i), 16)
+		work := tk.Run
+		tk.Home, tk.Pin = home+1, true
+		tk.Run = func(e appkit.RegionEnv) uint32 {
+			if home == 1 {
+				first.Do(func() { atFirst.Store(completed[0].Load()) })
+			}
+			sum := work(e)
+			completed[home].Add(1)
+			return sum
+		}
+		tasks[i] = tk
+	}
+	submitAll(eng, tasks)
+	if agg := eng.Close(); agg.Tasks != 200 || agg.Failures != 0 {
+		t.Fatalf("ran %d tasks with %d failures, want 200 and 0", agg.Tasks, agg.Failures)
+	}
+	if n := atFirst.Load(); n < 0 || n >= 50 {
+		t.Errorf("shard 1 started its first task after shard 0 completed %d, want fewer than 50", n)
 	}
 }

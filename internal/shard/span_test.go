@@ -42,7 +42,7 @@ func TestEngineSpansParity(t *testing.T) {
 			opts = append(opts, WithSpanTracer(tr))
 		}
 		eng := NewEngine(opts...)
-		eng.SubmitBatch(tasks)
+		submitAll(eng, tasks)
 		agg := eng.Close()
 		var evs []trace.Event
 		if tr != nil {
@@ -71,11 +71,11 @@ func TestEngineStealSpans(t *testing.T) {
 	tasks := randomTasks(rand.New(rand.NewSource(11)), 300)
 	tr := trace.New(1 << 16)
 	eng := NewEngine(WithShards(4), WithSpanTracer(tr), WithDeferredDelete(4, 8))
-	eng.SubmitBatch(tasks)
+	submitAll(eng, tasks)
 	agg := eng.Close()
 
 	ref := NewEngine(WithShards(4), WithNoSteal())
-	ref.SubmitBatch(tasks)
+	submitAll(ref, tasks)
 	if want := ref.Close().Checksum; agg.Checksum != want {
 		t.Fatalf("traced stealing checksum %08x, no-steal reference %08x", agg.Checksum, want)
 	}
@@ -123,7 +123,7 @@ func TestEngineDroppedMetric(t *testing.T) {
 	tr := trace.New(2) // tiny ring: the two drain spans alone wrap it
 	eng := NewEngine(WithShards(2), WithDeferredDelete(2, 4),
 		WithMetrics(reg), WithSpanTracer(tr))
-	eng.SubmitBatch(randomTasks(rand.New(rand.NewSource(3)), 200))
+	submitAll(eng, randomTasks(rand.New(rand.NewSource(3)), 200))
 	eng.Close()
 	if tr.Stats().Dropped == 0 {
 		t.Skip("ring did not wrap; nothing to verify")

@@ -46,6 +46,13 @@ func keyHome(key string) int {
 	return int(h) + 1
 }
 
+// submitAll submits ts in order, one Submit per task.
+func submitAll(eng *Engine, ts []Task) {
+	for _, t := range ts {
+		eng.Submit(t)
+	}
+}
+
 // randomTasks builds a reproducible mix of plain round-robin tasks, homed
 // stealable tasks, and pinned tasks, with object counts spanning two orders
 // of magnitude. Each task is self-contained, so the summed checksum is a
@@ -77,7 +84,7 @@ func TestStealingKeepsChecksumAndDrains(t *testing.T) {
 		var want uint32
 		for shardsIdx, n := range []int{1, 2, 4, 8} {
 			eng := NewEngine(WithShards(n))
-			eng.SubmitBatch(tasks)
+			submitAll(eng, tasks)
 			agg := eng.Close()
 			if agg.Tasks != uint64(len(tasks)) {
 				t.Fatalf("seed %d shards %d: ran %d tasks, want %d", seed, n, agg.Tasks, len(tasks))
