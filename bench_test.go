@@ -253,7 +253,7 @@ func BenchmarkShardThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
 			var makespan float64
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunThroughput(shards, benchDiv, 2)
+				r, err := bench.RunThroughputOpts(shards, benchDiv, 2, bench.ThroughputOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -308,10 +308,6 @@ func printExplain(rep *serve.SpanReport) {
 		fmt.Printf("  %-12s %12d %10d %10d %10d %10d\n",
 			p.Phase, p.TotalCycles, p.P50, p.P99, p.P999, p.Max)
 	}
-	if rep.DroppedEvents > 0 {
-		fmt.Printf("  (span ring dropped %d events; attribution is a window, not an account)\n",
-			rep.DroppedEvents)
-	}
 	if len(rep.SlowRequests) > 0 {
 		fmt.Printf("slowest requests:\n")
 		for i, sr := range rep.SlowRequests {

@@ -83,13 +83,13 @@ func main() {
 	// (still-live regions included) is intact.
 	var prof *metrics.HeapReport
 	if *heap {
-		rt := appkit.RuntimeOf(e)
-		if rt == nil {
+		ce, ok := e.(*appkit.CoreEnv)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "regionstat: env %q has no real runtime to profile\n", *env)
 			os.Exit(2)
 		}
 		var err error
-		prof, err = metrics.HeapProfile(rt)
+		prof, err = metrics.HeapProfile(ce.Runtime())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "regionstat: heap profile:", err)
 			os.Exit(1)

@@ -194,8 +194,8 @@ func runSpans(sessions, shards int, rate float64, seed int64, deferDel bool, eve
 	rep := res.Spans
 	fmt.Printf("spans: %d sessions, %d shards, seed %d: %d requests, %d events, checksum %08x\n",
 		sessions, shards, seed, rep.Requests, len(evs), res.Checksum)
-	if rep.DroppedEvents > 0 {
-		fmt.Printf("span ring dropped %d events; grow -events for a full account\n", rep.DroppedEvents)
+	if d := tr.Stats().Dropped; d > 0 {
+		fmt.Printf("span ring dropped %d events; grow -events for a full timeline (the table counts every request)\n", d)
 	}
 	fmt.Printf("  %-12s %12s %10s %10s %10s\n", "phase", "total", "p50", "p99", "max")
 	for _, p := range rep.Phases {

@@ -99,3 +99,78 @@ func TestFaultEventsReachTracer(t *testing.T) {
 	}
 	t.Fatal("no EvFault event in the trace")
 }
+
+// TestAllocatorArgumentFaults: an allocator call no allocation can satisfy
+// — a negative size or count, or a cleanup the system never registered —
+// is rejected with a typed FaultBadArgument before anything is charged or
+// changed, and the paper-shaped allocator panics with the same fault.
+func TestAllocatorArgumentFaults(t *testing.T) {
+	const registered = -1 // stands for a registered cleanup
+	for _, c := range []struct {
+		name    string
+		op      string
+		n, size int
+		cln     regions.CleanupID
+	}{
+		{"ralloc-negative-size", "ralloc", 1, -4, registered},
+		{"ralloc-cleanup-0", "ralloc", 1, 16, 0},
+		{"ralloc-unregistered-cleanup", "ralloc", 1, 16, 999},
+		{"rarrayalloc-negative-count", "rarrayalloc", -1, 4, registered},
+		{"rarrayalloc-negative-element-size", "rarrayalloc", 2, -4, registered},
+		{"rarrayalloc-unregistered-cleanup", "rarrayalloc", 2, 4, 999},
+		{"rstralloc-negative-size", "rstralloc", 1, -4, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := regions.New()
+			cln := c.cln
+			if cln == registered {
+				cln = sys.SizeCleanup(16)
+			}
+			r := sys.NewRegion()
+			alloc := func(try bool) (regions.Ptr, error) {
+				switch {
+				case c.op == "ralloc" && try:
+					return sys.TryRalloc(r, c.size, cln)
+				case c.op == "ralloc":
+					return sys.Ralloc(r, c.size, cln), nil
+				case c.op == "rarrayalloc" && try:
+					return sys.TryRarrayAlloc(r, c.n, c.size, cln)
+				case c.op == "rarrayalloc":
+					return sys.RarrayAlloc(r, c.n, c.size, cln), nil
+				case try:
+					return sys.TryRstrAlloc(r, c.size)
+				default:
+					return sys.RstrAlloc(r, c.size), nil
+				}
+			}
+			counters, mapped := *sys.Counters(), sys.MappedBytes()
+			unchanged := func(when string) {
+				t.Helper()
+				if *sys.Counters() != counters || sys.MappedBytes() != mapped ||
+					r.Bytes() != 0 || r.Allocs() != 0 {
+					t.Errorf("%s: the rejected call changed the system", when)
+				}
+				if err := sys.Verify(); err != nil {
+					t.Errorf("%s: Verify: %v", when, err)
+				}
+			}
+
+			p, err := alloc(true)
+			var f *regions.Fault
+			if p != 0 || !errors.As(err, &f) || f.Kind != regions.FaultBadArgument {
+				t.Fatalf("Try form returned %#x, %v; want 0 and a FaultBadArgument", p, err)
+			}
+			unchanged("Try form")
+
+			func() {
+				defer func() {
+					if f, ok := recover().(*regions.Fault); !ok || f.Kind != regions.FaultBadArgument {
+						t.Errorf("paper form panicked with %v, want a FaultBadArgument *Fault", f)
+					}
+				}()
+				alloc(false)
+			}()
+			unchanged("paper form")
+		})
+	}
+}

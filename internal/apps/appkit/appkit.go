@@ -176,17 +176,8 @@ func NewMallocEnv(kind string, cfg Config) MallocEnv {
 // NewRegionEnv builds a region environment: "safe", "unsafe", or
 // "emu:<malloc kind>".
 func NewRegionEnv(kind string, cfg Config) RegionEnv {
-	sp, g := newSpace(cfg)
-	switch kind {
-	case "safe", "unsafe":
-		rt := core.NewRuntime(sp, kind == "safe")
-		if cfg.Tracer != nil {
-			rt.SetTracer(cfg.Tracer)
-		}
-		if cfg.Metrics != nil {
-			rt.SetMetrics(cfg.Metrics)
-		}
-		return &coreEnv{baseEnv{name: kind, sp: sp, globals: g}, rt}
+	if kind == "safe" || kind == "unsafe" {
+		return NewCustomRegionEnv(kind, core.Options{Safe: kind == "safe"}, cfg)
 	}
 	var under string
 	if _, err := fmt.Sscanf(kind, "emu:%s", &under); err != nil {
@@ -208,8 +199,8 @@ func NewRegionEnv(kind string, cfg Config) RegionEnv {
 // NewCustomRegionEnv builds a region environment over the real runtime with
 // explicit options, for the ablation experiments (eager local counting,
 // disabled region-structure coloring).
-func NewCustomRegionEnv(name string, opts core.Options, cfg Config) RegionEnv {
-	sp, g := newSpace(cfg)
+func NewCustomRegionEnv(name string, opts core.Options, cfg Config) *CoreEnv {
+	sp, _ := newSpace(cfg)
 	rt := core.NewRuntimeOpts(sp, opts)
 	if cfg.Tracer != nil {
 		rt.SetTracer(cfg.Tracer)
@@ -217,17 +208,7 @@ func NewCustomRegionEnv(name string, opts core.Options, cfg Config) RegionEnv {
 	if cfg.Metrics != nil {
 		rt.SetMetrics(cfg.Metrics)
 	}
-	return &coreEnv{baseEnv{name: name, sp: sp, globals: g}, rt}
-}
-
-// RuntimeOf returns the real region runtime behind a region environment, or
-// nil for emulation environments, which have none. The heap profiler needs
-// the runtime itself (cmd/regionstat calls this to profile after a run).
-func RuntimeOf(e RegionEnv) *core.Runtime {
-	if ce, ok := e.(*coreEnv); ok {
-		return ce.rt
-	}
-	return nil
+	return NewCoreEnv(name, rt)
 }
 
 func mustGlobals(m MallocEnv) Ptr { return m.(interface{ globalBase() Ptr }).globalBase() }

@@ -117,7 +117,7 @@ func TestCoreEnvGlobalsAreRuntimeGlobals(t *testing.T) {
 	p := e.Ralloc(r, 8, e.SizeCleanup(8))
 	g := e.AllocGlobals(1)
 	e.StoreGlobalPtr(g, p)
-	rt := RuntimeOf(e)
+	rt := e.(*CoreEnv).Runtime()
 	if err := rt.Verify(); err != nil {
 		t.Fatalf("Verify with a global reference: %v", err)
 	}

@@ -2,60 +2,75 @@ package appkit
 
 import (
 	"regions/internal/core"
+	"regions/internal/mem"
+	"regions/internal/stats"
 	"regions/internal/xmalloc"
 )
 
 // --- real region runtime (safe and unsafe) ---------------------------------
 
-type coreEnv struct {
-	baseEnv
-	rt *core.Runtime
+// CoreEnv is the region environment over a real region runtime: the
+// RegionEnv contract mapped method for method onto a *core.Runtime.
+// NewRegionEnv and NewCustomRegionEnv wrap a runtime over a fresh space of
+// their own; the shard engine wraps each shard's runtime. Globals come from
+// the runtime's own segment allocator, so a long-lived environment never
+// exhausts a fixed reservation.
+type CoreEnv struct {
+	name string
+	sp   *mem.Space
+	rt   *core.Runtime
 }
 
-type coreFrame struct{ f *core.Frame }
+// NewCoreEnv wraps rt, and the space it runs on, as the environment name.
+func NewCoreEnv(name string, rt *core.Runtime) *CoreEnv {
+	return &CoreEnv{name: name, sp: rt.Space(), rt: rt}
+}
 
-func (f coreFrame) Set(i int, p Ptr) { f.f.Set(i, p) }
-func (f coreFrame) Get(i int) Ptr    { return f.f.Get(i) }
+// Runtime returns the region runtime behind the environment.
+func (e *CoreEnv) Runtime() *core.Runtime { return e.rt }
 
-func (e *coreEnv) PushFrame(n int) Frame { return coreFrame{e.rt.PushFrame(n)} }
-func (e *coreEnv) PopFrame()             { e.rt.PopFrame() }
-func (e *coreEnv) Safe() bool            { return e.rt.Safe() }
+func (e *CoreEnv) Name() string              { return e.name }
+func (e *CoreEnv) Space() *mem.Space         { return e.sp }
+func (e *CoreEnv) Counters() *stats.Counters { return e.sp.Counters() }
+func (e *CoreEnv) PushFrame(n int) Frame     { return e.rt.PushFrame(n) }
+func (e *CoreEnv) PopFrame()                 { e.rt.PopFrame() }
+func (e *CoreEnv) Safepoint()                {}
+func (e *CoreEnv) Finalize()                 { e.rt.FinalizeStats() }
+func (e *CoreEnv) Safe() bool                { return e.rt.Safe() }
 
-func (e *coreEnv) NewRegion() Region { return e.rt.NewRegion() }
+func (e *CoreEnv) NewRegion() Region { return e.rt.NewRegion() }
 
-func (e *coreEnv) DeleteRegion(r Region) bool {
+func (e *CoreEnv) DeleteRegion(r Region) bool {
 	return e.rt.DeleteRegion(r.(*core.Region))
 }
 
-func (e *coreEnv) Ralloc(r Region, size int, cln CleanupID) Ptr {
+func (e *CoreEnv) Ralloc(r Region, size int, cln CleanupID) Ptr {
 	return e.rt.Ralloc(r.(*core.Region), size, cln)
 }
 
-func (e *coreEnv) RarrayAlloc(r Region, n, elemSize int, cln CleanupID) Ptr {
+func (e *CoreEnv) RarrayAlloc(r Region, n, elemSize int, cln CleanupID) Ptr {
 	return e.rt.RarrayAlloc(r.(*core.Region), n, elemSize, cln)
 }
 
-func (e *coreEnv) RstrAlloc(r Region, size int) Ptr {
+func (e *CoreEnv) RstrAlloc(r Region, size int) Ptr {
 	return e.rt.RstrAlloc(r.(*core.Region), size)
 }
 
-func (e *coreEnv) RstrFree(r Region, p Ptr, size int) {
+func (e *CoreEnv) RstrFree(r Region, p Ptr, size int) {
 	e.rt.RstrFree(r.(*core.Region), p, size)
 }
 
-func (e *coreEnv) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
+func (e *CoreEnv) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 	return e.rt.RegisterCleanup(name, func(_ *core.Runtime, obj Ptr) int {
 		return fn(e, obj)
 	})
 }
 
-func (e *coreEnv) SizeCleanup(size int) CleanupID { return e.rt.SizeCleanup(size) }
-func (e *coreEnv) Destroy(p Ptr)                  { e.rt.Destroy(p) }
-func (e *coreEnv) StorePtr(slot, val Ptr)         { e.rt.StorePtr(slot, val) }
-func (e *coreEnv) StoreGlobalPtr(slot, val Ptr)   { e.rt.StoreGlobalPtr(slot, val) }
-func (e *coreEnv) AllocGlobals(nwords int) Ptr    { return e.rt.AllocGlobals(nwords) }
-
-func (e *coreEnv) Finalize() { e.rt.FinalizeStats() }
+func (e *CoreEnv) SizeCleanup(size int) CleanupID { return e.rt.SizeCleanup(size) }
+func (e *CoreEnv) Destroy(p Ptr)                  { e.rt.Destroy(p) }
+func (e *CoreEnv) StorePtr(slot, val Ptr)         { e.rt.StorePtr(slot, val) }
+func (e *CoreEnv) StoreGlobalPtr(slot, val Ptr)   { e.rt.StoreGlobalPtr(slot, val) }
+func (e *CoreEnv) AllocGlobals(nwords int) Ptr    { return e.rt.AllocGlobals(nwords) }
 
 // --- emulation region library over a malloc environment --------------------
 

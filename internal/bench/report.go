@@ -56,15 +56,10 @@ type Report struct {
 // BenchShardCounts is the shard sweep the report runs.
 var BenchShardCounts = []int{1, 2, 4, 8}
 
-// BuildBenchReport runs the micro benchmarks and the shard throughput sweep
-// and assembles the report.
-func BuildBenchReport(scaleDiv, repeats int) (*Report, error) {
-	return BuildBenchReportOpts(scaleDiv, repeats, ThroughputOpts{Metrics: metrics.NewRegistry()})
-}
-
-// BuildBenchReportOpts is BuildBenchReport with the sweep's observability
-// hooks under caller control; when opts.Metrics is non-nil its final
-// snapshot is embedded in the report.
+// BuildBenchReportOpts runs the micro benchmarks, the shard throughput
+// sweep and the serving scenarios with the sweep's observability hooks
+// under caller control, and assembles the report; when opts.Metrics is
+// non-nil its final snapshot is embedded in the report.
 func BuildBenchReportOpts(scaleDiv, repeats int, opts ThroughputOpts) (*Report, error) {
 	tp, err := ThroughputSweepOpts(scaleDiv, repeats, BenchShardCounts, opts)
 	if err != nil {
@@ -104,15 +99,6 @@ func BuildBenchReportOpts(scaleDiv, repeats int, opts ThroughputOpts) (*Report, 
 		r.Metrics = opts.Metrics.Snapshot()
 	}
 	return r, nil
-}
-
-// WriteBenchReport builds a report and writes it as indented JSON.
-func WriteBenchReport(w io.Writer, scaleDiv, repeats int) error {
-	r, err := BuildBenchReport(scaleDiv, repeats)
-	if err != nil {
-		return err
-	}
-	return EncodeBenchReport(w, r)
 }
 
 // EncodeBenchReport writes an already-built report as indented JSON.

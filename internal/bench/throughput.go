@@ -22,7 +22,7 @@ type ThroughputResult struct {
 	SimMakespanMcycles float64 `json:"simMakespanMcycles"`
 	SimTotalMcycles    float64 `json:"simTotalMcycles"`
 	// SimSpeedup is the 1-shard makespan divided by this run's makespan;
-	// filled by ThroughputSweep, 0 on standalone runs.
+	// filled by ThroughputSweepOpts, 0 on standalone runs.
 	SimSpeedup float64 `json:"simSpeedup,omitempty"`
 	Checksum   uint32  `json:"checksum"`
 	// PerShardMcycles is each shard's simulated busy cycles in shard
@@ -37,7 +37,7 @@ type ThroughputResult struct {
 }
 
 // ThroughputOpts are the optional knobs of RunThroughputOpts. The zero
-// value reproduces RunThroughput exactly.
+// value runs the engine bare.
 type ThroughputOpts struct {
 	// Metrics, when non-nil, is attached to every shard (see shard.WithMetrics).
 	Metrics *metrics.Registry
@@ -53,15 +53,10 @@ type ThroughputOpts struct {
 	NoSteal bool
 }
 
-// RunThroughput drives the six benchmark apps through a shard engine:
-// repeats copies of each app, submitted app-major so round-robin placement
-// spreads each app's copies across shards. Returns an error if any task
-// failed.
-func RunThroughput(shards, scaleDiv, repeats int) (ThroughputResult, error) {
-	return RunThroughputOpts(shards, scaleDiv, repeats, ThroughputOpts{})
-}
-
-// RunThroughputOpts is RunThroughput with observability hooks attached.
+// RunThroughputOpts drives the six benchmark apps through a shard engine
+// with the hooks in opts attached: repeats copies of each app, submitted
+// app-major so round-robin placement spreads each app's copies across
+// shards. Returns an error if any task failed.
 func RunThroughputOpts(shards, scaleDiv, repeats int, opts ThroughputOpts) (ThroughputResult, error) {
 	if scaleDiv < 1 {
 		scaleDiv = 1
@@ -145,17 +140,12 @@ func perShardBalance(agg shard.Aggregate) ([]float64, float64) {
 	return per, float64(max) / float64(min)
 }
 
-// ThroughputSweep runs the same workload at every shard count, checks the
-// aggregate checksum is placement-independent, and fills each result's
-// simulated speedup relative to the 1-shard run.
-func ThroughputSweep(scaleDiv, repeats int, shardCounts []int) ([]ThroughputResult, error) {
-	return ThroughputSweepOpts(scaleDiv, repeats, shardCounts, ThroughputOpts{})
-}
-
-// ThroughputSweepOpts is ThroughputSweep with observability hooks. A shared
-// opts.Metrics registry accumulates across the whole sweep: its final
-// snapshot describes everything the sweep did, which is what the benchmark
-// report embeds.
+// ThroughputSweepOpts runs the same workload at every shard count, checks
+// the aggregate checksum is placement-independent, and fills each result's
+// simulated speedup relative to the 1-shard run. A shared opts.Metrics
+// registry accumulates across the whole sweep: its final snapshot
+// describes everything the sweep did, which is what the benchmark report
+// embeds.
 func ThroughputSweepOpts(scaleDiv, repeats int, shardCounts []int, opts ThroughputOpts) ([]ThroughputResult, error) {
 	var out []ThroughputResult
 	for _, n := range shardCounts {

@@ -11,7 +11,7 @@ import (
 // placement-independent and the simulated makespan must shrink with shard
 // count (the modelled scaling the engine exists for).
 func TestThroughputSweepScalesAndAgrees(t *testing.T) {
-	results, err := ThroughputSweep(48, 2, []int{1, 2, 4})
+	results, err := ThroughputSweepOpts(48, 2, []int{1, 2, 4}, ThroughputOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestThroughputSweepScalesAndAgrees(t *testing.T) {
 // a metrics registry: the simulated results must be identical (metrics are
 // host-side only) and the registry's counters must describe the run.
 func TestThroughputMetricsAttachAndAgree(t *testing.T) {
-	bare, err := RunThroughput(1, 48, 2)
+	bare, err := RunThroughputOpts(1, 48, 2, ThroughputOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,15 @@ func (rt *Runtime) SizeCleanup(size int) CleanupID {
 	return id
 }
 
+// registered reports whether cln names a cleanup of this runtime.
+func (rt *Runtime) registered(cln CleanupID) bool {
+	return cln > 0 && int(cln) <= len(rt.cleanups)
+}
+
 // encodeCleanup builds the object header word: id (1-based, so headers are
 // never zero) plus an array flag bit.
 func (rt *Runtime) encodeCleanup(cln CleanupID, array bool) Word {
-	if cln <= 0 || int(cln) > len(rt.cleanups) {
+	if !rt.registered(cln) {
 		panic(fmt.Sprintf("core: invalid cleanup id %d", cln))
 	}
 	w := Word(cln)

@@ -600,6 +600,23 @@ func (rt *Runtime) checkLive(r *Region) error {
 	return nil
 }
 
+// badArgument reports an allocation of n elements of size bytes with
+// cleanup cln that no allocation can have: a negative size or count, or an
+// unregistered cleanup. The allocators check their arguments host-side
+// before charging anything, so a rejected call changes nothing.
+func (rt *Runtime) badArgument(r *Region, op string, n, size int, cln CleanupID) *Fault {
+	var bad string
+	switch {
+	case size < 0:
+		bad = fmt.Sprintf("negative size %d", size)
+	case n < 0:
+		bad = fmt.Sprintf("negative element count %d", n)
+	default:
+		bad = fmt.Sprintf("invalid cleanup id %d", cln)
+	}
+	return rt.fault(FaultBadArgument, 0, r.id, op+": "+bad, nil)
+}
+
 // deletedFault reports use of a dead region, distinguishing a migrated
 // region (handed off to another runtime) and a detached region (deleted,
 // pages awaiting their sweep) from a fully reclaimed one so the fault names
@@ -625,12 +642,16 @@ func (rt *Runtime) Ralloc(r *Region, size int, cln CleanupID) Ptr {
 	return p
 }
 
-// TryRalloc is Ralloc returning a *Fault (kind FaultOOM) instead of
-// panicking when the simulated OS refuses pages. On failure the region is
+// TryRalloc is Ralloc returning a *Fault instead of panicking: kind
+// FaultOOM when the simulated OS refuses pages, FaultBadArgument for a
+// negative size or an unregistered cleanup. On failure the region is
 // unchanged.
 func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 	if err := rt.checkLive(r); err != nil {
 		return 0, err
+	}
+	if size < 0 || !rt.registered(cln) {
+		return 0, rt.badArgument(r, "ralloc", 1, size, cln)
 	}
 	hdr := rt.encodeCleanup(cln, false)
 	old := rt.space.SetMode(stats.ModeAlloc)
@@ -673,15 +694,15 @@ func (rt *Runtime) RarrayAlloc(r *Region, n, elemSize int, cln CleanupID) Ptr {
 	return p
 }
 
-// TryRarrayAlloc is RarrayAlloc returning a *Fault (kind FaultOOM) instead
-// of panicking when the simulated OS refuses pages. On failure the region is
-// unchanged.
+// TryRarrayAlloc is RarrayAlloc returning a *Fault instead of panicking,
+// as TryRalloc does; a negative count is a FaultBadArgument too. On failure
+// the region is unchanged.
 func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Ptr, error) {
 	if err := rt.checkLive(r); err != nil {
 		return 0, err
 	}
-	if n < 0 || elemSize < 0 {
-		panic("core: negative array allocation")
+	if n < 0 || elemSize < 0 || !rt.registered(cln) {
+		return 0, rt.badArgument(r, "rarrayalloc", n, elemSize, cln)
 	}
 	hdr := rt.encodeCleanup(cln, true)
 	old := rt.space.SetMode(stats.ModeAlloc)
@@ -726,9 +747,9 @@ func (rt *Runtime) RstrAlloc(r *Region, size int) Ptr {
 	return p
 }
 
-// TryRstrAlloc is RstrAlloc returning a *Fault (kind FaultOOM) instead of
-// panicking when the simulated OS refuses pages. On failure the region is
-// unchanged.
+// TryRstrAlloc is RstrAlloc returning a *Fault instead of panicking: kind
+// FaultOOM when the simulated OS refuses pages, FaultBadArgument for a
+// negative size. On failure the region is unchanged.
 //
 // Requests no larger than the pool ceiling first probe the region's
 // capacity-class free list of explicitly freed blocks (see strpool.go); a
@@ -739,6 +760,9 @@ func (rt *Runtime) RstrAlloc(r *Region, size int) Ptr {
 func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 	if err := rt.checkLive(r); err != nil {
 		return 0, err
+	}
+	if size < 0 {
+		return 0, rt.badArgument(r, "rstralloc", 1, size, 0)
 	}
 	old := rt.space.SetMode(stats.ModeAlloc)
 	defer rt.space.SetMode(old)

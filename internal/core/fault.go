@@ -55,6 +55,11 @@ const (
 	// recycled pages; the live region is the handle ImportRegion returned on
 	// the receiving runtime.
 	FaultMigratedRegion
+	// FaultBadArgument: an allocator was called with an argument no
+	// allocation can have — a negative size or element count, or a cleanup
+	// id this runtime never registered. It is reported before anything is
+	// charged or changed.
+	FaultBadArgument
 )
 
 var faultNames = map[FaultKind]string{
@@ -67,6 +72,7 @@ var faultNames = map[FaultKind]string{
 	FaultInvariant:       "invariant",
 	FaultDetachedRegion:  "detached-region",
 	FaultMigratedRegion:  "migrated-region",
+	FaultBadArgument:     "bad-argument",
 }
 
 // String returns the fault kind's kebab-case name (also the trace event's

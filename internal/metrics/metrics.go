@@ -32,38 +32,6 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing uint64. All methods are safe for
-// concurrent use and lock-free.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous int64 value. All methods are safe for concurrent
-// use and lock-free.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket histogram of uint64 observations (byte sizes,
 // simulated cycles). Bounds are inclusive upper bounds in ascending order;
 // one implicit overflow bucket catches everything larger. Observe is
@@ -114,10 +82,9 @@ type siteEntry struct {
 }
 
 // Sink receives the series the registry's sources report during one
-// Snapshot. Values reported under one name add up, across sources and with
-// a pushed series of that name: N shard runtimes reporting
-// regions_core_allocs_total read as their total, and so does a gauge they
-// share.
+// Snapshot. Values reported under one name add up across sources: N shard
+// runtimes reporting regions_core_allocs_total read as their total, and so
+// does a gauge they share.
 type Sink struct {
 	counters map[string]uint64
 	gauges   map[string]int64
@@ -139,16 +106,12 @@ type Source func(*Sink)
 // sources (AddSource); Histogram is get-or-create and takes the registry
 // lock, and the returned pointer is what hot paths hold on to, so
 // observations never touch the lock or the name maps. HistogramCell gives
-// one owner a histogram of its own under a shared name. Counter and Gauge
-// are the push-side equivalents for callers with no count of their own.
-// Names follow Prometheus conventions and may carry a label suffix
+// one owner a histogram of its own under a shared name. Names follow Prometheus conventions and may carry a label suffix
 // (`regions_shard_tasks_total{shard="0"}`); series sharing a base name are
 // grouped under one # TYPE line by WritePrometheus.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu    sync.Mutex
+	hists map[string]*Histogram
 	// cells maps each live histogram cell to its name (see HistogramCell).
 	cells map[*Histogram]string
 	// bounds holds each histogram name's bounds, which its histogram and
@@ -165,13 +128,11 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		cells:    map[*Histogram]string{},
-		bounds:   map[string][]uint64{},
-		sources:  map[int]Source{},
-		sites:    map[string]*siteEntry{},
+		hists:   map[string]*Histogram{},
+		cells:   map[*Histogram]string{},
+		bounds:  map[string][]uint64{},
+		sources: map[int]Source{},
+		sites:   map[string]*siteEntry{},
 	}
 }
 
@@ -188,30 +149,6 @@ func (r *Registry) AddSource(src Source) (remove func()) {
 		defer r.mu.Unlock()
 		delete(r.sources, id)
 	}
-}
-
-// Counter returns the counter named name, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge named name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram named name, creating it with the given

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -16,23 +17,25 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter = %d, want 5", got)
-	}
-	if r.Counter("c_total") != c {
-		t.Error("Counter is not get-or-create")
-	}
-
-	g := r.Gauge("g")
-	g.Set(10)
-	g.Add(-3)
-	g.Inc()
-	g.Dec()
-	if got := g.Value(); got != 7 {
-		t.Errorf("gauge = %d, want 7", got)
+	var n uint64
+	var level int64
+	r.AddSource(func(s *Sink) {
+		s.Counter("c_total", n)
+		s.Gauge("g", level)
+	})
+	// A source is read at every snapshot, so each one sees the current count.
+	for _, want := range []struct {
+		n     uint64
+		level int64
+	}{{5, 7}, {6, -3}} {
+		n, level = want.n, want.level
+		snap := r.Snapshot()
+		if got, ok := snap.Counter("c_total"); !ok || got != want.n {
+			t.Errorf("counter = %d (present %v), want %d", got, ok, want.n)
+		}
+		if got, ok := snap.Gauge("g"); !ok || got != want.level {
+			t.Errorf("gauge = %d (present %v), want %d", got, ok, want.level)
+		}
 	}
 
 	h := r.Histogram("h", []uint64{10, 100})
@@ -65,10 +68,13 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 
 func TestSnapshotLookupAndDiff(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total").Add(10)
-	r.Counter("b_total{x=\"1\"}").Add(3)
-	r.Counter("b_total{x=\"2\"}").Add(4)
-	r.Gauge("live").Set(2)
+	a, live := uint64(10), int64(2)
+	r.AddSource(func(s *Sink) {
+		s.Counter("a_total", a)
+		s.Counter("b_total{x=\"1\"}", 3)
+		s.Counter("b_total{x=\"2\"}", 4)
+		s.Gauge("live", live)
+	})
 	r.Histogram("sizes", []uint64{16, 64}).Observe(20)
 
 	s1 := r.Snapshot()
@@ -94,8 +100,8 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 		t.Error("Histogram(missing) found")
 	}
 
-	r.Counter("a_total").Add(5)
-	r.Gauge("live").Set(9)
+	a += 5
+	live = 9
 	r.Histogram("sizes", nil).Observe(100)
 	d := r.Snapshot().Sub(s1)
 	if v, _ := d.Counter("a_total"); v != 5 {
@@ -110,11 +116,10 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 }
 
 // TestSourcesSumAndRemove: series several sources report under one name
-// read as their sum, pushed series included, and a removed source stops
-// contributing.
+// read as their sum, and a removed source stops contributing.
 func TestSourcesSumAndRemove(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("n_total").Add(1)
+	r.AddSource(func(s *Sink) { s.Counter("n_total", 1) })
 	src := func(n uint64) Source {
 		return func(s *Sink) {
 			s.Counter("n_total", n)
@@ -215,10 +220,12 @@ func TestSiteSampling(t *testing.T) {
 // regenerate with `go test ./internal/metrics -run Golden -update`.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("regions_demo_allocs_total").Add(1234)
-	r.Counter(`regions_demo_tasks_total{shard="0"}`).Add(7)
-	r.Counter(`regions_demo_tasks_total{shard="1"}`).Add(8)
-	r.Gauge("regions_demo_live_regions").Set(3)
+	r.AddSource(func(s *Sink) {
+		s.Counter("regions_demo_allocs_total", 1234)
+		s.Counter(`regions_demo_tasks_total{shard="0"}`, 7)
+		s.Counter(`regions_demo_tasks_total{shard="1"}`, 8)
+		s.Gauge("regions_demo_live_regions", 3)
+	})
 	h := r.Histogram("regions_demo_alloc_size_bytes", []uint64{16, 256})
 	for _, v := range []uint64{8, 16, 200, 5000} {
 		h.Observe(v)
@@ -248,7 +255,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 
 func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total").Add(2)
+	r.AddSource(func(s *Sink) { s.Counter("a_total", 2) })
 	r.Histogram("h", []uint64{10}).Observe(3)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, r.Snapshot()); err != nil {
@@ -268,7 +275,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 
 func TestHandlerServesScrape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("up_total").Inc()
+	r.AddSource(func(s *Sink) { s.Counter("up_total", 1) })
 	rec := httptest.NewRecorder()
 	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
@@ -283,23 +290,23 @@ func TestHandlerServesScrape(t *testing.T) {
 }
 
 // TestConcurrentUpdates exercises the lock-free update paths under the race
-// detector: many goroutines hammering shared series and their own histogram
-// cells while another snapshots and renders.
+// detector: many goroutines hammering a shared histogram, their own
+// histogram cells and a count a source reads, while another snapshots and
+// renders.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	r.SetSiteSampling(2)
+	var n atomic.Uint64
+	r.AddSource(func(s *Sink) { s.Counter("shared_total", n.Load()) })
 	var writers sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
-			c := r.Counter("shared_total")
-			g := r.Gauge("shared")
 			h := r.Histogram("shared_hist", []uint64{8, 64})
 			cell := r.HistogramCell("cell_hist", []uint64{8, 64})
 			for j := 0; j < 5000; j++ {
-				c.Inc()
-				g.Add(1)
+				n.Add(1)
 				h.Observe(uint64(j % 100))
 				cell.Observe(uint64(j % 100))
 				r.SampleAlloc("site", 16)
@@ -328,10 +335,11 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := r.Counter("shared_total").Value(); got != 4*5000 {
+	snap := r.Snapshot()
+	if got, _ := snap.Counter("shared_total"); got != 4*5000 {
 		t.Errorf("shared_total = %d, want %d", got, 4*5000)
 	}
-	if h, _ := r.Snapshot().Histogram("cell_hist"); h == nil || h.Count != 4*5000 {
+	if h, _ := snap.Histogram("cell_hist"); h == nil || h.Count != 4*5000 {
 		t.Errorf("cell_hist = %+v, want %d observations", h, 4*5000)
 	}
 }

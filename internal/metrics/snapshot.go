@@ -47,7 +47,7 @@ type SiteSample struct {
 }
 
 // Snapshot is one consistent-enough view of a registry: every source is
-// read once, every pushed series with a single atomic load, and series are
+// read once, every histogram bucket with a single atomic load, and series are
 // name-sorted so two snapshots diff line by line. A source reports its
 // counts as of one instant (the shard engine's, for example, as of each
 // shard's last completed task); skew between sources is bounded by the
@@ -61,17 +61,11 @@ type Snapshot struct {
 }
 
 // Snapshot captures the registry's current values: it calls every source
-// and reads every pushed series. Histogram cells of one name read as their
+// and reads every histogram. Histogram cells of one name read as their
 // sum, with the registry's own histogram of that name.
 func (r *Registry) Snapshot() *Snapshot {
 	sink := Sink{counters: map[string]uint64{}, gauges: map[string]int64{}}
 	r.mu.Lock()
-	for name, c := range r.counters {
-		sink.Counter(name, c.Value())
-	}
-	for name, g := range r.gauges {
-		sink.Gauge(name, g.Value())
-	}
 	sources := make([]Source, 0, len(r.sources))
 	for _, src := range r.sources {
 		sources = append(sources, src)

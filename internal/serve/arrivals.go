@@ -39,15 +39,9 @@ type session struct {
 	// serveOne ran before this session's service; complete subtracts it
 	// from the measured task window so sweeping never bills a session.
 	sweepCycles uint64
-
-	// Span recording (Config.Spans only). segs holds the session's phase
-	// boundaries on the shard's raw cycle clock; segBase/taxBase anchor the
-	// first segment: the raw clock and cumulative sweep-tax reading taken
-	// just before lifecycle ran. complete() transplants the segments onto
-	// the modelled timeline (see spans.go).
-	segs    []phaseSeg
-	segBase uint64
-	taxBase uint64
+	// rec is the session's phase record, allocated at admission under
+	// Config.Spans and nil otherwise (see spans.go).
+	rec *phaseRecord
 }
 
 // Session outcomes.

@@ -162,20 +162,22 @@ type Config struct {
 	// the per-phase histograms — and attaches every shard runtime, as
 	// shard.WithMetrics does. Nil meters nothing; Result never reads it.
 	Metrics *metrics.Registry
-	// Spans turns on request-level span tracing: every completed session's
-	// critical path — queue wait, parse, work, delete, and re-attributed
-	// sweep time — is recorded as begin/end span pairs on the modelled
-	// timeline (see spans.go), folded into Result.Spans, checked for
-	// conservation (phase cycles sum exactly to end-to-end latency per
-	// request), and observed into regions_serve_phase_cycles{phase=...}
-	// histograms. Host-side only: cycle counts and checksums are
-	// bit-identical with Spans on or off.
+	// Spans turns on request-level span accounting: every admitted session
+	// keeps one phase record of its critical path — queue wait, parse, work,
+	// delete, and re-attributed sweep time (see spans.go) — and every
+	// completed session's record is observed into the
+	// regions_serve_phase_cycles{phase=...} histograms and folded into
+	// Result.Spans, which is exact. Run fails if a request's phases do not
+	// sum exactly to its end-to-end latency. Host-side only: cycle counts
+	// and checksums are bit-identical with Spans on or off.
 	Spans bool
-	// SpanTracer, when non-nil, is the ring the span events are emitted into
-	// (implies Spans), so callers can export the raw stream — regiontrace
-	// -spans renders it as a Chrome timeline. The tracer must have no clock
-	// set: span emitters stamp their own modelled-timeline cycles. A private
-	// appropriately-sized ring is used when nil.
+	// SpanTracer, when non-nil, receives the run's span events (implies
+	// Spans) for export — regiontrace -spans renders them as a Chrome
+	// timeline. Run writes each completed request's spans from its record
+	// at the end, beside the engine's own migration and drain spans, and
+	// checks a ring that dropped nothing against the records. Result.Spans
+	// never reads the ring. The tracer must be fresh and clock-less: span
+	// emitters stamp their own cycles.
 	SpanTracer *trace.Tracer
 	// TopSlow is how many slowest requests Result.Spans lists with their
 	// phase breakdowns (default 5; meaningful only with Spans).
@@ -338,14 +340,10 @@ var latencyBounds = func() []uint64 {
 // their tallies to, the engine and per-shard states it drives, and, in
 // tenant mode, the driver-side tenant table.
 type server struct {
-	cfg     Config
-	latency *metrics.Histogram
-	board   *board
-
-	// Span tracing (Config.Spans; see spans.go). spanT nil means off —
-	// every recording site nil-checks it, the one-predicate contract.
-	spanT     *trace.Tracer
-	phaseHist []*metrics.Histogram // indexed by trace.SpanKind
+	cfg       Config
+	latency   *metrics.Histogram
+	phaseHist []*metrics.Histogram // indexed by trace.SpanKind; Spans only
+	board     *board
 
 	// content switches session checksums from allocation addresses to pure
 	// functions of the session (tenant mode only; see Config.Tenants).
@@ -388,7 +386,7 @@ type tenantState struct {
 // read by Run after the engine has drained, so it needs no lock.
 type shardState struct {
 	id  int
-	env *shard.Env
+	env *appkit.CoreEnv
 	cln map[string]core.CleanupID
 
 	// pending holds the modelled completion times of sessions admitted but
@@ -507,8 +505,8 @@ func (cfg Config) validate() error {
 }
 
 // newServer resolves a validated config into a server: the histogram
-// handles and metrics source on the caller's registry, span sink, checksum
-// mode, and tenant table.
+// handles and metrics source on the caller's registry, checksum mode, and
+// tenant table.
 func newServer(cfg Config) *server {
 	sv := &server{cfg: cfg, board: &board{}}
 	if reg := cfg.Metrics; reg != nil {
@@ -520,15 +518,6 @@ func newServer(cfg Config) *server {
 				sv.phaseHist[k] = reg.Histogram(
 					fmt.Sprintf(`regions_serve_phase_cycles{phase=%q}`, k.String()), latencyBounds)
 			}
-		}
-	}
-	if cfg.Spans {
-		sv.spanT = cfg.SpanTracer
-		if sv.spanT == nil {
-			// ~12 events per completed session plus shard-track spans; size the
-			// private ring so a normal run never truncates (truncation would
-			// disable the conservation check, not corrupt it).
-			sv.spanT = trace.New(16*cfg.Sessions + 1024)
 		}
 	}
 	if p := profileByName(cfg.Profile); p != nil && p.recycle {
@@ -559,11 +548,11 @@ func (sv *server) startEngine() {
 	if cfg.NoStrPool {
 		opts = append(opts, shard.WithNoStrPool())
 	}
-	if sv.spanT != nil {
+	if cfg.SpanTracer != nil {
 		// The engine brackets its own pauses (the resize barrier's migration
-		// export/import tasks) on the same ring, as shard-track spans on the
-		// shards' raw clocks.
-		opts = append(opts, shard.WithSpanTracer(sv.spanT))
+		// export/import tasks, the drains at Close) on the caller's ring, as
+		// shard-track spans on the shards' raw clocks.
+		opts = append(opts, shard.WithSpanTracer(cfg.SpanTracer))
 	}
 	sv.eng = shard.NewEngine(opts...)
 	for i := 0; i < cfg.Shards; i++ {
@@ -694,10 +683,28 @@ func (sv *server) resizeBarrier(rest []*session) error {
 }
 
 // report closes the engine, checks that every shard drained clean, and
-// folds the engine aggregate, the per-shard serving tallies, and the
-// completed sessions' latency order statistics into the Result.
+// folds the engine aggregate, the per-shard serving tallies, the completed
+// sessions' latency order statistics and, with Spans, their phase records
+// into the Result. A caller's span tracer receives the records' spans.
 func (sv *server) report(sessions []*session) (*Result, error) {
 	cfg := sv.cfg
+	// Every session has completed, so outcomes can be read before Close.
+	lat := make([]uint64, 0, len(sessions))
+	var sum uint64
+	var done []*session // completed sessions with phase records
+	for _, s := range sessions {
+		if s.outcome == outcomeOK {
+			lat = append(lat, s.latency)
+			sum += s.latency
+			if s.rec != nil {
+				done = append(done, s)
+			}
+		}
+	}
+	if cfg.SpanTracer != nil {
+		// Before Close, so the drop count the engine publishes includes them.
+		exportSpans(cfg.SpanTracer, done)
+	}
 	agg := sv.eng.Close()
 	if agg.Failures > 0 {
 		for _, s := range agg.PerShard {
@@ -764,14 +771,6 @@ func (sv *server) report(sessions []*session) (*Result, error) {
 	if total := res.StrNew + res.StrReuse; total > 0 {
 		res.StrReuseRatio = float64(res.StrReuse) / float64(total)
 	}
-	lat := make([]uint64, 0, res.Completed)
-	var sum uint64
-	for _, s := range sessions {
-		if s.outcome == outcomeOK {
-			lat = append(lat, s.latency)
-			sum += s.latency
-		}
-	}
 	slices.Sort(lat)
 	res.P50 = trace.QuantileSorted(lat, 0.50)
 	res.P99 = trace.QuantileSorted(lat, 0.99)
@@ -810,14 +809,17 @@ func (sv *server) report(sessions []*session) (*Result, error) {
 			res.SweepDebtPeakPhases = []int{sv.phase1SweepPeak, peak2}
 		}
 	}
-	if sv.spanT != nil {
-		rep, err := buildSpanReport(sv.spanT, cfg.TopSlow)
+	if cfg.Spans {
+		rep, err := buildSpanReport(done, cfg.TopSlow)
 		if err != nil {
-			// A conservation violation is an emitter bug, not a property of
-			// the workload: fail the run rather than report a leaky table.
 			return nil, err
 		}
 		res.Spans = rep
+	}
+	if cfg.SpanTracer != nil {
+		if err := checkExport(cfg.SpanTracer, done); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
@@ -912,12 +914,14 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 		return 0
 	}
 	s.waited = len(st.pending) > 0
-	if sv.spanT != nil {
+	if sv.cfg.Spans {
 		// Everything charged from here to the final cut is the session's
 		// service; the idle-gap slices above accounted themselves in
-		// s.sweepCycles, so this base sits at StartCycles + sweepCycles.
-		s.segBase = st.env.Counters().TotalCycles()
-		s.taxBase = st.env.Runtime().SweepTaxCycles()
+		// s.sweepCycles, so this reading sits at StartCycles + sweepCycles.
+		s.rec = &phaseRecord{
+			clock: st.env.Counters().TotalCycles(),
+			tax:   st.env.Runtime().SweepTaxCycles(),
+		}
 	}
 	sum, err := sv.lifecycle(st, s)
 	if err != nil {
@@ -925,12 +929,10 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 		s.err = &OverloadError{Session: s.id, Shard: st.id, Reason: "out of memory", Err: err}
 		return 0
 	}
-	if sv.spanT != nil {
-		// The final delete boundary is cut here, after lifecycle's deferred
-		// PopFrame has charged its stack-unscan cycles, so frame teardown
-		// lands in the delete phase and the segments tile the whole window.
-		sv.cut(st, s, trace.SpanDelete)
-	}
+	// The final delete boundary is cut here, after lifecycle's deferred
+	// PopFrame has charged its stack-unscan cycles, so frame teardown lands
+	// in the delete phase and the segments tile the whole window.
+	s.rec.cut(st, trace.SpanDelete)
 	s.outcome = outcomeOK
 	return sum
 }
@@ -946,8 +948,8 @@ func (sv *server) complete(st *shardState, s *session, res shard.TaskResult) {
 
 // account advances the shard's modelled clock by the simulated cycles the
 // session actually consumed (res.EndCycles - res.StartCycles, measured by
-// the engine around the task), records the session's latency, and updates
-// the shard's tally.
+// the engine around the task), records the session's latency and phases,
+// and updates the shard's tally.
 func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 	if s.outcome == outcomeShedQueue {
 		st.stats.ShedQueue++
@@ -993,8 +995,13 @@ func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 	if s.latency > sv.cfg.SLOP99 {
 		st.sloMisses++
 	}
-	if sv.spanT != nil {
-		sv.emitSessionSpans(st, s, prevBusy, start, completion)
+	if s.rec != nil {
+		s.rec.settle(s, prevBusy, start)
+		if sv.phaseHist != nil {
+			for _, k := range trace.SpanKinds() {
+				sv.phaseHist[k].Observe(s.rec.phases[k])
+			}
+		}
 	}
 }
 
@@ -1040,9 +1047,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 		abort(parse)
 		return 0, err
 	}
-	if sv.spanT != nil {
-		sv.cut(st, s, trace.SpanParse)
-	}
+	s.rec.cut(st, trace.SpanParse)
 
 	work, err := rt.TryNewRegion()
 	if err != nil {
@@ -1055,9 +1060,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 		abort(parse, work)
 		return 0, err
 	}
-	if sv.spanT != nil {
-		sv.cut(st, s, trace.SpanWork)
-	}
+	s.rec.cut(st, trace.SpanWork)
 
 	// The parse region dies while the request is still running: its only
 	// counted reference is frame slot 0, so clearing the slot makes the
@@ -1070,9 +1073,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 	} else if !ok {
 		st.leaked++
 	}
-	if sv.spanT != nil {
-		sv.cut(st, s, trace.SpanDelete)
-	}
+	s.rec.cut(st, trace.SpanDelete)
 
 	// Work phase proper: sameregion pointer stores between the work
 	// region's two hottest objects — the steady-state barrier path that
@@ -1099,11 +1100,9 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 		}
 		sum += tsum
 	}
-	if sv.spanT != nil {
-		// Store loop and tenant append are the work phase's second half; the
-		// final delete cut happens in serveOne after the deferred PopFrame.
-		sv.cut(st, s, trace.SpanWork)
-	}
+	// Store loop and tenant append are the work phase's second half; the
+	// final delete cut happens in serveOne after the deferred PopFrame.
+	s.rec.cut(st, trace.SpanWork)
 
 	f.Set(1, 0)
 	if ok, derr := rt.TryDeleteRegion(work); derr != nil {

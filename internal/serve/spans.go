@@ -1,109 +1,78 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	"regions/internal/trace"
 )
 
-// Request-level span tracing for the serving simulator (Config.Spans): the
-// layer that turns "p999 is 130k cycles" into "90k was queue wait, 25k the
-// work phase, 10k sweep tax". docs/OBSERVABILITY.md documents the schema.
+// Request-level span accounting for the serving simulator (Config.Spans):
+// the layer that turns "p999 is 130k cycles" into "90k was queue wait, 25k
+// the work phase, 10k sweep tax". docs/OBSERVABILITY.md documents the
+// schema.
 //
-// Recording happens in two clock domains. Inside a session's task, lifecycle
-// cuts phase boundaries on the shard's raw cycle clock (phaseSeg); those
-// segments are contiguous by construction — each cut is the next one's
-// start — and tile the whole in-task window. complete() then transplants
-// them onto the modelled serving timeline: the session's service starts at
-// max(arrival, the shard's previous completion), so each raw segment
-// reappears at start + its in-task offset, preceded by a queue span covering
-// [arrival, start]. Because the segments tile the service window and the
-// queue span tiles the wait, every completed request satisfies the
-// conservation property — phase self-cycles sum exactly to end-to-end
-// latency — and Run enforces it (trace.SpanProfile.Conserved) before
-// reporting.
+// Every admitted session keeps one phaseRecord. Inside its task, lifecycle
+// cuts phase boundaries on the shard's raw clock, each cut closing the
+// segment the previous one opened, so the segments tile the in-task window.
+// At completion, settle places the service on the modelled timeline and
+// sums the queue wait and the segments into the request's phases, which
+// therefore add up exactly to its latency; Run fails on a request whose
+// phases do not. Result.Spans, the phase histograms and the exported span
+// events all read these records, so the report is exact whatever a trace
+// ring holds.
 //
-// Two kinds of sweeping are re-attributed rather than billed to the phase
-// they interrupted:
+// Sweeping is re-attributed, not billed to the phase it interrupted.
+// Idle-gap slices (serveOne's modelled-idle sweeping) are shard time:
+// account subtracts them from the service. Allocation-tax slices run inside
+// parse and work: each segment's tax delta, read from
+// Runtime.SweepTaxCycles at the cut, counts as sweep.
 //
-//   - Idle-gap slices (serveOne's modelled-idle sweeping) are shard time,
-//     not session time: they surface as shard-track sweep spans starting at
-//     the shard's previous completion, and complete() already subtracts
-//     their cycles from the session's service.
-//   - Allocation-tax slices (core's acquirePages above the high-water mark)
-//     run inside a session's parse/work phases: each segment's tax delta —
-//     read from Runtime.SweepTaxCycles at the cut — is carved out as a sweep
-//     span nested at the segment's end, so the interrupted phase reports its
-//     own cycles and the tax reports as sweep, with the sum preserved.
-//
-// Span recording is host-side observability: it charges no simulated
-// cycles, so cycle counts, latencies, and checksums are bit-identical with
-// Spans on or off (TestServeSpansChecksumParity pins this).
+// Span accounting charges no simulated cycles: cycle counts, latencies and
+// checksums are bit-identical with Spans on or off
+// (TestServeSpansChecksumParity).
 
-// phaseSeg is one in-task phase boundary: everything on the shard's raw
-// clock since the previous cut (or the segment base) belongs to kind.
+// phaseSeg is one in-task segment: the raw shard cycles between two cuts,
+// tax of them spent in allocation-tax sweep slices.
 type phaseSeg struct {
-	kind trace.SpanKind
-	end  uint64 // raw shard clock at the boundary
-	tax  uint64 // cumulative Runtime.SweepTaxCycles at the boundary
+	kind        trace.SpanKind
+	cycles, tax uint64
 }
 
-// cut records a phase boundary for s on st's raw clock. Callers nil-check
-// sv.spanT, so untraced runs pay one predicate per boundary.
-func (sv *server) cut(st *shardState, s *session, kind trace.SpanKind) {
-	s.segs = append(s.segs, phaseSeg{
-		kind: kind,
-		end:  st.env.Counters().TotalCycles(),
-		tax:  st.env.Runtime().SweepTaxCycles(),
-	})
+// phaseRecord is one session's span account.
+type phaseRecord struct {
+	// clock and tax are the shard's raw clock and cumulative sweep-tax
+	// reading at the last cut, or at admission before the first.
+	clock, tax uint64
+	segs       []phaseSeg
+	// prevBusy is the shard's modelled clock before the session, where its
+	// idle-gap sweep slices began.
+	prevBusy uint64
+	// phases is the request's cycles per span kind, set by settle.
+	phases [trace.NumSpanKinds]uint64
 }
 
-// emitSessionSpans renders one completed session's spans onto the modelled
-// timeline and observes the per-phase histograms. Runs in complete(), on
-// the shard goroutine, for outcomeOK sessions only; prevBusy is the shard's
-// modelled clock before this session (where its idle gap began), start and
-// completion the session's modelled service window.
-func (sv *server) emitSessionSpans(st *shardState, s *session, prevBusy, start, completion uint64) {
-	t := sv.spanT
-	// The idle-gap sweep slices ran on the shard between the previous
-	// completion and this arrival; they belong to the shard track. The last
-	// slice may overshoot the gap by less than one slice (serveOne's loop),
-	// in which case the span runs slightly past the arrival instant.
-	if s.sweepCycles > 0 {
-		t.Emit(trace.SpanBegin(trace.SpanSweep, -1, st.id, prevBusy))
-		t.Emit(trace.SpanEnd(trace.SpanSweep, -1, st.id, prevBusy+s.sweepCycles))
+// cut closes the current segment as kind on st's raw clock. On a nil
+// record (Spans off) it does nothing.
+func (r *phaseRecord) cut(st *shardState, kind trace.SpanKind) {
+	if r == nil {
+		return
 	}
-	phases := make([]uint64, trace.NumSpanKinds)
-	if start > s.arrival {
-		t.Emit(trace.SpanBegin(trace.SpanQueue, s.id, st.id, s.arrival))
-		t.Emit(trace.SpanEnd(trace.SpanQueue, s.id, st.id, start))
-		phases[trace.SpanQueue] = start - s.arrival
-	}
-	cur := start
-	prevEnd, prevTax := s.segBase, s.taxBase
-	for _, seg := range s.segs {
-		d := seg.end - prevEnd
-		taxD := seg.tax - prevTax
-		segEnd := cur + d
-		t.Emit(trace.SpanBegin(seg.kind, s.id, st.id, cur))
-		if taxD > 0 {
-			// The allocation tax interrupted this phase: nest its cycles as a
-			// sweep span at the segment's end, so self-times re-attribute the
-			// tax without perturbing the sum.
-			t.Emit(trace.SpanBegin(trace.SpanSweep, s.id, st.id, segEnd-taxD))
-			t.Emit(trace.SpanEnd(trace.SpanSweep, s.id, st.id, segEnd))
-		}
-		t.Emit(trace.SpanEnd(seg.kind, s.id, st.id, segEnd))
-		phases[seg.kind] += d - taxD
-		phases[trace.SpanSweep] += taxD
-		cur = segEnd
-		prevEnd, prevTax = seg.end, seg.tax
-	}
-	if sv.phaseHist != nil {
-		for _, k := range trace.SpanKinds() {
-			sv.phaseHist[k].Observe(phases[k])
-		}
+	clock, tax := st.env.Counters().TotalCycles(), st.env.Runtime().SweepTaxCycles()
+	r.segs = append(r.segs, phaseSeg{kind: kind, cycles: clock - r.clock, tax: tax - r.tax})
+	r.clock, r.tax = clock, tax
+}
+
+// settle places a completed session's service at start on the modelled
+// timeline and computes its phases: the queue wait, then each segment's
+// cycles to its kind less the tax it paid, which goes to sweep.
+func (r *phaseRecord) settle(s *session, prevBusy, start uint64) {
+	r.prevBusy = prevBusy
+	r.phases[trace.SpanQueue] = start - s.arrival
+	for _, g := range r.segs {
+		r.phases[g.kind] += g.cycles - g.tax
+		r.phases[trace.SpanSweep] += g.tax
 	}
 }
 
@@ -114,20 +83,16 @@ func (sv *server) emitSessionSpans(st *shardState, s *session, prevBusy, start, 
 type SpanReport struct {
 	// Schema names this block's layout; bump on incompatible change.
 	Schema string `json:"schema"`
-	// Requests is the number of requests the spans reconstructed (completed
-	// sessions; shed sessions have no critical path).
+	// Requests is the number of completed sessions (shed sessions have no
+	// critical path).
 	Requests int `json:"requests"`
 	// Phases holds one row per span kind, in report order, with exact
-	// order-statistic quantiles over all reconstructed requests (a request
-	// that skipped a phase contributes 0 to that phase's population).
+	// order-statistic quantiles over all completed requests (a request that
+	// skipped a phase contributes 0 to that phase's population).
 	Phases []PhaseStats `json:"phases"`
-	// SlowRequests is the top-K by end-to-end latency, slowest first.
+	// SlowRequests is the top-K by end-to-end latency, slowest first, ties
+	// by session id.
 	SlowRequests []SlowRequest `json:"slowRequests"`
-	// DroppedEvents is the span ring's overwrite count; when nonzero the
-	// attribution is a truncated window and Truncated is set (conservation
-	// is not enforced over a truncated stream).
-	DroppedEvents uint64 `json:"droppedEvents"`
-	Truncated     bool   `json:"truncated,omitempty"`
 }
 
 // PhaseStats is one phase's attribution row.
@@ -148,51 +113,103 @@ type SlowRequest struct {
 	PhaseCycles   map[string]uint64 `json:"phaseCycles"`
 }
 
-// buildSpanReport folds the span stream into a SpanReport, enforcing the
-// conservation property on untruncated streams: a request whose phases do
-// not sum to its latency is an emitter bug and fails the run.
-func buildSpanReport(t *trace.Tracer, topK int) (*SpanReport, error) {
-	dropped := t.Stats().Dropped
-	p, err := trace.BuildSpanProfile(t.Events(), dropped)
-	if err != nil {
-		return nil, fmt.Errorf("serve: span reconstruction: %w", err)
-	}
-	if !p.Truncated {
-		if err := p.Conserved(); err != nil {
-			return nil, fmt.Errorf("serve: span conservation violated: %w", err)
+// buildSpanReport folds the completed sessions' records into a SpanReport.
+// A request whose phases do not sum to its latency is an accounting bug,
+// not a property of the workload, and fails the run.
+func buildSpanReport(done []*session, topK int) (*SpanReport, error) {
+	for _, s := range done {
+		var sum uint64
+		for _, c := range s.rec.phases {
+			sum += c
+		}
+		if sum != s.latency {
+			return nil, fmt.Errorf("serve: span conservation violated: request %d phases sum to %d, latency is %d",
+				s.id, sum, s.latency)
 		}
 	}
-	rep := &SpanReport{
-		Schema:        "regions/serve-spans/v1",
-		Requests:      len(p.Requests),
-		DroppedEvents: dropped,
-		Truncated:     p.Truncated,
-	}
+	rep := &SpanReport{Schema: "regions/serve-spans/v2", Requests: len(done)}
+	vals := make([]uint64, len(done))
 	for _, k := range trace.SpanKinds() {
-		vals := p.PhaseValues(k) // a fresh slice: sort it in place
+		var total uint64
+		for i, s := range done {
+			vals[i] = s.rec.phases[k]
+			total += vals[i]
+		}
 		slices.Sort(vals)
 		rep.Phases = append(rep.Phases, PhaseStats{
 			Phase:       k.String(),
-			TotalCycles: p.PhaseTotals[k],
+			TotalCycles: total,
 			P50:         trace.QuantileSorted(vals, 0.50),
 			P99:         trace.QuantileSorted(vals, 0.99),
 			P999:        trace.QuantileSorted(vals, 0.999),
 			Max:         trace.QuantileSorted(vals, 1),
 		})
 	}
-	for _, r := range p.Slowest(topK) {
-		sr := SlowRequest{
-			Session:       r.Request,
-			Shard:         r.Shard,
-			LatencyCycles: r.Latency(),
-			PhaseCycles:   map[string]uint64{},
-		}
+	slow := slices.Clone(done)
+	slices.SortFunc(slow, func(a, b *session) int {
+		return cmp.Or(cmp.Compare(b.latency, a.latency), cmp.Compare(a.id, b.id))
+	})
+	for _, s := range slow[:min(topK, len(slow))] {
+		sr := SlowRequest{Session: s.id, Shard: s.shard, LatencyCycles: s.latency,
+			PhaseCycles: map[string]uint64{}}
 		for _, k := range trace.SpanKinds() {
-			if c := r.Phases[k]; c > 0 {
+			if c := s.rec.phases[k]; c > 0 {
 				sr.PhaseCycles[k.String()] = c
 			}
 		}
 		rep.SlowRequests = append(rep.SlowRequests, sr)
 	}
 	return rep, nil
+}
+
+// exportSpans writes the completed sessions' spans to t, in session order:
+// the idle-gap sweep on the shard track, the queue wait, and each segment
+// with its allocation tax nested at its end.
+func exportSpans(t *trace.Tracer, done []*session) {
+	span := func(kind trace.SpanKind, req, shard int, begin, end uint64) {
+		t.Emit(trace.SpanBegin(kind, req, shard, begin))
+		t.Emit(trace.SpanEnd(kind, req, shard, end))
+	}
+	for _, s := range done {
+		r := s.rec
+		if s.sweepCycles > 0 {
+			// The last idle-gap slice may overshoot the gap by less than one
+			// slice, so this span can run slightly past the arrival instant.
+			span(trace.SpanSweep, -1, s.shard, r.prevBusy, r.prevBusy+s.sweepCycles)
+		}
+		cur := s.arrival + r.phases[trace.SpanQueue] // the service start
+		if cur > s.arrival {
+			span(trace.SpanQueue, s.id, s.shard, s.arrival, cur)
+		}
+		for _, g := range r.segs {
+			end := cur + g.cycles
+			t.Emit(trace.SpanBegin(g.kind, s.id, s.shard, cur))
+			if g.tax > 0 {
+				span(trace.SpanSweep, s.id, s.shard, end-g.tax, end)
+			}
+			t.Emit(trace.SpanEnd(g.kind, s.id, s.shard, end))
+			cur = end
+		}
+	}
+}
+
+// checkExport rebuilds the request spans from t and checks them against
+// the records they were written from, unless the ring dropped events.
+func checkExport(t *trace.Tracer, done []*session) error {
+	if t.Stats().Dropped > 0 {
+		return nil
+	}
+	p, err := trace.BuildSpanProfile(t.Events(), 0)
+	if err != nil {
+		return fmt.Errorf("serve: span export: %w", err)
+	}
+	if len(p.Requests) != len(done) {
+		return fmt.Errorf("serve: span export holds %d requests, %d completed", len(p.Requests), len(done))
+	}
+	for i, r := range p.Requests {
+		if s := done[i]; r.Request != s.id || r.Shard != s.shard || r.Phases != s.rec.phases || r.Latency() != s.latency {
+			return fmt.Errorf("serve: span export of request %d disagrees with its record", r.Request)
+		}
+	}
+	return nil
 }

@@ -62,9 +62,10 @@ func TestServeSpansDeterminism(t *testing.T) {
 // simulator has — deferred reclamation with a starved sweeper (allocation
 // tax mid-phase), fault plans and page limits (aborted sessions), tenants
 // with a mid-run resize (migration pauses) — and relies on Run failing if
-// any completed request's phases do not sum exactly to its latency
-// (buildSpanReport enforces trace.SpanProfile.Conserved). On top of that it
-// checks the report accounted for every completed session.
+// any completed request's phases do not sum exactly to its latency, or if
+// the span events it exported to a ring that dropped nothing disagree with
+// the records (checkExport). On top of that it checks the report accounted
+// for every completed session.
 func TestServeSpansConservation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -92,7 +93,7 @@ func TestServeSpansConservation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.Spans = true
+			cfg.SpanTracer = trace.New(16*cfg.Sessions + 1024)
 			tc.mod(&cfg)
 			res, err := Run(cfg)
 			if err != nil {
@@ -102,8 +103,8 @@ func TestServeSpansConservation(t *testing.T) {
 			if rep == nil {
 				t.Fatal("no span report")
 			}
-			if rep.Truncated || rep.DroppedEvents != 0 {
-				t.Fatalf("default ring truncated: dropped=%d", rep.DroppedEvents)
+			if d := cfg.SpanTracer.Stats().Dropped; d != 0 {
+				t.Fatalf("ring dropped %d events, so Run checked no export", d)
 			}
 			if uint64(rep.Requests) != res.Completed {
 				t.Fatalf("report covers %d requests, run completed %d", rep.Requests, res.Completed)
@@ -149,7 +150,7 @@ func TestServeSpansReportShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Spans
-	if rep.Schema != "regions/serve-spans/v1" {
+	if rep.Schema != "regions/serve-spans/v2" {
 		t.Errorf("schema = %q", rep.Schema)
 	}
 	kinds := trace.SpanKinds()
@@ -208,5 +209,80 @@ func TestServeSpansExternalTracer(t *testing.T) {
 	}
 	if uint64(len(p.Requests)) != res.Completed {
 		t.Fatalf("external ring saw %d requests, run completed %d", len(p.Requests), res.Completed)
+	}
+}
+
+// TestServeSpansExactAtAnyRingSize runs the golden configurations with a
+// 500-event ring, far too small for any of them: Result.Spans must equal
+// the report of the same run without a ring, every completed request
+// counted.
+func TestServeSpansExactAtAnyRingSize(t *testing.T) {
+	for _, c := range goldenRuns() {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Spans = true
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.SpanTracer = trace.New(500)
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.SpanTracer.Stats().Dropped == 0 {
+				t.Fatal("the ring dropped nothing; the run is too small for this test")
+			}
+			if uint64(got.Spans.Requests) != got.Completed {
+				t.Errorf("report covers %d requests, run completed %d", got.Spans.Requests, got.Completed)
+			}
+			if !reflect.DeepEqual(got.Spans, want.Spans) {
+				t.Errorf("report with a small ring:\n%+v\nwithout one:\n%+v", got.Spans, want.Spans)
+			}
+		})
+	}
+}
+
+// TestSpanRecordChecks feeds the report and the export check records that
+// are wrong on purpose: a request whose phases do not sum to its latency
+// fails the report, and a ring that disagrees with the records fails the
+// check.
+func TestSpanRecordChecks(t *testing.T) {
+	newDone := func() []*session {
+		var done []*session
+		for id, arrival := range []uint64{10, 40} {
+			s := &session{id: id, arrival: arrival, shard: 1, outcome: outcomeOK,
+				rec: &phaseRecord{segs: []phaseSeg{
+					{kind: trace.SpanParse, cycles: 30, tax: 5},
+					{kind: trace.SpanDelete, cycles: 8},
+				}}}
+			s.rec.settle(s, 0, 45)
+			s.latency = 45 + 38 - arrival
+			done = append(done, s)
+		}
+		return done
+	}
+	done := newDone()
+	if _, err := buildSpanReport(done, 5); err != nil {
+		t.Fatalf("consistent records: %v", err)
+	}
+	tr := trace.New(64)
+	exportSpans(tr, done)
+	if err := checkExport(tr, done); err != nil {
+		t.Fatalf("an export of the records: %v", err)
+	}
+
+	done[1].latency++
+	if _, err := buildSpanReport(done, 5); err == nil || !strings.Contains(err.Error(), "conservation") {
+		t.Errorf("a leaky record: err = %v, want a conservation violation", err)
+	}
+	if err := checkExport(tr, done); err == nil {
+		t.Error("a ring that disagrees with the records passed the check")
+	}
+	bad := newDone()
+	bad[0].rec.phases[trace.SpanParse]--
+	bad[0].rec.phases[trace.SpanWork]++
+	if err := checkExport(tr, bad); err == nil {
+		t.Error("a ring with another phase split passed the check")
 	}
 }

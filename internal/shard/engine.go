@@ -9,6 +9,7 @@ import (
 	"regions/internal/core"
 	"regions/internal/mem"
 	"regions/internal/metrics"
+	"regions/internal/stats"
 	"regions/internal/trace"
 )
 
@@ -162,7 +163,7 @@ func (b *board) emit(s *metrics.Sink) {
 
 type worker struct {
 	id      int // position in the worker set; also the metric label and Env name
-	env     *Env
+	env     *appkit.CoreEnv
 	dq      *deque // stealable tasks: owner pops back, thieves take front
 	pinned  *deque // pinned tasks: FIFO, never stolen
 	npinned atomic.Int64
@@ -256,16 +257,17 @@ func NewEngine(opts ...Option) *Engine {
 // newWorker builds (but does not start) the worker at position id from the
 // engine's resolved settings and gives it a slot on the board.
 func (e *Engine) newWorker(id int) *worker {
+	rt := core.NewRuntimeOpts(mem.NewSpace(&stats.Counters{}), core.Options{
+		Safe:           true,
+		PageBatch:      DefaultPageBatch,
+		DeferredDelete: e.set.deferredDelete,
+		SweepBudget:    e.set.sweepBudget,
+		SweepHighWater: e.set.sweepHighWater,
+		NoStrPool:      e.set.noStrPool,
+	})
 	w := &worker{
-		id: id,
-		env: NewEnv(shardName(id), core.Options{
-			Safe:           true,
-			PageBatch:      DefaultPageBatch,
-			DeferredDelete: e.set.deferredDelete,
-			SweepBudget:    e.set.sweepBudget,
-			SweepHighWater: e.set.sweepHighWater,
-			NoStrPool:      e.set.noStrPool,
-		}),
+		id:        id,
+		env:       appkit.NewCoreEnv(shardName(id), rt),
 		dq:        newDeque(queueCap),
 		pinned:    newDeque(queueCap),
 		profEvery: e.set.heapProfileEvery,
@@ -291,7 +293,7 @@ func (e *Engine) Shards() int { return len(e.workers()) }
 // environment while tasks run, so callers may touch it only before the
 // first Submit (to install fault plans, page limits, cleanups), from a task
 // pinned to shard i, or after Close (to Verify the drained heap).
-func (e *Engine) Env(i int) *Env { return e.workers()[i].env }
+func (e *Engine) Env(i int) *appkit.CoreEnv { return e.workers()[i].env }
 
 // home returns t's home position among n shards: Home-1 mod n when Home is
 // set, the next round-robin slot otherwise. Homed tasks do not advance the
@@ -492,7 +494,12 @@ func (w *worker) loop(e *Engine) {
 		if err != nil {
 			w.stats.Failures++
 			w.stats.LastError = err.Error()
-			w.env.reset()
+			// Pop the frames the failed task left, so the next task starts
+			// from an empty shadow stack. Regions it leaked stay allocated,
+			// which is safe, just unused.
+			for rt := w.env.Runtime(); rt.Depth() > 0; {
+				rt.PopFrame()
+			}
 		} else {
 			w.stats.Checksum += sum
 		}

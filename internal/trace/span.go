@@ -8,11 +8,12 @@ import (
 
 // Request-level span tracing: the layer that turns "p999 is 130k cycles"
 // into "90k of it was queue wait and 30k was the work phase". A span is a
-// KindSpanBegin/KindSpanEnd event pair bracketing one phase of work; the
-// emitters (internal/serve per-session lifecycles, internal/shard idle
-// sweeps and migration pauses, internal/core sweep-tax slices) stamp both
-// ends with the relevant clock, and BuildSpanProfile folds the pairs back
-// into per-request critical paths.
+// KindSpanBegin/KindSpanEnd event pair bracketing one phase of work. The
+// emitters stamp both ends with the relevant clock: internal/serve writes
+// each completed request's spans from its phase record, internal/shard
+// brackets idle sweeps and migration pauses, and internal/core brackets
+// sweep-tax slices. BuildSpanProfile folds the pairs back into per-request
+// critical paths.
 //
 // The contract that makes the attribution trustworthy is conservation: for
 // every request, the self cycles of its spans (a span's duration minus any
@@ -20,8 +21,8 @@ import (
 // of [first begin, last end]. There is no "other" bucket; a gap or an
 // overlap is an emitter bug, and Conserved reports it instead of letting a
 // plausible-but-wrong table stand. When the ring dropped events the pairs
-// may be truncated, so the profile is marked Truncated and conservation is
-// only judged over requests whose spans all matched.
+// may be truncated, so the profile is marked Truncated: it describes the
+// window the ring kept, and Conserved refuses to judge it.
 
 // SpanKind identifies the phase a span attributes its cycles to. The zero
 // value is invalid so a forgotten kind is visible in traces.
@@ -297,22 +298,6 @@ func (p *SpanProfile) PhaseValues(kind SpanKind) []uint64 {
 	out := make([]uint64, len(p.Requests))
 	for i, r := range p.Requests {
 		out[i] = r.Phases[kind]
-	}
-	return out
-}
-
-// Slowest returns the k highest-latency requests, slowest first, ties
-// broken by request id so the order is deterministic.
-func (p *SpanProfile) Slowest(k int) []*RequestSpans {
-	out := append([]*RequestSpans(nil), p.Requests...)
-	sort.Slice(out, func(i, j int) bool {
-		if li, lj := out[i].Latency(), out[j].Latency(); li != lj {
-			return li > lj
-		}
-		return out[i].Request < out[j].Request
-	})
-	if len(out) > k {
-		out = out[:k]
 	}
 	return out
 }

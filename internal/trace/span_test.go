@@ -157,7 +157,7 @@ func TestSpanProfileTruncated(t *testing.T) {
 	}
 }
 
-func TestSpanSlowestAndQuantiles(t *testing.T) {
+func TestSpanPhaseQuantiles(t *testing.T) {
 	tr := New(256)
 	lat := []uint64{50, 300, 100, 300, 20}
 	for i, l := range lat {
@@ -166,14 +166,6 @@ func TestSpanSlowestAndQuantiles(t *testing.T) {
 	p, err := BuildSpanProfile(tr.Events(), 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	slow := p.Slowest(3)
-	if len(slow) != 3 || slow[0].Request != 1 || slow[1].Request != 3 || slow[2].Request != 2 {
-		ids := make([]int, len(slow))
-		for i, r := range slow {
-			ids[i] = r.Request
-		}
-		t.Errorf("slowest ids = %v, want [1 3 2] (ties by id)", ids)
 	}
 	vals := p.PhaseValues(SpanWork)
 	if got := QuantileExact(vals, 0.5); got != 100 {

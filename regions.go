@@ -100,6 +100,7 @@ const (
 	FaultInvariant       = core.FaultInvariant
 	FaultDetachedRegion  = core.FaultDetachedRegion
 	FaultMigratedRegion  = core.FaultMigratedRegion
+	FaultBadArgument     = core.FaultBadArgument
 )
 
 // ParWorld, ParRegion, ParWorker and ParSlot form the paper's parallel
@@ -316,8 +317,9 @@ func (s *System) RarrayAlloc(r *Region, n, elemSize int, cleanup CleanupID) Ptr 
 func (s *System) RstrAlloc(r *Region, size int) Ptr { return s.rt.RstrAlloc(r, size) }
 
 // TryRalloc, TryRarrayAlloc and TryRstrAlloc are the graceful variants of
-// the three allocators: on OOM they return a *Fault wrapping ErrOutOfMemory
-// and leave the region unchanged, instead of panicking.
+// the three allocators: on OOM they return a *Fault wrapping ErrOutOfMemory,
+// and for a negative size or count or an unregistered cleanup a *Fault of
+// kind FaultBadArgument, leaving the region unchanged instead of panicking.
 func (s *System) TryRalloc(r *Region, size int, cleanup CleanupID) (Ptr, error) {
 	return s.rt.TryRalloc(r, size, cleanup)
 }
