@@ -16,13 +16,21 @@
 //	regionserve -sessions 2000 -profile strheavy             # pooled buffer recycling
 //	regionserve -sessions 2000 -profile strheavy -no-strpool # its bump-only baseline
 //	regionserve -sessions 2400 -shards 2 -tenants 8 -resize 4  # live shard grow
+//	regionserve -sessions 600 -explain -chrome spans.json -jsonl spans.jsonl
 //
 // All latency figures are simulated cycles, so output is bit-identical for
 // a given flag set and seed — `regionserve -sessions 2000 -seed 1` twice
 // yields byte-for-byte the same report. The exit code is 0 whenever the run
 // itself completes, even when load was shed (overload is an outcome, not an
 // error); infrastructure failures (a panicking session, a corrupt heap at
-// drain) exit 1. See docs/SERVING.md for the workload model.
+// drain, an unwritable output file) exit 1. See docs/SERVING.md for the
+// workload model.
+//
+// With -explain, -chrome and -jsonl export the run's request-level spans:
+// a Chrome trace_event timeline (one process per shard, one row per
+// request; load it in chrome://tracing or https://ui.perfetto.dev) and the
+// raw span events as JSON Lines. The export ring is sized so it cannot
+// drop events; see the "Spans" section of docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -56,6 +64,8 @@ type options struct {
 	resizeAfter float64
 	explain     bool
 	topSlow     int
+	chrome      string
+	jsonl       string
 	args        []string
 }
 
@@ -120,6 +130,12 @@ func (o options) validate() error {
 	if o.topSlow < 0 {
 		return fmt.Errorf("-top-slow must be at least 1 (or 0 for the default), got %d", o.topSlow)
 	}
+	if o.chrome != "" && !o.explain {
+		return fmt.Errorf("-chrome requires -explain")
+	}
+	if o.jsonl != "" && !o.explain {
+		return fmt.Errorf("-jsonl requires -explain")
+	}
 	if len(o.args) > 0 {
 		return fmt.Errorf("unexpected argument %q: regionserve takes flags only", o.args[0])
 	}
@@ -160,6 +176,8 @@ func main() {
 		jsonOut = flag.Bool("json", false, "emit the full result as JSON instead of the text report")
 		explain = flag.Bool("explain", false, "record request-level spans and report per-phase latency attribution")
 		topSlow = flag.Int("top-slow", 0, "slowest requests shown in the -explain breakdown (0 = default 5)")
+		chrome  = flag.String("chrome", "", "write the -explain spans as a Chrome trace_event timeline to this file")
+		jsonl   = flag.String("jsonl", "", "write the -explain span events as JSON Lines to this file")
 	)
 	flag.Parse()
 
@@ -179,6 +197,8 @@ func main() {
 		resizeAfter: *resizeAfter,
 		explain:     *explain,
 		topSlow:     *topSlow,
+		chrome:      *chrome,
+		jsonl:       *jsonl,
 		args:        flag.Args(),
 	}
 	if err := opts.validate(); err != nil {
@@ -232,9 +252,25 @@ func main() {
 		fmt.Printf("serving /metrics on %s\n", *metAddr)
 	}
 
+	// Open the span outputs before serving, so a bad path fails at once.
+	chromeFile, jsonlFile := createFile(*chrome), createFile(*jsonl)
+	if chromeFile != nil || jsonlFile != nil {
+		// Run writes at most 24 span events per session, 4 per migration and
+		// 2 per shard (serve.Config.SpanTracer).
+		cfg.SpanTracer = trace.New(24*cfg.Sessions + 4*cfg.Tenants + 2*max(cfg.Shards, cfg.ResizeTo))
+	}
+
 	res, err := serve.Run(cfg)
 	if err != nil {
 		fail(1, "%v", err)
+	}
+	if t := cfg.SpanTracer; t != nil {
+		if d := t.Stats().Dropped; d > 0 {
+			fail(1, "the span ring dropped %d of %d events", d, t.Stats().Emitted)
+		}
+		evs := t.Events()
+		writeAndClose(chromeFile, func(f *os.File) error { return trace.WriteSpanChromeTrace(f, evs) })
+		writeAndClose(jsonlFile, func(f *os.File) error { return trace.WriteJSONL(f, evs) })
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -324,6 +360,33 @@ func printExplain(rep *serve.SpanReport) {
 			}
 			fmt.Println()
 		}
+	}
+}
+
+// createFile opens path for writing, or exits with a clear message; "" is
+// no file.
+func createFile(path string) *os.File {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fail(1, "cannot write output: %v", err)
+	}
+	return f
+}
+
+// writeAndClose writes f with write and closes it; a nil f is no file.
+func writeAndClose(f *os.File, write func(*os.File) error) {
+	if f == nil {
+		return
+	}
+	err := write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fail(1, "%v", err)
 	}
 }
 

@@ -47,6 +47,9 @@ func TestValidateFlagTable(t *testing.T) {
 		{"resize-after-too-big", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = 1 }, "-resize-after"},
 		{"resize-after-negative", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = -0.5 }, "-resize-after"},
 		{"resize-after-ok", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = 0.25 }, ""},
+		{"chrome-without-explain", func(o *options) { o.chrome = "spans.json" }, "-chrome requires -explain"},
+		{"jsonl-without-explain", func(o *options) { o.jsonl = "spans.jsonl" }, "-jsonl requires -explain"},
+		{"explain-exports-ok", func(o *options) { o.explain = true; o.chrome = "spans.json"; o.jsonl = "spans.jsonl" }, ""},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -1,54 +1,88 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"regions/internal/apps/appkit"
+	"regions/internal/bench"
+	"regions/internal/trace"
 )
 
-// TestModeErrorTable is the fail-fast audit of the two-mode flag contract:
-// cross-mode flags and positional arguments are usage errors naming the
-// offending flag, and the legitimate shapes of both modes pass.
-func TestModeErrorTable(t *testing.T) {
-	cases := []struct {
-		name  string
-		set   []string
-		spans bool
-		args  []string
-		want  string // "" means the invocation must be accepted
-	}{
-		{name: "app-defaults"},
-		{name: "app-explicit", set: []string{"app", "env", "scale", "top", "chrome"}},
-		{name: "spans-defaults", spans: true},
-		{name: "spans-explicit", spans: true,
-			set: []string{"spans", "sessions", "shards", "rate", "seed", "defer-delete", "jsonl"}},
-		{name: "positional", args: []string{"cfrac"}, want: "regiontrace takes flags only"},
-		{name: "spans-positional", spans: true, args: []string{"x"}, want: "flags only"},
-		{name: "app-under-spans", spans: true, set: []string{"spans", "app"}, want: "-app is app-mode only"},
-		{name: "top-under-spans", spans: true, set: []string{"spans", "top"}, want: "-top is app-mode only"},
-		{name: "sessions-without-spans", set: []string{"sessions"}, want: "-sessions requires -spans"},
-		{name: "defer-without-spans", set: []string{"defer-delete"}, want: "-defer-delete requires -spans"},
-		{name: "rate-without-spans", set: []string{"rate"}, want: "-rate requires -spans"},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			set := map[string]bool{}
-			for _, f := range tc.set {
-				set[f] = true
+// TestReportExactAtAnyRingSize runs every app under every environment it
+// has with a 64-event ring, far too small for any region run (the collector
+// emits only four events per collection, so some GC runs fit). Every total
+// the report prints must equal the stats.Counters of an untraced run of the
+// same app, and the regions it lists as live at exit must be that run's
+// live regions; the six apps delete every region they create, so a last
+// app leaves two of its three live.
+func TestReportExactAtAnyRingSize(t *testing.T) {
+	leaky := appkit.App{Name: "leaky", Region: func(e appkit.RegionEnv, scale int) uint32 {
+		var rs []appkit.Region
+		for i := 0; i < 3; i++ {
+			rs = append(rs, e.NewRegion())
+			for j := 0; j < 50*(i+1); j++ {
+				e.RstrAlloc(rs[i], 8)
 			}
-			err := modeError(set, tc.spans, tc.args)
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("invocation rejected: %v", err)
+		}
+		e.DeleteRegion(rs[1])
+		return 0
+	}}
+	number := regexp.MustCompile(`[0-9]+`)
+	for _, app := range append(bench.Apps(), leaky) {
+		for _, env := range []string{"safe", "unsafe", "GC"} {
+			if env == "GC" && app.Malloc == nil {
+				continue
+			}
+			t.Run(app.Name+"/"+env, func(t *testing.T) {
+				ring := trace.New(64)
+				got := runApp(app, env, 1, ring)
+				if ring.Stats().Dropped == 0 && env != "GC" {
+					t.Fatal("the ring dropped nothing; the run is too small for this test")
 				}
-				return
-			}
-			if err == nil {
-				t.Fatal("bad invocation accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
+				var buf bytes.Buffer
+				writeReport(&buf, ring.Stats(), got, 0)
+				lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+
+				want := runApp(app, env, 1, nil)
+				c := want.counters
+				totals := []uint64{
+					c.TotalCycles(), c.MemCycles(),
+					c.Allocs, c.BytesRequested, c.FreeCalls,
+					c.RegionsCreated, c.RegionsDeleted, uint64(c.LiveRegions), c.DeleteFails,
+					uint64(c.MaxLiveRegions), uint64(c.MaxLiveBytes), c.MaxRegionBytes,
+					c.Barriers.Global, c.Barriers.Region, c.Barriers.SameRegion,
+					c.FramesScanned, c.FramesUnscanned, c.CleanupCalls, c.DestroyCalls, c.GCCollections,
+					uint64(len(want.live)),
+				}
+				var printed []uint64
+				for _, l := range lines[1:] { // after the ring's own line
+					if strings.HasPrefix(l, "  ") {
+						break
+					}
+					for _, s := range number.FindAllString(l, -1) {
+						v, _ := strconv.ParseUint(s, 10, 64)
+						printed = append(printed, v)
+					}
+				}
+				if fmt.Sprint(printed) != fmt.Sprint(totals) {
+					t.Errorf("report prints %v\nthe counters hold %v\nreport:\n%s", printed, totals, buf.String())
+				}
+
+				if app.Name == "leaky" && len(want.live) != 2 {
+					t.Fatalf("%d regions live at exit, want 2", len(want.live))
+				}
+				listed := lines[len(lines)-len(want.live):]
+				for i, r := range want.live {
+					if w := "  " + r.String(); listed[i] != w {
+						t.Errorf("live region %d listed as %q, want %q", i, listed[i], w)
+					}
+				}
+			})
+		}
 	}
 }

@@ -174,3 +174,90 @@ func TestAllocatorArgumentFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestStringFreeAndGlobalStoreFaults: a string free or a global store no
+// correct program makes is rejected with a typed FaultBadArgument before
+// anything is charged or changed — the Try form returns it, the paper form
+// panics with it — and the heap still verifies and the region still dies.
+func TestStringFreeAndGlobalStoreFaults(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// misuse sets up r and returns the bad call in its Try form (nil
+		// when there is none) and its paper form.
+		misuse func(sys *regions.System, r *regions.Region) (try func() error, flat func())
+	}{
+		{"rstrfree-wrong-size", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			p := sys.RstrAlloc(r, 16)
+			return func() error { return sys.TryRstrFree(r, p, 64) }, func() { sys.RstrFree(r, p, 64) }
+		}},
+		{"rstrfree-into-next-entry", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			p := sys.RstrAlloc(r, 4000)
+			sys.RstrAlloc(r, 4000) // a second one-page entry
+			return func() error { return sys.TryRstrFree(r, p, 4200) }, func() { sys.RstrFree(r, p, 4200) }
+		}},
+		{"rstrfree-normal-object", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			p := sys.Ralloc(r, 16, sys.SizeCleanup(16))
+			return func() error { return sys.TryRstrFree(r, p, 16) }, func() { sys.RstrFree(r, p, 16) }
+		}},
+		{"rstrfree-double", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			p := sys.RstrAlloc(r, 16)
+			sys.RstrFree(r, p, 16)
+			return func() error { return sys.TryRstrFree(r, p, 16) }, func() { sys.RstrFree(r, p, 16) }
+		}},
+		{"rstrfree-size-zero", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			p := sys.RstrAlloc(r, 16)
+			return func() error { return sys.TryRstrFree(r, p, 0) }, func() { sys.RstrFree(r, p, 0) }
+		}},
+		{"rstrfree-unaligned", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			p := sys.RstrAlloc(r, 16)
+			return func() error { return sys.TryRstrFree(r, p+2, 12) }, func() { sys.RstrFree(r, p+2, 12) }
+		}},
+		{"rstrfree-nil", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			sys.RstrAlloc(r, 16)
+			return func() error { return sys.TryRstrFree(r, 0, 16) }, func() { sys.RstrFree(r, 0, 16) }
+		}},
+		{"storeglobalptr-region-slot", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			cln := sys.SizeCleanup(16)
+			slot, val := sys.Ralloc(r, 16, cln), sys.Ralloc(r, 16, cln)
+			return nil, func() { sys.StoreGlobalPtr(slot, val) }
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := regions.New()
+			r := sys.NewRegion()
+			try, flat := c.misuse(sys, r)
+			counters, mapped, bytes := *sys.Counters(), sys.MappedBytes(), r.Bytes()
+			unchanged := func(when string) {
+				t.Helper()
+				if *sys.Counters() != counters || sys.MappedBytes() != mapped || r.Bytes() != bytes {
+					t.Errorf("%s: the rejected call changed the system", when)
+				}
+				if err := sys.Verify(); err != nil {
+					t.Errorf("%s: Verify: %v", when, err)
+				}
+			}
+			if try != nil {
+				var f *regions.Fault
+				if err := try(); !errors.As(err, &f) || f.Kind != regions.FaultBadArgument {
+					t.Fatalf("Try form returned %v; want a FaultBadArgument", err)
+				}
+				unchanged("Try form")
+			}
+			func() {
+				defer func() {
+					if f, ok := recover().(*regions.Fault); !ok || f.Kind != regions.FaultBadArgument {
+						t.Errorf("paper form panicked with %v, want a FaultBadArgument *Fault", f)
+					}
+				}()
+				flat()
+			}()
+			unchanged("paper form")
+			if ok, err := sys.TryDeleteRegion(r); !ok || err != nil {
+				t.Errorf("TryDeleteRegion = %v, %v; want the region to die", ok, err)
+			}
+			if err := sys.Verify(); err != nil {
+				t.Errorf("Verify after delete: %v", err)
+			}
+		})
+	}
+}

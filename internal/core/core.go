@@ -142,6 +142,13 @@ type Region struct {
 	// strpool.go.
 	strPool      [][]strBlock
 	strPoolBytes uint64
+	strPoolMask  uint16 // bit i set while class i's free list is non-empty
+	// strTop mirrors the string list's bump frontier host-side: the address
+	// past the last byte bumped on a one-page head entry, 0 while the list
+	// is empty or its head is a multi-page entry (which is full). RstrFree
+	// checks blocks against it without reading the region header; Verify
+	// checks it against the header.
+	strTop Ptr
 }
 
 // Options configures a Runtime beyond the paper's two libraries, enabling
@@ -549,6 +556,9 @@ func (rt *Runtime) bump(r *Region, firstOff, availOff Ptr, total int) Ptr {
 	if int(avail)+total <= mem.PageSize && first != 0 {
 		p := first + avail
 		rt.space.Store(hdr+availOff, avail+Ptr(total))
+		if firstOff == offStringFirst {
+			r.strTop = p + Ptr(total)
+		}
 		return p
 	}
 	// The link word of an entry is nextEntryAddr | (thisEntryPageCount-1);
@@ -559,6 +569,10 @@ func (rt *Runtime) bump(r *Region, firstOff, availOff Ptr, total int) Ptr {
 		page := rt.acquirePages(1, r)
 		if page == 0 {
 			return 0
+		}
+		if firstOff == offStringFirst {
+			rt.pages.setStr(page, 1)
+			r.strTop = page + mem.WordSize + Ptr(total)
 		}
 		rt.space.Store(page+pageLink, first)
 		rt.space.Store(hdr+firstOff, page)
@@ -571,6 +585,9 @@ func (rt *Runtime) bump(r *Region, firstOff, availOff Ptr, total int) Ptr {
 	span := rt.acquirePages(npages, r)
 	if span == 0 {
 		return 0
+	}
+	if firstOff == offStringFirst {
+		rt.pages.setStr(span, npages)
 	}
 	if first == 0 {
 		rt.space.Store(span+pageLink, Ptr(npages-1))
@@ -830,30 +847,42 @@ func (rt *Runtime) RstrFree(r *Region, p Ptr, size int) {
 // free under Options.NoStrPool, are accounting-only: the bytes stop
 // counting as live and the memory waits for region deletion.
 //
-// Misuse is reported as a *Fault: freeing into a dead region
-// (FaultDeletedRegion and friends) or freeing a pointer r does not own
-// (FaultDanglingDestroy). A double free is not detectable here — the string
-// side has no headers — but leaves two pool entries over one extent, which
-// Verify's overlap check reports.
+// Misuse is reported as a *Fault before anything is charged or changed:
+// freeing into a dead region (FaultDeletedRegion and friends), freeing a
+// pointer r does not own (FaultDanglingDestroy), and, as FaultBadArgument,
+// a nil or unaligned pointer, a non-positive size, a block that is not
+// string data r has allocated (a normal object, or a size running past the
+// bump frontier or the block's page entry) and a block overlapping one
+// already parked (a double free). The checks are host-side, so a valid
+// free charges what it always has. The string side has no headers, so a
+// wrong size that stays inside allocated string data goes unnoticed, and
+// so does a second free of a block the pool did not park.
 func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 	if err := rt.checkLive(r); err != nil {
 		return err
 	}
-	if p == 0 || p%mem.WordSize != 0 {
-		panic("core: RstrFree of nil or unaligned pointer")
+	if p == 0 || p%mem.WordSize != 0 || size <= 0 {
+		return rt.fault(FaultBadArgument, p, r.id,
+			fmt.Sprintf("rstrfree: nil or unaligned pointer, or non-positive size %d", size), nil)
 	}
-	if size <= 0 {
-		panic("core: RstrFree of non-positive size")
-	}
-	old := rt.space.SetMode(stats.ModeFree)
-	defer rt.space.SetMode(old)
-	rt.charge(stats.ModeFree, 2)
-
 	data := align4(size)
 	if owner, _ := rt.regionOf(p); owner != r {
 		return rt.fault(FaultDanglingDestroy, p, r.id,
 			"core: RstrFree of pointer outside the region", nil)
 	}
+	if !rt.strAllocated(r, p, data) {
+		return rt.fault(FaultBadArgument, p, r.id,
+			fmt.Sprintf("rstrfree: [%#x,+%d) is not string data the region allocated", p, data), nil)
+	}
+	if b, ok := r.strParked(p, data); ok {
+		return rt.fault(FaultBadArgument, p, r.id,
+			fmt.Sprintf("rstrfree: [%#x,+%d) overlaps the parked block [%#x,+%d) (double free?)",
+				p, data, b.p, b.cap), nil)
+	}
+	old := rt.space.SetMode(stats.ModeFree)
+	defer rt.space.SetMode(old)
+	rt.charge(stats.ModeFree, 2)
+
 	pooled := !rt.opts.NoStrPool && data <= defaultStrPoolMax && int(p%mem.PageSize)+data <= mem.PageSize
 	if pooled {
 		rt.space.PoisonRange(p, data)

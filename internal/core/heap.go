@@ -66,7 +66,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 			byID[r.id] = rh
 		}
 		var strPages map[int]bool // string-list page census for the pool audit
-		var strHead, strAvail Ptr
+		var strHead, strAvail, strTop Ptr
 		if r.strPool != nil {
 			strPages = map[int]bool{}
 		}
@@ -85,6 +85,9 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 				strHead, strAvail = entry, avail
 			}
 			if err := rt.walkList(FaultInvariant, r, entry, func(first Ptr, count int) error {
+				if li == 1 && first == entry && count == 1 {
+					strTop = first + avail // a one-page head's bump frontier
+				}
 				if rh != nil {
 					if li == 0 {
 						rh.NormalPages += count
@@ -116,11 +119,25 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 						return rt.invariant(a, r.id,
 							"page map attributes page to %d, page list to %d", ownerID, r.id)
 					}
+					var mark uint8 // the string mark the page's list and place imply
+					if li == 1 {
+						mark = strMore
+						if i == 0 {
+							mark = strEntry
+						}
+					}
+					if got := rt.pages.strAt(pg); got != mark {
+						return rt.invariant(a, r.id, "page index string mark %d, page list implies %d", got, mark)
+					}
 				}
 				return nil
 			}); err != nil {
 				return nil, err
 			}
+		}
+		if r.strTop != strTop {
+			return nil, rt.invariant(r.hdr, r.id,
+				"string bump frontier mirrored as %#x, header says %#x", r.strTop, strTop)
 		}
 		// 1.5: the string pool's free lists. Every parked block must sit on
 		// one of r's own string pages, inside the allocated prefix of the
@@ -313,6 +330,9 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 	var all []strBlock
 	var bytes uint64
 	for idx, list := range r.strPool {
+		if (len(list) > 0) != (r.strPoolMask&(1<<idx) != 0) {
+			return rt.invariant(r.hdr, r.id, "string pool class %d holds %d blocks, mask %#x", idx, len(list), r.strPoolMask)
+		}
 		for _, b := range list {
 			cap := int(b.cap)
 			if b.p == 0 || b.p%mem.WordSize != 0 {

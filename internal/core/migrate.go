@@ -283,7 +283,10 @@ func (rt *Runtime) exportScan(r *Region, used map[CleanupID]bool) error {
 // lists first, then the simulated OS — a refused mapping rolls every
 // acquired run back and returns a FaultOOM error, leaving the runtime
 // unchanged). Cleanup ids are remapped by registered name; a missing name
-// is an ErrImportCleanup error before anything is acquired.
+// is an ErrImportCleanup error, and a parked string block that RstrFree
+// could not have parked (a capacity outside the pool's classes, an extent
+// off the record's string runs) a FaultBadArgument *Fault, both before
+// anything is acquired.
 //
 // The pointer fixup is the O(pages) base-delta rewrite: a per-page old→new
 // map built from the run placements, applied object-aware — headers get the
@@ -310,6 +313,13 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	}
 	if homeIdx < 0 {
 		return nil, fmt.Errorf("core: importregion: header %#x is on none of the record's normal runs", rec.OldHdr)
+	}
+	for _, b := range rec.StrPool {
+		if !parkable(rec.Str, b) {
+			return nil, rt.fault(FaultBadArgument, b.OldAddr, -1, fmt.Sprintf(
+				"importregion: parked string block [%#x,+%d) is no pooled block on the record's string runs",
+				b.OldAddr, b.Cap), nil)
+		}
 	}
 	idMap := make(map[CleanupID]CleanupID, len(rec.Cleanups))
 	for _, ref := range rec.Cleanups {
@@ -366,6 +376,9 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 		rollback()
 		return nil, rt.oomFault("importregion", r.id)
 	}
+	for i, run := range rec.Str {
+		rt.pages.setStr(newStr[i], run.Pages)
+	}
 
 	pageMap := make(map[Ptr]Ptr, rec.Pages)
 	note := func(runs []PageRun, news []Ptr) {
@@ -382,6 +395,9 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	var werr error
 	rt.space.Uncharged(func() {
 		werr = rt.materialize(rec, r, newNormal, newStr, idMap, pageMap)
+		if len(rec.Str) > 0 && rec.Str[0].Pages == 1 {
+			r.strTop = newStr[0] + rt.space.Load(r.hdr+offStringAvail)
+		}
 	})
 	if werr != nil {
 		rollback()
@@ -423,6 +439,24 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 			Addr: r.hdr, Size: int32(rec.Pages), Aux: 1})
 	}
 	return r, nil
+}
+
+// parkable reports whether the parked block b of a record could have come
+// from RstrFree: a word-aligned pooled capacity inside one page of one of
+// the string runs, past the page's first word — the shape Verify's pool
+// audit accepts.
+func parkable(runs []PageRun, b StrPoolRecord) bool {
+	cap, off := int(b.Cap), int(b.OldAddr%mem.PageSize)
+	if cap < strClassMin || cap > defaultStrPoolMax || cap%mem.WordSize != 0 ||
+		b.OldAddr%mem.WordSize != 0 || off < mem.WordSize || off+cap > mem.PageSize {
+		return false
+	}
+	for _, run := range runs {
+		if b.OldAddr >= run.OldFirst && uint64(b.OldAddr) < uint64(run.OldFirst)+uint64(run.Pages)*mem.PageSize {
+			return true
+		}
+	}
+	return false
 }
 
 // materialize copies the record's payload onto the freshly acquired (zeroed)

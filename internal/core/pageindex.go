@@ -16,6 +16,13 @@ import "regions/internal/mem"
 // space is at most 2^20 slots).
 type pageIndex struct {
 	owners []*Region
+	// str marks the pages on their owner's string list: strEntry for an
+	// entry's first page, whose first word is the entry's link, strMore for
+	// the other pages of a multi-page entry, 0 for every other page. Every
+	// ownership change (set) clears the mark; the string allocator and
+	// region import mark the entries they link (setStr). RstrFree reads it
+	// to tell string data from normal objects without walking the list.
+	str []uint8
 	// detached flags pages released by a deferred deletion but not yet
 	// swept (Options.DeferredDelete): non-nil means the page is on a free
 	// list with stale contents, and the value is the deleted region the
@@ -25,16 +32,43 @@ type pageIndex struct {
 	detached []*Region
 }
 
+// String-list page marks (pageIndex.str).
+const (
+	strEntry uint8 = 1 + iota
+	strMore
+)
+
 // set records r (which may be nil, meaning "no region") as the owner of the
-// n pages starting at the page containing first.
+// n pages starting at the page containing first, clearing their string
+// marks.
 func (ix *pageIndex) set(first Ptr, n int, r *Region) {
 	firstNo := int(first >> mem.PageShift)
 	for len(ix.owners) < firstNo+n {
 		ix.owners = append(ix.owners, nil)
+		ix.str = append(ix.str, 0)
 	}
 	for i := 0; i < n; i++ {
 		ix.owners[firstNo+i] = r
+		ix.str[firstNo+i] = 0
 	}
+}
+
+// setStr marks the n owned pages starting at first as one string-list
+// entry.
+func (ix *pageIndex) setStr(first Ptr, n int) {
+	firstNo := int(first >> mem.PageShift)
+	ix.str[firstNo] = strEntry
+	for i := 1; i < n; i++ {
+		ix.str[firstNo+i] = strMore
+	}
+}
+
+// strAt returns page number pg's string-list mark.
+func (ix *pageIndex) strAt(pg int) uint8 {
+	if pg < 0 || pg >= len(ix.str) {
+		return 0
+	}
+	return ix.str[pg]
 }
 
 // lookup returns the region owning the page containing p, or nil. Address 0

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"regions/internal/mem"
 	"regions/internal/stats"
 	"regions/internal/trace"
@@ -116,11 +118,18 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 
 // StoreGlobalPtr implements *slot = val where slot is in global storage:
 // the paper's "global write" barrier (Figure 5, 16 instructions). Global
-// storage belongs to no region, so there are no sameregion pointers.
+// storage belongs to no region, so there are no sameregion pointers. On the
+// safe runtime a slot outside the storage AllocGlobals handed out panics
+// with a FaultBadArgument *Fault before anything is stored or counted: a
+// region slot counted as a global reference would pin its target forever.
 func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
 	if !rt.safe {
 		rt.space.Store(slot, val)
 		return
+	}
+	if !rt.isGlobal(slot) {
+		panic(rt.fault(FaultBadArgument, slot, -1,
+			fmt.Sprintf("storeglobalptr: slot %#x is not global storage", slot), nil))
 	}
 	m := rt.met
 	var start uint64
@@ -151,6 +160,20 @@ func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
 	if m != nil {
 		m.barrierCycles.Observe(rt.c.TotalCycles() - start)
 	}
+}
+
+// isGlobal reports whether slot lies in the global storage AllocGlobals has
+// handed out: a retired segment's used extent or the current segment's.
+func (rt *Runtime) isGlobal(slot Ptr) bool {
+	if slot >= rt.globalSeg && slot < rt.globalNext {
+		return true
+	}
+	for _, seg := range rt.globalRanges {
+		if slot >= seg[0] && slot < seg[1] {
+			return true
+		}
+	}
+	return false
 }
 
 // StorePtrDynamic is the "more expensive runtime routine" the paper uses

@@ -134,6 +134,9 @@ func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
 		if int(b.cap) >= data {
 			copy(list[n-1-i:], list[n-i:])
 			r.strPool[idx] = list[:n-1]
+			if n == 1 {
+				r.strPoolMask &^= 1 << idx
+			}
 			r.strPoolBytes -= uint64(b.cap)
 			rt.t.StrParked[idx]--
 			return b.p
@@ -156,8 +159,45 @@ func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
 	}
 	idx := strClassIdx(cap)
 	r.strPool[idx] = append(r.strPool[idx], strBlock{p: p, cap: int32(cap)})
+	r.strPoolMask |= 1 << idx
 	r.strPoolBytes += uint64(cap)
 	rt.t.StrParked[idx]++
+}
+
+// strAllocated reports whether [p, p+n) is string data r allocated: its
+// pages are on r's string list, it starts past a page's first word and runs
+// into no other entry, and on a one-page head entry it ends at the bump
+// frontier. The caller has checked that r owns p's page. It reads only
+// host-side state, the page index and r.strTop.
+func (rt *Runtime) strAllocated(r *Region, p Ptr, n int) bool {
+	if p%mem.PageSize < mem.WordSize {
+		return false // an entry's link word, or no allocation starts there
+	}
+	end := uint64(p) + uint64(n)
+	first, last := int(p>>mem.PageShift), int((end-1)>>mem.PageShift)
+	if rt.pages.strAt(first) == 0 {
+		return false
+	}
+	for pg := first + 1; pg <= last; pg++ {
+		if rt.pages.ownerAt(pg) != r || rt.pages.strAt(pg) != strMore {
+			return false
+		}
+	}
+	top := r.strTop
+	return top == 0 || last != int((top-1)>>mem.PageShift) || end <= uint64(top)
+}
+
+// strParked returns a block parked on r's pool that overlaps [p, p+n), if
+// any: freeing it again would file one extent twice.
+func (r *Region) strParked(p Ptr, n int) (strBlock, bool) {
+	for m := r.strPoolMask; m != 0; m &= m - 1 {
+		for _, b := range r.strPool[bits.TrailingZeros16(m)] {
+			if p < b.p+Ptr(b.cap) && b.p < p+Ptr(n) {
+				return b, true
+			}
+		}
+	}
+	return strBlock{}, false
 }
 
 // strPoolClear drops r's pool. The blocks' memory is reclaimed by the
@@ -176,6 +216,7 @@ func (rt *Runtime) strPoolClear(r *Region) {
 	rt.strPoolSpare = append(rt.strPoolSpare, r.strPool)
 	r.strPool = nil
 	r.strPoolBytes = 0
+	r.strPoolMask = 0
 }
 
 // StrClassStats is one capacity class's row of the reuse report.

@@ -179,15 +179,22 @@ func TestStrPoolPoisonIntegrity(t *testing.T) {
 	wantInvariant(t, rt, "not poison")
 }
 
-// TestStrPoolDoubleFreeOverlap: the string side has no headers, so a double
-// free succeeds at the call site but leaves two pool entries over one
-// extent — which Verify's overlap check names.
+// TestStrPoolDoubleFreeOverlap: a second free of a parked block is rejected
+// with a FaultBadArgument before the pool changes; a pool that files one
+// extent twice anyway is what Verify's overlap check names.
 func TestStrPoolDoubleFreeOverlap(t *testing.T) {
 	rt, _ := newRT(true)
 	r := rt.NewRegion()
 	p := rt.RstrAlloc(r, 64)
 	rt.RstrFree(r, p, 64)
-	rt.RstrFree(r, p, 64)
+	var f *Fault
+	if err := rt.TryRstrFree(r, p, 64); !errors.As(err, &f) || f.Kind != FaultBadArgument {
+		t.Fatalf("second free: %v, want a FaultBadArgument", err)
+	}
+	if err := rt.Verify(); err != nil {
+		t.Fatalf("verify after the rejected free: %v", err)
+	}
+	rt.strPoolPut(r, p, 64) // the pool corrupted past the check
 	wantInvariant(t, rt, "double free")
 }
 
@@ -456,6 +463,51 @@ func TestStrPoolRandomizedSoak(t *testing.T) {
 			}
 			t.Logf("soak: new=%d reuse=%d big=%d freed=%d ratio=%.3f",
 				s.New, s.Reuse, s.Big, s.Freed, s.ReuseRatio())
+		})
+	}
+}
+
+// TestStrPoolImportRejectsBadBlocks: a record whose parked string blocks
+// RstrFree could not have parked is refused with a FaultBadArgument before
+// the receiver acquires a page, and the receiver stays clean.
+func TestStrPoolImportRejectsBadBlocks(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(rec *RegionRecord)
+	}{
+		{"cap-above-ceiling", func(rec *RegionRecord) { rec.StrPool[0].Cap = 4096 }},
+		{"cap-below-class", func(rec *RegionRecord) { rec.StrPool[0].Cap = 0 }},
+		{"cap-unaligned", func(rec *RegionRecord) { rec.StrPool[0].Cap = 6 }},
+		{"addr-unaligned", func(rec *RegionRecord) { rec.StrPool[0].OldAddr += 2 }},
+		{"addr-on-link-word", func(rec *RegionRecord) { rec.StrPool[0].OldAddr = rec.Str[0].OldFirst }},
+		{"crosses-page", func(rec *RegionRecord) {
+			rec.StrPool[0].OldAddr = rec.Str[0].OldFirst + mem.PageSize - 32
+		}},
+		{"on-normal-run", func(rec *RegionRecord) { rec.StrPool[0].OldAddr = rec.Normal[0].OldFirst + 64 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src, _ := newRT(true)
+			dst, _ := newRT(true)
+			r := src.NewRegion()
+			p := src.RstrAlloc(r, 64)
+			src.RstrAlloc(r, 16)
+			src.RstrFree(r, p, 64)
+			rec, err := src.ExportRegion(r)
+			if err != nil {
+				t.Fatalf("export: %v", err)
+			}
+			c.edit(rec)
+			counters, mapped := *dst.Counters(), dst.Space().MappedBytes()
+			var f *Fault
+			if r2, err := dst.ImportRegion(rec); r2 != nil || !errors.As(err, &f) || f.Kind != FaultBadArgument {
+				t.Fatalf("import = %v, %v; want a FaultBadArgument", r2, err)
+			}
+			if *dst.Counters() != counters || dst.Space().MappedBytes() != mapped || len(dst.LiveRegions()) != 0 {
+				t.Error("the refused import changed the receiver")
+			}
+			if err := dst.Verify(); err != nil {
+				t.Errorf("verify receiver: %v", err)
+			}
 		})
 	}
 }

@@ -259,11 +259,17 @@ func (r *Registry) snapshotSites() []SiteSample {
 		out = append(out, SiteSample{Site: name, Objects: e.objects, Bytes: e.bytes})
 	}
 	r.siteMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
-		}
-		return out[i].Site < out[j].Site
-	})
+	sortSites(out)
 	return out
+}
+
+// sortSites orders a site profile by estimated bytes, descending, ties by
+// name.
+func sortSites(sites []SiteSample) {
+	sort.Slice(sites, func(i, j int) bool {
+		if sites[i].Bytes != sites[j].Bytes {
+			return sites[i].Bytes > sites[j].Bytes
+		}
+		return sites[i].Site < sites[j].Site
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,11 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 		s.Gauge("live", live)
 	})
 	r.Histogram("sizes", []uint64{16, 64}).Observe(20)
+	r.SetSiteSampling(1)
+	for i := 0; i < 3; i++ {
+		r.SampleAlloc("x", 8)
+	}
+	r.SampleAlloc("y", 100)
 
 	s1 := r.Snapshot()
 	if s1.SchemaVersion != SnapshotSchemaVersion {
@@ -103,7 +109,16 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 	a += 5
 	live = 9
 	r.Histogram("sizes", nil).Observe(100)
+	r.SampleAlloc("x", 8)
+	r.SampleAlloc("x", 8)
+	r.SampleAlloc("z", 4)
 	d := r.Snapshot().Sub(s1)
+	// The site census is cumulative: the diff holds the interval's samples,
+	// sorted by bytes.
+	wantSites := []SiteSample{{"x", 2, 16}, {"z", 1, 4}, {"y", 0, 0}}
+	if !reflect.DeepEqual(d.Sites, wantSites) {
+		t.Errorf("diffed sites = %+v, want %+v", d.Sites, wantSites)
+	}
 	if v, _ := d.Counter("a_total"); v != 5 {
 		t.Errorf("diffed a_total = %d, want 5", v)
 	}

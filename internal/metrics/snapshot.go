@@ -161,15 +161,15 @@ func (s *Snapshot) CounterSum(prefix string) uint64 {
 	return sum
 }
 
-// Sub returns the per-interval delta s minus prev: counters and histogram
-// buckets subtract (a series missing from prev contributes its full value),
-// gauges and sites keep their current values, since they are instantaneous.
+// Sub returns the per-interval delta s minus prev: counters, histogram
+// buckets and the cumulative site census subtract (a series or site missing
+// from prev contributes its full value), gauges keep their current values,
+// since they are instantaneous. The sites stay sorted by bytes, descending.
 // Sub never mutates its receivers.
 func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
 	out := &Snapshot{
 		SchemaVersion: s.SchemaVersion,
 		Gauges:        append([]GaugeValue(nil), s.Gauges...),
-		Sites:         append([]SiteSample(nil), s.Sites...),
 	}
 	for _, c := range s.Counters {
 		if old, ok := prev.Counter(c.Name); ok {
@@ -177,6 +177,17 @@ func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
 		}
 		out.Counters = append(out.Counters, c)
 	}
+	prevSites := make(map[string]SiteSample, len(prev.Sites))
+	for _, site := range prev.Sites {
+		prevSites[site.Site] = site
+	}
+	for _, site := range s.Sites {
+		old := prevSites[site.Site]
+		site.Objects -= old.Objects
+		site.Bytes -= old.Bytes
+		out.Sites = append(out.Sites, site)
+	}
+	sortSites(out.Sites)
 	prevHists := make(map[string]*HistogramValue, len(prev.Histograms))
 	for i := range prev.Histograms {
 		prevHists[prev.Histograms[i].Name] = &prev.Histograms[i]

@@ -172,12 +172,14 @@ type Config struct {
 	// and checksums are bit-identical with Spans on or off.
 	Spans bool
 	// SpanTracer, when non-nil, receives the run's span events (implies
-	// Spans) for export — regiontrace -spans renders them as a Chrome
-	// timeline. Run writes each completed request's spans from its record
-	// at the end, beside the engine's own migration and drain spans, and
-	// checks a ring that dropped nothing against the records. Result.Spans
-	// never reads the ring. The tracer must be fresh and clock-less: span
-	// emitters stamp their own cycles.
+	// Spans) for export — regionserve -explain -chrome renders them as a
+	// Chrome timeline. Run writes every span once, after the engine has
+	// closed, from its records: each completed request's phases, each
+	// migration's export and import window and each close-time drain. It
+	// writes at most 24 events per session, 4 per migration and 2 per
+	// shard, and checks a ring that dropped nothing against the records.
+	// Result.Spans never reads the ring. The tracer must be fresh and
+	// clock-less: the spans carry their own cycle stamps.
 	SpanTracer *trace.Tracer
 	// TopSlow is how many slowest requests Result.Spans lists with their
 	// phase breakdowns (default 5; meaningful only with Spans).
@@ -357,6 +359,9 @@ type server struct {
 	// cycles and the highest sweep-debt peak when phase 1 had drained.
 	phase1Busy      []uint64
 	phase1SweepPeak int
+	// track holds the spans of no request that the span export writes:
+	// each migration's export and import, then each close-time drain.
+	track []trackSpan
 }
 
 // Tenant-state layout: each session appends tenantNodes*weight scanned
@@ -548,12 +553,6 @@ func (sv *server) startEngine() {
 	if cfg.NoStrPool {
 		opts = append(opts, shard.WithNoStrPool())
 	}
-	if cfg.SpanTracer != nil {
-		// The engine brackets its own pauses (the resize barrier's migration
-		// export/import tasks, the drains at Close) on the caller's ring, as
-		// shard-track spans on the shards' raw clocks.
-		opts = append(opts, shard.WithSpanTracer(cfg.SpanTracer))
-	}
 	sv.eng = shard.NewEngine(opts...)
 	for i := 0; i < cfg.Shards; i++ {
 		sv.states = append(sv.states, sv.newShardState(i))
@@ -660,11 +659,18 @@ func (sv *server) resizeBarrier(rest []*session) error {
 			continue
 		}
 		if ts.r != nil {
+			// The engine is idle, so the donor's and receiver's clocks move
+			// only by the export and the import.
+			from, to := sv.states[ts.home].env.Counters(), sv.states[newHome].env.Counters()
+			fromBegin, toBegin := from.TotalCycles(), to.TotalCycles()
 			m, err := sv.eng.MigrateRegion(ts.r, ts.home, newHome)
 			if err != nil {
 				return fmt.Errorf("serve: migrate tenant %d from shard %d to %d: %w",
 					t, ts.home, newHome, err)
 			}
+			sv.track = append(sv.track,
+				trackSpan{trace.SpanMigrate, ts.home, fromBegin, from.TotalCycles()},
+				trackSpan{trace.SpanMigrate, newHome, toBegin, to.TotalCycles()})
 			ts.r = m.New
 			if ts.head != 0 {
 				np, ok := m.Rec.Translate(ts.head)
@@ -701,10 +707,6 @@ func (sv *server) report(sessions []*session) (*Result, error) {
 			}
 		}
 	}
-	if cfg.SpanTracer != nil {
-		// Before Close, so the drop count the engine publishes includes them.
-		exportSpans(cfg.SpanTracer, done)
-	}
 	agg := sv.eng.Close()
 	if agg.Failures > 0 {
 		for _, s := range agg.PerShard {
@@ -740,6 +742,9 @@ func (sv *server) report(sessions []*session) (*Result, error) {
 		}
 		if s.DrainSweepCycles > res.ReclamationLagCycles {
 			res.ReclamationLagCycles = s.DrainSweepCycles
+		}
+		if d := s.DrainSweepCycles; d > 0 {
+			sv.track = append(sv.track, trackSpan{trace.SpanSweep, s.Shard, s.SimCycles - d, s.SimCycles})
 		}
 	}
 	firstSID := -1
@@ -817,6 +822,10 @@ func (sv *server) report(sessions []*session) (*Result, error) {
 		res.Spans = rep
 	}
 	if cfg.SpanTracer != nil {
+		for _, w := range sv.track {
+			emitSpan(cfg.SpanTracer, w.kind, -1, w.shard, w.begin, w.end)
+		}
+		exportSpans(cfg.SpanTracer, done)
 		if err := checkExport(cfg.SpanTracer, done); err != nil {
 			return nil, err
 		}

@@ -127,7 +127,7 @@ func buildSpanReport(done []*session, topK int) (*SpanReport, error) {
 				s.id, sum, s.latency)
 		}
 	}
-	rep := &SpanReport{Schema: "regions/serve-spans/v2", Requests: len(done)}
+	rep := &SpanReport{Schema: "regions/serve-spans/v3", Requests: len(done)}
 	vals := make([]uint64, len(done))
 	for _, k := range trace.SpanKinds() {
 		var total uint64
@@ -162,30 +162,40 @@ func buildSpanReport(done []*session, topK int) (*SpanReport, error) {
 	return rep, nil
 }
 
+// trackSpan is a span on a shard's own track: a window of its raw clock
+// that belongs to no request.
+type trackSpan struct {
+	kind       trace.SpanKind
+	shard      int
+	begin, end uint64
+}
+
+// emitSpan writes one span, request req's or (req -1) the shard's, to t.
+func emitSpan(t *trace.Tracer, kind trace.SpanKind, req, shard int, begin, end uint64) {
+	t.Emit(trace.SpanBegin(kind, req, shard, begin))
+	t.Emit(trace.SpanEnd(kind, req, shard, end))
+}
+
 // exportSpans writes the completed sessions' spans to t, in session order:
 // the idle-gap sweep on the shard track, the queue wait, and each segment
 // with its allocation tax nested at its end.
 func exportSpans(t *trace.Tracer, done []*session) {
-	span := func(kind trace.SpanKind, req, shard int, begin, end uint64) {
-		t.Emit(trace.SpanBegin(kind, req, shard, begin))
-		t.Emit(trace.SpanEnd(kind, req, shard, end))
-	}
 	for _, s := range done {
 		r := s.rec
 		if s.sweepCycles > 0 {
 			// The last idle-gap slice may overshoot the gap by less than one
 			// slice, so this span can run slightly past the arrival instant.
-			span(trace.SpanSweep, -1, s.shard, r.prevBusy, r.prevBusy+s.sweepCycles)
+			emitSpan(t, trace.SpanSweep, -1, s.shard, r.prevBusy, r.prevBusy+s.sweepCycles)
 		}
 		cur := s.arrival + r.phases[trace.SpanQueue] // the service start
 		if cur > s.arrival {
-			span(trace.SpanQueue, s.id, s.shard, s.arrival, cur)
+			emitSpan(t, trace.SpanQueue, s.id, s.shard, s.arrival, cur)
 		}
 		for _, g := range r.segs {
 			end := cur + g.cycles
 			t.Emit(trace.SpanBegin(g.kind, s.id, s.shard, cur))
 			if g.tax > 0 {
-				span(trace.SpanSweep, s.id, s.shard, end-g.tax, end)
+				emitSpan(t, trace.SpanSweep, s.id, s.shard, end-g.tax, end)
 			}
 			t.Emit(trace.SpanEnd(g.kind, s.id, s.shard, end))
 			cur = end

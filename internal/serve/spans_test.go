@@ -150,7 +150,7 @@ func TestServeSpansReportShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Spans
-	if rep.Schema != "regions/serve-spans/v2" {
+	if rep.Schema != "regions/serve-spans/v3" {
 		t.Errorf("schema = %q", rep.Schema)
 	}
 	kinds := trace.SpanKinds()
@@ -188,7 +188,7 @@ func TestServeSpansReportShape(t *testing.T) {
 }
 
 // TestServeSpansExternalTracer checks a caller-supplied ring implies Spans
-// and receives the raw event stream (the regiontrace -spans path).
+// and receives the raw event stream (the regionserve -chrome/-jsonl path).
 func TestServeSpansExternalTracer(t *testing.T) {
 	cfg := testConfig()
 	cfg.Sessions = 120
@@ -284,5 +284,49 @@ func TestSpanRecordChecks(t *testing.T) {
 	bad[0].rec.phases[trace.SpanWork]++
 	if err := checkExport(tr, bad); err == nil {
 		t.Error("a ring with another phase split passed the check")
+	}
+}
+
+// TestServeMigrateSpans checks the migration spans Run exports on a metered
+// resize run: an export on the donor and an import on the receiver per
+// migration, together as long as the regions_migration_cycles histogram
+// says the migrations took.
+func TestServeMigrateSpans(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := tenantConfig()
+	cfg.ResizeTo = 4
+	cfg.Metrics = reg
+	cfg.SpanTracer = trace.New(1 << 16)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := trace.BuildSpanProfile(cfg.SpanTracer.Events(), cfg.SpanTracer.Stats().Dropped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans, cycles uint64
+	onShard := map[int]int{}
+	for _, s := range p.Track {
+		if s.Kind == trace.SpanMigrate {
+			spans++
+			cycles += s.End - s.Begin
+			onShard[s.Shard]++
+		}
+	}
+	h, ok := reg.Snapshot().Histogram("regions_migration_cycles")
+	if !ok || res.Migrations == 0 || h.Count != res.Migrations {
+		t.Fatalf("histogram %+v (present %v) for %d migrations", h, ok, res.Migrations)
+	}
+	if spans != 2*res.Migrations {
+		t.Errorf("%d migrate spans for %d migrations", spans, res.Migrations)
+	}
+	if cycles != h.Sum {
+		t.Errorf("migrate spans last %d cycles, regions_migration_cycles sums to %d", cycles, h.Sum)
+	}
+	for shard := 0; shard < cfg.ResizeTo; shard++ {
+		if onShard[shard] == 0 {
+			t.Errorf("no migrate span on shard %d (per shard: %v)", shard, onShard)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"regions/internal/mem"
 	"regions/internal/metrics"
 	"regions/internal/stats"
-	"regions/internal/trace"
 )
 
 // DefaultPageBatch is the free-page cache batch of every shard runtime: each
@@ -84,9 +83,12 @@ type Stats struct {
 	OSBytes   uint64 // memory the shard requested from its OS
 
 	// Deferred-reclamation tallies (WithDeferredDelete only).
-	SweptPages       uint64 // pages the shard's sweeper poisoned
-	SweepDebtPeak    int    // highest sweep debt the shard ever carried
-	DrainSweepCycles uint64 // simulated cycles of the close-time debt drain
+	SweptPages    uint64 // pages the shard's sweeper poisoned
+	SweepDebtPeak int    // highest sweep debt the shard ever carried
+	// DrainSweepCycles is the simulated cost of the close-time debt drain,
+	// the shard's last work: it ran from SimCycles-DrainSweepCycles to
+	// SimCycles on the shard's clock.
+	DrainSweepCycles uint64
 }
 
 // Aggregate is the whole engine's tally after Close, with PerShard in shard
@@ -117,8 +119,6 @@ type board struct {
 	mu    sync.Mutex
 	slots []*slot // by worker id
 	agg   *Aggregate
-	// dropped is the span events lost to ring wraparound, read at Close.
-	dropped uint64
 
 	migrations    atomic.Uint64
 	migratedPages atomic.Uint64
@@ -154,9 +154,6 @@ func (b *board) emit(s *metrics.Sink) {
 		if agg.MakespanCycles > 0 && agg.Shards > 0 {
 			util := agg.TotalCycles * 100 / (agg.MakespanCycles * uint64(agg.Shards))
 			s.Gauge("regions_shard_utilization_pct", int64(util))
-		}
-		if b.dropped > 0 {
-			s.Counter("regions_trace_dropped_total", b.dropped)
 		}
 	}
 }
@@ -400,20 +397,6 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 	}
 }
 
-// emitSpan brackets the shard-clock window [begin, end] on shard in a span
-// pair on the engine's span tracer. Nil-checked (an engine without a span
-// tracer pays one predicate) and host-side only: emission charges no
-// simulated cycles, the stamps are cycle counts the shard already paid.
-// Both halves are emitted together, after the fact, which the analyzer
-// accepts because it orders by the stamps, not by arrival.
-func (e *Engine) emitSpan(kind trace.SpanKind, shard int, begin, end uint64) {
-	if e.set.spanT == nil {
-		return
-	}
-	e.set.spanT.Emit(trace.SpanBegin(kind, -1, shard, begin))
-	e.set.spanT.Emit(trace.SpanEnd(kind, -1, shard, end))
-}
-
 // HeapReports returns the most recent heap profile captured by each live
 // shard, in shard order, omitting shards that have not captured one yet.
 // Profiles are taken by the shard goroutines (see WithHeapProfileEvery);
@@ -465,12 +448,6 @@ func (e *Engine) Close() Aggregate {
 	}
 	e.board.mu.Lock()
 	e.board.agg = &agg
-	if e.set.spanT != nil {
-		// Span reconstruction is only as good as the ring: publish the
-		// events lost to wraparound so a scrape (and the SpanProfile
-		// consumer) can tell a complete account from a truncated window.
-		e.board.dropped = e.set.spanT.Stats().Dropped
-	}
 	e.board.mu.Unlock()
 	return agg
 }
@@ -504,12 +481,6 @@ func (w *worker) loop(e *Engine) {
 			w.stats.Checksum += sum
 		}
 		simAfter := w.env.Counters().TotalCycles()
-		if stolen {
-			// The thief shard spent this window running work homed elsewhere;
-			// the span names those cycles so a shard's track shows how much of
-			// its time went to siblings' backlogs.
-			e.emitSpan(trace.SpanStealStall, w.id, simBefore, simAfter)
-		}
 		if t.Done != nil {
 			w.runDone(t, TaskResult{
 				Shard:       w.id,
@@ -534,7 +505,6 @@ func (w *worker) loop(e *Engine) {
 			before := w.env.Counters().TotalCycles()
 			rt.SweepDrain()
 			w.stats.DrainSweepCycles = w.env.Counters().TotalCycles() - before
-			e.emitSpan(trace.SpanSweep, w.id, before, before+w.stats.DrainSweepCycles)
 		}
 		w.stats.SweptPages = rt.SweptPages()
 		w.stats.SweepDebtPeak = rt.SweepDebtPeak()

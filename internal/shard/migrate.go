@@ -5,7 +5,6 @@ import (
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
-	"regions/internal/trace"
 )
 
 // This file is the engine's elastic-sharding layer: live migration of
@@ -61,8 +60,7 @@ func (e *Engine) Migrations() (count, pages uint64) {
 
 // onShard runs step as a pinned task on w, giving it exclusive use of w's
 // runtime, and returns the task's simulated cycles with step's error (or
-// the task's recovered panic). A step that succeeds is bracketed in a
-// migrate span on w's track.
+// the task's recovered panic).
 func (e *Engine) onShard(w *worker, name string, step func(rt *core.Runtime) error) (uint64, error) {
 	var stepErr error
 	var cycles uint64
@@ -76,9 +74,6 @@ func (e *Engine) onShard(w *worker, name string, step func(rt *core.Runtime) err
 		},
 		Done: func(res TaskResult) {
 			cycles = res.EndCycles - res.StartCycles
-			if res.Err == nil && stepErr == nil {
-				e.emitSpan(trace.SpanMigrate, res.Shard, res.StartCycles, res.EndCycles)
-			}
 			done <- res.Err
 		},
 	})

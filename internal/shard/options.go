@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"regions/internal/metrics"
-	"regions/internal/trace"
-)
+import "regions/internal/metrics"
 
 // This file is the engine's construction surface: functional options over a
 // private settings struct, one option per knob a caller actually turns —
@@ -20,7 +17,6 @@ type settings struct {
 	sweepBudget      int
 	sweepHighWater   int
 	noStrPool        bool
-	spanT            *trace.Tracer
 }
 
 // Option configures an Engine at construction.
@@ -75,16 +71,3 @@ func WithDeferredDelete(budget, highWater int) Option {
 // shard runtime (core.Options.NoStrPool): RstrFree becomes accounting-only
 // and every RstrAlloc bumps, for A/B comparison against the pooled default.
 func WithNoStrPool() Option { return func(s *settings) { s.noStrPool = true } }
-
-// WithSpanTracer attaches t as the engine's span sink: workers bracket
-// close-time sweep drains, stolen-task executions, and migration
-// export/import pauses in begin/end span pairs (trace.SpanBegin /
-// trace.SpanEnd) stamped with the executing shard's own simulated clock.
-// The tracer must be clock-less (no SetClock) so those per-shard stamps
-// survive; it is shared by all workers, which is safe because Emit locks.
-// Nil — the default — emits nothing, and span emission never charges
-// simulated cycles, so checksums and cycle counts are bit-identical with
-// spans on or off.
-func WithSpanTracer(t *trace.Tracer) Option {
-	return func(s *settings) { s.spanT = t }
-}

@@ -173,7 +173,7 @@ func metaThread(tid int, name string) chromeEvent {
 // pairs; other events are ignored) as Chrome trace_event duration slices:
 // one process per shard, one row per request — request N renders on tid
 // N+1 of its shard's process, shard-level spans (idle sweeps, migration
-// pauses, steal stalls) on tid 0 — so a tail request's phase breakdown is
+// pauses, drains) on tid 0 — so a tail request's phase breakdown is
 // one visually inspectable row in chrome://tracing or ui.perfetto.dev.
 // Timestamps are the emitters' cycle stamps: the serving simulator's
 // modelled clock for request rows, the shard's own cycle count for the

@@ -8,8 +8,8 @@ import (
 
 // FuzzReadJSONL feeds arbitrary byte streams to the trace reader. The
 // contract under test: ReadJSONL never panics; on success the events it
-// returns survive re-serialization and profile construction; on failure it
-// returns an error rather than partial garbage.
+// returns survive re-serialization and span-profile construction; on
+// failure it returns an error rather than partial garbage.
 func FuzzReadJSONL(f *testing.F) {
 	// A valid trace produced by the writer itself.
 	var valid bytes.Buffer
@@ -42,7 +42,7 @@ func FuzzReadJSONL(f *testing.F) {
 		if err := WriteJSONL(&jsonl, events); err != nil {
 			t.Fatalf("re-serializing parsed events: %v", err)
 		}
-		BuildProfile(events, 0)
+		BuildSpanProfile(events, 0)
 		if err := WriteChromeTrace(&chrome, events); err != nil {
 			t.Fatalf("chrome trace of parsed events: %v", err)
 		}

@@ -10,10 +10,10 @@ import (
 // into "90k of it was queue wait and 30k was the work phase". A span is a
 // KindSpanBegin/KindSpanEnd event pair bracketing one phase of work. The
 // emitters stamp both ends with the relevant clock: internal/serve writes
-// each completed request's spans from its phase record, internal/shard
-// brackets idle sweeps and migration pauses, and internal/core brackets
-// sweep-tax slices. BuildSpanProfile folds the pairs back into per-request
-// critical paths.
+// a run's spans from its records once the run is over — each completed
+// request's phases, idle sweeps, migration pauses and close-time drains —
+// and internal/core brackets sweep-tax slices live. BuildSpanProfile folds
+// the pairs back into per-request critical paths.
 //
 // The contract that makes the attribution trustworthy is conservation: for
 // every request, the self cycles of its spans (a span's duration minus any
@@ -48,9 +48,6 @@ const (
 	// SpanMigrate is a region migration pause: the export or import task's
 	// cycle window on the shard that ran it.
 	SpanMigrate
-	// SpanStealStall is a stolen task's execution window on the thief shard:
-	// cycles a shard spent running work that was homed elsewhere.
-	SpanStealStall
 
 	numSpanKinds
 )
@@ -60,14 +57,13 @@ const (
 const NumSpanKinds = int(numSpanKinds)
 
 var spanKindNames = [numSpanKinds]string{
-	SpanInvalid:    "invalid",
-	SpanQueue:      "queue",
-	SpanParse:      "parse",
-	SpanWork:       "work",
-	SpanDelete:     "delete",
-	SpanSweep:      "sweep",
-	SpanMigrate:    "migrate",
-	SpanStealStall: "steal-stall",
+	SpanInvalid: "invalid",
+	SpanQueue:   "queue",
+	SpanParse:   "parse",
+	SpanWork:    "work",
+	SpanDelete:  "delete",
+	SpanSweep:   "sweep",
+	SpanMigrate: "migrate",
 }
 
 // String returns the kebab-case phase name used in reports and metric
@@ -149,7 +145,7 @@ type SpanProfile struct {
 	// Requests holds one entry per request id seen, sorted by id.
 	Requests []*RequestSpans
 	// Track holds the shard-level spans (idle sweeps, migration pauses,
-	// steal stalls), in stream order.
+	// close-time drains), in stream order.
 	Track []Span
 	// PhaseTotals sums self cycles per kind over all request spans.
 	PhaseTotals [numSpanKinds]uint64

@@ -16,13 +16,12 @@ func emitSpan(t *Tracer, kind SpanKind, req, shard int, begin, end uint64) {
 
 func TestSpanKindNames(t *testing.T) {
 	want := map[SpanKind]string{
-		SpanQueue:      "queue",
-		SpanParse:      "parse",
-		SpanWork:       "work",
-		SpanDelete:     "delete",
-		SpanSweep:      "sweep",
-		SpanMigrate:    "migrate",
-		SpanStealStall: "steal-stall",
+		SpanQueue:   "queue",
+		SpanParse:   "parse",
+		SpanWork:    "work",
+		SpanDelete:  "delete",
+		SpanSweep:   "sweep",
+		SpanMigrate: "migrate",
 	}
 	if len(SpanKinds()) != len(want) {
 		t.Fatalf("SpanKinds() has %d kinds, want %d", len(SpanKinds()), len(want))

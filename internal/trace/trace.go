@@ -5,13 +5,14 @@
 // without a tracer pays one predicate per operation and nothing else.
 //
 // The aggregate counters of internal/stats reproduce the paper's evaluation
-// (Tables 2-3, Figures 9-11); this package records the individual events
-// those counters summarize — who allocated, which barrier fired, when a
-// region died and, when it could not die, why. On top of the buffer sit a
-// JSONL sink (WriteJSONL), a Chrome trace_event exporter (WriteChromeTrace),
-// and an analysis pass folding events into per-region lifetime profiles
-// (BuildProfile). docs/OBSERVABILITY.md documents the schema; cmd/regiontrace
-// drives all three against the benchmark applications.
+// (Tables 2-3, Figures 9-11) and are the only source of totals; this
+// package records the individual events those counters summarize — who
+// allocated, which barrier fired, when a region died and, when it could not
+// die, why. A ring keeps only the newest events, so it is an export, never
+// a count: on top of the buffer sit a JSONL sink (WriteJSONL), a Chrome
+// trace_event exporter (WriteChromeTrace), and the request-span analysis
+// (BuildSpanProfile, span.go). docs/OBSERVABILITY.md documents the schema;
+// cmd/regiontrace drives the sinks against the benchmark applications.
 //
 // Tracing never charges simulated cycles: events are observability metadata,
 // outside the machine model, so a traced run reports the same counters as an
@@ -85,7 +86,7 @@ const (
 	// (region arriving), Region the local region id on that side.
 	KindMigrate
 
-	// Request-level spans (internal/serve, internal/shard, internal/core).
+	// Request-level spans (internal/serve, internal/core).
 	// A span is a begin/end event pair bracketing one phase of work: Aux is
 	// the SpanKind, Region the shard id the span runs on (-1 for a
 	// single-runtime trace), Addr the request id plus one (0 when the span

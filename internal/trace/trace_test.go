@@ -167,43 +167,3 @@ func TestChromeTraceValidJSON(t *testing.T) {
 		t.Errorf("leaked region not marked")
 	}
 }
-
-func TestBuildProfile(t *testing.T) {
-	evs := []Event{
-		{Cycle: 10, Kind: KindRegionCreate, Region: 0, Aux: -1},
-		{Cycle: 12, Kind: KindRalloc, Region: 0, Size: 16, Aux: -1},
-		{Cycle: 14, Kind: KindRegionCreate, Region: 1, Aux: -1},
-		{Cycle: 16, Kind: KindRstrAlloc, Region: 1, Size: 8, Aux: -1},
-		{Cycle: 18, Kind: KindBarrierGlobal, Region: 0, Aux: -1},
-		{Cycle: 20, Kind: KindRegionDeleteFail, Region: 0, Aux: 1},
-		{Cycle: 22, Kind: KindBarrierGlobal, Region: -1, Aux: 0},
-		{Cycle: 24, Kind: KindCleanup, Region: 0, Size: 16, Aux: -1},
-		{Cycle: 26, Kind: KindRegionDelete, Region: 0, Size: 16, Aux: 1},
-	}
-	p := BuildProfile(evs, 0)
-	if p.Created != 2 || p.Deleted != 1 || p.Leaked != 1 {
-		t.Fatalf("created/deleted/leaked = %d/%d/%d", p.Created, p.Deleted, p.Leaked)
-	}
-	if p.DeleteFails != 1 || p.Barriers.Global != 2 || p.Cleanups != 1 {
-		t.Fatalf("fails/globals/cleanups = %d/%d/%d", p.DeleteFails, p.Barriers.Global, p.Cleanups)
-	}
-	if p.PeakLiveRegions != 2 || p.PeakLiveObjects != 2 || p.PeakLiveBytes != 24 {
-		t.Fatalf("peaks = %d regions, %d objects, %d bytes",
-			p.PeakLiveRegions, p.PeakLiveObjects, p.PeakLiveBytes)
-	}
-	r0 := p.Regions[0]
-	if r0.ID != 0 || !r0.Deleted || r0.Span() != 16 || r0.DeleteFails != 1 || r0.FailRC != 1 {
-		t.Fatalf("region 0 profile: %+v", r0)
-	}
-	leaks := p.LeakCandidates()
-	if len(leaks) != 1 || leaks[0].ID != 1 {
-		t.Fatalf("leaks: %+v", leaks)
-	}
-	var buf bytes.Buffer
-	p.WriteReport(&buf, 0)
-	for _, want := range []string{"leak candidates", "region#1", "deleted"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("report missing %q:\n%s", want, buf.String())
-		}
-	}
-}

@@ -339,12 +339,14 @@ func (s *System) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 // pool ceiling — the block is poisoned and parked on the region's
 // capacity-class free list, where a later RstrAlloc of a fitting size
 // reuses it without bumping. Freeing is optional (regions reclaim
-// everything at deletion, as in the paper) and panics on a pointer outside
-// r or a size that does not match an allocation.
+// everything at deletion, as in the paper) and panics with a *Fault on
+// misuse: a pointer outside r, a block that is not string data r
+// allocated, a block already freed, a nil or unaligned pointer or a
+// non-positive size.
 func (s *System) RstrFree(r *Region, p Ptr, size int) { s.rt.RstrFree(r, p, size) }
 
-// TryRstrFree is the graceful variant of RstrFree: a pointer outside the
-// region returns a *Fault instead of panicking.
+// TryRstrFree is the graceful variant of RstrFree: misuse returns the
+// *Fault instead of panicking, before anything is charged or changed.
 func (s *System) TryRstrFree(r *Region, p Ptr, size int) error {
 	return s.rt.TryRstrFree(r, p, size)
 }
@@ -494,7 +496,8 @@ func (s *System) Store(p Ptr, v Word) { s.sp.Store(p, v) }
 func (s *System) StorePtr(slot, val Ptr) { s.rt.StorePtr(slot, val) }
 
 // StoreGlobalPtr writes a region pointer into global storage, applying the
-// paper's global-write barrier.
+// paper's global-write barrier. A slot outside the storage AllocGlobals
+// handed out panics with a FaultBadArgument *Fault before anything changes.
 func (s *System) StoreGlobalPtr(slot, val Ptr) { s.rt.StoreGlobalPtr(slot, val) }
 
 // StorePtrDynamic classifies slot at run time, for writes the "compiler"
