@@ -295,8 +295,8 @@ func printReport(res *serve.Result) {
 	if res.Leaked > 0 {
 		fmt.Printf("leaked regions: %d (deletion refused at abort; reclaimed at shard teardown)\n", res.Leaked)
 	}
-	fmt.Printf("latency (sim cycles): p50 %d  p99 %d  p999 %d  mean %d\n",
-		res.P50, res.P99, res.P999, res.Mean)
+	fmt.Printf("latency (sim cycles): p50 %d  p99 %d  p999 %d  max %d  mean %d\n",
+		res.P50, res.P99, res.P999, res.MaxCycles, res.Mean)
 	fmt.Printf("max queue depth %d  makespan %d sim cycles  checksum %08x\n",
 		res.MaxQueueDepth, res.MakespanCycles, res.Checksum)
 	if res.StrNew+res.StrReuse > 0 {

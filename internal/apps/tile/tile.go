@@ -105,15 +105,22 @@ func (g *lcg) document() []byte {
 // tokenize is host-side input preparation (reading the input file, in the
 // paper's terms): it lowercases and splits the raw text into words. All
 // per-word storage in the measured program goes through the allocators.
+// It counts the words first, so the word list is one allocation.
 func tokenize(text []byte) [][]byte {
-	var words [][]byte
+	n, in := 0, false
+	for _, b := range text {
+		if isAlpha(b) && !in {
+			n++
+		}
+		in = isAlpha(b)
+	}
+	words := make([][]byte, 0, n)
 	start := -1
 	for i, b := range text {
-		isAlpha := b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z'
-		if isAlpha && start < 0 {
+		if isAlpha(b) && start < 0 {
 			start = i
 		}
-		if !isAlpha && start >= 0 {
+		if !isAlpha(b) && start >= 0 {
 			words = append(words, text[start:i])
 			start = -1
 		}
@@ -123,6 +130,8 @@ func tokenize(text []byte) [][]byte {
 	}
 	return words
 }
+
+func isAlpha(b byte) bool { return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' }
 
 func hashWord(w []byte) uint32 {
 	h := uint32(2166136261)

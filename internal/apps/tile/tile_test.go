@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"regions/internal/apps/appkit"
+	"regions/internal/race"
 )
 
 func TestAllVariantsAgree(t *testing.T) {
@@ -102,6 +103,18 @@ func TestTokenize(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("token %d = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestHostAllocsTokenize: the word list is sized before it is filled, so a
+// tokenize call is one allocation however many words the text holds.
+func TestHostAllocsTokenize(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	text := Input(2)
+	if got := testing.AllocsPerRun(10, func() { tokenize(text) }); got != 1 {
+		t.Errorf("tokenize allocates %.2f Go objects per call, want 1", got)
 	}
 }
 

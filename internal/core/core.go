@@ -134,15 +134,12 @@ type Region struct {
 	// unswept > 0 is "detached": unreachable and RC-checked exactly like a
 	// deleted one, but its pages still carry stale contents on the free
 	// lists. See sweep.go.
-	unswept int
-	// strPool holds the region's per-capacity-class free lists of
-	// explicitly freed rstralloc blocks, host-side like the runtime's free
-	// page lists; strPoolBytes sums their recorded capacities for the heap
-	// report's byte decomposition. Nil until the first pooled free. See
-	// strpool.go.
-	strPool      [][]strBlock
-	strPoolBytes uint64
-	strPoolMask  uint16 // bit i set while class i's free list is non-empty
+	unswept int32
+	// pool holds the region's string-pool free lists, host-side like the
+	// runtime's free page lists. Nil until the first pooled free, so a
+	// region that never pools carries one pointer, not the table: the
+	// handle stays in the 64-byte size class. See strpool.go.
+	pool *strPool
 	// strTop mirrors the string list's bump frontier host-side: the address
 	// past the last byte bumped on a one-page head entry, 0 while the list
 	// is empty or its head is a multi-page entry (which is full). RstrFree
@@ -230,9 +227,9 @@ type Runtime struct {
 	spans     freeSpanTable
 	colorSeq  int
 
-	// strPoolSpare holds the string-pool class tables of dead regions,
-	// emptied, for reuse by the next region that pools (see strpool.go).
-	strPoolSpare [][][]strBlock
+	// strPoolSpare holds the string-pool tables of dead regions, emptied,
+	// for reuse by the next region that pools (see strpool.go).
+	strPoolSpare []*strPool
 
 	// Deferred-reclamation state (Options.DeferredDelete; see sweep.go).
 	// sweepq[sweepHead:] lists the detached page runs awaiting their sweep;

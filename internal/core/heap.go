@@ -67,7 +67,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 		}
 		var strPages map[int]bool // string-list page census for the pool audit
 		var strHead, strAvail, strTop Ptr
-		if r.strPool != nil {
+		if r.pool != nil {
 			strPages = map[int]bool{}
 		}
 		for li, offs := range [2][2]Ptr{{offNormalFirst, offNormalAvail}, {offStringFirst, offStringAvail}} {
@@ -143,7 +143,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 		// one of r's own string pages, inside the allocated prefix of the
 		// head page, in the class its capacity floors to, poisoned, and
 		// non-overlapping; the recorded byte sum must match.
-		if r.strPool != nil {
+		if r.pool != nil {
 			if f := rt.checkStrPool(r, strPages, strHead, strAvail); f != nil {
 				return nil, f
 			}
@@ -151,9 +151,11 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 		if rh != nil {
 			rh.Pages = rh.NormalPages + rh.StringPages
 			rh.CapacityBytes = uint64(rh.Pages) * mem.PageSize
-			rh.StrPoolBytes = r.strPoolBytes
-			for _, list := range r.strPool {
-				rh.StrPoolBlocks += len(list)
+			if sp := r.pool; sp != nil {
+				rh.StrPoolBytes = sp.bytes
+				for _, list := range sp.classes {
+					rh.StrPoolBlocks += len(list)
+				}
 			}
 			// The region structure and its coloring gap on the home page.
 			color := r.hdr - (r.hdr &^ Ptr(mem.PageSize-1)) - mem.WordSize
@@ -181,7 +183,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 	// sweeper, and sum to exactly the runtime's sweep debt and each source
 	// region's unswept count.
 	detachedSeen := 0
-	detachedPer := map[*Region]int{}
+	detachedPer := map[*Region]int32{}
 	var detachedOwners []*Region // in free-list order of first sight
 	queued := map[int]bool{}
 	for _, e := range rt.sweepq[rt.sweepHead:] {
@@ -327,11 +329,12 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 	if rt.opts.NoStrPool {
 		return rt.invariant(r.hdr, r.id, "string pool populated with pooling disabled")
 	}
+	sp := r.pool
 	var all []strBlock
 	var bytes uint64
-	for idx, list := range r.strPool {
-		if (len(list) > 0) != (r.strPoolMask&(1<<idx) != 0) {
-			return rt.invariant(r.hdr, r.id, "string pool class %d holds %d blocks, mask %#x", idx, len(list), r.strPoolMask)
+	for idx, list := range sp.classes {
+		if (len(list) > 0) != (sp.mask&(1<<idx) != 0) {
+			return rt.invariant(r.hdr, r.id, "string pool class %d holds %d blocks, mask %#x", idx, len(list), sp.mask)
 		}
 		for _, b := range list {
 			cap := int(b.cap)
@@ -367,9 +370,9 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 			all = append(all, b)
 		}
 	}
-	if bytes != r.strPoolBytes {
+	if bytes != sp.bytes {
 		return rt.invariant(r.hdr, r.id,
-			"string pool bytes %d, blocks sum to %d", r.strPoolBytes, bytes)
+			"string pool bytes %d, blocks sum to %d", sp.bytes, bytes)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].p < all[j].p })
 	for i := 1; i < len(all); i++ {

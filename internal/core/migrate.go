@@ -233,9 +233,11 @@ func (rt *Runtime) serializeRegion(r *Region, rec *RegionRecord) error {
 	}
 	// Parked string-pool blocks, in class-then-list order so the record is
 	// deterministic for a given pool state.
-	for _, list := range r.strPool {
-		for _, b := range list {
-			rec.StrPool = append(rec.StrPool, StrPoolRecord{OldAddr: b.p, Cap: b.cap})
+	if r.pool != nil {
+		for _, list := range r.pool.classes {
+			for _, b := range list {
+				rec.StrPool = append(rec.StrPool, StrPoolRecord{OldAddr: b.p, Cap: b.cap})
+			}
 		}
 	}
 	return nil

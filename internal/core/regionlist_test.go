@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"regions/internal/mem"
 	"regions/internal/race"
@@ -42,6 +43,16 @@ func TestHostAllocsRegionCycle(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(1000, func() { strCycle(rt) }); got != 1 {
 		t.Errorf("a warm region cycle allocates %.2f Go objects, want 1 (the Region)", got)
+	}
+}
+
+// TestHostAllocsRegionSize: the Region handle, the one object a region
+// cycle allocates, fills Go's 64-byte size class. Per-region state that
+// most regions never use belongs in a side table behind a pointer, as the
+// string pool's does.
+func TestHostAllocsRegionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Region{}); got != 64 {
+		t.Errorf("Region is %d bytes, want 64", got)
 	}
 }
 

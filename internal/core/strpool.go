@@ -83,6 +83,16 @@ type strBlock struct {
 	cap int32
 }
 
+// strPool is one region's side table of parked blocks: a free list per
+// capacity class, their recorded capacities summed for the heap report's
+// byte decomposition, and a mask with bit i set while class i's list is
+// non-empty.
+type strPool struct {
+	classes [strClasses][]strBlock
+	bytes   uint64
+	mask    uint16
+}
+
 // strClassIdx maps an aligned capacity to its class: the floor power of two,
 // so class i holds blocks of capacity [strClassMin<<i, strClassMin<<(i+1)).
 func strClassIdx(n int) int { return bits.Len32(uint32(n)) - 3 }
@@ -119,10 +129,11 @@ func strSiteKey(idx int) string {
 // is free-list bookkeeping already covered by the allocator's fixed charge.
 // Returns 0 when nothing fits.
 func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
-	if idx >= len(r.strPool) {
+	sp := r.pool
+	if sp == nil {
 		return 0
 	}
-	list := r.strPool[idx]
+	list := sp.classes[idx]
 	n := len(list)
 	probes := n
 	if probes > strPoolProbe {
@@ -133,11 +144,11 @@ func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
 		b := list[n-1-i]
 		if int(b.cap) >= data {
 			copy(list[n-1-i:], list[n-i:])
-			r.strPool[idx] = list[:n-1]
+			sp.classes[idx] = list[:n-1]
 			if n == 1 {
-				r.strPoolMask &^= 1 << idx
+				sp.mask &^= 1 << idx
 			}
-			r.strPoolBytes -= uint64(b.cap)
+			sp.bytes -= uint64(b.cap)
 			rt.t.StrParked[idx]--
 			return b.p
 		}
@@ -146,21 +157,23 @@ func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
 }
 
 // strPoolPut parks the freed block [p, p+cap) on r's floor-class free list.
-// A region's first pooled free takes a class table parked by an earlier
-// region's strPoolClear before making a new one.
+// A region's first pooled free takes a table parked by an earlier region's
+// strPoolClear before making a new one.
 func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
-	if r.strPool == nil {
+	sp := r.pool
+	if sp == nil {
 		if n := len(rt.strPoolSpare); n > 0 {
-			r.strPool = rt.strPoolSpare[n-1]
+			sp = rt.strPoolSpare[n-1]
 			rt.strPoolSpare = rt.strPoolSpare[:n-1]
 		} else {
-			r.strPool = make([][]strBlock, strClasses)
+			sp = &strPool{}
 		}
+		r.pool = sp
 	}
 	idx := strClassIdx(cap)
-	r.strPool[idx] = append(r.strPool[idx], strBlock{p: p, cap: int32(cap)})
-	r.strPoolMask |= 1 << idx
-	r.strPoolBytes += uint64(cap)
+	sp.classes[idx] = append(sp.classes[idx], strBlock{p: p, cap: int32(cap)})
+	sp.mask |= 1 << idx
+	sp.bytes += uint64(cap)
 	rt.t.StrParked[idx]++
 }
 
@@ -190,8 +203,11 @@ func (rt *Runtime) strAllocated(r *Region, p Ptr, n int) bool {
 // strParked returns a block parked on r's pool that overlaps [p, p+n), if
 // any: freeing it again would file one extent twice.
 func (r *Region) strParked(p Ptr, n int) (strBlock, bool) {
-	for m := r.strPoolMask; m != 0; m &= m - 1 {
-		for _, b := range r.strPool[bits.TrailingZeros16(m)] {
+	if r.pool == nil {
+		return strBlock{}, false
+	}
+	for m := r.pool.mask; m != 0; m &= m - 1 {
+		for _, b := range r.pool.classes[bits.TrailingZeros16(m)] {
 			if p < b.p+Ptr(b.cap) && b.p < p+Ptr(n) {
 				return b, true
 			}
@@ -202,21 +218,21 @@ func (r *Region) strParked(p Ptr, n int) (strBlock, bool) {
 
 // strPoolClear drops r's pool. The blocks' memory is reclaimed by the
 // caller's page release or detach; this only retires the host-side lists
-// and keeps the parked-block counts exact. The class table, its lists cut
-// to length 0, is parked on the runtime for the next region that pools, so
+// and keeps the parked-block counts exact. The table, its lists cut to
+// length 0, is parked on the runtime for the next region that pools, so
 // region churn does not make a table per region.
 func (rt *Runtime) strPoolClear(r *Region) {
-	if r.strPool == nil {
+	sp := r.pool
+	if sp == nil {
 		return
 	}
-	for idx, list := range r.strPool {
+	for idx, list := range sp.classes {
 		rt.t.StrParked[idx] -= int64(len(list))
-		r.strPool[idx] = list[:0]
+		sp.classes[idx] = list[:0]
 	}
-	rt.strPoolSpare = append(rt.strPoolSpare, r.strPool)
-	r.strPool = nil
-	r.strPoolBytes = 0
-	r.strPoolMask = 0
+	sp.bytes, sp.mask = 0, 0
+	rt.strPoolSpare = append(rt.strPoolSpare, sp)
+	r.pool = nil
 }
 
 // StrClassStats is one capacity class's row of the reuse report.
@@ -273,10 +289,10 @@ func (rt *Runtime) StrPoolStats() StrPoolStats {
 		out.Freed += c.Freed
 	}
 	for _, r := range rt.regions {
-		if r.deleted {
+		if r.deleted || r.pool == nil {
 			continue
 		}
-		for idx, list := range r.strPool {
+		for idx, list := range r.pool.classes {
 			out.Classes[idx].FreeBlocks += len(list)
 			for _, b := range list {
 				out.Classes[idx].FreeBytes += uint64(b.cap)

@@ -17,6 +17,14 @@ import (
 // across export/import and deferred deletion, and a randomized
 // alloc/free/recycle soak audited step by step.
 
+// poolBytes is the capacity r's string pool holds parked, 0 without a pool.
+func poolBytes(r *Region) uint64 {
+	if r.pool == nil {
+		return 0
+	}
+	return r.pool.bytes
+}
+
 // TestStrPoolSameSizeRecycle is the pool's core claim in miniature: free
 // then realloc at the same size reuses the same address, and the reuse path
 // is cheaper than the bump path it replaced.
@@ -107,7 +115,7 @@ func TestStrPoolBigAboveCeiling(t *testing.T) {
 		t.Fatalf("ceiling %d, want 2048", s.Ceiling)
 	}
 	rt.RstrFree(r, p, 3000)
-	if got := r.strPoolBytes; got != 0 {
+	if got := poolBytes(r); got != 0 {
 		t.Fatalf("above-ceiling free parked %d bytes, want 0", got)
 	}
 	if q := rt.RstrAlloc(r, 3000); q == p {
@@ -209,7 +217,7 @@ func TestStrPoolFreeForeignPointer(t *testing.T) {
 	if !errors.As(err, &f) || f.Kind != FaultDanglingDestroy {
 		t.Fatalf("want FaultDanglingDestroy, got %v", err)
 	}
-	if r2.strPoolBytes != 0 {
+	if poolBytes(r2) != 0 {
 		t.Fatal("foreign free parked bytes")
 	}
 }
@@ -225,13 +233,13 @@ func TestStrPoolDiesWithRegion(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				rt.RstrFree(r, rt.RstrAlloc(r, 128), 128)
 			}
-			if r.strPoolBytes == 0 {
+			if poolBytes(r) == 0 {
 				t.Fatal("pool empty before delete")
 			}
 			if !rt.DeleteRegion(r) {
 				t.Fatal("delete refused")
 			}
-			if r.strPool != nil || r.strPoolBytes != 0 {
+			if r.pool != nil {
 				t.Fatal("pool survived deletion")
 			}
 			// Interleave fresh pool traffic with the incremental sweep: the
@@ -277,7 +285,7 @@ func TestStrPoolExportImport(t *testing.T) {
 	for _, b := range blocks {
 		src.RstrFree(r, b.p, b.sz)
 	}
-	wantBytes := r.strPoolBytes
+	wantBytes := poolBytes(r)
 
 	rec, err := src.ExportRegion(r)
 	if err != nil {
@@ -293,8 +301,8 @@ func TestStrPoolExportImport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	if r2.strPoolBytes != wantBytes {
-		t.Fatalf("imported pool holds %d bytes, want %d", r2.strPoolBytes, wantBytes)
+	if got := poolBytes(r2); got != wantBytes {
+		t.Fatalf("imported pool holds %d bytes, want %d", got, wantBytes)
 	}
 	if err := dst.Verify(); err != nil {
 		t.Fatalf("verify destination: %v", err)
@@ -327,7 +335,7 @@ func TestStrPoolImportIntoNoStrPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	if r2.strPoolBytes != 0 || r2.strPool != nil {
+	if r2.pool != nil {
 		t.Fatal("NoStrPool receiver kept imported pool blocks")
 	}
 	if err := dst.Verify(); err != nil {

@@ -88,7 +88,7 @@ func (rt *Runtime) detachEntry(first Ptr, n int, r *Region) {
 	rt.charge(stats.ModeFree, 1)
 	rt.notePages(first, n, nil)
 	rt.pages.setDetached(first, n, r)
-	r.unswept += n
+	r.unswept += int32(n)
 	rt.sweepq = append(rt.sweepq, sweepEntry{first: first, pages: n})
 	rt.t.SweepDebt += n
 	if rt.t.SweepDebt > rt.sweepPeak {

@@ -15,33 +15,34 @@ import (
 // what makes a whole serving run bit-reproducible.
 
 // session is one request: its arrival time on the simulated clock, the
-// profile and weight drawn for it, its round-robin home shard, and — filled
-// in as it flows through the system — its outcome.
+// profile and weight drawn for it, its home shard, and — filled in as it
+// flows through the system — its outcome. Run draws the whole schedule as
+// one []session, so the fields are as narrow as their ranges allow.
 type session struct {
-	id      int
 	arrival uint64 // simulated cycles
-	prof    *Profile
-	weight  int // 1-3 size multiplier applied to every site count
-	shard   int
-	// tenant is the session's tenant id in tenant mode (Config.Tenants > 0),
-	// -1 otherwise. Tenant-mode sessions are homed on their tenant's shard
-	// rather than round-robin, so a skewed tenant draw produces the shard
-	// imbalance the resize barrier exists to fix.
-	tenant int
-
-	outcome uint8
-	waited  bool // entered the modelled queue (nonzero queue wait)
-	err     error
 	// latency is completion - arrival on the modelled clock, set when the
 	// session completes (outcomeOK): the population Result's quantiles read.
 	latency uint64
 	// sweepCycles is the simulated cost of the idle-gap sweep slices
-	// serveOne ran before this session's service; complete subtracts it
+	// serveOne ran before this session's service; account subtracts it
 	// from the measured task window so sweeping never bills a session.
 	sweepCycles uint64
+	prof        *Profile
 	// rec is the session's phase record, allocated at admission under
 	// Config.Spans and nil otherwise (see spans.go).
 	rec *phaseRecord
+
+	id    int32
+	shard int32
+	// tenant is the session's tenant id in tenant mode (Config.Tenants > 0),
+	// -1 otherwise. Tenant-mode sessions are homed on their tenant's shard
+	// rather than round-robin, so a skewed tenant draw produces the shard
+	// imbalance the resize barrier exists to fix.
+	tenant int32
+	weight uint8 // 1-3 size multiplier applied to every site count
+
+	outcome uint8
+	waited  bool // entered the modelled queue (nonzero queue wait)
 }
 
 // Session outcomes.
@@ -60,7 +61,7 @@ const (
 // request mix every real service sees. Sessions come out in arrival order,
 // assigned round-robin to shards, so each shard's pinned FIFO queue replays
 // its own arrival-ordered stream.
-func genSessions(cfg Config) []*session {
+func genSessions(cfg Config) []session {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	profiles := Profiles()
 	if cfg.Profile != "" {
@@ -72,7 +73,7 @@ func genSessions(cfg Config) []*session {
 	for _, p := range profiles {
 		total += p.Weight
 	}
-	out := make([]*session, cfg.Sessions)
+	out := make([]session, cfg.Sessions)
 	t := 0.0
 	for i := range out {
 		rate := cfg.Rate / 1e6 // arrivals per cycle
@@ -81,20 +82,22 @@ func genSessions(cfg Config) []*session {
 			rate *= cfg.BurstFactor
 		}
 		t += rng.ExpFloat64() / rate
-		out[i] = &session{
-			id:      i,
+		s := &out[i]
+		*s = session{
+			id:      int32(i),
 			arrival: uint64(t),
 			prof:    pickProfile(rng, profiles, total),
-			weight:  1 + rng.Intn(3),
-			shard:   i % cfg.Shards,
+			weight:  uint8(1 + rng.Intn(3)),
+			shard:   int32(i % cfg.Shards),
 			tenant:  -1,
 		}
 		// Tenant draws come after every legacy draw so a Tenants == 0 config
 		// consumes exactly the PRNG stream it always did: old seeds keep
 		// reproducing old schedules bit for bit.
 		if cfg.Tenants > 0 {
-			out[i].tenant = pickTenant(rng, cfg.Tenants)
-			out[i].shard = tenantHome(out[i].tenant, cfg.Tenants, cfg.Shards)
+			tenant := pickTenant(rng, cfg.Tenants)
+			s.tenant = int32(tenant)
+			s.shard = int32(tenantHome(tenant, cfg.Tenants, cfg.Shards))
 		}
 	}
 	return out

@@ -80,8 +80,8 @@ func TestServeGolden(t *testing.T) {
 
 // TestServeQuantilesExact checks that Result's latency quantiles are exact
 // order statistics: on every golden run they equal trace.QuantileExact over
-// the per-request latencies the span stream reconstructs, and no reported
-// quantile exceeds the slowest request.
+// the per-request latencies the span stream reconstructs, MaxCycles is the
+// slowest of those requests, and no reported quantile exceeds it.
 func TestServeQuantilesExact(t *testing.T) {
 	for _, c := range goldenRuns() {
 		t.Run(c.name, func(t *testing.T) {
@@ -113,9 +113,12 @@ func TestServeQuantilesExact(t *testing.T) {
 					t.Errorf("%s = %d, exact %d", q.name, q.got, want)
 				}
 			}
-			if !(res.P50 <= res.P99 && res.P99 <= res.P999 && res.P999 <= slowest) {
+			if res.MaxCycles != slowest {
+				t.Errorf("max = %d, slowest span request %d", res.MaxCycles, slowest)
+			}
+			if !(res.P50 <= res.P99 && res.P99 <= res.P999 && res.P999 <= res.MaxCycles) {
 				t.Errorf("want p50 <= p99 <= p999 <= max, got %d, %d, %d, %d",
-					res.P50, res.P99, res.P999, slowest)
+					res.P50, res.P99, res.P999, res.MaxCycles)
 			}
 		})
 	}

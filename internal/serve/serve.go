@@ -251,11 +251,14 @@ type Result struct {
 
 	// Latency order statistics over completed sessions, in simulated
 	// cycles: each quantile is exact, the ceil(q·n)-th smallest latency
-	// (trace.QuantileExact's rule), and Mean is the integer mean.
-	P50  uint64 `json:"p50Cycles"`
-	P99  uint64 `json:"p99Cycles"`
-	P999 uint64 `json:"p999Cycles"`
-	Mean uint64 `json:"meanCycles"`
+	// (trace.QuantileExact's rule), MaxCycles is the slowest request's
+	// latency, and Mean is the integer mean. Run fails unless
+	// P50 <= P99 <= P999 <= MaxCycles.
+	P50       uint64 `json:"p50Cycles"`
+	P99       uint64 `json:"p99Cycles"`
+	P999      uint64 `json:"p999Cycles"`
+	MaxCycles uint64 `json:"maxCycles"`
+	Mean      uint64 `json:"meanCycles"`
 	// MaxQueueDepth is the deepest modelled queue any shard saw.
 	MaxQueueDepth int `json:"maxQueueDepth"`
 	// MakespanCycles is the modelled drain time: the maximum shard clock.
@@ -354,6 +357,9 @@ type server struct {
 
 	eng    *shard.Engine
 	states []*shardState // indexed by shard position
+	// done counts the submitted sessions whose completion callback has not
+	// yet run; submitWait waits on it.
+	done sync.WaitGroup
 
 	// Resize barrier readings (Config.ResizeTo only): each shard's busy
 	// cycles and the highest sweep-debt peak when phase 1 had drained.
@@ -386,20 +392,37 @@ type tenantState struct {
 	home int // current home shard position
 }
 
-// shardState is one shard's modelled queue and tally. It is touched only by
-// that shard's pinned tasks (which run serially, in submission order) and
-// read by Run after the engine has drained, so it needs no lock.
+// shardState is one shard's task, modelled queue and tally. The driver only
+// sends on its feed and submits its task; everything else is touched only
+// by that shard's pinned tasks (which run serially, in submission order)
+// and read by Run after the engine has drained, so it needs no lock.
 type shardState struct {
 	id  int
 	env *appkit.CoreEnv
 	cln map[string]core.CleanupID
 
-	// pending holds the modelled completion times of sessions admitted but
-	// not yet complete at the head session's arrival instant; busyUntil is
-	// the shard's modelled clock (completion time of the last admitted
-	// session).
-	pending   []uint64
-	busyUntil uint64
+	// task is the shard's one pinned task, submitted once per session: its
+	// k-th Run serves the k-th session the driver sent on feed, since
+	// pinned tasks run in submission order. cur is the session in service,
+	// set by Run and read by Done, which run back to back on the shard
+	// goroutine; cause is the refused mapping that shed cur, if one did,
+	// kept until noteOverload reads it.
+	task  shard.Task
+	feed  chan *session
+	cur   *session
+	cause error
+	// taskErr is the shard's first task failure, naming its session.
+	taskErr error
+
+	// pending is the modelled queue, a ring of the completion times of the
+	// sessions admitted but not yet complete at the head session's arrival
+	// instant, oldest first: npending of them from pendHead. Admission
+	// sheds a session that finds MaxQueue ahead of it, so the ring never
+	// holds more. busyUntil is the shard's modelled clock (completion time
+	// of the last admitted session).
+	pending            []uint64
+	pendHead, npending int
+	busyUntil          uint64
 
 	stats ShardStats
 	// sloMisses counts completions over the SLO target; depth is the
@@ -576,16 +599,36 @@ func (sv *server) newShardState(i int) *shardState {
 		id:       i,
 		env:      env,
 		cln:      registerCleanups(env.Runtime()),
+		feed:     make(chan *session, min(sv.cfg.Sessions, feedDepth)),
+		pending:  make([]uint64, min(sv.cfg.Sessions, sv.cfg.MaxQueue)),
 		firstSID: -1,
+	}
+	st.task = shard.Task{
+		Name: "serve",
+		Home: i + 1,
+		Pin:  true, // the sessions' regions live on this runtime
+		Run: func(appkit.RegionEnv) uint32 {
+			st.cur = <-st.feed
+			return sv.serveOne(st, st.cur)
+		},
+		Done: func(res shard.TaskResult) {
+			defer sv.done.Done()
+			sv.complete(st, res)
+		},
 	}
 	st.stats.Shard = i
 	sv.board.add(st)
 	return st
 }
 
+// feedDepth is a shard feed's buffer. It exceeds the engine's pinned queue
+// (32 tasks) plus the session in service, so the driver never waits on a
+// feed, only in Submit while a shard's pinned queue is full.
+const feedDepth = 64
+
 // schedule draws the run's sessions and the index the resize barrier splits
 // them at: len(sessions) when there is no resize.
-func schedule(cfg Config) ([]*session, int) {
+func schedule(cfg Config) ([]session, int) {
 	sessions := genSessions(cfg)
 	split := len(sessions)
 	if cfg.ResizeTo > 0 {
@@ -597,32 +640,20 @@ func schedule(cfg Config) ([]*session, int) {
 	return sessions, split
 }
 
-// submitWait submits batch, in arrival order, as tasks pinned to each
-// session's home shard, and blocks until every completion callback has
-// fired — a full engine barrier, which the resize path needs between its
-// two phases. The single-phase path uses it too; waiting before Close is
-// free. Submitting one task at a time feeds every shard from the first
-// session on, so the shards serve at once.
-func (sv *server) submitWait(batch []*session) {
-	if len(batch) == 0 {
-		return
+// submitWait serves batch in arrival order: each session goes on its home
+// shard's feed, followed by that shard's task. It blocks until every
+// completion callback has fired — a full engine barrier, which the resize
+// path needs between its two phases. The single-phase path uses it too;
+// waiting before Close is free. Submitting one session at a time feeds
+// every shard from the first session on, so the shards serve at once.
+func (sv *server) submitWait(batch []session) {
+	sv.done.Add(len(batch))
+	for i := range batch {
+		st := sv.states[batch[i].shard]
+		st.feed <- &batch[i]
+		sv.eng.Submit(st.task)
 	}
-	var done sync.WaitGroup
-	done.Add(len(batch))
-	for _, s := range batch {
-		st := sv.states[s.shard]
-		sv.eng.Submit(shard.Task{
-			Name: fmt.Sprintf("sess-%d", s.id),
-			Home: s.shard + 1,
-			Pin:  true, // the session's regions live on this runtime
-			Run:  func(appkit.RegionEnv) uint32 { return sv.serveOne(st, s) },
-			Done: func(res shard.TaskResult) {
-				sv.complete(st, s, res)
-				done.Done()
-			},
-		})
-	}
-	done.Wait()
+	sv.done.Wait()
 }
 
 // resizeBarrier runs between the two phases of a resize run. Every phase-1
@@ -633,7 +664,7 @@ func (sv *server) submitWait(batch []*session) {
 // home shifts under the weight-balanced placement — translating the
 // driver-held chain head through the transfer record — and rehomes the
 // remaining sessions after their tenants.
-func (sv *server) resizeBarrier(rest []*session) error {
+func (sv *server) resizeBarrier(rest []session) error {
 	cfg := sv.cfg
 	sv.phase1Busy = make([]uint64, cfg.Shards)
 	for i, st := range sv.states {
@@ -682,8 +713,8 @@ func (sv *server) resizeBarrier(rest []*session) error {
 		}
 		ts.home = newHome
 	}
-	for _, s := range rest {
-		s.shard = homes[s.tenant]
+	for i := range rest {
+		rest[i].shard = int32(homes[rest[i].tenant])
 	}
 	return nil
 }
@@ -692,14 +723,14 @@ func (sv *server) resizeBarrier(rest []*session) error {
 // folds the engine aggregate, the per-shard serving tallies, the completed
 // sessions' latency order statistics and, with Spans, their phase records
 // into the Result. A caller's span tracer receives the records' spans.
-func (sv *server) report(sessions []*session) (*Result, error) {
+func (sv *server) report(sessions []session) (*Result, error) {
 	cfg := sv.cfg
 	// Every session has completed, so outcomes can be read before Close.
 	lat := make([]uint64, 0, len(sessions))
 	var sum uint64
 	var done []*session // completed sessions with phase records
-	for _, s := range sessions {
-		if s.outcome == outcomeOK {
+	for i := range sessions {
+		if s := &sessions[i]; s.outcome == outcomeOK {
 			lat = append(lat, s.latency)
 			sum += s.latency
 			if s.rec != nil {
@@ -709,6 +740,11 @@ func (sv *server) report(sessions []*session) (*Result, error) {
 	}
 	agg := sv.eng.Close()
 	if agg.Failures > 0 {
+		for _, st := range sv.states {
+			if st.taskErr != nil {
+				return nil, fmt.Errorf("serve: %d session task failures, e.g. %w", agg.Failures, st.taskErr)
+			}
+		}
 		for _, s := range agg.PerShard {
 			if s.LastError != "" {
 				return nil, fmt.Errorf("serve: %d session task failures, e.g. %s", agg.Failures, s.LastError)
@@ -780,6 +816,11 @@ func (sv *server) report(sessions []*session) (*Result, error) {
 	res.P50 = trace.QuantileSorted(lat, 0.50)
 	res.P99 = trace.QuantileSorted(lat, 0.99)
 	res.P999 = trace.QuantileSorted(lat, 0.999)
+	res.MaxCycles = trace.QuantileSorted(lat, 1)
+	if !(res.P50 <= res.P99 && res.P99 <= res.P999 && res.P999 <= res.MaxCycles) {
+		return nil, fmt.Errorf("serve: latency order statistics out of order: p50 %d, p99 %d, p999 %d, max %d",
+			res.P50, res.P99, res.P999, res.MaxCycles)
+	}
 	res.Mean = sum / max(1, uint64(len(lat)))
 	res.SLOPass = res.P99 <= cfg.SLOP99
 
@@ -914,15 +955,15 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	}
 	// Admission: drain the modelled queue up to this session's arrival
 	// instant, then shed if MaxQueue sessions are still ahead of it.
-	for len(st.pending) > 0 && st.pending[0] <= s.arrival {
-		st.pending = st.pending[1:]
+	for st.npending > 0 && st.pending[st.pendHead] <= s.arrival {
+		st.pendHead = (st.pendHead + 1) % len(st.pending)
+		st.npending--
 	}
-	if len(st.pending) >= sv.cfg.MaxQueue {
+	if st.npending >= sv.cfg.MaxQueue {
 		s.outcome = outcomeShedQueue
-		s.err = &OverloadError{Session: s.id, Shard: st.id, Reason: "queue full"}
 		return 0
 	}
-	s.waited = len(st.pending) > 0
+	s.waited = st.npending > 0
 	if sv.cfg.Spans {
 		// Everything charged from here to the final cut is the session's
 		// service; the idle-gap slices above accounted themselves in
@@ -935,7 +976,7 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	sum, err := sv.lifecycle(st, s)
 	if err != nil {
 		s.outcome = outcomeShedOOM
-		s.err = &OverloadError{Session: s.id, Shard: st.id, Reason: "out of memory", Err: err}
+		st.cause = err
 		return 0
 	}
 	// The final delete boundary is cut here, after lifecycle's deferred
@@ -946,12 +987,16 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	return sum
 }
 
-// complete is the engine completion callback: it accounts the session
-// and publishes the shard's tally. Pinned tasks deliver Done calls in FIFO
+// complete is the engine completion callback: it accounts the session in
+// service, keeps the shard's first task failure with its session's id, and
+// publishes the shard's tally. Pinned tasks deliver Done calls in FIFO
 // order on the shard goroutine, so this is single-threaded per shard by
 // construction.
-func (sv *server) complete(st *shardState, s *session, res shard.TaskResult) {
-	sv.account(st, s, res)
+func (sv *server) complete(st *shardState, res shard.TaskResult) {
+	if res.Err != nil && st.taskErr == nil {
+		st.taskErr = fmt.Errorf("session %d: %w", st.cur.id, res.Err)
+	}
+	sv.account(st, st.cur, res)
 	sv.board.publish(st)
 }
 
@@ -981,11 +1026,12 @@ func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 	}
 	completion := start + service
 	st.busyUntil = completion
-	st.pending = append(st.pending, completion)
-	if len(st.pending) > st.stats.MaxDepth {
-		st.stats.MaxDepth = len(st.pending)
+	st.pending[(st.pendHead+st.npending)%len(st.pending)] = completion
+	st.npending++
+	if st.npending > st.stats.MaxDepth {
+		st.stats.MaxDepth = st.npending
 	}
-	st.depth = len(st.pending)
+	st.depth = st.npending
 	st.stats.BusyUntilCycles = completion
 	st.stats.Admitted++
 	if s.waited {
@@ -1016,10 +1062,14 @@ func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 
 // noteOverload keeps the shard's earliest shed error.
 func (st *shardState) noteOverload(s *session) {
-	if st.firstOverload == nil {
-		st.firstOverload = s.err
-		st.firstSID = s.id
+	if st.firstOverload != nil {
+		return
 	}
+	e := &OverloadError{Session: int(s.id), Shard: st.id, Reason: "queue full"}
+	if s.outcome == outcomeShedOOM {
+		e.Reason, e.Err = "out of memory", st.cause
+	}
+	st.firstOverload, st.firstSID = e, int(s.id)
 }
 
 // lifecycle runs one session on the shard's runtime: parse into a request
@@ -1051,7 +1101,8 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	sum, _, err := sv.allocPhase(st, parse, s.prof.parse, s.weight, f, 0, s.prof.recycle)
+	weight := int(s.weight)
+	sum, _, err := sv.allocPhase(st, parse, s.prof.parse, weight, f, 0, s.prof.recycle)
 	if err != nil {
 		abort(parse)
 		return 0, err
@@ -1063,7 +1114,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 		abort(parse)
 		return 0, err
 	}
-	wsum, hot, err := sv.allocPhase(st, work, s.prof.work, s.weight, f, 1, s.prof.recycle)
+	wsum, hot, err := sv.allocPhase(st, work, s.prof.work, weight, f, 1, s.prof.recycle)
 	sum += wsum
 	if err != nil {
 		abort(parse, work)
@@ -1088,7 +1139,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 	// region's two hottest objects — the steady-state barrier path that
 	// dominates all six apps.
 	if hot[0] != 0 && hot[1] != 0 {
-		for i := 0; i < s.prof.stores*s.weight; i++ {
+		for i := 0; i < s.prof.stores*weight; i++ {
 			if i%2 == 0 {
 				rt.StorePtr(hot[0], hot[1])
 			} else {
@@ -1139,7 +1190,7 @@ func (sv *server) tenantPhase(st *shardState, s *session) (uint32, error) {
 		ts.r = r
 	}
 	var sum uint32
-	for i := 0; i < tenantNodes*s.weight; i++ {
+	for i := 0; i < tenantNodes*int(s.weight); i++ {
 		p, err := rt.TryRalloc(ts.r, tenantNodeSize, st.cln[tenantSite])
 		if err != nil {
 			return 0, err

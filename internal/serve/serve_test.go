@@ -395,27 +395,58 @@ func TestOverloadErrorChains(t *testing.T) {
 	}
 }
 
+// TestTaskFailureNamesSession: every session on a shard runs through the
+// shard's one task value, yet a session whose task panics fails the run
+// with an error naming that session.
+func TestTaskFailureNamesSession(t *testing.T) {
+	cfg := Config{Sessions: 6, Seed: 1, Shards: 2}.withDefaults()
+	sv := newServer(cfg)
+	sv.startEngine()
+	sessions, _ := schedule(cfg)
+	sessions[3].prof = nil // lifecycle reads the profile: the task panics
+	sv.submitWait(sessions)
+	_, err := sv.report(sessions)
+	if err == nil || !strings.Contains(err.Error(), "session 3:") {
+		t.Fatalf("err = %v, want a task failure naming session 3", err)
+	}
+}
+
 // TestHostAllocsPerSession gates the serving path's host allocations: a
 // two-shard strheavy run allocates a bounded number of Go objects per
-// session. The engine copies no batch, string-pool tables and region list
-// slots are reused, and what is left is the session itself, its task and
-// the regions it creates.
+// session. The schedule is one array, each shard has one task and a
+// fixed modelled queue, and a string-pool table and region list slots are
+// reused, so what is left is the two Region handles a session creates and,
+// under Spans, its phase record.
 func TestHostAllocsPerSession(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const sessions = 10_000
-	cfg := Config{Sessions: sessions, Seed: 1, Shards: 2, Rate: 500, Profile: "strheavy"}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	objs := float64(after.Mallocs-before.Mallocs) / sessions
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / sessions
-	t.Logf("%.2f objects, %.0f bytes per session", objs, bytes)
-	if objs > 9 {
-		t.Errorf("%.2f Go objects allocated per session, want at most 9", objs)
+	for _, c := range []struct {
+		name              string
+		spans             bool
+		maxObjs, maxBytes float64
+	}{
+		{"plain", false, 2.2, 300},
+		{"spans", true, 3.2, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Sessions: sessions, Seed: 1, Shards: 2, Rate: 500, Profile: "strheavy", Spans: c.spans}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			objs := float64(after.Mallocs-before.Mallocs) / sessions
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / sessions
+			t.Logf("%.2f objects, %.0f bytes per session", objs, bytes)
+			if objs > c.maxObjs {
+				t.Errorf("%.2f Go objects allocated per session, want at most %g", objs, c.maxObjs)
+			}
+			if c.maxBytes > 0 && bytes > c.maxBytes {
+				t.Errorf("%.0f bytes allocated per session, want at most %g", bytes, c.maxBytes)
+			}
+		})
 	}
 }

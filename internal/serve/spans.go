@@ -40,12 +40,18 @@ type phaseSeg struct {
 	cycles, tax uint64
 }
 
-// phaseRecord is one session's span account.
+// maxSegs bounds a session's segments: lifecycle cuts parse, work, delete
+// and work, and serveOne the final delete.
+const maxSegs = 5
+
+// phaseRecord is one session's span account, one allocation per admitted
+// session.
 type phaseRecord struct {
 	// clock and tax are the shard's raw clock and cumulative sweep-tax
 	// reading at the last cut, or at admission before the first.
 	clock, tax uint64
-	segs       []phaseSeg
+	segs       [maxSegs]phaseSeg
+	nsegs      int
 	// prevBusy is the shard's modelled clock before the session, where its
 	// idle-gap sweep slices began.
 	prevBusy uint64
@@ -60,7 +66,8 @@ func (r *phaseRecord) cut(st *shardState, kind trace.SpanKind) {
 		return
 	}
 	clock, tax := st.env.Counters().TotalCycles(), st.env.Runtime().SweepTaxCycles()
-	r.segs = append(r.segs, phaseSeg{kind: kind, cycles: clock - r.clock, tax: tax - r.tax})
+	r.segs[r.nsegs] = phaseSeg{kind: kind, cycles: clock - r.clock, tax: tax - r.tax}
+	r.nsegs++
 	r.clock, r.tax = clock, tax
 }
 
@@ -70,7 +77,7 @@ func (r *phaseRecord) cut(st *shardState, kind trace.SpanKind) {
 func (r *phaseRecord) settle(s *session, prevBusy, start uint64) {
 	r.prevBusy = prevBusy
 	r.phases[trace.SpanQueue] = start - s.arrival
-	for _, g := range r.segs {
+	for _, g := range r.segs[:r.nsegs] {
 		r.phases[g.kind] += g.cycles - g.tax
 		r.phases[trace.SpanSweep] += g.tax
 	}
@@ -150,7 +157,7 @@ func buildSpanReport(done []*session, topK int) (*SpanReport, error) {
 		return cmp.Or(cmp.Compare(b.latency, a.latency), cmp.Compare(a.id, b.id))
 	})
 	for _, s := range slow[:min(topK, len(slow))] {
-		sr := SlowRequest{Session: s.id, Shard: s.shard, LatencyCycles: s.latency,
+		sr := SlowRequest{Session: int(s.id), Shard: int(s.shard), LatencyCycles: s.latency,
 			PhaseCycles: map[string]uint64{}}
 		for _, k := range trace.SpanKinds() {
 			if c := s.rec.phases[k]; c > 0 {
@@ -181,23 +188,23 @@ func emitSpan(t *trace.Tracer, kind trace.SpanKind, req, shard int, begin, end u
 // with its allocation tax nested at its end.
 func exportSpans(t *trace.Tracer, done []*session) {
 	for _, s := range done {
-		r := s.rec
+		r, id, shard := s.rec, int(s.id), int(s.shard)
 		if s.sweepCycles > 0 {
 			// The last idle-gap slice may overshoot the gap by less than one
 			// slice, so this span can run slightly past the arrival instant.
-			emitSpan(t, trace.SpanSweep, -1, s.shard, r.prevBusy, r.prevBusy+s.sweepCycles)
+			emitSpan(t, trace.SpanSweep, -1, shard, r.prevBusy, r.prevBusy+s.sweepCycles)
 		}
 		cur := s.arrival + r.phases[trace.SpanQueue] // the service start
 		if cur > s.arrival {
-			emitSpan(t, trace.SpanQueue, s.id, s.shard, s.arrival, cur)
+			emitSpan(t, trace.SpanQueue, id, shard, s.arrival, cur)
 		}
-		for _, g := range r.segs {
+		for _, g := range r.segs[:r.nsegs] {
 			end := cur + g.cycles
-			t.Emit(trace.SpanBegin(g.kind, s.id, s.shard, cur))
+			t.Emit(trace.SpanBegin(g.kind, id, shard, cur))
 			if g.tax > 0 {
-				emitSpan(t, trace.SpanSweep, s.id, s.shard, end-g.tax, end)
+				emitSpan(t, trace.SpanSweep, id, shard, end-g.tax, end)
 			}
-			t.Emit(trace.SpanEnd(g.kind, s.id, s.shard, end))
+			t.Emit(trace.SpanEnd(g.kind, id, shard, end))
 			cur = end
 		}
 	}
@@ -217,7 +224,7 @@ func checkExport(t *trace.Tracer, done []*session) error {
 		return fmt.Errorf("serve: span export holds %d requests, %d completed", len(p.Requests), len(done))
 	}
 	for i, r := range p.Requests {
-		if s := done[i]; r.Request != s.id || r.Shard != s.shard || r.Phases != s.rec.phases || r.Latency() != s.latency {
+		if s := done[i]; r.Request != int(s.id) || r.Shard != int(s.shard) || r.Phases != s.rec.phases || r.Latency() != s.latency {
 			return fmt.Errorf("serve: span export of request %d disagrees with its record", r.Request)
 		}
 	}

@@ -251,8 +251,8 @@ func TestSpanRecordChecks(t *testing.T) {
 	newDone := func() []*session {
 		var done []*session
 		for id, arrival := range []uint64{10, 40} {
-			s := &session{id: id, arrival: arrival, shard: 1, outcome: outcomeOK,
-				rec: &phaseRecord{segs: []phaseSeg{
+			s := &session{id: int32(id), arrival: arrival, shard: 1, outcome: outcomeOK,
+				rec: &phaseRecord{nsegs: 2, segs: [maxSegs]phaseSeg{
 					{kind: trace.SpanParse, cycles: 30, tax: 5},
 					{kind: trace.SpanDelete, cycles: 8},
 				}}}
