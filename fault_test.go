@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"regions"
+	"regions/internal/mem"
+	"regions/internal/stats"
 )
 
 // TestFaultInjectionPublicAPI is the end-to-end robustness smoke test: a
@@ -257,6 +259,60 @@ func TestStringFreeAndGlobalStoreFaults(t *testing.T) {
 			}
 			if err := sys.Verify(); err != nil {
 				t.Errorf("Verify after delete: %v", err)
+			}
+		})
+	}
+}
+
+// TestAccessFaults: a load, store or barrier at an unmapped or unaligned
+// address panics with a FaultBadArgument *Fault whose Err is the
+// mem.AccessError, before anything is charged or counted, and the space
+// stays in application mode: the next Store is charged to app as usual.
+func TestAccessFaults(t *testing.T) {
+	const unmapped = regions.Ptr(0x7fff0000)
+	for _, c := range []struct {
+		name      string
+		unaligned bool // the address is an object's plus 2, else unmapped
+		op        func(sys *regions.System, p regions.Ptr)
+	}{
+		{"load-unmapped", false, func(sys *regions.System, p regions.Ptr) { sys.Load(p) }},
+		{"store-unmapped", false, func(sys *regions.System, p regions.Ptr) { sys.Store(p, 1) }},
+		{"storeptr-unmapped", false, func(sys *regions.System, p regions.Ptr) { sys.StorePtr(p, 0) }},
+		{"storeptr-unaligned", true, func(sys *regions.System, p regions.Ptr) { sys.StorePtr(p, 0) }},
+		{"storeptrdynamic-unmapped", false, func(sys *regions.System, p regions.Ptr) { sys.StorePtrDynamic(p, 0) }},
+		{"storeglobalptr-unmapped", false, func(sys *regions.System, p regions.Ptr) { sys.StoreGlobalPtr(p, 0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := regions.New()
+			obj := sys.Ralloc(sys.NewRegion(), 16, sys.SizeCleanup(16))
+			addr := unmapped
+			if c.unaligned {
+				addr = obj + 2
+			}
+			counters := *sys.Counters()
+			func() {
+				defer func() {
+					r := recover()
+					f, ok := r.(*regions.Fault)
+					var ae mem.AccessError
+					if !ok || f.Kind != regions.FaultBadArgument || !errors.As(f, &ae) || ae.Addr != addr {
+						t.Errorf("panicked with %v, want a FaultBadArgument *Fault wrapping the AccessError at %#x", r, addr)
+					}
+				}()
+				c.op(sys, addr)
+			}()
+			if *sys.Counters() != counters {
+				t.Errorf("the faulting call changed the counters")
+			}
+			sys.Store(obj, 7)
+			after := sys.Counters()
+			if app := after.Cycles[stats.ModeApp] - counters.Cycles[stats.ModeApp]; app != mem.AppComputeFactor ||
+				after.Cycles[stats.ModeRC] != counters.Cycles[stats.ModeRC] {
+				t.Errorf("the next Store charged %d app and %d rc cycles, want %d app and none to rc",
+					app, after.Cycles[stats.ModeRC]-counters.Cycles[stats.ModeRC], mem.AppComputeFactor)
+			}
+			if err := sys.Verify(); err != nil {
+				t.Errorf("Verify: %v", err)
 			}
 		})
 	}

@@ -166,6 +166,31 @@ func TestStoreLoadBytes(t *testing.T) {
 	}
 }
 
+// TestEqualBytesLoadsWhatLoadBytesLoads: comparing in place gives the
+// answer of comparing a copy and charges exactly the copy's loads, whether
+// or not the bytes match.
+func TestEqualBytesLoadsWhatLoadBytesLoads(t *testing.T) {
+	e := NewMallocEnv("BSD", Config{})
+	sp := e.Space()
+	for _, stored := range []string{"", "a", "main", "mains", "f12", "the quick brown fox"} {
+		p := e.Alloc((BytesWords(len(stored)) + 1) * mem.WordSize)
+		StoreBytes(sp, p, []byte(stored))
+		for _, s := range []string{"", "a", "main", "maim", "mains", "xhe quick brown fox", "the quick brown fox"} {
+			for _, n := range []int{len(stored), len(s)} {
+				c0 := e.Counters().TotalCycles()
+				want := string(LoadBytes(sp, p, n)) == s
+				c1 := e.Counters().TotalCycles()
+				got := EqualBytes(sp, p, n, s)
+				c2 := e.Counters().TotalCycles()
+				if got != want || c2-c1 != c1-c0 {
+					t.Errorf("EqualBytes(%q, n=%d, %q) = %v in %d cycles; LoadBytes compare = %v in %d",
+						stored, n, s, got, c2-c1, want, c1-c0)
+				}
+			}
+		}
+	}
+}
+
 func TestBytesWords(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 1, 4: 1, 5: 2, 8: 2, 9: 3}
 	for n, want := range cases {

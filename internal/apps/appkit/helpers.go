@@ -38,6 +38,24 @@ func LoadBytes(sp *mem.Space, p Ptr, n int) []byte {
 	return b
 }
 
+// EqualBytes reports whether the n bytes at the word-aligned address p
+// equal s. It loads every word LoadBytes(sp, p, n) would, with no early
+// exit, so comparing a name in place costs the simulated program what
+// copying it out did.
+func EqualBytes(sp *mem.Space, p Ptr, n int, s string) bool {
+	if p%mem.WordSize != 0 {
+		panic("appkit: EqualBytes at unaligned address")
+	}
+	eq := n == len(s)
+	for i := 0; i < n; i += 4 {
+		w := sp.Load(p + Ptr(i))
+		for k := 0; k < 4 && i+k < n; k++ {
+			eq = eq && i+k < len(s) && byte(w>>(8*k)) == s[i+k]
+		}
+	}
+	return eq
+}
+
 // BytesWords returns the number of words needed to store n bytes.
 func BytesWords(n int) int { return (n + mem.WordSize - 1) / mem.WordSize }
 

@@ -17,7 +17,6 @@ package cfrac
 import (
 	_ "embed"
 	"math/bits"
-	"sort"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/apps/bignum"
@@ -173,11 +172,24 @@ func smallPrimes() []uint64 {
 	return ps
 }
 
+// scratch is one run's host buffers, reused from number to number: the
+// prime table, the current factor base, trial division's exponent vector
+// and the dependency sets.
+type scratch struct {
+	primes []uint64
+	fb     []uint64
+	exps   []uint8
+	deps   []uint64
+}
+
+func newScratch() *scratch { return &scratch{primes: smallPrimes()} }
+
 // factorBase returns the primes usable for kN: 2 plus every odd prime up to
-// the bound with (kN|p) != -1, capped at maxFB entries.
-func factorBase(kn uint64) []uint64 {
-	fb := []uint64{2}
-	for _, p := range smallPrimes()[1:] {
+// the bound with (kN|p) != -1, capped at maxFB entries. The next call
+// reuses the slice.
+func (s *scratch) factorBase(kn uint64) []uint64 {
+	fb := append(s.fb[:0], 2)
+	for _, p := range s.primes[1:] {
 		if legendre(kn, p) != p-1 {
 			fb = append(fb, p)
 			if len(fb) == maxFB {
@@ -185,6 +197,7 @@ func factorBase(kn uint64) []uint64 {
 			}
 		}
 	}
+	s.fb = fb
 	return fb
 }
 
@@ -211,44 +224,36 @@ func (r *relation) parityMask() uint64 {
 	return m
 }
 
+// A dependency is a set of relation indices, one bit per relation, so a
+// multiplier's relations must fit in 64 bits.
+const _ uint = 64 - (maxFB + extraRels)
+
 // dependencies runs GF(2) elimination over the relations' parity masks and
 // returns, for each null-space vector found, the set of relation indices.
-// Histories combine by symmetric difference, so every returned set uses
-// each relation at most once.
-func dependencies(rels []*relation) [][]int {
-	type row struct {
-		mask uint64
-		hist map[int]bool
-	}
-	pivots := map[int]*row{}
-	var deps [][]int
+// Histories combine by symmetric difference (XOR), so every returned set
+// uses each relation at most once. The next call reuses the slice.
+func (s *scratch) dependencies(rels []*relation) []uint64 {
+	type row struct{ mask, hist uint64 }
+	var pivots [64]row
+	var have uint64 // bit b: pivots[b] is set
+	deps := s.deps[:0]
 	for i, r := range rels {
-		cur := &row{mask: r.parityMask(), hist: map[int]bool{i: true}}
+		cur := row{mask: r.parityMask(), hist: 1 << i}
 		for cur.mask != 0 {
 			b := bits.TrailingZeros64(cur.mask)
-			p, ok := pivots[b]
-			if !ok {
+			if have&(1<<b) == 0 {
 				pivots[b] = cur
+				have |= 1 << b
 				break
 			}
-			cur.mask ^= p.mask
-			for j := range p.hist {
-				if cur.hist[j] {
-					delete(cur.hist, j)
-				} else {
-					cur.hist[j] = true
-				}
-			}
+			cur.mask ^= pivots[b].mask
+			cur.hist ^= pivots[b].hist
 		}
 		if cur.mask == 0 {
-			var dep []int
-			for j := range cur.hist {
-				dep = append(dep, j)
-			}
-			sort.Ints(dep)
-			deps = append(deps, dep)
+			deps = append(deps, cur.hist)
 		}
 	}
+	s.deps = deps
 	return deps
 }
 
@@ -267,21 +272,21 @@ func checksum(parts []uint64) uint32 {
 // combineDep computes gcd(X−Y, N) for one dependency, using arena a for all
 // big-number scratch. It returns a nontrivial factor of n or 0.
 func combineDep(a bignum.Arena, sp *mem.Space, nBig bignum.Ptr, n uint64,
-	fb []uint64, rels []*relation, dep []int) uint64 {
-	// X = Π A_i (mod N)
+	fb []uint64, rels []*relation, dep uint64) uint64 {
+	// X = Π A_i (mod N), the relations in ascending order.
 	x := bignum.FromUint64(a, 1)
-	for _, i := range dep {
-		x = bignum.Mod(a, bignum.Mul(a, x, rels[i].a), nBig)
+	for d := dep; d != 0; d &= d - 1 {
+		x = bignum.Mod(a, bignum.Mul(a, x, rels[bits.TrailingZeros64(d)].a), nBig)
 	}
 	// Exponent sums must be even; Y = Π p^(E/2) (mod N).
-	sums := make([]int, len(fb))
-	for _, i := range dep {
-		for j, e := range rels[i].exps {
+	var sums [maxFB]int
+	for d := dep; d != 0; d &= d - 1 {
+		for j, e := range rels[bits.TrailingZeros64(d)].exps {
 			sums[j] += int(e)
 		}
 	}
 	y := bignum.FromUint64(a, 1)
-	for j, s := range sums {
+	for j, s := range sums[:len(fb)] {
 		for k := 0; k < s/2; k++ {
 			y = bignum.Mod(a, bignum.MulSmall(a, y, uint32(fb[j])), nBig)
 		}
@@ -305,9 +310,15 @@ func combineDep(a bignum.Arena, sp *mem.Space, nBig bignum.Ptr, n uint64,
 
 // trialDivide factors q over the factor base using heap arithmetic,
 // returning the exponent vector if q is smooth, else nil. Every quotient is
-// a fresh allocation — the heart of cfrac's allocation churn.
-func trialDivide(a bignum.Arena, sp *mem.Space, q bignum.Ptr, fb []uint64) []uint8 {
-	exps := make([]uint8, len(fb))
+// a fresh allocation — the heart of cfrac's allocation churn — in the
+// simulated heap; the host builds the vector in scratch and copies it out
+// only for a smooth q.
+func (s *scratch) trialDivide(a bignum.Arena, sp *mem.Space, q bignum.Ptr, fb []uint64) []uint8 {
+	exps := s.exps[:0]
+	for range fb {
+		exps = append(exps, 0)
+	}
+	s.exps = exps
 	t := q
 	for j, p := range fb {
 		for {
@@ -320,7 +331,7 @@ func trialDivide(a bignum.Arena, sp *mem.Space, q bignum.Ptr, fb []uint64) []uin
 		}
 	}
 	if bignum.IsOne(sp, t) {
-		return exps
+		return append([]uint8(nil), exps...)
 	}
 	return nil
 }

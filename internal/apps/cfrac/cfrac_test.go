@@ -41,7 +41,7 @@ func TestLegendre(t *testing.T) {
 }
 
 func TestFactorBaseOnlyResidues(t *testing.T) {
-	fb := factorBase(12345677)
+	fb := newScratch().factorBase(12345677)
 	if fb[0] != 2 {
 		t.Fatal("factor base must start with 2")
 	}
@@ -131,28 +131,30 @@ func TestDependenciesNullSpace(t *testing.T) {
 		{exps: []uint8{1, 1, 0}, sign: true},
 		{exps: []uint8{2, 2, 0}, sign: false}, // already a square
 	}
-	deps := dependencies(rels)
+	deps := newScratch().dependencies(rels)
 	if len(deps) == 0 {
 		t.Fatal("no dependencies found")
 	}
 	for _, dep := range deps {
 		var mask uint64
-		for _, i := range dep {
-			mask ^= rels[i].parityMask()
+		for i := range rels {
+			if dep&(1<<i) != 0 {
+				mask ^= rels[i].parityMask()
+			}
 		}
 		if mask != 0 {
-			t.Fatalf("dependency %v has nonzero parity %b", dep, mask)
+			t.Fatalf("dependency %b has nonzero parity %b", dep, mask)
 		}
 	}
 	// The even relation must appear as a singleton dependency.
 	foundSingleton := false
 	for _, dep := range deps {
-		if len(dep) == 1 && dep[0] == 3 {
+		if dep == 1<<3 {
 			foundSingleton = true
 		}
 	}
 	if !foundSingleton {
-		t.Fatalf("square relation not a singleton dependency: %v", deps)
+		t.Fatalf("square relation not a singleton dependency: %b", deps)
 	}
 }
 
@@ -165,7 +167,7 @@ func TestFactorsSmallSemiprime(t *testing.T) {
 	a := &rcArena{e: e, sp: e.Space()}
 	p, q := nextPrime(138407), nextPrime(184321)
 	n := p * q
-	got := factorOneM(e, a, f, n)
+	got := factorOneM(e, a, f, n, newScratch())
 	if got == 0 {
 		t.Fatal("failed to factor")
 	}

@@ -70,11 +70,12 @@ const (
 func RunMalloc(e appkit.MallocEnv, scale int) uint32 {
 	a := &rcArena{e: e, sp: e.Space()}
 	ns, _, _ := Inputs(scale)
+	sc := newScratch()
 	var parts []uint64
 
 	for _, n := range ns {
 		f := e.PushFrame(numSlots)
-		factor := factorOneM(e, a, f, n)
+		factor := factorOneM(e, a, f, n, sc)
 		parts = append(parts, n, factor)
 		e.PopFrame()
 	}
@@ -82,11 +83,11 @@ func RunMalloc(e appkit.MallocEnv, scale int) uint32 {
 	return checksum(parts)
 }
 
-func factorOneM(e appkit.MallocEnv, a *rcArena, f appkit.Frame, n uint64) uint64 {
+func factorOneM(e appkit.MallocEnv, a *rcArena, f appkit.Frame, n uint64, sc *scratch) uint64 {
 	sp := a.sp
 	for _, k := range multipliers {
 		kn := n * k
-		fb := factorBase(kn)
+		fb := sc.factorBase(kn)
 
 		nBig := bignum.FromUint64(a, n)
 		a.retain(nBig)
@@ -124,7 +125,7 @@ func factorOneM(e appkit.MallocEnv, a *rcArena, f appkit.Frame, n uint64) uint64
 				break // end of the expansion period
 			}
 			// Smoothness of Q_n gives the relation A_{n-1}² ≡ (-1)^n Q_n.
-			if exps := trialDivide(a, sp, Q, fb); exps != nil {
+			if exps := sc.trialDivide(a, sp, Q, fb); exps != nil {
 				av := bignum.Copy(a, A1)
 				a.retain(av)
 				f.Set(slotRel0+len(rels), av)
@@ -151,7 +152,7 @@ func factorOneM(e appkit.MallocEnv, a *rcArena, f appkit.Frame, n uint64) uint64
 
 		// Combine dependencies into a factor.
 		var factor uint64
-		for _, dep := range dependencies(rels) {
+		for _, dep := range sc.dependencies(rels) {
 			factor = combineDep(a, sp, f.Get(slotN), n, fb, rels, dep)
 			a.flush()
 			e.Safepoint()

@@ -26,10 +26,11 @@ func (a *regionArena) AllocNum(limbs int) bignum.Ptr {
 // copied from it into a solution region so old temporaries can be deleted.
 func RunRegion(e appkit.RegionEnv, scale int) uint32 {
 	ns, _, _ := Inputs(scale)
+	sc := newScratch()
 	var parts []uint64
 	for _, n := range ns {
 		f := e.PushFrame(numSlots)
-		factor := factorOneR(e, f, n)
+		factor := factorOneR(e, f, n, sc)
 		parts = append(parts, n, factor)
 		e.PopFrame()
 	}
@@ -37,11 +38,11 @@ func RunRegion(e appkit.RegionEnv, scale int) uint32 {
 	return checksum(parts)
 }
 
-func factorOneR(e appkit.RegionEnv, f appkit.Frame, n uint64) uint64 {
+func factorOneR(e appkit.RegionEnv, f appkit.Frame, n uint64, sc *scratch) uint64 {
 	sp := e.Space()
 	for _, k := range multipliers {
 		kn := n * k
-		fb := factorBase(kn)
+		fb := sc.factorBase(kn)
 
 		// Long-lived values — N, kN, g, the saved relations — go in the
 		// solution region; the rolling CFRAC state lives in a temporary
@@ -73,7 +74,7 @@ func factorOneR(e appkit.RegionEnv, f appkit.Frame, n uint64) uint64 {
 			if bignum.IsOne(sp, Q) {
 				break
 			}
-			if exps := trialDivide(tmpA, sp, Q, fb); exps != nil {
+			if exps := sc.trialDivide(tmpA, sp, Q, fb); exps != nil {
 				// Copy the partial solution into the solution region.
 				av := bignum.Copy(solA, A1)
 				f.Set(slotRel0+len(rels), av)
@@ -111,7 +112,7 @@ func factorOneR(e appkit.RegionEnv, f appkit.Frame, n uint64) uint64 {
 		}
 
 		var factor uint64
-		for _, dep := range dependencies(rels) {
+		for _, dep := range sc.dependencies(rels) {
 			depReg := appkit.NewBound(e)
 			depA := &regionArena{b: depReg}
 			factor = combineDep(depA, sp, f.Get(slotN), n, fb, rels, dep)

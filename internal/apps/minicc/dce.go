@@ -37,6 +37,14 @@ func (q quad) readsOf(out []int32) []int32 {
 	return out
 }
 
+// dceScratch is eliminateDead's host scratch, kept for the whole run.
+type dceScratch struct {
+	quads  []quad
+	live   []bool
+	before []int32
+	read   map[int32]bool
+}
+
 // eliminateDead compacts the current function's quad chunks in place and
 // updates c.nq. It returns the number of removed quads.
 func (c *compiler) eliminateDead() int {
@@ -44,25 +52,28 @@ func (c *compiler) eliminateDead() int {
 		return 0
 	}
 	sp := c.sp
+	d := &c.dce
 
 	// Read the quads out of the chunk list (compiler work: heap loads).
-	quads := make([]quad, c.nq)
-	for i := range quads {
+	quads := d.quads[:0]
+	for i := 0; i < c.nq; i++ {
 		chunk := c.chunks[i/quadsPerChunk]
 		base := chunk + qcQuads + appkit.Ptr(i%quadsPerChunk*quadBytes)
-		quads[i] = quad{
+		quads = append(quads, quad{
 			op:  int32(sp.Load(base)),
 			a:   int32(sp.Load(base + 4)),
 			b:   int32(sp.Load(base + 8)),
 			dst: int32(sp.Load(base + 12)),
-		}
+		})
 	}
+	d.quads = quads
 
 	// Fixpoint: drop pure quads whose destination is never read.
-	live := make([]bool, len(quads))
-	for i := range live {
-		live[i] = true
+	live := d.live[:0]
+	for range quads {
+		live = append(live, true)
 	}
+	d.live = live
 	// Division and modulo may trap at run time; folding already proved
 	// constant divisors, but a variable divisor could be zero, so those
 	// stay even when dead — matching the conservative choice a C compiler
@@ -70,17 +81,20 @@ func (c *compiler) eliminateDead() int {
 	removable := func(q quad) bool {
 		return pureOp(q.op) && q.op != irDiv && q.op != irMod
 	}
+	if d.read == nil {
+		d.read = make(map[int32]bool)
+	}
+	read := d.read
 	removed := 0
 	for changed := true; changed; {
 		changed = false
-		read := map[int32]bool{}
-		var scratch []int32
+		clear(read)
+		var regs [2]int32
 		for i, q := range quads {
 			if !live[i] {
 				continue
 			}
-			scratch = q.readsOf(scratch[:0])
-			for _, r := range scratch {
+			for _, r := range q.readsOf(regs[:0]) {
 				read[r] = true
 			}
 		}
@@ -97,14 +111,15 @@ func (c *compiler) eliminateDead() int {
 	}
 
 	// Remap branch targets: new index = survivors before the old target.
-	before := make([]int32, len(quads)+1)
+	before := append(d.before[:0], 0)
 	for i, l := range live {
-		before[i+1] = before[i]
+		before = append(before, before[i])
 		if l {
 			before[i+1]++
 		}
 	}
-	var out []quad
+	d.before = before
+	out := quads[:0] // compacted in place: survivor k lands at k <= its index
 	for i, q := range quads {
 		if !live[i] {
 			continue

@@ -153,15 +153,17 @@ func (c *compiler) genExpr(n appkit.Ptr) int {
 	case eCall:
 		name := sp.Load(n + aA)
 		_, idx, _, _ := c.lookup(name)
-		var regs []int
+		top := len(c.argRegs)
 		argc := 0
 		for a := sp.Load(n + aB); a != 0; a = sp.Load(a + 4) {
-			regs = append(regs, c.genExpr(sp.Load(a)))
+			r := c.genExpr(sp.Load(a))
+			c.argRegs = append(c.argRegs, r)
 			argc++
 		}
-		for _, r := range regs {
+		for _, r := range c.argRegs[top:] {
 			c.emit(irParam, r, 0, 0)
 		}
+		c.argRegs = c.argRegs[:top]
 		r := c.newReg()
 		c.emit(irCall, idx, argc, r)
 		return r
@@ -336,7 +338,7 @@ func (c *compiler) compileFile(src []byte) (int32, uint32) {
 		if isFn {
 			c.f.Set(sFn, fn)
 			c.compileFn(fn)
-			if c.nameStr(sp.Load(fn+aA)) == "main" {
+			if name := sp.Load(fn + aA); appkit.EqualBytes(sp, name+nmChars, int(sp.Load(name+nmLen)), "main") {
 				mainIdx = c.nfns - 1
 			}
 			c.f.Set(sFn, 0)

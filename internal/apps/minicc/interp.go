@@ -22,96 +22,108 @@ func (c *compiler) run(mainIdx int) int32 {
 		return int32(sp.Load(module + appkit.Ptr(q*quadBytes+w*4)))
 	}
 
-	type frame struct {
-		regs  []int32
-		base  int // function-relative pc base (quad offset in module)
-		pc    int // function-relative
-		retTo *int32
-	}
-	var stack []*frame
-	var pending []int32
-
-	call := func(idx int, args []int32, retTo *int32) {
+	frames, regs, pending := c.vm.frames[:0], c.vm.regs[:0], c.vm.args[:0]
+	call := func(idx int, args []int32, ret int) {
 		if len(args) != metaAt(idx, 2) {
 			panic(fmt.Sprintf("minicc vm: arity mismatch for f%d", idx))
 		}
-		fr := &frame{
-			regs:  make([]int32, metaAt(idx, 3)),
-			base:  metaAt(idx, 0),
-			retTo: retTo,
+		base := len(regs)
+		for n := metaAt(idx, 3); n > 0; n-- {
+			regs = append(regs, 0)
 		}
-		copy(fr.regs, args)
-		stack = append(stack, fr)
+		copy(regs[base:], args)
+		frames = append(frames, vmFrame{regs: base, base: metaAt(idx, 0), ret: ret})
 	}
 
 	var result int32
-	call(mainIdx, nil, &result)
-	for steps := 0; len(stack) > 0; steps++ {
+	call(mainIdx, nil, -1)
+	for steps := 0; len(frames) > 0; steps++ {
 		if steps > 20_000_000 {
 			panic("minicc vm: step limit exceeded")
 		}
-		fr := stack[len(stack)-1]
+		fr := &frames[len(frames)-1]
+		r := regs[fr.regs:] // the top frame's registers
 		q := fr.base + fr.pc
 		op := quad(q, 0)
 		a, b, dst := quad(q, 1), quad(q, 2), quad(q, 3)
 		fr.pc++
 		switch op {
 		case irConst:
-			fr.regs[dst] = a
+			r[dst] = a
 		case irMov:
-			fr.regs[dst] = fr.regs[a]
+			r[dst] = r[a]
 		case irAdd:
-			fr.regs[dst] = fr.regs[a] + fr.regs[b]
+			r[dst] = r[a] + r[b]
 		case irSub:
-			fr.regs[dst] = fr.regs[a] - fr.regs[b]
+			r[dst] = r[a] - r[b]
 		case irMul:
-			fr.regs[dst] = fr.regs[a] * fr.regs[b]
+			r[dst] = r[a] * r[b]
 		case irDiv:
-			if fr.regs[b] == 0 {
+			if r[b] == 0 {
 				panic("minicc vm: division by zero")
 			}
-			fr.regs[dst] = fr.regs[a] / fr.regs[b]
+			r[dst] = r[a] / r[b]
 		case irMod:
-			if fr.regs[b] == 0 {
+			if r[b] == 0 {
 				panic("minicc vm: modulo by zero")
 			}
-			fr.regs[dst] = fr.regs[a] % fr.regs[b]
+			r[dst] = r[a] % r[b]
 		case irLt:
-			fr.regs[dst] = b2i(fr.regs[a] < fr.regs[b])
+			r[dst] = b2i(r[a] < r[b])
 		case irLe:
-			fr.regs[dst] = b2i(fr.regs[a] <= fr.regs[b])
+			r[dst] = b2i(r[a] <= r[b])
 		case irEq:
-			fr.regs[dst] = b2i(fr.regs[a] == fr.regs[b])
+			r[dst] = b2i(r[a] == r[b])
 		case irNe:
-			fr.regs[dst] = b2i(fr.regs[a] != fr.regs[b])
+			r[dst] = b2i(r[a] != r[b])
 		case irNeg:
-			fr.regs[dst] = -fr.regs[a]
+			r[dst] = -r[a]
 		case irJz:
-			if fr.regs[a] == 0 {
+			if r[a] == 0 {
 				fr.pc = int(b)
 			}
 		case irJmp:
 			fr.pc = int(b)
 		case irParam:
-			pending = append(pending, fr.regs[a])
+			pending = append(pending, r[a])
 		case irCall:
-			args := make([]int32, b)
-			copy(args, pending[len(pending)-int(b):])
-			pending = pending[:len(pending)-int(b)]
-			call(int(a), args, &fr.regs[dst])
+			top := len(pending) - int(b)
+			call(int(a), pending[top:], fr.regs+int(dst))
+			pending = pending[:top]
 		case irRet:
-			v := fr.regs[a]
-			*fr.retTo = v
-			stack = stack[:len(stack)-1]
+			if fr.ret < 0 {
+				result = r[a]
+			} else {
+				regs[fr.ret] = r[a]
+			}
+			regs = regs[:fr.regs]
+			frames = frames[:len(frames)-1]
 		case irLoadG:
-			fr.regs[dst] = int32(sp.Load(globals + appkit.Ptr(a*4)))
+			r[dst] = int32(sp.Load(globals + appkit.Ptr(a*4)))
 		case irStoreG:
-			sp.Store(globals+appkit.Ptr(b*4), uint32(fr.regs[a]))
+			sp.Store(globals+appkit.Ptr(b*4), uint32(r[a]))
 		default:
 			panic(fmt.Sprintf("minicc vm: bad opcode %d at quad %d", op, q))
 		}
 	}
+	c.vm.frames, c.vm.regs, c.vm.args = frames, regs, pending
 	return result
+}
+
+// vmFrame is one activation of the interpreter.
+type vmFrame struct {
+	regs int // its first register in the register stack
+	base int // function-relative pc base (quad offset in module)
+	pc   int // function-relative
+	ret  int // the caller's destination register in the stack; -1 for main
+}
+
+// vmStacks are the interpreter's frame, register and argument stacks,
+// kept for the whole run.
+type vmStacks struct {
+	frames []vmFrame
+	regs   []int32
+	args   []int32
 }
 
 func b2i(b bool) int32 {

@@ -2,6 +2,7 @@ package minicc
 
 import (
 	"fmt"
+	"strings"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/mem"
@@ -84,8 +85,14 @@ type compiler struct {
 	stmts    int // statements since the last region rotation
 	allStmts int
 
-	toks []token
-	pos  int
+	toks   []token
+	pos    int
+	ident  []byte            // the lexer's identifier buffer
+	idents map[string]string // identifier texts seen this run, interned
+
+	dce     dceScratch
+	vm      vmStacks
+	argRegs []int // a call's argument registers, stacked across nested calls
 
 	// noFold and noDCE disable the optimization passes (differential tests).
 	noFold bool
@@ -163,10 +170,23 @@ type token struct {
 	text string
 }
 
+// punct holds the one-byte punctuation kinds; a token's kind is a slice of
+// it, so lexing one allocates nothing.
+const punct = "(){};,+-*/%<="
+
 // lex reads the source out of the heap buffer and tokenizes it, reusing
-// the previous file's token slice.
+// the previous file's token slice and identifier buffer. Identifier text
+// is interned host-side, so a name seen before costs no Go allocation.
 func (c *compiler) lex(text appkit.Ptr, n int) []token {
 	sp := c.sp
+	if cap(c.toks) < n/2 {
+		// Generated programs have over two source bytes per token, so
+		// this is the run's one token array; denser input still lexes.
+		c.toks = make([]token, 0, n/2)
+	}
+	if c.idents == nil {
+		c.idents = make(map[string]string)
+	}
 	toks := c.toks[:0]
 	i := 0
 	read := func(k int) byte {
@@ -188,30 +208,43 @@ func (c *compiler) lex(text appkit.Ptr, n int) []token {
 			}
 			toks = append(toks, token{kind: "num", num: v})
 		case b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b == '_':
-			var sb []byte
+			id := c.ident[:0]
 			for i < n {
 				d := read(i)
 				if !(d >= 'a' && d <= 'z' || d >= 'A' && d <= 'Z' || d >= '0' && d <= '9' || d == '_') {
 					break
 				}
-				sb = append(sb, d)
+				id = append(id, d)
 				i++
 			}
-			toks = append(toks, token{kind: "id", text: string(sb)})
+			c.ident = id
+			name, ok := c.idents[string(id)]
+			if !ok {
+				name = string(id)
+				c.idents[name] = name
+			}
+			toks = append(toks, token{kind: "id", text: name})
 		default:
-			two := string([]byte{b, read(i + 1)})
-			switch two {
-			case "<=", "==", "!=":
+			var two string
+			if read(i+1) == '=' {
+				switch b {
+				case '<':
+					two = "<="
+				case '=':
+					two = "=="
+				case '!':
+					two = "!="
+				}
+			}
+			switch k := strings.IndexByte(punct, b); {
+			case two != "":
 				toks = append(toks, token{kind: two})
 				i += 2
+			case k >= 0:
+				toks = append(toks, token{kind: punct[k : k+1]})
+				i++
 			default:
-				switch b {
-				case '(', ')', '{', '}', ';', ',', '+', '-', '*', '/', '%', '<', '=':
-					toks = append(toks, token{kind: string(b)})
-					i++
-				default:
-					panic(fmt.Sprintf("minicc: bad character %q at %d", b, i))
-				}
+				panic(fmt.Sprintf("minicc: bad character %q at %d", b, i))
 			}
 		}
 	}
@@ -234,8 +267,7 @@ func (c *compiler) internName(name string) appkit.Ptr {
 	table := c.f.Get(sNames)
 	b := table + appkit.Ptr(hashStr(name)%nameBuckets*4)
 	for s := sp.Load(b); s != 0; s = sp.Load(s + nmNext) {
-		if int(sp.Load(s+nmLen)) == len(name) &&
-			string(appkit.LoadBytes(sp, s+nmChars, len(name))) == name {
+		if int(sp.Load(s+nmLen)) == len(name) && appkit.EqualBytes(sp, s+nmChars, len(name), name) {
 			return s
 		}
 	}

@@ -12,6 +12,7 @@ import (
 func RunMalloc(e appkit.MallocEnv, scale int) uint32 {
 	sp := e.Space()
 	docs := Inputs(scale)
+	var sc scratch
 
 	f := e.PushFrame(4)
 	defer e.PopFrame()
@@ -41,7 +42,7 @@ func RunMalloc(e appkit.MallocEnv, scale int) uint32 {
 		sp.Store(text+txtLen, uint32(len(doc)))
 		appkit.StoreBytes(sp, text+txtBytes, doc)
 
-		for _, fp := range fingerprintDoc(sp, text) {
+		for _, fp := range sc.fingerprintDoc(sp, text) {
 			post := e.Alloc(postingSize)
 			b := buckets + appkit.Ptr(fp.hash%idxBuckets*4)
 			sp.Store(post+pNext, sp.Load(b))
@@ -89,39 +90,6 @@ func RunMalloc(e appkit.MallocEnv, scale int) uint32 {
 	e.Free(matrix)
 	e.Finalize()
 	return sum
-}
-
-// fingerprintDoc reads the document out of the heap, normalizes it, and
-// returns its winnowed fingerprints.
-func fingerprintDoc(sp *mem.Space, text appkit.Ptr) []fingerprint {
-	n := int(sp.Load(text + txtLen))
-	raw := appkit.LoadBytes(sp, text+txtBytes, n)
-	var norm []byte
-	for _, b := range raw {
-		if c := normalizeByte(b); c != 0 {
-			norm = append(norm, c)
-		}
-	}
-	if len(norm) < kGram {
-		return nil
-	}
-	// Rolling polynomial hash over k-gram windows.
-	const base = 1000003
-	var pow uint32 = 1
-	for i := 0; i < kGram-1; i++ {
-		pow *= base
-	}
-	var h uint32
-	for i := 0; i < kGram; i++ {
-		h = h*base + uint32(norm[i])
-	}
-	hashes := []uint32{h}
-	for i := kGram; i < len(norm); i++ {
-		h = (h - uint32(norm[i-kGram])*pow) * base
-		h += uint32(norm[i])
-		hashes = append(hashes, h)
-	}
-	return winnow(hashes)
 }
 
 // writeSnippet stores up to snippetLen bytes of context at pos.

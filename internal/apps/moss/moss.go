@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"regions/internal/apps/appkit"
+	"regions/internal/mem"
 )
 
 //go:embed malloc.go
@@ -113,10 +114,57 @@ func normalizeByte(b byte) byte {
 	return 0
 }
 
+// scratch is one run's host buffers for fingerprinting, reused from
+// document to document.
+type scratch struct {
+	norm   []byte
+	hashes []uint32
+	fps    []fingerprint
+}
+
+// fingerprintDoc reads the document out of the heap, normalizing it as it
+// goes, and returns its winnowed fingerprints. The next call reuses the
+// slice.
+func (s *scratch) fingerprintDoc(sp *mem.Space, text appkit.Ptr) []fingerprint {
+	n := int(sp.Load(text + txtLen))
+	norm := s.norm[:0]
+	for i := 0; i < n; i += 4 {
+		w := sp.Load(text + txtBytes + appkit.Ptr(i))
+		for k := 0; k < 4 && i+k < n; k++ {
+			if c := normalizeByte(byte(w >> (8 * k))); c != 0 {
+				norm = append(norm, c)
+			}
+		}
+	}
+	s.norm = norm
+	if len(norm) < kGram {
+		return nil
+	}
+	// Rolling polynomial hash over k-gram windows.
+	const base = 1000003
+	var pow uint32 = 1
+	for i := 0; i < kGram-1; i++ {
+		pow *= base
+	}
+	var h uint32
+	for i := 0; i < kGram; i++ {
+		h = h*base + uint32(norm[i])
+	}
+	hashes := append(s.hashes[:0], h)
+	for i := kGram; i < len(norm); i++ {
+		h = (h - uint32(norm[i-kGram])*pow) * base
+		h += uint32(norm[i])
+		hashes = append(hashes, h)
+	}
+	s.hashes = hashes
+	s.fps = winnow(hashes, s.fps[:0])
+	return s.fps
+}
+
 // winnow selects fingerprints from the rolling k-gram hashes: in each
 // window of w consecutive hashes, record the rightmost minimal hash (once).
-func winnow(hashes []uint32) []fingerprint {
-	var fps []fingerprint
+// It appends them to fps.
+func winnow(hashes []uint32, fps []fingerprint) []fingerprint {
 	lastPos := -1
 	for i := 0; i+window <= len(hashes); i++ {
 		minIdx := i

@@ -47,12 +47,13 @@ func TestDetectsPlagiarizedPairs(t *testing.T) {
 	for i := 0; i < testScale*testScale; i++ {
 		sp.Store(matrix+appkit.Ptr(i*4), 0)
 	}
+	var sc scratch
 	for d, doc := range docs {
 		text := e.Alloc(textObjSize(len(doc)))
 		f.Set(2, text)
 		sp.Store(text+txtLen, uint32(len(doc)))
 		appkit.StoreBytes(sp, text+txtBytes, doc)
-		for _, fp := range fingerprintDoc(sp, text) {
+		for _, fp := range sc.fingerprintDoc(sp, text) {
 			post := e.Alloc(postingSize)
 			b := buckets + appkit.Ptr(fp.hash%idxBuckets*4)
 			sp.Store(post+pNext, sp.Load(b))
@@ -81,7 +82,7 @@ func TestDetectsPlagiarizedPairs(t *testing.T) {
 
 func TestWinnowProperties(t *testing.T) {
 	hashes := []uint32{5, 9, 1, 7, 8, 2, 2, 6, 9, 9, 3, 4, 8, 1, 5, 6}
-	fps := winnow(hashes)
+	fps := winnow(hashes, nil)
 	if len(fps) == 0 {
 		t.Fatal("no fingerprints")
 	}

@@ -21,6 +21,7 @@ func RunSlowRegion(e appkit.RegionEnv, scale int) uint32 {
 func runRegion(e appkit.RegionEnv, scale int, single bool) uint32 {
 	sp := e.Space()
 	docs := Inputs(scale)
+	var sc scratch
 
 	clnPost := e.RegisterCleanup("moss.posting", func(e appkit.RegionEnv, obj appkit.Ptr) int {
 		e.Destroy(e.Space().Load(obj + pNext))
@@ -64,7 +65,7 @@ func runRegion(e appkit.RegionEnv, scale int, single bool) uint32 {
 		sp.Store(text+txtLen, uint32(len(doc)))
 		appkit.StoreBytes(sp, text+txtBytes, doc)
 
-		for _, fp := range fingerprintDoc(sp, text) {
+		for _, fp := range sc.fingerprintDoc(sp, text) {
 			post := small.Alloc(postingSize, clnPost)
 			b := buckets + appkit.Ptr(fp.hash%idxBuckets*4)
 			e.StorePtr(post+pNext, sp.Load(b))

@@ -1,6 +1,7 @@
 package mudlle
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -152,5 +153,54 @@ func TestScaleChangesOnlyRepetition(t *testing.T) {
 	if c2.Counters().Allocs != 2*c1.Counters().Allocs {
 		t.Fatalf("allocs don't scale linearly: %d vs %d",
 			c1.Counters().Allocs, c2.Counters().Allocs)
+	}
+}
+
+// outcome is what one compile answers: main's result and the module hash,
+// or the diagnostic that rejected the input.
+type outcome struct {
+	result int32
+	hash   uint32
+	diag   string
+}
+
+// compileOutcome runs one compile on c in a frame of its own, as RunRegion
+// does, turning a rejection into its diagnostic.
+func compileOutcome(c *compiler, src []byte) (o outcome) {
+	c.f = c.e.PushFrame(numSlots)
+	defer c.e.PopFrame()
+	defer func() {
+		if r := recover(); r != nil {
+			o.diag = fmt.Sprint(r)
+		}
+	}()
+	o.result, o.hash = c.compileFile(src)
+	return o
+}
+
+// TestReusedCompilerMatchesFresh: a compiler keeps its host scratch from
+// one compile to the next, rejected inputs included, and every compile
+// still answers what a fresh compiler answers on the same input.
+func TestReusedCompilerMatchesFresh(t *testing.T) {
+	inputs := [][]byte{
+		SourceSeeded(1)[:500], // rejected
+		SourceSeeded(2),
+		append(SourceSeeded(3)[:200:200], '@'), // rejected
+		SourceSeeded(1),
+	}
+	e := appkit.NewRegionEnv("safe", appkit.Config{})
+	reused := &compiler{e: e, sp: e.Space()}
+	reused.registerCleanups()
+	for i, src := range inputs {
+		fe := appkit.NewRegionEnv("safe", appkit.Config{})
+		fresh := &compiler{e: fe, sp: fe.Space()}
+		fresh.registerCleanups()
+		want := compileOutcome(fresh, src)
+		if got := compileOutcome(reused, src); got != want {
+			t.Errorf("input %d: the reused compiler answers %+v, a fresh one %+v", i, got, want)
+		}
+		if rejected := want.diag != ""; rejected != (i%2 == 0) {
+			t.Errorf("input %d: rejected = %v (%q)", i, rejected, want.diag)
+		}
 	}
 }

@@ -60,8 +60,11 @@ type compiler struct {
 	nfns      int
 	moduleOff int
 
-	toks []token
-	pos  int
+	toks   []token
+	pos    int
+	ident  []byte            // the lexer's symbol buffer
+	idents map[string]string // symbol texts seen this run, interned
+	vm     vmStacks
 
 	// noFold disables constant folding (for the differential tests).
 	noFold bool
@@ -156,14 +159,23 @@ func (c *compiler) registerCleanups() {
 
 type token struct {
 	kind byte // '(' ')' 'n' 's'
-	text string
 	num  int32
+	text string
 }
 
 // lex reads the source out of the heap buffer and tokenizes it, reusing
-// the previous file's token slice.
+// the previous file's token slice and symbol buffer. Symbol text is
+// interned host-side, so a name seen before costs no Go allocation.
 func (c *compiler) lex(text appkit.Ptr, n int) []token {
 	sp := c.sp
+	if cap(c.toks) < n/2 {
+		// Generated programs have over two source bytes per token, so
+		// this is the run's one token array; denser input still lexes.
+		c.toks = make([]token, 0, n/2)
+	}
+	if c.idents == nil {
+		c.idents = make(map[string]string)
+	}
 	toks := c.toks[:0]
 	i := 0
 	read := func(k int) byte { return sp.LoadByte(text + appkit.Ptr(k)) }
@@ -188,7 +200,7 @@ func (c *compiler) lex(text appkit.Ptr, n int) []token {
 			toks = append(toks, token{kind: 'n', num: v})
 		default:
 			start := i
-			var sb []byte
+			sb := c.ident[:0]
 			for i < n {
 				d := read(i)
 				if d == ' ' || d == '\n' || d == '\t' || d == '(' || d == ')' {
@@ -200,7 +212,13 @@ func (c *compiler) lex(text appkit.Ptr, n int) []token {
 			if i == start {
 				panic(fmt.Sprintf("mudlle: bad character %q at %d", b, i))
 			}
-			toks = append(toks, token{kind: 's', text: string(sb)})
+			c.ident = sb
+			name, ok := c.idents[string(sb)]
+			if !ok {
+				name = string(sb)
+				c.idents[name] = name
+			}
+			toks = append(toks, token{kind: 's', text: name})
 		}
 	}
 	return toks
@@ -222,8 +240,7 @@ func (c *compiler) intern(name string) appkit.Ptr {
 	table := c.f.Get(sSymtab)
 	b := table + appkit.Ptr(hashStr(name)%symBuckets*4)
 	for s := sp.Load(b); s != 0; s = sp.Load(s + symNext) {
-		if int(sp.Load(s+symLen)) == len(name) &&
-			string(appkit.LoadBytes(sp, s+symChars, len(name))) == name {
+		if int(sp.Load(s+symLen)) == len(name) && appkit.EqualBytes(sp, s+symChars, len(name), name) {
 			return s
 		}
 	}
@@ -554,7 +571,7 @@ func (c *compiler) compileFile(src []byte) (int32, uint32) {
 		def := c.parseDefine()
 		c.f.Set(sDefines, def) // root the newest define; older ones are compiled already
 		c.compileFn(def)
-		if c.symName(sp.Load(def+4)) == "main" {
+		if sym := sp.Load(def + 4); appkit.EqualBytes(sp, sym+symChars, int(sp.Load(sym+symLen)), "main") {
 			mainIdx = c.nfns - 1
 		}
 		e.Safepoint()

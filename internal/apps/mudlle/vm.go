@@ -20,11 +20,7 @@ func (c *compiler) run(mainIdx int) int32 {
 	}
 	code := func(pc int) byte { return sp.LoadByte(module + appkit.Ptr(pc)) }
 
-	// Jump targets are function-relative, so each frame remembers its
-	// function's code start.
-	type frame struct{ retPC, base, start int }
-	var stack []int32
-	var frames []frame
+	stack, frames := c.vm.stack[:0], c.vm.frames[:0]
 
 	push := func(v int32) { stack = append(stack, v) }
 	pop := func() int32 {
@@ -43,7 +39,7 @@ func (c *compiler) run(mainIdx int) int32 {
 			push(0)
 		}
 		start := metaAt(idx, 0)
-		frames = append(frames, frame{retPC: retPC, base: base, start: start})
+		frames = append(frames, vmFrame{retPC: retPC, base: base, start: start})
 		return start
 	}
 
@@ -110,6 +106,7 @@ func (c *compiler) run(mainIdx int) int32 {
 			stack = stack[:fr.base]
 			push(v)
 			if fr.retPC < 0 {
+				c.vm.stack, c.vm.frames = stack, frames
 				return v
 			}
 			pc = fr.retPC
@@ -117,4 +114,15 @@ func (c *compiler) run(mainIdx int) int32 {
 			panic(fmt.Sprintf("mudlle vm: bad opcode %d at %d", op, pc-1))
 		}
 	}
+}
+
+// vmFrame is one activation. Jump targets are function-relative, so each
+// frame remembers its function's code start.
+type vmFrame struct{ retPC, base, start int }
+
+// vmStacks are the machine's value and frame stacks, kept for the whole
+// run.
+type vmStacks struct {
+	stack  []int32
+	frames []vmFrame
 }

@@ -10,7 +10,7 @@ import (
 // freed after each gap, and the document structures are freed at the end.
 func RunMalloc(e appkit.MallocEnv, scale int) uint32 {
 	sp := e.Space()
-	words := tokenize(Input(scale))
+	text := Input(scale)
 
 	f := e.PushFrame(5)
 	defer e.PopFrame()
@@ -32,7 +32,7 @@ func RunMalloc(e appkit.MallocEnv, scale int) uint32 {
 	// Intern every word and append its id to the token stream.
 	nextID := uint32(0)
 	nTokens := 0
-	for _, w := range words {
+	for w, rest := nextWord(text); w != nil; w, rest = nextWord(rest) {
 		b := vocab + appkit.Ptr(hashWord(w)%hashBuckets*4)
 		node := sp.Load(b)
 		for node != 0 {

@@ -12,7 +12,7 @@ import (
 // region can be deleted.
 func RunRegion(e appkit.RegionEnv, scale int) uint32 {
 	sp := e.Space()
-	words := tokenize(Input(scale))
+	text := Input(scale)
 
 	clnWord := e.RegisterCleanup("tile.word", func(e appkit.RegionEnv, obj appkit.Ptr) int {
 		e.Destroy(e.Space().Load(obj + wNext))
@@ -49,7 +49,7 @@ func RunRegion(e appkit.RegionEnv, scale int) uint32 {
 
 	nextID := uint32(0)
 	nTokens := 0
-	for _, w := range words {
+	for w, rest := nextWord(text); w != nil; w, rest = nextWord(rest) {
 		b := vocab + appkit.Ptr(hashWord(w)%hashBuckets*4)
 		node := sp.Load(b)
 		for node != 0 {

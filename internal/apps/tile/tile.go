@@ -102,33 +102,25 @@ func (g *lcg) document() []byte {
 	return out
 }
 
-// tokenize is host-side input preparation (reading the input file, in the
-// paper's terms): it lowercases and splits the raw text into words. All
-// per-word storage in the measured program goes through the allocators.
-// It counts the words first, so the word list is one allocation.
-func tokenize(text []byte) [][]byte {
-	n, in := 0, false
-	for _, b := range text {
-		if isAlpha(b) && !in {
-			n++
-		}
-		in = isAlpha(b)
+// nextWord splits the first word, a maximal run of letters, off text and
+// returns it with the text after it; word is nil once no word is left.
+// This is reading the input file, in the paper's terms: both variants walk
+// the host text with it, and a word is a slice of that text, so the walk
+// allocates nothing. All per-word storage in the measured program goes
+// through the allocators.
+func nextWord(text []byte) (word, rest []byte) {
+	start := 0
+	for start < len(text) && !isAlpha(text[start]) {
+		start++
 	}
-	words := make([][]byte, 0, n)
-	start := -1
-	for i, b := range text {
-		if isAlpha(b) && start < 0 {
-			start = i
-		}
-		if !isAlpha(b) && start >= 0 {
-			words = append(words, text[start:i])
-			start = -1
-		}
+	end := start
+	for end < len(text) && isAlpha(text[end]) {
+		end++
 	}
-	if start >= 0 {
-		words = append(words, text[start:])
+	if start == end {
+		return nil, nil
 	}
-	return words
+	return text[start:end], text[end:]
 }
 
 func isAlpha(b byte) bool { return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' }

@@ -90,10 +90,9 @@ func TestInputDeterministicAndScaled(t *testing.T) {
 }
 
 func TestTokenize(t *testing.T) {
-	words := tokenize([]byte("Hello, world. a b-c"))
-	got := make([]string, len(words))
-	for i, w := range words {
-		got[i] = string(w)
+	var got []string
+	for w, rest := nextWord([]byte("Hello, world. a b-c")); w != nil; w, rest = nextWord(rest) {
+		got = append(got, string(w))
 	}
 	want := []string{"Hello", "world", "a", "b", "c"}
 	if len(got) != len(want) {
@@ -106,15 +105,23 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-// TestHostAllocsTokenize: the word list is sized before it is filled, so a
-// tokenize call is one allocation however many words the text holds.
+// TestHostAllocsTokenize: the word scanner slices the host text, so
+// tokenizing a whole text allocates nothing however many words it holds.
 func TestHostAllocsTokenize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	text := Input(2)
-	if got := testing.AllocsPerRun(10, func() { tokenize(text) }); got != 1 {
-		t.Errorf("tokenize allocates %.2f Go objects per call, want 1", got)
+	n := 0
+	if got := testing.AllocsPerRun(10, func() {
+		for w, rest := nextWord(text); w != nil; w, rest = nextWord(rest) {
+			n++
+		}
+	}); got != 0 {
+		t.Errorf("tokenizing a text allocates %.2f Go objects, want 0", got)
+	}
+	if n == 0 {
+		t.Fatal("the scanner found no words")
 	}
 }
 

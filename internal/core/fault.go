@@ -55,10 +55,12 @@ const (
 	// recycled pages; the live region is the handle ImportRegion returned on
 	// the receiving runtime.
 	FaultMigratedRegion
-	// FaultBadArgument: an allocator was called with an argument no
-	// allocation can have — a negative size or element count, or a cleanup
-	// id this runtime never registered. It is reported before anything is
-	// charged or changed.
+	// FaultBadArgument: a call was made with an argument no correct
+	// program passes — an allocator's negative size or element count, a
+	// cleanup id this runtime never registered, or an unaligned or unmapped
+	// address for a load, store or barrier (then Err is the
+	// mem.AccessError). It is reported before anything is charged or
+	// changed.
 	FaultBadArgument
 )
 

@@ -47,6 +47,9 @@ func (rt *Runtime) rcDec(r *Region) {
 //
 // Under an unsafe runtime this is a plain one-cycle store.
 func (rt *Runtime) StorePtr(slot, val Ptr) {
+	if !rt.accessible(slot) {
+		panic(rt.accessFault("storeptr", slot))
+	}
 	if !rt.safe {
 		rt.space.Store(slot, val)
 		return
@@ -123,6 +126,9 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 // with a FaultBadArgument *Fault before anything is stored or counted: a
 // region slot counted as a global reference would pin its target forever.
 func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
+	if !rt.accessible(slot) {
+		panic(rt.accessFault("storeglobalptr", slot))
+	}
 	if !rt.safe {
 		rt.space.Store(slot, val)
 		return
@@ -162,6 +168,27 @@ func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
 	}
 }
 
+// CheckAccess panics with a FaultBadArgument *Fault unless a word access
+// at a can succeed: a is word-aligned and in a mapped page. The fault's Err
+// is the mem.AccessError the access would raise, and it is raised before
+// anything is charged, counted or switched to another accounting mode.
+func (rt *Runtime) CheckAccess(op string, a Ptr) {
+	if !rt.accessible(a) {
+		panic(rt.accessFault(op, a))
+	}
+}
+
+// accessible reports whether a word access at a can succeed. The barriers
+// test it in line, since they run on every pointer store.
+func (rt *Runtime) accessible(a Ptr) bool {
+	return a%mem.WordSize == 0 && rt.space.Mapped(a)
+}
+
+// accessFault is the fault CheckAccess raises for op at a.
+func (rt *Runtime) accessFault(op string, a Ptr) *Fault {
+	return rt.fault(FaultBadArgument, a, -1, op, mem.AccessError{Addr: a})
+}
+
 // isGlobal reports whether slot lies in the global storage AllocGlobals has
 // handed out: a retired segment's used extent or the current segment's.
 func (rt *Runtime) isGlobal(slot Ptr) bool {
@@ -181,6 +208,9 @@ func (rt *Runtime) isGlobal(slot Ptr) bool {
 // (Section 4.2.2): it classifies slot at run time and applies the right
 // barrier, charging extra for the classification.
 func (rt *Runtime) StorePtrDynamic(slot, val Ptr) {
+	if !rt.accessible(slot) {
+		panic(rt.accessFault("storeptrdynamic", slot))
+	}
 	if !rt.safe {
 		rt.space.Store(slot, val)
 		return

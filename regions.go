@@ -484,12 +484,21 @@ func (s *System) LiveRegions() []*Region { return s.rt.LiveRegions() }
 
 // --- memory access and barriers ----------------------------------------------
 
-// Load reads the word at the 4-byte-aligned address p.
-func (s *System) Load(p Ptr) Word { return s.sp.Load(p) }
+// Load reads the word at the 4-byte-aligned address p. Here and in every
+// store below, an unaligned or unmapped address panics with a
+// FaultBadArgument *Fault wrapping the mem.AccessError, before anything is
+// charged.
+func (s *System) Load(p Ptr) Word {
+	s.rt.CheckAccess("load", p)
+	return s.sp.Load(p)
+}
 
 // Store writes a non-pointer word. Region pointers must be written with
 // StorePtr or StoreGlobalPtr so the reference counts stay exact.
-func (s *System) Store(p Ptr, v Word) { s.sp.Store(p, v) }
+func (s *System) Store(p Ptr, v Word) {
+	s.rt.CheckAccess("store", p)
+	s.sp.Store(p, v)
+}
 
 // StorePtr writes the region pointer val into the heap word slot inside a
 // region object, applying the paper's region-write barrier.
