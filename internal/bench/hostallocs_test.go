@@ -14,10 +14,11 @@ import (
 // TestHostAllocsPaperApps gates the applications' own host memory. Each
 // region variant runs in a safe environment at a sixteenth of its default
 // scale and at twice that; one added unit of scale may allocate at most the
-// bound, in Go bytes net of the simulated pages the run maps and of one
-// Region handle per region it creates. Those two are the simulation. What
-// is left is the application's host scratch, which lives per run, not per
-// token, quotient, function or document.
+// bound, in Go bytes net of the page buffers the run's space allocates and
+// of one Region handle per region it creates. Those two are the simulation.
+// What is left is the application's host scratch, which lives per run, not
+// per token, quotient, function or document. Mapped bytes would overstate
+// the pages' cost: a page nobody writes shares mem's zero or poison page.
 func TestHostAllocsPaperApps(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -45,21 +46,21 @@ func TestHostAllocsPaperApps(t *testing.T) {
 }
 
 // netHostBytes runs app's region variant at scale in a fresh safe
-// environment and returns the Go bytes the run allocated, less the
-// simulated OS bytes it mapped and its Region handles. It keeps the least
-// of three runs: the Go runtime's own allocations only ever add.
+// environment and returns the Go bytes the run allocated, less the page
+// buffers its space allocated and its Region handles. It keeps the least of
+// three runs: the Go runtime's own allocations only ever add.
 func netHostBytes(app appkit.App, scale int) float64 {
 	least := math.Inf(1)
 	for range 3 {
 		e := appkit.NewRegionEnv("safe", appkit.Config{})
-		mapped, regions := e.Space().MappedBytes(), e.Counters().RegionsCreated
+		pages, regions := e.Space().ResidentBytes(), e.Counters().RegionsCreated
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		app.Region(e, scale)
 		runtime.ReadMemStats(&after)
-		mapped = e.Space().MappedBytes() - mapped
+		pages = e.Space().ResidentBytes() - pages
 		regions = e.Counters().RegionsCreated - regions
-		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)-float64(mapped)-
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)-float64(pages)-
 			float64(regions)*float64(unsafe.Sizeof(core.Region{})))
 	}
 	return least

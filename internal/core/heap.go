@@ -181,7 +181,12 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 	// legitimately unpoisoned: it is counted here instead — flagged pages
 	// must be unowned, attributed to a deleted region, still queued for the
 	// sweeper, and sum to exactly the runtime's sweep debt and each source
-	// region's unswept count.
+	// region's unswept count. A free page nobody wrote since its release is
+	// mem's shared poison page, so that page is audited first: a write into
+	// it, or into the shared zero page, would change every such page at once.
+	if err := mem.CheckSharedPages(); err != nil {
+		return nil, rt.invariant(0, -1, "%v", err)
+	}
 	detachedSeen := 0
 	detachedPer := map[*Region]int32{}
 	var detachedOwners []*Region // in free-list order of first sight

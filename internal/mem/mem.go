@@ -10,11 +10,20 @@
 // Every load and store costs one simulated cycle, charged to the accounting
 // mode active at the time, and is optionally pushed through a cache
 // simulator to obtain stall cycles.
+//
+// The host backs simulated pages the way a kernel backs anonymous memory.
+// A page that is mapped, re-zeroed or freed points at one shared read-only
+// page, of zeros or of PoisonWord, and gets a private 4 KB buffer only when
+// a store changes one of its words. Buffers a freed page gives up are kept
+// for the next first write, so a space never holds more buffers than the
+// most pages it had written at once. Only this file touches page words:
+// every write goes through the one own-on-write path (Store, PoisonRange).
 package mem
 
 import (
 	"fmt"
 	"math/rand"
+	"unsafe"
 
 	"regions/internal/cachesim"
 	"regions/internal/stats"
@@ -52,10 +61,35 @@ type page struct {
 	words [PageWords]Word
 }
 
+// shared holds the two pages every space in the process shares: zeroPage
+// backs each page nobody has written since it was mapped or re-zeroed, and
+// poisonPage each page nobody has written since it was freed. They are
+// never written after initialisation (CheckSharedPages audits that).
+var shared = func() (sh [2]page) {
+	for i := range sh[1].words {
+		sh[1].words[i] = PoisonWord
+	}
+	return sh
+}()
+
+var zeroPage, poisonPage = &shared[0], &shared[1]
+
+// isShared reports whether p is the zero page or the poison page. Every
+// store asks, so it is one unsigned compare against the shared array; two
+// pointer compares measured slower on the serving benchmark.
+func isShared(p *page) bool {
+	return uintptr(unsafe.Pointer(p))-uintptr(unsafe.Pointer(&shared)) < unsafe.Sizeof(shared)
+}
+
 // Space is one simulated address space. It is not safe for concurrent use;
 // each experiment run owns its own Space.
 type Space struct {
 	pages []*page // index = page number; only page 0 is unmapped (nil)
+	// spare holds the private buffers of pages that were re-zeroed or freed
+	// since their last write, for the next first write to reuse. buffers
+	// counts every buffer the space allocated.
+	spare   []*page
+	buffers int
 
 	// os is the MapPages tally, allocated apart from the space so a
 	// metrics source can hold it without holding the pages.
@@ -142,11 +176,13 @@ func (s *Space) Mode() stats.Mode { return s.mode }
 func (s *Space) MappedBytes() uint64 { return s.os.MappedBytes }
 
 // MapPages maps n fresh zeroed pages contiguously and returns the address of
-// the first. It returns 0 — the never-mapped nil address — when the simulated
-// OS refuses the request: the 32-bit address space is exhausted, a page limit
-// (SetPageLimit) is reached, or an installed FaultPlan injects a failure.
-// Allocators must treat 0 as out-of-memory and surface a typed error (see
-// Space.OOM); a non-positive count is still an API-misuse panic.
+// the first. The pages share the zero page, so mapping allocates no host
+// memory for them until they are written. It returns 0 — the never-mapped
+// nil address — when the simulated OS refuses the request: the 32-bit
+// address space is exhausted, a page limit (SetPageLimit) is reached, or an
+// installed FaultPlan injects a failure. Allocators must treat 0 as
+// out-of-memory and surface a typed error (see Space.OOM); a non-positive
+// count is still an API-misuse panic.
 func (s *Space) MapPages(n int) Addr {
 	if n <= 0 {
 		panic("mem: MapPages of non-positive count")
@@ -160,11 +196,18 @@ func (s *Space) MapPages(n int) Addr {
 	}
 	first := len(s.pages)
 	for i := 0; i < n; i++ {
-		s.pages = append(s.pages, &page{})
+		s.pages = append(s.pages, zeroPage)
 	}
 	s.os.MappedBytes += uint64(n) * PageSize
 	return Addr(first) << PageShift
 }
+
+// ResidentBytes returns the host bytes of the page buffers the space has
+// allocated: those backing pages written since they were last mapped,
+// re-zeroed or freed, and the spares they left. It never exceeds
+// MappedBytes, and no metrics source reports it: it is the host's cost of
+// the simulation, not a simulated quantity.
+func (s *Space) ResidentBytes() uint64 { return uint64(s.buffers) * PageSize }
 
 // Mapped reports whether a is inside a mapped page. Pages are only ever
 // appended, so page 0 is the one unmapped slot below NumPages.
@@ -223,11 +266,60 @@ func (s *Space) Load(a Addr) Word {
 	return p.words[(a%PageSize)/WordSize]
 }
 
-// Store writes v to the 4-byte-aligned address a.
+// Store writes v to the 4-byte-aligned address a. A store into a shared
+// page that changes its word first gives the page a private buffer; one
+// that writes the word already there leaves the page shared.
 func (s *Space) Store(a Addr, v Word) {
 	p := s.page(a)
 	s.access(a, true)
+	if isShared(p) {
+		s.storeShared(a, v)
+		return
+	}
 	p.words[(a%PageSize)/WordSize] = v
+}
+
+// storeShared is Store's path into a shared page, kept out of Store so the
+// path into a private page stays short.
+func (s *Space) storeShared(a Addr, v Word) {
+	i := (a % PageSize) / WordSize
+	if s.pages[a>>PageShift].words[i] != v {
+		s.own(a).words[i] = v
+	}
+}
+
+// own gives the shared page holding a a private buffer with the same
+// contents and returns it: a spare buffer if the space has one, else a new
+// one.
+func (s *Space) own(a Addr) *page {
+	n := a >> PageShift
+	sp := s.pages[n]
+	var p *page
+	if k := len(s.spare); k > 0 {
+		p = s.spare[k-1]
+		s.spare = s.spare[:k-1]
+		if sp == zeroPage {
+			*p = page{}
+		}
+	} else {
+		p = new(page)
+		s.buffers++
+	}
+	if sp == poisonPage {
+		*p = *poisonPage
+	}
+	s.pages[n] = p
+	return p
+}
+
+// share points the page holding a at the shared page sp, keeping the
+// page's private buffer, if it had one, as a spare.
+func (s *Space) share(a Addr, sp *page) {
+	n := a >> PageShift
+	if p := s.page(a &^ (PageSize - 1)); !isShared(p) {
+		s.spare = append(s.spare, p)
+	}
+	s.pages[n] = sp
 }
 
 // LoadByte returns the byte at address a (no alignment requirement).
@@ -257,10 +349,9 @@ func (s *Space) ZeroRange(a Addr, size int) {
 // ZeroPageFree zeroes the page containing a without charging cycles. It is
 // used when an allocator recycles a page it owns: the paper's region library
 // reuses pages from its free page list, and freshly OS-mapped pages arrive
-// zeroed either way.
-func (s *Space) ZeroPageFree(a Addr) {
-	*s.page(a &^ (PageSize - 1)) = page{}
-}
+// zeroed either way. The page shares the zero page until it is written, so
+// zeroing copies nothing.
+func (s *Space) ZeroPageFree(a Addr) { s.share(a, zeroPage) }
 
 // PoisonWord fills freed pages (PoisonPageFree) so that reads through
 // dangling pointers return an unmistakable pattern and stray writes into
@@ -270,19 +361,29 @@ const PoisonWord Word = 0xdeadbeef
 // PoisonPageFree fills the page containing a with PoisonWord without
 // charging cycles. Allocators call it when a page returns to a free list;
 // pages are re-zeroed (ZeroPageFree) before reuse, so poisoning is
-// observable only through dangling pointers.
-func (s *Space) PoisonPageFree(a Addr) {
-	*s.page(a &^ (PageSize - 1)) = poisonPage
-}
+// observable only through dangling pointers. The page shares the poison
+// page until it is written, so poisoning copies nothing, and a stray write
+// gives the page a private copy that FirstNonPoison still finds.
+func (s *Space) PoisonPageFree(a Addr) { s.share(a, poisonPage) }
 
-// poisonPage is a page of PoisonWord, copied whole by PoisonPageFree and in
-// part by PoisonRange. It is never written after initialisation.
-var poisonPage = func() (p page) {
-	for i := range p.words {
-		p.words[i] = PoisonWord
+// CheckSharedPages returns an error naming the first word of the shared zero
+// or poison page that no longer holds its value, or nil. The two pages back
+// every unwritten page of every space in the process, so a write into
+// either would silently change them all.
+func CheckSharedPages() error {
+	for _, sp := range [...]struct {
+		name string
+		p    *page
+		want Word
+	}{{"zero", zeroPage, 0}, {"poison", poisonPage, PoisonWord}} {
+		for i, w := range sp.p.words {
+			if w != sp.want {
+				return fmt.Errorf("mem: shared %s page word %d is %#x, not %#x", sp.name, i, w, sp.want)
+			}
+		}
 	}
-	return p
-}()
+	return nil
+}
 
 // PoisonRange fills size bytes starting at the word-aligned address a with
 // PoisonWord without charging cycles — the sub-page sibling of
@@ -290,7 +391,15 @@ var poisonPage = func() (p page) {
 // still owns (the region library's pooled string frees). size must be a
 // multiple of WordSize and the range must not cross a page boundary.
 func (s *Space) PoisonRange(a Addr, size int) {
-	copy(s.pageWords(a, size), poisonPage.words[:])
+	p, ws := s.pageWords(a, size)
+	if p == poisonPage {
+		return
+	}
+	if p == zeroPage {
+		s.own(a)
+		_, ws = s.pageWords(a, size)
+	}
+	copy(ws, poisonPage.words[:])
 }
 
 // FirstNonPoison returns the address of the first word in the size bytes
@@ -298,12 +407,11 @@ func (s *Space) PoisonRange(a Addr, size int) {
 // every word is poison. Like PoisonRange, size is a multiple of WordSize and
 // the range stays within one page. It reads the page directly: it charges
 // no cycle and does not touch the cache model, so verifiers can audit freed
-// memory without perturbing the measurement.
+// memory without perturbing the measurement. A freed page nobody wrote since
+// is the shared poison page, answered without reading a word.
 func (s *Space) FirstNonPoison(a Addr, size int) Addr {
-	ws := s.pageWords(a, size)
-	// A whole page, the free-list audit's case, is one memory compare, whose
-	// speed does not hang on where the linker places the word loop below.
-	if len(ws) == PageWords && *(*[PageWords]Word)(ws) == poisonPage.words {
+	p, ws := s.pageWords(a, size)
+	if p == poisonPage {
 		return 0
 	}
 	for i, w := range ws {
@@ -314,11 +422,13 @@ func (s *Space) FirstNonPoison(a Addr, size int) Addr {
 	return 0
 }
 
-// pageWords returns the words of the size-byte range at the word-aligned
-// address a, which must lie within one mapped page.
-func (s *Space) pageWords(a Addr, size int) []Word {
+// pageWords returns the page holding the size-byte range at the
+// word-aligned address a, which must lie within one mapped page, and the
+// range's words.
+func (s *Space) pageWords(a Addr, size int) (*page, []Word) {
+	p := s.page(a)
 	base := (a % PageSize) / WordSize
-	return s.page(a).words[base : base+Addr(size/WordSize)]
+	return p, p.words[base : base+Addr(size/WordSize)]
 }
 
 // Uncharged runs f with cycle accounting disabled. It exists for test

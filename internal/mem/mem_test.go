@@ -2,10 +2,12 @@ package mem
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"regions/internal/cachesim"
+	"regions/internal/race"
 	"regions/internal/stats"
 )
 
@@ -351,6 +353,105 @@ func TestWordPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestCheckSharedPages: a write into the shared zero or poison page would
+// change every unwritten page of every space at once, so the check names
+// the first word that no longer holds its value.
+func TestCheckSharedPages(t *testing.T) {
+	if err := CheckSharedPages(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    *page
+		word int
+	}{{"zero", zeroPage, 17}, {"poison", poisonPage, PageWords - 1}} {
+		old := c.p.words[c.word]
+		c.p.words[c.word] = 7
+		err := CheckSharedPages()
+		c.p.words[c.word] = old
+		want := fmt.Sprintf("shared %s page word %d is 0x7", c.name, c.word)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s page corrupted: CheckSharedPages() = %v, want an error containing %q", c.name, err, want)
+		}
+	}
+	if err := CheckSharedPages(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSharedPagesOwnOnWrite: a page shares the zero or poison page until a
+// store changes one of its words; a store of the word already there and a
+// ZeroRange over a fresh page leave it shared, and a freed page's buffer is
+// reused by the next first write.
+func TestSharedPagesOwnOnWrite(t *testing.T) {
+	s, c := newSpace()
+	p := s.MapPages(2)
+	s.ZeroRange(p, PageSize)
+	s.Store(p+PageSize, 0)
+	s.PoisonPageFree(p + PageSize)
+	s.Store(p+PageSize+8, PoisonWord)
+	if s.ResidentBytes() != 0 || s.pages[1] != zeroPage || s.pages[2] != poisonPage {
+		t.Fatalf("stores of the shared words backed %d bytes", s.ResidentBytes())
+	}
+	if want := uint64(PageWords+2) * AppComputeFactor; c.Cycles[stats.ModeApp] != want {
+		t.Fatalf("charged %d cycles, want %d: every store charges", c.Cycles[stats.ModeApp], want)
+	}
+	s.Store(p+8, 5)
+	s.Store(p+PageSize+4, 6)
+	if s.ResidentBytes() != 2*PageSize {
+		t.Fatalf("two written pages back %d bytes, want %d", s.ResidentBytes(), 2*PageSize)
+	}
+	if got := s.Load(p + PageSize + 8); got != PoisonWord {
+		t.Fatalf("written poison page lost its poison: %#x", got)
+	}
+	if got := s.FirstNonPoison(p+PageSize, PageSize); got != p+PageSize+4 {
+		t.Fatalf("FirstNonPoison = %#x, want the stray word %#x", got, p+PageSize+4)
+	}
+	s.ZeroPageFree(p)
+	s.PoisonPageFree(p + PageSize)
+	s.Store(p+12, 9)
+	if s.ResidentBytes() != 2*PageSize || s.Load(p+8) != 0 || s.Load(p+12) != 9 {
+		t.Fatalf("re-zeroed page: resident %d bytes, words %#x %#x", s.ResidentBytes(), s.Load(p+8), s.Load(p+12))
+	}
+}
+
+// TestHostAllocsUnwrittenPages: mapping, poisoning and auditing pages that
+// nobody writes allocates no page buffer, and a warm zero -> write -> poison
+// cycle allocates nothing at all.
+func TestHostAllocsUnwrittenPages(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const n = 64
+	s, _ := newSpace()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := s.MapPages(n)
+	for i := Addr(0); i < n; i++ {
+		s.PoisonPageFree(p + i*PageSize)
+	}
+	for i := Addr(0); i < n; i++ {
+		if bad := s.FirstNonPoison(p+i*PageSize, PageSize); bad != 0 {
+			t.Fatalf("poisoned page word %#x is not poison", bad)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if s.ResidentBytes() != 0 {
+		t.Errorf("%d unwritten pages back %d bytes, want 0", n, s.ResidentBytes())
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= PageSize {
+		t.Errorf("mapping, poisoning and auditing %d pages allocated %d bytes, want under one page", n, b)
+	}
+	cycle := func() {
+		s.ZeroPageFree(p)
+		s.Store(p+8, 7)
+		s.PoisonPageFree(p)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a warm zero -> write -> poison cycle made %v allocations, want 0", allocs)
+	}
+}
+
 // benchSpace maps a 256 KB span: it overflows the 16 KB L1 but fits the
 // 512 KB L2, so a cached walk mixes L1 hits and misses.
 func benchSpace(cached bool) (s *Space, base Addr, span Addr) {
@@ -384,5 +485,20 @@ func BenchmarkStore(b *testing.B) {
 				s.Store(base+Addr(i*WordSize)%span, Word(i))
 			}
 		})
+	}
+}
+
+// BenchmarkPageCycle is one page's turn through a warm free list: re-zeroed
+// on acquisition, written once, poisoned on release.
+func BenchmarkPageCycle(b *testing.B) {
+	s, _ := newSpace()
+	p := s.MapPages(1)
+	s.Store(p, 1)
+	s.PoisonPageFree(p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ZeroPageFree(p)
+		s.Store(p+8, Word(i)|1)
+		s.PoisonPageFree(p)
 	}
 }
