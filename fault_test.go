@@ -206,6 +206,11 @@ func TestStringFreeAndGlobalStoreFaults(t *testing.T) {
 			sys.RstrFree(r, p, 16)
 			return func() error { return sys.TryRstrFree(r, p, 16) }, func() { sys.RstrFree(r, p, 16) }
 		}},
+		{"rstrfree-double-unpooled", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			p := sys.RstrAlloc(r, 3000) // above the pool's ceiling: never parked
+			sys.RstrFree(r, p, 3000)
+			return func() error { return sys.TryRstrFree(r, p, 3000) }, func() { sys.RstrFree(r, p, 3000) }
+		}},
 		{"rstrfree-size-zero", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			p := sys.RstrAlloc(r, 16)
 			return func() error { return sys.TryRstrFree(r, p, 0) }, func() { sys.RstrFree(r, p, 0) }

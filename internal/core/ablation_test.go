@@ -89,12 +89,12 @@ func TestEagerLocalsPopReleasesReferences(t *testing.T) {
 	f := rt.PushFrame(2)
 	f.Set(0, cons(rt, cln, r, 1, 0))
 	f.Set(1, cons(rt, cln, r, 2, 0))
-	if r.RC() != 2 {
-		t.Fatalf("rc=%d, want 2 (eager counting)", r.RC())
+	if rt.RC(r) != 2 {
+		t.Fatalf("rc=%d, want 2 (eager counting)", rt.RC(r))
 	}
 	rt.PopFrame()
-	if r.RC() != 0 {
-		t.Fatalf("rc=%d after pop, want 0", r.RC())
+	if rt.RC(r) != 0 {
+		t.Fatalf("rc=%d after pop, want 0", rt.RC(r))
 	}
 	if !rt.DeleteRegion(r) {
 		t.Fatal("delete failed after frame died")

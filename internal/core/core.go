@@ -117,35 +117,38 @@ const (
 // and our generalization is that Region handles held by Go code are
 // untracked while Ptr values in frame slots and heap words are tracked.
 type Region struct {
-	rt  *Runtime
 	id  int32
 	hdr Ptr // address of the in-heap region structure
-
-	bytes   uint64 // program-requested bytes, for Table 2
-	allocs  uint64
-	born    uint64 // simulated cycle of creation, for the lifetime histogram
-	deleted bool
-	// migrated marks a region ExportRegion handed off to another runtime:
-	// deleted is also set (the pages are gone from this runtime), and stale
-	// handles fault with FaultMigratedRegion instead of FaultDeletedRegion.
-	migrated bool
+	// bytes counts the program-requested bytes live in the region, for
+	// Table 2. They sit in the region's own pages, so a 32-bit space keeps
+	// them below 4 GiB; ImportRegion refuses a record that claims more than
+	// its pages hold, and Verify audits the same bound.
+	bytes uint32
 	// unswept counts the region's detached pages the incremental sweeper has
 	// not yet poisoned (Options.DeferredDelete). A deleted region with
 	// unswept > 0 is "detached": unreachable and RC-checked exactly like a
 	// deleted one, but its pages still carry stale contents on the free
 	// lists. See sweep.go.
 	unswept int32
-	// pool holds the region's string-pool free lists, host-side like the
-	// runtime's free page lists. Nil until the first pooled free, so a
-	// region that never pools carries one pointer, not the table: the
-	// handle stays in the 64-byte size class. See strpool.go.
-	pool *strPool
 	// strTop mirrors the string list's bump frontier host-side: the address
 	// past the last byte bumped on a one-page head entry, 0 while the list
 	// is empty or its head is a multi-page entry (which is full). RstrFree
 	// checks blocks against it without reading the region header; Verify
 	// checks it against the header.
-	strTop Ptr
+	strTop  Ptr
+	deleted bool
+	// migrated marks a region ExportRegion handed off to another runtime:
+	// deleted is also set (the pages are gone from this runtime), and stale
+	// handles fault with FaultMigratedRegion instead of FaultDeletedRegion.
+	migrated bool
+
+	allocs uint64
+	born   uint64 // simulated cycle of creation, for the lifetime histogram
+	// pool holds the region's string-pool free lists, host-side like the
+	// runtime's free page lists. Nil until the first pooled free, so a
+	// region that never pools carries one pointer, not the table: the
+	// handle stays in Go's 48-byte size class. See strpool.go.
+	pool *strPool
 }
 
 // Options configures a Runtime beyond the paper's two libraries, enabling
@@ -483,7 +486,7 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 	defer rt.space.SetMode(old)
 	rt.charge(stats.ModeAlloc, 3)
 
-	r := &Region{rt: rt, id: rt.nextID}
+	r := &Region{id: rt.nextID}
 	page := rt.acquirePages(1, r)
 	if page == 0 {
 		return nil, rt.oomFault("newregion", r.id)
@@ -680,7 +683,7 @@ func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 	rt.space.Store(p, hdr)
 	rt.space.ZeroRange(p+mem.WordSize, data)
 
-	r.bytes += uint64(data)
+	r.bytes += uint32(data)
 	r.allocs++
 	rt.c.AddAlloc(int64(data))
 	if rt.tracer != nil {
@@ -734,7 +737,7 @@ func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Pt
 	rt.space.Store(p+8, Ptr(esz))
 	rt.space.ZeroRange(p+12, data)
 
-	r.bytes += uint64(data)
+	r.bytes += uint32(data)
 	r.allocs++
 	rt.c.AddAlloc(int64(data))
 	if rt.tracer != nil {
@@ -806,7 +809,7 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 		rt.t.StrReuse[idx]++
 	}
 
-	r.bytes += uint64(data)
+	r.bytes += uint32(data)
 	r.allocs++
 	rt.c.AddAlloc(int64(data))
 	if rt.tracer != nil {
@@ -849,11 +852,13 @@ func (rt *Runtime) RstrFree(r *Region, p Ptr, size int) {
 // pointer r does not own (FaultDanglingDestroy), and, as FaultBadArgument,
 // a nil or unaligned pointer, a non-positive size, a block that is not
 // string data r has allocated (a normal object, or a size running past the
-// bump frontier or the block's page entry) and a block overlapping one
-// already parked (a double free). The checks are host-side, so a valid
+// bump frontier or the block's page entry), a block overlapping one
+// already parked (a double free) and a block larger than the region's live
+// byte count, which would wrap it. The checks are host-side, so a valid
 // free charges what it always has. The string side has no headers, so a
 // wrong size that stays inside allocated string data goes unnoticed, and
-// so does a second free of a block the pool did not park.
+// so does a second free of a block the pool did not park while the region
+// still counts that many live bytes.
 func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 	if err := rt.checkLive(r); err != nil {
 		return err
@@ -876,6 +881,11 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 			fmt.Sprintf("rstrfree: [%#x,+%d) overlaps the parked block [%#x,+%d) (double free?)",
 				p, data, b.p, b.cap), nil)
 	}
+	if data > int(r.bytes) {
+		return rt.fault(FaultBadArgument, p, r.id,
+			fmt.Sprintf("rstrfree: [%#x,+%d) is more than the region's %d live bytes (double free?)",
+				p, data, r.bytes), nil)
+	}
 	old := rt.space.SetMode(stats.ModeFree)
 	defer rt.space.SetMode(old)
 	rt.charge(stats.ModeFree, 2)
@@ -885,7 +895,7 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 		rt.space.PoisonRange(p, data)
 		rt.strPoolPut(r, p, data)
 	}
-	r.bytes -= uint64(data)
+	r.bytes -= uint32(data)
 	rt.c.AddFree(int64(data))
 	rt.t.StrFreeBytes += uint64(data)
 	if data <= defaultStrPoolMax {
@@ -976,7 +986,7 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	rt.space.SetMode(old)
 
 	r.deleted = true
-	rt.c.RegionDeleted(r.bytes)
+	rt.c.RegionDeleted(uint64(r.bytes))
 	if rt.tracer != nil {
 		bytes := r.bytes
 		if bytes > 1<<31-1 {
@@ -1021,14 +1031,14 @@ func (rt *Runtime) quiescedRC(r *Region) Word {
 // statistics (the Max. kbytes in region column counts them too).
 func (rt *Runtime) FinalizeStats() {
 	for _, r := range rt.regions {
-		if !r.deleted && r.bytes > rt.c.MaxRegionBytes {
-			rt.c.MaxRegionBytes = r.bytes
+		if !r.deleted && uint64(r.bytes) > rt.c.MaxRegionBytes {
+			rt.c.MaxRegionBytes = uint64(r.bytes)
 		}
 	}
 }
 
 // Bytes returns the total program-requested bytes allocated in r so far.
-func (r *Region) Bytes() uint64 { return r.bytes }
+func (r *Region) Bytes() uint64 { return uint64(r.bytes) }
 
 // Allocs returns the number of allocations made in r so far.
 func (r *Region) Allocs() uint64 { return r.allocs }
@@ -1038,9 +1048,9 @@ func (r *Region) Deleted() bool { return r.deleted }
 
 // RC returns r's current (deferred, not necessarily exact) reference count.
 // It exists for tests and diagnostics and charges no cycles.
-func (r *Region) RC() Word {
+func (rt *Runtime) RC(r *Region) Word {
 	var rc Word
-	r.rt.space.Uncharged(func() { rc = r.rt.space.Load(r.hdr + offRC) })
+	rt.space.Uncharged(func() { rc = rt.space.Load(r.hdr + offRC) })
 	return rc
 }
 

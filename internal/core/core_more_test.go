@@ -43,14 +43,14 @@ func TestLargeArrayCleanupAcrossPages(t *testing.T) {
 		p := cons(rt, leaf, b, uint32(i), 0)
 		rt.StorePtr(arr+Ptr(i*16), p)
 	}
-	if b.RC() != n {
-		t.Fatalf("rc=%d, want %d", b.RC(), n)
+	if rt.RC(b) != n {
+		t.Fatalf("rc=%d, want %d", rt.RC(b), n)
 	}
 	if !rt.DeleteRegion(a) {
 		t.Fatal("delete a failed")
 	}
-	if b.RC() != 0 {
-		t.Fatalf("rc=%d after cleanup, want 0", b.RC())
+	if rt.RC(b) != 0 {
+		t.Fatalf("rc=%d after cleanup, want 0", rt.RC(b))
 	}
 	if c.DestroyCalls != n {
 		t.Fatalf("DestroyCalls=%d, want %d", c.DestroyCalls, n)
@@ -66,20 +66,20 @@ func TestStorePtrNilTransitions(t *testing.T) {
 	tgt := cons(rt, cln, s, 2, 0)
 
 	rt.StorePtr(obj+4, 0) // nil -> nil: no count changes
-	if s.RC() != 0 {
+	if rt.RC(s) != 0 {
 		t.Fatal("rc moved on nil->nil")
 	}
 	rt.StorePtr(obj+4, tgt) // nil -> s
-	if s.RC() != 1 {
-		t.Fatalf("rc=%d", s.RC())
+	if rt.RC(s) != 1 {
+		t.Fatalf("rc=%d", rt.RC(s))
 	}
 	rt.StorePtr(obj+4, tgt) // s -> s (same value): no net change
-	if s.RC() != 1 {
-		t.Fatalf("rc=%d after same-value store", s.RC())
+	if rt.RC(s) != 1 {
+		t.Fatalf("rc=%d after same-value store", rt.RC(s))
 	}
 	rt.StorePtr(obj+4, 0) // s -> nil
-	if s.RC() != 0 {
-		t.Fatalf("rc=%d", s.RC())
+	if rt.RC(s) != 0 {
+		t.Fatalf("rc=%d", rt.RC(s))
 	}
 }
 

@@ -186,7 +186,7 @@ func TestSameRegionPointersNotCounted(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		l = cons(rt, cln, r, uint32(i), l)
 	}
-	if rc := r.RC(); rc != 0 {
+	if rc := rt.RC(r); rc != 0 {
 		t.Fatalf("rc=%d after same-region list build, want 0 (cyclic structures collectable)", rc)
 	}
 	if c.Barriers.SameRegion == 0 {
@@ -208,15 +208,15 @@ func TestHeapReferenceBlocksDelete(t *testing.T) {
 	target := cons(rt, cln, b, 42, 0)
 	holder := cons(rt, cln, a, 1, target) // cross-region pointer a -> b
 
-	if b.RC() != 1 {
-		t.Fatalf("rc=%d, want 1", b.RC())
+	if rt.RC(b) != 1 {
+		t.Fatalf("rc=%d, want 1", rt.RC(b))
 	}
 	if rt.DeleteRegion(b) {
 		t.Fatal("delete of referenced region succeeded")
 	}
 	rt.StorePtr(holder+4, 0)
-	if b.RC() != 0 {
-		t.Fatalf("rc=%d after clearing, want 0", b.RC())
+	if rt.RC(b) != 0 {
+		t.Fatalf("rc=%d after clearing, want 0", rt.RC(b))
 	}
 	if !rt.DeleteRegion(b) {
 		t.Fatal("delete failed after clearing reference")
@@ -232,8 +232,8 @@ func TestCleanupDestroysCrossRegionRefs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cons(rt, cln, a, uint32(i), cons(rt, cln, b, uint32(i), 0))
 	}
-	if b.RC() != 10 {
-		t.Fatalf("rc=%d, want 10", b.RC())
+	if rt.RC(b) != 10 {
+		t.Fatalf("rc=%d, want 10", rt.RC(b))
 	}
 	if rt.DeleteRegion(b) {
 		t.Fatal("b should not be deletable")
@@ -241,8 +241,8 @@ func TestCleanupDestroysCrossRegionRefs(t *testing.T) {
 	if !rt.DeleteRegion(a) {
 		t.Fatal("a should be deletable")
 	}
-	if b.RC() != 0 {
-		t.Fatalf("rc=%d after deleting a, want 0 (cleanups must destroy)", b.RC())
+	if rt.RC(b) != 0 {
+		t.Fatalf("rc=%d after deleting a, want 0 (cleanups must destroy)", rt.RC(b))
 	}
 	if !rt.DeleteRegion(b) {
 		t.Fatal("b should be deletable after a's cleanups ran")
@@ -265,14 +265,14 @@ func TestArrayCleanupPerElement(t *testing.T) {
 		elem := cons(rt, rt.RegisterCleanup("leaf", listCleanup), b, uint32(i), 0)
 		rt.StorePtr(arr+Ptr(i*8), elem)
 	}
-	if b.RC() != 7 {
-		t.Fatalf("rc=%d, want 7", b.RC())
+	if rt.RC(b) != 7 {
+		t.Fatalf("rc=%d, want 7", rt.RC(b))
 	}
 	if !rt.DeleteRegion(a) {
 		t.Fatal("delete a failed")
 	}
-	if b.RC() != 0 {
-		t.Fatalf("rc=%d after array cleanup, want 0", b.RC())
+	if rt.RC(b) != 0 {
+		t.Fatalf("rc=%d after array cleanup, want 0", rt.RC(b))
 	}
 	if c.DestroyCalls != 7 {
 		t.Fatalf("DestroyCalls=%d, want 7", c.DestroyCalls)
@@ -287,8 +287,8 @@ func TestGlobalWriteBarrier(t *testing.T) {
 	p := cons(rt, cln, r, 9, 0)
 
 	rt.StoreGlobalPtr(g, p)
-	if r.RC() != 1 {
-		t.Fatalf("rc=%d after global store, want 1", r.RC())
+	if rt.RC(r) != 1 {
+		t.Fatalf("rc=%d after global store, want 1", rt.RC(r))
 	}
 	if rt.DeleteRegion(r) {
 		t.Fatal("delete succeeded with live global reference")
@@ -311,16 +311,16 @@ func TestStorePtrDynamic(t *testing.T) {
 	q := cons(rt, cln, r, 8, 0)
 
 	rt.StorePtrDynamic(g, p) // global slot
-	if r.RC() != 1 {
-		t.Fatalf("rc=%d, want 1", r.RC())
+	if rt.RC(r) != 1 {
+		t.Fatalf("rc=%d, want 1", rt.RC(r))
 	}
 	rt.StorePtrDynamic(p+4, q) // region slot, sameregion value
-	if r.RC() != 1 {
-		t.Fatalf("rc=%d after sameregion dynamic store, want 1", r.RC())
+	if rt.RC(r) != 1 {
+		t.Fatalf("rc=%d after sameregion dynamic store, want 1", rt.RC(r))
 	}
 	rt.StorePtrDynamic(g, 0)
-	if r.RC() != 0 {
-		t.Fatalf("rc=%d, want 0", r.RC())
+	if rt.RC(r) != 0 {
+		t.Fatalf("rc=%d, want 0", rt.RC(r))
 	}
 }
 
@@ -337,16 +337,16 @@ func TestStackScanAndUnscan(t *testing.T) {
 	if rt.DeleteRegion(r) {
 		t.Fatal("delete succeeded despite outer local reference")
 	}
-	if r.RC() != 1 {
-		t.Fatalf("rc=%d after scan, want 1 (outer frame counted)", r.RC())
+	if rt.RC(r) != 1 {
+		t.Fatalf("rc=%d after scan, want 1 (outer frame counted)", rt.RC(r))
 	}
 	if c.FramesScanned != 1 {
 		t.Fatalf("FramesScanned=%d, want 1", c.FramesScanned)
 	}
 	// Returning to the outer frame unscans it.
 	rt.PopFrame()
-	if r.RC() != 0 {
-		t.Fatalf("rc=%d after unscan, want 0", r.RC())
+	if rt.RC(r) != 0 {
+		t.Fatalf("rc=%d after unscan, want 0", rt.RC(r))
 	}
 	if c.FramesUnscanned != 1 {
 		t.Fatalf("FramesUnscanned=%d, want 1", c.FramesUnscanned)
@@ -385,8 +385,8 @@ func TestDeepStackScanOnlyOnce(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rt.PopFrame()
 	}
-	if r.RC() != 0 {
-		t.Fatalf("rc=%d after full unwind, want 0", r.RC())
+	if rt.RC(r) != 0 {
+		t.Fatalf("rc=%d after full unwind, want 0", rt.RC(r))
 	}
 }
 

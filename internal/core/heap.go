@@ -60,13 +60,14 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 		var rh *metrics.RegionHeap
 		if collect {
 			rep.Regions = append(rep.Regions, metrics.RegionHeap{
-				ID: r.id, LiveBytes: r.bytes, Allocs: r.allocs,
+				ID: r.id, LiveBytes: uint64(r.bytes), Allocs: r.allocs,
 			})
 			rh = &rep.Regions[len(rep.Regions)-1]
 			byID[r.id] = rh
 		}
 		var strPages map[int]bool // string-list page census for the pool audit
 		var strHead, strAvail, strTop Ptr
+		pages := 0 // on both lists
 		if r.pool != nil {
 			strPages = map[int]bool{}
 		}
@@ -88,6 +89,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 				if li == 1 && first == entry && count == 1 {
 					strTop = first + avail // a one-page head's bump frontier
 				}
+				pages += count
 				if rh != nil {
 					if li == 0 {
 						rh.NormalPages += count
@@ -138,6 +140,9 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 		if r.strTop != strTop {
 			return nil, rt.invariant(r.hdr, r.id,
 				"string bump frontier mirrored as %#x, header says %#x", r.strTop, strTop)
+		}
+		if uint64(r.bytes) > uint64(pages)*mem.PageSize {
+			return nil, rt.invariant(r.hdr, r.id, "%d live bytes do not fit in the region's %d pages", r.bytes, pages)
 		}
 		// 1.5: the string pool's free lists. Every parked block must sit on
 		// one of r's own string pages, inside the allocated prefix of the

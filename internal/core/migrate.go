@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"regions/internal/mem"
@@ -148,7 +150,7 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 		}
 	}
 
-	rec := &RegionRecord{SourceRegion: r.id, Bytes: r.bytes, Allocs: r.allocs, OldHdr: r.hdr}
+	rec := &RegionRecord{SourceRegion: r.id, Bytes: uint64(r.bytes), Allocs: r.allocs, OldHdr: r.hdr}
 	var serr error
 	rt.space.Uncharged(func() { serr = rt.serializeRegion(r, rec) })
 	if serr != nil {
@@ -285,10 +287,13 @@ func (rt *Runtime) exportScan(r *Region, used map[CleanupID]bool) error {
 // lists first, then the simulated OS — a refused mapping rolls every
 // acquired run back and returns a FaultOOM error, leaving the runtime
 // unchanged). Cleanup ids are remapped by registered name; a missing name
-// is an ErrImportCleanup error, and a parked string block that RstrFree
-// could not have parked (a capacity outside the pool's classes, an extent
-// off the record's string runs) a FaultBadArgument *Fault, both before
-// anything is acquired.
+// is an ErrImportCleanup error. A record no export could have produced (see
+// checkRecord) is a FaultBadArgument *Fault. Both are returned before
+// anything is acquired or charged. A record whose data, once placed, holds
+// a word pointing into another region of this runtime (importScan), or
+// whose normal bump offset is not where its head entry's objects end
+// (materialize), is rolled back and refused with a FaultBadArgument *Fault
+// too.
 //
 // The pointer fixup is the O(pages) base-delta rewrite: a per-page old→new
 // map built from the run placements, applied object-aware — headers get the
@@ -302,26 +307,9 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	if rec == nil {
 		panic("core: nil region record")
 	}
-	if len(rec.Normal) == 0 {
-		return nil, fmt.Errorf("core: importregion: record has no normal-list pages")
-	}
-	oldHome := rec.OldHdr &^ Ptr(mem.PageSize-1)
-	homeIdx := -1
-	for i, run := range rec.Normal {
-		if oldHome >= run.OldFirst && oldHome < run.OldFirst+Ptr(run.Pages*mem.PageSize) {
-			homeIdx = i
-			break
-		}
-	}
-	if homeIdx < 0 {
-		return nil, fmt.Errorf("core: importregion: header %#x is on none of the record's normal runs", rec.OldHdr)
-	}
-	for _, b := range rec.StrPool {
-		if !parkable(rec.Str, b) {
-			return nil, rt.fault(FaultBadArgument, b.OldAddr, -1, fmt.Sprintf(
-				"importregion: parked string block [%#x,+%d) is no pooled block on the record's string runs",
-				b.OldAddr, b.Cap), nil)
-		}
+	homeIdx, err := rt.checkRecord(rec)
+	if err != nil {
+		return nil, err
 	}
 	idMap := make(map[CleanupID]CleanupID, len(rec.Cleanups))
 	for _, ref := range rec.Cleanups {
@@ -342,7 +330,7 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	defer rt.space.SetMode(old)
 	rt.charge(stats.ModeAlloc, 3)
 
-	r := &Region{rt: rt, id: rt.nextID}
+	r := &Region{id: rt.nextID}
 
 	type run struct {
 		first Ptr
@@ -397,6 +385,9 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	var werr error
 	rt.space.Uncharged(func() {
 		werr = rt.materialize(rec, r, newNormal, newStr, idMap, pageMap)
+		if werr == nil {
+			werr = rt.importScan(r)
+		}
 		if len(rec.Str) > 0 && rec.Str[0].Pages == 1 {
 			r.strTop = newStr[0] + rt.space.Load(r.hdr+offStringAvail)
 		}
@@ -408,7 +399,7 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	rt.charge(stats.ModeAlloc, 2*uint64(rec.Pages))
 	rec.newPages = pageMap
 
-	r.bytes = rec.Bytes
+	r.bytes = uint32(rec.Bytes)
 	r.allocs = rec.Allocs
 	r.born = rt.c.TotalCycles()
 	rt.addRegion(r)
@@ -443,6 +434,113 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	return r, nil
 }
 
+// maxEntryPages is the most pages one page-list entry can hold: its link
+// word keeps the page count minus one below the next entry's page-aligned
+// address.
+const maxEntryPages = mem.PageSize
+
+// checkRecord returns the index of rec's home run, the normal run whose
+// first page holds the region structure, or a FaultBadArgument *Fault for
+// a record no export could have produced. It reads only the record, so a
+// rejected import acquires and charges nothing.
+//
+//   - Shape: every run is 1 to maxEntryPages pages at a nonzero
+//     page-aligned address inside the 32-bit space and carries exactly its
+//     pages' words, Pages is the runs' sum, and Bytes fits in those pages.
+//   - Region structure: word-aligned on the first page of a normal run,
+//     past the link word and inside the page. Both bump offsets are
+//     word-aligned and at most a page; a multi-page head entry's is a page
+//     (the entry is full), a one-page string head's is past its link word,
+//     and the normal head page holds nothing but zeros from its offset on,
+//     the space bump hands out next. materialize checks that the normal
+//     offset is where the head entry's objects end.
+//   - Parked string blocks: each one RstrFree could have parked
+//     (parkable), none past the head string page's bump offset, and no two
+//     overlapping.
+func (rt *Runtime) checkRecord(rec *RegionRecord) (int, error) {
+	bad := func(addr Ptr, format string, args ...any) (int, error) {
+		return -1, rt.fault(FaultBadArgument, addr, -1, "importregion: "+fmt.Sprintf(format, args...), nil)
+	}
+	if len(rec.Normal) == 0 {
+		return bad(0, "record has no normal-list pages")
+	}
+	pages := 0
+	for _, runs := range [2][]PageRun{rec.Normal, rec.Str} {
+		for _, run := range runs {
+			if run.Pages < 1 || run.Pages > maxEntryPages || run.OldFirst == 0 || run.OldFirst%mem.PageSize != 0 ||
+				uint64(run.OldFirst)+uint64(run.Pages)*mem.PageSize > 1<<32 {
+				return bad(run.OldFirst, "run of %d pages at %#x", run.Pages, run.OldFirst)
+			}
+			if len(run.Words) != run.Pages*mem.PageWords {
+				return bad(run.OldFirst, "run of %d pages at %#x carries %d words, not %d",
+					run.Pages, run.OldFirst, len(run.Words), run.Pages*mem.PageWords)
+			}
+			pages += run.Pages
+		}
+	}
+	if rec.Pages != pages {
+		return bad(0, "record counts %d pages, its runs hold %d", rec.Pages, pages)
+	}
+	if rec.Bytes > uint64(pages)*mem.PageSize {
+		return bad(0, "%d live bytes do not fit in the record's %d pages", rec.Bytes, pages)
+	}
+
+	home := slices.IndexFunc(rec.Normal, func(run PageRun) bool {
+		return run.OldFirst == rec.OldHdr&^Ptr(mem.PageSize-1)
+	})
+	off := int(rec.OldHdr % mem.PageSize)
+	if home < 0 || off%mem.WordSize != 0 || off < mem.WordSize || off+hdrBytes > mem.PageSize {
+		return bad(rec.OldHdr, "region structure at %#x is not inside the first page of a normal run", rec.OldHdr)
+	}
+	hdr := rec.Normal[home].Words[off/mem.WordSize:]
+	normalAvail, strAvail := hdr[offNormalAvail/mem.WordSize], hdr[offStringAvail/mem.WordSize]
+	if normalAvail > mem.PageSize || strAvail > mem.PageSize || (normalAvail|strAvail)%mem.WordSize != 0 {
+		return bad(rec.OldHdr, "bump offsets %d and %d, unaligned or past a page", normalAvail, strAvail)
+	}
+	// bump fills a list's head entry from its offset on, so a multi-page
+	// head must be full and a one-page string head must keep its link word.
+	if rec.Normal[0].Pages > 1 && normalAvail != mem.PageSize ||
+		len(rec.Str) > 0 && (rec.Str[0].Pages > 1 && strAvail != mem.PageSize || strAvail < mem.WordSize) {
+		return bad(rec.OldHdr, "bump offsets %d and %d do not fit their head entries", normalAvail, strAvail)
+	}
+	if slices.ContainsFunc(rec.Normal[0].Words[normalAvail/mem.WordSize:mem.PageWords], func(w Word) bool { return w != 0 }) {
+		return bad(rec.Normal[0].OldFirst, "normal head page holds data past its bump offset %d", normalAvail)
+	}
+
+	blocks := slices.Clone(rec.StrPool)
+	slices.SortFunc(blocks, func(a, b StrPoolRecord) int { return cmp.Compare(a.OldAddr, b.OldAddr) })
+	for i, b := range blocks {
+		switch {
+		case !parkable(rec.Str, b):
+			return bad(b.OldAddr, "parked string block [%#x,+%d) is no pooled block on the record's string runs",
+				b.OldAddr, b.Cap)
+		case b.OldAddr&^Ptr(mem.PageSize-1) == rec.Str[0].OldFirst && b.OldAddr%mem.PageSize+Ptr(b.Cap) > strAvail:
+			return bad(b.OldAddr, "parked string block [%#x,+%d) runs past the head page's bump offset %d",
+				b.OldAddr, b.Cap, strAvail)
+		case i > 0 && uint64(blocks[i-1].OldAddr)+uint64(blocks[i-1].Cap) > uint64(b.OldAddr):
+			return bad(b.OldAddr, "parked string blocks [%#x,+%d) and [%#x,+%d) overlap",
+				blocks[i-1].OldAddr, blocks[i-1].Cap, b.OldAddr, b.Cap)
+		}
+	}
+	return home, nil
+}
+
+// importScan refuses the freshly materialized region r, with a
+// FaultBadArgument *Fault, when one of its normal pages holds a word that
+// points into another region of this runtime. Verify counts every such word
+// as a reference to that region, and none of them was counted: a record
+// built or edited by its holder can carry words no export would let out.
+func (rt *Runtime) importScan(r *Region) error {
+	var err error
+	rt.forEachNormalWord(r, func(a Ptr, v Word) {
+		if t := rt.pages.lookup(v); err == nil && t != nil && t != r {
+			err = rt.fault(FaultBadArgument, a, r.id,
+				fmt.Sprintf("importregion: word at %#x points into region#%d", a, t.id), nil)
+		}
+	})
+	return err
+}
+
 // parkable reports whether the parked block b of a record could have come
 // from RstrFree: a word-aligned pooled capacity inside one page of one of
 // the string runs, past the page's first word — the shape Verify's pool
@@ -466,8 +564,10 @@ func parkable(runs []PageRun, b StrPoolRecord) bool {
 // link words rebuilt from the run order, region structure repointed, cleanup
 // ids remapped, and intra-region pointers translated page-by-page. Runs
 // uncharged. An error (a record whose objects name a cleanup absent from its
-// own Cleanups table, or a malformed layout) leaves only the acquired pages
-// dirty; the caller releases them.
+// own Cleanups table, a malformed layout, or a normal bump offset that is not
+// where the head entry's objects end, so the next allocation would overwrite
+// them or sit where no walk finds it) leaves only the acquired pages dirty;
+// the caller releases them.
 func (rt *Runtime) materialize(rec *RegionRecord, r *Region, newNormal, newStr []Ptr,
 	idMap map[CleanupID]CleanupID, pageMap map[Ptr]Ptr) error {
 	copyRuns := func(runs []PageRun, news []Ptr) {
@@ -512,7 +612,14 @@ func (rt *Runtime) materialize(rec *RegionRecord, r *Region, newNormal, newStr [
 	rt.verifying = true
 	defer func() { rt.verifying = false }()
 	remap := func(id CleanupID) CleanupID { return idMap[id] }
-	return rt.walkObjects(FaultCorruptHeader, r, remap, func(o object) error {
+	// filled is where the head entry's objects end: the walk visits the
+	// head first, its objects in address order.
+	head, headPages := uint64(newNormal[0]), uint64(rec.Normal[0].Pages)
+	filled := head + mem.WordSize
+	if newNormal[0] == r.hdr&^Ptr(mem.PageSize-1) {
+		filled = uint64(r.hdr) + hdrBytes
+	}
+	if err := rt.walkObjects(FaultCorruptHeader, r, remap, func(o object) error {
 		rt.space.Store(o.at, rt.encodeCleanup(o.id, o.n >= 0))
 		for a := o.data; a < o.end; a += mem.WordSize {
 			w := rt.space.Load(a)
@@ -523,8 +630,18 @@ func (rt *Runtime) materialize(rec *RegionRecord, r *Region, newNormal, newStr [
 				rt.space.Store(a, npg<<mem.PageShift|w&Ptr(mem.PageSize-1))
 			}
 		}
+		if uint64(o.at)-head < headPages*mem.PageSize {
+			filled = uint64(o.end)
+		}
 		return nil
-	})
+	}); err != nil {
+		return err
+	}
+	if avail := rt.space.Load(r.hdr + offNormalAvail); head+uint64(avail) != filled {
+		return rt.fault(FaultBadArgument, r.hdr+offNormalAvail, r.id, fmt.Sprintf(
+			"importregion: normal bump offset %d, but the head entry's objects end at %d", avail, filled-head), nil)
+	}
+	return nil
 }
 
 // ContentChecksum folds r's live contents into a placement-independent

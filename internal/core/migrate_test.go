@@ -358,3 +358,131 @@ func TestLiveRegionsAccessor(t *testing.T) {
 		t.Fatalf("LiveRegions = %v, want [region#0]", live)
 	}
 }
+
+// exportRecord exports a region holding a short list, and whatever fill
+// adds, and returns the record with a fresh receiver that has the list's
+// cleanup registered. With a nil fill the record is one page.
+func exportRecord(t *testing.T, fill func(src *Runtime, r *Region)) (*RegionRecord, *Runtime) {
+	t.Helper()
+	src, _ := newRT(true)
+	dst, _ := newRT(true)
+	cln := src.SizeCleanup(8)
+	dst.SizeCleanup(8)
+	r := src.NewRegion()
+	var head Ptr
+	for i := 0; i < 4; i++ {
+		head = cons(src, cln, r, uint32(i), head)
+	}
+	if fill != nil {
+		fill(src, r)
+	}
+	rec, err := src.ExportRegion(r)
+	if err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	if fill == nil && (rec.Pages != 1 || len(rec.Normal) != 1 || len(rec.Str) != 0) {
+		t.Fatalf("record of %d pages in %d+%d runs, want one page", rec.Pages, len(rec.Normal), len(rec.Str))
+	}
+	return rec, dst
+}
+
+// TestImportRejectsMalformedRecords: ImportRegion rejects a record whose
+// counts its pages cannot hold, or whose region structure cannot sit where
+// it says, with a FaultBadArgument *Fault before it acquires or charges
+// anything, so the receiver verifies and has spent no cycle.
+func TestImportRejectsMalformedRecords(t *testing.T) {
+	hdrWord := func(rec *RegionRecord, off Ptr) *Word {
+		return &rec.Normal[0].Words[(rec.OldHdr-rec.Normal[0].OldFirst+off)/mem.WordSize]
+	}
+	bigString := func(src *Runtime, r *Region) { src.RstrAlloc(r, 5000) } // a two-page string head
+	for _, c := range []struct {
+		name string
+		fill func(src *Runtime, r *Region)
+		edit func(rec *RegionRecord)
+	}{
+		// The first four are one-page records.
+		{"pages-past-its-runs", nil, func(rec *RegionRecord) { rec.Pages = 1_000_000 }},
+		{"negative-run", nil, func(rec *RegionRecord) { rec.Normal[0].Pages = -3 }},
+		{"bytes-past-its-pages", nil, func(rec *RegionRecord) { rec.Bytes = 1 << 40 }},
+		{"words-past-its-run", nil, func(rec *RegionRecord) {
+			for range mem.PageWords {
+				rec.Normal[0].Words = append(rec.Normal[0].Words, 1)
+			}
+		}},
+		{"run-too-long-for-a-link", nil, func(rec *RegionRecord) {
+			rec.Normal[0].Pages, rec.Pages = maxEntryPages+1, maxEntryPages+1
+			rec.Normal[0].Words = make([]Word, (maxEntryPages+1)*mem.PageWords)
+		}},
+		{"run-unaligned", nil, func(rec *RegionRecord) { rec.Normal[0].OldFirst += mem.WordSize }},
+		{"header-on-link-word", nil, func(rec *RegionRecord) { rec.OldHdr = rec.Normal[0].OldFirst }},
+		{"header-past-its-page", nil, func(rec *RegionRecord) { rec.OldHdr = rec.Normal[0].OldFirst + mem.PageSize - 8 }},
+		{"bump-offset-past-its-page", nil, func(rec *RegionRecord) { *hdrWord(rec, offNormalAvail) = mem.PageSize + 4 }},
+		{"bump-offset-unaligned", nil, func(rec *RegionRecord) { *hdrWord(rec, offNormalAvail) += 1 }},
+		{"data-past-bump-offset", nil, func(rec *RegionRecord) { rec.Normal[0].Words[mem.PageWords-1] = 7 }},
+		{"multi-page-head-not-full", bigString, func(rec *RegionRecord) { *hdrWord(rec, offStringAvail) = 100 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec, dst := exportRecord(t, c.fill)
+			c.edit(rec)
+			counters, mapped := *dst.Counters(), dst.Space().MappedBytes()
+			var f *Fault
+			if r, err := dst.ImportRegion(rec); r != nil || !errors.As(err, &f) || f.Kind != FaultBadArgument {
+				t.Fatalf("import = %v, %v; want a FaultBadArgument", r, err)
+			}
+			if *dst.Counters() != counters || dst.Space().MappedBytes() != mapped || len(dst.LiveRegions()) != 0 {
+				t.Error("the rejected import changed the receiver")
+			}
+			if err := dst.Verify(); err != nil {
+				t.Errorf("verify receiver: %v", err)
+			}
+		})
+	}
+}
+
+// TestImportRefusesPlacedRecords: a record whose flaw shows only once its
+// pages are placed is refused with a FaultBadArgument *Fault and rolled
+// back, so the receiver verifies and still serves allocations. A word
+// pointing into one of the receiver's own regions would be a reference no
+// count sees; a normal bump offset inside the head entry's objects would
+// make the next allocation overwrite them, and one past their end would
+// put it where no walk finds it.
+func TestImportRefusesPlacedRecords(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(rec *RegionRecord, other *Region)
+	}{
+		{"word-into-a-receiver-region", func(rec *RegionRecord, other *Region) {
+			// The first cell's value word: past the region structure, an integer.
+			off := (rec.OldHdr - rec.Normal[0].OldFirst + hdrBytes + mem.WordSize) / mem.WordSize
+			rec.Normal[0].Words[off] = other.hdr
+		}},
+		{"bump-offset-inside-objects", func(rec *RegionRecord, _ *Region) {
+			off := rec.OldHdr - rec.Normal[0].OldFirst
+			rec.Normal[0].Words[(off+offNormalAvail)/mem.WordSize] = off + hdrBytes
+		}},
+		{"bump-offset-past-objects", func(rec *RegionRecord, _ *Region) {
+			rec.Normal[0].Words[(rec.OldHdr-rec.Normal[0].OldFirst+offNormalAvail)/mem.WordSize] += 8
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec, dst := exportRecord(t, nil)
+			dst.NewRegion()
+			other := dst.NewRegion()
+			if other.hdr&^Ptr(mem.PageSize-1) == rec.Normal[0].OldFirst {
+				t.Fatal("the receiver's region sits on the record's page; a word into it would be translated")
+			}
+			c.edit(rec, other)
+			var f *Fault
+			if r, err := dst.ImportRegion(rec); r != nil || !errors.As(err, &f) || f.Kind != FaultBadArgument {
+				t.Fatalf("import = %v, %v; want a FaultBadArgument", r, err)
+			}
+			if n := len(dst.LiveRegions()); n != 2 {
+				t.Errorf("the refused import left %d live regions, want the receiver's 2", n)
+			}
+			dst.Ralloc(other, 8, dst.SizeCleanup(8))
+			if err := dst.Verify(); err != nil {
+				t.Errorf("verify receiver: %v", err)
+			}
+		})
+	}
+}

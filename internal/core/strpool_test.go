@@ -492,6 +492,13 @@ func TestStrPoolImportRejectsBadBlocks(t *testing.T) {
 			rec.StrPool[0].OldAddr = rec.Str[0].OldFirst + mem.PageSize - 32
 		}},
 		{"on-normal-run", func(rec *RegionRecord) { rec.StrPool[0].OldAddr = rec.Normal[0].OldFirst + 64 }},
+		{"past-bump-frontier", func(rec *RegionRecord) { rec.StrPool[0].OldAddr = rec.Str[0].OldFirst + 1024 }},
+		{"bump-offset-on-link-word", func(rec *RegionRecord) {
+			rec.Normal[0].Words[(rec.OldHdr-rec.Normal[0].OldFirst+offStringAvail)/mem.WordSize] = 0
+		}},
+		{"blocks-overlap", func(rec *RegionRecord) {
+			rec.StrPool = append(rec.StrPool, StrPoolRecord{OldAddr: rec.StrPool[0].OldAddr + 8, Cap: 32})
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			src, _ := newRT(true)

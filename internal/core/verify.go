@@ -31,7 +31,8 @@ import (
 //
 //  1. Page census: both page lists of every live region are walked (with a
 //     cycle bound); every page they cover must be mapped, claimed by exactly
-//     one list, and attributed to that region in the page→region map.
+//     one list, and attributed to that region in the page→region map. The
+//     region's live byte count must fit in those pages.
 //  2. Page map: every page the map attributes to a region must belong to a
 //     live region and appear in that region's census.
 //  3. Free lists: free pages and spans must be unowned and still filled

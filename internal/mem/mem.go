@@ -263,7 +263,7 @@ func (s *Space) access(a Addr, write bool) {
 func (s *Space) Load(a Addr) Word {
 	p := s.page(a)
 	s.access(a, false)
-	return p.words[(a%PageSize)/WordSize]
+	return p.words[a/WordSize%PageWords]
 }
 
 // Store writes v to the 4-byte-aligned address a. A store into a shared
@@ -276,13 +276,13 @@ func (s *Space) Store(a Addr, v Word) {
 		s.storeShared(a, v)
 		return
 	}
-	p.words[(a%PageSize)/WordSize] = v
+	p.words[a/WordSize%PageWords] = v
 }
 
 // storeShared is Store's path into a shared page, kept out of Store so the
 // path into a private page stays short.
 func (s *Space) storeShared(a Addr, v Word) {
-	i := (a % PageSize) / WordSize
+	i := a / WordSize % PageWords
 	if s.pages[a>>PageShift].words[i] != v {
 		s.own(a).words[i] = v
 	}

@@ -342,13 +342,22 @@ var latencyBounds = func() []uint64 {
 
 // server is one serving run: its configuration, the histogram handles of
 // the caller's registry (nil without one), the board its shards publish
-// their tallies to, the engine and per-shard states it drives, and, in
-// tenant mode, the driver-side tenant table.
+// their tallies to, the sessions' latencies and phase records, the engine
+// and per-shard states it drives, and, in tenant mode, the driver-side
+// tenant table.
 type server struct {
 	cfg       Config
 	latency   *metrics.Histogram
 	phaseHist []*metrics.Histogram // indexed by trace.SpanKind; Spans only
 	board     *board
+
+	// lat is every session's latency, indexed by session id: account writes
+	// a completed session's, and shedMark for a shed one. recs is every
+	// session's phase record, indexed the same way, under Config.Spans and
+	// nil otherwise. Each index is written by one shard goroutine, and read
+	// by report after every session has completed.
+	lat  []uint64
+	recs []phaseRecord
 
 	// content switches session checksums from allocation addresses to pure
 	// functions of the session (tenant mode only; see Config.Tenants).
@@ -358,7 +367,7 @@ type server struct {
 	eng    *shard.Engine
 	states []*shardState // indexed by shard position
 	// done counts the submitted sessions whose completion callback has not
-	// yet run; submitWait waits on it.
+	// yet run; serve waits on it.
 	done sync.WaitGroup
 
 	// Resize barrier readings (Config.ResizeTo only): each shard's busy
@@ -404,12 +413,12 @@ type shardState struct {
 	// task is the shard's one pinned task, submitted once per session: its
 	// k-th Run serves the k-th session the driver sent on feed, since
 	// pinned tasks run in submission order. cur is the session in service,
-	// set by Run and read by Done, which run back to back on the shard
+	// received by Run and read by Done, which run back to back on the shard
 	// goroutine; cause is the refused mapping that shed cur, if one did,
 	// kept until noteOverload reads it.
 	task  shard.Task
-	feed  chan *session
-	cur   *session
+	feed  chan session
+	cur   session
 	cause error
 	// taskErr is the shard's first task failure, naming its session.
 	taskErr error
@@ -481,11 +490,11 @@ func (b *board) publish(st *shardState) {
 	b.mu.Unlock()
 }
 
-// Run executes one serving run: draw the schedule, pin every session to its
-// home shard, serve (in two phases around a resize barrier when ResizeTo is
-// set), drain, verify every shard's heap, and report. The only error
-// returns are infrastructure failures (a task panic, a corrupt heap at
-// drain); overload is never an error — it is the Shed* counters and
+// Run executes one serving run: draw each session as it is submitted to
+// its home shard, serve (in two phases around a resize barrier when
+// ResizeTo is set), drain, verify every shard's heap, and report. The only
+// error returns are infrastructure failures (a task panic, a corrupt heap
+// at drain); overload is never an error — it is the Shed* counters and
 // FirstOverload in the Result.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -495,15 +504,15 @@ func Run(cfg Config) (*Result, error) {
 	sv := newServer(cfg)
 	sv.startEngine()
 
-	sessions, split := schedule(cfg)
-	sv.submitWait(sessions[:split])
+	arr := newArrivals(cfg)
 	if cfg.ResizeTo > 0 {
-		if err := sv.resizeBarrier(sessions[split:]); err != nil {
+		sv.serve(arr, max(1, int(float64(cfg.Sessions)*cfg.ResizeAfter)))
+		if err := sv.resizeBarrier(); err != nil {
 			return nil, err
 		}
 	}
-	sv.submitWait(sessions[split:])
-	return sv.report(sessions)
+	sv.serve(arr, cfg.Sessions-int(arr.id))
+	return sv.report()
 }
 
 // validate rejects configurations Run cannot serve. cfg has its defaults
@@ -536,7 +545,10 @@ func (cfg Config) validate() error {
 // handles and metrics source on the caller's registry, checksum mode, and
 // tenant table.
 func newServer(cfg Config) *server {
-	sv := &server{cfg: cfg, board: &board{}}
+	sv := &server{cfg: cfg, board: &board{}, lat: make([]uint64, cfg.Sessions)}
+	if cfg.Spans {
+		sv.recs = make([]phaseRecord, cfg.Sessions)
+	}
 	if reg := cfg.Metrics; reg != nil {
 		sv.latency = reg.Histogram("regions_serve_latency_cycles", latencyBounds)
 		reg.AddSource(sv.board.emit)
@@ -599,7 +611,7 @@ func (sv *server) newShardState(i int) *shardState {
 		id:       i,
 		env:      env,
 		cln:      registerCleanups(env.Runtime()),
-		feed:     make(chan *session, min(sv.cfg.Sessions, feedDepth)),
+		feed:     make(chan session, min(sv.cfg.Sessions, feedDepth)),
 		pending:  make([]uint64, min(sv.cfg.Sessions, sv.cfg.MaxQueue)),
 		firstSID: -1,
 	}
@@ -609,7 +621,7 @@ func (sv *server) newShardState(i int) *shardState {
 		Pin:  true, // the sessions' regions live on this runtime
 		Run: func(appkit.RegionEnv) uint32 {
 			st.cur = <-st.feed
-			return sv.serveOne(st, st.cur)
+			return sv.serveOne(st, &st.cur)
 		},
 		Done: func(res shard.TaskResult) {
 			defer sv.done.Done()
@@ -623,48 +635,45 @@ func (sv *server) newShardState(i int) *shardState {
 
 // feedDepth is a shard feed's buffer. It exceeds the engine's pinned queue
 // (32 tasks) plus the session in service, so the driver never waits on a
-// feed, only in Submit while a shard's pinned queue is full.
+// feed, only in Submit while a shard's pinned queue is full. It also bounds
+// the sessions a shard holds: at most feedDepth+1 are drawn and not yet
+// complete.
 const feedDepth = 64
 
-// schedule draws the run's sessions and the index the resize barrier splits
-// them at: len(sessions) when there is no resize.
-func schedule(cfg Config) ([]session, int) {
-	sessions := genSessions(cfg)
-	split := len(sessions)
-	if cfg.ResizeTo > 0 {
-		split = int(float64(len(sessions)) * cfg.ResizeAfter)
-		if split < 1 {
-			split = 1
-		}
-	}
-	return sessions, split
-}
-
-// submitWait serves batch in arrival order: each session goes on its home
-// shard's feed, followed by that shard's task. It blocks until every
-// completion callback has fired — a full engine barrier, which the resize
-// path needs between its two phases. The single-phase path uses it too;
-// waiting before Close is free. Submitting one session at a time feeds
-// every shard from the first session on, so the shards serve at once.
-func (sv *server) submitWait(batch []session) {
-	sv.done.Add(len(batch))
-	for i := range batch {
-		st := sv.states[batch[i].shard]
-		st.feed <- &batch[i]
-		sv.eng.Submit(st.task)
+// serve draws the next n sessions of arr, submitting each as it is drawn,
+// and blocks until every completion callback has fired — a full engine
+// barrier, which the resize path needs between its two phases. The
+// single-phase path uses it too; waiting before Close is free. Submitting
+// one session at a time feeds every shard from the first session on, so the
+// shards serve at once.
+func (sv *server) serve(arr *arrivals, n int) {
+	sv.done.Add(n)
+	for range n {
+		sv.submit(arr.next())
 	}
 	sv.done.Wait()
+}
+
+// submit homes s — a tenant session on its tenant's current shard — and
+// sends it on that shard's feed, followed by the shard's task.
+func (sv *server) submit(s session) {
+	if s.tenant >= 0 {
+		s.shard = int32(sv.tenants[s.tenant].home)
+	}
+	st := sv.states[s.shard]
+	st.feed <- s
+	sv.eng.Submit(st.task)
 }
 
 // resizeBarrier runs between the two phases of a resize run. Every phase-1
 // session has completed, so the engine is idle and the driver may touch
 // shard runtimes directly (the same quiescence contract Env documents for
 // before-first-submit access). It records the phase-1 readings, grows the
-// engine and sets up the new shards, moves every materialized tenant whose
-// home shifts under the weight-balanced placement — translating the
-// driver-held chain head through the transfer record — and rehomes the
-// remaining sessions after their tenants.
-func (sv *server) resizeBarrier(rest []session) error {
+// engine and sets up the new shards, and rehomes every tenant under the
+// weight-balanced placement, moving each materialized one whose home
+// shifts — translating the driver-held chain head through the transfer
+// record. Sessions drawn after it follow their tenants' new homes.
+func (sv *server) resizeBarrier() error {
 	cfg := sv.cfg
 	sv.phase1Busy = make([]uint64, cfg.Shards)
 	for i, st := range sv.states {
@@ -713,9 +722,6 @@ func (sv *server) resizeBarrier(rest []session) error {
 		}
 		ts.home = newHome
 	}
-	for i := range rest {
-		rest[i].shard = int32(homes[rest[i].tenant])
-	}
 	return nil
 }
 
@@ -723,19 +729,15 @@ func (sv *server) resizeBarrier(rest []session) error {
 // folds the engine aggregate, the per-shard serving tallies, the completed
 // sessions' latency order statistics and, with Spans, their phase records
 // into the Result. A caller's span tracer receives the records' spans.
-func (sv *server) report(sessions []session) (*Result, error) {
+func (sv *server) report() (*Result, error) {
 	cfg := sv.cfg
-	// Every session has completed, so outcomes can be read before Close.
-	lat := make([]uint64, 0, len(sessions))
-	var sum uint64
-	var done []*session // completed sessions with phase records
-	for i := range sessions {
-		if s := &sessions[i]; s.outcome == outcomeOK {
-			lat = append(lat, s.latency)
-			sum += s.latency
-			if s.rec != nil {
-				done = append(done, s)
-			}
+	// Every session has completed, so the latencies and records can be read
+	// before Close. The completed sessions' records are compacted in place,
+	// keeping session order, before the latencies are sorted.
+	done := sv.recs[:0]
+	for id := range sv.recs {
+		if sv.lat[id] != shedMark {
+			done = append(done, sv.recs[id])
 		}
 	}
 	agg := sv.eng.Close()
@@ -812,7 +814,13 @@ func (sv *server) report(sessions []session) (*Result, error) {
 	if total := res.StrNew + res.StrReuse; total > 0 {
 		res.StrReuseRatio = float64(res.StrReuse) / float64(total)
 	}
-	slices.Sort(lat)
+	// Shed sessions' marks sort after every latency.
+	slices.Sort(sv.lat)
+	lat := sv.lat[:res.Completed]
+	var sum uint64
+	for _, l := range lat {
+		sum += l
+	}
 	res.P50 = trace.QuantileSorted(lat, 0.50)
 	res.P99 = trace.QuantileSorted(lat, 0.99)
 	res.P999 = trace.QuantileSorted(lat, 0.999)
@@ -964,16 +972,17 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 		return 0
 	}
 	s.waited = st.npending > 0
-	if sv.cfg.Spans {
+	rec := sv.record(s)
+	if rec != nil {
 		// Everything charged from here to the final cut is the session's
 		// service; the idle-gap slices above accounted themselves in
 		// s.sweepCycles, so this reading sits at StartCycles + sweepCycles.
-		s.rec = &phaseRecord{
+		*rec = phaseRecord{
 			clock: st.env.Counters().TotalCycles(),
 			tax:   st.env.Runtime().SweepTaxCycles(),
 		}
 	}
-	sum, err := sv.lifecycle(st, s)
+	sum, err := sv.lifecycle(st, s, rec)
 	if err != nil {
 		s.outcome = outcomeShedOOM
 		st.cause = err
@@ -982,7 +991,7 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	// The final delete boundary is cut here, after lifecycle's deferred
 	// PopFrame has charged its stack-unscan cycles, so frame teardown lands
 	// in the delete phase and the segments tile the whole window.
-	s.rec.cut(st, trace.SpanDelete)
+	rec.cut(st, trace.SpanDelete)
 	s.outcome = outcomeOK
 	return sum
 }
@@ -996,8 +1005,21 @@ func (sv *server) complete(st *shardState, res shard.TaskResult) {
 	if res.Err != nil && st.taskErr == nil {
 		st.taskErr = fmt.Errorf("session %d: %w", st.cur.id, res.Err)
 	}
-	sv.account(st, st.cur, res)
+	sv.account(st, &st.cur, res)
 	sv.board.publish(st)
+}
+
+// shedMark is a shed session's entry in server.lat. It sorts after every
+// latency, so report finds the completed sessions' latencies, sorted, in
+// the first Completed entries.
+const shedMark = ^uint64(0)
+
+// record returns s's phase record under Config.Spans, nil otherwise.
+func (sv *server) record(s *session) *phaseRecord {
+	if sv.recs == nil {
+		return nil
+	}
+	return &sv.recs[s.id]
 }
 
 // account advances the shard's modelled clock by the simulated cycles the
@@ -1006,6 +1028,7 @@ func (sv *server) complete(st *shardState, res shard.TaskResult) {
 // and updates the shard's tally.
 func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 	if s.outcome == outcomeShedQueue {
+		sv.lat[s.id] = shedMark
 		st.stats.ShedQueue++
 		st.noteOverload(s)
 		return
@@ -1038,23 +1061,25 @@ func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 		st.stats.Queued++
 	}
 	if s.outcome == outcomeShedOOM {
+		sv.lat[s.id] = shedMark
 		st.stats.ShedOOM++
 		st.noteOverload(s)
 		return
 	}
 	st.stats.Completed++
-	s.latency = completion - s.arrival
+	latency := completion - s.arrival
+	sv.lat[s.id] = latency
 	if sv.latency != nil {
-		sv.latency.Observe(s.latency)
+		sv.latency.Observe(latency)
 	}
-	if s.latency > sv.cfg.SLOP99 {
+	if latency > sv.cfg.SLOP99 {
 		st.sloMisses++
 	}
-	if s.rec != nil {
-		s.rec.settle(s, prevBusy, start)
+	if rec := sv.record(s); rec != nil {
+		rec.settle(s, latency, prevBusy, start)
 		if sv.phaseHist != nil {
 			for _, k := range trace.SpanKinds() {
-				sv.phaseHist[k].Observe(s.rec.phases[k])
+				sv.phaseHist[k].Observe(rec.phases[k])
 			}
 		}
 	}
@@ -1078,8 +1103,8 @@ func (st *shardState) noteOverload(s *session) {
 // sameregion write barrier, then delete the work region. All allocation
 // goes through Try* primitives; the first refused page mapping aborts the
 // session, releases whatever it created, and surfaces as the returned
-// error.
-func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
+// error. rec is the session's phase record, nil without Spans.
+func (sv *server) lifecycle(st *shardState, s *session, rec *phaseRecord) (uint32, error) {
 	rt := st.env.Runtime()
 	f := rt.PushFrame(2)
 	defer rt.PopFrame()
@@ -1107,7 +1132,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 		abort(parse)
 		return 0, err
 	}
-	s.rec.cut(st, trace.SpanParse)
+	rec.cut(st, trace.SpanParse)
 
 	work, err := rt.TryNewRegion()
 	if err != nil {
@@ -1120,7 +1145,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 		abort(parse, work)
 		return 0, err
 	}
-	s.rec.cut(st, trace.SpanWork)
+	rec.cut(st, trace.SpanWork)
 
 	// The parse region dies while the request is still running: its only
 	// counted reference is frame slot 0, so clearing the slot makes the
@@ -1133,7 +1158,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 	} else if !ok {
 		st.leaked++
 	}
-	s.rec.cut(st, trace.SpanDelete)
+	rec.cut(st, trace.SpanDelete)
 
 	// Work phase proper: sameregion pointer stores between the work
 	// region's two hottest objects — the steady-state barrier path that
@@ -1162,7 +1187,7 @@ func (sv *server) lifecycle(st *shardState, s *session) (uint32, error) {
 	}
 	// Store loop and tenant append are the work phase's second half; the
 	// final delete cut happens in serveOne after the deferred PopFrame.
-	s.rec.cut(st, trace.SpanWork)
+	rec.cut(st, trace.SpanWork)
 
 	f.Set(1, 0)
 	if ok, derr := rt.TryDeleteRegion(work); derr != nil {

@@ -13,7 +13,8 @@ import (
 // the work phase, 10k sweep tax". docs/OBSERVABILITY.md documents the
 // schema.
 //
-// Every admitted session keeps one phaseRecord. Inside its task, lifecycle
+// Every admitted session keeps one phaseRecord, in a slice indexed by
+// session id that exists only under Spans. Inside its task, lifecycle
 // cuts phase boundaries on the shard's raw clock, each cut closing the
 // segment the previous one opened, so the segments tile the in-task window.
 // At completion, settle places the service on the modelled timeline and
@@ -44,9 +45,13 @@ type phaseSeg struct {
 // and work, and serveOne the final delete.
 const maxSegs = 5
 
-// phaseRecord is one session's span account, one allocation per admitted
-// session.
+// phaseRecord is one session's span account. Once settled it also carries
+// what the report and the export read of the session itself.
 type phaseRecord struct {
+	id, shard int32
+	// arrival and latency place the request on the modelled timeline;
+	// sweepCycles is the idle-gap sweeping the shard ran before it.
+	arrival, latency, sweepCycles uint64
 	// clock and tax are the shard's raw clock and cumulative sweep-tax
 	// reading at the last cut, or at admission before the first.
 	clock, tax uint64
@@ -74,7 +79,8 @@ func (r *phaseRecord) cut(st *shardState, kind trace.SpanKind) {
 // settle places a completed session's service at start on the modelled
 // timeline and computes its phases: the queue wait, then each segment's
 // cycles to its kind less the tax it paid, which goes to sweep.
-func (r *phaseRecord) settle(s *session, prevBusy, start uint64) {
+func (r *phaseRecord) settle(s *session, latency, prevBusy, start uint64) {
+	r.id, r.shard, r.arrival, r.latency, r.sweepCycles = s.id, s.shard, s.arrival, latency, s.sweepCycles
 	r.prevBusy = prevBusy
 	r.phases[trace.SpanQueue] = start - s.arrival
 	for _, g := range r.segs[:r.nsegs] {
@@ -120,26 +126,29 @@ type SlowRequest struct {
 	PhaseCycles   map[string]uint64 `json:"phaseCycles"`
 }
 
-// buildSpanReport folds the completed sessions' records into a SpanReport.
-// A request whose phases do not sum to its latency is an accounting bug,
-// not a property of the workload, and fails the run.
-func buildSpanReport(done []*session, topK int) (*SpanReport, error) {
-	for _, s := range done {
+// buildSpanReport folds the completed sessions' records, in session order,
+// into a SpanReport. A request whose phases do not sum to its latency is an
+// accounting bug, not a property of the workload, and fails the run.
+func buildSpanReport(done []phaseRecord, topK int) (*SpanReport, error) {
+	slow := make([]*phaseRecord, len(done))
+	for i := range done {
+		r := &done[i]
 		var sum uint64
-		for _, c := range s.rec.phases {
+		for _, c := range r.phases {
 			sum += c
 		}
-		if sum != s.latency {
+		if sum != r.latency {
 			return nil, fmt.Errorf("serve: span conservation violated: request %d phases sum to %d, latency is %d",
-				s.id, sum, s.latency)
+				r.id, sum, r.latency)
 		}
+		slow[i] = r
 	}
 	rep := &SpanReport{Schema: "regions/serve-spans/v3", Requests: len(done)}
 	vals := make([]uint64, len(done))
 	for _, k := range trace.SpanKinds() {
 		var total uint64
-		for i, s := range done {
-			vals[i] = s.rec.phases[k]
+		for i := range done {
+			vals[i] = done[i].phases[k]
 			total += vals[i]
 		}
 		slices.Sort(vals)
@@ -152,15 +161,14 @@ func buildSpanReport(done []*session, topK int) (*SpanReport, error) {
 			Max:         trace.QuantileSorted(vals, 1),
 		})
 	}
-	slow := slices.Clone(done)
-	slices.SortFunc(slow, func(a, b *session) int {
+	slices.SortFunc(slow, func(a, b *phaseRecord) int {
 		return cmp.Or(cmp.Compare(b.latency, a.latency), cmp.Compare(a.id, b.id))
 	})
-	for _, s := range slow[:min(topK, len(slow))] {
-		sr := SlowRequest{Session: int(s.id), Shard: int(s.shard), LatencyCycles: s.latency,
+	for _, r := range slow[:min(topK, len(slow))] {
+		sr := SlowRequest{Session: int(r.id), Shard: int(r.shard), LatencyCycles: r.latency,
 			PhaseCycles: map[string]uint64{}}
 		for _, k := range trace.SpanKinds() {
-			if c := s.rec.phases[k]; c > 0 {
+			if c := r.phases[k]; c > 0 {
 				sr.PhaseCycles[k.String()] = c
 			}
 		}
@@ -186,17 +194,18 @@ func emitSpan(t *trace.Tracer, kind trace.SpanKind, req, shard int, begin, end u
 // exportSpans writes the completed sessions' spans to t, in session order:
 // the idle-gap sweep on the shard track, the queue wait, and each segment
 // with its allocation tax nested at its end.
-func exportSpans(t *trace.Tracer, done []*session) {
-	for _, s := range done {
-		r, id, shard := s.rec, int(s.id), int(s.shard)
-		if s.sweepCycles > 0 {
+func exportSpans(t *trace.Tracer, done []phaseRecord) {
+	for i := range done {
+		r := &done[i]
+		id, shard := int(r.id), int(r.shard)
+		if r.sweepCycles > 0 {
 			// The last idle-gap slice may overshoot the gap by less than one
 			// slice, so this span can run slightly past the arrival instant.
-			emitSpan(t, trace.SpanSweep, -1, shard, r.prevBusy, r.prevBusy+s.sweepCycles)
+			emitSpan(t, trace.SpanSweep, -1, shard, r.prevBusy, r.prevBusy+r.sweepCycles)
 		}
-		cur := s.arrival + r.phases[trace.SpanQueue] // the service start
-		if cur > s.arrival {
-			emitSpan(t, trace.SpanQueue, id, shard, s.arrival, cur)
+		cur := r.arrival + r.phases[trace.SpanQueue] // the service start
+		if cur > r.arrival {
+			emitSpan(t, trace.SpanQueue, id, shard, r.arrival, cur)
 		}
 		for _, g := range r.segs[:r.nsegs] {
 			end := cur + g.cycles
@@ -212,7 +221,7 @@ func exportSpans(t *trace.Tracer, done []*session) {
 
 // checkExport rebuilds the request spans from t and checks them against
 // the records they were written from, unless the ring dropped events.
-func checkExport(t *trace.Tracer, done []*session) error {
+func checkExport(t *trace.Tracer, done []phaseRecord) error {
 	if t.Stats().Dropped > 0 {
 		return nil
 	}
@@ -224,7 +233,7 @@ func checkExport(t *trace.Tracer, done []*session) error {
 		return fmt.Errorf("serve: span export holds %d requests, %d completed", len(p.Requests), len(done))
 	}
 	for i, r := range p.Requests {
-		if s := done[i]; r.Request != int(s.id) || r.Shard != int(s.shard) || r.Phases != s.rec.phases || r.Latency() != s.latency {
+		if d := &done[i]; r.Request != int(d.id) || r.Shard != int(d.shard) || r.Phases != d.phases || r.Latency() != d.latency {
 			return fmt.Errorf("serve: span export of request %d disagrees with its record", r.Request)
 		}
 	}

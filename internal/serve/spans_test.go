@@ -248,17 +248,15 @@ func TestServeSpansExactAtAnyRingSize(t *testing.T) {
 // fails the report, and a ring that disagrees with the records fails the
 // check.
 func TestSpanRecordChecks(t *testing.T) {
-	newDone := func() []*session {
-		var done []*session
+	newDone := func() []phaseRecord {
+		var done []phaseRecord
 		for id, arrival := range []uint64{10, 40} {
-			s := &session{id: int32(id), arrival: arrival, shard: 1, outcome: outcomeOK,
-				rec: &phaseRecord{nsegs: 2, segs: [maxSegs]phaseSeg{
-					{kind: trace.SpanParse, cycles: 30, tax: 5},
-					{kind: trace.SpanDelete, cycles: 8},
-				}}}
-			s.rec.settle(s, 0, 45)
-			s.latency = 45 + 38 - arrival
-			done = append(done, s)
+			r := phaseRecord{nsegs: 2, segs: [maxSegs]phaseSeg{
+				{kind: trace.SpanParse, cycles: 30, tax: 5},
+				{kind: trace.SpanDelete, cycles: 8},
+			}}
+			r.settle(&session{id: int32(id), arrival: arrival, shard: 1}, 45+38-arrival, 0, 45)
+			done = append(done, r)
 		}
 		return done
 	}
@@ -280,8 +278,8 @@ func TestSpanRecordChecks(t *testing.T) {
 		t.Error("a ring that disagrees with the records passed the check")
 	}
 	bad := newDone()
-	bad[0].rec.phases[trace.SpanParse]--
-	bad[0].rec.phases[trace.SpanWork]++
+	bad[0].phases[trace.SpanParse]--
+	bad[0].phases[trace.SpanWork]++
 	if err := checkExport(tr, bad); err == nil {
 		t.Error("a ring with another phase split passed the check")
 	}
