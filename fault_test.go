@@ -2,6 +2,7 @@ package regions_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"regions"
@@ -103,11 +104,14 @@ func TestFaultEventsReachTracer(t *testing.T) {
 }
 
 // TestAllocatorArgumentFaults: an allocator call no allocation can satisfy
-// — a negative size or count, or a cleanup the system never registered —
-// is rejected with a typed FaultBadArgument before anything is charged or
-// changed, and the paper-shaped allocator panics with the same fault.
+// — a negative size or count, a cleanup the system never registered, or
+// more than one page-list entry of 4,096 pages holds, however the size
+// arithmetic would wrap — is rejected with a typed FaultBadArgument before
+// anything is charged or changed, and the paper-shaped allocator panics
+// with the same fault.
 func TestAllocatorArgumentFaults(t *testing.T) {
 	const registered = -1 // stands for a registered cleanup
+	const entry = 4096 * mem.PageSize
 	for _, c := range []struct {
 		name    string
 		op      string
@@ -121,6 +125,14 @@ func TestAllocatorArgumentFaults(t *testing.T) {
 		{"rarrayalloc-negative-element-size", "rarrayalloc", 2, -4, registered},
 		{"rarrayalloc-unregistered-cleanup", "rarrayalloc", 2, 4, 999},
 		{"rstralloc-negative-size", "rstralloc", 1, -4, 0},
+		// An entry's link word keeps its page count in 12 bits.
+		{"ralloc-past-one-entry", "ralloc", 1, entry - mem.WordSize, registered},
+		{"ralloc-size-overflow", "ralloc", 1, math.MaxInt - 1, registered},
+		{"rarrayalloc-past-one-entry", "rarrayalloc", 4096, 4096, registered},
+		{"rarrayalloc-size-overflow", "rarrayalloc", 1 << 33, 1 << 31, registered},
+		{"rarrayalloc-count-past-its-word", "rarrayalloc", 1 << 32, 0, registered},
+		{"rstralloc-past-one-entry", "rstralloc", 1, entry, 0},
+		{"rstralloc-size-overflow", "rstralloc", 1, math.MaxInt, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sys := regions.New()
@@ -173,6 +185,48 @@ func TestAllocatorArgumentFaults(t *testing.T) {
 				alloc(false)
 			}()
 			unchanged("paper form")
+		})
+	}
+}
+
+// TestLargestAllocations: the largest string, object and array one
+// 4,096-page page-list entry holds are allocated, verify, and die with their
+// region. One word more is a FaultBadArgument (TestAllocatorArgumentFaults).
+func TestLargestAllocations(t *testing.T) {
+	const entry = 4096 * mem.PageSize
+	for _, c := range []struct {
+		name  string
+		bytes uint64
+		alloc func(sys *regions.System, r *regions.Region) (regions.Ptr, error)
+	}{
+		{"rstralloc", entry - mem.WordSize, func(sys *regions.System, r *regions.Region) (regions.Ptr, error) {
+			return sys.TryRstrAlloc(r, entry-mem.WordSize)
+		}},
+		{"ralloc", entry - 2*mem.WordSize, func(sys *regions.System, r *regions.Region) (regions.Ptr, error) {
+			return sys.TryRalloc(r, entry-2*mem.WordSize, sys.SizeCleanup(entry-2*mem.WordSize))
+		}},
+		{"rarrayalloc", entry - 4*mem.WordSize, func(sys *regions.System, r *regions.Region) (regions.Ptr, error) {
+			return sys.TryRarrayAlloc(r, (entry-4*mem.WordSize)/8, 8, sys.SizeCleanup(8))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := regions.New()
+			r := sys.NewRegion()
+			if p, err := c.alloc(sys, r); p == 0 || err != nil {
+				t.Fatalf("allocation returned %#x, %v", p, err)
+			}
+			if r.Bytes() != c.bytes {
+				t.Errorf("region holds %d bytes, want %d", r.Bytes(), c.bytes)
+			}
+			if err := sys.Verify(); err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			if !sys.DeleteRegion(r) {
+				t.Fatal("delete failed")
+			}
+			if err := sys.Verify(); err != nil {
+				t.Fatalf("Verify after delete: %v", err)
+			}
 		})
 	}
 }
@@ -318,6 +372,87 @@ func TestAccessFaults(t *testing.T) {
 			}
 			if err := sys.Verify(); err != nil {
 				t.Errorf("Verify: %v", err)
+			}
+		})
+	}
+}
+
+// TestStaleHandleAfterStateReuse: once a region owns nothing — deleted,
+// detached and swept, or exported — the system reuses its state for the
+// next region. The dead handle still answers every call with the fault it
+// gave before the reuse, naming the same kind, region and header address,
+// and the call changes nothing; the new region's memory is the new
+// handle's.
+func TestStaleHandleAfterStateReuse(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []regions.Option
+		kind regions.FaultKind
+		kill func(sys *regions.System, r *regions.Region) error
+	}{
+		{"delete", nil, regions.FaultDeletedRegion, func(sys *regions.System, r *regions.Region) error {
+			_, err := sys.TryDeleteRegion(r)
+			return err
+		}},
+		{"detach-then-sweep", []regions.Option{regions.DeferredDelete()}, regions.FaultDeletedRegion,
+			func(sys *regions.System, r *regions.Region) error {
+				_, err := sys.TryDeleteRegion(r)
+				sys.SweepDrain()
+				return err
+			}},
+		{"export", nil, regions.FaultMigratedRegion, func(sys *regions.System, r *regions.Region) error {
+			_, err := sys.ExportRegion(r)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := regions.New(c.opts...)
+			cln := sys.SizeCleanup(8)
+			r := sys.NewRegion()
+			sys.Ralloc(r, 8, cln)
+			sys.RstrFree(r, sys.RstrAlloc(r, 64), 64)
+			if err := c.kill(sys, r); err != nil {
+				t.Fatal(err)
+			}
+			_, err := sys.TryDeleteRegion(r)
+			var first *regions.Fault
+			if !errors.As(err, &first) || first.Kind != c.kind || first.Addr == 0 {
+				t.Fatalf("the dead handle faults with %v, want a %v fault with its header address", err, c.kind)
+			}
+
+			next := sys.NewRegion()
+			p := sys.Ralloc(next, 8, cln)
+			if sys.RegionOf(p) != next {
+				t.Fatal("RegionOf does not name the new region's handle")
+			}
+			counters, mapped := *sys.Counters(), sys.MappedBytes()
+			want := func(op string, err error) {
+				t.Helper()
+				var f *regions.Fault
+				if !errors.As(err, &f) || *f != *first {
+					t.Errorf("%s on the dead handle returned %v, want %v", op, err, first)
+				}
+			}
+			_, err = sys.TryRalloc(r, 8, cln)
+			want("TryRalloc", err)
+			_, err = sys.TryRarrayAlloc(r, 2, 8, cln)
+			want("TryRarrayAlloc", err)
+			_, err = sys.TryRstrAlloc(r, 8)
+			want("TryRstrAlloc", err)
+			want("TryRstrFree", sys.TryRstrFree(r, p, 8))
+			ok, err := sys.TryDeleteRegion(r)
+			want("TryDeleteRegion", err)
+			rec, err := sys.ExportRegion(r)
+			want("ExportRegion", err)
+			if ok || rec != nil || sys.Exportable(r) {
+				t.Error("the dead handle was deleted, exported or found exportable")
+			}
+			if *sys.Counters() != counters || sys.MappedBytes() != mapped ||
+				next.Bytes() != 8 || next.Allocs() != 1 || r.Bytes() != 0 || r.Allocs() != 0 {
+				t.Error("calls on the dead handle changed the system")
+			}
+			if err := sys.Verify(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

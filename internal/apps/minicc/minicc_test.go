@@ -4,9 +4,19 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"regions/internal/apps/appkit"
 )
+
+// TestHostAllocsTokenSize: a token is a kind byte and one int32, a number
+// or an interned identifier's index, so the run's token array of about half
+// a token per source byte costs 8 bytes a token.
+func TestHostAllocsTokenSize(t *testing.T) {
+	if got := unsafe.Sizeof(token{}); got > 8 {
+		t.Errorf("a token is %d bytes, want at most 8", got)
+	}
+}
 
 func TestSourceShape(t *testing.T) {
 	src := string(Source())

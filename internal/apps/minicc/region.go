@@ -87,8 +87,9 @@ type compiler struct {
 
 	toks   []token
 	pos    int
-	ident  []byte            // the lexer's identifier buffer
-	idents map[string]string // identifier texts seen this run, interned
+	ident  []byte           // the lexer's identifier buffer
+	idents map[string]int32 // identifier texts seen this run -> index in names
+	names  []string         // the interned identifier texts, keywords first
 
 	dce     dceScratch
 	vm      vmStacks
@@ -164,15 +165,48 @@ func (c *compiler) registerCleanups() {
 
 // --- lexer ------------------------------------------------------------------
 
+// token is one lexeme: its kind, and for a number its value or for an
+// identifier its index in the compiler's interned names.
 type token struct {
-	kind string // "num", "id", or the punctuation/operator itself
-	num  int32
-	text string
+	kind byte
+	val  int32
 }
 
-// punct holds the one-byte punctuation kinds; a token's kind is a slice of
-// it, so lexing one allocates nothing.
+// Token kinds. A one-byte punctuation token's kind is the character
+// itself; the codes below are not punctuation characters.
+const (
+	tEOF byte = iota
+	tNum
+	tID
+	tLe // <=
+	tEq // ==
+	tNe // !=
+)
+
+// punct holds the one-byte punctuation kinds.
 const punct = "(){};,+-*/%<="
+
+var kindNames = [...]string{tEOF: "eof", tNum: "num", tID: "id", tLe: "<=", tEq: "==", tNe: "!="}
+
+// kindName is the text a diagnostic shows for a token kind.
+func kindName(k byte) string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return string(rune(k))
+}
+
+// The keywords are interned first, at these indexes, so the parser tells
+// them by an identifier token's value.
+const (
+	kwInt int32 = iota
+	kwIf
+	kwElse
+	kwWhile
+	kwReturn
+)
+
+var keywords = [...]string{kwInt: "int", kwIf: "if", kwElse: "else", kwWhile: "while", kwReturn: "return"}
 
 // lex reads the source out of the heap buffer and tokenizes it, reusing
 // the previous file's token slice and identifier buffer. Identifier text
@@ -185,7 +219,10 @@ func (c *compiler) lex(text appkit.Ptr, n int) []token {
 		c.toks = make([]token, 0, n/2)
 	}
 	if c.idents == nil {
-		c.idents = make(map[string]string)
+		c.idents = make(map[string]int32)
+		for _, kw := range keywords {
+			c.intern(kw)
+		}
 	}
 	toks := c.toks[:0]
 	i := 0
@@ -206,7 +243,7 @@ func (c *compiler) lex(text appkit.Ptr, n int) []token {
 				v = v*10 + int32(read(i)-'0')
 				i++
 			}
-			toks = append(toks, token{kind: "num", num: v})
+			toks = append(toks, token{kind: tNum, val: v})
 		case b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b == '_':
 			id := c.ident[:0]
 			for i < n {
@@ -218,30 +255,29 @@ func (c *compiler) lex(text appkit.Ptr, n int) []token {
 				i++
 			}
 			c.ident = id
-			name, ok := c.idents[string(id)]
+			idx, ok := c.idents[string(id)]
 			if !ok {
-				name = string(id)
-				c.idents[name] = name
+				idx = c.intern(string(id))
 			}
-			toks = append(toks, token{kind: "id", text: name})
+			toks = append(toks, token{kind: tID, val: idx})
 		default:
-			var two string
+			var two byte
 			if read(i+1) == '=' {
 				switch b {
 				case '<':
-					two = "<="
+					two = tLe
 				case '=':
-					two = "=="
+					two = tEq
 				case '!':
-					two = "!="
+					two = tNe
 				}
 			}
-			switch k := strings.IndexByte(punct, b); {
-			case two != "":
+			switch {
+			case two != 0:
 				toks = append(toks, token{kind: two})
 				i += 2
-			case k >= 0:
-				toks = append(toks, token{kind: punct[k : k+1]})
+			case strings.IndexByte(punct, b) >= 0:
+				toks = append(toks, token{kind: b})
 				i++
 			default:
 				panic(fmt.Sprintf("minicc: bad character %q at %d", b, i))
@@ -249,6 +285,22 @@ func (c *compiler) lex(text appkit.Ptr, n int) []token {
 		}
 	}
 	return toks
+}
+
+// intern adds name to the interned identifiers and returns its index.
+func (c *compiler) intern(name string) int32 {
+	idx := int32(len(c.names))
+	c.names = append(c.names, name)
+	c.idents[name] = idx
+	return idx
+}
+
+// text is an identifier token's text; other tokens have none.
+func (c *compiler) text(t token) string {
+	if t.kind != tID {
+		return ""
+	}
+	return c.names[t.val]
 }
 
 // --- names and environments --------------------------------------------------
@@ -317,7 +369,7 @@ func (c *compiler) nameStr(name appkit.Ptr) string {
 
 func (c *compiler) peek() token {
 	if c.pos >= len(c.toks) {
-		return token{kind: "eof"}
+		return token{kind: tEOF}
 	}
 	return c.toks[c.pos]
 }
@@ -331,15 +383,24 @@ func (c *compiler) nextT() token {
 	return t
 }
 
-func (c *compiler) expect(kind string) token {
+func (c *compiler) expect(kind byte) token {
 	t := c.nextT()
 	if t.kind != kind {
-		panic(fmt.Sprintf("minicc: expected %q, got %q %q", kind, t.kind, t.text))
+		panic(fmt.Sprintf("minicc: expected %q, got %q %q", kindName(kind), kindName(t.kind), c.text(t)))
 	}
 	return t
 }
 
-func (c *compiler) accept(kind string) bool {
+// expectName consumes an identifier token and returns its text.
+func (c *compiler) expectName() string { return c.names[c.expect(tID).val] }
+
+// peekKeyword reports whether the next token is the keyword kw.
+func (c *compiler) peekKeyword(kw int32) bool {
+	t := c.peek()
+	return t.kind == tID && t.val == kw
+}
+
+func (c *compiler) accept(kind byte) bool {
 	if c.pos < len(c.toks) && c.toks[c.pos].kind == kind {
 		c.pos++
 		return true
@@ -370,9 +431,9 @@ func (c *compiler) node(kind uint32, a, b, d appkit.Ptr, ptrs int) appkit.Ptr {
 	return n
 }
 
-var binOps = map[string]uint32{
-	"+": irAdd, "-": irSub, "*": irMul, "/": irDiv, "%": irMod,
-	"<": irLt, "<=": irLe, "==": irEq, "!=": irNe,
+var binOps = map[byte]uint32{
+	'+': irAdd, '-': irSub, '*': irMul, '/': irDiv, '%': irMod,
+	'<': irLt, tLe: irLe, tEq: irEq, tNe: irNe,
 }
 
 // parseExpr: comparison over additive over multiplicative over unary.
@@ -380,7 +441,7 @@ func (c *compiler) parseExpr() appkit.Ptr {
 	left := c.parseAdd()
 	for {
 		k := c.peek().kind
-		if k != "<" && k != "<=" && k != "==" && k != "!=" {
+		if k != '<' && k != tLe && k != tEq && k != tNe {
 			return left
 		}
 		c.nextT()
@@ -393,7 +454,7 @@ func (c *compiler) parseAdd() appkit.Ptr {
 	left := c.parseMul()
 	for {
 		k := c.peek().kind
-		if k != "+" && k != "-" {
+		if k != '+' && k != '-' {
 			return left
 		}
 		c.nextT()
@@ -406,7 +467,7 @@ func (c *compiler) parseMul() appkit.Ptr {
 	left := c.parseUnary()
 	for {
 		k := c.peek().kind
-		if k != "*" && k != "/" && k != "%" {
+		if k != '*' && k != '/' && k != '%' {
 			return left
 		}
 		c.nextT()
@@ -416,7 +477,7 @@ func (c *compiler) parseMul() appkit.Ptr {
 }
 
 func (c *compiler) parseUnary() appkit.Ptr {
-	if c.accept("-") {
+	if c.accept('-') {
 		return c.node(eNeg, c.parseUnary(), 0, 0, 1)
 	}
 	return c.parsePrimary()
@@ -425,15 +486,15 @@ func (c *compiler) parseUnary() appkit.Ptr {
 func (c *compiler) parsePrimary() appkit.Ptr {
 	t := c.nextT()
 	switch t.kind {
-	case "num":
-		return c.node(eNum, appkit.Ptr(uint32(t.num)), 0, 0, 0)
-	case "id":
-		name := c.internName(t.text)
-		if c.accept("(") {
+	case tNum:
+		return c.node(eNum, appkit.Ptr(uint32(t.val)), 0, 0, 0)
+	case tID:
+		name := c.internName(c.names[t.val])
+		if c.accept('(') {
 			var args, tail appkit.Ptr
-			for !c.accept(")") {
+			for !c.accept(')') {
 				if args != 0 {
-					c.expect(",")
+					c.expect(',')
 				}
 				cell := c.work.Alloc(8, c.clnCons)
 				c.e.StorePtr(cell, c.parseExpr())
@@ -450,12 +511,12 @@ func (c *compiler) parsePrimary() appkit.Ptr {
 			return n
 		}
 		return c.node(eVar, name, 0, 0, 1)
-	case "(":
+	case '(':
 		n := c.parseExpr()
-		c.expect(")")
+		c.expect(')')
 		return n
 	}
-	panic(fmt.Sprintf("minicc: unexpected token %q", t.kind))
+	panic(fmt.Sprintf("minicc: unexpected token %q", kindName(t.kind)))
 }
 
 // parseStmt returns one statement node and counts it.
@@ -463,9 +524,9 @@ func (c *compiler) parseStmt() appkit.Ptr {
 	c.stmts++
 	c.allStmts++
 	switch {
-	case c.accept("{"):
+	case c.accept('{'):
 		var head, tail appkit.Ptr
-		for !c.accept("}") {
+		for !c.accept('}') {
 			cell := c.work.Alloc(8, c.clnCons)
 			if head == 0 {
 				head = cell
@@ -479,49 +540,49 @@ func (c *compiler) parseStmt() appkit.Ptr {
 		n := c.node(sBlock, head, 0, 0, 1)
 		c.f.Set(sScr2, 0)
 		return n
-	case c.peek().kind == "id" && c.peek().text == "int":
+	case c.peekKeyword(kwInt):
 		c.nextT()
-		name := c.internName(c.expect("id").text)
-		c.expect("=")
+		name := c.internName(c.expectName())
+		c.expect('=')
 		init := c.parseExpr()
-		c.expect(";")
+		c.expect(';')
 		return c.node(sDecl, name, init, 0, 3)
-	case c.peek().kind == "id" && c.peek().text == "if":
+	case c.peekKeyword(kwIf):
 		c.nextT()
-		c.expect("(")
+		c.expect('(')
 		cond := c.parseExpr()
-		c.expect(")")
+		c.expect(')')
 		c.f.Set(sScr1, cond)
 		then := c.parseStmt()
 		n := c.node(sIf, cond, then, 0, 7)
 		c.f.Set(sScr1, n)
-		if c.peek().kind == "id" && c.peek().text == "else" {
+		if c.peekKeyword(kwElse) {
 			c.nextT()
 			c.e.StorePtr(n+aC, c.parseStmt())
 		}
 		c.f.Set(sScr1, 0)
 		return n
-	case c.peek().kind == "id" && c.peek().text == "while":
+	case c.peekKeyword(kwWhile):
 		c.nextT()
-		c.expect("(")
+		c.expect('(')
 		cond := c.parseExpr()
-		c.expect(")")
+		c.expect(')')
 		c.f.Set(sScr1, cond)
 		body := c.parseStmt()
 		n := c.node(sWhile, cond, body, 0, 3)
 		c.f.Set(sScr1, 0)
 		return n
-	case c.peek().kind == "id" && c.peek().text == "return":
+	case c.peekKeyword(kwReturn):
 		c.nextT()
 		n := c.node(sRet, c.parseExpr(), 0, 0, 1)
-		c.expect(";")
+		c.expect(';')
 		return n
 	default:
 		// Assignment: id = expr ;
-		name := c.internName(c.expect("id").text)
-		c.expect("=")
+		name := c.internName(c.expectName())
+		c.expect('=')
 		val := c.parseExpr()
-		c.expect(";")
+		c.expect(';')
 		return c.node(sAssign, name, val, 0, 3)
 	}
 }
@@ -529,11 +590,11 @@ func (c *compiler) parseStmt() appkit.Ptr {
 // parseTop parses one top-level declaration: a global or a function.
 // It returns (fn AST, true) for functions, (0, false) for globals.
 func (c *compiler) parseTop() (appkit.Ptr, bool) {
-	if kw := c.expect("id").text; kw != "int" {
+	if c.expect(tID).val != kwInt {
 		panic("minicc: expected int at top level")
 	}
-	name := c.internName(c.expect("id").text)
-	if c.accept(";") {
+	name := c.internName(c.expectName())
+	if c.accept(';') {
 		// Global variable.
 		if _, _, _, ok := c.lookup(name); ok {
 			panic("minicc: duplicate global " + c.nameStr(name))
@@ -547,18 +608,18 @@ func (c *compiler) parseTop() (appkit.Ptr, bool) {
 		c.bind(true, name, kGlobalVar, slot, 0)
 		return 0, false
 	}
-	c.expect("(")
+	c.expect('(')
 	var params, tail appkit.Ptr
 	nparams := 0
-	for !c.accept(")") {
+	for !c.accept(')') {
 		if params != 0 {
-			c.expect(",")
+			c.expect(',')
 		}
-		if kw := c.expect("id").text; kw != "int" {
+		if c.expect(tID).val != kwInt {
 			panic("minicc: expected int parameter")
 		}
 		cell := c.work.Alloc(8, c.clnCons)
-		c.e.StorePtr(cell, c.internName(c.expect("id").text))
+		c.e.StorePtr(cell, c.internName(c.expectName()))
 		if params == 0 {
 			params = cell
 			c.f.Set(sScr1, params)

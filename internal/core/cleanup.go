@@ -90,7 +90,7 @@ func (rt *Runtime) Destroy(p Ptr) {
 	if reg == nil || reg == rt.deleting {
 		return
 	}
-	if reg.deleted {
+	if reg.st.deleted {
 		panic(rt.fault(FaultDanglingDestroy, p, reg.id,
 			"Destroy found a pointer into a deleted region", nil))
 	}

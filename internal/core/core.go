@@ -51,6 +51,13 @@ const (
 	// one-page limit) live on the same list.
 	pageLink = 0
 
+	// maxEntryPages is the most pages one page-list entry can hold: its
+	// link word keeps the page count minus one below the next entry's
+	// page-aligned address. maxEntryData is the most bytes such an entry
+	// holds past its link word; the allocators refuse anything larger.
+	maxEntryPages = mem.PageSize
+	maxEntryData  = maxEntryPages*mem.PageSize - mem.WordSize
+
 	// colorStep and colorMax implement the paper's region-structure
 	// coloring: successive regions are offset by 64 bytes (the second-level
 	// cache line size) in their first page, up to a maximum offset of 512.
@@ -116,9 +123,26 @@ const (
 // a counted region pointer: deleteregion(Region *x) explicitly excepts *x,
 // and our generalization is that Region handles held by Go code are
 // untracked while Ptr values in frame slots and heap words are tracked.
+//
+// A handle is 16 bytes: the region's id and header address, which the
+// allocators and barriers read directly and every fault on the region
+// reports, and a pointer to the region's state. The state belongs to the
+// runtime and is reused like the region's pages: once the region owns
+// nothing (a synchronous delete, the sweep of its last detached page, an
+// export), the handle points at the shared read-only state for its kind of
+// death and the state goes on the runtime's spare list for the next region.
+// A dead handle thus keeps faulting with its own kind, id and header
+// address, and never reaches a state another region now uses.
 type Region struct {
+	st  *regionState
 	id  int32
 	hdr Ptr // address of the in-heap region structure
+}
+
+// regionState is the host-side state of a region that owns memory. Every
+// write to it follows a test that the region is live (or, for unswept,
+// detached), so none reaches a shared dead state.
+type regionState struct {
 	// bytes counts the program-requested bytes live in the region, for
 	// Table 2. They sit in the region's own pages, so a 32-bit space keeps
 	// them below 4 GiB; ImportRegion refuses a record that claims more than
@@ -145,11 +169,22 @@ type Region struct {
 	allocs uint64
 	born   uint64 // simulated cycle of creation, for the lifetime histogram
 	// pool holds the region's string-pool free lists, host-side like the
-	// runtime's free page lists. Nil until the first pooled free, so a
-	// region that never pools carries one pointer, not the table: the
-	// handle stays in Go's 48-byte size class. See strpool.go.
+	// runtime's free page lists. Nil until the region's first pooled free;
+	// the emptied table stays with the state when it is reused, so region
+	// churn does not make a table per region. See strpool.go.
 	pool *strPool
 }
+
+// deletedState and migratedState are the states of handles whose regions
+// own nothing, deleted or migrated away. Every runtime shares them and none
+// writes them; Verify audits that.
+var (
+	deletedState  = regionState{deleted: true}
+	migratedState = regionState{deleted: true, migrated: true}
+)
+
+// isDead reports whether st is one of the shared dead states.
+func isDead(st *regionState) bool { return st == &deletedState || st == &migratedState }
 
 // Options configures a Runtime beyond the paper's two libraries, enabling
 // the ablation experiments and the sharded throughput engine.
@@ -230,9 +265,9 @@ type Runtime struct {
 	spans     freeSpanTable
 	colorSeq  int
 
-	// strPoolSpare holds the string-pool tables of dead regions, emptied,
-	// for reuse by the next region that pools (see strpool.go).
-	strPoolSpare []*strPool
+	// spare holds the states of regions that own nothing any more, for the
+	// next region created or imported (see retire).
+	spare []*regionState
 
 	// Deferred-reclamation state (Options.DeferredDelete; see sweep.go).
 	// sweepq[sweepHead:] lists the detached page runs awaiting their sweep;
@@ -491,6 +526,7 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 	if page == 0 {
 		return nil, rt.oomFault("newregion", r.id)
 	}
+	r.st = rt.takeState()
 	rt.addRegion(r)
 
 	color := Ptr(rt.colorSeq*colorStep) % (colorMax + colorStep)
@@ -508,7 +544,7 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 	rt.space.Store(hdr+offStringFirst, 0)
 	rt.space.Store(hdr+offStringAvail, mem.PageSize)
 
-	r.born = rt.c.TotalCycles()
+	r.st.born = rt.c.TotalCycles()
 	rt.c.RegionCreated()
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindRegionCreate, Region: r.id, Addr: hdr, Aux: -1})
@@ -521,16 +557,16 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 // own nothing any more — deleted and fully swept, or migrated away — are
 // dropped first, in place and in creation order, so the list tracks the
 // regions that hold memory rather than every region ever made. A dropped
-// region becomes collectable once no handle holds it; a handle that does
-// still faults, since the region knows it is deleted. The list grows
-// anyway when dropping freed less than half of it, so a create costs
-// amortized O(1).
+// region's handle becomes collectable once no caller holds it; a handle
+// that is held still faults, since its dead state says how the region
+// died. The list grows anyway when dropping freed less than half of it, so
+// a create costs amortized O(1).
 func (rt *Runtime) addRegion(r *Region) {
 	rt.nextID++
 	if n := len(rt.regions); n == cap(rt.regions) {
 		kept := rt.regions[:0]
 		for _, q := range rt.regions {
-			if !q.deleted || q.unswept > 0 {
+			if !q.st.deleted || q.st.unswept > 0 {
 				kept = append(kept, q)
 			}
 		}
@@ -541,6 +577,30 @@ func (rt *Runtime) addRegion(r *Region) {
 		}
 	}
 	rt.regions = append(rt.regions, r)
+}
+
+// takeState returns a zeroed state for a new region, from the spare list
+// when it holds one.
+func (rt *Runtime) takeState() *regionState {
+	n := len(rt.spare)
+	if n == 0 {
+		return &regionState{}
+	}
+	st := rt.spare[n-1]
+	rt.spare = rt.spare[:n-1]
+	return st
+}
+
+// retire ends r's claim on its state once the region owns nothing: after a
+// synchronous delete, after the sweep of its last detached page, or after
+// an export. r points at dead, the shared state for its kind of death,
+// from then on, and its own state, zeroed but for its emptied string-pool
+// table, goes on the spare list.
+func (rt *Runtime) retire(r *Region, dead *regionState) {
+	st := r.st
+	r.st = dead
+	*st = regionState{pool: st.pool}
+	rt.spare = append(rt.spare, st)
 }
 
 func align4(n int) int { return (n + 3) &^ 3 }
@@ -557,7 +617,7 @@ func (rt *Runtime) bump(r *Region, firstOff, availOff Ptr, total int) Ptr {
 		p := first + avail
 		rt.space.Store(hdr+availOff, avail+Ptr(total))
 		if firstOff == offStringFirst {
-			r.strTop = p + Ptr(total)
+			r.st.strTop = p + Ptr(total)
 		}
 		return p
 	}
@@ -572,7 +632,7 @@ func (rt *Runtime) bump(r *Region, firstOff, availOff Ptr, total int) Ptr {
 		}
 		if firstOff == offStringFirst {
 			rt.pages.setStr(page, 1)
-			r.strTop = page + mem.WordSize + Ptr(total)
+			r.st.strTop = page + mem.WordSize + Ptr(total)
 		}
 		rt.space.Store(page+pageLink, first)
 		rt.space.Store(hdr+firstOff, page)
@@ -611,16 +671,17 @@ func (rt *Runtime) checkLive(r *Region) error {
 	if r == nil {
 		panic("core: nil region")
 	}
-	if r.deleted {
+	if r.st.deleted {
 		return rt.deletedFault(r)
 	}
 	return nil
 }
 
 // badArgument reports an allocation of n elements of size bytes with
-// cleanup cln that no allocation can have: a negative size or count, or an
-// unregistered cleanup. The allocators check their arguments host-side
-// before charging anything, so a rejected call changes nothing.
+// cleanup cln that no allocation can have: a negative size or count, an
+// unregistered cleanup, or more than one page-list entry holds. The
+// allocators check their arguments host-side before charging anything, so
+// a rejected call changes nothing.
 func (rt *Runtime) badArgument(r *Region, op string, n, size int, cln CleanupID) *Fault {
 	var bad string
 	switch {
@@ -628,10 +689,23 @@ func (rt *Runtime) badArgument(r *Region, op string, n, size int, cln CleanupID)
 		bad = fmt.Sprintf("negative size %d", size)
 	case n < 0:
 		bad = fmt.Sprintf("negative element count %d", n)
-	default:
+	case op != "rstralloc" && !rt.registered(cln):
 		bad = fmt.Sprintf("invalid cleanup id %d", cln)
+	case op == "rarrayalloc":
+		bad = fmt.Sprintf("%d elements of size %d exceed one page-list entry (%d pages)", n, size, maxEntryPages)
+	default:
+		bad = fmt.Sprintf("size %d exceeds one page-list entry (%d pages)", size, maxEntryPages)
 	}
 	return rt.fault(FaultBadArgument, 0, r.id, op+": "+bad, nil)
+}
+
+// arrayFits reports whether n elements of size bytes, not negative, fit in
+// one page-list entry behind an array's three bookkeeping words, and n in
+// its count word. Both factors are bounded before they are multiplied, so
+// the product cannot overflow.
+func arrayFits(n, size int) bool {
+	const room = maxEntryData - 3*mem.WordSize
+	return size <= room && uint64(n) <= 1<<32-1 && uint64(align4(size))*uint64(n) <= room
 }
 
 // deletedFault reports use of a dead region, distinguishing a migrated
@@ -639,10 +713,10 @@ func (rt *Runtime) badArgument(r *Region, op string, n, size int, cln CleanupID)
 // pages awaiting their sweep) from a fully reclaimed one so the fault names
 // the state the offending pointer actually sees.
 func (rt *Runtime) deletedFault(r *Region) *Fault {
-	if r.migrated {
+	if r.st.migrated {
 		return rt.fault(FaultMigratedRegion, r.hdr, r.id, errMigrated, nil)
 	}
-	if r.unswept > 0 {
+	if r.st.unswept > 0 {
 		return rt.fault(FaultDetachedRegion, r.hdr, r.id, errDetached, nil)
 	}
 	return rt.fault(FaultDeletedRegion, r.hdr, r.id, errDeleted, nil)
@@ -661,13 +735,13 @@ func (rt *Runtime) Ralloc(r *Region, size int, cln CleanupID) Ptr {
 
 // TryRalloc is Ralloc returning a *Fault instead of panicking: kind
 // FaultOOM when the simulated OS refuses pages, FaultBadArgument for a
-// negative size or an unregistered cleanup. On failure the region is
-// unchanged.
+// negative size, an unregistered cleanup or an object larger than one
+// page-list entry holds. On failure the region is unchanged.
 func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 	if err := rt.checkLive(r); err != nil {
 		return 0, err
 	}
-	if size < 0 || !rt.registered(cln) {
+	if size < 0 || size > maxEntryData-mem.WordSize || !rt.registered(cln) {
 		return 0, rt.badArgument(r, "ralloc", 1, size, cln)
 	}
 	hdr := rt.encodeCleanup(cln, false)
@@ -683,8 +757,8 @@ func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 	rt.space.Store(p, hdr)
 	rt.space.ZeroRange(p+mem.WordSize, data)
 
-	r.bytes += uint32(data)
-	r.allocs++
+	r.st.bytes += uint32(data)
+	r.st.allocs++
 	rt.c.AddAlloc(int64(data))
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindRalloc, Region: r.id,
@@ -712,13 +786,13 @@ func (rt *Runtime) RarrayAlloc(r *Region, n, elemSize int, cln CleanupID) Ptr {
 }
 
 // TryRarrayAlloc is RarrayAlloc returning a *Fault instead of panicking,
-// as TryRalloc does; a negative count is a FaultBadArgument too. On failure
-// the region is unchanged.
+// as TryRalloc does; a negative count, and a count its header word cannot
+// hold, are a FaultBadArgument too. On failure the region is unchanged.
 func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Ptr, error) {
 	if err := rt.checkLive(r); err != nil {
 		return 0, err
 	}
-	if n < 0 || elemSize < 0 || !rt.registered(cln) {
+	if n < 0 || elemSize < 0 || !arrayFits(n, elemSize) || !rt.registered(cln) {
 		return 0, rt.badArgument(r, "rarrayalloc", n, elemSize, cln)
 	}
 	hdr := rt.encodeCleanup(cln, true)
@@ -737,8 +811,8 @@ func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Pt
 	rt.space.Store(p+8, Ptr(esz))
 	rt.space.ZeroRange(p+12, data)
 
-	r.bytes += uint32(data)
-	r.allocs++
+	r.st.bytes += uint32(data)
+	r.st.allocs++
 	rt.c.AddAlloc(int64(data))
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindRarrayAlloc, Region: r.id,
@@ -766,7 +840,8 @@ func (rt *Runtime) RstrAlloc(r *Region, size int) Ptr {
 
 // TryRstrAlloc is RstrAlloc returning a *Fault instead of panicking: kind
 // FaultOOM when the simulated OS refuses pages, FaultBadArgument for a
-// negative size. On failure the region is unchanged.
+// negative size or a string larger than one page-list entry holds
+// (maxEntryData bytes). On failure the region is unchanged.
 //
 // Requests no larger than the pool ceiling first probe the region's
 // capacity-class free list of explicitly freed blocks (see strpool.go); a
@@ -778,7 +853,7 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 	if err := rt.checkLive(r); err != nil {
 		return 0, err
 	}
-	if size < 0 {
+	if size < 0 || size > maxEntryData {
 		return 0, rt.badArgument(r, "rstralloc", 1, size, 0)
 	}
 	old := rt.space.SetMode(stats.ModeAlloc)
@@ -809,8 +884,8 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 		rt.t.StrReuse[idx]++
 	}
 
-	r.bytes += uint32(data)
-	r.allocs++
+	r.st.bytes += uint32(data)
+	r.st.allocs++
 	rt.c.AddAlloc(int64(data))
 	if rt.tracer != nil {
 		aux := int32(-1)
@@ -876,15 +951,15 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 		return rt.fault(FaultBadArgument, p, r.id,
 			fmt.Sprintf("rstrfree: [%#x,+%d) is not string data the region allocated", p, data), nil)
 	}
-	if b, ok := r.strParked(p, data); ok {
+	if b, ok := r.st.strParked(p, data); ok {
 		return rt.fault(FaultBadArgument, p, r.id,
 			fmt.Sprintf("rstrfree: [%#x,+%d) overlaps the parked block [%#x,+%d) (double free?)",
 				p, data, b.p, b.cap), nil)
 	}
-	if data > int(r.bytes) {
+	if data > int(r.st.bytes) {
 		return rt.fault(FaultBadArgument, p, r.id,
 			fmt.Sprintf("rstrfree: [%#x,+%d) is more than the region's %d live bytes (double free?)",
-				p, data, r.bytes), nil)
+				p, data, r.st.bytes), nil)
 	}
 	old := rt.space.SetMode(stats.ModeFree)
 	defer rt.space.SetMode(old)
@@ -895,7 +970,7 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 		rt.space.PoisonRange(p, data)
 		rt.strPoolPut(r, p, data)
 	}
-	r.bytes -= uint32(data)
+	r.st.bytes -= uint32(data)
 	rt.c.AddFree(int64(data))
 	rt.t.StrFreeBytes += uint64(data)
 	if data <= defaultStrPoolMax {
@@ -944,7 +1019,7 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	if r == nil {
 		panic("core: nil region")
 	}
-	if r.deleted {
+	if r.st.deleted {
 		return false, rt.deletedFault(r)
 	}
 
@@ -985,18 +1060,24 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	}
 	rt.space.SetMode(old)
 
-	r.deleted = true
-	rt.c.RegionDeleted(uint64(r.bytes))
+	st := r.st
+	st.deleted = true
+	rt.c.RegionDeleted(uint64(st.bytes))
 	if rt.tracer != nil {
-		bytes := r.bytes
+		bytes := st.bytes
 		if bytes > 1<<31-1 {
 			bytes = 1<<31 - 1
 		}
 		rt.tracer.Emit(trace.Event{Kind: trace.KindRegionDelete, Region: r.id,
-			Size: int32(bytes), Aux: int32(r.allocs)})
+			Size: int32(bytes), Aux: int32(st.allocs)})
 	}
 	if m := rt.met; m != nil {
-		m.regionLifetime.Observe(rt.c.TotalCycles() - r.born)
+		m.regionLifetime.Observe(rt.c.TotalCycles() - st.born)
+	}
+	// A detached region keeps its state until the sweeper retires its last
+	// page (sweep.go).
+	if st.unswept == 0 {
+		rt.retire(r, &deletedState)
 	}
 	return true, nil
 }
@@ -1031,20 +1112,22 @@ func (rt *Runtime) quiescedRC(r *Region) Word {
 // statistics (the Max. kbytes in region column counts them too).
 func (rt *Runtime) FinalizeStats() {
 	for _, r := range rt.regions {
-		if !r.deleted && uint64(r.bytes) > rt.c.MaxRegionBytes {
-			rt.c.MaxRegionBytes = uint64(r.bytes)
+		if !r.st.deleted && uint64(r.st.bytes) > rt.c.MaxRegionBytes {
+			rt.c.MaxRegionBytes = uint64(r.st.bytes)
 		}
 	}
 }
 
-// Bytes returns the total program-requested bytes allocated in r so far.
-func (r *Region) Bytes() uint64 { return uint64(r.bytes) }
+// Bytes returns the program-requested bytes live in r: allocated and not
+// freed by RstrFree. It reads 0 once the region owns nothing.
+func (r *Region) Bytes() uint64 { return uint64(r.st.bytes) }
 
-// Allocs returns the number of allocations made in r so far.
-func (r *Region) Allocs() uint64 { return r.allocs }
+// Allocs returns the number of allocations made in r so far. It reads 0
+// once the region owns nothing.
+func (r *Region) Allocs() uint64 { return r.st.allocs }
 
 // Deleted reports whether r has been successfully deleted.
-func (r *Region) Deleted() bool { return r.deleted }
+func (r *Region) Deleted() bool { return r.st.deleted }
 
 // RC returns r's current (deferred, not necessarily exact) reference count.
 // It exists for tests and diagnostics and charges no cycles.
@@ -1059,12 +1142,12 @@ type Word = mem.Word
 
 // Detached reports whether r has been deleted but still has pages awaiting
 // the incremental sweeper (Options.DeferredDelete).
-func (r *Region) Detached() bool { return r.deleted && r.unswept > 0 }
+func (r *Region) Detached() bool { return r.st.deleted && r.st.unswept > 0 }
 
 // Migrated reports whether r was handed off to another runtime by
 // ExportRegion; such a handle is a tombstone and every operation on it
 // faults with FaultMigratedRegion.
-func (r *Region) Migrated() bool { return r.migrated }
+func (r *Region) Migrated() bool { return r.st.migrated }
 
 // LiveRegions returns the runtime's live (not deleted, not migrated-away)
 // regions in creation order. Host-side only: it charges no simulated cycles
@@ -1072,7 +1155,7 @@ func (r *Region) Migrated() bool { return r.migrated }
 func (rt *Runtime) LiveRegions() []*Region {
 	var out []*Region
 	for _, r := range rt.regions {
-		if !r.deleted {
+		if !r.st.deleted {
 			out = append(out, r)
 		}
 	}
@@ -1081,12 +1164,13 @@ func (rt *Runtime) LiveRegions() []*Region {
 
 // String implements fmt.Stringer for diagnostics.
 func (r *Region) String() string {
+	st := r.st
 	state := "live"
-	if r.deleted {
+	if st.deleted {
 		state = "deleted"
-		if r.unswept > 0 {
-			state = fmt.Sprintf("detached, %d unswept pages", r.unswept)
+		if st.unswept > 0 {
+			state = fmt.Sprintf("detached, %d unswept pages", st.unswept)
 		}
 	}
-	return fmt.Sprintf("region#%d(%s, %d bytes, %d allocs)", r.id, state, r.bytes, r.allocs)
+	return fmt.Sprintf("region#%d(%s, %d bytes, %d allocs)", r.id, state, st.bytes, st.allocs)
 }

@@ -49,15 +49,15 @@ func (r Ref) String() string {
 // matching its "no region pointers" contract; a pointer hidden there is
 // exactly the kind of unsafe cast the paper's C@ rules out.
 func (rt *Runtime) Referrers(target *Region) []Ref {
-	if target == nil || target.deleted {
+	if target == nil || target.st.deleted {
 		return nil
 	}
 	var refs []Ref
 	rt.space.Uncharged(func() {
-		pointsIn := func(v Ptr) bool { return v != 0 && rt.RegionOf(v) == target }
+		pointsIn := func(v Ptr) bool { return v != 0 && rt.pages.lookup(v) == target }
 
 		for _, reg := range rt.regions {
-			if reg.deleted || reg == target {
+			if reg.st.deleted || reg == target {
 				continue
 			}
 			from := reg

@@ -145,7 +145,7 @@ func TestPanicPathsCarryTypedFaults(t *testing.T) {
 		p := rt.Ralloc(r, 8, rt.SizeCleanup(8))
 		// Simulate the corruption this fault guards against: the region is
 		// marked deleted but a pointer into it survives in a dying object.
-		r.deleted = true
+		r.st.deleted = true
 		recoverFault(t, FaultDanglingDestroy, func() { rt.Destroy(p) })
 	})
 	t.Run("corrupt header", func(t *testing.T) {

@@ -51,7 +51,8 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 
 	// 1. Page census.
 	for _, r := range rt.regions {
-		if r.deleted {
+		st := r.st
+		if st.deleted {
 			continue
 		}
 		if !rt.space.Mapped(r.hdr) {
@@ -60,7 +61,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 		var rh *metrics.RegionHeap
 		if collect {
 			rep.Regions = append(rep.Regions, metrics.RegionHeap{
-				ID: r.id, LiveBytes: uint64(r.bytes), Allocs: r.allocs,
+				ID: r.id, LiveBytes: uint64(st.bytes), Allocs: st.allocs,
 			})
 			rh = &rep.Regions[len(rep.Regions)-1]
 			byID[r.id] = rh
@@ -68,7 +69,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 		var strPages map[int]bool // string-list page census for the pool audit
 		var strHead, strAvail, strTop Ptr
 		pages := 0 // on both lists
-		if r.pool != nil {
+		if st.pool != nil {
 			strPages = map[int]bool{}
 		}
 		for li, offs := range [2][2]Ptr{{offNormalFirst, offNormalAvail}, {offStringFirst, offStringAvail}} {
@@ -137,18 +138,18 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 				return nil, err
 			}
 		}
-		if r.strTop != strTop {
+		if st.strTop != strTop {
 			return nil, rt.invariant(r.hdr, r.id,
-				"string bump frontier mirrored as %#x, header says %#x", r.strTop, strTop)
+				"string bump frontier mirrored as %#x, header says %#x", st.strTop, strTop)
 		}
-		if uint64(r.bytes) > uint64(pages)*mem.PageSize {
-			return nil, rt.invariant(r.hdr, r.id, "%d live bytes do not fit in the region's %d pages", r.bytes, pages)
+		if uint64(st.bytes) > uint64(pages)*mem.PageSize {
+			return nil, rt.invariant(r.hdr, r.id, "%d live bytes do not fit in the region's %d pages", st.bytes, pages)
 		}
 		// 1.5: the string pool's free lists. Every parked block must sit on
 		// one of r's own string pages, inside the allocated prefix of the
 		// head page, in the class its capacity floors to, poisoned, and
 		// non-overlapping; the recorded byte sum must match.
-		if r.pool != nil {
+		if st.pool != nil {
 			if f := rt.checkStrPool(r, strPages, strHead, strAvail); f != nil {
 				return nil, f
 			}
@@ -156,7 +157,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 		if rh != nil {
 			rh.Pages = rh.NormalPages + rh.StringPages
 			rh.CapacityBytes = uint64(rh.Pages) * mem.PageSize
-			if sp := r.pool; sp != nil {
+			if sp := st.pool; sp != nil {
 				rh.StrPoolBytes = sp.bytes
 				for _, list := range sp.classes {
 					rh.StrPoolBlocks += len(list)
@@ -174,7 +175,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 			continue
 		}
 		a := Ptr(pg) << mem.PageShift
-		if owner.deleted {
+		if owner.st.deleted {
 			return nil, rt.invariant(a, owner.id, "page map names deleted region")
 		}
 		if got, ok := seen[pg]; !ok || got != owner.id {
@@ -212,7 +213,7 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 				return rt.invariant(a, owner.id, "free page has an owner")
 			}
 			if det := rt.pages.detachedAt(pg); det != nil {
-				if !det.deleted {
+				if !det.st.deleted {
 					return rt.invariant(a, det.id, "detached page attributed to a live region")
 				}
 				if !queued[pg] {
@@ -255,10 +256,10 @@ func (rt *Runtime) heapWalk(collect bool) (*metrics.HeapReport, error) {
 	// corrupted to zero cannot hide behind the list's compaction.
 	for _, rs := range [2][]*Region{rt.regions, detachedOwners} {
 		for _, r := range rs {
-			if got := detachedPer[r]; r.unswept != got {
+			if got := detachedPer[r]; r.st.unswept != got {
 				return nil, rt.invariant(r.hdr, r.id,
 					"region unswept count %d, %d of its detached pages on the free lists",
-					r.unswept, got)
+					r.st.unswept, got)
 			}
 		}
 	}
@@ -339,7 +340,7 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 	if rt.opts.NoStrPool {
 		return rt.invariant(r.hdr, r.id, "string pool populated with pooling disabled")
 	}
-	sp := r.pool
+	sp := r.st.pool
 	var all []strBlock
 	var bytes uint64
 	for idx, list := range sp.classes {
@@ -410,7 +411,7 @@ func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metric
 		sites = map[string]*metrics.HeapSite{}
 	}
 	for _, r := range rt.regions {
-		if r.deleted {
+		if r.st.deleted {
 			continue
 		}
 		rh := byID[r.id]

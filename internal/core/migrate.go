@@ -33,8 +33,9 @@ import (
 // (cleanup ids are remapped by registered name, so the two runtimes may have
 // registered in different orders, but every used name must exist).
 //
-// The export side leaves a tombstone: the handle is marked deleted+migrated
-// and every subsequent operation on it faults with FaultMigratedRegion, so a
+// The export side leaves a tombstone: the handle points at the shared
+// migrated state (its own state goes to the spare list, see retire) and
+// every subsequent operation on it faults with FaultMigratedRegion, so a
 // stale handle is a diagnosable error rather than a silent touch of recycled
 // pages. Neither side runs Verify itself — the shard migration coordinator
 // runs it on donor and receiver around the handoff, as do the tests.
@@ -139,7 +140,7 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 	if r == nil {
 		panic("core: nil region")
 	}
-	if r.deleted {
+	if r.st.deleted {
 		return nil, rt.deletedFault(r)
 	}
 
@@ -150,7 +151,7 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 		}
 	}
 
-	rec := &RegionRecord{SourceRegion: r.id, Bytes: uint64(r.bytes), Allocs: r.allocs, OldHdr: r.hdr}
+	rec := &RegionRecord{SourceRegion: r.id, Bytes: uint64(r.st.bytes), Allocs: r.st.allocs, OldHdr: r.hdr}
 	var serr error
 	rt.space.Uncharged(func() { serr = rt.serializeRegion(r, rec) })
 	if serr != nil {
@@ -173,8 +174,7 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 	// lists (keeping the occupancy gauges exact).
 	rt.strPoolClear(r)
 
-	r.deleted = true
-	r.migrated = true
+	rt.retire(r, &migratedState)
 	rt.c.LiveRegions--
 	if rt.tracer != nil {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindMigrate, Region: r.id,
@@ -191,7 +191,7 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 // callers probe from the goroutine that owns the runtime and act before
 // running anything else on it.
 func (rt *Runtime) Exportable(r *Region) bool {
-	if r == nil || r.deleted {
+	if r == nil || r.st.deleted {
 		return false
 	}
 	if rt.safe && rt.quiescedRC(r) != 0 {
@@ -235,8 +235,8 @@ func (rt *Runtime) serializeRegion(r *Region, rec *RegionRecord) error {
 	}
 	// Parked string-pool blocks, in class-then-list order so the record is
 	// deterministic for a given pool state.
-	if r.pool != nil {
-		for _, list := range r.pool.classes {
+	if r.st.pool != nil {
+		for _, list := range r.st.pool.classes {
 			for _, b := range list {
 				rec.StrPool = append(rec.StrPool, StrPoolRecord{OldAddr: b.p, Cap: b.cap})
 			}
@@ -383,13 +383,14 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	r.hdr = newNormal[homeIdx] + (rec.OldHdr - rec.Normal[homeIdx].OldFirst)
 
 	var werr error
+	var strTop Ptr
 	rt.space.Uncharged(func() {
 		werr = rt.materialize(rec, r, newNormal, newStr, idMap, pageMap)
 		if werr == nil {
 			werr = rt.importScan(r)
 		}
 		if len(rec.Str) > 0 && rec.Str[0].Pages == 1 {
-			r.strTop = newStr[0] + rt.space.Load(r.hdr+offStringAvail)
+			strTop = newStr[0] + rt.space.Load(r.hdr+offStringAvail)
 		}
 	})
 	if werr != nil {
@@ -399,9 +400,11 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	rt.charge(stats.ModeAlloc, 2*uint64(rec.Pages))
 	rec.newPages = pageMap
 
-	r.bytes = uint32(rec.Bytes)
-	r.allocs = rec.Allocs
-	r.born = rt.c.TotalCycles()
+	r.st = rt.takeState()
+	r.st.strTop = strTop
+	r.st.bytes = uint32(rec.Bytes)
+	r.st.allocs = rec.Allocs
+	r.st.born = rt.c.TotalCycles()
 	rt.addRegion(r)
 
 	// Re-park the record's string-pool blocks at their relocated addresses.
@@ -433,11 +436,6 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	}
 	return r, nil
 }
-
-// maxEntryPages is the most pages one page-list entry can hold: its link
-// word keeps the page count minus one below the next entry's page-aligned
-// address.
-const maxEntryPages = mem.PageSize
 
 // checkRecord returns the index of rec's home run, the normal run whose
 // first page holds the region structure, or a FaultBadArgument *Fault for
@@ -662,7 +660,7 @@ func (rt *Runtime) ContentChecksum(r *Region) uint32 {
 	if r == nil {
 		panic("core: nil region")
 	}
-	if r.deleted {
+	if r.st.deleted {
 		panic(rt.deletedFault(r))
 	}
 	var h uint32

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -30,9 +31,9 @@ func strCycle(rt *Runtime) {
 }
 
 // TestHostAllocsRegionCycle: once warm, a region lifetime that pools a
-// string allocates one Go object, the Region handle. The string pool's
-// class table is reused from the previous region and the region list does
-// not grow.
+// string allocates one Go object of 16 bytes, the Region handle. The
+// region's state, string-pool table included, is reused from the previous
+// region and the region list does not grow.
 func TestHostAllocsRegionCycle(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -44,15 +45,25 @@ func TestHostAllocsRegionCycle(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() { strCycle(rt) }); got != 1 {
 		t.Errorf("a warm region cycle allocates %.2f Go objects, want 1 (the Region)", got)
 	}
+	const cycles = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range cycles {
+		strCycle(rt)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / cycles; got > 16 {
+		t.Errorf("a warm region cycle allocates %d bytes, want 16 (the Region)", got)
+	}
 }
 
 // TestHostAllocsRegionSize: the Region handle, the one object a region
-// cycle allocates, fills Go's 48-byte size class. Per-region state that
-// most regions never use belongs in a side table behind a pointer, as the
-// string pool's does, and what reaches the runtime goes through it.
+// cycle allocates, is 16 bytes: the region's id and header address, and a
+// pointer to the state the runtime reuses from region to region.
 func TestHostAllocsRegionSize(t *testing.T) {
-	if got := unsafe.Sizeof(Region{}); got != 48 {
-		t.Errorf("Region is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(Region{}); got != 16 {
+		t.Errorf("Region is %d bytes, want 16", got)
 	}
 }
 
@@ -171,14 +182,14 @@ func TestDetachedRegionStaysListedUntilSwept(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := slices.Contains(rt.regions, d); got != listed {
-			t.Fatalf("detached region listed=%v with %d unswept pages, want %v", got, d.unswept, listed)
+			t.Fatalf("detached region listed=%v with %d unswept pages, want %v", got, d.st.unswept, listed)
 		}
 	}
 	for i := 0; i < 200; i++ {
 		churn(t, rt, 1)
 		check(true)
 	}
-	for d.unswept > 0 {
+	for d.st.unswept > 0 {
 		check(true)
 		if rt.SweepSlice() == 0 {
 			t.Fatal("sweep made no progress")
@@ -246,10 +257,10 @@ func TestVerifyCatchesUnsweptCountOfDroppedRegion(t *testing.T) {
 		t.Fatal("delete failed")
 	}
 	churn(t, rt, 1) // reuses d's home page, leaving its three-page span
-	if d.unswept != 3 {
-		t.Fatalf("detached region has %d unswept pages, want 3", d.unswept)
+	if d.st.unswept != 3 {
+		t.Fatalf("detached region has %d unswept pages, want 3", d.st.unswept)
 	}
-	d.unswept = 0
+	d.st.unswept = 0
 	for i := 0; i < 100 && slices.Contains(rt.regions, d); i++ {
 		churn(t, rt, 1)
 	}

@@ -129,7 +129,7 @@ func strSiteKey(idx int) string {
 // is free-list bookkeeping already covered by the allocator's fixed charge.
 // Returns 0 when nothing fits.
 func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
-	sp := r.pool
+	sp := r.st.pool
 	if sp == nil {
 		return 0
 	}
@@ -157,18 +157,13 @@ func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
 }
 
 // strPoolPut parks the freed block [p, p+cap) on r's floor-class free list.
-// A region's first pooled free takes a table parked by an earlier region's
-// strPoolClear before making a new one.
+// The table is made at the first pooled free of the region's state; a reused
+// state keeps the emptied table of the region it served before.
 func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
-	sp := r.pool
+	sp := r.st.pool
 	if sp == nil {
-		if n := len(rt.strPoolSpare); n > 0 {
-			sp = rt.strPoolSpare[n-1]
-			rt.strPoolSpare = rt.strPoolSpare[:n-1]
-		} else {
-			sp = &strPool{}
-		}
-		r.pool = sp
+		sp = &strPool{}
+		r.st.pool = sp
 	}
 	idx := strClassIdx(cap)
 	sp.classes[idx] = append(sp.classes[idx], strBlock{p: p, cap: int32(cap)})
@@ -181,7 +176,7 @@ func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
 // pages are on r's string list, it starts past a page's first word and runs
 // into no other entry, and on a one-page head entry it ends at the bump
 // frontier. The caller has checked that r owns p's page. It reads only
-// host-side state, the page index and r.strTop.
+// host-side state, the page index and r's mirrored strTop.
 func (rt *Runtime) strAllocated(r *Region, p Ptr, n int) bool {
 	if p%mem.PageSize < mem.WordSize {
 		return false // an entry's link word, or no allocation starts there
@@ -196,18 +191,18 @@ func (rt *Runtime) strAllocated(r *Region, p Ptr, n int) bool {
 			return false
 		}
 	}
-	top := r.strTop
+	top := r.st.strTop
 	return top == 0 || last != int((top-1)>>mem.PageShift) || end <= uint64(top)
 }
 
-// strParked returns a block parked on r's pool that overlaps [p, p+n), if
-// any: freeing it again would file one extent twice.
-func (r *Region) strParked(p Ptr, n int) (strBlock, bool) {
-	if r.pool == nil {
+// strParked returns a block parked on the region's pool that overlaps
+// [p, p+n), if any: freeing it again would file one extent twice.
+func (st *regionState) strParked(p Ptr, n int) (strBlock, bool) {
+	if st.pool == nil {
 		return strBlock{}, false
 	}
-	for m := r.pool.mask; m != 0; m &= m - 1 {
-		for _, b := range r.pool.classes[bits.TrailingZeros16(m)] {
+	for m := st.pool.mask; m != 0; m &= m - 1 {
+		for _, b := range st.pool.classes[bits.TrailingZeros16(m)] {
 			if p < b.p+Ptr(b.cap) && b.p < p+Ptr(n) {
 				return b, true
 			}
@@ -216,13 +211,13 @@ func (r *Region) strParked(p Ptr, n int) (strBlock, bool) {
 	return strBlock{}, false
 }
 
-// strPoolClear drops r's pool. The blocks' memory is reclaimed by the
+// strPoolClear empties r's pool. The blocks' memory is reclaimed by the
 // caller's page release or detach; this only retires the host-side lists
 // and keeps the parked-block counts exact. The table, its lists cut to
-// length 0, is parked on the runtime for the next region that pools, so
-// region churn does not make a table per region.
+// length 0, stays with the region's state, which the next region reuses
+// (see retire), so region churn does not make a table per region.
 func (rt *Runtime) strPoolClear(r *Region) {
-	sp := r.pool
+	sp := r.st.pool
 	if sp == nil {
 		return
 	}
@@ -231,8 +226,6 @@ func (rt *Runtime) strPoolClear(r *Region) {
 		sp.classes[idx] = list[:0]
 	}
 	sp.bytes, sp.mask = 0, 0
-	rt.strPoolSpare = append(rt.strPoolSpare, sp)
-	r.pool = nil
 }
 
 // StrClassStats is one capacity class's row of the reuse report.
@@ -289,10 +282,10 @@ func (rt *Runtime) StrPoolStats() StrPoolStats {
 		out.Freed += c.Freed
 	}
 	for _, r := range rt.regions {
-		if r.deleted || r.pool == nil {
+		if r.st.deleted || r.st.pool == nil {
 			continue
 		}
-		for idx, list := range r.pool.classes {
+		for idx, list := range r.st.pool.classes {
 			out.Classes[idx].FreeBlocks += len(list)
 			for _, b := range list {
 				out.Classes[idx].FreeBytes += uint64(b.cap)

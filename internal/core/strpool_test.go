@@ -19,10 +19,10 @@ import (
 
 // poolBytes is the capacity r's string pool holds parked, 0 without a pool.
 func poolBytes(r *Region) uint64 {
-	if r.pool == nil {
+	if r.st.pool == nil {
 		return 0
 	}
-	return r.pool.bytes
+	return r.st.pool.bytes
 }
 
 // TestStrPoolSameSizeRecycle is the pool's core claim in miniature: free
@@ -239,7 +239,9 @@ func TestStrPoolDiesWithRegion(t *testing.T) {
 			if !rt.DeleteRegion(r) {
 				t.Fatal("delete refused")
 			}
-			if r.pool != nil {
+			// A detached region keeps its state, and with it the emptied
+			// table, until the sweep; no block may stay parked.
+			if poolBytes(r) != 0 || r.st.pool != nil && r.st.pool.mask != 0 || rt.t.StrParked != [strClasses]int64{} {
 				t.Fatal("pool survived deletion")
 			}
 			// Interleave fresh pool traffic with the incremental sweep: the
@@ -335,7 +337,7 @@ func TestStrPoolImportIntoNoStrPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	if r2.pool != nil {
+	if r2.st.pool != nil {
 		t.Fatal("NoStrPool receiver kept imported pool blocks")
 	}
 	if err := dst.Verify(); err != nil {

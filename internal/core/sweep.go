@@ -88,7 +88,7 @@ func (rt *Runtime) detachEntry(first Ptr, n int, r *Region) {
 	rt.charge(stats.ModeFree, 1)
 	rt.notePages(first, n, nil)
 	rt.pages.setDetached(first, n, r)
-	r.unswept += int32(n)
+	r.st.unswept += int32(n)
 	rt.sweepq = append(rt.sweepq, sweepEntry{first: first, pages: n})
 	rt.t.SweepDebt += n
 	if rt.t.SweepDebt > rt.sweepPeak {
@@ -113,10 +113,20 @@ func (rt *Runtime) cancelDetached(first Ptr, n int) {
 	for i := 0; i < n; i++ {
 		pg := int(first>>mem.PageShift) + i
 		if r := rt.pages.detachedAt(pg); r != nil {
-			rt.pages.clearDetached(pg)
-			r.unswept--
-			rt.t.SweepDebt--
+			rt.undetach(pg, r)
 		}
+	}
+}
+
+// undetach clears page number pg's detached flag and its debt, for the
+// sweep or a reuse. With r's last detached page the region owns nothing, so
+// its state is retired.
+func (rt *Runtime) undetach(pg int, r *Region) {
+	rt.pages.clearDetached(pg)
+	rt.t.SweepDebt--
+	r.st.unswept--
+	if r.st.unswept == 0 {
+		rt.retire(r, &deletedState)
 	}
 }
 
@@ -146,9 +156,7 @@ func (rt *Runtime) sweepSlice(budget int) int {
 		for e.pages > 0 && swept < budget {
 			pg := int(e.first >> mem.PageShift)
 			if r := rt.pages.detachedAt(pg); r != nil {
-				rt.pages.clearDetached(pg)
-				r.unswept--
-				rt.t.SweepDebt--
+				rt.undetach(pg, r)
 				rt.space.PoisonPageFree(e.first)
 				rt.charge(stats.ModeFree, 1)
 				swept++

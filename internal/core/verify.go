@@ -58,6 +58,10 @@ import (
 //     must equal the count recomputed from heap contents — cross-region
 //     words in scanned data, global words, and scanned frame slots (all
 //     frame slots under EagerLocals).
+//  8. Region states: the shared dead states are as built, every listed
+//     region points at a dead state or at a state no other region and no
+//     spare-list entry holds, a deleted region keeps its own state only
+//     while it has detached pages, and every spare state is empty.
 //
 // The recomputation in (7) reads raw heap words, so it assumes the C@
 // discipline the paper's compiler enforces: a scanned-data word that equals
@@ -78,9 +82,9 @@ func (rt *Runtime) invariant(addr Ptr, region int32, format string, args ...inte
 
 func (rt *Runtime) verify() error {
 	// 0. Translation cache: every last-region cache entry must agree with
-	// the dense page index. Checked first — the RC recomputation below
-	// translates through RegionOf, so a stale entry could otherwise fool
-	// the very check meant to catch it.
+	// the dense page index. The checks below translate through the page
+	// index itself, not the cache, so Verify neither fills the cache nor
+	// counts a probe: a run reports the same numbers with or without it.
 	for i := range rt.lr {
 		e := rt.lr[i]
 		if owner := rt.pages.ownerAt(int(e.page)); owner != e.r {
@@ -117,6 +121,46 @@ func (rt *Runtime) verify() error {
 			return f
 		}
 	}
+
+	// Region states.
+	if f := rt.checkStates(); f != nil {
+		return f
+	}
+	return nil
+}
+
+// checkStates audits the region states (see retire). A write into a dead
+// state would change what every dead handle of every runtime reports, a
+// state held twice would let a dead or foreign handle reach a live
+// region, and a spare state that is not empty would hand its contents to
+// the next region.
+func (rt *Runtime) checkStates() *Fault {
+	if deletedState != (regionState{deleted: true}) || migratedState != (regionState{deleted: true, migrated: true}) {
+		return rt.invariant(0, -1, "shared dead region states written: %+v, %+v", deletedState, migratedState)
+	}
+	holder := make(map[*regionState]int32, len(rt.regions)+len(rt.spare))
+	for _, st := range rt.spare {
+		if _, dup := holder[st]; dup || isDead(st) {
+			return rt.invariant(0, -1, "a dead state, or one state twice, on the spare list")
+		}
+		holder[st] = -1
+		sp := st.pool
+		if *st != (regionState{pool: sp}) || sp != nil && (sp.mask != 0 || sp.bytes != 0) {
+			return rt.invariant(0, -1, "spare region state not empty: %+v", *st)
+		}
+	}
+	for _, r := range rt.regions {
+		if isDead(r.st) {
+			continue
+		}
+		if id, dup := holder[r.st]; dup {
+			return rt.invariant(r.hdr, r.id, "region state also held by region #%d (-1: the spare list)", id)
+		}
+		holder[r.st] = r.id
+		if r.st.deleted && r.st.unswept == 0 {
+			return rt.invariant(r.hdr, r.id, "deleted region owns nothing but keeps its state")
+		}
+	}
 	return nil
 }
 
@@ -129,12 +173,12 @@ func (rt *Runtime) verifyRC() *Fault {
 	// words — page links, region header fields — only ever hold same-region
 	// addresses, so walking whole entries over-counts nothing.
 	for _, reg := range rt.regions {
-		if reg.deleted {
+		if reg.st.deleted {
 			continue
 		}
 		r := reg
 		rt.forEachNormalWord(r, func(_ Ptr, v Word) {
-			if t := rt.RegionOf(v); t != nil && t != r {
+			if t := rt.pages.lookup(v); t != nil && t != r {
 				want[t.id]++
 			}
 		})
@@ -142,7 +186,7 @@ func (rt *Runtime) verifyRC() *Fault {
 
 	// Global storage.
 	rt.forEachGlobalWord(func(_ Ptr, v Word) {
-		if t := rt.RegionOf(v); t != nil {
+		if t := rt.pages.lookup(v); t != nil {
 			want[t.id]++
 		}
 	})
@@ -153,14 +197,14 @@ func (rt *Runtime) verifyRC() *Fault {
 			continue
 		}
 		for _, p := range fr.slots {
-			if t := rt.RegionOf(p); t != nil {
+			if t := rt.pages.lookup(p); t != nil {
 				want[t.id]++
 			}
 		}
 	}
 
 	for _, r := range rt.regions {
-		if r.deleted {
+		if r.st.deleted {
 			continue
 		}
 		got := rt.space.Load(r.hdr + offRC)

@@ -154,3 +154,81 @@ func TestVerifyUnsafeRuntimeSkipsRC(t *testing.T) {
 		t.Fatalf("unsafe runtime verification: %v", err)
 	}
 }
+
+// TestVerifyAndReferrersObserveNothing: a Verify or a Referrers call in
+// the middle of a run leaves every count the run reports as it was. Both
+// translate heap words through the page index, not the last-region cache,
+// so neither fills the cache the barriers that follow probe nor counts a
+// probe. Six regions point at each other round-robin, more than the cache
+// holds, so a filled entry would change the barriers' hits and charges.
+func TestVerifyAndReferrersObserveNothing(t *testing.T) {
+	run := func(observe func(rt *Runtime, regs []*Region)) Spine {
+		t.Helper()
+		rt, _ := newRT(true)
+		cln := rt.SizeCleanup(8)
+		g := rt.AllocGlobals(1)
+		regs := make([]*Region, 6)
+		objs := make([]Ptr, len(regs))
+		for i := range regs {
+			regs[i] = rt.NewRegion()
+			objs[i] = rt.Ralloc(regs[i], 8, cln)
+		}
+		link := func(k int) {
+			for i := range objs {
+				rt.StorePtr(objs[i], objs[(i+k)%len(objs)])
+				rt.StorePtr(objs[i]+4, objs[i])
+			}
+		}
+		link(1)
+		rt.StoreGlobalPtr(g, objs[0])
+		if observe != nil {
+			observe(rt, regs)
+		}
+		link(2)
+		rt.StoreGlobalPtr(g, objs[3])
+		for i := range objs {
+			rt.StorePtr(objs[i], 0)
+		}
+		rt.StoreGlobalPtr(g, 0)
+		for _, r := range regs {
+			if !rt.DeleteRegion(r) {
+				t.Fatalf("%v not deletable", r)
+			}
+		}
+		if err := rt.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		return rt.Spine()
+	}
+	bare := run(nil)
+	for _, c := range []struct {
+		name    string
+		observe func(rt *Runtime, regs []*Region)
+	}{
+		{"verify", func(rt *Runtime, _ []*Region) {
+			if err := rt.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"referrers", func(rt *Runtime, regs []*Region) {
+			for _, r := range regs {
+				if len(rt.Referrers(r)) == 0 {
+					t.Fatalf("no referrers into %v", r)
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := run(c.observe)
+			if got.Counters != bare.Counters {
+				t.Errorf("counters differ: %d cycles with a mid-run %s, %d without",
+					got.Counters.TotalCycles(), c.name, bare.Counters.TotalCycles())
+			}
+			if got.Tally != bare.Tally {
+				t.Errorf("translation cache hits/misses/page-index hits %d/%d/%d with a mid-run %s, %d/%d/%d without",
+					got.Tally.LRHits, got.Tally.LRMisses, got.Tally.PageIndexHits, c.name,
+					bare.Tally.LRHits, bare.Tally.LRMisses, bare.Tally.PageIndexHits)
+			}
+		})
+	}
+}

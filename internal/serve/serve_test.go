@@ -423,11 +423,12 @@ func TestTaskFailureNamesSession(t *testing.T) {
 // TestHostAllocsPerSession gates the serving path's host allocations: a
 // two-shard strheavy run allocates a bounded number of Go objects and bytes
 // per session. The driver draws each session as it submits it, each shard
-// has one task and a fixed modelled queue, and a string-pool table and
-// region list slots are reused, so what a session adds is its two Region
-// handles and its latency word, plus, under Spans, its phase record in one
-// slice. The marginal subtest compares two schedule lengths, so set-up
-// cancels out: a session costs two 48-byte handles and 8 bytes.
+// has one task and a fixed modelled queue, and region states (string-pool
+// tables included) and region list slots are reused, so what a session
+// adds is its two Region handles and its latency word, plus, under Spans,
+// its phase record in one slice. The marginal subtest compares two
+// schedule lengths, so set-up cancels out: a session costs two 16-byte
+// handles and 8 bytes.
 func TestHostAllocsPerSession(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -441,9 +442,9 @@ func TestHostAllocsPerSession(t *testing.T) {
 		spans             bool
 		maxObjs, maxBytes float64
 	}{
-		// About 25% above the 121 and 377 bytes measured.
-		{"plain", false, 2.2, 150},
-		{"spans", true, 2.2, 470},
+		// About 25% above the 56 and 313 bytes measured.
+		{"plain", false, 2.2, 70},
+		{"spans", true, 2.2, 390},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			objs, bytes := hostAllocs(t, config(sessions, c.spans))
@@ -462,7 +463,7 @@ func TestHostAllocsPerSession(t *testing.T) {
 		_, short := hostAllocs(t, config(sessions, false))
 		_, all := hostAllocs(t, config(long, false))
 		per := (all - short) / (long - sessions)
-		const floor = 2*48 + 8 // two Region handles and a latency word
+		const floor = 2*16 + 8 // two Region handles and a latency word
 		t.Logf("%.1f bytes per added session; the floor is %d", per, floor)
 		if per > floor+8 {
 			t.Errorf("an added session allocates %.1f bytes, want at most %d", per, floor+8)
