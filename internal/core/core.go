@@ -31,6 +31,7 @@ import (
 	"slices"
 
 	"regions/internal/mem"
+	"regions/internal/metrics"
 	"regions/internal/stats"
 	"regions/internal/trace"
 )
@@ -307,10 +308,11 @@ type Runtime struct {
 	// guarded by a nil check so the untraced runtime pays one predicate.
 	tracer *trace.Tracer
 
-	// met, when non-nil, holds the histograms of a metrics registry (see
-	// metrics.go and internal/metrics). Same contract as tracer: every
-	// observation site is nil-guarded, observations are host-side only, and
-	// a metered run's stats.Counters are identical to a bare run's.
+	// met, when non-nil, marks the runtime metered (see metrics.go and
+	// internal/metrics): it keeps its histograms in t and feeds met's site
+	// sampler. Same contract as tracer: every observation site is
+	// nil-guarded, observations are host-side only, and a metered run's
+	// stats.Counters are identical to a bare run's.
 	met *runtimeMetrics
 }
 
@@ -766,7 +768,7 @@ func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 			Site: rt.cleanups[cln-1].name})
 	}
 	if m := rt.met; m != nil {
-		m.allocSize.Observe(uint64(data))
+		metrics.Observe(allocSizeBounds[:], rt.t.AllocSize[:], &rt.t.AllocSizeSum, uint64(data))
 		m.reg.SampleAlloc(rt.cleanups[cln-1].name, uint64(data))
 	}
 	return p + mem.WordSize, nil
@@ -820,7 +822,7 @@ func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Pt
 			Site: rt.cleanups[cln-1].name})
 	}
 	if m := rt.met; m != nil {
-		m.allocSize.Observe(uint64(data))
+		metrics.Observe(allocSizeBounds[:], rt.t.AllocSize[:], &rt.t.AllocSizeSum, uint64(data))
 		m.reg.SampleAlloc(rt.cleanups[cln-1].name, uint64(data))
 	}
 	return p + 3*mem.WordSize, nil
@@ -896,7 +898,7 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 			Addr: p, Size: int32(data), Aux: aux})
 	}
 	if m := rt.met; m != nil {
-		m.allocSize.Observe(uint64(data))
+		metrics.Observe(allocSizeBounds[:], rt.t.AllocSize[:], &rt.t.AllocSizeSum, uint64(data))
 		m.reg.SampleAlloc(strSiteKey(idx), uint64(data))
 	}
 	return p, nil
@@ -1072,7 +1074,7 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 			Size: int32(bytes), Aux: int32(st.allocs)})
 	}
 	if m := rt.met; m != nil {
-		m.regionLifetime.Observe(rt.c.TotalCycles() - st.born)
+		metrics.Observe(regionLifetimeBounds[:], rt.t.RegionLifetime[:], &rt.t.RegionLifetimeSum, rt.c.TotalCycles()-st.born)
 	}
 	// A detached region keeps its state until the sweeper retires its last
 	// page (sweep.go).
@@ -1166,11 +1168,13 @@ func (rt *Runtime) LiveRegions() []*Region {
 func (r *Region) String() string {
 	st := r.st
 	state := "live"
-	if st.deleted {
+	switch {
+	case st.migrated: // the migrated state is deleted too
+		state = "migrated"
+	case st.deleted && st.unswept > 0:
+		state = fmt.Sprintf("detached, %d unswept pages", st.unswept)
+	case st.deleted:
 		state = "deleted"
-		if st.unswept > 0 {
-			state = fmt.Sprintf("detached, %d unswept pages", st.unswept)
-		}
 	}
 	return fmt.Sprintf("region#%d(%s, %d bytes, %d allocs)", r.id, state, st.bytes, st.allocs)
 }

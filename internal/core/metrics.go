@@ -8,14 +8,15 @@ import (
 )
 
 // This file wires the runtime into the live metrics registry
-// (internal/metrics). Counters and gauges are pulled: the runtime keeps
+// (internal/metrics). Every series is pulled: the runtime keeps
 // stats.Counters and its Tally whether or not a registry is attached, and a
-// registry reads them at Snapshot time. Histograms and the site sampler are
-// pushed, because they record one observation per event; an unmetered
-// runtime holds a nil *runtimeMetrics and every observation site pays one
-// predicate, the same contract as SetTracer. Both halves are host-side
-// bookkeeping outside the machine model — they charge no simulated cycles
-// and leave stats.Counters identical to a bare run.
+// registry reads them at Snapshot time. A metered runtime also keeps its
+// four histograms in the Tally and offers every allocation to the
+// registry's site sampler; an unmetered runtime holds a nil
+// *runtimeMetrics and every observation site pays one predicate, the same
+// contract as SetTracer. All of it is host-side bookkeeping outside the
+// machine model — it charges no simulated cycles and leaves stats.Counters
+// identical to a bare run.
 
 // Histogram bucket bounds. Alloc sizes follow the power-of-two spread of
 // the paper's benchmark object sizes; region lifetimes span the decades
@@ -23,12 +24,12 @@ import (
 // bracket the Figure 5 instruction counts (12-30 extra cycles plus memory
 // accesses).
 var (
-	allocSizeBounds      = []uint64{16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
-	regionLifetimeBounds = []uint64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-	barrierCycleBounds   = []uint64{4, 8, 16, 24, 32, 48, 64, 128}
+	allocSizeBounds      = [...]uint64{16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
+	regionLifetimeBounds = [...]uint64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+	barrierCycleBounds   = [...]uint64{4, 8, 16, 24, 32, 48, 64, 128}
 	// Sweep-slice cycle bounds bracket the per-slice charge (1 cycle per
 	// swept page) up to and past the default 32-page budget.
-	sweepSliceCycleBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+	sweepSliceCycleBounds = [...]uint64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 )
 
 // Tally is the runtime's host-side counts beside stats.Counters: the
@@ -59,6 +60,17 @@ type Tally struct {
 	StrNew, StrReuse, StrFreed [strClasses]uint64
 	StrParked                  [strClasses]int64
 	StrBig, StrFreeBytes       uint64
+
+	// The histograms, kept only while the runtime is metered: allocation
+	// data sizes, region lifetimes in cycles, and the cycles of each write
+	// barrier and each sweep slice. Each is a metrics.Observe tally over
+	// the bounds above, with its total in the matching *Sum.
+	AllocSize        [len(allocSizeBounds) + 1]uint64
+	RegionLifetime   [len(regionLifetimeBounds) + 1]uint64
+	BarrierCycles    [len(barrierCycleBounds) + 1]uint64
+	SweepSliceCycles [len(sweepSliceCycleBounds) + 1]uint64
+
+	AllocSizeSum, RegionLifetimeSum, BarrierCyclesSum, SweepSliceCyclesSum uint64
 }
 
 // Spine is a copy of every count a runtime's pulled series read.
@@ -71,8 +83,8 @@ type Spine struct {
 // an owner can publish it after every unit of work (the shard engine does).
 func (rt *Runtime) Spine() Spine { return Spine{Counters: *rt.c, Tally: *rt.t} }
 
-// Emit reports sp as the runtime's counter and gauge series: the
-// regions_core_*, regions_sweep_* and regions_str_* families.
+// Emit reports sp as the runtime's series: the regions_core_*,
+// regions_sweep_* and regions_str_* families.
 func (sp *Spine) Emit(s *metrics.Sink) {
 	c, t := &sp.Counters, &sp.Tally
 	s.Counter("regions_core_allocs_total", c.Allocs)
@@ -109,31 +121,31 @@ func (sp *Spine) Emit(s *metrics.Sink) {
 	s.Counter("regions_str_big_total", t.StrBig)
 	s.Counter("regions_str_free_total", c.FreeCalls)
 	s.Counter("regions_str_free_bytes_total", t.StrFreeBytes)
+	s.Histogram("regions_core_alloc_size_bytes", allocSizeBounds[:], t.AllocSize[:], t.AllocSizeSum)
+	s.Histogram("regions_core_region_lifetime_cycles", regionLifetimeBounds[:], t.RegionLifetime[:], t.RegionLifetimeSum)
+	s.Histogram("regions_core_barrier_cycles", barrierCycleBounds[:], t.BarrierCycles[:], t.BarrierCyclesSum)
+	s.Histogram("regions_sweep_slice_cycles", sweepSliceCycleBounds[:], t.SweepSliceCycles[:], t.SweepSliceCyclesSum)
 }
 
-// runtimeMetrics holds the runtime's own histogram cells on a registry.
+// runtimeMetrics links a metered runtime to its registry: the site
+// sampler's, and the source SetMetrics registered (nil under Meter).
 type runtimeMetrics struct {
-	reg *metrics.Registry
-
-	allocSize        *metrics.Histogram
-	regionLifetime   *metrics.Histogram
-	barrierCycles    *metrics.Histogram
-	sweepSliceCycles *metrics.Histogram
-
-	// unmeter removes the runtime's pulled source; nil under SetHistograms.
+	reg     *metrics.Registry
 	unmeter func()
 }
 
-// SetMetrics attaches a lone runtime to reg (nil detaches): its histograms
-// and site samples are pushed as they happen, and a source reads its
-// counters and gauges at every Snapshot. The source reads the runtime's
-// counts directly, so snapshot the registry only from the goroutine that
-// owns the runtime; an owner that shares the runtime's counts with other
-// goroutines uses SetHistograms and publishes Spine copies itself. The
-// source holds the counts, not the runtime, so the registry never keeps
-// the heap alive. See docs/OBSERVABILITY.md for the series.
+// SetMetrics attaches a lone runtime to reg (nil detaches): it meters the
+// runtime (see Meter), and a source reads its counters, gauges and
+// histograms at every Snapshot. The source reads the runtime's counts
+// directly, so snapshot the registry only from the goroutine that owns the
+// runtime; an owner that shares the runtime's counts with other goroutines
+// uses Meter and publishes Spine copies itself. The source holds the
+// counts, not the runtime, so the registry never keeps the heap alive.
+// Detaching removes the source, so the runtime's series, histograms
+// included, leave the next snapshot. See docs/OBSERVABILITY.md for the
+// series.
 func (rt *Runtime) SetMetrics(reg *metrics.Registry) {
-	rt.SetHistograms(reg)
+	rt.Meter(reg)
 	if reg != nil {
 		c, t := rt.c, rt.t
 		rt.met.unmeter = reg.AddSource(func(s *metrics.Sink) {
@@ -143,31 +155,18 @@ func (rt *Runtime) SetMetrics(reg *metrics.Registry) {
 	}
 }
 
-// SetHistograms attaches only the runtime's pushed half to reg — its
-// histograms and site samples — replacing any earlier attachment; nil
-// detaches. The caller reports the counters and gauges from Spine copies.
-// The runtime observes into histogram cells of its own, which the registry
-// sums by name with every other runtime's at Snapshot; detaching retires
-// them into the registry's histograms, so no observation is lost.
-func (rt *Runtime) SetHistograms(reg *metrics.Registry) {
-	if m := rt.met; m != nil {
-		if m.unmeter != nil {
-			m.unmeter()
-		}
-		for _, h := range [...]*metrics.Histogram{m.allocSize, m.regionLifetime, m.barrierCycles, m.sweepSliceCycles} {
-			m.reg.RetireCell(h)
-		}
+// Meter makes the runtime metered on reg, replacing any earlier
+// attachment; nil unmeters it. A metered runtime keeps its histograms in
+// its Tally and offers every allocation to reg's site sampler. Meter
+// registers no source: the caller reports the runtime's series from Spine
+// copies, as the shard engine does.
+func (rt *Runtime) Meter(reg *metrics.Registry) {
+	if m := rt.met; m != nil && m.unmeter != nil {
+		m.unmeter()
 	}
 	rt.met = nil
-	if reg == nil {
-		return
-	}
-	rt.met = &runtimeMetrics{
-		reg:              reg,
-		allocSize:        reg.HistogramCell("regions_core_alloc_size_bytes", allocSizeBounds),
-		regionLifetime:   reg.HistogramCell("regions_core_region_lifetime_cycles", regionLifetimeBounds),
-		barrierCycles:    reg.HistogramCell("regions_core_barrier_cycles", barrierCycleBounds),
-		sweepSliceCycles: reg.HistogramCell("regions_sweep_slice_cycles", sweepSliceCycleBounds),
+	if reg != nil {
+		rt.met = &runtimeMetrics{reg: reg}
 	}
 }
 

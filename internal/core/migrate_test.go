@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"regions/internal/mem"
@@ -278,6 +279,20 @@ func TestMigratedHandleFaults(t *testing.T) {
 	checkKind(err)
 	if !r.Migrated() {
 		t.Fatal("Migrated() false on tombstone")
+	}
+}
+
+// TestMigratedHandleString: an exported handle prints as migrated, not as
+// deleted, though the shared migrated state is marked deleted too.
+func TestMigratedHandleString(t *testing.T) {
+	rt, _ := newRT(true)
+	r := rt.NewRegion()
+	rt.Ralloc(r, 8, rt.SizeCleanup(8))
+	if _, err := rt.ExportRegion(r); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.String(), fmt.Sprintf("region#%d(migrated, 0 bytes, 0 allocs)", r.id); got != want {
+		t.Errorf("exported handle prints %q, want %q", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"regions/internal/mem"
+	"regions/internal/metrics"
 	"regions/internal/stats"
 	"regions/internal/trace"
 )
@@ -115,7 +116,7 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 			Region: regionID(rnew), Aux: regionID(rold)})
 	}
 	if m != nil {
-		m.barrierCycles.Observe(rt.c.TotalCycles() - start)
+		metrics.Observe(barrierCycleBounds[:], rt.t.BarrierCycles[:], &rt.t.BarrierCyclesSum, rt.c.TotalCycles()-start)
 	}
 }
 
@@ -164,7 +165,7 @@ func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
 			Region: regionID(rnew), Aux: regionID(rold)})
 	}
 	if m != nil {
-		m.barrierCycles.Observe(rt.c.TotalCycles() - start)
+		metrics.Observe(barrierCycleBounds[:], rt.t.BarrierCycles[:], &rt.t.BarrierCyclesSum, rt.c.TotalCycles()-start)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"regions/internal/mem"
+	"regions/internal/metrics"
 	"regions/internal/stats"
 	"regions/internal/trace"
 )
@@ -181,8 +182,8 @@ func (rt *Runtime) sweepSlice(budget int) int {
 		rt.tracer.Emit(trace.Event{Kind: trace.KindSweepSlice, Region: -1,
 			Size: int32(swept), Aux: int32(rt.t.SweepDebt)})
 	}
-	if m := rt.met; m != nil {
-		m.sweepSliceCycles.Observe(rt.c.TotalCycles() - start)
+	if rt.met != nil {
+		metrics.Observe(sweepSliceCycleBounds[:], rt.t.SweepSliceCycles[:], &rt.t.SweepSliceCyclesSum, rt.c.TotalCycles()-start)
 	}
 	return swept
 }

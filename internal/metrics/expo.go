@@ -32,7 +32,8 @@ func escapeLabel(v string) string {
 
 // WritePrometheus renders s in the Prometheus text exposition format.
 // Series are emitted in the snapshot's name-sorted order; labeled series
-// sharing a base name are grouped under a single # TYPE line. The sampled
+// sharing a base name are grouped under a single # TYPE line, and a labeled
+// histogram's buckets, sum and count all carry its labels. The sampled
 // site profile appears as regions_alloc_site_objects_sampled /
 // regions_alloc_site_bytes_sampled with a site label.
 func WritePrometheus(w io.Writer, s *Snapshot) error {
@@ -55,8 +56,13 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		fmt.Fprintf(bw, "%s%s %d\n", base, labels, g.Value)
 	}
 	for _, h := range s.Histograms {
-		base, _ := baseName(h.Name)
+		base, labels := baseName(h.Name)
 		typeLine(base, "histogram")
+		// A bucket carries the histogram's own labels before its le.
+		bucketLabels := "{"
+		if labels != "" {
+			bucketLabels = labels[:len(labels)-1] + ","
+		}
 		var cum uint64
 		for _, b := range h.Buckets {
 			cum += b.Count
@@ -64,10 +70,10 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 			if b.UpperBound != 0 {
 				le = fmt.Sprintf("%d", b.UpperBound)
 			}
-			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", base, le, cum)
+			fmt.Fprintf(bw, "%s_bucket%sle=%q} %d\n", base, bucketLabels, le, cum)
 		}
-		fmt.Fprintf(bw, "%s_sum %d\n", base, h.Sum)
-		fmt.Fprintf(bw, "%s_count %d\n", base, h.Count)
+		fmt.Fprintf(bw, "%s_sum%s %d\n", base, labels, h.Sum)
+		fmt.Fprintf(bw, "%s_count%s %d\n", base, labels, h.Count)
 	}
 	if len(s.Sites) > 0 {
 		typeLine("regions_alloc_site_objects_sampled", "counter")

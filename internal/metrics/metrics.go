@@ -1,20 +1,18 @@
-// Package metrics is the always-on telemetry layer of the region runtime: a
+// Package metrics is the live telemetry layer of the region runtime: a
 // registry of counters, gauges, and fixed-bucket histograms over every
 // layer of the stack (internal/core, internal/mem, internal/gc,
-// internal/shard, internal/serve).
+// internal/shard, internal/serve), plus a sampled allocation-site profile.
 //
-// Counters and gauges are pulled. Each layer already keeps plain counts of
-// what it does — stats.Counters, the runtime's Tally, the simulated OS's
-// OSCounts, the engine's per-shard Stats — and registers a Source that reads
-// them when Snapshot runs, so no event is counted twice. Histograms and the
-// allocation-site sampler are pushed: they record one observation per
-// event (an allocation's size, a region's lifetime, a barrier's cycles),
-// which no plain count can reconstruct, behind the same nil-guarded hook
-// pattern as internal/trace. A runtime pushes into histogram cells of its
-// own (HistogramCell), which Snapshot sums by name, so shard runtimes on
-// different goroutines never write the same cache line. Either way the work
-// is host-side bookkeeping outside the simulated machine model, so a
-// metered run reports the same stats.Counters as a bare one.
+// Every series is pulled. Each layer already keeps plain counts of what it
+// does — stats.Counters, the runtime's Tally, the simulated OS's
+// OSCounts, the engine's per-shard Stats — and registers a Source that
+// reads them when Snapshot runs, so no event is counted twice. A histogram
+// is such a count too: a plain tally of buckets and a sum (Observe),
+// written only by the goroutine that owns what it measures and reported
+// by its owner's source (Sink.Histogram). Only the allocation-site sampler
+// is fed by the runtime as it allocates. Either way the work is host-side
+// bookkeeping outside the simulated machine model, so a metered run
+// reports the same stats.Counters as a bare one.
 //
 // The aggregate counters of internal/stats answer the paper's questions
 // after a run ends; this package answers "what is the runtime doing right
@@ -32,45 +30,19 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a fixed-bucket histogram of uint64 observations (byte sizes,
-// simulated cycles). Bounds are inclusive upper bounds in ascending order;
-// one implicit overflow bucket catches everything larger. Observe is
-// lock-free: a linear scan over the (small) bound slice plus three atomic
-// adds.
-type Histogram struct {
-	bounds  []uint64
-	buckets []atomic.Uint64 // len(bounds)+1; last = overflow
-	count   atomic.Uint64
-	sum     atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
+// Observe counts v in a histogram's tally over bounds, which are inclusive
+// upper bounds in ascending order: buckets holds one count per bound and
+// the overflow count last, and v lands in the first bucket whose bound it
+// does not exceed. sum accumulates v. The writes are plain, so only the
+// tally's owner observes into it; a source reads it, or a copy its owner
+// published, on the snapshotting goroutine.
+func Observe(bounds, buckets []uint64, sum *uint64, v uint64) {
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(bounds) && v > bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Bounds returns the histogram's upper bounds (not a copy; do not mutate).
-func (h *Histogram) Bounds() []uint64 { return h.bounds }
-
-// add folds o's observations into h; both have the same bounds.
-func (h *Histogram) add(o *Histogram) {
-	for i := range o.buckets {
-		h.buckets[i].Add(o.buckets[i].Load())
-	}
-	h.count.Add(o.Count())
-	h.sum.Add(o.Sum())
+	buckets[i]++
+	*sum += v
 }
 
 // siteEntry accumulates the sampled allocation-site profile. Values are
@@ -84,10 +56,11 @@ type siteEntry struct {
 // Sink receives the series the registry's sources report during one
 // Snapshot. Values reported under one name add up across sources: N shard
 // runtimes reporting regions_core_allocs_total read as their total, and so
-// does a gauge they share.
+// do a gauge and a histogram they share.
 type Sink struct {
 	counters map[string]uint64
 	gauges   map[string]int64
+	hists    map[string]*HistogramValue
 }
 
 // Counter reports v for the counter called name.
@@ -96,27 +69,45 @@ func (s *Sink) Counter(name string, v uint64) { s.counters[name] += v }
 // Gauge reports v for the gauge called name.
 func (s *Sink) Gauge(name string, v int64) { s.gauges[name] += v }
 
-// A Source reports counters and gauges read from counts its owner keeps
-// anyway. The registry calls it at every Snapshot, on the snapshotting
-// goroutine, so a source either reads state that goroutine may touch or
-// copies taken under its owner's lock.
+// Histogram reports the histogram called name: buckets is the tally
+// Observe kept over bounds, and sum the total of the values it counted.
+// Histograms of one name add up bucket by bucket, so every source that
+// reports a name must use the same bounds, which must ascend.
+func (s *Sink) Histogram(name string, bounds, buckets []uint64, sum uint64) {
+	h := s.hists[name]
+	if h == nil {
+		h = &HistogramValue{Name: name, Buckets: make([]BucketValue, len(bounds)+1)}
+		for i, b := range bounds {
+			if i > 0 && b <= bounds[i-1] {
+				panic("metrics: histogram bounds must be ascending")
+			}
+			h.Buckets[i].UpperBound = b
+		}
+		s.hists[name] = h
+	}
+	if len(buckets) != len(h.Buckets) || len(bounds)+1 != len(h.Buckets) {
+		panic("metrics: histogram " + name + " reported over different bounds")
+	}
+	for i, n := range buckets {
+		h.Buckets[i].Count += n
+		h.Count += n
+	}
+	h.Sum += sum
+}
+
+// A Source reports series read from counts its owner keeps anyway. The
+// registry calls it at every Snapshot, on the snapshotting goroutine, so a
+// source either reads state that goroutine may touch or copies taken under
+// its owner's lock.
 type Source func(*Sink)
 
-// Registry is a named collection of metrics. Counters and gauges come from
-// sources (AddSource); Histogram is get-or-create and takes the registry
-// lock, and the returned pointer is what hot paths hold on to, so
-// observations never touch the lock or the name maps. HistogramCell gives
-// one owner a histogram of its own under a shared name. Names follow Prometheus conventions and may carry a label suffix
+// Registry is a named collection of metrics: the sources that report its
+// series (AddSource) and the allocation-site sampler. Names follow
+// Prometheus conventions and may carry a label suffix
 // (`regions_shard_tasks_total{shard="0"}`); series sharing a base name are
 // grouped under one # TYPE line by WritePrometheus.
 type Registry struct {
-	mu    sync.Mutex
-	hists map[string]*Histogram
-	// cells maps each live histogram cell to its name (see HistogramCell).
-	cells map[*Histogram]string
-	// bounds holds each histogram name's bounds, which its histogram and
-	// its cells share.
-	bounds     map[string][]uint64
+	mu         sync.Mutex
 	sources    map[int]Source
 	nextSource int
 	siteEvery  atomic.Int64
@@ -128,9 +119,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		hists:   map[string]*Histogram{},
-		cells:   map[*Histogram]string{},
-		bounds:  map[string][]uint64{},
 		sources: map[int]Source{},
 		sites:   map[string]*siteEntry{},
 	}
@@ -148,70 +136,6 @@ func (r *Registry) AddSource(src Source) (remove func()) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		delete(r.sources, id)
-	}
-}
-
-// Histogram returns the histogram named name, creating it with the given
-// upper bounds if needed. Bounds must be ascending; they are copied. A name
-// that already has a histogram or cells keeps its original bounds.
-func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.histogram(name, bounds)
-}
-
-// histogram is Histogram with r.mu held.
-func (r *Registry) histogram(name string, bounds []uint64) *Histogram {
-	h, ok := r.hists[name]
-	if !ok {
-		h = r.newHistogram(name, bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// newHistogram returns an empty histogram over the bounds name already
-// has, or, for a new name, over a copy of bounds, which must be ascending.
-// r.mu is held.
-func (r *Registry) newHistogram(name string, bounds []uint64) *Histogram {
-	b, ok := r.bounds[name]
-	if !ok {
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic("metrics: histogram bounds must be ascending")
-			}
-		}
-		b = append([]uint64(nil), bounds...)
-		r.bounds[name] = b
-	}
-	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
-}
-
-// HistogramCell returns a new histogram that only its caller observes
-// into, reported under name: Snapshot sums every cell of a name with the
-// registry's own Histogram of that name, the way it sums same-name
-// counters across sources. An owner on its own goroutine (a shard runtime)
-// then never contends with another for the cell's cache lines. Bounds
-// follow Histogram's rule: a name that already exists keeps its original
-// bounds. RetireCell takes the cell out again.
-func (r *Registry) HistogramCell(name string, bounds []uint64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.newHistogram(name, bounds)
-	r.cells[h] = name
-	return h
-}
-
-// RetireCell removes cell h and folds its observations into the registry's
-// own histogram of h's name, so a detached owner's history stays in every
-// later snapshot. Its owner must have stopped observing into h. Retiring a
-// histogram that is not a live cell does nothing.
-func (r *Registry) RetireCell(h *Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name, ok := r.cells[h]; ok {
-		delete(r.cells, h)
-		r.histogram(name, nil).add(h)
 	}
 }
 

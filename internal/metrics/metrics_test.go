@@ -39,32 +39,37 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		}
 	}
 
-	h := r.Histogram("h", []uint64{10, 100})
+	bounds := []uint64{10, 100}
+	buckets := make([]uint64, len(bounds)+1)
+	var sum uint64
 	for _, v := range []uint64{1, 10, 11, 100, 101, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 6 || h.Sum() != 1+10+11+100+101+5000 {
-		t.Errorf("histogram count/sum = %d/%d", h.Count(), h.Sum())
+		Observe(bounds, buckets, &sum, v)
 	}
 	// Bounds are inclusive: 10 lands in the first bucket, 101 overflows.
-	want := []uint64{2, 2, 2}
-	for i := range h.buckets {
-		if got := h.buckets[i].Load(); got != want[i] {
-			t.Errorf("bucket[%d] = %d, want %d", i, got, want[i])
-		}
+	if want := []uint64{2, 2, 2}; !slices.Equal(buckets, want) || sum != 1+10+11+100+101+5000 {
+		t.Errorf("tally = %v sum %d, want %v sum %d", buckets, sum, want, 1+10+11+100+101+5000)
 	}
-	if r.Histogram("h", nil) != h {
-		t.Error("Histogram is not get-or-create")
+	r.AddSource(func(s *Sink) { s.Histogram("h", bounds, buckets, sum) })
+	h, ok := r.Snapshot().Histogram("h")
+	want := []BucketValue{{10, 2}, {100, 2}, {0, 2}}
+	if !ok || h.Count != 6 || h.Sum != sum || !slices.Equal(h.Buckets, want) {
+		t.Errorf("Histogram(h) = %+v,%v, want 6 observations summing to %d in %v", h, ok, sum, want)
 	}
 }
 
+// panics reports whether f panics.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
 func TestHistogramRejectsUnsortedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-ascending bounds")
-		}
-	}()
-	NewRegistry().Histogram("bad", []uint64{10, 10})
+	r := NewRegistry()
+	r.AddSource(func(s *Sink) { s.Histogram("bad", []uint64{10, 10}, make([]uint64, 3), 0) })
+	if !panics(func() { r.Snapshot() }) {
+		t.Fatal("no panic for non-ascending bounds")
+	}
 }
 
 func TestSnapshotLookupAndDiff(t *testing.T) {
@@ -76,7 +81,9 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 		s.Counter("b_total{x=\"2\"}", 4)
 		s.Gauge("live", live)
 	})
-	r.Histogram("sizes", []uint64{16, 64}).Observe(20)
+	sizeBounds, sizes, sizeSum := []uint64{16, 64}, make([]uint64, 3), uint64(0)
+	r.AddSource(func(s *Sink) { s.Histogram("sizes", sizeBounds, sizes, sizeSum) })
+	Observe(sizeBounds, sizes, &sizeSum, 20)
 	r.SetSiteSampling(1)
 	for i := 0; i < 3; i++ {
 		r.SampleAlloc("x", 8)
@@ -108,7 +115,7 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 
 	a += 5
 	live = 9
-	r.Histogram("sizes", nil).Observe(100)
+	Observe(sizeBounds, sizes, &sizeSum, 100)
 	r.SampleAlloc("x", 8)
 	r.SampleAlloc("x", 8)
 	r.SampleAlloc("z", 4)
@@ -160,32 +167,31 @@ func TestSourcesSumAndRemove(t *testing.T) {
 	}
 }
 
-// TestHistogramCellsSumAndRetire: cells of one name read as one histogram,
-// summed with the registry's own histogram of that name, exactly as a
-// single shared histogram fed the same observations; a retired cell's
-// observations stay in the sum, and a cell keeps the bounds its name
-// already has.
-func TestHistogramCellsSumAndRetire(t *testing.T) {
+// TestHistogramsSumAcrossSources: histograms several sources report under
+// one name read as one histogram fed every observation, a removed source's
+// observations leave with it, and a source that reports a name over other
+// bounds panics.
+func TestHistogramsSumAcrossSources(t *testing.T) {
 	bounds := []uint64{10, 100}
 	obs := [][]uint64{{1, 10, 11}, {100, 101}, {5000, 7}}
-	shared := NewRegistry()
-	for _, vs := range obs {
-		for _, v := range vs {
-			shared.Histogram("h", bounds).Observe(v)
-		}
+	type tally struct {
+		buckets [3]uint64
+		sum     uint64
 	}
+	var all tally
+	shared := NewRegistry()
+	shared.AddSource(func(s *Sink) { s.Histogram("h", bounds, all.buckets[:], all.sum) })
 	r := NewRegistry()
-	own := r.Histogram("h", bounds)
-	cells := []*Histogram{own, r.HistogramCell("h", bounds), r.HistogramCell("h", []uint64{1, 2, 3})}
+	own := make([]tally, len(obs))
+	var remove []func()
 	for i, vs := range obs {
 		for _, v := range vs {
-			cells[i].Observe(v)
+			Observe(bounds, all.buckets[:], &all.sum, v)
+			Observe(bounds, own[i].buckets[:], &own[i].sum, v)
 		}
+		tl := &own[i]
+		remove = append(remove, r.AddSource(func(s *Sink) { s.Histogram("h", bounds, tl.buckets[:], tl.sum) }))
 	}
-	if got := cells[2].Bounds(); !slices.Equal(got, bounds) {
-		t.Errorf("a cell under an existing name has bounds %v, want %v", got, bounds)
-	}
-	want := shared.Snapshot()
 	expo := func(s *Snapshot) string {
 		var buf bytes.Buffer
 		if err := WritePrometheus(&buf, s); err != nil {
@@ -193,18 +199,17 @@ func TestHistogramCellsSumAndRetire(t *testing.T) {
 		}
 		return buf.String()
 	}
-	if got := r.Snapshot(); expo(got) != expo(want) {
-		t.Errorf("cells expose\n%s\nwant the shared histogram's\n%s", expo(got), expo(want))
+	if got, want := expo(r.Snapshot()), expo(shared.Snapshot()); got != want {
+		t.Errorf("three sources expose\n%s\nwant the one histogram's\n%s", got, want)
 	}
-	r.RetireCell(cells[1])
-	r.RetireCell(cells[1]) // no longer a cell: nothing happens
-	r.RetireCell(own)      // not a cell
-	if got := r.Snapshot(); expo(got) != expo(want) {
-		t.Errorf("after retiring a cell\n%s\nwant\n%s", expo(got), expo(want))
+	remove[1]()
+	if h, _ := r.Snapshot().Histogram("h"); h.Count != 5 || h.Sum != 1+10+11+5000+7 {
+		t.Errorf("after removing a source: %d observations summing to %d, want 5 summing to %d",
+			h.Count, h.Sum, 1+10+11+5000+7)
 	}
-	cells[1].Observe(1) // a retired cell is not read again
-	if h, _ := r.Snapshot().Histogram("h"); h.Count != 7 {
-		t.Errorf("count %d after an observation into a retired cell, want 7", h.Count)
+	r.AddSource(func(s *Sink) { s.Histogram("h", []uint64{10}, make([]uint64, 2), 0) })
+	if !panics(func() { r.Snapshot() }) {
+		t.Error("no panic for a histogram reported over different bounds")
 	}
 }
 
@@ -241,10 +246,11 @@ func TestWritePrometheusGolden(t *testing.T) {
 		s.Counter(`regions_demo_tasks_total{shard="1"}`, 8)
 		s.Gauge("regions_demo_live_regions", 3)
 	})
-	h := r.Histogram("regions_demo_alloc_size_bytes", []uint64{16, 256})
+	bounds, buckets, sum := []uint64{16, 256}, make([]uint64, 3), uint64(0)
 	for _, v := range []uint64{8, 16, 200, 5000} {
-		h.Observe(v)
+		Observe(bounds, buckets, &sum, v)
 	}
+	r.AddSource(func(s *Sink) { s.Histogram("regions_demo_alloc_size_bytes", bounds, buckets, sum) })
 	r.SetSiteSampling(1)
 	r.SampleAlloc(`site "with" quotes\`, 48)
 	r.SampleAlloc("plain", 16)
@@ -268,10 +274,40 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusLabeledHistogram: a labeled histogram's buckets carry
+// its labels before le, and its sum and count carry them too, so histograms
+// that differ only in a label stay apart in the exposition.
+func TestWritePrometheusLabeledHistogram(t *testing.T) {
+	r := NewRegistry()
+	r.AddSource(func(s *Sink) {
+		s.Histogram(`x{phase="queue"}`, []uint64{10}, []uint64{1, 0}, 3)
+		s.Histogram(`x{phase="work"}`, []uint64{10}, []uint64{1, 1}, 50)
+	})
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE x histogram
+x_bucket{phase="queue",le="10"} 1
+x_bucket{phase="queue",le="+Inf"} 1
+x_sum{phase="queue"} 3
+x_count{phase="queue"} 1
+x_bucket{phase="work",le="10"} 1
+x_bucket{phase="work",le="+Inf"} 2
+x_sum{phase="work"} 50
+x_count{phase="work"} 2
+`
+	if got := buf.String(); got != want {
+		t.Errorf("labeled histograms render as\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
-	r.AddSource(func(s *Sink) { s.Counter("a_total", 2) })
-	r.Histogram("h", []uint64{10}).Observe(3)
+	r.AddSource(func(s *Sink) {
+		s.Counter("a_total", 2)
+		s.Histogram("h", []uint64{10}, []uint64{1, 0}, 3)
+	})
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -304,27 +340,45 @@ func TestHandlerServesScrape(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates exercises the lock-free update paths under the race
-// detector: many goroutines hammering a shared histogram, their own
-// histogram cells and a count a source reads, while another snapshots and
-// renders.
+// TestConcurrentUpdates exercises the update paths under the race
+// detector the way the shard engine uses them: goroutines keep histogram
+// tallies of their own and publish copies under a lock, which a source
+// reads, beside a count a source reads and the shared site sampler, while
+// another goroutine snapshots and renders.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	r.SetSiteSampling(2)
+	bounds := []uint64{8, 64}
+	type tally struct {
+		buckets [3]uint64
+		sum     uint64
+	}
+	var mu sync.Mutex
+	published := make([]tally, 4)
 	var n atomic.Uint64
-	r.AddSource(func(s *Sink) { s.Counter("shared_total", n.Load()) })
+	r.AddSource(func(s *Sink) {
+		s.Counter("shared_total", n.Load())
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range published {
+			s.Histogram("owned_hist", bounds, published[i].buckets[:], published[i].sum)
+		}
+	})
 	var writers sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for i := range published {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
-			h := r.Histogram("shared_hist", []uint64{8, 64})
-			cell := r.HistogramCell("cell_hist", []uint64{8, 64})
+			var own tally
 			for j := 0; j < 5000; j++ {
 				n.Add(1)
-				h.Observe(uint64(j % 100))
-				cell.Observe(uint64(j % 100))
+				Observe(bounds, own.buckets[:], &own.sum, uint64(j%100))
 				r.SampleAlloc("site", 16)
+				if j%100 == 99 {
+					mu.Lock()
+					published[i] = own
+					mu.Unlock()
+				}
 			}
 		}()
 	}
@@ -354,7 +408,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got, _ := snap.Counter("shared_total"); got != 4*5000 {
 		t.Errorf("shared_total = %d, want %d", got, 4*5000)
 	}
-	if h, _ := snap.Histogram("cell_hist"); h == nil || h.Count != 4*5000 {
-		t.Errorf("cell_hist = %+v, want %d observations", h, 4*5000)
+	if h, _ := snap.Histogram("owned_hist"); h == nil || h.Count != 4*5000 {
+		t.Errorf("owned_hist = %+v, want %d observations", h, 4*5000)
 	}
 }

@@ -47,11 +47,10 @@ type SiteSample struct {
 }
 
 // Snapshot is one consistent-enough view of a registry: every source is
-// read once, every histogram bucket with a single atomic load, and series are
-// name-sorted so two snapshots diff line by line. A source reports its
-// counts as of one instant (the shard engine's, for example, as of each
-// shard's last completed task); skew between sources is bounded by the
-// work in flight while they are read.
+// read once, and series are name-sorted so two snapshots diff line by line.
+// A source reports its counts as of one instant (the shard engine's, for
+// example, as of each shard's last completed task); skew between sources
+// is bounded by the work in flight while they are read.
 type Snapshot struct {
 	SchemaVersion int              `json:"schema_version"`
 	Counters      []CounterValue   `json:"counters"`
@@ -60,43 +59,18 @@ type Snapshot struct {
 	Sites         []SiteSample     `json:"sites,omitempty"`
 }
 
-// Snapshot captures the registry's current values: it calls every source
-// and reads every histogram. Histogram cells of one name read as their
-// sum, with the registry's own histogram of that name.
+// Snapshot captures the registry's current values: it calls every source,
+// summing the series they report under one name, and copies the site
+// profile.
 func (r *Registry) Snapshot() *Snapshot {
-	sink := Sink{counters: map[string]uint64{}, gauges: map[string]int64{}}
+	sink := Sink{counters: map[string]uint64{}, gauges: map[string]int64{},
+		hists: map[string]*HistogramValue{}}
 	r.mu.Lock()
 	sources := make([]Source, 0, len(r.sources))
 	for _, src := range r.sources {
 		sources = append(sources, src)
 	}
-	byName := make(map[string]*HistogramValue, len(r.hists)+len(r.cells))
-	read := func(name string, h *Histogram) {
-		hv := byName[name]
-		if hv == nil {
-			hv = &HistogramValue{Name: name, Buckets: make([]BucketValue, len(h.buckets))}
-			for i, b := range h.bounds {
-				hv.Buckets[i].UpperBound = b
-			}
-			byName[name] = hv
-		}
-		hv.Count += h.Count()
-		hv.Sum += h.Sum()
-		for i := range h.buckets {
-			hv.Buckets[i].Count += h.buckets[i].Load()
-		}
-	}
-	for name, h := range r.hists {
-		read(name, h)
-	}
-	for h, name := range r.cells {
-		read(name, h)
-	}
 	r.mu.Unlock()
-	hists := make([]HistogramValue, 0, len(byName))
-	for _, hv := range byName {
-		hists = append(hists, *hv)
-	}
 	for _, src := range sources {
 		src(&sink)
 	}
@@ -108,6 +82,10 @@ func (r *Registry) Snapshot() *Snapshot {
 	gauges := make([]GaugeValue, 0, len(sink.gauges))
 	for name, v := range sink.gauges {
 		gauges = append(gauges, GaugeValue{Name: name, Value: v})
+	}
+	hists := make([]HistogramValue, 0, len(sink.hists))
+	for _, h := range sink.hists {
+		hists = append(hists, *h)
 	}
 	sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
 	sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })

@@ -330,26 +330,31 @@ type Result struct {
 	FirstOverload error `json:"-"`
 }
 
-// latencyBounds are the fixed histogram buckets for request latency:
-// power-of-two simulated-cycle bounds from 2 Kcycles to 2 Gcycles.
-var latencyBounds = func() []uint64 {
-	var b []uint64
-	for s := uint(11); s <= 31; s++ {
-		b = append(b, 1<<s)
+// latencyBounds are the fixed histogram buckets for request latency and
+// phases: power-of-two simulated-cycle bounds from 2 Kcycles to 2 Gcycles.
+var latencyBounds = func() (b [21]uint64) {
+	for i := range b {
+		b[i] = 1 << (11 + i)
 	}
 	return b
 }()
 
-// server is one serving run: its configuration, the histogram handles of
-// the caller's registry (nil without one), the board its shards publish
-// their tallies to, the sessions' latencies and phase records, the engine
-// and per-shard states it drives, and, in tenant mode, the driver-side
-// tenant table.
+// hist is one shard's histogram over latencyBounds: a metrics.Observe
+// tally and its total.
+type hist struct {
+	buckets [len(latencyBounds) + 1]uint64
+	sum     uint64
+}
+
+func (h *hist) observe(v uint64) { metrics.Observe(latencyBounds[:], h.buckets[:], &h.sum, v) }
+
+// server is one serving run: its configuration, the board its shards
+// publish their tallies to when metered, the sessions' latencies and phase
+// records, the engine and per-shard states it drives, and, in tenant mode,
+// the driver-side tenant table.
 type server struct {
-	cfg       Config
-	latency   *metrics.Histogram
-	phaseHist []*metrics.Histogram // indexed by trace.SpanKind; Spans only
-	board     *board
+	cfg   Config
+	board *board
 
 	// lat is every session's latency, indexed by session id: account writes
 	// a completed session's, and shedMark for a shed one. recs is every
@@ -442,12 +447,17 @@ type shardState struct {
 	firstOverload error
 	firstSID      int
 
-	slot *slot // on the server's board
+	// latency and phases are the shard's histograms, and slot its place on
+	// the server's board, all nil unless the run is metered; phases,
+	// indexed by trace.SpanKind, is nil also without Config.Spans.
+	latency *hist
+	phases  []hist
+	slot    *slot
 }
 
-// board is where shards publish their serving tallies for the run's
-// metrics source, at the end of every completion callback, so a live
-// scrape reads them without a per-event atomic.
+// board is where the shards of a metered run publish their serving
+// tallies for the run's metrics source, at the end of every completion
+// callback, so a live scrape reads them without a per-event atomic.
 type board struct {
 	mu    sync.Mutex
 	slots []*slot
@@ -458,6 +468,8 @@ type slot struct {
 	stats     ShardStats
 	sloMisses uint64
 	depth     int
+	latency   hist
+	phases    []hist
 }
 
 // emit is the run's metrics source.
@@ -472,21 +484,39 @@ func (b *board) emit(s *metrics.Sink) {
 		s.Counter(`regions_serve_shed_total{reason="oom"}`, sl.stats.ShedOOM)
 		s.Counter("regions_serve_slo_miss_total", sl.sloMisses)
 		s.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, sl.stats.Shard), int64(sl.depth))
+		s.Histogram("regions_serve_latency_cycles", latencyBounds[:], sl.latency.buckets[:], sl.latency.sum)
+		if sl.phases != nil {
+			for _, k := range trace.SpanKinds() {
+				s.Histogram(fmt.Sprintf(`regions_serve_phase_cycles{phase=%q}`, k),
+					latencyBounds[:], sl.phases[k].buckets[:], sl.phases[k].sum)
+			}
+		}
 	}
 }
 
-// add gives st a slot on the board.
-func (b *board) add(st *shardState) {
+// add meters st: it gives st its histograms, phases only under spans, and
+// a slot on the board.
+func (b *board) add(st *shardState, spans bool) {
+	st.latency = &hist{}
+	st.slot = &slot{stats: st.stats}
+	if spans {
+		st.phases = make([]hist, trace.NumSpanKinds)
+		st.slot.phases = make([]hist, trace.NumSpanKinds)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st.slot = &slot{stats: st.stats}
 	b.slots = append(b.slots, st.slot)
 }
 
-// publish copies st's tally into its slot.
+// publish copies st's tally into its slot, if it has one.
 func (b *board) publish(st *shardState) {
+	sl := st.slot
+	if sl == nil {
+		return
+	}
 	b.mu.Lock()
-	*st.slot = slot{stats: st.stats, sloMisses: st.sloMisses, depth: st.depth}
+	sl.stats, sl.sloMisses, sl.depth, sl.latency = st.stats, st.sloMisses, st.depth, *st.latency
+	copy(sl.phases, st.phases)
 	b.mu.Unlock()
 }
 
@@ -541,24 +571,15 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// newServer resolves a validated config into a server: the histogram
-// handles and metrics source on the caller's registry, checksum mode, and
-// tenant table.
+// newServer resolves a validated config into a server: the metrics source
+// on the caller's registry, checksum mode, and tenant table.
 func newServer(cfg Config) *server {
 	sv := &server{cfg: cfg, board: &board{}, lat: make([]uint64, cfg.Sessions)}
 	if cfg.Spans {
 		sv.recs = make([]phaseRecord, cfg.Sessions)
 	}
-	if reg := cfg.Metrics; reg != nil {
-		sv.latency = reg.Histogram("regions_serve_latency_cycles", latencyBounds)
-		reg.AddSource(sv.board.emit)
-		if cfg.Spans {
-			sv.phaseHist = make([]*metrics.Histogram, trace.NumSpanKinds)
-			for _, k := range trace.SpanKinds() {
-				sv.phaseHist[k] = reg.Histogram(
-					fmt.Sprintf(`regions_serve_phase_cycles{phase=%q}`, k.String()), latencyBounds)
-			}
-		}
+	if cfg.Metrics != nil {
+		cfg.Metrics.AddSource(sv.board.emit)
 	}
 	if p := profileByName(cfg.Profile); p != nil && p.recycle {
 		// Recycling frees mid-request, so pooled and unpooled runs allocate
@@ -629,7 +650,9 @@ func (sv *server) newShardState(i int) *shardState {
 		},
 	}
 	st.stats.Shard = i
-	sv.board.add(st)
+	if sv.cfg.Metrics != nil {
+		sv.board.add(st, sv.cfg.Spans)
+	}
 	return st
 }
 
@@ -998,9 +1021,9 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 
 // complete is the engine completion callback: it accounts the session in
 // service, keeps the shard's first task failure with its session's id, and
-// publishes the shard's tally. Pinned tasks deliver Done calls in FIFO
-// order on the shard goroutine, so this is single-threaded per shard by
-// construction.
+// on a metered run publishes the shard's tally. Pinned tasks deliver Done
+// calls in FIFO order on the shard goroutine, so this is single-threaded
+// per shard by construction.
 func (sv *server) complete(st *shardState, res shard.TaskResult) {
 	if res.Err != nil && st.taskErr == nil {
 		st.taskErr = fmt.Errorf("session %d: %w", st.cur.id, res.Err)
@@ -1069,17 +1092,17 @@ func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 	st.stats.Completed++
 	latency := completion - s.arrival
 	sv.lat[s.id] = latency
-	if sv.latency != nil {
-		sv.latency.Observe(latency)
+	if st.latency != nil {
+		st.latency.observe(latency)
 	}
 	if latency > sv.cfg.SLOP99 {
 		st.sloMisses++
 	}
 	if rec := sv.record(s); rec != nil {
 		rec.settle(s, latency, prevBusy, start)
-		if sv.phaseHist != nil {
+		if st.phases != nil {
 			for _, k := range trace.SpanKinds() {
-				sv.phaseHist[k].Observe(rec.phases[k])
+				st.phases[k].observe(rec.phases[k])
 			}
 		}
 	}

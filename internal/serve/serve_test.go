@@ -13,6 +13,7 @@ import (
 	"regions/internal/mem"
 	"regions/internal/metrics"
 	"regions/internal/race"
+	"regions/internal/trace"
 )
 
 // testConfig is a small, fast serving run used by most tests.
@@ -185,13 +186,14 @@ func TestServeMetricsCounters(t *testing.T) { checkServeMetrics(t, false) }
 func TestServeMetricsUnderConcurrentScrape(t *testing.T) { checkServeMetrics(t, true) }
 
 // checkServeMetrics runs a page-limited serving run (completions and OOM
-// sheds) into a fresh registry, scraped throughout when scrape is set, and
-// checks the serve series against the result.
+// sheds) with spans into a fresh registry, scraped throughout when scrape
+// is set, and checks the serve series and histograms against the result.
 func checkServeMetrics(t *testing.T, scrape bool) {
 	reg := metrics.NewRegistry()
 	cfg := testConfig()
 	cfg.Sessions = 500
 	cfg.PageLimit = 3 // force a mixed outcome: completions and OOM sheds
+	cfg.Spans = true  // the shards keep and publish phase histograms too
 	cfg.Metrics = reg
 	stop := make(chan struct{})
 	scraped := make(chan error, 1)
@@ -243,6 +245,17 @@ func checkServeMetrics(t *testing.T, scrape bool) {
 	}
 	if _, ok := snap.Gauge(`regions_serve_queue_depth{shard="0"}`); !ok {
 		t.Error("queue depth gauge missing for shard 0")
+	}
+	// Every completed session is one observation of its latency and of
+	// each of its phases.
+	hists := []string{"regions_serve_latency_cycles"}
+	for _, k := range trace.SpanKinds() {
+		hists = append(hists, fmt.Sprintf(`regions_serve_phase_cycles{phase=%q}`, k))
+	}
+	for _, name := range hists {
+		if h, ok := snap.Histogram(name); !ok || h.Count != uint64(res.Completed) {
+			t.Errorf("histogram %s = %+v (present %v), want %d observations", name, h, ok, res.Completed)
+		}
 	}
 }
 

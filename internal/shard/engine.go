@@ -108,20 +108,26 @@ type Aggregate struct {
 	PerShard    []Stats
 }
 
-// board is where workers publish their counts for the engine's metrics
-// source. After every task, and once more after the close-time drain, a
-// worker copies its runtime's spine, its OS counts and its Stats into its
-// slot; the source reads the slots, the live queue lengths, the migration
-// tallies and, after Close, the aggregate. So a live scrape is race-free
-// without a per-event atomic, and since the board holds no runtime, a
-// registry that outlives the engine does not keep the shard heaps alive.
+// board is where a metered engine's workers publish their counts for its
+// metrics source. After every task, and once more after the close-time
+// drain, a worker copies its runtime's spine, its OS counts and its Stats
+// into its slot; the source reads the slots, the live queue lengths, the
+// migration tallies and, after Close, the aggregate. So a live scrape is
+// race-free without a per-event atomic, and since the board holds no
+// runtime, a registry that outlives the engine does not keep the shard
+// heaps alive. Only that source reads the slots, so an unmetered engine's
+// workers have none and publish nothing.
 type board struct {
 	mu    sync.Mutex
-	slots []*slot // by worker id
+	slots []*slot // by worker id; metered engines only
 	agg   *Aggregate
 
-	migrations    atomic.Uint64
-	migratedPages atomic.Uint64
+	// migrations and migratedPages count the completed migrations and the
+	// pages they moved; migCycles tallies their simulated cost (metered
+	// engines only), with its total in migCyclesSum.
+	migrations, migratedPages uint64
+	migCycles                 [len(migrationCycleBounds) + 1]uint64
+	migCyclesSum              uint64
 }
 
 // slot is one worker's published counts.
@@ -147,8 +153,9 @@ func (b *board) emit(s *metrics.Sink) {
 		s.Counter("regions_shard_steals_total"+sl.label, sl.stats.Steals)
 		s.Gauge("regions_shard_queue_depth"+sl.label, int64(sl.dq.len()+sl.pinned.len()))
 	}
-	s.Counter("regions_migrations_total", b.migrations.Load())
-	s.Counter("regions_migrated_pages_total", b.migratedPages.Load())
+	s.Counter("regions_migrations_total", b.migrations)
+	s.Counter("regions_migrated_pages_total", b.migratedPages)
+	s.Histogram("regions_migration_cycles", migrationCycleBounds[:], b.migCycles[:], b.migCyclesSum)
 	if agg := b.agg; agg != nil {
 		s.Gauge("regions_shard_makespan_cycles", int64(agg.MakespanCycles))
 		if agg.MakespanCycles > 0 && agg.Shards > 0 {
@@ -165,18 +172,21 @@ type worker struct {
 	pinned  *deque // pinned tasks: FIFO, never stolen
 	npinned atomic.Int64
 	stats   Stats
-	slot    *slot // on the engine's board
+	slot    *slot // on the engine's board; nil unless metered
 
 	profEvery int
 	lastProf  atomic.Value // *metrics.HeapReport
 }
 
-// publish copies w's counts into its slot; busy is the shard clock at the
-// end of its last task. It does not allocate.
+// publish copies w's counts into its slot, if it has one; busy is the
+// shard clock at the end of its last task. It does not allocate.
 func (w *worker) publish(b *board, busy uint64) {
+	sl := w.slot
+	if sl == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	sl := w.slot
 	sl.spine = w.env.Runtime().Spine()
 	sl.os = w.env.Space().OSCounts()
 	sl.stats, sl.busy = w.stats, busy
@@ -216,8 +226,7 @@ type Engine struct {
 	// resizeMu serializes Resize, MigrateRegion, and Close.
 	resizeMu sync.Mutex
 
-	board     *board
-	migCycles *metrics.Histogram // nil unless metered (see migrate.go)
+	board *board
 }
 
 // NewEngine starts an engine configured by functional options (see
@@ -233,9 +242,8 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	e := &Engine{set: s, board: &board{}}
 	e.cond = sync.NewCond(&e.mu)
-	if reg := s.metrics; reg != nil {
-		e.migCycles = reg.Histogram("regions_migration_cycles", migrationCycleBounds)
-		reg.AddSource(e.board.emit)
+	if s.metrics != nil {
+		s.metrics.AddSource(e.board.emit)
 	}
 	ws := make([]*worker, s.shards)
 	for i := range ws {
@@ -252,7 +260,8 @@ func NewEngine(opts ...Option) *Engine {
 }
 
 // newWorker builds (but does not start) the worker at position id from the
-// engine's resolved settings and gives it a slot on the board.
+// engine's resolved settings and, on a metered engine, gives it a slot on
+// the board.
 func (e *Engine) newWorker(id int) *worker {
 	rt := core.NewRuntimeOpts(mem.NewSpace(&stats.Counters{}), core.Options{
 		Safe:           true,
@@ -269,13 +278,15 @@ func (e *Engine) newWorker(id int) *worker {
 		pinned:    newDeque(queueCap),
 		profEvery: e.set.heapProfileEvery,
 	}
-	w.env.Runtime().SetHistograms(e.set.metrics)
 	w.stats.Shard = id
-	w.slot = &slot{label: fmt.Sprintf(`{shard="%d"}`, id), dq: w.dq, pinned: w.pinned}
-	w.publish(e.board, 0)
-	e.board.mu.Lock()
-	e.board.slots = append(e.board.slots, w.slot)
-	e.board.mu.Unlock()
+	if e.set.metrics != nil {
+		w.env.Runtime().Meter(e.set.metrics)
+		w.slot = &slot{label: fmt.Sprintf(`{shard="%d"}`, id), dq: w.dq, pinned: w.pinned}
+		w.publish(e.board, 0)
+		e.board.mu.Lock()
+		e.board.slots = append(e.board.slots, w.slot)
+		e.board.mu.Unlock()
+	}
 	return w
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
+	"regions/internal/metrics"
 )
 
 // This file is the engine's elastic-sharding layer: live migration of
@@ -31,7 +32,7 @@ import (
 
 // migrationCycleBounds buckets the simulated cost of one migration
 // (export + import task cycles) for the regions_migration_cycles histogram.
-var migrationCycleBounds = []uint64{
+var migrationCycleBounds = [...]uint64{
 	1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20,
 }
 
@@ -55,7 +56,9 @@ type Migration struct {
 // Migrations returns the engine's totals: completed migrations and pages
 // moved.
 func (e *Engine) Migrations() (count, pages uint64) {
-	return e.board.migrations.Load(), e.board.migratedPages.Load()
+	e.board.mu.Lock()
+	defer e.board.mu.Unlock()
+	return e.board.migrations, e.board.migratedPages
 }
 
 // onShard runs step as a pinned task on w, giving it exclusive use of w's
@@ -151,11 +154,14 @@ func (e *Engine) MigrateRegion(r *core.Region, from, to int) (Migration, error) 
 		return Migration{}, fmt.Errorf("shard: import into shard %d (rolled back): %w", to, err)
 	}
 	m.Cycles += cycles
-	e.board.migrations.Add(1)
-	e.board.migratedPages.Add(uint64(m.Pages))
-	if e.migCycles != nil {
-		e.migCycles.Observe(m.Cycles)
+	b := e.board
+	b.mu.Lock()
+	b.migrations++
+	b.migratedPages += uint64(m.Pages)
+	if e.set.metrics != nil {
+		metrics.Observe(migrationCycleBounds[:], b.migCycles[:], &b.migCyclesSum, m.Cycles)
 	}
+	b.mu.Unlock()
 	return m, nil
 }
 

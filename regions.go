@@ -611,15 +611,16 @@ type HeapReport = metrics.HeapReport
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // SetMetrics attaches reg to the system, replacing any earlier registry;
-// pass nil to detach. The registry reads the counters and gauges from the
-// counts the runtime and its simulated OS keep anyway, at every Snapshot —
-// totals since New, whenever the registry was attached — and the system
-// pushes histogram observations as it works. Because Snapshot reads the
-// system's own counts, call it from the goroutine that uses the system, or
-// after it is done. Detaching removes the system's series from later
-// snapshots. Like tracing, metrics are host-side observability: a system
-// without a registry pays one nil check per histogram site, and a metered
-// run charges exactly the same simulated cycles as a bare one.
+// pass nil to detach. The registry reads every series from the counts the
+// runtime and its simulated OS keep anyway, at every Snapshot: counters are
+// totals since New, whenever the registry was attached, and histograms
+// count what happened while the system was metered. Because Snapshot reads
+// the system's own counts, call it from the goroutine that uses the system,
+// or after it is done. Detaching removes the system's series, histograms
+// included, from later snapshots. Like tracing, metrics are host-side
+// observability: a system without a registry pays one nil check per
+// histogram site, and a metered run charges exactly the same simulated
+// cycles as a bare one.
 func (s *System) SetMetrics(reg *MetricsRegistry) {
 	s.rt.SetMetrics(reg)
 	s.sp.SetMetrics(reg)
