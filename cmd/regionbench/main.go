@@ -4,10 +4,15 @@
 //
 // Usage:
 //
-//	regionbench [-scale-div N] [-table N | -figure N | -all]
+//	regionbench [-scale-div N] [-table N] [-figure N] [-all] [-ablation]
+//	            [-related] [-json] [-verify=false]
 //
 // With -scale-div 1 (the default) the workloads are paper-sized; larger
-// divisors shrink them proportionally for quick runs.
+// divisors shrink them proportionally for quick runs. Selections combine:
+// every selected section is rendered, in one fixed order, after the
+// checksum cross-check that -verify=false skips. -related ends with the
+// synthetic-trace tables (uniform, bimodal and phased traces replayed
+// against the malloc implementations).
 //
 // The benchmark-report modes regenerate and gate the checked-in artifacts:
 // -bench-out FILE writes a fresh regions-bench/v2 report, and
@@ -26,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sync/atomic"
@@ -38,11 +44,11 @@ import (
 func main() {
 	var (
 		scaleDiv = flag.Int("scale-div", 1, "divide every app's default workload by this factor")
-		table    = flag.Int("table", 0, "render only table N (1-3)")
-		figure   = flag.Int("figure", 0, "render only figure N (8-11)")
+		table    = flag.Int("table", 0, "render table N (1-3)")
+		figure   = flag.Int("figure", 0, "render figure N (8-11)")
 		all      = flag.Bool("all", false, "render every table and figure (default if nothing selected)")
 		ablation = flag.Bool("ablation", false, "render the ablation experiments")
-		related  = flag.Bool("related", false, "render the related-work allocator comparison")
+		related  = flag.Bool("related", false, "render the related-work allocator comparison and trace tables")
 		jsonOut  = flag.Bool("json", false, "emit the full measurement matrix as JSON")
 		verify   = flag.Bool("verify", true, "cross-check checksums across environments first")
 		shards   = flag.Int("shards", 0, "run the whole-app throughput workload on N shards")
@@ -169,52 +175,77 @@ func main() {
 		return
 	}
 
-	if *table == 0 && *figure == 0 && !*ablation && !*related && !*jsonOut {
-		*all = true
+	sel := selection{all: *all, ablation: *ablation, related: *related, json: *jsonOut,
+		verify: *verify, table: *table, figure: *figure}
+	if err := render(w, s, sel); err != nil {
+		fmt.Fprintln(os.Stderr, "regionbench:", err)
+		os.Exit(1)
 	}
-	if *all {
-		if err := bench.RunAll(w, s); err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+}
+
+// selection is what one regionbench run renders from the suite.
+type selection struct {
+	all, ablation, related, json, verify bool
+	table, figure                        int
+}
+
+// verifyChecksums is the cross-check render runs first when sel.verify is
+// set.
+var verifyChecksums = (*bench.Suite).VerifyChecksums
+
+// render writes every section sel selects, one blank line apart, in one
+// fixed order: the JSON measurement matrix, the paper's tables and figures
+// (all of them under sel.all, which is also the default when nothing else
+// is selected), the ablations, then the related work. With sel.verify it
+// first cross-checks that every environment computes every application's
+// result.
+func render(w io.Writer, s *bench.Suite, sel selection) error {
+	if sel.verify {
+		if err := verifyChecksums(s); err != nil {
+			return err
 		}
-		return
 	}
-	if *verify {
-		if err := s.VerifyChecksums(); err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+	if sel.table == 0 && sel.figure == 0 && !sel.ablation && !sel.related && !sel.json {
+		sel.all = true
+	}
+	first := true
+	section := func() {
+		if !first {
+			fmt.Fprintln(w)
+		}
+		first = false
+	}
+	if sel.json {
+		section()
+		if err := bench.WriteJSON(w, s); err != nil {
+			return err
 		}
 	}
-	if *ablation {
+	paper := map[int]func(){1: func() { bench.Table1(w) }, 2: func() { bench.Table2(w, s) },
+		3: func() { bench.Table3(w, s) }, 8: func() { bench.Figure8(w, s) },
+		9: func() { bench.Figure9(w, s) }, 10: func() { bench.Figure10(w, s) },
+		11: func() { bench.Figure11(w, s) }}
+	selected := []int{sel.table, sel.figure}
+	if sel.all {
+		section()
+		fmt.Fprintf(w, "Workload scale: 1/%d of the paper-sized runs\n", s.ScaleDiv)
+		selected = []int{1, 2, 3, 8, 9, 10, 11}
+	}
+	for _, n := range selected {
+		if n != 0 {
+			section()
+			paper[n]()
+		}
+	}
+	if sel.ablation {
+		section()
 		bench.Ablations(w, s)
 	}
-	if *related {
+	if sel.related {
+		section()
 		bench.RelatedWork(w, s)
 	}
-	if *jsonOut {
-		if err := bench.WriteJSON(w, s); err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
-		}
-	}
-	switch *table {
-	case 1:
-		bench.Table1(w)
-	case 2:
-		bench.Table2(w, s)
-	case 3:
-		bench.Table3(w, s)
-	}
-	switch *figure {
-	case 8:
-		bench.Figure8(w, s)
-	case 9:
-		bench.Figure9(w, s)
-	case 10:
-		bench.Figure10(w, s)
-	case 11:
-		bench.Figure11(w, s)
-	}
+	return nil
 }
 
 // metricsOpts builds the throughput observability hooks. With an empty addr

@@ -84,8 +84,8 @@ func ExampleSystem_RegionOf() {
 
 // ExampleSystem_trace shows the observability layer end to end: attach a
 // tracer, run a region's whole life, and read the typed events back. The
-// schema is documented in docs/OBSERVABILITY.md; cmd/regiontrace renders the
-// same stream as JSONL, a Chrome timeline, and a per-region report.
+// schema is documented in docs/OBSERVABILITY.md; cmd/regionstat -jsonl and
+// -chrome write the same stream as JSONL and a Chrome timeline.
 func ExampleSystem_trace() {
 	sys := regions.New()
 	t := regions.NewTracer(64)

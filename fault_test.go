@@ -457,3 +457,100 @@ func TestStaleHandleAfterStateReuse(t *testing.T) {
 		})
 	}
 }
+
+// TestCountFaults: a frame slot outside its frame (a popped frame has
+// none), a negative frame size, a global reservation of a negative or
+// unaddressable count and an array of more elements than its page-list
+// entry has words panic with a FaultBadArgument *Fault before anything is
+// charged or changed, and the heap still verifies.
+func TestCountFaults(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// bad sets up sys and returns the call no correct program makes.
+		bad func(sys *regions.System) func()
+	}{
+		{"frame-set-past-end", func(sys *regions.System) func() {
+			f := sys.PushFrame(2)
+			return func() { f.Set(2, 0) }
+		}},
+		{"frame-get-negative", func(sys *regions.System) func() {
+			f := sys.PushFrame(2)
+			return func() { f.Get(-1) }
+		}},
+		{"popped-frame-set", func(sys *regions.System) func() {
+			f := sys.PushFrame(1)
+			sys.PopFrame()
+			return func() { f.Set(0, 0) }
+		}},
+		{"pushframe-negative", func(sys *regions.System) func() { return func() { sys.PushFrame(-1) } }},
+		{"allocglobals-negative", func(sys *regions.System) func() { return func() { sys.AllocGlobals(-1) } }},
+		{"allocglobals-past-32-bits", func(sys *regions.System) func() { return func() { sys.AllocGlobals(1 << 30) } }},
+		{"rarrayalloc-zero-size-elements", func(sys *regions.System) func() {
+			r, cln := sys.NewRegion(), sys.SizeCleanup(0)
+			return func() { sys.RarrayAlloc(r, 1<<31, 0, cln) }
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := regions.New()
+			bad := c.bad(sys)
+			counters, mapped := *sys.Counters(), sys.MappedBytes()
+			func() {
+				defer func() {
+					p := recover()
+					if f, ok := p.(*regions.Fault); !ok || f.Kind != regions.FaultBadArgument {
+						t.Errorf("panicked with %v, want a FaultBadArgument *Fault", p)
+					}
+				}()
+				bad()
+			}()
+			if *sys.Counters() != counters || sys.MappedBytes() != mapped {
+				t.Error("the rejected call changed the system")
+			}
+			if err := sys.Verify(); err != nil {
+				t.Errorf("Verify: %v", err)
+			}
+		})
+	}
+}
+
+// TestArrayCountIsNotAPointer: an array's element count and element size
+// are bookkeeping, not scanned data, so a count that equals an address in
+// another region neither fails Verify nor shows as a referrer nor keeps
+// that region alive.
+func TestArrayCountIsNotAPointer(t *testing.T) {
+	sys := regions.New()
+	r1, r2 := sys.NewRegion(), sys.NewRegion()
+	hdr := sys.RstrAlloc(r2, 8) // an address on r2's first page
+	sys.RarrayAlloc(r1, int(hdr), 0, sys.SizeCleanup(0))
+	if err := sys.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if refs := sys.Referrers(r2); len(refs) != 0 {
+		t.Errorf("region#2 has referrers %v", refs)
+	}
+	if !sys.DeleteRegion(r2) || !sys.DeleteRegion(r1) {
+		t.Error("a delete failed")
+	}
+	if err := sys.Verify(); err != nil {
+		t.Fatalf("Verify after the deletes: %v", err)
+	}
+}
+
+// TestZeroByteStringKeepsFrontier: a zero-byte RstrAlloc leaves the
+// mirrored string frontier where it was, also when the string list's head
+// is a full multi-page entry, which has none.
+func TestZeroByteStringKeepsFrontier(t *testing.T) {
+	for _, first := range []int{16, 3 * 4096} {
+		sys := regions.New()
+		r := sys.NewRegion()
+		sys.RstrAlloc(r, first)
+		sys.RstrAlloc(r, 0)
+		if err := sys.Verify(); err != nil {
+			t.Errorf("after a %d-byte string: Verify: %v", first, err)
+		}
+		sys.RstrAlloc(r, 8)
+		if err := sys.Verify(); err != nil {
+			t.Errorf("after a %d-byte string and another: Verify: %v", first, err)
+		}
+	}
+}

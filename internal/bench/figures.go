@@ -114,26 +114,3 @@ func Figure11(w io.Writer, s *Suite) {
 	}
 	tw.Flush()
 }
-
-// RunAll renders every table and figure in order, after verifying that all
-// environments agree on every application's result.
-func RunAll(w io.Writer, s *Suite) error {
-	if err := s.VerifyChecksums(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Workload scale: 1/%d of the paper-sized runs\n\n", s.ScaleDiv)
-	Table1(w)
-	fmt.Fprintln(w)
-	Table2(w, s)
-	fmt.Fprintln(w)
-	Table3(w, s)
-	fmt.Fprintln(w)
-	Figure8(w, s)
-	fmt.Fprintln(w)
-	Figure9(w, s)
-	fmt.Fprintln(w)
-	Figure10(w, s)
-	fmt.Fprintln(w)
-	Figure11(w, s)
-	return nil
-}

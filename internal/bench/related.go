@@ -20,7 +20,8 @@ import (
 //     improve on.
 //
 // It runs the four malloc-variant benchmarks (the region-native compilers
-// are skipped: they have no per-object frees for BZ to learn from).
+// are skipped: they have no per-object frees for BZ to learn from), then
+// renders Vo's vmalloc policies and the synthetic trace tables.
 func RelatedWork(w io.Writer, s *Suite) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Related work: Lea vs Barrett-Zorn lifetime prediction vs safe regions")
@@ -41,6 +42,8 @@ func RelatedWork(w io.Writer, s *Suite) {
 	tw.Flush()
 	fmt.Fprintln(w)
 	VmallocPolicies(w)
+	fmt.Fprintln(w)
+	traceTables(w, traceOps, traceSeed)
 }
 
 // VmallocPolicies compares Vo's three region policies on a phase-structured

@@ -618,7 +618,9 @@ func (rt *Runtime) bump(r *Region, firstOff, availOff Ptr, total int) Ptr {
 	if int(avail)+total <= mem.PageSize && first != 0 {
 		p := first + avail
 		rt.space.Store(hdr+availOff, avail+Ptr(total))
-		if firstOff == offStringFirst {
+		// A zero-byte string leaves the frontier where it is, and must not
+		// set one on a full multi-page head, which has none.
+		if firstOff == offStringFirst && total > 0 {
 			r.st.strTop = p + Ptr(total)
 		}
 		return p
@@ -702,12 +704,15 @@ func (rt *Runtime) badArgument(r *Region, op string, n, size int, cln CleanupID)
 }
 
 // arrayFits reports whether n elements of size bytes, not negative, fit in
-// one page-list entry behind an array's three bookkeeping words, and n in
-// its count word. Both factors are bounded before they are multiplied, so
-// the product cannot overflow.
+// one page-list entry behind an array's three bookkeeping words. Each
+// element counts as at least one word, so zero-size elements cannot make
+// an array whose cleanup pass, one call per element, outlasts any entry's.
+// Both factors are bounded before they are multiplied, so the product
+// cannot overflow.
 func arrayFits(n, size int) bool {
 	const room = maxEntryData - 3*mem.WordSize
-	return size <= room && uint64(n) <= 1<<32-1 && uint64(align4(size))*uint64(n) <= room
+	return size <= room && uint64(n) <= room/mem.WordSize &&
+		uint64(max(align4(size), mem.WordSize))*uint64(n) <= room
 }
 
 // deletedFault reports use of a dead region, distinguishing a migrated

@@ -61,7 +61,7 @@ func (rt *Runtime) Referrers(target *Region) []Ref {
 				continue
 			}
 			from := reg
-			rt.forEachNormalWord(from, func(a Ptr, v Word) {
+			rt.forEachDataWord(from, func(a Ptr, v Word) {
 				if pointsIn(v) {
 					refs = append(refs, Ref{Kind: RefHeap, Addr: a, From: from, Value: v})
 				}

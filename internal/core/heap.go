@@ -450,10 +450,29 @@ func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metric
 	return nil
 }
 
+// forEachDataWord visits every nonzero word of r's objects' data: the
+// scanned data the write barriers count pointers in, without the object
+// headers and an array's count and element-size words, whose integers can
+// equal any region's addresses. Cleanup size functions are dry-run
+// (Destroy disabled) to find non-array extents, as in Verify. It is the
+// iteration shared by the reference-count verifier, Referrers and the
+// import scan; the export scan and the import rewrite visit the same words.
+func (rt *Runtime) forEachDataWord(r *Region, visit func(addr Ptr, v Word)) {
+	defer func(was bool) { rt.verifying = was }(rt.verifying)
+	rt.verifying = true
+	mustWalk(rt.walkObjects(FaultCorruptHeader, r, nil, func(o object) error {
+		for a := o.data; a < o.end; a += mem.WordSize {
+			if v := rt.space.Load(a); v != 0 {
+				visit(a, v)
+			}
+		}
+		return nil
+	}))
+}
+
 // forEachNormalWord visits every nonzero word in r's normal-allocator page
-// entries, skipping the link words and the region structure — the
-// scanned-data iteration shared by the reference-count verifier, Referrers
-// and the content digest.
+// entries, object headers included, skipping the link words and the region
+// structure: the content digest's iteration.
 func (rt *Runtime) forEachNormalWord(r *Region, visit func(addr Ptr, v Word)) {
 	mustWalk(rt.walkNormal(FaultCorruptHeader, r, func(a, end Ptr) error {
 		for ; a < end; a += mem.WordSize {

@@ -530,7 +530,7 @@ func (rt *Runtime) checkRecord(rec *RegionRecord) (int, error) {
 // built or edited by its holder can carry words no export would let out.
 func (rt *Runtime) importScan(r *Region) error {
 	var err error
-	rt.forEachNormalWord(r, func(a Ptr, v Word) {
+	rt.forEachDataWord(r, func(a Ptr, v Word) {
 		if t := rt.pages.lookup(v); err == nil && t != nil && t != r {
 			err = rt.fault(FaultBadArgument, a, r.id,
 				fmt.Sprintf("importregion: word at %#x points into region#%d", a, t.id), nil)

@@ -239,9 +239,13 @@ func (rt *Runtime) AllocGlobals(nwords int) Ptr {
 }
 
 // TryAllocGlobals is AllocGlobals returning a *Fault (kind FaultOOM) instead
-// of panicking when the simulated OS refuses the segment's pages. On failure
-// the current segment is unchanged.
+// of panicking when the simulated OS refuses the segment's pages, and of
+// kind FaultBadArgument for a negative count or one the 32-bit address
+// space cannot hold. On failure the current segment is unchanged.
 func (rt *Runtime) TryAllocGlobals(nwords int) (Ptr, error) {
+	if nwords < 0 || nwords >= 1<<(32-2) {
+		return 0, rt.fault(FaultBadArgument, 0, -1, fmt.Sprintf("allocglobals: %d words", nwords), nil)
+	}
 	need := Ptr(nwords * mem.WordSize)
 	if rt.globalNext+need > rt.globalEnd || rt.globalSeg == 0 {
 		pages := (int(need) + mem.PageSize - 1) / mem.PageSize

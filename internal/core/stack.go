@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"regions/internal/stats"
 	"regions/internal/trace"
 )
@@ -29,8 +31,12 @@ type stack struct {
 
 // PushFrame enters a new activation with n region-pointer slots, all nil.
 // Frame maintenance is local bookkeeping and costs no simulated cycles, like
-// ordinary register/stack traffic in the paper's base time.
+// ordinary register/stack traffic in the paper's base time. A negative n
+// panics with a FaultBadArgument *Fault before the stack changes.
 func (rt *Runtime) PushFrame(n int) *Frame {
+	if n < 0 {
+		panic(rt.fault(FaultBadArgument, 0, -1, fmt.Sprintf("pushframe: %d slots", n), nil))
+	}
 	s := &rt.stack
 	var f *Frame
 	if len(s.pool) > 0 {
@@ -89,8 +95,21 @@ func (rt *Runtime) PopFrame() {
 // Depth returns the current shadow-stack depth (for tests and diagnostics).
 func (rt *Runtime) Depth() int { return len(rt.stack.frames) }
 
-// Get returns the region pointer in slot i.
-func (f *Frame) Get(i int) Ptr { return f.slots[i] }
+// Get returns the region pointer in slot i. Here and in Set, a slot
+// outside the frame (a popped frame has none) panics with a
+// FaultBadArgument *Fault before anything is charged.
+func (f *Frame) Get(i int) Ptr {
+	if uint(i) >= uint(len(f.slots)) {
+		f.badSlot("get", i)
+	}
+	return f.slots[i]
+}
+
+// badSlot raises the fault for an access to slot i outside f.
+func (f *Frame) badSlot(op string, i int) {
+	panic(f.rt.fault(FaultBadArgument, 0, -1,
+		fmt.Sprintf("frame %s: slot %d outside a frame of %d", op, i, len(f.slots)), nil))
+}
 
 // Set stores a region pointer in slot i. Writes to an unscanned frame are
 // free, which is the point of the deferred scheme; writes to a scanned frame
@@ -99,6 +118,9 @@ func (f *Frame) Get(i int) Ptr { return f.slots[i] }
 // pays the update, which is precisely the overhead the paper's deferred
 // scheme avoids.
 func (f *Frame) Set(i int, p Ptr) {
+	if uint(i) >= uint(len(f.slots)) {
+		f.badSlot("set", i)
+	}
 	rt := f.rt
 	if rt.safe && (f.scanned || rt.opts.EagerLocals) {
 		old := rt.space.SetMode(stats.ModeRC)

@@ -56,8 +56,9 @@ import (
 //     or above it are not, and the active frame is never scanned.
 //  7. Reference counts (safe runtime only): each live region's stored count
 //     must equal the count recomputed from heap contents — cross-region
-//     words in scanned data, global words, and scanned frame slots (all
-//     frame slots under EagerLocals).
+//     words in scanned object data (not object headers or array
+//     bookkeeping), global words, and scanned frame slots (all frame slots
+//     under EagerLocals).
 //  8. Region states: the shared dead states are as built, every listed
 //     region points at a dead state or at a state no other region and no
 //     spare-list entry holds, a deleted region keeps its own state only
@@ -169,15 +170,13 @@ func (rt *Runtime) checkStates() *Fault {
 func (rt *Runtime) verifyRC() *Fault {
 	want := make(map[int32]uint64)
 
-	// Cross-region words in scanned (normal-allocator) data. Bookkeeping
-	// words — page links, region header fields — only ever hold same-region
-	// addresses, so walking whole entries over-counts nothing.
+	// Cross-region words in scanned (normal-allocator) object data.
 	for _, reg := range rt.regions {
 		if reg.st.deleted {
 			continue
 		}
 		r := reg
-		rt.forEachNormalWord(r, func(_ Ptr, v Word) {
+		rt.forEachDataWord(r, func(_ Ptr, v Word) {
 			if t := rt.pages.lookup(v); t != nil && t != r {
 				want[t.id]++
 			}

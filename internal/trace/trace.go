@@ -12,7 +12,8 @@
 // a count: on top of the buffer sit a JSONL sink (WriteJSONL), a Chrome
 // trace_event exporter (WriteChromeTrace), and the request-span analysis
 // (BuildSpanProfile, span.go). docs/OBSERVABILITY.md documents the schema;
-// cmd/regiontrace drives the sinks against the benchmark applications.
+// cmd/regionstat's -events, -jsonl and -chrome drive the sinks against the
+// benchmark applications.
 //
 // Tracing never charges simulated cycles: events are observability metadata,
 // outside the machine model, so a traced run reports the same counters as an

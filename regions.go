@@ -551,7 +551,8 @@ func (s *System) Referrers(r *Region) []Ref { return s.rt.Referrers(r) }
 // Tracer is a fixed-capacity ring buffer of runtime events; Event is one
 // recorded event and EventKind its type. The event schema, the sinks
 // (JSONL, Chrome trace_event), and the lifetime analysis are documented in
-// docs/OBSERVABILITY.md and driven end to end by cmd/regiontrace.
+// docs/OBSERVABILITY.md and driven end to end by cmd/regionstat's -events,
+// -jsonl and -chrome.
 type (
 	Tracer    = trace.Tracer
 	Event     = trace.Event
