@@ -241,50 +241,56 @@ func TestStringFreeAndGlobalStoreFaults(t *testing.T) {
 		// misuse sets up r and returns the bad call in its Try form (nil
 		// when there is none) and its paper form.
 		misuse func(sys *regions.System, r *regions.Region) (try func() error, flat func())
+		opts   []regions.Option
 	}{
 		{"rstrfree-wrong-size", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			p := sys.RstrAlloc(r, 16)
 			return func() error { return sys.TryRstrFree(r, p, 64) }, func() { sys.RstrFree(r, p, 64) }
-		}},
+		}, nil},
 		{"rstrfree-into-next-entry", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			p := sys.RstrAlloc(r, 4000)
 			sys.RstrAlloc(r, 4000) // a second one-page entry
 			return func() error { return sys.TryRstrFree(r, p, 4200) }, func() { sys.RstrFree(r, p, 4200) }
-		}},
+		}, nil},
 		{"rstrfree-normal-object", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			p := sys.Ralloc(r, 16, sys.SizeCleanup(16))
 			return func() error { return sys.TryRstrFree(r, p, 16) }, func() { sys.RstrFree(r, p, 16) }
-		}},
+		}, nil},
 		{"rstrfree-double", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			p := sys.RstrAlloc(r, 16)
 			sys.RstrFree(r, p, 16)
 			return func() error { return sys.TryRstrFree(r, p, 16) }, func() { sys.RstrFree(r, p, 16) }
-		}},
+		}, nil},
 		{"rstrfree-double-unpooled", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			p := sys.RstrAlloc(r, 3000) // above the pool's ceiling: never parked
 			sys.RstrFree(r, p, 3000)
 			return func() error { return sys.TryRstrFree(r, p, 3000) }, func() { sys.RstrFree(r, p, 3000) }
-		}},
+		}, nil},
 		{"rstrfree-size-zero", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			p := sys.RstrAlloc(r, 16)
 			return func() error { return sys.TryRstrFree(r, p, 0) }, func() { sys.RstrFree(r, p, 0) }
-		}},
+		}, nil},
 		{"rstrfree-unaligned", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			p := sys.RstrAlloc(r, 16)
 			return func() error { return sys.TryRstrFree(r, p+2, 12) }, func() { sys.RstrFree(r, p+2, 12) }
-		}},
+		}, nil},
 		{"rstrfree-nil", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			sys.RstrAlloc(r, 16)
 			return func() error { return sys.TryRstrFree(r, 0, 16) }, func() { sys.RstrFree(r, 0, 16) }
-		}},
+		}, nil},
 		{"storeglobalptr-region-slot", func(sys *regions.System, r *regions.Region) (func() error, func()) {
 			cln := sys.SizeCleanup(16)
 			slot, val := sys.Ralloc(r, 16, cln), sys.Ralloc(r, 16, cln)
 			return nil, func() { sys.StoreGlobalPtr(slot, val) }
-		}},
+		}, nil},
+		{"storeglobalptr-region-slot-unsafe", func(sys *regions.System, r *regions.Region) (func() error, func()) {
+			cln := sys.SizeCleanup(16)
+			slot, val := sys.Ralloc(r, 16, cln), sys.Ralloc(r, 16, cln)
+			return nil, func() { sys.StoreGlobalPtr(slot, val) }
+		}, []regions.Option{regions.Unsafe()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sys := regions.New()
+			sys := regions.New(c.opts...)
 			r := sys.NewRegion()
 			try, flat := c.misuse(sys, r)
 			counters, mapped, bytes := *sys.Counters(), sys.MappedBytes(), r.Bytes()
@@ -538,13 +544,18 @@ func TestArrayCountIsNotAPointer(t *testing.T) {
 
 // TestZeroByteStringKeepsFrontier: a zero-byte RstrAlloc leaves the
 // mirrored string frontier where it was, also when the string list's head
-// is a full multi-page entry, which has none.
+// is a full multi-page entry, which has none, and returns an address in
+// its region, also when the head is one page filled to its last byte and
+// the next page is another region's.
 func TestZeroByteStringKeepsFrontier(t *testing.T) {
-	for _, first := range []int{16, 3 * 4096} {
+	for _, first := range []int{16, 4096 - 4, 3 * 4096} {
 		sys := regions.New()
 		r := sys.NewRegion()
 		sys.RstrAlloc(r, first)
-		sys.RstrAlloc(r, 0)
+		sys.RstrAlloc(sys.NewRegion(), 16)
+		if p := sys.RstrAlloc(r, 0); sys.RegionOf(p) != r {
+			t.Errorf("after a %d-byte string: RegionOf(RstrAlloc(r, 0) = %#x) = %v, want %v", first, p, sys.RegionOf(p), r)
+		}
 		if err := sys.Verify(); err != nil {
 			t.Errorf("after a %d-byte string: Verify: %v", first, err)
 		}

@@ -8,6 +8,13 @@
 // through Access, which returns the stall cycles that access causes. The
 // model is deterministic: the same access trace always yields the same
 // stall counts.
+//
+// AccessRun pushes a run of consecutive words through the model at the
+// cost of one Access per cache line it touches. A line's later words hit
+// in L1, since its first word just installed it, so they can neither miss
+// nor stall: each only drains the store buffer, and k of them drain it by
+// the closed form max(0, pending − k·DrainPerAccess). A run therefore
+// yields exactly the stalls, counters and tags of one Access per word.
 package cachesim
 
 // Config describes the cache hierarchy. The zero value is not useful; use
@@ -120,4 +127,30 @@ func (c *Cache) Access(addr uint32, write bool) (readStall, writeStall uint64) {
 	c.Reads++
 	c.ReadStalls += uint64(penalty)
 	return uint64(penalty), 0
+}
+
+// AccessRun simulates n accesses to the consecutive words at addr,
+// addr+4, ..., all reads or all writes, and returns the stall cycles they
+// cause: the same stalls, counters and tags as n calls of Access. It calls
+// Access for the first word of each line and settles the line's other
+// words, which hit, in closed form.
+func (c *Cache) AccessRun(addr uint32, n int, write bool) (readStall, writeStall uint64) {
+	lineSize := uint32(1) << c.lineShift
+	for n > 0 {
+		r, w := c.Access(addr, write)
+		readStall += r
+		writeStall += w
+		// The words after addr that share its line.
+		k := int((lineSize-addr&(lineSize-1)+3)/4) - 1
+		k = min(max(k, 0), n-1)
+		c.pending = max(c.pending-k*c.cfg.DrainPerAccess, 0)
+		if write {
+			c.Writes += uint64(k)
+		} else {
+			c.Reads += uint64(k)
+		}
+		addr += uint32(k+1) * 4
+		n -= k + 1
+	}
+	return readStall, writeStall
 }

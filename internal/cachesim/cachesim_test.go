@@ -1,6 +1,10 @@
 package cachesim
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func small() Config {
 	return Config{
@@ -172,5 +176,70 @@ func BenchmarkAccess(b *testing.B) {
 		// as it wraps both levels.
 		r, w := c.Access(uint32(i*4)&(1<<20-1), i%4 == 0)
 		sinkStall += r + w
+	}
+}
+
+// clone returns an independent copy of c, tags and store buffer included.
+func clone(c *Cache) *Cache {
+	d := *c
+	d.l1 = append([]uint32(nil), c.l1...)
+	d.l2 = append([]uint32(nil), c.l2...)
+	return &d
+}
+
+// counts returns c's store buffer, reads, writes, L1 and L2 misses, and
+// read and write stalls.
+func counts(c *Cache) [7]uint64 {
+	return [7]uint64{uint64(c.pending), c.Reads, c.Writes, c.L1Misses, c.L2Misses, c.ReadStalls, c.WriteStalls}
+}
+
+// TestAccessRunEqualsAccessLoop: AccessRun(a, n, w) leaves a cache exactly
+// as n calls of Access(a+4i, w) do — returned stalls, every counter, the
+// store buffer and every tag — from random states: the store buffer at,
+// just below and well below its cap, runs that start mid-line and cross
+// lines, reads and writes, on the paper's machine and the small config.
+func TestAccessRunEqualsAccessLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range []Config{UltraSparcI(), small()} {
+		c := New(cfg)
+		for trial := 0; trial < 2000; trial++ {
+			// Random traffic over four times L1's span or twice L2's
+			// leaves hits, L1-only misses and L2 misses behind.
+			span := []int{4 * cfg.L1Size, 2 * cfg.L2Size}[rng.Intn(2)]
+			for i := rng.Intn(64); i > 0; i-- {
+				c.Access(uint32(rng.Intn(span))&^3, rng.Intn(2) == 0)
+			}
+			switch trial % 3 {
+			case 0:
+				c.pending = cfg.StoreBufferCap
+			case 1:
+				c.pending = cfg.StoreBufferCap - 1
+			default:
+				c.pending = rng.Intn(cfg.StoreBufferCap + 1)
+			}
+			a := uint32(rng.Intn(span)) &^ 3
+			n := rng.Intn(cfg.LineSize + 1) // up to four lines of words
+			write := rng.Intn(2) == 0
+			loop := clone(c)
+			var wantR, wantW uint64
+			for i := 0; i < n; i++ {
+				r, w := loop.Access(a+uint32(i)*4, write)
+				wantR += r
+				wantW += w
+			}
+			gotR, gotW := c.AccessRun(a, n, write)
+			if gotR != wantR || gotW != wantW {
+				t.Fatalf("%+v trial %d: AccessRun(%#x, %d, %v) stalls (%d,%d), loop (%d,%d)",
+					cfg, trial, a, n, write, gotR, gotW, wantR, wantW)
+			}
+			if got, want := counts(c), counts(loop); got != want {
+				t.Fatalf("%+v trial %d: AccessRun(%#x, %d, %v) left store buffer and counters %v, loop %v",
+					cfg, trial, a, n, write, got, want)
+			}
+			if !slices.Equal(c.l1, loop.l1) || !slices.Equal(c.l2, loop.l2) {
+				t.Fatalf("%+v trial %d: AccessRun(%#x, %d, %v) left other tags than the loop",
+					cfg, trial, a, n, write)
+			}
+		}
 	}
 }

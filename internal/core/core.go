@@ -617,6 +617,12 @@ func (rt *Runtime) bump(r *Region, firstOff, availOff Ptr, total int) Ptr {
 	first := rt.space.Load(hdr + firstOff)
 	if int(avail)+total <= mem.PageSize && first != 0 {
 		p := first + avail
+		if avail == mem.PageSize {
+			// A zero-byte string on a full head page: first+avail is the
+			// next page's first address, which may be another region's.
+			// Any address inside the head page serves.
+			p -= mem.WordSize
+		}
 		rt.space.Store(hdr+availOff, avail+Ptr(total))
 		// A zero-byte string leaves the frontier where it is, and must not
 		// set one on a full multi-page head, which has none.

@@ -122,21 +122,23 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 
 // StoreGlobalPtr implements *slot = val where slot is in global storage:
 // the paper's "global write" barrier (Figure 5, 16 instructions). Global
-// storage belongs to no region, so there are no sameregion pointers. On the
-// safe runtime a slot outside the storage AllocGlobals handed out panics
-// with a FaultBadArgument *Fault before anything is stored or counted: a
-// region slot counted as a global reference would pin its target forever.
+// storage belongs to no region, so there are no sameregion pointers. A
+// slot outside the storage AllocGlobals handed out panics with a
+// FaultBadArgument *Fault before anything is stored or counted, on the
+// unsafe runtime too: on the safe one, a region slot counted as a global
+// reference would pin its target forever. The test is host-side and
+// charges nothing.
 func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
 	if !rt.accessible(slot) {
 		panic(rt.accessFault("storeglobalptr", slot))
 	}
-	if !rt.safe {
-		rt.space.Store(slot, val)
-		return
-	}
 	if !rt.isGlobal(slot) {
 		panic(rt.fault(FaultBadArgument, slot, -1,
 			fmt.Sprintf("storeglobalptr: slot %#x is not global storage", slot), nil))
+	}
+	if !rt.safe {
+		rt.space.Store(slot, val)
+		return
 	}
 	m := rt.met
 	var start uint64
@@ -207,7 +209,9 @@ func (rt *Runtime) isGlobal(slot Ptr) bool {
 // StorePtrDynamic is the "more expensive runtime routine" the paper uses
 // when a write cannot be statically classified as a global or region write
 // (Section 4.2.2): it classifies slot at run time and applies the right
-// barrier, charging extra for the classification.
+// barrier, charging extra for the classification. The unsafe runtime has
+// no barrier to choose, so it classifies nothing and stores into any
+// mapped, aligned slot by design.
 func (rt *Runtime) StorePtrDynamic(slot, val Ptr) {
 	if !rt.accessible(slot) {
 		panic(rt.accessFault("storeptrdynamic", slot))

@@ -99,7 +99,10 @@ func (r *fuzzReader) inPage(a Addr) int {
 // every word, FirstNonPoison over every page, the charged cycles and
 // cache accesses, the shared pages, and resident bytes never above mapped
 // bytes. An unaligned or unmapped address must panic with AccessError and
-// change nothing.
+// change nothing. A twin space with its own cache model runs every op too,
+// but zeroes with a Store per word: after each op the two must agree on
+// every word, every stats counter, stalls included, every cache counter
+// and resident bytes, so ZeroRange charges and probes as its word loop.
 func FuzzSpaceOps(f *testing.F) {
 	at := func(page, word int) []byte { return []byte{byte(word), byte(page<<2 | word>>8)} }
 	seq := func(ops ...[]byte) []byte {
@@ -146,23 +149,39 @@ func FuzzSpaceOps(f *testing.F) {
 		op(fuzzZeroRange, at(1, 1020), []byte{2}),
 		op(fuzzZeroPageFree, at(9, 0)),
 	))
+	// ZeroRange across a written, a poisoned and an unwritten page, from
+	// mid-line, after write misses have filled the store buffer; then one
+	// that runs off the last page after its first word.
+	f.Add(seq(
+		op(fuzzMap, []byte{2}),
+		op(fuzzStore, at(1, 1000), []byte{3}),
+		op(fuzzStore, at(2, 500), []byte{4}),
+		op(fuzzStore, at(1, 100), []byte{5}),
+		op(fuzzStore, at(1, 200), []byte{6}),
+		op(fuzzPoisonPageFree, at(2, 0)),
+		op(fuzzZeroRange, at(1, 997), []byte{0xff}),
+		op(fuzzLoad, at(2, 1)),
+		op(fuzzZeroRange, at(3, 1023), []byte{1}),
+	))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		c := &stats.Counters{}
-		s := NewSpace(c)
-		cache := cachesim.New(cachesim.UltraSparcI())
+		c, refC := &stats.Counters{}, &stats.Counters{}
+		s, ref := NewSpace(c), NewSpace(refC)
+		cache, refCache := cachesim.New(cachesim.UltraSparcI()), cachesim.New(cachesim.UltraSparcI())
 		s.AttachCache(cache)
+		ref.AttachCache(refCache)
 		m := &flatModel{}
 		r := fuzzReader(in)
 		for step := 0; len(r) > 0 && step < 128; step++ {
 			b := r.next()
 			code := (b & 0x0f) % fuzzOps
 			// When faults is set the op must panic with an AccessError at
-			// want; run performs the op on the space.
+			// want; run performs the op on a space, the fuzzed one or its
+			// twin.
 			var (
 				faults bool
 				want   Addr
-				run    func()
+				run    func(sp *Space)
 			)
 			fault := func(a Addr) bool {
 				if m.valid(a) {
@@ -180,6 +199,7 @@ func FuzzSpaceOps(f *testing.F) {
 				if got := s.MapPages(n); got != Addr(m.pages+1)<<PageShift {
 					t.Fatalf("MapPages(%d) = %#x with %d pages mapped", n, got, m.pages)
 				}
+				ref.MapPages(n)
 				m.pages += n
 				m.words = append(m.words, make([]Word, n*PageWords)...)
 			case fuzzLoad:
@@ -187,8 +207,8 @@ func FuzzSpaceOps(f *testing.F) {
 				if !fault(a) {
 					m.loads++
 				}
-				run = func() {
-					if got := s.Load(a); got != *m.word(a) {
+				run = func(sp *Space) {
+					if got := sp.Load(a); got != *m.word(a) {
 						t.Fatalf("Load(%#x) = %#x, model %#x", a, got, *m.word(a))
 					}
 				}
@@ -200,9 +220,9 @@ func FuzzSpaceOps(f *testing.F) {
 						m.stores++
 					}
 				}
-				run = func() { s.Store(a, v) }
+				run = func(sp *Space) { sp.Store(a, v) }
 				if code == fuzzUnchargedStore {
-					run = func() { s.Uncharged(func() { s.Store(a, v) }) }
+					run = func(sp *Space) { sp.Uncharged(func() { sp.Store(a, v) }) }
 				}
 			case fuzzStoreByte:
 				a, v := r.addr(b&^0x80)|Addr(b>>4)&3, r.next()
@@ -213,14 +233,22 @@ func FuzzSpaceOps(f *testing.F) {
 					m.loads++
 					m.stores++
 				}
-				run = func() { s.StoreByte(a, v) }
+				run = func(sp *Space) { sp.StoreByte(a, v) }
 			case fuzzZeroRange:
 				a, size := r.addr(b), Addr(r.next())*32
 				for off := Addr(0); off < size && !fault(a+off); off += WordSize {
 					*m.word(a + off) = 0
 					m.stores++
 				}
-				run = func() { s.ZeroRange(a, int(size)) }
+				run = func(sp *Space) {
+					if sp == s {
+						sp.ZeroRange(a, int(size))
+						return
+					}
+					for off := Addr(0); off < size; off += WordSize {
+						sp.Store(a+off, 0)
+					}
+				}
 			case fuzzZeroPageFree, fuzzPoisonPageFree:
 				a := r.addr(b)
 				base, fill := a&^(PageSize-1), Word(0)
@@ -232,9 +260,9 @@ func FuzzSpaceOps(f *testing.F) {
 						*m.word(base + off) = fill
 					}
 				}
-				run = func() { s.ZeroPageFree(a) }
+				run = func(sp *Space) { sp.ZeroPageFree(a) }
 				if code == fuzzPoisonPageFree {
-					run = func() { s.PoisonPageFree(a) }
+					run = func(sp *Space) { sp.PoisonPageFree(a) }
 				}
 			case fuzzPoisonRange:
 				a := r.addr(b)
@@ -244,20 +272,20 @@ func FuzzSpaceOps(f *testing.F) {
 						*m.word(a + off) = PoisonWord
 					}
 				}
-				run = func() { s.PoisonRange(a, size) }
+				run = func(sp *Space) { sp.PoisonRange(a, size) }
 			case fuzzFirstNonPoison:
 				a := r.addr(b)
 				size := r.inPage(a)
 				fault(a)
-				run = func() {
-					if got, ref := s.FirstNonPoison(a, size), m.firstNonPoison(a, Addr(size)); got != ref {
-						t.Fatalf("FirstNonPoison(%#x, %d) = %#x, model %#x", a, size, got, ref)
+				run = func(sp *Space) {
+					if got, want := sp.FirstNonPoison(a, size), m.firstNonPoison(a, Addr(size)); got != want {
+						t.Fatalf("FirstNonPoison(%#x, %d) = %#x, model %#x", a, size, got, want)
 					}
 				}
 			}
 			if run != nil {
 				before, cacheBefore, resident := *c, cacheCounts(cache), s.ResidentBytes()
-				v := accessPanic(run)
+				v := accessPanic(func() { run(s) })
 				switch e, ok := v.(AccessError); {
 				case !faults && v != nil:
 					t.Fatalf("step %d: op %d panicked: %v", step, code, v)
@@ -269,10 +297,34 @@ func FuzzSpaceOps(f *testing.F) {
 					(*c != before || cacheCounts(cache) != cacheBefore || s.ResidentBytes() != resident):
 					t.Fatalf("step %d: faulting op %d at %#x changed the space's counts", step, code, want)
 				}
+				if rv := accessPanic(func() { run(ref) }); rv != v {
+					t.Fatalf("step %d: op %d panicked with %v, its twin with %v", step, code, v, rv)
+				}
 			}
 			checkAgainstModel(t, s, c, cache, m)
+			checkTwin(t, s, ref, c, refC, cache, refCache)
 		}
 	})
+}
+
+// checkTwin fails unless the fuzzed space and its twin hold the same words
+// and report the same counters, cache counters and resident bytes.
+func checkTwin(t *testing.T, s, ref *Space, c, refC *stats.Counters, cache, refCache *cachesim.Cache) {
+	t.Helper()
+	for pg := 1; pg < s.NumPages(); pg++ {
+		if s.pages[pg].words != ref.pages[pg].words {
+			t.Fatalf("page %d differs from its twin's", pg)
+		}
+	}
+	if *c != *refC {
+		t.Fatalf("counters %+v, twin %+v", *c, *refC)
+	}
+	if got, want := cacheCounts(cache), cacheCounts(refCache); got != want {
+		t.Fatalf("cache reads, writes, L1 and L2 misses, read and write stalls %v, twin %v", got, want)
+	}
+	if s.ResidentBytes() != ref.ResidentBytes() {
+		t.Fatalf("resident %d bytes, twin %d", s.ResidentBytes(), ref.ResidentBytes())
+	}
 }
 
 // checkAgainstModel is FuzzSpaceOps' oracle.

@@ -17,7 +17,8 @@
 // a store changes one of its words. Buffers a freed page gives up are kept
 // for the next first write, so a space never holds more buffers than the
 // most pages it had written at once. Only this file touches page words:
-// every write goes through the one own-on-write path (Store, PoisonRange).
+// every write goes through the one own-on-write path (Store, ZeroRange,
+// PoisonRange).
 package mem
 
 import (
@@ -64,13 +65,17 @@ type page struct {
 // shared holds the two pages every space in the process shares: zeroPage
 // backs each page nobody has written since it was mapped or re-zeroed, and
 // poisonPage each page nobody has written since it was freed. They are
-// never written after initialisation (CheckSharedPages audits that).
-var shared = func() (sh [2]page) {
+// never written after initialisation: CheckSharedPages compares them with
+// pristine, a copy no page points at.
+var shared, pristine = sharedPages(), sharedPages()
+
+// sharedPages returns the zero page and the poison page.
+func sharedPages() (sh [2]page) {
 	for i := range sh[1].words {
 		sh[1].words[i] = PoisonWord
 	}
 	return sh
-}()
+}
 
 var zeroPage, poisonPage = &shared[0], &shared[1]
 
@@ -338,11 +343,34 @@ func (s *Space) StoreByte(a Addr, b byte) {
 	s.Store(aligned, w)
 }
 
-// ZeroRange zeroes size bytes starting at a (both word-aligned), charging
-// one cycle per word as the paper's ralloc clearing does.
+// ZeroRange zeroes the (size+3)/4 words starting at the word-aligned
+// address a, charging one store per word as the paper's ralloc clearing
+// does. It works a page at a time, with the charges, cache probes and
+// words of a Store per word: one check and one charge per page, the
+// cache model probed once per line (Cache.AccessRun), nothing written to
+// a zero-backed page, and a poison-backed page owned before it is
+// cleared. Pages are mapped whole, so a range that runs off the mapped
+// pages faults at a page's first word, after the same charges as the
+// word loop.
 func (s *Space) ZeroRange(a Addr, size int) {
-	for off := 0; off < size; off += WordSize {
-		s.Store(a+Addr(off), 0)
+	for n := (size + WordSize - 1) / WordSize; n > 0; {
+		p := s.page(a)
+		i := a / WordSize % PageWords
+		k := min(n, int(PageWords-i))
+		*s.cyc += uint64(k) * s.inc
+		if s.cache != nil && s.inc != 0 {
+			r, w := s.cache.AccessRun(a, k, true)
+			s.c.ReadStalls += r
+			s.c.WriteStalls += w
+		}
+		if p == poisonPage {
+			p = s.own(a)
+		}
+		if p != zeroPage {
+			clear(p.words[i : i+Addr(k)])
+		}
+		a += Addr(k) * WordSize
+		n -= k
 	}
 }
 
@@ -371,14 +399,13 @@ func (s *Space) PoisonPageFree(a Addr) { s.share(a, poisonPage) }
 // every unwritten page of every space in the process, so a write into
 // either would silently change them all.
 func CheckSharedPages() error {
-	for _, sp := range [...]struct {
-		name string
-		p    *page
-		want Word
-	}{{"zero", zeroPage, 0}, {"poison", poisonPage, PoisonWord}} {
-		for i, w := range sp.p.words {
-			if w != sp.want {
-				return fmt.Errorf("mem: shared %s page word %d is %#x, not %#x", sp.name, i, w, sp.want)
+	for k, name := range [...]string{"zero", "poison"} {
+		if shared[k] == pristine[k] {
+			continue
+		}
+		for i, w := range shared[k].words {
+			if want := pristine[k].words[i]; w != want {
+				return fmt.Errorf("mem: shared %s page word %d is %#x, not %#x", name, i, w, want)
 			}
 		}
 	}

@@ -413,7 +413,7 @@ type tenantState struct {
 type shardState struct {
 	id  int
 	env *appkit.CoreEnv
-	cln map[string]core.CleanupID
+	cln []core.CleanupID // indexed like cleanupSites
 
 	// task is the shard's one pinned task, submitted once per session: its
 	// k-th Run serves the k-th session the driver sent on feed, since
@@ -1239,7 +1239,7 @@ func (sv *server) tenantPhase(st *shardState, s *session) (uint32, error) {
 	}
 	var sum uint32
 	for i := 0; i < tenantNodes*int(s.weight); i++ {
-		p, err := rt.TryRalloc(ts.r, tenantNodeSize, st.cln[tenantSite])
+		p, err := rt.TryRalloc(ts.r, tenantNodeSize, st.cln[tenantCln])
 		if err != nil {
 			return 0, err
 		}
@@ -1273,7 +1273,7 @@ func (sv *server) allocPhase(st *shardState, r *core.Region, sites []site, weigh
 		n := sc.count * weight
 		switch sc.kind {
 		case allocPtr:
-			cln := st.cln[sc.name]
+			cln := st.cln[sc.cln]
 			for i := 0; i < n; i++ {
 				p, err := rt.TryRalloc(r, sc.size, cln)
 				if err != nil {
@@ -1305,7 +1305,7 @@ func (sv *server) allocPhase(st *shardState, r *core.Region, sites []site, weigh
 				last = p
 			}
 		case allocArr:
-			p, err := rt.TryRarrayAlloc(r, n, sc.size, st.cln[sc.name])
+			p, err := rt.TryRarrayAlloc(r, n, sc.size, st.cln[sc.cln])
 			if err != nil {
 				return sum, hot, err
 			}
@@ -1328,32 +1328,19 @@ func (sv *server) mix(p core.Ptr, a, b uint32) uint32 {
 	return uint32(p)
 }
 
-// registerCleanups registers one cleanup per named profile site on rt. The
-// sessions' scanned objects hold only sameregion pointers, which the write
-// barrier never counts, so the cleanups have no Destroy calls to make —
-// they exist to give each site its census label and to report the object
-// size the deletion walk advances by.
-func registerCleanups(rt *core.Runtime) map[string]core.CleanupID {
-	cln := map[string]core.CleanupID{}
-	for _, p := range allProfiles() {
-		for _, phase := range [][]site{p.parse, p.work} {
-			for _, sc := range phase {
-				if sc.kind == allocStr {
-					continue
-				}
-				if _, ok := cln[sc.name]; ok {
-					continue
-				}
-				size := sc.size
-				cln[sc.name] = rt.RegisterCleanup(sc.name,
-					func(*core.Runtime, core.Ptr) int { return size })
-			}
-		}
+// registerCleanups registers every cleanup in cleanupSites on rt and
+// returns their ids, indexed like cleanupSites. The sessions' scanned
+// objects hold only sameregion pointers, which the write barrier never
+// counts, so the cleanups have no Destroy calls to make — they exist to
+// give each site its census label and to report the object size the
+// deletion walk advances by. The tenant-state site is registered on every
+// shard — including shards grown by a resize — because ImportRegion
+// remaps cleanups by name and refuses a record whose names the receiver
+// has never registered.
+func registerCleanups(rt *core.Runtime) []core.CleanupID {
+	ids := make([]core.CleanupID, len(cleanupSites))
+	for i, cs := range cleanupSites {
+		ids[i] = rt.RegisterCleanup(cs.name, cs.size)
 	}
-	// The tenant-state site is registered on every shard — including shards
-	// grown by a resize — because ImportRegion remaps cleanups by name and
-	// refuses a record whose names the receiver has never registered.
-	cln[tenantSite] = rt.RegisterCleanup(tenantSite,
-		func(*core.Runtime, core.Ptr) int { return tenantNodeSize })
-	return cln
+	return ids
 }

@@ -10,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"regions/internal/core"
 	"regions/internal/mem"
 	"regions/internal/metrics"
 	"regions/internal/race"
+	"regions/internal/stats"
 	"regions/internal/trace"
 )
 
@@ -511,10 +513,10 @@ func TestHostAllocsSetup(t *testing.T) {
 		cfg   Config
 		maxKB float64
 	}{
-		// About 25% above the 71.6 and 140.7 KB measured; each shard
+		// About 25% above the 58.8 and 123.1 KB measured; each shard
 		// backing its mapped batch read 315 and 868 KB.
-		{"mix", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 350}, 90},
-		{"bulk", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 3250, Profile: "bulk", DeferredDelete: true}, 175},
+		{"mix", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 350}, 73},
+		{"bulk", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 3250, Profile: "bulk", DeferredDelete: true}, 154},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			least := math.Inf(1)
@@ -532,5 +534,65 @@ func TestHostAllocsSetup(t *testing.T) {
 				t.Errorf("a one-session run allocates %.1f KB, want at most %g", least, c.maxKB)
 			}
 		})
+	}
+}
+
+// TestRegisterCleanupsOncePerSite: registerCleanups registers every
+// non-string site of every profile exactly once, in profile order (the
+// default six, then bulk, then strheavy; parse sites before work sites),
+// then the tenant-state site, each under its name and with its object
+// size, and every site's cln finds its own registration. Cleanup ids, and
+// so object header words, depend on this order.
+func TestRegisterCleanupsOncePerSite(t *testing.T) {
+	want := []string{
+		"cfrac/itom", "cfrac/limb", "cfrac/mult", "cfrac/rem",
+		"grobner/term", "grobner/coef", "grobner/pair",
+		"mudlle/node", "mudlle/code", "mudlle/value",
+		"lcc/node", "lcc/quad", "lcc/sym",
+		"tile/count", "tile/block", "tile/score",
+		"moss/passage", "moss/fp", "moss/match",
+		"bulk/header", "bulk/index",
+		"strheavy/hdr", "strheavy/sym",
+		tenantSite,
+	}
+	rt := core.NewRuntime(mem.NewSpace(&stats.Counters{}), true)
+	ids := registerCleanups(rt)
+	if len(ids) != len(want) || len(cleanupSites) != len(want) {
+		t.Fatalf("%d ids and %d sites, want %d", len(ids), len(cleanupSites), len(want))
+	}
+	sizes := map[string]int{tenantSite: tenantNodeSize}
+	for _, p := range profiles {
+		for _, sc := range append(append([]site(nil), p.parse...), p.work...) {
+			if sc.kind == allocStr {
+				continue
+			}
+			if got := cleanupSites[sc.cln].name; got != sc.name {
+				t.Errorf("%s site %s indexes %s", p.Name, sc.name, got)
+			}
+			sizes[sc.name] = sc.size
+		}
+	}
+	// One object per id, then the heap census names each by its cleanup.
+	r := rt.NewRegion()
+	for i, name := range want {
+		if cleanupSites[i].name != name || ids[i] != core.CleanupID(i+1) {
+			t.Errorf("registration %d is %s with id %d, want %s with id %d", i, cleanupSites[i].name, ids[i], name, i+1)
+		}
+		rt.Ralloc(r, sizes[name], ids[i])
+	}
+	if i := tenantCln; cleanupSites[i].name != tenantSite {
+		t.Errorf("tenantCln %d names %s", i, cleanupSites[i].name)
+	}
+	rep, err := rt.HeapReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Sites) != len(want) {
+		t.Errorf("heap census has %d sites, want %d", len(rep.Sites), len(want))
+	}
+	for _, s := range rep.Sites {
+		if s.Objects != 1 || s.Bytes != uint64(sizes[s.Site]) {
+			t.Errorf("site %s: %d objects of %d bytes, want 1 of %d", s.Site, s.Objects, s.Bytes, sizes[s.Site])
+		}
 	}
 }

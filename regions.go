@@ -510,7 +510,8 @@ func (s *System) StorePtr(slot, val Ptr) { s.rt.StorePtr(slot, val) }
 func (s *System) StoreGlobalPtr(slot, val Ptr) { s.rt.StoreGlobalPtr(slot, val) }
 
 // StorePtrDynamic classifies slot at run time, for writes the "compiler"
-// cannot classify statically.
+// cannot classify statically. Under Unsafe() there is no barrier to
+// choose, so it stores into any mapped, aligned slot by design.
 func (s *System) StorePtrDynamic(slot, val Ptr) { s.rt.StorePtrDynamic(slot, val) }
 
 // AllocGlobals reserves nwords words of global storage.
