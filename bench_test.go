@@ -187,7 +187,6 @@ func TestMeteredCountersUnchanged(t *testing.T) {
 	instrumented := regions.New()
 	instrumented.SetTracer(regions.NewTracer(1 << 12))
 	reg := regions.NewMetricsRegistry()
-	reg.SetSiteSampling(8)
 	instrumented.SetMetrics(reg)
 	meteredWorkload(t, instrumented)
 

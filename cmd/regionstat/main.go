@@ -4,6 +4,8 @@
 // format, or with -json one JSON object) and, with -heap, a per-region heap
 // profile taken the moment the workload returns — live bytes, allocator
 // bookkeeping, free space, fragmentation, and the top allocation sites.
+// The snapshot counts every allocation at its site exactly
+// (regions_alloc_site_objects_total and regions_alloc_site_bytes_total).
 // Standard error carries the checksum line and the run report: the
 // environment's own stats.Counters and the regions the runtime still holds
 // at exit.
@@ -11,17 +13,17 @@
 // Usage:
 //
 //	regionstat [-app cfrac] [-env safe] [-scale N] [-heap] [-top N]
-//	           [-json] [-sample N] [-events N] [-jsonl FILE] [-chrome FILE]
+//	           [-json] [-events N] [-jsonl FILE] [-chrome FILE]
 //
-// -sample N records every Nth allocation into the site profile. -top N
-// bounds both the heap-profile table and the report's live-at-exit list (0
-// shows all). Any of -events, -jsonl or -chrome attaches a trace ring of
-// -events events: -jsonl writes its event log as JSON Lines, and -chrome a
-// Chrome trace_event timeline with one row per region lifetime (load it in
-// chrome://tracing or https://ui.perfetto.dev). The ring bounds only those
-// files; the report is exact whatever it kept. Request-level serving spans
-// are regionserve's (-explain -chrome FILE). docs/OBSERVABILITY.md
-// documents every schema. Positional arguments are rejected.
+// -top N bounds both the heap-profile table and the report's live-at-exit
+// list (0 shows all). Any of -events, -jsonl or -chrome attaches a trace
+// ring of -events events: -jsonl writes its event log as JSON Lines, and
+// -chrome a Chrome trace_event timeline with one row per region lifetime
+// (load it in chrome://tracing or https://ui.perfetto.dev). The ring bounds
+// only those files; the report is exact whatever it kept. Request-level
+// serving spans are regionserve's (-explain -chrome FILE).
+// docs/OBSERVABILITY.md documents every schema. Positional arguments are
+// rejected.
 //
 // The registry is read once, after the run: its counters and gauges come
 // from the environment's own counts, which only the goroutine running the
@@ -51,7 +53,6 @@ func main() {
 		heap   = flag.Bool("heap", false, "profile the heap when the workload returns")
 		top    = flag.Int("top", 10, "regions shown in the heap-profile table and the live-at-exit list (0 shows all)")
 		asJSON = flag.Bool("json", false, "emit one JSON object instead of Prometheus text / tables")
-		sample = flag.Int("sample", 64, "record every Nth allocation in the site profile (0 disables)")
 		events = flag.Int("events", 1<<20, "trace ring capacity in events (bounds -jsonl and -chrome, not the report)")
 		jsonl  = flag.String("jsonl", "", "write the trace ring's event log as JSON Lines to this file")
 		chrome = flag.String("chrome", "", "write a Chrome trace_event timeline to this file")
@@ -70,9 +71,6 @@ func main() {
 	}
 	if *top < 0 {
 		fail(2, "-top must be at least 0, got %d", *top)
-	}
-	if *sample < 0 {
-		fail(2, "-sample must be at least 0, got %d", *sample)
 	}
 	if *events < 1 {
 		fail(2, "-events must be at least 1, got %d", *events)
@@ -106,9 +104,6 @@ func main() {
 	chromeFile := createFile(*chrome)
 
 	reg := metrics.NewRegistry()
-	if *sample > 0 {
-		reg.SetSiteSampling(*sample)
-	}
 	cfg := appkit.Config{Metrics: reg}
 	var ring *trace.Tracer
 	if ringOn {

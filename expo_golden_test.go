@@ -41,11 +41,10 @@ func meteredWorkload(t *testing.T, sys *regions.System) {
 }
 
 // TestSystemExpositionGolden pins a metered System's whole exposition —
-// every core and mem series plus the sampled site profile — byte for byte.
+// every core and mem series, allocation sites included — byte for byte.
 func TestSystemExpositionGolden(t *testing.T) {
 	sys := regions.New()
 	reg := regions.NewMetricsRegistry()
-	reg.SetSiteSampling(8)
 	sys.SetMetrics(reg)
 	meteredWorkload(t, sys)
 	expotest.Check(t, "testdata/expo_system.golden", reg.Snapshot())

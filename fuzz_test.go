@@ -248,8 +248,8 @@ func newSysMachine(t *testing.T, data []byte) *sysMachine {
 	if flags&8 != 0 {
 		limit = 48
 	}
-	opts = append(opts, regions.WithPageLimit(limit))
 	m.sys = regions.New(opts...)
+	m.sys.SetPageLimit(limit)
 	m.cell = m.sys.RegisterCleanup("cell", func(rt *regions.Runtime, obj regions.Ptr) int {
 		rt.Destroy(rt.Space().Load(obj + 4))
 		return 8

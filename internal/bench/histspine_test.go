@@ -12,7 +12,8 @@ import (
 // counted exactly the events of the spine counter it shadows: the
 // allocation-size histogram every allocation and byte, the region-lifetime
 // histogram every deletion, the barrier-cycle histogram every region and
-// global barrier, and the sweep-slice histogram every slice. A moved
+// global barrier, and the sweep-slice histogram every slice. The
+// allocation sites must also sum to every allocation and byte. A moved
 // observation site that drops or doubles one fails it.
 func checkHistogramsAgainstSpine(t *testing.T, snap *metrics.Snapshot) {
 	t.Helper()
@@ -48,6 +49,10 @@ func checkHistogramsAgainstSpine(t *testing.T, snap *metrics.Snapshot) {
 			counter("regions_core_barrier_region_total") + counter("regions_core_barrier_global_total")},
 		{"sweep-slice count against regions_sweep_slices_total",
 			hist("regions_sweep_slice_cycles").Count, counter("regions_sweep_slices_total")},
+		{"site objects against regions_core_allocs_total",
+			snap.CounterSum("regions_alloc_site_objects_total"), counter("regions_core_allocs_total")},
+		{"site bytes against regions_core_alloc_bytes_total",
+			snap.CounterSum("regions_alloc_site_bytes_total"), counter("regions_core_alloc_bytes_total")},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %d, want %d", c.what, c.got, c.want)

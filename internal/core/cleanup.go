@@ -30,11 +30,17 @@ type cleanupEntry struct {
 }
 
 // RegisterCleanup registers fn under a diagnostic name and returns its id.
+// The name is also the allocation site a metered runtime counts the
+// cleanup's objects under, so once the runtime has a site table (see
+// Meter) the cleanup gets its site there.
 func (rt *Runtime) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 	if fn == nil {
 		panic("core: nil cleanup function")
 	}
 	rt.cleanups = append(rt.cleanups, cleanupEntry{name, fn})
+	if st := rt.sites; st != nil {
+		st.add(name)
+	}
 	return CleanupID(len(rt.cleanups))
 }
 

@@ -309,11 +309,13 @@ type Runtime struct {
 	tracer *trace.Tracer
 
 	// met, when non-nil, marks the runtime metered (see metrics.go and
-	// internal/metrics): it keeps its histograms in t and feeds met's site
-	// sampler. Same contract as tracer: every observation site is
-	// nil-guarded, observations are host-side only, and a metered run's
-	// stats.Counters are identical to a bare run's.
+	// internal/metrics): it keeps its histograms in t and counts every
+	// allocation at its site in sites. Same contract as tracer: every
+	// observation site is nil-guarded, observations are host-side only,
+	// and a metered run's stats.Counters are identical to a bare run's.
 	met *runtimeMetrics
+	// sites is nil until the first Meter, then kept across later ones.
+	sites *siteTable
 }
 
 // NewRuntime creates a region runtime on the given space. If safe is false,
@@ -780,7 +782,7 @@ func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 	}
 	if m := rt.met; m != nil {
 		metrics.Observe(allocSizeBounds[:], rt.t.AllocSize[:], &rt.t.AllocSizeSum, uint64(data))
-		m.reg.SampleAlloc(rt.cleanups[cln-1].name, uint64(data))
+		rt.sites.count(cleanupSite(cln), data)
 	}
 	return p + mem.WordSize, nil
 }
@@ -834,7 +836,7 @@ func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Pt
 	}
 	if m := rt.met; m != nil {
 		metrics.Observe(allocSizeBounds[:], rt.t.AllocSize[:], &rt.t.AllocSizeSum, uint64(data))
-		m.reg.SampleAlloc(rt.cleanups[cln-1].name, uint64(data))
+		rt.sites.count(cleanupSite(cln), data)
 	}
 	return p + 3*mem.WordSize, nil
 }
@@ -910,7 +912,7 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 	}
 	if m := rt.met; m != nil {
 		metrics.Observe(allocSizeBounds[:], rt.t.AllocSize[:], &rt.t.AllocSizeSum, uint64(data))
-		m.reg.SampleAlloc(strSiteKey(idx), uint64(data))
+		rt.sites.count(strSite(idx), data)
 	}
 	return p, nil
 }

@@ -11,12 +11,11 @@ import (
 // (internal/metrics). Every series is pulled: the runtime keeps
 // stats.Counters and its Tally whether or not a registry is attached, and a
 // registry reads them at Snapshot time. A metered runtime also keeps its
-// four histograms in the Tally and offers every allocation to the
-// registry's site sampler; an unmetered runtime holds a nil
-// *runtimeMetrics and every observation site pays one predicate, the same
-// contract as SetTracer. All of it is host-side bookkeeping outside the
-// machine model — it charges no simulated cycles and leaves stats.Counters
-// identical to a bare run.
+// four histograms in the Tally and counts every allocation at its site;
+// an unmetered runtime holds a nil *runtimeMetrics and every observation
+// site pays one predicate, the same contract as SetTracer. All of it is
+// host-side bookkeeping outside the machine model — it charges no
+// simulated cycles and leaves stats.Counters identical to a bare run.
 
 // Histogram bucket bounds. Alloc sizes follow the power-of-two spread of
 // the paper's benchmark object sizes; region lifetimes span the decades
@@ -73,18 +72,37 @@ type Tally struct {
 	AllocSizeSum, RegionLifetimeSum, BarrierCyclesSum, SweepSliceCyclesSum uint64
 }
 
+// SiteCount is one allocation site's exact count since the runtime was
+// first metered: the objects allocated there and their data bytes.
+type SiteCount struct {
+	Site           string
+	Objects, Bytes uint64
+}
+
 // Spine is a copy of every count a runtime's pulled series read.
 type Spine struct {
 	Counters stats.Counters
 	Tally    Tally
+	// Sites is the runtime's live site table once it has been metered, nil
+	// before. It is not a copy: an owner that hands the spine to another
+	// goroutine copies it first (the shard engine does).
+	Sites []SiteCount
 }
 
-// Spine returns a copy of the runtime's counts. It does not allocate, so
-// an owner can publish it after every unit of work (the shard engine does).
-func (rt *Runtime) Spine() Spine { return Spine{Counters: *rt.c, Tally: *rt.t} }
+// Spine returns a copy of the runtime's counts, Sites aside. It does not
+// allocate, so an owner can publish it after every unit of work (the shard
+// engine does).
+func (rt *Runtime) Spine() Spine {
+	sp := Spine{Counters: *rt.c, Tally: *rt.t}
+	if st := rt.sites; st != nil {
+		sp.Sites = st.sites
+	}
+	return sp
+}
 
 // Emit reports sp as the runtime's series: the regions_core_*,
-// regions_sweep_* and regions_str_* families.
+// regions_sweep_* and regions_str_* families, and every site allocated at
+// as regions_alloc_site_*_total.
 func (sp *Spine) Emit(s *metrics.Sink) {
 	c, t := &sp.Counters, &sp.Tally
 	s.Counter("regions_core_allocs_total", c.Allocs)
@@ -125,31 +143,79 @@ func (sp *Spine) Emit(s *metrics.Sink) {
 	s.Histogram("regions_core_region_lifetime_cycles", regionLifetimeBounds[:], t.RegionLifetime[:], t.RegionLifetimeSum)
 	s.Histogram("regions_core_barrier_cycles", barrierCycleBounds[:], t.BarrierCycles[:], t.BarrierCyclesSum)
 	s.Histogram("regions_sweep_slice_cycles", sweepSliceCycleBounds[:], t.SweepSliceCycles[:], t.SweepSliceCyclesSum)
+	for _, st := range sp.Sites {
+		if st.Objects > 0 {
+			s.Site(st.Site, st.Objects, st.Bytes)
+		}
+	}
 }
 
-// runtimeMetrics links a metered runtime to its registry: the site
-// sampler's, and the source SetMetrics registered (nil under Meter).
+// runtimeMetrics links a metered runtime to its registry, and to the
+// source SetMetrics registered there (nil under Meter).
 type runtimeMetrics struct {
 	reg     *metrics.Registry
 	unmeter func()
 }
 
+// siteTable counts every allocation a metered runtime makes, by site:
+// strSiteKeys' string sites first, in their order, then one site per
+// registered cleanup in id order. The runtime builds it at its first Meter
+// and keeps it across later ones, so its counts accumulate like the
+// histograms'. It is allocated apart from the runtime, like the Tally, so
+// a source can hold it without holding the heap.
+type siteTable struct{ sites []SiteCount }
+
+// newSiteTable returns a zeroed table for the string sites and cleanups.
+func newSiteTable(cleanups []cleanupEntry) *siteTable {
+	st := &siteTable{sites: make([]SiteCount, 0, len(strSiteKeys)+len(cleanups))}
+	for _, k := range strSiteKeys {
+		st.sites = append(st.sites, SiteCount{Site: k})
+	}
+	for _, e := range cleanups {
+		st.add(e.name)
+	}
+	return st
+}
+
+// add appends the site of the next cleanup registered, called name.
+func (st *siteTable) add(name string) { st.sites = append(st.sites, SiteCount{Site: name}) }
+
+// count adds one allocation of data bytes to site i.
+func (st *siteTable) count(i, data int) {
+	s := &st.sites[i]
+	s.Objects++
+	s.Bytes += uint64(data)
+}
+
+// strSite is the site of a string allocation in class idx. A negative idx,
+// a request above the pool's ceiling or of zero bytes, is str:big, as the
+// Tally's StrBig counts it.
+func strSite(idx int) int {
+	if idx < 0 {
+		return strClasses
+	}
+	return idx
+}
+
+// cleanupSite is the site of an object whose cleanup is cln.
+func cleanupSite(cln CleanupID) int { return len(strSiteKeys) + int(cln) - 1 }
+
 // SetMetrics attaches a lone runtime to reg (nil detaches): it meters the
-// runtime (see Meter), and a source reads its counters, gauges and
-// histograms at every Snapshot. The source reads the runtime's counts
+// runtime (see Meter), and a source reads its counters, gauges, histograms
+// and site counts at every Snapshot. The source reads the runtime's counts
 // directly, so snapshot the registry only from the goroutine that owns the
 // runtime; an owner that shares the runtime's counts with other goroutines
 // uses Meter and publishes Spine copies itself. The source holds the
 // counts, not the runtime, so the registry never keeps the heap alive.
-// Detaching removes the source, so the runtime's series, histograms
-// included, leave the next snapshot. See docs/OBSERVABILITY.md for the
-// series.
+// Detaching removes the source, so the runtime's series, histograms and
+// sites included, leave the next snapshot. See docs/OBSERVABILITY.md for
+// the series.
 func (rt *Runtime) SetMetrics(reg *metrics.Registry) {
 	rt.Meter(reg)
 	if reg != nil {
-		c, t := rt.c, rt.t
+		c, t, st := rt.c, rt.t, rt.sites
 		rt.met.unmeter = reg.AddSource(func(s *metrics.Sink) {
-			sp := Spine{Counters: *c, Tally: *t}
+			sp := Spine{Counters: *c, Tally: *t, Sites: st.sites}
 			sp.Emit(s)
 		})
 	}
@@ -157,15 +223,20 @@ func (rt *Runtime) SetMetrics(reg *metrics.Registry) {
 
 // Meter makes the runtime metered on reg, replacing any earlier
 // attachment; nil unmeters it. A metered runtime keeps its histograms in
-// its Tally and offers every allocation to reg's site sampler. Meter
-// registers no source: the caller reports the runtime's series from Spine
-// copies, as the shard engine does.
+// its Tally and counts every allocation at its site. Both count from the
+// first Meter on and accumulate across later calls, so a runtime that is
+// unmetered and metered again reports every allocation it made while
+// metered. Meter registers no source: the caller reports the runtime's
+// series from Spine copies, as the shard engine does.
 func (rt *Runtime) Meter(reg *metrics.Registry) {
 	if m := rt.met; m != nil && m.unmeter != nil {
 		m.unmeter()
 	}
 	rt.met = nil
 	if reg != nil {
+		if rt.sites == nil {
+			rt.sites = newSiteTable(rt.cleanups)
+		}
 		rt.met = &runtimeMetrics{reg: reg}
 	}
 }

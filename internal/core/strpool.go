@@ -100,11 +100,11 @@ func strClassIdx(n int) int { return bits.Len32(uint32(n)) - 3 }
 // strClassSize returns class idx's floor capacity in bytes.
 func strClassSize(idx int) int { return strClassMin << idx }
 
-// strSiteKeys are the alloc-census keys of the string path: "str:<class>"
-// per capacity class, then "str:big" for requests above the ceiling, so
-// string-path sites rank separately from cleanup-named normal sites in the
-// sampled site profile. They are counted even under Options.NoStrPool, so
-// an A/B pair reports comparable columns.
+// strSiteKeys name the allocation sites of the string path: "str:<class>"
+// per capacity class, then "str:big" for requests above the ceiling (see
+// strSite), so a metered runtime counts string allocations apart from the
+// cleanup-named normal sites. They are counted even under
+// Options.NoStrPool, so an A/B pair reports comparable columns.
 var strSiteKeys = func() []string {
 	keys := make([]string, strClasses+1)
 	for i := 0; i < strClasses; i++ {
@@ -113,15 +113,6 @@ var strSiteKeys = func() []string {
 	keys[strClasses] = "str:big"
 	return keys
 }()
-
-// strSiteKey returns the alloc-census key for class idx (-1 = above the
-// ceiling).
-func strSiteKey(idx int) string {
-	if idx < 0 {
-		return strSiteKeys[strClasses]
-	}
-	return strSiteKeys[idx]
-}
 
 // strPoolTake pops a parked block of capacity >= data from r's class-idx
 // free list, probing at most strPoolProbe blocks newest-first. Each probe

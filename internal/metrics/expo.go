@@ -24,18 +24,10 @@ func baseName(name string) (string, string) {
 	return name, ""
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
-
 // WritePrometheus renders s in the Prometheus text exposition format.
 // Series are emitted in the snapshot's name-sorted order; labeled series
 // sharing a base name are grouped under a single # TYPE line, and a labeled
-// histogram's buckets, sum and count all carry its labels. The sampled
-// site profile appears as regions_alloc_site_objects_sampled /
-// regions_alloc_site_bytes_sampled with a site label.
+// histogram's buckets, sum and count all carry its labels.
 func WritePrometheus(w io.Writer, s *Snapshot) error {
 	bw := bufio.NewWriter(w)
 	typed := map[string]bool{}
@@ -74,18 +66,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		}
 		fmt.Fprintf(bw, "%s_sum%s %d\n", base, labels, h.Sum)
 		fmt.Fprintf(bw, "%s_count%s %d\n", base, labels, h.Count)
-	}
-	if len(s.Sites) > 0 {
-		typeLine("regions_alloc_site_objects_sampled", "counter")
-		for _, st := range s.Sites {
-			fmt.Fprintf(bw, "regions_alloc_site_objects_sampled{site=\"%s\"} %d\n",
-				escapeLabel(st.Site), st.Objects)
-		}
-		typeLine("regions_alloc_site_bytes_sampled", "counter")
-		for _, st := range s.Sites {
-			fmt.Fprintf(bw, "regions_alloc_site_bytes_sampled{site=\"%s\"} %d\n",
-				escapeLabel(st.Site), st.Bytes)
-		}
 	}
 	return bw.Flush()
 }

@@ -60,7 +60,8 @@ type RegionHeap struct {
 // HeapSite is one allocation site in the live-object census: every live
 // object in the normal allocator, attributed to its cleanup's registered
 // name. (String-allocator data carries no headers and is not attributable;
-// the registry's sampled site profile covers it at allocation time.)
+// a metered runtime's site counters, regions_alloc_site_*_total, count it
+// at allocation time.)
 type HeapSite struct {
 	Site    string `json:"site"`
 	Objects uint64 `json:"objects"`

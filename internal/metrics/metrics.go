@@ -1,18 +1,17 @@
 // Package metrics is the live telemetry layer of the region runtime: a
 // registry of counters, gauges, and fixed-bucket histograms over every
 // layer of the stack (internal/core, internal/mem, internal/gc,
-// internal/shard, internal/serve), plus a sampled allocation-site profile.
+// internal/shard, internal/serve).
 //
 // Every series is pulled. Each layer already keeps plain counts of what it
-// does — stats.Counters, the runtime's Tally, the simulated OS's
-// OSCounts, the engine's per-shard Stats — and registers a Source that
-// reads them when Snapshot runs, so no event is counted twice. A histogram
-// is such a count too: a plain tally of buckets and a sum (Observe),
-// written only by the goroutine that owns what it measures and reported
-// by its owner's source (Sink.Histogram). Only the allocation-site sampler
-// is fed by the runtime as it allocates. Either way the work is host-side
-// bookkeeping outside the simulated machine model, so a metered run
-// reports the same stats.Counters as a bare one.
+// does — stats.Counters, the runtime's Tally and its per-site allocation
+// counts, the simulated OS's OSCounts, the engine's per-shard Stats — and
+// registers a Source that reads them when Snapshot runs, so no event is
+// counted twice. A histogram is such a count too: a plain tally of buckets
+// and a sum (Observe), written only by the goroutine that owns what it
+// measures and reported by its owner's source (Sink.Histogram). The work
+// is host-side bookkeeping outside the simulated machine model, so a
+// metered run reports the same stats.Counters as a bare one.
 //
 // The aggregate counters of internal/stats answer the paper's questions
 // after a run ends; this package answers "what is the runtime doing right
@@ -25,9 +24,8 @@
 package metrics
 
 import (
-	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Observe counts v in a histogram's tally over bounds, which are inclusive
@@ -45,14 +43,6 @@ func Observe(bounds, buckets []uint64, sum *uint64, v uint64) {
 	*sum += v
 }
 
-// siteEntry accumulates the sampled allocation-site profile. Values are
-// scaled up by the sampling interval at record time, so they estimate the
-// full population.
-type siteEntry struct {
-	objects uint64
-	bytes   uint64
-}
-
 // Sink receives the series the registry's sources report during one
 // Snapshot. Values reported under one name add up across sources: N shard
 // runtimes reporting regions_core_allocs_total read as their total, and so
@@ -68,6 +58,20 @@ func (s *Sink) Counter(name string, v uint64) { s.counters[name] += v }
 
 // Gauge reports v for the gauge called name.
 func (s *Sink) Gauge(name string, v int64) { s.gauges[name] += v }
+
+// Site reports one allocation site's exact counts, objects allocated there
+// and their data bytes, as the counters
+// regions_alloc_site_objects_total{site="…"} and
+// regions_alloc_site_bytes_total{site="…"}, with site escaped as a label
+// value. Like any counter, a site several sources report reads as their sum.
+func (s *Sink) Site(site string, objects, bytes uint64) {
+	label := `{site="` + labelEscaper.Replace(site) + `"}`
+	s.Counter("regions_alloc_site_objects_total"+label, objects)
+	s.Counter("regions_alloc_site_bytes_total"+label, bytes)
+}
+
+// labelEscaper escapes a label value per the exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
 // Histogram reports the histogram called name: buckets is the tally
 // Observe kept over bounds, and sum the total of the values it counted.
@@ -102,26 +106,18 @@ func (s *Sink) Histogram(name string, bounds, buckets []uint64, sum uint64) {
 type Source func(*Sink)
 
 // Registry is a named collection of metrics: the sources that report its
-// series (AddSource) and the allocation-site sampler. Names follow
-// Prometheus conventions and may carry a label suffix
-// (`regions_shard_tasks_total{shard="0"}`); series sharing a base name are
-// grouped under one # TYPE line by WritePrometheus.
+// series (AddSource). Names follow Prometheus conventions and may carry a
+// label suffix (`regions_shard_tasks_total{shard="0"}`); series sharing a
+// base name are grouped under one # TYPE line by WritePrometheus.
 type Registry struct {
 	mu         sync.Mutex
 	sources    map[int]Source
 	nextSource int
-	siteEvery  atomic.Int64
-	siteTick   atomic.Uint64
-	siteMu     sync.Mutex
-	sites      map[string]*siteEntry
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		sources: map[int]Source{},
-		sites:   map[string]*siteEntry{},
-	}
+	return &Registry{sources: map[int]Source{}}
 }
 
 // AddSource registers src, which every later Snapshot calls, and returns
@@ -137,63 +133,4 @@ func (r *Registry) AddSource(src Source) (remove func()) {
 		defer r.mu.Unlock()
 		delete(r.sources, id)
 	}
-}
-
-// SetSiteSampling enables the sampled allocation-site profile: every Nth
-// SampleAlloc call is recorded (scaled by N, so the profile estimates the
-// full allocation stream). 0 disables sampling, the default — a disabled
-// sampler costs one atomic load per allocation on a metered runtime and
-// nothing on a bare one.
-func (r *Registry) SetSiteSampling(every int) {
-	if every < 0 {
-		every = 0
-	}
-	r.siteEvery.Store(int64(every))
-}
-
-// SampleAlloc offers one allocation (site label, data bytes) to the site
-// sampler. Called by the runtime's allocation hooks; cheap when sampling is
-// disabled, and off the fast path (one short critical section) once per
-// sampling interval otherwise.
-func (r *Registry) SampleAlloc(site string, size uint64) {
-	every := uint64(r.siteEvery.Load())
-	if every == 0 {
-		return
-	}
-	if r.siteTick.Add(1)%every != 0 {
-		return
-	}
-	r.siteMu.Lock()
-	e, ok := r.sites[site]
-	if !ok {
-		e = &siteEntry{}
-		r.sites[site] = e
-	}
-	e.objects += every
-	e.bytes += size * every
-	r.siteMu.Unlock()
-}
-
-// snapshotSites copies the sampled site profile, sorted by estimated bytes
-// descending (ties by name).
-func (r *Registry) snapshotSites() []SiteSample {
-	r.siteMu.Lock()
-	out := make([]SiteSample, 0, len(r.sites))
-	for name, e := range r.sites {
-		out = append(out, SiteSample{Site: name, Objects: e.objects, Bytes: e.bytes})
-	}
-	r.siteMu.Unlock()
-	sortSites(out)
-	return out
-}
-
-// sortSites orders a site profile by estimated bytes, descending, ties by
-// name.
-func sortSites(sites []SiteSample) {
-	sort.Slice(sites, func(i, j int) bool {
-		if sites[i].Bytes != sites[j].Bytes {
-			return sites[i].Bytes > sites[j].Bytes
-		}
-		return sites[i].Site < sites[j].Site
-	})
 }

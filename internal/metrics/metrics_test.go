@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,20 +76,19 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 func TestSnapshotLookupAndDiff(t *testing.T) {
 	r := NewRegistry()
 	a, live := uint64(10), int64(2)
+	sites := map[string][2]uint64{"x": {3, 24}, "y": {1, 100}}
 	r.AddSource(func(s *Sink) {
 		s.Counter("a_total", a)
 		s.Counter("b_total{x=\"1\"}", 3)
 		s.Counter("b_total{x=\"2\"}", 4)
 		s.Gauge("live", live)
+		for site, n := range sites {
+			s.Site(site, n[0], n[1])
+		}
 	})
 	sizeBounds, sizes, sizeSum := []uint64{16, 64}, make([]uint64, 3), uint64(0)
 	r.AddSource(func(s *Sink) { s.Histogram("sizes", sizeBounds, sizes, sizeSum) })
 	Observe(sizeBounds, sizes, &sizeSum, 20)
-	r.SetSiteSampling(1)
-	for i := 0; i < 3; i++ {
-		r.SampleAlloc("x", 8)
-	}
-	r.SampleAlloc("y", 100)
 
 	s1 := r.Snapshot()
 	if s1.SchemaVersion != SnapshotSchemaVersion {
@@ -116,15 +116,27 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 	a += 5
 	live = 9
 	Observe(sizeBounds, sizes, &sizeSum, 100)
-	r.SampleAlloc("x", 8)
-	r.SampleAlloc("x", 8)
-	r.SampleAlloc("z", 4)
+	sites["x"] = [2]uint64{5, 40}
+	sites["z"] = [2]uint64{1, 4}
 	d := r.Snapshot().Sub(s1)
-	// The site census is cumulative: the diff holds the interval's samples,
-	// sorted by bytes.
-	wantSites := []SiteSample{{"x", 2, 16}, {"z", 1, 4}, {"y", 0, 0}}
-	if !reflect.DeepEqual(d.Sites, wantSites) {
-		t.Errorf("diffed sites = %+v, want %+v", d.Sites, wantSites)
+	// Site counts are counters: the diff holds the interval's allocations,
+	// and a site new in the interval its whole count.
+	var gotSites []CounterValue
+	for _, c := range d.Counters {
+		if strings.HasPrefix(c.Name, "regions_alloc_site_") {
+			gotSites = append(gotSites, c)
+		}
+	}
+	wantSites := []CounterValue{
+		{`regions_alloc_site_bytes_total{site="x"}`, 16},
+		{`regions_alloc_site_bytes_total{site="y"}`, 0},
+		{`regions_alloc_site_bytes_total{site="z"}`, 4},
+		{`regions_alloc_site_objects_total{site="x"}`, 2},
+		{`regions_alloc_site_objects_total{site="y"}`, 0},
+		{`regions_alloc_site_objects_total{site="z"}`, 1},
+	}
+	if !reflect.DeepEqual(gotSites, wantSites) {
+		t.Errorf("diffed sites = %+v, want %+v", gotSites, wantSites)
 	}
 	if v, _ := d.Counter("a_total"); v != 5 {
 		t.Errorf("diffed a_total = %d, want 5", v)
@@ -213,26 +225,39 @@ func TestHistogramsSumAcrossSources(t *testing.T) {
 	}
 }
 
-func TestSiteSampling(t *testing.T) {
+// TestSinkSumsSiteAcrossSources: one site several sources report reads as
+// their sum, a removed source's counts leave with it, and a site name is
+// escaped as a label value.
+func TestSinkSumsSiteAcrossSources(t *testing.T) {
 	r := NewRegistry()
-	// Disabled sampler records nothing.
-	r.SampleAlloc("quiet", 8)
-	if got := len(r.Snapshot().Sites); got != 0 {
-		t.Fatalf("disabled sampler recorded %d sites", got)
+	r.AddSource(func(s *Sink) { s.Site("hot", 64, 64*32) })
+	remove := r.AddSource(func(s *Sink) {
+		s.Site("hot", 3, 96)
+		s.Site("cold", 1, 8)
+	})
+	site := func(snap *Snapshot, name string) (objects, bytes uint64) {
+		objects, _ = snap.Counter(`regions_alloc_site_objects_total{site="` + name + `"}`)
+		bytes, _ = snap.Counter(`regions_alloc_site_bytes_total{site="` + name + `"}`)
+		return objects, bytes
 	}
-	r.SetSiteSampling(4)
-	for i := 0; i < 64; i++ {
-		r.SampleAlloc("hot", 32)
+	snap := r.Snapshot()
+	if o, b := site(snap, "hot"); o != 67 || b != 64*32+96 {
+		t.Errorf("hot site = %d objects / %d bytes, want 67 / %d", o, b, 64*32+96)
 	}
-	sites := r.Snapshot().Sites
-	if len(sites) != 1 || sites[0].Site != "hot" {
-		t.Fatalf("sites = %+v", sites)
+	if o, b := site(snap, "cold"); o != 1 || b != 8 {
+		t.Errorf("cold site = %d objects / %d bytes, want 1 / 8", o, b)
 	}
-	// Every 4th of 64 calls recorded, scaled by 4: the estimate matches the
-	// full stream exactly for a uniform one.
-	if sites[0].Objects != 64 || sites[0].Bytes != 64*32 {
-		t.Errorf("sampled estimate = %d objects / %d bytes, want 64 / %d",
-			sites[0].Objects, sites[0].Bytes, 64*32)
+	remove()
+	snap = r.Snapshot()
+	if o, b := site(snap, "hot"); o != 64 || b != 64*32 {
+		t.Errorf("hot site after remove = %d objects / %d bytes, want 64 / %d", o, b, 64*32)
+	}
+	if got := snap.CounterSum("regions_alloc_site_objects_total"); got != 64 {
+		t.Errorf("site objects after remove sum to %d, want 64", got)
+	}
+	r.AddSource(func(s *Sink) { s.Site("a\"b\\c\nd", 1, 4) })
+	if o, _ := site(r.Snapshot(), `a\"b\\c\nd`); o != 1 {
+		t.Errorf("escaped site reads %d objects, want 1", o)
 	}
 }
 
@@ -251,9 +276,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 		Observe(bounds, buckets, &sum, v)
 	}
 	r.AddSource(func(s *Sink) { s.Histogram("regions_demo_alloc_size_bytes", bounds, buckets, sum) })
-	r.SetSiteSampling(1)
-	r.SampleAlloc(`site "with" quotes\`, 48)
-	r.SampleAlloc("plain", 16)
+	r.AddSource(func(s *Sink) {
+		s.Site(`site "with" quotes\`, 1, 48)
+		s.Site("plain", 1, 16)
+	})
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
@@ -342,16 +368,16 @@ func TestHandlerServesScrape(t *testing.T) {
 
 // TestConcurrentUpdates exercises the update paths under the race
 // detector the way the shard engine uses them: goroutines keep histogram
-// tallies of their own and publish copies under a lock, which a source
-// reads, beside a count a source reads and the shared site sampler, while
-// another goroutine snapshots and renders.
+// tallies and site counts of their own and publish copies under a lock,
+// which a source reads, beside a count a source reads, while another
+// goroutine snapshots and renders.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
-	r.SetSiteSampling(2)
 	bounds := []uint64{8, 64}
 	type tally struct {
-		buckets [3]uint64
-		sum     uint64
+		buckets             [3]uint64
+		sum                 uint64
+		siteObjs, siteBytes uint64
 	}
 	var mu sync.Mutex
 	published := make([]tally, 4)
@@ -362,6 +388,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		defer mu.Unlock()
 		for i := range published {
 			s.Histogram("owned_hist", bounds, published[i].buckets[:], published[i].sum)
+			s.Site("site", published[i].siteObjs, published[i].siteBytes)
 		}
 	})
 	var writers sync.WaitGroup
@@ -373,7 +400,8 @@ func TestConcurrentUpdates(t *testing.T) {
 			for j := 0; j < 5000; j++ {
 				n.Add(1)
 				Observe(bounds, own.buckets[:], &own.sum, uint64(j%100))
-				r.SampleAlloc("site", 16)
+				own.siteObjs++
+				own.siteBytes += 16
 				if j%100 == 99 {
 					mu.Lock()
 					published[i] = own
@@ -410,5 +438,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if h, _ := snap.Histogram("owned_hist"); h == nil || h.Count != 4*5000 {
 		t.Errorf("owned_hist = %+v, want %d observations", h, 4*5000)
+	}
+	if got, _ := snap.Counter(`regions_alloc_site_bytes_total{site="site"}`); got != 4*5000*16 {
+		t.Errorf("site bytes = %d, want %d", got, 4*5000*16)
 	}
 }

@@ -37,15 +37,6 @@ type HistogramValue struct {
 	Buckets []BucketValue `json:"buckets"`
 }
 
-// SiteSample is one allocation site in the sampled site profile; Objects
-// and Bytes are scaled by the sampling interval, estimating the full
-// allocation stream.
-type SiteSample struct {
-	Site    string `json:"site"`
-	Objects uint64 `json:"objects"`
-	Bytes   uint64 `json:"bytes"`
-}
-
 // Snapshot is one consistent-enough view of a registry: every source is
 // read once, and series are name-sorted so two snapshots diff line by line.
 // A source reports its counts as of one instant (the shard engine's, for
@@ -56,12 +47,10 @@ type Snapshot struct {
 	Counters      []CounterValue   `json:"counters"`
 	Gauges        []GaugeValue     `json:"gauges"`
 	Histograms    []HistogramValue `json:"histograms"`
-	Sites         []SiteSample     `json:"sites,omitempty"`
 }
 
 // Snapshot captures the registry's current values: it calls every source,
-// summing the series they report under one name, and copies the site
-// profile.
+// summing the series they report under one name.
 func (r *Registry) Snapshot() *Snapshot {
 	sink := Sink{counters: map[string]uint64{}, gauges: map[string]int64{},
 		hists: map[string]*HistogramValue{}}
@@ -95,7 +84,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:      counters,
 		Gauges:        gauges,
 		Histograms:    hists,
-		Sites:         r.snapshotSites(),
 	}
 }
 
@@ -139,11 +127,10 @@ func (s *Snapshot) CounterSum(prefix string) uint64 {
 	return sum
 }
 
-// Sub returns the per-interval delta s minus prev: counters, histogram
-// buckets and the cumulative site census subtract (a series or site missing
-// from prev contributes its full value), gauges keep their current values,
-// since they are instantaneous. The sites stay sorted by bytes, descending.
-// Sub never mutates its receivers.
+// Sub returns the per-interval delta s minus prev: counters and histogram
+// buckets subtract (a series missing from prev contributes its full value),
+// gauges keep their current values, since they are instantaneous. Sub
+// never mutates its receivers.
 func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
 	out := &Snapshot{
 		SchemaVersion: s.SchemaVersion,
@@ -155,17 +142,6 @@ func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
 		}
 		out.Counters = append(out.Counters, c)
 	}
-	prevSites := make(map[string]SiteSample, len(prev.Sites))
-	for _, site := range prev.Sites {
-		prevSites[site.Site] = site
-	}
-	for _, site := range s.Sites {
-		old := prevSites[site.Site]
-		site.Objects -= old.Objects
-		site.Bytes -= old.Bytes
-		out.Sites = append(out.Sites, site)
-	}
-	sortSites(out.Sites)
 	prevHists := make(map[string]*HistogramValue, len(prev.Histograms))
 	for i := range prev.Histograms {
 		prevHists[prev.Histograms[i].Name] = &prev.Histograms[i]

@@ -3,14 +3,14 @@ package serve
 import "regions/internal/core"
 
 // Session profiles: what one request allocates, distilled from the six
-// benchmark apps' per-site allocation censuses (run `regionstat -app X
-// -sample 64` to regenerate the underlying data). Each profile keeps the
-// app's shape — object sizes, the ralloc/rstralloc/rarrayalloc split, and
-// roughly the app's pointer-store density — scaled down to one request's
-// worth of work, so a serving run exercises the same allocator paths as the
-// batch harness: parse-heavy small-object churn for the compilers,
-// string-dominated streams for the text tools, array-heavy numeric kernels
-// for cfrac and grobner.
+// benchmark apps' per-site allocation counts (`regionstat -app X` prints
+// them as regions_alloc_site_objects_total and _bytes_total). Each profile
+// keeps the app's shape — object sizes, the ralloc/rstralloc/rarrayalloc
+// split, and roughly the app's pointer-store density — scaled down to one
+// request's worth of work, so a serving run exercises the same allocator
+// paths as the batch harness: parse-heavy small-object churn for the
+// compilers, string-dominated streams for the text tools, array-heavy
+// numeric kernels for cfrac and grobner.
 
 // allocKind distinguishes the three allocation entry points a site uses.
 type allocKind uint8
@@ -24,8 +24,8 @@ const (
 // site is one allocation site of a profile: count objects of size bytes
 // (count elements of size bytes for allocArr) per unit of session weight,
 // allocated under a cleanup registered with the site's name — so a metered
-// run's sampled site census attributes serving load to the same labels the
-// batch apps use.
+// run's site counters attribute serving load to the same labels the batch
+// apps use.
 type site struct {
 	name  string
 	kind  allocKind

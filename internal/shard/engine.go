@@ -179,7 +179,9 @@ type worker struct {
 }
 
 // publish copies w's counts into its slot, if it has one; busy is the
-// shard clock at the end of its last task. It does not allocate.
+// shard clock at the end of its last task. The runtime's site table is
+// copied into a buffer the slot owns, so once the buffer has grown to the
+// table publish does not allocate.
 func (w *worker) publish(b *board, busy uint64) {
 	sl := w.slot
 	if sl == nil {
@@ -187,7 +189,9 @@ func (w *worker) publish(b *board, busy uint64) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	sites := sl.spine.Sites
 	sl.spine = w.env.Runtime().Spine()
+	sl.spine.Sites = append(sites[:0], sl.spine.Sites...)
 	sl.os = w.env.Space().OSCounts()
 	sl.stats, sl.busy = w.stats, busy
 }

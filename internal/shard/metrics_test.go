@@ -94,10 +94,10 @@ func TestPublishDoesNotAllocate(t *testing.T) {
 // TestMetricsUnderConcurrentScrape is the observability race test: four
 // shards churn allocations while a scraper loop snapshots the shared
 // registry and renders it, exactly what a live /metrics endpoint does
-// mid-run. Run under -race in CI.
+// mid-run. Run under -race in CI. After Close, the shards' site counts sum
+// to every allocation.
 func TestMetricsUnderConcurrentScrape(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.SetSiteSampling(16)
 	eng := NewEngine(WithShards(4), WithMetrics(reg), WithHeapProfileEvery(8))
 
 	stop := make(chan struct{})
@@ -141,6 +141,12 @@ func TestMetricsUnderConcurrentScrape(t *testing.T) {
 	}
 	if got, _ := snap.Counter("regions_core_regions_created_total"); got != tasks {
 		t.Errorf("regions created = %d, want %d", got, tasks)
+	}
+	if got, _ := snap.Counter(`regions_alloc_site_objects_total{site="size16"}`); got != tasks*32 {
+		t.Errorf("size16 site objects = %d, want %d", got, tasks*32)
+	}
+	if got, _ := snap.Counter(`regions_alloc_site_bytes_total{site="size16"}`); got != tasks*32*16 {
+		t.Errorf("size16 site bytes = %d, want %d", got, tasks*32*16)
 	}
 	if v, ok := snap.Gauge("regions_shard_makespan_cycles"); !ok || v <= 0 {
 		t.Errorf("makespan gauge = %d,%v after Close", v, ok)

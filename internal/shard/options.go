@@ -32,14 +32,13 @@ func WithShards(n int) Option { return func(s *settings) { s.shards = n } }
 func WithNoSteal() Option { return func(s *settings) { s.noSteal = true } }
 
 // WithMetrics registers the engine with reg. The core and mem series,
-// histograms included, sum every shard's counts as of its last completed
-// task (each worker of a metered engine publishes a copy after every task,
-// so a scrape from any goroutine is safe); per-shard labeled series report
-// tasks, failures, busy simulated cycles, steals and live queue depth, plus
-// the engine's migration counters and histogram, and once the engine has
-// closed its makespan and utilization gauges. Shard runtimes also feed
-// reg's site sampler. Nil attaches nothing, and workers then publish
-// nothing.
+// histograms and allocation sites included, sum every shard's counts as
+// of its last completed task (each worker of a metered engine publishes a
+// copy after every task, so a scrape from any goroutine is safe);
+// per-shard labeled series report tasks, failures, busy simulated cycles,
+// steals and live queue depth, plus the engine's migration counters and
+// histogram, and once the engine has closed its makespan and utilization
+// gauges. Nil attaches nothing, and workers then publish nothing.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(s *settings) { s.metrics = reg }
 }

@@ -7,36 +7,37 @@ import (
 	"regions"
 )
 
-// TestConstructionOptions checks the four construction options are
-// equivalent to calling their mid-run setters right after New.
+// TestConstructionOptions checks the four setters that attach a page
+// limit, a tracer, a registry and a fault plan take effect when called
+// right after New, before the first region.
 func TestConstructionOptions(t *testing.T) {
 	tr := regions.NewTracer(64)
 	reg := regions.NewMetricsRegistry()
-	sys := regions.New(
-		regions.WithPageLimit(2),
-		regions.WithTracer(tr),
-		regions.WithMetrics(reg),
-	)
+	sys := regions.New()
+	sys.SetPageLimit(2)
+	sys.SetTracer(tr)
+	sys.SetMetrics(reg)
 	if sys.Trace() != tr {
-		t.Error("WithTracer did not attach the tracer")
+		t.Error("SetTracer did not attach the tracer")
 	}
 	if sys.Metrics() != reg {
-		t.Error("WithMetrics did not attach the registry")
+		t.Error("SetMetrics did not attach the registry")
 	}
 	r := sys.NewRegion() // one page: fits the limit
 	if _, err := sys.TryRstrAlloc(r, 3*4096); !errors.Is(err, regions.ErrOutOfMemory) {
-		t.Errorf("WithPageLimit(2) did not cap the OS: err = %v", err)
+		t.Errorf("SetPageLimit(2) did not cap the OS: err = %v", err)
 	}
 	if n := len(tr.Events()); n == 0 {
-		t.Error("construction-attached tracer recorded nothing")
+		t.Error("tracer attached after New recorded nothing")
 	}
 	if _, ok := reg.Snapshot().Counter("regions_core_regions_created_total"); !ok {
-		t.Error("construction-attached registry counted nothing")
+		t.Error("registry attached after New counted nothing")
 	}
 
-	faulty := regions.New(regions.WithFaultPlan(&regions.FaultPlan{FailNth: 1}))
+	faulty := regions.New()
+	faulty.SetFaultPlan(&regions.FaultPlan{FailNth: 1})
 	if _, err := faulty.TryNewRegion(); !errors.Is(err, regions.ErrOutOfMemory) {
-		t.Errorf("WithFaultPlan did not inject: err = %v", err)
+		t.Errorf("SetFaultPlan did not inject: err = %v", err)
 	}
 }
 

@@ -132,10 +132,6 @@ type config struct {
 	sweepBudget    int
 	sweepHighWater int
 	noStrPool      bool
-	pageLimit      int
-	faultPlan      *mem.FaultPlan
-	tracer         *trace.Tracer
-	metrics        *metrics.Registry
 }
 
 // Unsafe disables all reference counting, stack scanning, and cleanups, as
@@ -172,28 +168,6 @@ func WithSweepHighWater(pages int) Option { return func(c *config) { c.sweepHigh
 // frees, its exact address stream are identical with pooling on or off.
 func NoStrPool() Option { return func(c *config) { c.noStrPool = true } }
 
-// WithPageLimit caps the simulated OS at the given number of 4 KB pages
-// from the first allocation on, exactly as calling SetPageLimit right after
-// New would. SetPageLimit remains legal mid-run (it may raise, lower, or
-// remove the cap); the option exists so a System's whole construction-time
-// shape fits in one New call.
-func WithPageLimit(pages int) Option { return func(c *config) { c.pageLimit = pages } }
-
-// WithFaultPlan installs a deterministic injected-failure schedule at
-// construction; see SetFaultPlan, which remains legal mid-run (installing a
-// fresh plan resets its call counts, nil removes it).
-func WithFaultPlan(p *FaultPlan) Option { return func(c *config) { c.faultPlan = p } }
-
-// WithTracer attaches an event tracer at construction, so even the first
-// region's create event is captured; see SetTracer, which remains legal
-// mid-run for attaching, swapping, or detaching (nil) a tracer.
-func WithTracer(t *Tracer) Option { return func(c *config) { c.tracer = t } }
-
-// WithMetrics attaches a metrics registry at construction; see SetMetrics,
-// which remains legal mid-run (nil detaches). Either way the registry reads
-// the system's counts since New.
-func WithMetrics(reg *MetricsRegistry) Option { return func(c *config) { c.metrics = reg } }
-
 // New creates a System.
 func New(opts ...Option) *System {
 	var cfg config
@@ -212,20 +186,7 @@ func New(opts ...Option) *System {
 		SweepHighWater: cfg.sweepHighWater,
 		NoStrPool:      cfg.noStrPool,
 	})
-	s := &System{rt: rt, sp: sp}
-	if cfg.pageLimit > 0 {
-		s.SetPageLimit(cfg.pageLimit)
-	}
-	if cfg.faultPlan != nil {
-		s.SetFaultPlan(cfg.faultPlan)
-	}
-	if cfg.tracer != nil {
-		s.SetTracer(cfg.tracer)
-	}
-	if cfg.metrics != nil {
-		s.SetMetrics(cfg.metrics)
-	}
-	return s
+	return &System{rt: rt, sp: sp}
 }
 
 // Safe reports whether the system maintains reference counts.
@@ -597,8 +558,11 @@ func (s *System) Trace() *Tracer { return s.rt.Tracer() }
 
 // MetricsRegistry is a registry of counters, gauges, and fixed-bucket
 // histograms over the runtime, the always-on companion to the event-level
-// Tracer. Snapshot gives a consistent, diffable reading; WritePrometheus
-// and WriteJSON render it. See docs/OBSERVABILITY.md.
+// Tracer. Every series is read from counts the simulator keeps, so each is
+// exact, allocation sites included: regions_alloc_site_objects_total and
+// regions_alloc_site_bytes_total count every allocation at its cleanup's
+// name or string class. Snapshot gives a consistent, diffable reading;
+// WritePrometheus and WriteJSON render it. See docs/OBSERVABILITY.md.
 type MetricsRegistry = metrics.Registry
 
 // MetricsSnapshot is one consistent, sorted reading of a registry.
@@ -615,14 +579,15 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // SetMetrics attaches reg to the system, replacing any earlier registry;
 // pass nil to detach. The registry reads every series from the counts the
 // runtime and its simulated OS keep anyway, at every Snapshot: counters are
-// totals since New, whenever the registry was attached, and histograms
-// count what happened while the system was metered. Because Snapshot reads
-// the system's own counts, call it from the goroutine that uses the system,
-// or after it is done. Detaching removes the system's series, histograms
-// included, from later snapshots. Like tracing, metrics are host-side
-// observability: a system without a registry pays one nil check per
-// histogram site, and a metered run charges exactly the same simulated
-// cycles as a bare one.
+// totals since New, whenever the registry was attached, while histograms
+// and the allocation-site counters count what happened while the system
+// was metered (call SetMetrics right after New for sites that sum to the
+// totals). Because Snapshot reads the system's own counts, call it from the
+// goroutine that uses the system, or after it is done. Detaching removes
+// the system's series, histograms and sites included, from later
+// snapshots. Like tracing, metrics are host-side observability: a system
+// without a registry pays one nil check per histogram site, and a metered
+// run charges exactly the same simulated cycles as a bare one.
 func (s *System) SetMetrics(reg *MetricsRegistry) {
 	s.rt.SetMetrics(reg)
 	s.sp.SetMetrics(reg)
