@@ -5,20 +5,23 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 
 	"regions/internal/metrics"
 )
 
 // This file turns the ROADMAP's "diff, don't eyeball" rule into code: load
-// a checked-in benchmark report, diff the freshly measured one against it —
-// Snapshot.Sub over the embedded metrics, a micro table over simulated
-// cycles per op — and decide pass/fail. The regression gate keys on the
-// micro benchmarks' simulated cycles: they are scale-independent and
-// deterministic, so they compare meaningfully even when the old report was
-// generated at a different -scale-div, while raw counter totals and
-// makespans (timing-dependent under work stealing) are printed as context
-// only.
+// a checked-in benchmark report, diff a freshly measured one against it and
+// decide pass/fail. Every simulated number in a report is exact, a
+// function of its configuration alone on any host, so when both reports
+// ran the same scaleDiv and repeats, any difference in a checksum, a
+// throughput or imbalance makespan, a per-shard cycle count, a steal count
+// or an embedded metrics series is a change, and the gate fails on it. The
+// micro benchmarks' simulated cycles per op do not depend on the
+// configuration, so they are gated across configurations too, against a
+// threshold. Host timings are printed as context only.
 
 // DefaultCompareThreshold is the allowed fractional increase in a micro
 // benchmark's simulated cycles per op before the comparison fails. The
@@ -50,10 +53,11 @@ func LoadReport(path string) (*Report, error) {
 }
 
 // CompareReports prints a delta report of cur against old — micro
-// benchmarks, throughput, and the Snapshot.Sub counter/histogram diff —
-// and returns the list of regressions: micro benchmarks whose simulated
-// cycles per op grew by more than threshold. An empty list means the gate
-// passes.
+// benchmarks, throughput, imbalance, serving and the metrics series — and
+// returns the list of regressions: micro benchmarks whose simulated cycles
+// per op grew by more than threshold and, when both reports ran the same
+// configuration, every simulated number that differs. An empty list means
+// the gate passes.
 func CompareReports(w io.Writer, old, cur *Report, threshold float64) []string {
 	var regressions []string
 
@@ -102,16 +106,24 @@ func CompareReports(w io.Writer, old, cur *Report, threshold float64) []string {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(w, "  shards=%d makespan %.1f -> %.1f Mcycles, speedup %.2f -> %.2f\n",
-			t.Shards, o.SimMakespanMcycles, t.SimMakespanMcycles, o.SimSpeedup, t.SimSpeedup)
-		if sameConfig && t.Checksum != o.Checksum {
-			regressions = append(regressions,
-				fmt.Sprintf("throughput shards=%d: checksum %#x, artifact has %#x — results changed",
-					t.Shards, t.Checksum, o.Checksum))
+		fmt.Fprintf(w, "  shards=%d makespan %.6f -> %.6f Mcycles, speedup %.2f -> %.2f, steals %d -> %d\n",
+			t.Shards, o.SimMakespanMcycles, t.SimMakespanMcycles, o.SimSpeedup, t.SimSpeedup, o.Steals, t.Steals)
+		if sameConfig {
+			regressions = append(regressions, runDiffs(fmt.Sprintf("throughput shards=%d", t.Shards), o, t)...)
 		}
 	}
 	if !sameConfig {
-		fmt.Fprintf(w, "  (configs differ: checksums and raw counters compared as context only)\n")
+		fmt.Fprintf(w, "  (configs differ: simulated numbers and metrics compared as context only)\n")
+	}
+
+	if o, c := old.Imbalance, cur.Imbalance; o != nil && c != nil {
+		fmt.Fprintf(w, "\nimbalance (%d shards, %s): static makespan %.6f -> %.6f, stealing %.6f -> %.6f Mcycles, steals %d -> %d\n",
+			c.Shards, c.App, o.NoSteal.SimMakespanMcycles, c.NoSteal.SimMakespanMcycles,
+			o.Steal.SimMakespanMcycles, c.Steal.SimMakespanMcycles, o.Steal.Steals, c.Steal.Steals)
+		if sameConfig {
+			regressions = append(regressions, runDiffs("imbalance static", o.NoSteal, c.NoSteal)...)
+			regressions = append(regressions, runDiffs("imbalance stealing", o.Steal, c.Steal)...)
+		}
 	}
 
 	regressions = append(regressions, compareServe(w, old, cur, sameConfig)...)
@@ -119,31 +131,96 @@ func CompareReports(w io.Writer, old, cur *Report, threshold float64) []string {
 	regressions = append(regressions, compareStrAB(w, old, cur, sameConfig)...)
 
 	if old.Metrics != nil && cur.Metrics != nil {
-		fmt.Fprintf(w, "\nmetrics delta (new minus old, Snapshot.Sub; nonzero series):\n")
-		printSnapshotDelta(w, cur.Metrics.Sub(old.Metrics))
+		fmt.Fprintf(w, "\nmetrics delta (new minus old; changed, added and removed series):\n")
+		regressions = append(regressions, compareMetrics(w, old.Metrics, cur.Metrics, sameConfig)...)
 	}
 	return regressions
 }
 
-// printSnapshotDelta renders a Snapshot.Sub result (already name-sorted),
-// skipping zero deltas. Counter deltas are printed signed: the snapshots
-// came from different processes, so a series can legitimately shrink.
-func printSnapshotDelta(w io.Writer, d *metrics.Snapshot) {
-	shown := 0
-	for _, c := range d.Counters {
-		if c.Value != 0 {
-			fmt.Fprintf(w, "  %-52s %+d\n", c.Name, int64(c.Value))
-			shown++
+// runDiffs lists the simulated numbers in which two runs of one task set
+// differ: the checksum, the makespan, the per-shard cycles and the steals.
+func runDiffs(what string, o, c ThroughputResult) []string {
+	var out []string
+	if c.Checksum != o.Checksum {
+		out = append(out, fmt.Sprintf("%s: checksum %#x, artifact has %#x — results changed", what, c.Checksum, o.Checksum))
+	}
+	if c.SimMakespanMcycles != o.SimMakespanMcycles {
+		out = append(out, fmt.Sprintf("%s: makespan %.6f Mcycles, artifact has %.6f", what, c.SimMakespanMcycles, o.SimMakespanMcycles))
+	}
+	if !slices.Equal(c.PerShardMcycles, o.PerShardMcycles) {
+		out = append(out, fmt.Sprintf("%s: per-shard Mcycles %v, artifact has %v", what, c.PerShardMcycles, o.PerShardMcycles))
+	}
+	if c.Steals != o.Steals {
+		out = append(out, fmt.Sprintf("%s: %d steals, artifact has %d", what, c.Steals, o.Steals))
+	}
+	return out
+}
+
+// compareMetrics prints every series whose value differs between the two
+// snapshots (signed, new minus old; a histogram as its count and sum
+// deltas) and every series only one of them has, and, when gate is set,
+// returns one regression per differing series both have.
+func compareMetrics(w io.Writer, old, cur *metrics.Snapshot, gate bool) []string {
+	o, c := seriesValues(old), seriesValues(cur)
+	names := make([]string, 0, len(c))
+	for n := range c {
+		names = append(names, n)
+	}
+	for n := range o {
+		if _, ok := c[n]; !ok {
+			names = append(names, n)
 		}
 	}
-	for _, h := range d.Histograms {
-		if h.Count == 0 && h.Sum == 0 {
+	sort.Strings(names)
+	var regressions []string
+	shown := 0
+	for _, n := range names {
+		ov, inOld := o[n]
+		cv, inCur := c[n]
+		var delta string
+		switch {
+		case !inOld:
+			delta = "added"
+		case !inCur:
+			delta = "removed"
+		case slices.Equal(ov, cv):
 			continue
+		case len(cv) != len(ov): // the series changed kind or buckets
+			delta = "changed"
+		case len(cv) == 1:
+			delta = fmt.Sprintf("%+d", cv[0]-ov[0])
+		default:
+			delta = fmt.Sprintf("count%+d sum%+d", cv[0]-ov[0], cv[1]-ov[1])
 		}
-		fmt.Fprintf(w, "  %-52s count%+d sum%+d\n", h.Name, int64(h.Count), int64(h.Sum))
+		if gate && inOld && inCur {
+			regressions = append(regressions, fmt.Sprintf("metrics %s: %v, artifact has %v", n, cv, ov))
+		}
+		fmt.Fprintf(w, "  %-52s %s\n", n, delta)
 		shown++
 	}
 	if shown == 0 {
 		fmt.Fprintf(w, "  (no differences)\n")
 	}
+	return regressions
+}
+
+// seriesValues flattens a snapshot to one value list per series name: a
+// counter's or a gauge's value, or a histogram's count, sum and bucket
+// counts.
+func seriesValues(s *metrics.Snapshot) map[string][]int64 {
+	m := make(map[string][]int64, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
+	for _, c := range s.Counters {
+		m[c.Name] = []int64{int64(c.Value)}
+	}
+	for _, g := range s.Gauges {
+		m[g.Name] = []int64{g.Value}
+	}
+	for _, h := range s.Histograms {
+		v := []int64{int64(h.Count), int64(h.Sum)}
+		for _, b := range h.Buckets {
+			v = append(v, int64(b.Count))
+		}
+		m[h.Name] = v
+	}
+	return m
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"regions/internal/metrics"
 )
 
 func writeTempReport(t *testing.T, name, content string) string {
@@ -102,5 +104,70 @@ func TestCompareReportsChecksumGate(t *testing.T) {
 	cur.ScaleDiv = 8 // different workload size: context only
 	if regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold); len(regs) != 0 {
 		t.Fatalf("checksum flagged across differing configs: %v", regs)
+	}
+}
+
+// TestCompareReportsGatesExactNumbers: at one config every simulated
+// number is exact, so a makespan one cycle longer, a moved per-shard split
+// or steal count, a changed imbalance run and a counter off by one each
+// fail the gate; at another config they are context. A series only the
+// new report has prints as added and fails nothing.
+func TestCompareReportsGatesExactNumbers(t *testing.T) {
+	report := func() *Report {
+		return &Report{ScaleDiv: 4, Repeats: 4,
+			Throughput: []ThroughputResult{{Shards: 2, Checksum: 0x1234,
+				SimMakespanMcycles: 119.643992, PerShardMcycles: []float64{119.643992, 119.643992}}},
+			Imbalance: &ImbalanceResult{Shards: 4, App: "cfrac",
+				NoSteal: ThroughputResult{SimMakespanMcycles: 112.682208},
+				Steal:   ThroughputResult{SimMakespanMcycles: 50.147284, Steals: 4}},
+			Metrics: &metrics.Snapshot{Counters: []metrics.CounterValue{
+				{Name: "regions_core_allocs_total", Value: 100}}},
+		}
+	}
+	old := report()
+	var buf bytes.Buffer
+	if regs := CompareReports(&buf, old, report(), DefaultCompareThreshold); len(regs) != 0 {
+		t.Fatalf("identical reports regress: %v", regs)
+	}
+	if !strings.Contains(buf.String(), "(no differences)") {
+		t.Errorf("identical metrics print a delta:\n%s", buf.String())
+	}
+
+	cases := []struct {
+		name  string
+		plant func(r *Report)
+		want  string
+	}{
+		{"makespan", func(r *Report) { r.Throughput[0].SimMakespanMcycles = 119.643993 }, "makespan 119.643993"},
+		{"per-shard", func(r *Report) { r.Throughput[0].PerShardMcycles[1] = 119.643991 }, "per-shard"},
+		{"steals", func(r *Report) { r.Throughput[0].Steals = 1 }, "1 steals"},
+		{"imbalance", func(r *Report) { r.Imbalance.Steal.SimMakespanMcycles = 48.049526 }, "imbalance stealing"},
+		{"counter", func(r *Report) { r.Metrics.Counters[0].Value = 101 }, "regions_core_allocs_total"},
+		{"kind", func(r *Report) {
+			r.Metrics = &metrics.Snapshot{Histograms: []metrics.HistogramValue{
+				{Name: "regions_core_allocs_total", Count: 1, Sum: 100}}}
+		}, "regions_core_allocs_total"},
+	}
+	for _, c := range cases {
+		cur := report()
+		c.plant(cur)
+		regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold)
+		if len(regs) != 1 || !strings.Contains(regs[0], c.want) {
+			t.Errorf("%s: regressions = %v, want one naming %q", c.name, regs, c.want)
+		}
+		cur.ScaleDiv = 8
+		if regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold); len(regs) != 0 {
+			t.Errorf("%s: gated across differing configs: %v", c.name, regs)
+		}
+	}
+
+	cur := report()
+	cur.Metrics.Counters = append(cur.Metrics.Counters, metrics.CounterValue{Name: "regions_new_total", Value: 5})
+	buf.Reset()
+	if regs := CompareReports(&buf, old, cur, DefaultCompareThreshold); len(regs) != 0 {
+		t.Fatalf("an added series regresses: %v", regs)
+	}
+	if !strings.Contains(buf.String(), "regions_new_total") || !strings.Contains(buf.String(), "added") {
+		t.Errorf("added series not shown as added:\n%s", buf.String())
 	}
 }

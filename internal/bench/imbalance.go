@@ -14,9 +14,10 @@ import (
 // what stealing buys. The imbalance workload is deliberately skewed
 // instead: heavy and light copies of one app interleaved so that static
 // placement piles every heavy task on shard 0, and the same task list is
-// run twice, once with Config.NoSteal (the pre-stealing placement) and
-// once with stealing. The checksums must match (the determinism gate); the
-// max/min busy-cycle ratio is the balance claim in docs/PERFORMANCE.md.
+// run twice, once pinned (static placement: every task runs on its
+// round-robin home) and once unpinned, so Close's dispatch can steal. The
+// checksums must match; the max/min busy-cycle ratio is the balance claim
+// in docs/PERFORMANCE.md.
 
 // ImbalanceResult is the checked-in A/B: the same skewed task list under
 // static placement and under work stealing.
@@ -24,10 +25,10 @@ type ImbalanceResult struct {
 	Shards int    `json:"shards"`
 	App    string `json:"app"`
 	Tasks  int    `json:"tasks"`
-	// NoSteal is the static-placement run: every heavy task lands on its
-	// round-robin home shard, so shard 0 owns all of them.
+	// NoSteal is the static-placement run: every task is pinned to its
+	// round-robin home shard, so shard 0 runs all the heavy ones.
 	NoSteal ThroughputResult `json:"noSteal"`
-	// Steal is the same task list with work stealing enabled.
+	// Steal is the same task list unpinned, so idle shards may steal.
 	Steal ThroughputResult `json:"steal"`
 }
 
@@ -43,11 +44,9 @@ func imbalanceApp() appkit.App {
 	return apps[0]
 }
 
-// RunImbalance runs the skewed workload at the given shard count, both
-// without and with stealing, verifies the summed checksums agree, and
-// returns the pair. A non-nil registry is attached to the stealing run
-// only, so the embedded report snapshot describes the configuration the
-// engine actually ships with.
+// RunImbalance runs the skewed workload at the given shard count, pinned
+// and unpinned, verifies the summed checksums agree, and returns the pair.
+// A non-nil registry is attached to the unpinned run only.
 func RunImbalance(shards, scaleDiv int, reg *metrics.Registry) (*ImbalanceResult, error) {
 	if shards < 1 {
 		shards = 1
@@ -68,7 +67,7 @@ func RunImbalance(shards, scaleDiv int, reg *metrics.Registry) (*ImbalanceResult
 	// task i on shard i%shards — making every i%shards==0 task heavy
 	// piles all the heavy work on shard 0 under static placement.
 	n := 6 * shards
-	makeTasks := func() []shard.Task {
+	makeTasks := func(pin bool) []shard.Task {
 		tasks := make([]shard.Task, 0, n)
 		for i := 0; i < n; i++ {
 			scale := light
@@ -79,19 +78,16 @@ func RunImbalance(shards, scaleDiv int, reg *metrics.Registry) (*ImbalanceResult
 			}
 			tasks = append(tasks, shard.Task{
 				Name: name,
+				Pin:  pin,
 				Run:  func(e appkit.RegionEnv) uint32 { return app.Region(e, scale) },
 			})
 		}
 		return tasks
 	}
 
-	run := func(noSteal bool, reg *metrics.Registry) (ThroughputResult, error) {
-		engOpts := []shard.Option{shard.WithShards(shards), shard.WithMetrics(reg)}
-		if noSteal {
-			engOpts = append(engOpts, shard.WithNoSteal())
-		}
-		eng := shard.NewEngine(engOpts...)
-		for _, t := range makeTasks() {
+	run := func(pin bool, reg *metrics.Registry) (ThroughputResult, error) {
+		eng := shard.NewEngine(shard.WithShards(shards), shard.WithMetrics(reg))
+		for _, t := range makeTasks(pin) {
 			eng.Submit(t)
 		}
 		agg := eng.Close()

@@ -26,9 +26,7 @@ type ThroughputResult struct {
 	SimSpeedup float64 `json:"simSpeedup,omitempty"`
 	Checksum   uint32  `json:"checksum"`
 	// PerShardMcycles is each shard's simulated busy cycles in shard
-	// order — the per-run view of regions_shard_busy_cycles_total. With
-	// stealing enabled the split depends on host timing; the checksum and
-	// the per-task work do not.
+	// order — the per-run view of regions_shard_busy_cycles_total.
 	PerShardMcycles []float64 `json:"perShardMcycles,omitempty"`
 	// BusyRatio is max/min over PerShardMcycles: 1.0 is perfect balance.
 	BusyRatio float64 `json:"busyRatio,omitempty"`
@@ -48,9 +46,6 @@ type ThroughputOpts struct {
 	// before any task is submitted — so a caller can hold it for live
 	// inspection (regionbench's /heap endpoint).
 	OnEngine func(*shard.Engine)
-	// NoSteal pins every task to its home shard (see shard.WithNoSteal);
-	// the imbalance benchmark uses it as the A side of its A/B.
-	NoSteal bool
 }
 
 // RunThroughputOpts drives the six benchmark apps through a shard engine
@@ -64,12 +59,8 @@ func RunThroughputOpts(shards, scaleDiv, repeats int, opts ThroughputOpts) (Thro
 	if repeats < 1 {
 		repeats = 1
 	}
-	engOpts := []shard.Option{shard.WithShards(shards), shard.WithMetrics(opts.Metrics),
-		shard.WithHeapProfileEvery(opts.HeapProfileEvery)}
-	if opts.NoSteal {
-		engOpts = append(engOpts, shard.WithNoSteal())
-	}
-	eng := shard.NewEngine(engOpts...)
+	eng := shard.NewEngine(shard.WithShards(shards), shard.WithMetrics(opts.Metrics),
+		shard.WithHeapProfileEvery(opts.HeapProfileEvery))
 	if opts.OnEngine != nil {
 		opts.OnEngine(eng)
 	}

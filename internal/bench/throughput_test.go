@@ -1,23 +1,43 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"regions/internal/metrics"
 )
 
+// simOnly drops a throughput result's host timings, leaving the fields
+// that must be exact.
+func simOnly(r ThroughputResult) ThroughputResult {
+	r.WallSeconds, r.TasksPerSec = 0, 0
+	return r
+}
+
 // TestThroughputSweepScalesAndAgrees runs the whole-app workload at 1, 2,
-// and 4 shards at a small scale: the aggregate checksum must be
-// placement-independent and the simulated makespan must shrink with shard
+// and 4 shards at a small scale, twice: the two sweeps must agree exactly
+// in every simulated field, the aggregate checksum must be
+// placement-independent, and the simulated makespan must shrink with shard
 // count (the modelled scaling the engine exists for).
 func TestThroughputSweepScalesAndAgrees(t *testing.T) {
-	results, err := ThroughputSweepOpts(48, 2, []int{1, 2, 4}, ThroughputOpts{})
-	if err != nil {
-		t.Fatal(err)
+	var sweeps [2][]ThroughputResult
+	for i := range sweeps {
+		results, err := ThroughputSweepOpts(48, 2, []int{1, 2, 4}, ThroughputOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 3 {
+			t.Fatalf("got %d results, want 3", len(results))
+		}
+		for j := range results {
+			results[j] = simOnly(results[j])
+		}
+		sweeps[i] = results
 	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
+	if !reflect.DeepEqual(sweeps[0], sweeps[1]) {
+		t.Fatalf("two sweeps differ:\n%+v\n%+v", sweeps[0], sweeps[1])
 	}
+	results := sweeps[0]
 	for _, r := range results[1:] {
 		if r.Checksum != results[0].Checksum {
 			t.Fatalf("checksum at %d shards differs", r.Shards)
@@ -44,9 +64,8 @@ func TestThroughputMetricsAttachAndAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metered.Checksum != bare.Checksum || metered.SimMakespanMcycles != bare.SimMakespanMcycles {
-		t.Errorf("metered run diverged: checksum %#x vs %#x, makespan %.3f vs %.3f",
-			metered.Checksum, bare.Checksum, metered.SimMakespanMcycles, bare.SimMakespanMcycles)
+	if !reflect.DeepEqual(simOnly(metered), simOnly(bare)) {
+		t.Errorf("metered run diverged:\n%+v\nbare:\n%+v", simOnly(metered), simOnly(bare))
 	}
 	snap := reg.Snapshot()
 	if got := snap.CounterSum("regions_shard_tasks_total"); got != uint64(metered.Tasks) {
@@ -57,6 +76,31 @@ func TestThroughputMetricsAttachAndAgree(t *testing.T) {
 	}
 	if v, ok := snap.Gauge("regions_shard_utilization_pct"); !ok || v <= 0 {
 		t.Errorf("utilization gauge = %d,%v", v, ok)
+	}
+}
+
+// TestImbalanceIsExact runs the skewed A/B twice at a small scale: the two
+// runs must agree exactly, the pinned side must steal nothing, and the
+// unpinned side must steal and finish sooner.
+func TestImbalanceIsExact(t *testing.T) {
+	var runs [2]*ImbalanceResult
+	for i := range runs {
+		r, err := RunImbalance(4, 12, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = r
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("two imbalance runs differ:\n%+v\n%+v", runs[0], runs[1])
+	}
+	r := runs[0]
+	if r.NoSteal.Steals != 0 || r.Steal.Steals == 0 {
+		t.Errorf("steals: static %d, stealing %d; want 0 and some", r.NoSteal.Steals, r.Steal.Steals)
+	}
+	if r.Steal.SimMakespanMcycles >= r.NoSteal.SimMakespanMcycles {
+		t.Errorf("stealing makespan %.6f Mcycles, static %.6f: stealing did not help",
+			r.Steal.SimMakespanMcycles, r.NoSteal.SimMakespanMcycles)
 	}
 }
 

@@ -35,14 +35,14 @@ import (
 //     page it hands out, so a stale-contents page is as good as a poisoned
 //     one, and its poisoning cost genuinely disappears.
 //
-// Debt is provably bounded: sweep slices run on idle cycles (the shard
-// engine's dequeues, the serving simulator's modelled inter-arrival gaps),
-// and when debt exceeds Options.SweepHighWater every page acquisition runs
-// one slice first — the allocation tax. Each page of debt was detached by
-// exactly one deletion of a page acquired earlier, and above the high-water
-// mark every acquisition retires at least min(budget, debt) pages, so a
-// hostile delete-heavy loop converges to at most highWater + one region's
-// pages of debt instead of accumulating unswept memory.
+// Debt is provably bounded: sweep slices run on idle cycles (the serving
+// simulator's modelled inter-arrival gaps), and when debt exceeds
+// Options.SweepHighWater every page acquisition runs one slice first — the
+// allocation tax. Each page of debt was detached by exactly one deletion
+// of a page acquired earlier, and above the high-water mark every
+// acquisition retires at least min(budget, debt) pages, so a hostile
+// delete-heavy loop converges to at most highWater + one region's pages of
+// debt instead of accumulating unswept memory.
 //
 // Invariant surface (enforced by Verify, see heap.go): a detached page is
 // on exactly one free list, owned by no region, attributed to a deleted

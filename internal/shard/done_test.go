@@ -95,6 +95,7 @@ func TestDonePanicRecorded(t *testing.T) {
 	e := NewEngine(WithShards(1))
 	e.Submit(Task{
 		Name: "done-boom",
+		Pin:  true, // FIFO, so "after" runs after it
 		Run:  func(appkit.RegionEnv) uint32 { return 1 },
 		Done: func(TaskResult) { panic("callback kaput") },
 	})
@@ -102,6 +103,7 @@ func TestDonePanicRecorded(t *testing.T) {
 	ran := false
 	e.Submit(Task{
 		Name: "after",
+		Pin:  true,
 		Run:  func(appkit.RegionEnv) uint32 { ran = true; return 2 },
 	})
 	agg := e.Close()

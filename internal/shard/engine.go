@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,34 +18,36 @@ import (
 // churn from the cache.
 const DefaultPageBatch = 64
 
-// queueCap is the capacity of each shard's stealable and pinned deques.
+// queueCap is the capacity of each shard's FIFO: a submitter runs up to
+// this many pinned tasks ahead of a shard before Submit blocks, enough to
+// keep the shard fed (internal/serve sizes its session feeds above it).
 const queueCap = 32
 
 // Task is one unit of work for the engine. Run receives the executing
 // shard's environment and returns a checksum; checksums are summed (a
 // commutative fold) into the shard's stats, so any placement of a fixed
 // task set — including placements rearranged by work stealing — yields the
-// same aggregate checksum, the engine's determinism gate. Summing rather
-// than XOR keeps repeated identical tasks from cancelling out.
+// same aggregate checksum. Summing rather than XOR keeps repeated identical
+// tasks from cancelling out.
 type Task struct {
 	// Name labels the task in failure reports.
 	Name string
 	// Home, when nonzero, names the task's home shard: the shard at
 	// position (Home-1) mod Shards(). Zero places the task round-robin.
-	// A home is a soft preference — an idle shard may still steal the
-	// task — unless Pin is also set. Home must not be negative.
+	// A home is a soft preference — Close may hand the task to a sibling —
+	// unless Pin is also set. Home must not be negative.
 	Home int
-	// Pin makes the task unstealable: it executes on its home shard, and
-	// pinned tasks on one shard run in submission order (FIFO). Tasks
-	// that touch regions owned by a specific shard's runtime must pin;
-	// everything else should leave Pin false so the scheduler can balance
-	// load.
+	// Pin makes the task run on its home shard as soon as the shard
+	// reaches it, and pinned tasks on one shard run in submission order
+	// (FIFO). Tasks that touch regions owned by a specific shard's runtime
+	// must pin. An unpinned task waits for Close, which balances the held
+	// batch over the shards (see Engine).
 	Pin bool
 	// Run executes the task on the shard's environment.
 	Run func(env appkit.RegionEnv) uint32
 	// Done, when non-nil, is the task's completion callback: it runs on the
 	// executing shard's goroutine immediately after Run returns (or after a
-	// panic in Run is recovered), before the worker pops its next task.
+	// panic in Run is recovered), before the worker takes its next task.
 	// Pinned tasks on one shard therefore observe their Done calls in
 	// submission (FIFO) order, which is what lets a serving driver thread
 	// per-shard bookkeeping through callbacks without locks — see
@@ -57,7 +60,8 @@ type TaskResult struct {
 	// Shard is the shard the task executed on (its home shard unless the
 	// task was stolen).
 	Shard int
-	// Stolen reports whether a sibling shard ran the task.
+	// Stolen reports whether Close handed the task to a sibling of its
+	// home shard.
 	Stolen bool
 	// Checksum is Run's return value; zero when the task failed.
 	Checksum uint32
@@ -78,7 +82,7 @@ type Stats struct {
 	Failures  uint64
 	LastError string // first line of the most recent task failure
 	Checksum  uint32 // sum of completed task checksums
-	Steals    uint64 // tasks this shard stole from siblings' deques
+	Steals    uint64 // held tasks this shard took from a sibling at Close
 	SimCycles uint64 // simulated cycles charged on this shard
 	OSBytes   uint64 // memory the shard requested from its OS
 
@@ -100,27 +104,31 @@ type Aggregate struct {
 	Checksum uint32 // summed across shards; placement-independent
 	Steals   uint64 // tasks that ran away from their home shard
 	// MakespanCycles is the modelled completion time of the workload: the
-	// maximum simulated cycle count over shards, since shards run
-	// concurrently in wall time but each is its own simulated machine.
+	// maximum simulated cycle count over shards, since each shard is its
+	// own simulated machine and the machines run concurrently.
 	MakespanCycles uint64
 	// TotalCycles sums simulated cycles over all shards (the work done).
 	TotalCycles uint64
 	PerShard    []Stats
 }
 
-// board is where a metered engine's workers publish their counts for its
-// metrics source. After every task, and once more after the close-time
-// drain, a worker copies its runtime's spine, its OS counts and its Stats
-// into its slot; the source reads the slots, the live queue lengths, the
-// migration tallies and, after Close, the aggregate. So a live scrape is
-// race-free without a per-event atomic, and since the board holds no
-// runtime, a registry that outlives the engine does not keep the shard
-// heaps alive. Only that source reads the slots, so an unmetered engine's
-// workers have none and publish nothing.
+// board is the engine state its metrics source reads. After every task,
+// and once more after the close-time drain, a metered engine's worker
+// copies its runtime's spine, its OS counts and its Stats into its slot;
+// the source reads the slots, the queue lengths, the migration tallies
+// and, after Close, the aggregate. So a live scrape is race-free without a
+// per-event atomic, and since the board holds no runtime, a registry that
+// outlives the engine does not keep the shard heaps alive. Only that
+// source reads the slots, so an unmetered engine's workers have none and
+// publish nothing.
 type board struct {
 	mu    sync.Mutex
 	slots []*slot // by worker id; metered engines only
 	agg   *Aggregate
+
+	// held is each shard's unpinned backlog, by worker id: the tasks
+	// Submit homed there, oldest first, waiting for Close to dispatch them.
+	held [][]Task
 
 	// migrations and migratedPages count the completed migrations and the
 	// pages they moved; migCycles tallies their simulated cost (metered
@@ -132,26 +140,26 @@ type board struct {
 
 // slot is one worker's published counts.
 type slot struct {
-	label      string // the shard's Prometheus label
-	spine      core.Spine
-	os         mem.OSCounts
-	stats      Stats
-	busy       uint64 // shard clock at the end of the last task; drains are not busy time
-	dq, pinned *deque
+	label string // the shard's Prometheus label
+	spine core.Spine
+	os    mem.OSCounts
+	stats Stats
+	busy  uint64   // shard clock at the end of the last task; drains are not busy time
+	q     chan job // the worker's FIFO
 }
 
 // emit is the engine's metrics source.
 func (b *board) emit(s *metrics.Sink) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, sl := range b.slots {
+	for i, sl := range b.slots {
 		sl.spine.Emit(s)
 		sl.os.Emit(s)
 		s.Counter("regions_shard_tasks_total"+sl.label, sl.stats.Tasks)
 		s.Counter("regions_shard_failures_total"+sl.label, sl.stats.Failures)
 		s.Counter("regions_shard_busy_cycles_total"+sl.label, sl.busy)
 		s.Counter("regions_shard_steals_total"+sl.label, sl.stats.Steals)
-		s.Gauge("regions_shard_queue_depth"+sl.label, int64(sl.dq.len()+sl.pinned.len()))
+		s.Gauge("regions_shard_queue_depth"+sl.label, int64(len(sl.q)+len(b.held[i])))
 	}
 	s.Counter("regions_migrations_total", b.migrations)
 	s.Counter("regions_migrated_pages_total", b.migratedPages)
@@ -166,16 +174,23 @@ func (b *board) emit(s *metrics.Sink) {
 }
 
 type worker struct {
-	id      int // position in the worker set; also the metric label and Env name
-	env     *appkit.CoreEnv
-	dq      *deque // stealable tasks: owner pops back, thieves take front
-	pinned  *deque // pinned tasks: FIFO, never stolen
-	npinned atomic.Int64
-	stats   Stats
-	slot    *slot // on the engine's board; nil unless metered
+	id    int // position in the worker set; also the metric label and Env name
+	env   *appkit.CoreEnv
+	q     chan job // pinned tasks in submission order, then Close's dispatches
+	stats Stats
+	slot  *slot // on the engine's board; nil unless metered
 
 	profEvery int
 	lastProf  atomic.Value // *metrics.HeapReport
+}
+
+// job is one entry of a worker's FIFO. Close's dispatches carry a reply,
+// on which the worker sends its shard clock once the job is done; a
+// barrier runs nothing and only replies.
+type job struct {
+	Task
+	stolen, barrier bool
+	reply           chan<- uint64
 }
 
 // publish copies w's counts into its slot, if it has one; busy is the
@@ -196,35 +211,30 @@ func (w *worker) publish(b *board, busy uint64) {
 	sl.stats, sl.busy = w.stats, busy
 }
 
-// Engine distributes tasks over N shard workers with work stealing: Submit
-// places a task on its home shard's deque (Task.Home, or round-robin), the
-// owner pops its own deque newest-first, and a worker that runs dry takes
-// the oldest task from the first non-empty sibling deque. Pinned tasks
-// never move. Submit may be called from any goroutine; Close waits for the
-// queues to drain and returns the tally.
+// Engine distributes tasks over N shard workers, each running its tasks
+// serially on its own goroutine. A pinned task goes straight onto its home
+// shard's FIFO, and Submit blocks only while that FIFO is full, so every
+// shard starts on its first pinned task as soon as it is submitted. An
+// unpinned task is held on its home shard (Task.Home, or round-robin)
+// until Close. Close lets every pinned backlog drain, then dispatches the
+// held batch by the shards' simulated clocks: the shard with the lowest
+// clock (the lower id on a tie) runs its own newest held task, or else
+// steals the oldest held task of the first sibling, sweeping rightward,
+// that holds one. A task may cost no cycles, so each one finishes before
+// the next decision reads the clocks: an unpinned batch runs one task at
+// a time on the host, and its placement, per-shard cycles and steals are
+// a function of the submitted sequence alone.
 //
 // The worker set only grows: Resize appends fresh shards, so a worker's id
 // is its position for the engine's whole life. The live slice is published
-// through an atomic pointer, so Submit and the steal sweep always act on a
-// consistent snapshot; Resize must not race Submit/Close — the caller
-// quiesces submissions first (see Resize).
-//
-// Sleep/wake protocol: e.stealable counts tasks sitting in stealable
-// deques engine-wide and each worker counts its own pinned backlog, both
-// maintained by submitters at push time and by workers at pop time. A
-// worker that finds nothing re-checks those counters under the engine
-// mutex before blocking on the condvar, so a push between "sweep found
-// nothing" and "sleep" can never be lost; every push and pop broadcasts,
-// which also unblocks submitters waiting on a full deque.
+// through an atomic pointer, so Submit always acts on a consistent
+// snapshot; Resize must not race Submit/Close — the caller quiesces
+// submissions first (see Resize).
 type Engine struct {
-	ws        atomic.Pointer[[]*worker]
-	rr        atomic.Uint32
-	wg        sync.WaitGroup
-	set       settings     // resolved options; template for workers Resize adds
-	stealable atomic.Int64 // tasks currently in stealable deques, engine-wide
-
-	mu     sync.Mutex
-	cond   *sync.Cond
+	ws     atomic.Pointer[[]*worker]
+	rr     atomic.Uint32
+	wg     sync.WaitGroup
+	set    settings // resolved options; template for workers Resize adds
 	closed atomic.Bool
 
 	// resizeMu serializes Resize, MigrateRegion, and Close.
@@ -245,7 +255,6 @@ func NewEngine(opts ...Option) *Engine {
 		s.shards = 1
 	}
 	e := &Engine{set: s, board: &board{}}
-	e.cond = sync.NewCond(&e.mu)
 	if s.metrics != nil {
 		s.metrics.AddSource(e.board.emit)
 	}
@@ -253,8 +262,6 @@ func NewEngine(opts ...Option) *Engine {
 	for i := range ws {
 		ws[i] = e.newWorker(i)
 	}
-	// Publish the full slice before starting anyone: a worker's steal sweep
-	// reads the whole worker set.
 	e.ws.Store(&ws)
 	for _, w := range ws {
 		e.wg.Add(1)
@@ -264,8 +271,8 @@ func NewEngine(opts ...Option) *Engine {
 }
 
 // newWorker builds (but does not start) the worker at position id from the
-// engine's resolved settings and, on a metered engine, gives it a slot on
-// the board.
+// engine's resolved settings, gives it an empty held list and, on a
+// metered engine, a slot on the board.
 func (e *Engine) newWorker(id int) *worker {
 	rt := core.NewRuntimeOpts(mem.NewSpace(&stats.Counters{}), core.Options{
 		Safe:           true,
@@ -278,19 +285,21 @@ func (e *Engine) newWorker(id int) *worker {
 	w := &worker{
 		id:        id,
 		env:       appkit.NewCoreEnv(shardName(id), rt),
-		dq:        newDeque(queueCap),
-		pinned:    newDeque(queueCap),
+		q:         make(chan job, queueCap),
 		profEvery: e.set.heapProfileEvery,
 	}
 	w.stats.Shard = id
 	if e.set.metrics != nil {
 		w.env.Runtime().Meter(e.set.metrics)
-		w.slot = &slot{label: fmt.Sprintf(`{shard="%d"}`, id), dq: w.dq, pinned: w.pinned}
+		w.slot = &slot{label: fmt.Sprintf(`{shard="%d"}`, id), q: w.q}
 		w.publish(e.board, 0)
-		e.board.mu.Lock()
-		e.board.slots = append(e.board.slots, w.slot)
-		e.board.mu.Unlock()
 	}
+	e.board.mu.Lock()
+	e.board.held = append(e.board.held, nil)
+	if w.slot != nil {
+		e.board.slots = append(e.board.slots, w.slot)
+	}
+	e.board.mu.Unlock()
 	return w
 }
 
@@ -317,99 +326,81 @@ func (e *Engine) home(t Task, n int) int {
 	return int((e.rr.Add(1) - 1) % uint32(n))
 }
 
-// Submit places t on its home shard's deque (the pinned queue when t.Pin
-// is set) and blocks only while that queue is full. A caller with many
-// tasks submits them one by one, in order: each shard starts on its first
-// task as soon as it is queued, and pinned queues keep submission order.
-// Submitting after Close panics, like writing to a closed pipe.
+// Submit places t on its home shard: a pinned task on the shard's FIFO,
+// blocking only while the FIFO is full; an unpinned one on the shard's
+// held list, for Close to dispatch. A caller with many tasks submits them
+// one by one, in order: each shard starts on its first pinned task as soon
+// as it is queued, and FIFOs keep submission order. Submitting after Close
+// panics, like writing to a closed pipe.
 func (e *Engine) Submit(t Task) {
 	if e.closed.Load() {
 		panic("shard: Submit after Close")
 	}
 	ws := e.workers()
-	e.submitTo(ws[e.home(t, len(ws))], t)
-}
-
-// submitTo places t on w's queue (pinned queue when t.Pin is set),
-// blocking while the queue is full. The internal entry point for targeting
-// a specific worker — migration uses it to pin export/import tasks to a
-// donor or receiver regardless of placement.
-func (e *Engine) submitTo(w *worker, t Task) {
-	q := w.dq
+	h := e.home(t, len(ws))
 	if t.Pin {
-		q = w.pinned
+		ws[h].q <- job{Task: t}
+		return
 	}
-	if !q.push(t) {
-		e.mu.Lock()
-		for !q.push(t) {
-			if e.closed.Load() {
-				e.mu.Unlock()
-				panic("shard: Submit after Close")
-			}
-			e.cond.Wait()
-		}
-		e.mu.Unlock()
-	}
-	// Counters first, then a broadcast, so sleeping workers re-check and
-	// find the task.
-	if t.Pin {
-		w.npinned.Add(1)
-	} else {
-		e.stealable.Add(1)
-	}
-	e.wake()
+	b := e.board
+	b.mu.Lock()
+	b.held[h] = append(b.held[h], t)
+	b.mu.Unlock()
 }
 
-// wake broadcasts the engine condvar under its mutex, so a waiter is either
-// already re-checking the counters or blocked and about to be released —
-// never in between.
-func (e *Engine) wake() {
-	e.mu.Lock()
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// next returns the next task for w and whether it was stolen. Pop order:
-// w's pinned queue first (FIFO, nobody else can run those), then the newest
-// task on w's own deque (LIFO keeps the shard working what it was just
-// given), then — unless stealing is off — the oldest task of the first
-// non-empty sibling deque, sweeping rightward from w's own position. Blocks
-// while nothing is runnable; ok=false means the engine is closed and
-// drained.
-func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
+// dispatch runs the held batch by the rule in Engine's comment, one task
+// at a time, once every pinned backlog has drained: a barrier on each
+// FIFO reads the shard's clock, and each dispatched task replies with it.
+// With nothing held (serving pins every task) it returns at once.
+func (e *Engine) dispatch(ws []*worker) {
+	e.board.mu.Lock()
+	idle := !slices.ContainsFunc(e.board.held, func(h []Task) bool { return len(h) > 0 })
+	e.board.mu.Unlock()
+	if idle {
+		return
+	}
+	reply := make(chan uint64)
+	clock := make([]uint64, len(ws))
+	for i, w := range ws {
+		w.q <- job{barrier: true, reply: reply}
+		clock[i] = <-reply
+	}
 	for {
-		if t, ok := w.pinned.popFront(); ok {
-			w.npinned.Add(-1)
-			return t, false, true
-		}
-		if t, ok := w.dq.popBack(); ok {
-			e.stealable.Add(-1)
-			return t, false, true
-		}
-		if !e.set.noSteal {
-			ws := e.workers()
-			for i := 1; i < len(ws); i++ {
-				v := ws[(w.id+i)%len(ws)]
-				if t, ok := v.dq.popFront(); ok {
-					e.stealable.Add(-1)
-					return t, true, true
-				}
+		s := 0
+		for i := range clock {
+			if clock[i] < clock[s] {
+				s = i
 			}
 		}
-		e.mu.Lock()
-		for {
-			if w.npinned.Load() > 0 || w.dq.len() > 0 ||
-				(!e.set.noSteal && e.stealable.Load() > 0) {
-				break
-			}
-			if e.closed.Load() {
-				e.mu.Unlock()
-				return Task{}, false, false
-			}
-			e.cond.Wait()
+		t, from, ok := e.board.take(s)
+		if !ok {
+			return
 		}
-		e.mu.Unlock()
+		ws[s].q <- job{Task: t, stolen: from != s, reply: reply}
+		clock[s] = <-reply
 	}
+}
+
+// take removes the task shard s runs next from the held lists and names
+// the shard that held it: s's own newest task, else the oldest task of the
+// first non-empty sibling to its right, wrapping. ok=false means nothing
+// is held anywhere.
+func (b *board) take(s int) (t Task, from int, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := range b.held {
+		v := (s + i) % len(b.held)
+		if h := b.held[v]; len(h) > 0 {
+			k := 0
+			if v == s {
+				k = len(h) - 1
+			}
+			t = h[k]
+			b.held[v] = slices.Delete(h, k, k+1) // clears the vacated entry
+			return t, v, true
+		}
+	}
+	return Task{}, 0, false
 }
 
 // HeapReports returns the most recent heap profile captured by each live
@@ -437,17 +428,19 @@ func (w *worker) captureHeapProfile() {
 	w.lastProf.Store(rep)
 }
 
-// Close drains every queue, stops the workers, and returns the aggregated
-// stats in shard order.
+// Close drains every pinned backlog, dispatches the held tasks, stops the
+// workers, and returns the aggregated stats in shard order.
 func (e *Engine) Close() Aggregate {
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
-	e.mu.Lock()
-	e.closed.Store(true)
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	e.wg.Wait()
 	ws := e.workers()
+	if !e.closed.Swap(true) {
+		e.dispatch(ws)
+		for _, w := range ws {
+			close(w.q)
+		}
+		e.wg.Wait()
+	}
 	agg := Aggregate{Shards: len(ws)}
 	for _, w := range ws {
 		s := w.stats
@@ -470,46 +463,12 @@ func (e *Engine) Close() Aggregate {
 func (w *worker) loop(e *Engine) {
 	defer e.wg.Done()
 	var busy uint64
-	for {
-		t, stolen, ok := e.next(w)
-		if !ok {
-			break
+	for j := range w.q {
+		if !j.barrier {
+			busy = w.run(e.board, j.Task, j.stolen)
 		}
-		// A pop freed a deque slot; unblock any submitter waiting on it.
-		e.wake()
-		simBefore := w.env.Counters().TotalCycles()
-		sum, err := w.runTask(t)
-		w.stats.Tasks++
-		if stolen {
-			w.stats.Steals++
-		}
-		if err != nil {
-			w.stats.Failures++
-			w.stats.LastError = err.Error()
-			// Pop the frames the failed task left, so the next task starts
-			// from an empty shadow stack. Regions it leaked stay allocated,
-			// which is safe, just unused.
-			for rt := w.env.Runtime(); rt.Depth() > 0; {
-				rt.PopFrame()
-			}
-		} else {
-			w.stats.Checksum += sum
-		}
-		simAfter := w.env.Counters().TotalCycles()
-		if t.Done != nil {
-			w.runDone(t, TaskResult{
-				Shard:       w.id,
-				Stolen:      stolen,
-				Checksum:    sum,
-				Err:         err,
-				StartCycles: simBefore,
-				EndCycles:   simAfter,
-			})
-		}
-		busy = simAfter
-		w.publish(e.board, busy)
-		if w.profEvery > 0 && (w.stats.Tasks == 1 || w.stats.Tasks%uint64(w.profEvery) == 0) {
-			w.captureHeapProfile()
+		if j.reply != nil {
+			j.reply <- w.env.Counters().TotalCycles()
 		}
 	}
 	if e.set.deferredDelete {
@@ -530,6 +489,45 @@ func (w *worker) loop(e *Engine) {
 	if w.profEvery > 0 {
 		w.captureHeapProfile()
 	}
+}
+
+// run executes t on w, tallies and publishes it, and returns the shard
+// clock at the task's end.
+func (w *worker) run(b *board, t Task, stolen bool) uint64 {
+	simBefore := w.env.Counters().TotalCycles()
+	sum, err := w.runTask(t)
+	w.stats.Tasks++
+	if stolen {
+		w.stats.Steals++
+	}
+	if err != nil {
+		w.stats.Failures++
+		w.stats.LastError = err.Error()
+		// Pop the frames the failed task left, so the next task starts
+		// from an empty shadow stack. Regions it leaked stay allocated,
+		// which is safe, just unused.
+		for rt := w.env.Runtime(); rt.Depth() > 0; {
+			rt.PopFrame()
+		}
+	} else {
+		w.stats.Checksum += sum
+	}
+	simAfter := w.env.Counters().TotalCycles()
+	if t.Done != nil {
+		w.runDone(t, TaskResult{
+			Shard:       w.id,
+			Stolen:      stolen,
+			Checksum:    sum,
+			Err:         err,
+			StartCycles: simBefore,
+			EndCycles:   simAfter,
+		})
+	}
+	w.publish(b, simAfter)
+	if w.profEvery > 0 && (w.stats.Tasks == 1 || w.stats.Tasks%uint64(w.profEvery) == 0) {
+		w.captureHeapProfile()
+	}
+	return simAfter
 }
 
 // runTask executes t, converting a panic (an app assertion, a runtime

@@ -39,13 +39,13 @@ func recycleTask(seed uint32) Task {
 }
 
 // TestEngineExpositionGolden pins a metered two-shard engine's exposition
-// byte for byte: static placement, deferred deletion, string recycling and
+// byte for byte: pinned placement, deferred deletion, string recycling and
 // one migration of a region that carries parked string blocks.
 // regions_mem_mapped_bytes is left out: the registry once kept whichever
 // shard mapped last, which depended on thread timing.
 func TestEngineExpositionGolden(t *testing.T) {
 	reg := metrics.NewRegistry()
-	eng := NewEngine(WithShards(2), WithNoSteal(), WithMetrics(reg), WithDeferredDelete(2, 8))
+	eng := NewEngine(WithShards(2), WithMetrics(reg), WithDeferredDelete(2, 8))
 	registerSizeCleanups(t, eng, 8, 16)
 	var tenant *core.Region
 	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {

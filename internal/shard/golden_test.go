@@ -7,13 +7,16 @@ import (
 )
 
 // TestNoStealGolden pins a static-placement run of the seed-7 randomized mix
-// to recorded values. With stealing off every task runs on its home shard,
-// so per-shard cycle totals are a fingerprint of placement: a change that
+// to recorded values. Every task is pinned, so it runs on its home shard,
+// and per-shard cycle totals are a fingerprint of placement: a change that
 // moves any task to another shard fails here even though the summed
 // checksum, which is placement-independent, would not notice.
 func TestNoStealGolden(t *testing.T) {
-	eng := NewEngine(WithShards(4), WithNoSteal())
-	submitAll(eng, randomTasks(rand.New(rand.NewSource(7)), 300))
+	eng := NewEngine(WithShards(4))
+	for _, tk := range randomTasks(rand.New(rand.NewSource(7)), 300) {
+		tk.Pin = true
+		eng.Submit(tk)
+	}
 	agg := eng.Close()
 	var perShard []uint64
 	for _, s := range agg.PerShard {

@@ -170,3 +170,33 @@ func TestMetricsUnderConcurrentScrape(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueDepthCountsHeldTasks: an unpinned task waits on its home shard
+// until Close, and the shard's queue-depth gauge counts it while it waits.
+func TestQueueDepthCountsHeldTasks(t *testing.T) {
+	reg := metrics.NewRegistry()
+	eng := NewEngine(WithShards(2), WithMetrics(reg))
+	for i := 0; i < 3; i++ {
+		eng.Submit(simpleTask(uint32(i))) // round-robin: two on shard 0, one on shard 1
+	}
+	depths := func() [2]int64 {
+		snap := reg.Snapshot()
+		var d [2]int64
+		for i := range d {
+			d[i], _ = snap.Gauge(fmt.Sprintf(`regions_shard_queue_depth{shard="%d"}`, i))
+		}
+		return d
+	}
+	if got := depths(); got != [2]int64{2, 1} {
+		t.Errorf("queue depths %v before Close, want [2 1]", got)
+	}
+	if got := reg.Snapshot().CounterSum("regions_shard_tasks_total"); got != 0 {
+		t.Errorf("%d unpinned tasks ran before Close", got)
+	}
+	if agg := eng.Close(); agg.Tasks != 3 {
+		t.Fatalf("ran %d tasks, want 3", agg.Tasks)
+	}
+	if got := depths(); got != [2]int64{0, 0} {
+		t.Errorf("queue depths %v after Close, want [0 0]", got)
+	}
+}

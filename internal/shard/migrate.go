@@ -68,9 +68,8 @@ func (e *Engine) onShard(w *worker, name string, step func(rt *core.Runtime) err
 	var stepErr error
 	var cycles uint64
 	done := make(chan error, 1)
-	e.submitTo(w, Task{
+	w.q <- job{Task: Task{
 		Name: name,
-		Pin:  true,
 		Run: func(appkit.RegionEnv) uint32 {
 			stepErr = step(w.env.Runtime())
 			return 0
@@ -79,7 +78,7 @@ func (e *Engine) onShard(w *worker, name string, step func(rt *core.Runtime) err
 			cycles = res.EndCycles - res.StartCycles
 			done <- res.Err
 		},
-	})
+	}}
 	if err := <-done; err != nil {
 		return cycles, err
 	}
@@ -107,13 +106,17 @@ func mustVerify(rt *core.Runtime) {
 // and the error returned — the region survives either way.
 //
 // MigrateRegion blocks on worker queues and must not be called from a task
-// or Done callback (a worker waiting on its own queue deadlocks).
+// or Done callback (a worker waiting on its own queue deadlocks). After
+// Close it returns an error, as Resize does.
 func (e *Engine) MigrateRegion(r *core.Region, from, to int) (Migration, error) {
 	if r == nil {
 		return Migration{}, fmt.Errorf("shard: MigrateRegion: nil region")
 	}
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
+	if e.closed.Load() {
+		return Migration{}, fmt.Errorf("shard: MigrateRegion after Close")
+	}
 	ws := e.workers()
 	if from < 0 || from >= len(ws) || to < 0 || to >= len(ws) {
 		return Migration{}, fmt.Errorf("shard: MigrateRegion(%d, %d): engine has %d shards", from, to, len(ws))
@@ -166,10 +169,10 @@ func (e *Engine) MigrateRegion(r *core.Region, from, to int) (Migration, error) 
 }
 
 // Resize grows the live worker set to n shards. The new shards take the
-// next positions, start with empty runtimes, and join placement and
-// stealing at once; a driver that wants state on them moves it with
-// MigrateRegion. The worker set never shrinks: n below Shards() is an
-// error, and n equal to it does nothing.
+// next positions, start with empty runtimes, and take part at once in
+// placement and in Close's dispatch; a driver that wants state on them
+// moves it with MigrateRegion. The worker set never shrinks: n below
+// Shards() is an error, and n equal to it does nothing.
 //
 // Resize must not race Submit — the caller quiesces submission first
 // (internal/serve resizes at a phase barrier).

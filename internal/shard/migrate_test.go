@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
@@ -17,8 +18,9 @@ import (
 func pinnedDo(e *Engine, i int, fn func(rt *core.Runtime)) error {
 	w := e.workers()[i]
 	done := make(chan error, 1)
-	e.submitTo(w, Task{
+	e.Submit(Task{
 		Name: "test-pinned",
+		Home: i + 1,
 		Pin:  true,
 		Run: func(appkit.RegionEnv) uint32 {
 			fn(w.env.Runtime())
@@ -162,11 +164,38 @@ func TestMigrateRegionValidation(t *testing.T) {
 	}
 }
 
+// TestMigrateRegionAfterClose: a closed engine refuses a migration with an
+// error, as Resize does, instead of queueing the export on a worker that
+// has exited and waiting for it forever.
+func TestMigrateRegionAfterClose(t *testing.T) {
+	eng := NewEngine(WithShards(2))
+	registerSizeCleanups(t, eng, 8)
+	var r *core.Region
+	if err := pinnedDo(eng, 0, func(rt *core.Runtime) { r, _ = buildChain(rt, 8) }); err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	eng.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := eng.MigrateRegion(r, 0, 1)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("MigrateRegion after Close succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("MigrateRegion after Close still blocked after 5 s")
+	}
+}
+
 // TestMigrateUnderLoad is the randomized tentpole gate: a long-lived region
-// hops donor→receiver repeatedly while unpinned work races on every shard,
-// with Verify running on donor and receiver inside each hop; the digest
-// must survive every hop and the engine's summed checksum must be
-// bit-identical to the same task set run with migration off.
+// hops donor→receiver repeatedly while pinned work runs on every shard
+// (the unpinned work waits for Close), with Verify running on donor and
+// receiver inside each hop; the digest must survive every hop and the
+// engine's summed checksum must be bit-identical to the same task set run
+// with migration off.
 func TestMigrateUnderLoad(t *testing.T) {
 	const shards = 4
 	rng := rand.New(rand.NewSource(11))

@@ -4,13 +4,12 @@ import "regions/internal/metrics"
 
 // This file is the engine's construction surface: functional options over a
 // private settings struct, one option per knob a caller actually turns —
-// shard.NewEngine(shard.WithShards(8), shard.WithNoSteal()).
+// shard.NewEngine(shard.WithShards(8), shard.WithDeferredDelete(0, 0)).
 
 // settings is the resolved engine configuration NewEngine builds from its
 // options.
 type settings struct {
 	shards           int
-	noSteal          bool
 	metrics          *metrics.Registry
 	heapProfileEvery int
 	deferredDelete   bool
@@ -26,19 +25,15 @@ type Option func(*settings)
 // become 1). Engine.Resize can grow it later.
 func WithShards(n int) Option { return func(s *settings) { s.shards = n } }
 
-// WithNoSteal disables work stealing: every task runs on its home shard,
-// the engine's pre-stealing static placement. Exists for A/B measurement
-// (the imbalance benchmark) and as an escape hatch.
-func WithNoSteal() Option { return func(s *settings) { s.noSteal = true } }
-
 // WithMetrics registers the engine with reg. The core and mem series,
 // histograms and allocation sites included, sum every shard's counts as
 // of its last completed task (each worker of a metered engine publishes a
 // copy after every task, so a scrape from any goroutine is safe);
 // per-shard labeled series report tasks, failures, busy simulated cycles,
-// steals and live queue depth, plus the engine's migration counters and
-// histogram, and once the engine has closed its makespan and utilization
-// gauges. Nil attaches nothing, and workers then publish nothing.
+// steals and queue depth (the FIFO plus the held unpinned tasks), plus the
+// engine's migration counters and histogram, and once the engine has
+// closed its makespan and utilization gauges. Nil attaches nothing, and
+// workers then publish nothing.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(s *settings) { s.metrics = reg }
 }

@@ -3,7 +3,7 @@
 // ROADMAP's north star asks for. Each shard owns one simulated address
 // space, one safe region runtime, and one batched free-page cache, and
 // processes its tasks serially on its own goroutine; shards share nothing,
-// so the engine scales with the host's cores while every shard keeps the
+// so pinned work scales with the host's cores while every shard keeps the
 // paper's single-threaded fast paths (bump allocation, dense page-index
 // lookup) untouched.
 //
@@ -11,7 +11,8 @@
 // submitted with the same Task.Home always execute on the same shard, so a
 // pipeline of tasks can share regions created by its predecessors without
 // any cross-shard synchronization — the sharded analogue of the paper's
-// single-machine model.
+// single-machine model. Unpinned tasks are balanced at Close by work
+// stealing on the simulated clocks, so their placement is exact per run.
 package shard
 
 import "fmt"

@@ -33,12 +33,10 @@ func simpleTask(seed uint32) Task {
 	}
 }
 
+// TestEngineRunsTasksAcrossShards: round-robin homes spread equal tasks
+// over every shard.
 func TestEngineRunsTasksAcrossShards(t *testing.T) {
-	// NoSteal pins the engine to its static placement: the point here is
-	// that round-robin homes spread work over every shard. (With stealing
-	// enabled a fast worker may legitimately drain its siblings' deques
-	// before they start; TestStealingKeepsChecksumAndDrains covers that.)
-	eng := NewEngine(WithShards(4), WithNoSteal())
+	eng := NewEngine(WithShards(4))
 	const tasks = 64
 	for i := 0; i < tasks; i++ {
 		eng.Submit(simpleTask(uint32(i)))
@@ -90,7 +88,7 @@ func TestAffinityTasksShareAShard(t *testing.T) {
 	eng := NewEngine(WithShards(4))
 	// The first task of the pipeline creates a region and leaves it live;
 	// the second, sharing its home and pinned (a home alone is a soft
-	// preference under work stealing), allocates in it and deletes it. This
+	// preference), allocates in it and deletes it. This
 	// only works if both run, in order, on one runtime.
 	var shared appkit.Region
 	eng.Submit(Task{
@@ -133,6 +131,7 @@ func TestTaskPanicIsIsolatedAndStackReset(t *testing.T) {
 	eng := NewEngine(WithShards(1))
 	eng.Submit(Task{
 		Name: "bad",
+		Pin:  true, // so it runs before the healthy task
 		Run: func(e appkit.RegionEnv) uint32 {
 			e.PushFrame(2) // left on the stack when the panic unwinds
 			r := e.NewRegion()
@@ -141,7 +140,9 @@ func TestTaskPanicIsIsolatedAndStackReset(t *testing.T) {
 			return 0
 		},
 	})
-	eng.Submit(simpleTask(99))
+	good := simpleTask(99)
+	good.Pin = true
+	eng.Submit(good)
 	agg := eng.Close()
 	if agg.Failures != 1 {
 		t.Fatalf("failures = %d, want 1", agg.Failures)

@@ -3,10 +3,9 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"regions/internal/apps/appkit"
 )
@@ -54,7 +53,7 @@ func submitAll(eng *Engine, ts []Task) {
 }
 
 // randomTasks builds a reproducible mix of plain round-robin tasks, homed
-// stealable tasks, and pinned tasks, with object counts spanning two orders
+// unpinned tasks, and pinned tasks, with object counts spanning two orders
 // of magnitude. Each task is self-contained, so the summed checksum is a
 // pure function of the task set.
 func randomTasks(rng *rand.Rand, n int) []Task {
@@ -73,119 +72,113 @@ func randomTasks(rng *rand.Rand, n int) []Task {
 	return tasks
 }
 
+// submitRecorded submits ts in order and returns a slice that, once the
+// engine has closed, holds the shard each task ran on.
+func submitRecorded(eng *Engine, ts []Task) []int {
+	ran := make([]int, len(ts))
+	for i, tk := range ts {
+		tk.Done = func(res TaskResult) { ran[i] = res.Shard }
+		eng.Submit(tk)
+	}
+	return ran
+}
+
+// matchRef fails unless a closed engine's run is the reference scheduler's
+// to the task: every task on the predicted shard, every shard's cycles and
+// steals as predicted, and the same summed checksum.
+func matchRef(t *testing.T, label string, agg Aggregate, ran []int, ref refResult) {
+	t.Helper()
+	if !reflect.DeepEqual(ran, ref.shard) {
+		t.Fatalf("%s: tasks ran on shards %v, reference %v", label, ran, ref.shard)
+	}
+	for s, st := range agg.PerShard {
+		if st.SimCycles != ref.cycles[s] || st.Steals != ref.steals[s] {
+			t.Fatalf("%s: shard %d ran %d cycles with %d steals, reference %d and %d",
+				label, s, st.SimCycles, st.Steals, ref.cycles[s], ref.steals[s])
+		}
+	}
+	if agg.Checksum != ref.checksum {
+		t.Fatalf("%s: checksum %#x, reference %#x", label, agg.Checksum, ref.checksum)
+	}
+}
+
 // TestStealingKeepsChecksumAndDrains is the scheduler's determinism gate:
-// randomized task mixes run at 1, 2, 4, and 8 shards with stealing enabled
-// must drain completely and produce the single-shard checksum, whatever
-// placement stealing improvised. Every shard's heap invariants must hold
-// after the run.
+// randomized task mixes run at 1, 2, 4, and 8 shards, at GOMAXPROCS 1 and
+// 8, must drain completely and match the reference scheduler exactly —
+// each task's shard, each shard's cycles and steals — and the summed
+// checksum must be the single-shard one. Every shard's heap invariants
+// must hold after the run.
 func TestStealingKeepsChecksumAndDrains(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []int64{1, 2, 3} {
 		tasks := randomTasks(rand.New(rand.NewSource(seed)), 200)
 		var want uint32
 		for shardsIdx, n := range []int{1, 2, 4, 8} {
-			eng := NewEngine(WithShards(n))
-			submitAll(eng, tasks)
-			agg := eng.Close()
-			if agg.Tasks != uint64(len(tasks)) {
-				t.Fatalf("seed %d shards %d: ran %d tasks, want %d", seed, n, agg.Tasks, len(tasks))
-			}
-			if agg.Failures != 0 {
-				t.Fatalf("seed %d shards %d: %d failures", seed, n, agg.Failures)
-			}
-			for i, w := range eng.workers() {
-				if err := w.env.Runtime().Verify(); err != nil {
-					t.Fatalf("seed %d shards %d: shard %d invariants: %v", seed, n, i, err)
+			ref := refSchedule(tasks, n)
+			for _, procs := range []int{1, 8} {
+				runtime.GOMAXPROCS(procs)
+				label := fmt.Sprintf("seed %d shards %d GOMAXPROCS %d", seed, n, procs)
+				eng := NewEngine(WithShards(n))
+				ran := submitRecorded(eng, tasks)
+				agg := eng.Close()
+				if agg.Tasks != uint64(len(tasks)) || agg.Failures != 0 {
+					t.Fatalf("%s: ran %d tasks with %d failures, want %d and 0", label, agg.Tasks, agg.Failures, len(tasks))
 				}
+				for i, w := range eng.workers() {
+					if err := w.env.Runtime().Verify(); err != nil {
+						t.Fatalf("%s: shard %d invariants: %v", label, i, err)
+					}
+				}
+				matchRef(t, label, agg, ran, ref)
 			}
 			if shardsIdx == 0 {
-				want = agg.Checksum
-				continue
-			}
-			if agg.Checksum != want {
-				t.Fatalf("seed %d: checksum at %d shards = %#x, want %#x (stealing changed results)",
-					seed, n, agg.Checksum, want)
+				want = ref.checksum
+			} else if ref.checksum != want {
+				t.Fatalf("seed %d: checksum at %d shards = %#x, want %#x (placement changed results)",
+					seed, n, ref.checksum, want)
 			}
 		}
 	}
 }
 
-// TestImbalancedWorkloadIsStolen homes every task on one shard, unpinned:
-// the other three workers have nothing of their own and must steal. Verifies
-// steals are counted coherently and that the load actually spread. The
-// first task to start waits (up to 10 s) until a task has started on
-// another shard, so a busy host cannot let one worker drain all 48 tasks —
-// the home shard before any sibling is scheduled, or one thief before the
-// home shard wakes. A scheduler that never steals still fails.
+// TestImbalancedWorkloadIsStolen homes 48 equal unpinned tasks on shard 2
+// of 4, so the other three shards hold nothing of their own and must
+// steal. The split is exact: the reference scheduler's, which is an even
+// 12 tasks per shard with every sibling's 12 stolen.
 func TestImbalancedWorkloadIsStolen(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("stealing needs a sibling worker actually running")
+	const tasks, home = 48, 2
+	ts := make([]Task, tasks)
+	for i := range ts {
+		ts[i] = workTask(uint32(i), 128)
+		ts[i].Home = home + 1
 	}
 	eng := NewEngine(WithShards(4))
-	const tasks, home = 48, 2
-	var (
-		mu        sync.Mutex
-		first     string // the shard the first task started on
-		spread    sync.Once
-		elsewhere = make(chan struct{}) // closed once a task starts on another shard
-	)
-	for i := 0; i < tasks; i++ {
-		tk := workTask(uint32(i), 128)
-		tk.Home = home + 1
-		run := tk.Run
-		tk.Run = func(e appkit.RegionEnv) uint32 {
-			mu.Lock()
-			isFirst := first == ""
-			if isFirst {
-				first = e.Name()
-			} else if e.Name() != first {
-				spread.Do(func() { close(elsewhere) })
-			}
-			mu.Unlock()
-			if isFirst {
-				select {
-				case <-elsewhere:
-				case <-time.After(10 * time.Second):
-				}
-			}
-			return run(e)
-		}
-		eng.Submit(tk)
-	}
+	ran := submitRecorded(eng, ts)
 	agg := eng.Close()
 	if agg.Failures != 0 || agg.Tasks != tasks {
 		t.Fatalf("tasks=%d failures=%d, want %d/0", agg.Tasks, agg.Failures, tasks)
 	}
-	if agg.Steals == 0 {
-		t.Fatal("no steals on a fully imbalanced workload")
-	}
-	var perShard uint64
-	busy := 0
-	for _, s := range agg.PerShard {
-		perShard += s.Steals
-		if s.Tasks > 0 {
-			busy++
+	matchRef(t, "imbalanced", agg, ran, refSchedule(ts, 4))
+	wantSteals := []uint64{12, 12, 0, 12}
+	for s, st := range agg.PerShard {
+		if st.Tasks != 12 || st.Steals != wantSteals[s] {
+			t.Errorf("shard %d ran %d tasks with %d steals, want 12 and %d", s, st.Tasks, st.Steals, wantSteals[s])
 		}
 	}
-	if perShard != agg.Steals {
-		t.Fatalf("per-shard steals sum to %d, aggregate says %d", perShard, agg.Steals)
-	}
-	if agg.PerShard[home].Steals != 0 {
-		t.Fatalf("home shard %d 'stole' %d of its own tasks", home, agg.PerShard[home].Steals)
-	}
-	if busy < 2 {
-		t.Fatalf("stealing left the load on %d shard(s)", busy)
+	if agg.Steals != 36 {
+		t.Errorf("aggregate steals %d, want 36", agg.Steals)
 	}
 }
 
-// TestNoStealKeepsTasksHome pins down the A/B control: with WithNoSteal the
-// engine is the static-placement scheduler — zero steals, and an
-// imbalanced workload stays exactly where its home put it.
+// TestNoStealKeepsTasksHome pins down the A/B control: pinned tasks are
+// the static-placement scheduler — zero steals, and an imbalanced workload
+// stays exactly where its home put it.
 func TestNoStealKeepsTasksHome(t *testing.T) {
-	eng := NewEngine(WithShards(4), WithNoSteal())
+	eng := NewEngine(WithShards(4))
 	const tasks, home = 24, 2
 	for i := 0; i < tasks; i++ {
 		tk := workTask(uint32(i), 16)
-		tk.Home = home + 1
+		tk.Home, tk.Pin = home+1, true
 		eng.Submit(tk)
 	}
 	agg := eng.Close()
@@ -193,7 +186,7 @@ func TestNoStealKeepsTasksHome(t *testing.T) {
 		t.Fatalf("%d failures", agg.Failures)
 	}
 	if agg.Steals != 0 {
-		t.Fatalf("NoSteal engine recorded %d steals", agg.Steals)
+		t.Fatalf("pinned tasks recorded %d steals", agg.Steals)
 	}
 	for i, s := range agg.PerShard {
 		want := uint64(0)
@@ -201,7 +194,7 @@ func TestNoStealKeepsTasksHome(t *testing.T) {
 			want = tasks
 		}
 		if s.Tasks != want {
-			t.Fatalf("shard %d ran %d tasks, want %d under NoSteal", i, s.Tasks, want)
+			t.Fatalf("shard %d ran %d tasks, want %d when pinned", i, s.Tasks, want)
 		}
 	}
 }

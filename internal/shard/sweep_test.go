@@ -39,9 +39,9 @@ func blobTask(seed uint32) Task {
 
 // TestDeferredSweepRacesDeletes runs task-driven deletions under deferred
 // reclamation with the race detector on, in two interleavings: a flooded
-// submission where workers never go idle (debt is cancelled by reuse or
-// drained at close) and a paced submission whose idle gaps let workers
-// sleep with debt outstanding between tasks. A shared metrics
+// unpinned submission that Close dispatches (debt is cancelled by reuse or
+// drained at close) and a paced pinned submission whose idle gaps let
+// workers sleep with debt outstanding between tasks. A shared metrics
 // registry is scraped concurrently throughout, like a live /metrics
 // endpoint. Both deferred interleavings must produce the synchronous run's
 // checksum, end with zero debt, and leave every shard's heap invariants
@@ -72,7 +72,9 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 			}
 		}()
 		for i := 0; i < tasks; i++ {
-			eng.Submit(blobTask(uint32(i)))
+			tk := blobTask(uint32(i))
+			tk.Pin = paced // pinned tasks run as they arrive; unpinned ones wait for Close
+			eng.Submit(tk)
 			if paced && i%8 == 7 {
 				time.Sleep(time.Millisecond) // idle window: workers sleep in debt
 			}
