@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"regions/internal/metrics"
+	"regions/internal/serve"
 )
 
 func writeTempReport(t *testing.T, name, content string) string {
@@ -169,5 +170,53 @@ func TestCompareReportsGatesExactNumbers(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "regions_new_total") || !strings.Contains(buf.String(), "added") {
 		t.Errorf("added series not shown as added:\n%s", buf.String())
+	}
+}
+
+// TestCompareReportsGatesExactServing: a serving run's latency order
+// statistics, mean, completions and sheds are exact, so at one config a
+// p99 or a slowest request that moved fails the gate though the checksum
+// held, in the serve scenario and in either arm of both A/Bs; at another
+// config they are context.
+func TestCompareReportsGatesExactServing(t *testing.T) {
+	result := func() *serve.Result {
+		return &serve.Result{Sessions: 100, Completed: 100, P50: 50, P99: 100, P999: 120,
+			MaxCycles: 130, Mean: 60, Checksum: 0xabcd}
+	}
+	report := func() *Report {
+		return &Report{ScaleDiv: 4, Repeats: 4,
+			Serve:   result(),
+			ServeAB: &ServeABResult{Sessions: 100, Sync: result(), Deferred: result()},
+			StrAB: &StrABResult{Sessions: 100, Pooled: &serve.Result{StrReuse: 1, Checksum: 1},
+				NoPool: &serve.Result{Checksum: 1}},
+		}
+	}
+	old := report()
+	if regs := CompareReports(io.Discard, old, report(), DefaultCompareThreshold); len(regs) != 0 {
+		t.Fatalf("identical reports regress: %v", regs)
+	}
+	cases := []struct {
+		name  string
+		plant func(r *Report)
+		want  string
+	}{
+		{"p99", func(r *Report) { r.Serve.P99 = 999 }, "serve: p99 999, artifact has 100"},
+		{"max", func(r *Report) { r.Serve.MaxCycles = 131 }, "serve: max 131"},
+		{"mean", func(r *Report) { r.Serve.Mean = 61 }, "serve: mean 61"},
+		{"sheds", func(r *Report) { r.Serve.ShedQueue = 1 }, "serve: queue sheds 1"},
+		{"deferred", func(r *Report) { r.ServeAB.Deferred.P50 = 49 }, "serve A/B deferred: p50 49"},
+		{"no-pool", func(r *Report) { r.StrAB.NoPool.MaxCycles = 7 }, "string-pool A/B no-pool: max 7"},
+	}
+	for _, c := range cases {
+		cur := report()
+		c.plant(cur)
+		regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold)
+		if len(regs) != 1 || !strings.Contains(regs[0], c.want) {
+			t.Errorf("%s: regressions = %v, want one naming %q", c.name, regs, c.want)
+		}
+		cur.ScaleDiv = 8
+		if regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold); len(regs) != 0 {
+			t.Errorf("%s: gated across differing configs: %v", c.name, regs)
+		}
 	}
 }

@@ -100,8 +100,8 @@ func RunServeAB(scaleDiv int, reg *metrics.Registry) (*ServeABResult, error) {
 
 // compareServeAB prints the A/B delta and returns the regressions: a
 // deferred p999 above the sync p999 (the scenario is deterministic, so
-// this gate is noise-free), and — when the configs match — a checksum that
-// drifted from the artifact.
+// this gate is noise-free), and — when the configs match — any exact
+// number of either arm that drifted from the artifact (see exactServe).
 func compareServeAB(w io.Writer, old, cur *Report, sameConfig bool) []string {
 	if cur.ServeAB == nil {
 		return nil
@@ -120,11 +120,8 @@ func compareServeAB(w io.Writer, old, cur *Report, sameConfig bool) []string {
 				c.Deferred.P999, c.Sync.P999))
 	}
 	if o := old.ServeAB; o != nil && sameConfig && o.Sessions == c.Sessions {
-		if c.Sync.Checksum != o.Sync.Checksum {
-			regressions = append(regressions,
-				fmt.Sprintf("serve A/B: checksum %08x, artifact has %08x — serving results changed",
-					c.Sync.Checksum, o.Sync.Checksum))
-		}
+		regressions = append(regressions, exactServe("serve A/B sync", o.Sync, c.Sync)...)
+		regressions = append(regressions, exactServe("serve A/B deferred", o.Deferred, c.Deferred)...)
 	}
 	return regressions
 }
@@ -196,8 +193,8 @@ func RunStrAB(scaleDiv int, reg *metrics.Registry) (*StrABResult, error) {
 
 // compareStrAB prints the string-pool A/B delta and returns the
 // regressions: a pooled arm that stopped reusing, pooled OS traffic above
-// the no-pool arm, and — when the configs match — a checksum that drifted
-// from the artifact.
+// the no-pool arm, and — when the configs match — any exact number of
+// either arm that drifted from the artifact (see exactServe).
 func compareStrAB(w io.Writer, old, cur *Report, sameConfig bool) []string {
 	if cur.StrAB == nil {
 		return nil
@@ -222,18 +219,15 @@ func compareStrAB(w io.Writer, old, cur *Report, sameConfig bool) []string {
 				c.Pooled.MappedBytes, c.NoPool.MappedBytes))
 	}
 	if o := old.StrAB; o != nil && sameConfig && o.Sessions == c.Sessions {
-		if c.Pooled.Checksum != o.Pooled.Checksum {
-			regressions = append(regressions,
-				fmt.Sprintf("string-pool A/B: checksum %08x, artifact has %08x — serving results changed",
-					c.Pooled.Checksum, o.Pooled.Checksum))
-		}
+		regressions = append(regressions, exactServe("string-pool A/B pooled", o.Pooled, c.Pooled)...)
+		regressions = append(regressions, exactServe("string-pool A/B no-pool", o.NoPool, c.NoPool)...)
 	}
 	return regressions
 }
 
-// compareServe prints the serve-scenario delta as context and returns a
-// regression when both reports ran the identical scenario but disagree on
-// its deterministic checksum.
+// compareServe prints the serve-scenario delta and, when both reports ran
+// the identical scenario, returns a regression for each exact number that
+// moved (see exactServe).
 func compareServe(w io.Writer, old, cur *Report, sameConfig bool) []string {
 	if old.Serve == nil || cur.Serve == nil {
 		return nil
@@ -245,9 +239,42 @@ func compareServe(w io.Writer, old, cur *Report, sameConfig bool) []string {
 		o.Completed, c.Completed,
 		o.ShedQueue+o.ShedOOM, c.ShedQueue+c.ShedOOM,
 		o.ShedQueue, c.ShedQueue, o.ShedOOM, c.ShedOOM)
-	if sameConfig && o.Sessions == c.Sessions && o.Checksum != c.Checksum {
-		return []string{fmt.Sprintf("serve: checksum %08x, artifact has %08x — serving results changed",
-			c.Checksum, o.Checksum)}
+	if sameConfig && o.Sessions == c.Sessions {
+		return exactServe("serve", o, c)
 	}
 	return nil
+}
+
+// exactServe returns a regression, named by label, for each number of a
+// serving run at the artifact's config that differs from the artifact's:
+// its checksum, its exact latency order statistics (p50, p99, p999 and the
+// slowest request), its mean, its completed sessions and both shed counts.
+// A seeded run reproduces every one of them bit for bit.
+func exactServe(label string, o, c *serve.Result) []string {
+	var regressions []string
+	if c.Checksum != o.Checksum {
+		regressions = append(regressions,
+			fmt.Sprintf("%s: checksum %08x, artifact has %08x — serving results changed",
+				label, c.Checksum, o.Checksum))
+	}
+	for _, f := range [...]struct {
+		name     string
+		old, cur uint64
+	}{
+		{"p50", o.P50, c.P50},
+		{"p99", o.P99, c.P99},
+		{"p999", o.P999, c.P999},
+		{"max", o.MaxCycles, c.MaxCycles},
+		{"mean", o.Mean, c.Mean},
+		{"completed", o.Completed, c.Completed},
+		{"queue sheds", o.ShedQueue, c.ShedQueue},
+		{"OOM sheds", o.ShedOOM, c.ShedOOM},
+	} {
+		if f.cur != f.old {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %s %d, artifact has %d — serving results changed",
+					label, f.name, f.cur, f.old))
+		}
+	}
+	return regressions
 }

@@ -26,8 +26,14 @@ type CleanupFunc func(rt *Runtime, obj Ptr) int
 
 type cleanupEntry struct {
 	name string
-	fn   CleanupFunc
+	fn   CleanupFunc // nil for a size cleanup (see RegisterSizeCleanup)
+	size int         // a size cleanup's object size
 }
+
+// cleanupTableCap is the room the cleanup table takes at its first
+// registration, so that it is allocated once: more than any runtime in this
+// repository registers (a serving shard registers 24).
+const cleanupTableCap = 32
 
 // RegisterCleanup registers fn under a diagnostic name and returns its id.
 // The name is also the allocation site a metered runtime counts the
@@ -37,17 +43,34 @@ func (rt *Runtime) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 	if fn == nil {
 		panic("core: nil cleanup function")
 	}
-	rt.cleanups = append(rt.cleanups, cleanupEntry{name, fn})
+	return rt.register(cleanupEntry{name: name, fn: fn})
+}
+
+// RegisterSizeCleanup registers, under a diagnostic name, the cleanup of
+// pointer-free objects of exactly size bytes: a cleanup that destroys
+// nothing and returns size. The runtime sizes such objects without a call,
+// and deleting a region calls nothing for them, though it counts and
+// charges each object as it does any other.
+func (rt *Runtime) RegisterSizeCleanup(name string, size int) CleanupID {
+	return rt.register(cleanupEntry{name: name, size: size})
+}
+
+// register appends e to the cleanup table and returns its id.
+func (rt *Runtime) register(e cleanupEntry) CleanupID {
+	if rt.cleanups == nil {
+		rt.cleanups = make([]cleanupEntry, 0, cleanupTableCap)
+	}
+	rt.cleanups = append(rt.cleanups, e)
 	if st := rt.sites; st != nil {
-		st.add(name)
+		st.add(e.name)
 	}
 	return CleanupID(len(rt.cleanups))
 }
 
-// SizeCleanup returns a cleanup for pointer-free objects of exactly size
-// bytes. Results are cached per size. Such objects could use RstrAlloc
-// instead; SizeCleanup exists for data that must live among scanned objects
-// or wants ralloc's clearing.
+// SizeCleanup returns a size cleanup (see RegisterSizeCleanup) for objects
+// of exactly size bytes, named "size<N>". Results are cached per size. Such
+// objects could use RstrAlloc instead; SizeCleanup exists for data that
+// must live among scanned objects or wants ralloc's clearing.
 func (rt *Runtime) SizeCleanup(size int) CleanupID {
 	if rt.sizeCleanups == nil {
 		rt.sizeCleanups = make(map[int]CleanupID)
@@ -55,8 +78,7 @@ func (rt *Runtime) SizeCleanup(size int) CleanupID {
 	if id, ok := rt.sizeCleanups[size]; ok {
 		return id
 	}
-	id := rt.RegisterCleanup(fmt.Sprintf("size%d", size),
-		func(_ *Runtime, _ Ptr) int { return size })
+	id := rt.RegisterSizeCleanup(fmt.Sprintf("size%d", size), size)
 	rt.sizeCleanups[size] = id
 	return id
 }
@@ -122,8 +144,10 @@ func (rt *Runtime) runCleanups(r *Region) {
 		return id
 	}
 	mustWalk(rt.walkObjects(FaultCorruptHeader, r, count, func(o object) error {
-		for i := 0; i < o.n; i++ {
-			rt.cleanups[o.id-1].fn(rt, o.data+Ptr(i*o.esz))
+		if fn := rt.cleanups[o.id-1].fn; fn != nil {
+			for i := 0; i < o.n; i++ {
+				fn(rt, o.data+Ptr(i*o.esz))
+			}
 		}
 		if rt.tracer != nil {
 			rt.tracer.Emit(trace.Event{Kind: trace.KindCleanup, Region: r.id, Addr: o.data,

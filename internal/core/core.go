@@ -464,18 +464,36 @@ func (rt *Runtime) releaseEntry(first Ptr, n int) {
 // regionOf translates p to its owning region, consulting the last-region
 // translation cache before the dense page index, and reports whether the
 // cache answered — the region-write barrier charges hits and misses
-// differently. A miss fills the entry (nil translations are cacheable too:
-// "not a region address" is as stable as ownership, and notePages drops the
-// entry on any change). The probe counts are host-side; simulated cycles
-// are charged at the call sites.
+// differently. The probe counts are host-side; simulated cycles are charged
+// at the call sites.
 func (rt *Runtime) regionOf(p Ptr) (*Region, bool) {
-	pg := p >> mem.PageShift
-	if !rt.opts.NoRegionCache {
-		if e := &rt.lr[pg&(lrSize-1)]; e.page == pg {
-			rt.t.LRHits++
-			return e.r, true
-		}
+	if r, hit := rt.lrProbe(p); hit {
+		return r, true
 	}
+	return rt.regionMiss(p), false
+}
+
+// lrProbe is regionOf's cache hit test, small enough to inline into the
+// region-write barrier: p's translation if the cache holds one, counted as
+// a hit. On a miss it counts nothing, and the caller goes on to regionMiss.
+func (rt *Runtime) lrProbe(p Ptr) (*Region, bool) {
+	pg := p >> mem.PageShift
+	if e := &rt.lr[pg&(lrSize-1)]; e.page == pg && !rt.opts.NoRegionCache {
+		rt.t.LRHits++
+		return e.r, true
+	}
+	return nil, false
+}
+
+// regionMiss is regionOf after a cache miss: it translates p through the
+// dense page index and fills p's cache entry (nil translations are
+// cacheable too: "not a region address" is as stable as ownership, and
+// notePages drops the entry on any change). It stays out of line, so the
+// barrier's three probes keep it short.
+//
+//go:noinline
+func (rt *Runtime) regionMiss(p Ptr) *Region {
+	pg := p >> mem.PageShift
 	var r *Region
 	if pg < Ptr(len(rt.pages.owners)) {
 		r = rt.pages.owners[pg]
@@ -487,7 +505,7 @@ func (rt *Runtime) regionOf(p Ptr) (*Region, bool) {
 	if r != nil {
 		rt.t.PageIndexHits++
 	}
-	return r, false
+	return r
 }
 
 // RegionOf returns the region containing p, or nil if p is not a region

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"regions/internal/mem"
+	"regions/internal/metrics"
 	"regions/internal/stats"
 )
 
@@ -276,6 +278,47 @@ func TestArrayCleanupPerElement(t *testing.T) {
 	}
 	if c.DestroyCalls != 7 {
 		t.Fatalf("DestroyCalls=%d, want 7", c.DestroyCalls)
+	}
+}
+
+// TestSizeCleanupMatchesClosure: a size cleanup sizes its objects without
+// a call and calls nothing per array element, yet heap reports, Verify and
+// deletion see, count and charge exactly what they do for a cleanup
+// function reporting the same size.
+func TestSizeCleanupMatchesClosure(t *testing.T) {
+	run := func(register func(rt *Runtime, name string, size int) CleanupID) (stats.Counters, metrics.HeapReport) {
+		rt, c := newRT(true)
+		obj, elem := register(rt, "obj", 20), register(rt, "elem", 4)
+		r := rt.NewRegion()
+		for i := 0; i < 300; i++ {
+			p := rt.Ralloc(r, 20, obj)
+			rt.StorePtr(p, p)
+		}
+		rt.RarrayAlloc(r, 90, 4, elem)
+		rep, err := rt.HeapReport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if !rt.DeleteRegion(r) {
+			t.Fatal("delete failed")
+		}
+		return *c, *rep
+	}
+	fnC, fnRep := run(func(rt *Runtime, name string, size int) CleanupID {
+		return rt.RegisterCleanup(name, func(*Runtime, Ptr) int { return size })
+	})
+	sizeC, sizeRep := run((*Runtime).RegisterSizeCleanup)
+	if sizeC != fnC {
+		t.Errorf("counters differ:\nsize cleanup %+v\nfunction     %+v", sizeC, fnC)
+	}
+	if !reflect.DeepEqual(sizeRep, fnRep) {
+		t.Errorf("heap reports differ:\nsize cleanup %+v\nfunction     %+v", sizeRep, fnRep)
+	}
+	if fnC.CleanupCalls != 301 {
+		t.Errorf("CleanupCalls = %d, want 301 (one per object, the array once)", fnC.CleanupCalls)
 	}
 }
 

@@ -71,12 +71,20 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 		rold = rt.RegionOf(t)
 		rnew = rt.RegionOf(val)
 	} else {
+		// Three translations in Figure 5's order, each a cache probe in
+		// line and the page index out of line on a miss.
 		var h1, h3 bool
-		ra, h1 = rt.regionOf(slot)
-		rnew, h3 = rt.regionOf(val)
+		if ra, h1 = rt.lrProbe(slot); !h1 {
+			ra = rt.regionMiss(slot)
+		}
+		if rnew, h3 = rt.lrProbe(val); !h3 {
+			rnew = rt.regionMiss(val)
+		}
 		h2 := true // nil old value: Figure 5's NULL test, no translation
 		if t != 0 {
-			rold, h2 = rt.regionOf(t)
+			if rold, h2 = rt.lrProbe(t); !h2 {
+				rold = rt.regionMiss(t)
+			}
 		}
 		if h1 && h2 && h3 && rnew != nil && rnew == ra && (rold == nil || rold == ra) {
 			rt.t.BarrierFast++

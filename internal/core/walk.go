@@ -83,9 +83,10 @@ type object struct {
 // resolve, when non-nil, maps each header's cleanup id before it is checked
 // — the cleanup pass counts and charges each call there, import remaps ids
 // there. A single object is sized by calling its cleanup once, as Figure 7
-// does, so callers that must not destroy set rt.verifying. An unknown id, a
-// negative size or an object running past its entry stops the walk with a
-// *Fault of the given kind, as a malformed list does (see walkList).
+// does, so callers that must not destroy set rt.verifying; a size cleanup's
+// size is read, not called. An unknown id, a negative size or an object
+// running past its entry stops the walk with a *Fault of the given kind, as
+// a malformed list does (see walkList).
 func (rt *Runtime) walkObjects(kind FaultKind, r *Region, resolve func(CleanupID) CleanupID, visit func(o object) error) error {
 	return rt.walkNormal(kind, r, func(p, end Ptr) error {
 		for p < end {
@@ -108,10 +109,14 @@ func (rt *Runtime) walkObjects(kind FaultKind, r *Region, resolve func(CleanupID
 				size = uint64(n) * uint64(esz)
 			} else {
 				o.data = p + mem.WordSize
-				s := rt.cleanups[o.id-1].fn(rt, o.data)
+				e := &rt.cleanups[o.id-1]
+				s := e.size
+				if e.fn != nil {
+					s = e.fn(rt, o.data)
+				}
 				if s < 0 {
 					return rt.fault(kind, p, r.id,
-						fmt.Sprintf("cleanup %q reported negative size %d", rt.cleanups[o.id-1].name, s), nil)
+						fmt.Sprintf("cleanup %q reported negative size %d", e.name, s), nil)
 				}
 				size = uint64(align4(s))
 			}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+
+	"regions/internal/rng"
 )
 
 // This file is the simulated OS's failure model. The paper's experiments
@@ -87,7 +89,7 @@ func (s *Space) SetFaultPlan(plan *FaultPlan) {
 	}
 	p := *plan
 	s.plan = &p
-	s.planRNG = rand.New(rand.NewSource(p.Seed))
+	s.planRNG = rand.New(rng.New(p.Seed))
 	s.planCalls = 0
 }
 

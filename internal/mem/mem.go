@@ -24,6 +24,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"unsafe"
 
 	"regions/internal/cachesim"
@@ -108,10 +109,12 @@ type Space struct {
 	// initializes pages it has not yet handed to anyone).
 	charge bool
 	// Each access adds inc to *cyc, the current mode's cycle counter. inc is
-	// set by SetMode and Uncharged (setCharge) and is 0 while uncharged, so
-	// an access makes no mode test.
-	cyc *uint64
-	inc uint64
+	// set by SetMode and Uncharged and is 0 while uncharged, so an access
+	// makes no mode test. incs is every mode's inc under the current charge
+	// flag (setCharge), so a mode switch computes nothing.
+	cyc  *uint64
+	inc  uint64
+	incs [stats.NumModes]uint8
 
 	// Failure model (see fault.go): an optional hard page limit plus an
 	// optional injected fault plan, and the bookkeeping of refused calls.
@@ -130,7 +133,7 @@ type Space struct {
 // Page 0 is reserved so that address 0 stays invalid.
 func NewSpace(c *stats.Counters) *Space {
 	s := &Space{
-		pages:  make([]*page, 1, 1024),
+		pages:  make([]*page, 1),
 		os:     &OSCounts{},
 		c:      c,
 		charge: true,
@@ -155,22 +158,25 @@ func (s *Space) Counters() *stats.Counters { return s.c }
 func (s *Space) SetMode(m stats.Mode) stats.Mode {
 	old := s.mode
 	s.mode = m
-	s.setCharge()
+	s.cyc = &s.c.Cycles[m]
+	s.inc = uint64(s.incs[m])
 	return old
 }
 
-// setCharge recomputes the per-access charge from the mode and the charge
-// flag.
+// setCharge recomputes every mode's per-access charge from the charge flag,
+// and the current mode's.
 func (s *Space) setCharge() {
-	s.cyc = &s.c.Cycles[s.mode]
-	switch {
-	case !s.charge:
-		s.inc = 0
-	case s.mode == stats.ModeApp:
-		s.inc = AppComputeFactor
-	default:
-		s.inc = 1
+	for m := range s.incs {
+		switch {
+		case !s.charge:
+			s.incs[m] = 0
+		case stats.Mode(m) == stats.ModeApp:
+			s.incs[m] = AppComputeFactor
+		default:
+			s.incs[m] = 1
+		}
 	}
+	s.SetMode(s.mode)
 }
 
 // Mode returns the current accounting mode.
@@ -200,6 +206,7 @@ func (s *Space) MapPages(n int) Addr {
 		return 0
 	}
 	first := len(s.pages)
+	s.pages = slices.Grow(s.pages, n) // the table grows with the mapped pages, once per call
 	for i := 0; i < n; i++ {
 		s.pages = append(s.pages, zeroPage)
 	}

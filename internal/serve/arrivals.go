@@ -3,6 +3,8 @@ package serve
 import (
 	"math"
 	"math/rand"
+
+	"regions/internal/rng"
 )
 
 // The arrival process: open-loop, seeded, Poisson with optional burst
@@ -71,7 +73,7 @@ type arrivals struct {
 
 // newArrivals starts cfg's arrival stream.
 func newArrivals(cfg Config) *arrivals {
-	a := &arrivals{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), profiles: Profiles()}
+	a := &arrivals{cfg: cfg, rng: rand.New(rng.New(cfg.Seed)), profiles: Profiles()}
 	if cfg.Profile != "" {
 		// Run validated the name; a single-profile run still draws from the
 		// PRNG in pickProfile so weights stay on the same stream.

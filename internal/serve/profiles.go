@@ -1,7 +1,5 @@
 package serve
 
-import "regions/internal/core"
-
 // Session profiles: what one request allocates, distilled from the six
 // benchmark apps' per-site allocation counts (`regionstat -app X` prints
 // them as regions_alloc_site_objects_total and _bytes_total). Each profile
@@ -204,10 +202,10 @@ var strHeavyProfile = &Profile{
 }
 
 // cleanupSite is one cleanup every serving runtime registers: a site's
-// name, for the census label, and a function reporting its object size.
+// name, for the census label, and its object size.
 type cleanupSite struct {
 	name string
-	size core.CleanupFunc
+	size int
 }
 
 // cleanupSites is every cleanup a serving runtime registers, in
@@ -229,19 +227,14 @@ var cleanupSites = func() []cleanupSite {
 				if !ok {
 					k = len(cs)
 					index[sc.name] = k
-					cs = append(cs, cleanupSite{sc.name, sizeCleanup(sc.size)})
+					cs = append(cs, cleanupSite{sc.name, sc.size})
 				}
 				sc.cln = k
 			}
 		}
 	}
-	return append(cs, cleanupSite{tenantSite, sizeCleanup(tenantNodeSize)})
+	return append(cs, cleanupSite{tenantSite, tenantNodeSize})
 }()
 
 // tenantCln is the tenant-state site's index in cleanupSites.
 var tenantCln = len(cleanupSites) - 1
-
-// sizeCleanup returns a cleanup reporting a fixed object size.
-func sizeCleanup(size int) core.CleanupFunc {
-	return func(*core.Runtime, core.Ptr) int { return size }
-}

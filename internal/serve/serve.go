@@ -1340,7 +1340,7 @@ func (sv *server) mix(p core.Ptr, a, b uint32) uint32 {
 func registerCleanups(rt *core.Runtime) []core.CleanupID {
 	ids := make([]core.CleanupID, len(cleanupSites))
 	for i, cs := range cleanupSites {
-		ids[i] = rt.RegisterCleanup(cs.name, cs.size)
+		ids[i] = rt.RegisterSizeCleanup(cs.name, cs.size)
 	}
 	return ids
 }

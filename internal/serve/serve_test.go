@@ -513,10 +513,10 @@ func TestHostAllocsSetup(t *testing.T) {
 		cfg   Config
 		maxKB float64
 	}{
-		// About 25% above the 58.8 and 123.1 KB measured; each shard
+		// About 25% above the 37.2 and 105.1 KB measured; each shard
 		// backing its mapped batch read 315 and 868 KB.
-		{"mix", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 350}, 73},
-		{"bulk", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 3250, Profile: "bulk", DeferredDelete: true}, 154},
+		{"mix", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 350}, 47},
+		{"bulk", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 3250, Profile: "bulk", DeferredDelete: true}, 132},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			least := math.Inf(1)
@@ -534,6 +534,28 @@ func TestHostAllocsSetup(t *testing.T) {
 				t.Errorf("a one-session run allocates %.1f KB, want at most %g", least, c.maxKB)
 			}
 		})
+	}
+}
+
+// TestHostAllocsRegisterCleanups: registering a shard's cleanups on a fresh
+// runtime allocates the id slice and the runtime's cleanup table once each,
+// not a table that doubles its way up to the 24 entries.
+func TestHostAllocsRegisterCleanups(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const runs = 50
+	rts := make([]*core.Runtime, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range rts {
+		rts[i] = core.NewRuntime(mem.NewSpace(&stats.Counters{}), true)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		registerCleanups(rts[next])
+		next++
+	})
+	if allocs > 3 {
+		t.Errorf("registerCleanups on a fresh runtime makes %.0f allocations, want at most 3", allocs)
 	}
 }
 

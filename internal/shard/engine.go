@@ -194,14 +194,20 @@ type job struct {
 }
 
 // publish copies w's counts into its slot, if it has one; busy is the
-// shard clock at the end of its last task. The runtime's site table is
-// copied into a buffer the slot owns, so once the buffer has grown to the
-// table publish does not allocate.
+// shard clock at the end of its last task. The copy is publishSlot's, whose
+// frame holds a whole Spine, so an unmetered worker's stack never makes
+// room for it.
 func (w *worker) publish(b *board, busy uint64) {
-	sl := w.slot
-	if sl == nil {
-		return
+	if w.slot != nil {
+		w.publishSlot(b, busy)
 	}
+}
+
+// publishSlot is publish on a metered worker. The runtime's site table is
+// copied into a buffer the slot owns, so once the buffer has grown to the
+// table publishSlot does not allocate.
+func (w *worker) publishSlot(b *board, busy uint64) {
+	sl := w.slot
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	sites := sl.spine.Sites

@@ -15,6 +15,6 @@
 // stealing on the simulated clocks, so their placement is exact per run.
 package shard
 
-import "fmt"
+import "strconv"
 
-func shardName(i int) string { return fmt.Sprintf("shard%d", i) }
+func shardName(i int) string { return "shard" + strconv.Itoa(i) }
