@@ -14,8 +14,8 @@ import (
 // what stealing buys. The imbalance workload is deliberately skewed
 // instead: heavy and light copies of one app interleaved so that static
 // placement piles every heavy task on shard 0, and the same task list is
-// run twice, once pinned (static placement: every task runs on its
-// round-robin home) and once unpinned, so Close's dispatch can steal. The
+// run twice, once with Engine.Run (static placement: every task runs on its
+// round-robin home) and once submitted, so Close's dispatch can steal. The
 // checksums must match; the max/min busy-cycle ratio is the balance claim
 // in docs/PERFORMANCE.md.
 
@@ -25,10 +25,10 @@ type ImbalanceResult struct {
 	Shards int    `json:"shards"`
 	App    string `json:"app"`
 	Tasks  int    `json:"tasks"`
-	// NoSteal is the static-placement run: every task is pinned to its
+	// NoSteal is the static-placement run: every task runs on its
 	// round-robin home shard, so shard 0 runs all the heavy ones.
 	NoSteal ThroughputResult `json:"noSteal"`
-	// Steal is the same task list unpinned, so idle shards may steal.
+	// Steal is the same task list submitted, so idle shards may steal.
 	Steal ThroughputResult `json:"steal"`
 }
 
@@ -44,9 +44,9 @@ func imbalanceApp() appkit.App {
 	return apps[0]
 }
 
-// RunImbalance runs the skewed workload at the given shard count, pinned
-// and unpinned, verifies the summed checksums agree, and returns the pair.
-// A non-nil registry is attached to the unpinned run only.
+// RunImbalance runs the skewed workload at the given shard count, placed
+// statically and stolen, verifies the summed checksums agree, and returns
+// the pair. A non-nil registry is attached to the stealing run only.
 func RunImbalance(shards, scaleDiv int, reg *metrics.Registry) (*ImbalanceResult, error) {
 	if shards < 1 {
 		shards = 1
@@ -63,32 +63,32 @@ func RunImbalance(shards, scaleDiv int, reg *metrics.Registry) (*ImbalanceResult
 	if light < 1 {
 		light = 1
 	}
-	// 6 tasks per shard, submitted in index order so round-robin homes
-	// task i on shard i%shards — making every i%shards==0 task heavy
-	// piles all the heavy work on shard 0 under static placement.
+	// 6 tasks per shard, placed in index order so round-robin homes task i
+	// on shard i%shards — making every i%shards==0 task heavy piles all
+	// the heavy work on shard 0 under static placement.
 	n := 6 * shards
-	makeTasks := func(pin bool) []shard.Task {
-		tasks := make([]shard.Task, 0, n)
-		for i := 0; i < n; i++ {
-			scale := light
-			name := app.Name + "-light"
-			if i%shards == 0 {
-				scale = heavy
-				name = app.Name + "-heavy"
-			}
-			tasks = append(tasks, shard.Task{
-				Name: name,
-				Pin:  pin,
-				Run:  func(e appkit.RegionEnv) uint32 { return app.Region(e, scale) },
-			})
+	tasks := make([]shard.Task, 0, n)
+	for i := 0; i < n; i++ {
+		scale := light
+		name := app.Name + "-light"
+		if i%shards == 0 {
+			scale = heavy
+			name = app.Name + "-heavy"
 		}
-		return tasks
+		tasks = append(tasks, shard.Task{
+			Name: name,
+			Run:  func(e appkit.RegionEnv) uint32 { return app.Region(e, scale) },
+		})
 	}
 
-	run := func(pin bool, reg *metrics.Registry) (ThroughputResult, error) {
+	run := func(steal bool, reg *metrics.Registry) (ThroughputResult, error) {
 		eng := shard.NewEngine(shard.WithShards(shards), shard.WithMetrics(reg))
-		for _, t := range makeTasks(pin) {
-			eng.Submit(t)
+		for _, t := range tasks {
+			if steal {
+				eng.Submit(t)
+			} else {
+				eng.Run(t)
+			}
 		}
 		agg := eng.Close()
 		if agg.Failures > 0 {
@@ -106,11 +106,11 @@ func RunImbalance(shards, scaleDiv int, reg *metrics.Registry) (*ImbalanceResult
 		return res, nil
 	}
 
-	noSteal, err := run(true, nil)
+	noSteal, err := run(false, nil)
 	if err != nil {
 		return nil, err
 	}
-	steal, err := run(false, reg)
+	steal, err := run(true, reg)
 	if err != nil {
 		return nil, err
 	}

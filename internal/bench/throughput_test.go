@@ -80,8 +80,8 @@ func TestThroughputMetricsAttachAndAgree(t *testing.T) {
 }
 
 // TestImbalanceIsExact runs the skewed A/B twice at a small scale: the two
-// runs must agree exactly, the pinned side must steal nothing, and the
-// unpinned side must steal and finish sooner.
+// runs must agree exactly, the static side must steal nothing, and the
+// stealing side must steal and finish sooner.
 func TestImbalanceIsExact(t *testing.T) {
 	var runs [2]*ImbalanceResult
 	for i := range runs {

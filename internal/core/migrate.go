@@ -129,8 +129,10 @@ func (rec *RegionRecord) Translate(p Ptr) (Ptr, bool) {
 // with FaultMigratedRegion). The region must be quiesced: its exact
 // reference count must be zero — the same deferred stack scan deleteregion
 // performs runs first — and its scanned data must not point into any other
-// region. On refusal (ErrExportReferenced, ErrExportCrossRegion) the region
-// is untouched.
+// region. A handle this runtime does not own (another runtime's region) is
+// refused as a FaultBadArgument *Fault before anything is charged. On
+// refusal (that fault, ErrExportReferenced, ErrExportCrossRegion) the
+// region is untouched.
 //
 // Charges: the RC check charges as deleteregion's does (ModeScan); page
 // release charges the synchronous 1+n per entry (ModeFree). Serialization
@@ -142,6 +144,9 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 	}
 	if r.st.deleted {
 		return nil, rt.deletedFault(r)
+	}
+	if !rt.owns(r) {
+		return nil, rt.fault(FaultBadArgument, r.hdr, r.id, "exportregion: region is not this runtime's", nil)
 	}
 
 	if rt.safe {
@@ -184,14 +189,14 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 }
 
 // Exportable reports whether r would pass ExportRegion's refusals right
-// now: live, exact reference count zero, and no scanned data word pointing
-// into another region. The reference-count probe charges what deleteregion's
-// scan charges (ModeScan); the data scan is host-side and uncharged. A true
-// result is advisory — the runtime's next task can invalidate it — so
-// callers probe from the goroutine that owns the runtime and act before
-// running anything else on it.
+// now: live, owned by this runtime, exact reference count zero, and no
+// scanned data word pointing into another region. The reference-count
+// probe charges what deleteregion's scan charges (ModeScan); the data scan
+// is host-side and uncharged. A true result is advisory — the runtime's
+// next task can invalidate it — so callers probe from the goroutine that
+// owns the runtime and act before running anything else on it.
 func (rt *Runtime) Exportable(r *Region) bool {
-	if r == nil || r.st.deleted {
+	if r == nil || r.st.deleted || !rt.owns(r) {
 		return false
 	}
 	if rt.safe && rt.quiescedRC(r) != 0 {
@@ -203,6 +208,12 @@ func (rt *Runtime) Exportable(r *Region) bool {
 	})
 	return ok
 }
+
+// owns reports whether the live handle r is one of this runtime's regions:
+// the page holding its header is indexed to r itself. Another runtime's
+// region may have its header at the same address, so the address alone
+// proves nothing.
+func (rt *Runtime) owns(r *Region) bool { return rt.pages.lookup(r.hdr) == r }
 
 // serializeRegion fills rec from r: the used-cleanup census plus the
 // cross-region refusal (one object walk), then both page lists verbatim.

@@ -179,6 +179,66 @@ func TestExportRefusals(t *testing.T) {
 	}
 }
 
+// TestExportRefusesForeignRegion: a runtime refuses to export another
+// runtime's region whose header sits at the same address as one of its
+// own, typed, before anything is charged, whether its own region holds
+// pointers or not. Neither heap changes: both verify, and the foreign
+// region stays live with its content.
+func TestExportRefusesForeignRegion(t *testing.T) {
+	for _, pointers := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pointers=%v", pointers), func(t *testing.T) {
+			a, ca := newRT(true)
+			b, _ := newRT(true)
+			own := a.NewRegion()
+			if pointers {
+				cons(a, a.SizeCleanup(8), own, 1, cons(a, a.SizeCleanup(8), own, 2, 0))
+			} else {
+				a.RstrAlloc(own, 64)
+			}
+			foreign := b.NewRegion()
+			cln := b.SizeCleanup(8)
+			var head Ptr
+			for i := 0; i < 40; i++ {
+				head = cons(b, cln, foreign, uint32(i), head)
+			}
+			if own.hdr != foreign.hdr {
+				t.Fatalf("headers at %#x and %#x; the test needs one address", own.hdr, foreign.hdr)
+			}
+			ownSum, foreignSum := a.ContentChecksum(own), b.ContentChecksum(foreign)
+			before := ca.TotalCycles()
+
+			if a.Exportable(foreign) {
+				t.Error("Exportable accepts another runtime's region")
+			}
+			_, err := a.ExportRegion(foreign)
+			var f *Fault
+			if !errors.As(err, &f) || f.Kind != FaultBadArgument {
+				t.Fatalf("export of another runtime's region: %v, want a FaultBadArgument *Fault", err)
+			}
+			if got := ca.TotalCycles(); got != before {
+				t.Errorf("the refusal charged %d cycles", got-before)
+			}
+			for name, rt := range map[string]*Runtime{"exporter": a, "owner": b} {
+				if err := rt.Verify(); err != nil {
+					t.Errorf("%s verify after the refusal: %v", name, err)
+				}
+			}
+			if foreign.Deleted() || foreign.Migrated() || own.Deleted() {
+				t.Fatalf("the refusal retired a region: foreign %v, own %v", foreign, own)
+			}
+			if got := b.ContentChecksum(foreign); got != foreignSum {
+				t.Errorf("foreign region digest %#x, want %#x", got, foreignSum)
+			}
+			if got := a.ContentChecksum(own); got != ownSum {
+				t.Errorf("exporter's region digest %#x, want %#x", got, ownSum)
+			}
+			if got := walkList(b, head); len(got) != 40 {
+				t.Errorf("foreign list holds %d nodes, want 40", len(got))
+			}
+		})
+	}
+}
+
 func TestExportRefusedByFrameSlot(t *testing.T) {
 	rt, _ := newRT(true)
 	r := rt.NewRegion()

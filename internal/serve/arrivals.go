@@ -13,8 +13,8 @@ import (
 // latency, since a closed loop would politely slow its offered load exactly
 // when the server struggles. The driver draws each session as it submits
 // it, so the host holds only the sessions in flight, never the schedule; it
-// may block in host time (in Submit, while a shard's queue is full), but no
-// draw reads the simulated clock. Everything here is host-side modelling:
+// may block in host time (sending on a shard's full feed), but no draw
+// reads the simulated clock. Everything here is host-side modelling:
 // drawing charges no simulated cycles, and the same seed always yields the
 // same schedule, profiles, and weights, which is what makes a whole serving
 // run bit-reproducible.
@@ -60,8 +60,8 @@ const (
 // BurstLen cycles of every BurstEvery-cycle period). Profiles are drawn by
 // weight and each session gets a 1-3x size weight, modelling the light/heavy
 // request mix every real service sees. Sessions come out in arrival order,
-// assigned round-robin to shards, so each shard's pinned FIFO queue replays
-// its own arrival-ordered stream.
+// assigned round-robin to shards, so each shard's feed replays its own
+// arrival-ordered stream.
 type arrivals struct {
 	cfg      Config
 	rng      *rand.Rand

@@ -359,8 +359,8 @@ type server struct {
 	// lat is every session's latency, indexed by session id: account writes
 	// a completed session's, and shedMark for a shed one. recs is every
 	// session's phase record, indexed the same way, under Config.Spans and
-	// nil otherwise. Each index is written by one shard goroutine, and read
-	// by report after every session has completed.
+	// nil otherwise. Each index is written by one shard's goroutine, and
+	// read by report after every session has completed.
 	lat  []uint64
 	recs []phaseRecord
 
@@ -371,9 +371,9 @@ type server struct {
 
 	eng    *shard.Engine
 	states []*shardState // indexed by shard position
-	// done counts the submitted sessions whose completion callback has not
-	// yet run; serve waits on it.
-	done sync.WaitGroup
+	// running counts the shards' goroutines that have not exited; serve
+	// waits on it.
+	running sync.WaitGroup
 
 	// Resize barrier readings (Config.ResizeTo only): each shard's busy
 	// cycles and the highest sweep-debt peak when phase 1 had drained.
@@ -394,12 +394,12 @@ const (
 )
 
 // tenantState is one tenant's long-lived region and driver-held chain head.
-// It is touched only by pinned tasks on the tenant's home shard while the
-// engine serves, and only by the barrier (engine idle) when it migrates —
-// so, like shardState, it needs no lock. The head is deliberately held
-// host-side and never in a frame: the region's counted reference count
-// stays zero between requests, which is exactly the quiescence
-// ExportRegion demands when the barrier moves the tenant.
+// Its region and head are touched only by sessions on the tenant's home
+// shard while the engine serves, and only by the barrier (engine idle)
+// when it migrates — so, like shardState, it needs no lock. The head is
+// deliberately held host-side and never in a frame: the region's counted
+// reference count stays zero between requests, which is exactly the
+// quiescence ExportRegion demands when the barrier moves the tenant.
 type tenantState struct {
 	r    *core.Region
 	head core.Ptr
@@ -407,20 +407,19 @@ type tenantState struct {
 }
 
 // shardState is one shard's task, modelled queue and tally. The driver only
-// sends on its feed and submits its task; everything else is touched only
-// by that shard's pinned tasks (which run serially, in submission order)
-// and read by Run after the engine has drained, so it needs no lock.
+// sends on its feed; everything else is touched only by the shard's
+// goroutine, which serves the sessions one at a time in the order they
+// were sent, and read by Run after that goroutine has exited, so it needs
+// no lock.
 type shardState struct {
 	id  int
 	env *appkit.CoreEnv
 	cln []core.CleanupID // indexed like cleanupSites
 
-	// task is the shard's one pinned task, submitted once per session: its
-	// k-th Run serves the k-th session the driver sent on feed, since
-	// pinned tasks run in submission order. cur is the session in service,
-	// received by Run and read by Done, which run back to back on the shard
-	// goroutine; cause is the refused mapping that shed cur, if one did,
-	// kept until noteOverload reads it.
+	// task is the shard's one task, run once per session: it serves cur,
+	// the session the shard's goroutine last received from feed. cause is
+	// the refused mapping that shed cur, if one did, kept until
+	// noteOverload reads it.
 	task  shard.Task
 	feed  chan session
 	cur   session
@@ -456,8 +455,8 @@ type shardState struct {
 }
 
 // board is where the shards of a metered run publish their serving
-// tallies for the run's metrics source, at the end of every completion
-// callback, so a live scrape reads them without a per-event atomic.
+// tallies for the run's metrics source, after every session they serve,
+// so a live scrape reads them without a per-event atomic.
 type board struct {
 	mu    sync.Mutex
 	slots []*slot
@@ -520,8 +519,8 @@ func (b *board) publish(st *shardState) {
 	b.mu.Unlock()
 }
 
-// Run executes one serving run: draw each session as it is submitted to
-// its home shard, serve (in two phases around a resize barrier when
+// Run executes one serving run: draw each session as it is sent to its
+// home shard's goroutine, serve (in two phases around a resize barrier when
 // ResizeTo is set), drain, verify every shard's heap, and report. The only
 // error returns are infrastructure failures (a task panic, a corrupt heap
 // at drain); overload is never an error — it is the Shed* counters and
@@ -619,7 +618,7 @@ func (sv *server) startEngine() {
 // page limit, the fault plan, and the cleanup registrations ImportRegion
 // requires on a receiving runtime before any tenant can migrate in — and
 // returns the shard's serving state. The engine must be idle: before the
-// first submit, or at the resize barrier.
+// first session, or at the resize barrier.
 func (sv *server) newShardState(i int) *shardState {
 	env := sv.eng.Env(i)
 	if sv.cfg.PageLimit > 0 {
@@ -632,22 +631,13 @@ func (sv *server) newShardState(i int) *shardState {
 		id:       i,
 		env:      env,
 		cln:      registerCleanups(env.Runtime()),
-		feed:     make(chan session, min(sv.cfg.Sessions, feedDepth)),
 		pending:  make([]uint64, min(sv.cfg.Sessions, sv.cfg.MaxQueue)),
 		firstSID: -1,
 	}
 	st.task = shard.Task{
 		Name: "serve",
-		Home: i + 1,
-		Pin:  true, // the sessions' regions live on this runtime
-		Run: func(appkit.RegionEnv) uint32 {
-			st.cur = <-st.feed
-			return sv.serveOne(st, &st.cur)
-		},
-		Done: func(res shard.TaskResult) {
-			defer sv.done.Done()
-			sv.complete(st, res)
-		},
+		Home: i + 1, // the sessions' regions live on this runtime
+		Run:  func(appkit.RegionEnv) uint32 { return sv.serveOne(st, &st.cur) },
 	}
 	st.stats.Shard = i
 	if sv.cfg.Metrics != nil {
@@ -656,46 +646,69 @@ func (sv *server) newShardState(i int) *shardState {
 	return st
 }
 
-// feedDepth is a shard feed's buffer. It exceeds the engine's pinned queue
-// (32 tasks) plus the session in service, so the driver never waits on a
-// feed, only in Submit while a shard's pinned queue is full. It also bounds
-// the sessions a shard holds: at most feedDepth+1 are drawn and not yet
-// complete.
+// feedDepth is a shard feed's buffer: how far the driver may draw ahead of
+// a shard. The driver blocks on the first full feed, so the slack lets it
+// keep drawing for the other shards while one shard works through a run of
+// heavy sessions. It also bounds the sessions a shard holds: at most
+// feedDepth+1 are drawn and not yet complete.
 const feedDepth = 64
 
-// serve draws the next n sessions of arr, submitting each as it is drawn,
-// and blocks until every completion callback has fired — a full engine
-// barrier, which the resize path needs between its two phases. The
-// single-phase path uses it too; waiting before Close is free. Submitting
-// one session at a time feeds every shard from the first session on, so the
-// shards serve at once.
+// serve draws the next n sessions of arr and sends each to its home shard
+// as it is drawn, so every shard serves from the first session on and the
+// shards serve at once. It returns once every shard has served what it was
+// sent and its goroutine has exited — a full barrier, which the resize path
+// needs between its two phases, and no goroutine outlives it.
 func (sv *server) serve(arr *arrivals, n int) {
-	sv.done.Add(n)
+	sv.start(n)
 	for range n {
 		sv.submit(arr.next())
 	}
-	sv.done.Wait()
+	sv.stop()
+}
+
+// start gives every shard a feed sized for n sessions and a goroutine that
+// serves them: it receives each session into st.cur, runs the shard's task
+// on the engine, and accounts the result, one session at a time.
+func (sv *server) start(n int) {
+	for _, st := range sv.states {
+		st.feed = make(chan session, min(n, feedDepth))
+		sv.running.Add(1)
+		go func() {
+			defer sv.running.Done()
+			for st.cur = range st.feed {
+				sv.complete(st, sv.eng.Run(st.task))
+			}
+		}()
+	}
+}
+
+// stop closes every feed and waits until each shard's goroutine has served
+// what was sent to it and exited.
+func (sv *server) stop() {
+	for _, st := range sv.states {
+		close(st.feed)
+	}
+	sv.running.Wait()
 }
 
 // submit homes s — a tenant session on its tenant's current shard — and
-// sends it on that shard's feed, followed by the shard's task.
+// sends it on that shard's feed.
 func (sv *server) submit(s session) {
 	if s.tenant >= 0 {
 		s.shard = int32(sv.tenants[s.tenant].home)
 	}
-	st := sv.states[s.shard]
-	st.feed <- s
-	sv.eng.Submit(st.task)
+	sv.states[s.shard].feed <- s
 }
 
 // resizeBarrier runs between the two phases of a resize run. Every phase-1
-// session has completed, so the engine is idle and the driver may touch
-// shard runtimes directly (the same quiescence contract Env documents for
-// before-first-submit access). It records the phase-1 readings, grows the
-// engine and sets up the new shards, and rehomes every tenant under the
-// weight-balanced placement, moving each materialized one whose home
-// shifts — translating the driver-held chain head through the transfer
-// record. Sessions drawn after it follow their tenants' new homes.
+// session has completed and every shard's goroutine has exited, so the
+// engine is idle and the driver may touch shard runtimes directly (the
+// same quiescence contract Env documents for before-first-Run access). It
+// records the phase-1 readings, grows the engine and sets up the new
+// shards, and rehomes every tenant under the weight-balanced placement,
+// moving each materialized one whose home shifts — translating the
+// driver-held chain head through the transfer record. Sessions drawn after
+// it follow their tenants' new homes.
 func (sv *server) resizeBarrier() error {
 	cfg := sv.cfg
 	sv.phase1Busy = make([]uint64, cfg.Shards)
@@ -958,7 +971,7 @@ func busyRatio(busy []uint64) float64 {
 	return float64(max) / float64(min)
 }
 
-// serveOne is the pinned task body: admission control against the shard's
+// serveOne is the shard task's body: admission control against the shard's
 // modelled queue, then the session lifecycle on the shard's runtime. It
 // never panics under resource pressure — every allocation goes through a
 // Try* primitive — and a shed session returns checksum 0 without touching
@@ -1019,11 +1032,11 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	return sum
 }
 
-// complete is the engine completion callback: it accounts the session in
-// service, keeps the shard's first task failure with its session's id, and
-// on a metered run publishes the shard's tally. Pinned tasks deliver Done
-// calls in FIFO order on the shard goroutine, so this is single-threaded
-// per shard by construction.
+// complete takes the result of the shard task that served st.cur: it
+// accounts the session, keeps the shard's first task failure with its
+// session's id, and on a metered run publishes the shard's tally. Only the
+// shard's goroutine calls it, so it is single-threaded per shard by
+// construction.
 func (sv *server) complete(st *shardState, res shard.TaskResult) {
 	if res.Err != nil && st.taskErr == nil {
 		st.taskErr = fmt.Errorf("session %d: %w", st.cur.id, res.Err)

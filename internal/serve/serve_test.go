@@ -8,8 +8,12 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"regions/internal/apps/appkit"
 	"regions/internal/core"
 	"regions/internal/mem"
 	"regions/internal/metrics"
@@ -416,11 +420,19 @@ func TestOverloadErrorChains(t *testing.T) {
 // with an error naming that session. The sessions are drawn as they are
 // submitted, as Run's driver draws them.
 func TestTaskFailureNamesSession(t *testing.T) {
+	if err := failingRun(); err == nil || !strings.Contains(err.Error(), "session 3:") {
+		t.Fatalf("err = %v, want a task failure naming session 3", err)
+	}
+}
+
+// failingRun serves six sessions on two shards, the way Run does, with
+// session 3's task made to panic, and returns the report's error.
+func failingRun() error {
 	cfg := Config{Sessions: 6, Seed: 1, Shards: 2}.withDefaults()
 	sv := newServer(cfg)
 	sv.startEngine()
 	arr := newArrivals(cfg)
-	sv.done.Add(cfg.Sessions)
+	sv.start(cfg.Sessions)
 	for range cfg.Sessions {
 		s := arr.next()
 		if s.id == 3 {
@@ -428,10 +440,89 @@ func TestTaskFailureNamesSession(t *testing.T) {
 		}
 		sv.submit(s)
 	}
-	sv.done.Wait()
+	sv.stop()
 	_, err := sv.report()
-	if err == nil || !strings.Contains(err.Error(), "session 3:") {
-		t.Fatalf("err = %v, want a task failure naming session 3", err)
+	return err
+}
+
+// TestServeRunsShardsAtOnce: the shards of a run serve at once, each on a
+// goroutine of its own. Each shard's first session waits at a rendezvous
+// until the other shard's first session has started, which never happens
+// if sessions run on the driver's goroutine or one shard at a time.
+func TestServeRunsShardsAtOnce(t *testing.T) {
+	cfg := Config{Sessions: 200, Seed: 1, Shards: 2}.withDefaults()
+	sv := newServer(cfg)
+	sv.startEngine()
+	var started [2]chan struct{}
+	var once [2]sync.Once
+	var alone atomic.Bool
+	for i, st := range sv.states {
+		started[i] = make(chan struct{})
+		serve := st.task.Run
+		st.task.Run = func(env appkit.RegionEnv) uint32 {
+			once[i].Do(func() {
+				close(started[i])
+				select {
+				case <-started[1-i]:
+				case <-time.After(5 * time.Second):
+					alone.Store(true)
+				}
+			})
+			return serve(env)
+		}
+	}
+	sv.serve(newArrivals(cfg), cfg.Sessions)
+	res, err := sv.report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.Load() {
+		t.Error("a shard's first session waited 5 s for the other shard's to start: the shards do not serve at once")
+	}
+	for _, ps := range res.PerShard {
+		if ps.Admitted+ps.ShedQueue == 0 {
+			t.Errorf("shard %d served no session", ps.Shard)
+		}
+	}
+}
+
+// TestNoGoroutineOutlivesRun: a run leaves no goroutine behind, whether it
+// serves in one phase, in two around a resize, or fails on a task panic. A
+// goroutine that has signalled its exit may take a moment to be gone, so
+// the count is polled for up to a second; a goroutine blocked for good is
+// still there after it.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"plain", func() error {
+			_, err := Run(Config{Sessions: 300, Seed: 1, Shards: 2})
+			return err
+		}},
+		{"resize", func() error {
+			_, err := Run(Config{Sessions: 300, Seed: 1, Shards: 2, Tenants: 6, ResizeTo: 4, ResizeAfter: 0.5})
+			return err
+		}},
+		{"task-failure", func() error {
+			if err := failingRun(); err == nil {
+				return errors.New("the failing run succeeded")
+			}
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			for end := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before the run, %d after", before, after)
+			}
+		})
 	}
 }
 
@@ -513,10 +604,10 @@ func TestHostAllocsSetup(t *testing.T) {
 		cfg   Config
 		maxKB float64
 	}{
-		// About 25% above the 37.2 and 105.1 KB measured; each shard
+		// About 25% above the 32.9 and 100.3 KB measured; each shard
 		// backing its mapped batch read 315 and 868 KB.
-		{"mix", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 350}, 47},
-		{"bulk", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 3250, Profile: "bulk", DeferredDelete: true}, 132},
+		{"mix", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 350}, 41},
+		{"bulk", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 3250, Profile: "bulk", DeferredDelete: true}, 125},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			least := math.Inf(1)

@@ -18,11 +18,6 @@ import (
 // churn from the cache.
 const DefaultPageBatch = 64
 
-// queueCap is the capacity of each shard's FIFO: a submitter runs up to
-// this many pinned tasks ahead of a shard before Submit blocks, enough to
-// keep the shard fed (internal/serve sizes its session feeds above it).
-const queueCap = 32
-
 // Task is one unit of work for the engine. Run receives the executing
 // shard's environment and returns a checksum; checksums are summed (a
 // commutative fold) into the shard's stats, so any placement of a fixed
@@ -34,35 +29,18 @@ type Task struct {
 	Name string
 	// Home, when nonzero, names the task's home shard: the shard at
 	// position (Home-1) mod Shards(). Zero places the task round-robin.
-	// A home is a soft preference — Close may hand the task to a sibling —
-	// unless Pin is also set. Home must not be negative.
+	// Engine.Run runs the task there; for a task Submit holds, the home is
+	// a soft preference, and Close may hand it to a sibling. Home must not
+	// be negative.
 	Home int
-	// Pin makes the task run on its home shard as soon as the shard
-	// reaches it, and pinned tasks on one shard run in submission order
-	// (FIFO). Tasks that touch regions owned by a specific shard's runtime
-	// must pin. An unpinned task waits for Close, which balances the held
-	// batch over the shards (see Engine).
-	Pin bool
 	// Run executes the task on the shard's environment.
 	Run func(env appkit.RegionEnv) uint32
-	// Done, when non-nil, is the task's completion callback: it runs on the
-	// executing shard's goroutine immediately after Run returns (or after a
-	// panic in Run is recovered), before the worker takes its next task.
-	// Pinned tasks on one shard therefore observe their Done calls in
-	// submission (FIFO) order, which is what lets a serving driver thread
-	// per-shard bookkeeping through callbacks without locks — see
-	// internal/serve. Done must not submit to the engine.
-	Done func(res TaskResult)
 }
 
-// TaskResult describes one completed task, delivered to Task.Done.
+// TaskResult describes one completed task, returned by Engine.Run.
 type TaskResult struct {
-	// Shard is the shard the task executed on (its home shard unless the
-	// task was stolen).
+	// Shard is the shard the task executed on.
 	Shard int
-	// Stolen reports whether Close handed the task to a sibling of its
-	// home shard.
-	Stolen bool
 	// Checksum is Run's return value; zero when the task failed.
 	Checksum uint32
 	// Err is non-nil when Run panicked; the panic was recovered and
@@ -70,12 +48,13 @@ type TaskResult struct {
 	Err error
 	// StartCycles and EndCycles bracket the task on the executing shard's
 	// simulated clock: EndCycles-StartCycles is the simulated cost of this
-	// task, and since a shard runs its tasks serially, consecutive pinned
-	// tasks see contiguous, monotone windows.
+	// task, and since a shard runs its tasks one at a time, consecutive
+	// tasks on one shard see contiguous, monotone windows.
 	StartCycles, EndCycles uint64
 }
 
-// Stats is one shard's tally, owned by the shard goroutine until Close.
+// Stats is one shard's tally, written by the tasks that run on the shard
+// and read by Close.
 type Stats struct {
 	Shard     int
 	Tasks     uint64
@@ -115,8 +94,8 @@ type Aggregate struct {
 // board is the engine state its metrics source reads. After every task,
 // and once more after the close-time drain, a metered engine's worker
 // copies its runtime's spine, its OS counts and its Stats into its slot;
-// the source reads the slots, the queue lengths, the migration tallies
-// and, after Close, the aggregate. So a live scrape is race-free without a
+// the source reads the slots, the held lists, the migration tallies and,
+// after Close, the aggregate. So a live scrape is race-free without a
 // per-event atomic, and since the board holds no runtime, a registry that
 // outlives the engine does not keep the shard heaps alive. Only that
 // source reads the slots, so an unmetered engine's workers have none and
@@ -126,8 +105,8 @@ type board struct {
 	slots []*slot // by worker id; metered engines only
 	agg   *Aggregate
 
-	// held is each shard's unpinned backlog, by worker id: the tasks
-	// Submit homed there, oldest first, waiting for Close to dispatch them.
+	// held is each shard's backlog, by worker id: the tasks Submit homed
+	// there, oldest first, waiting for Close to dispatch them.
 	held [][]Task
 
 	// migrations and migratedPages count the completed migrations and the
@@ -144,8 +123,7 @@ type slot struct {
 	spine core.Spine
 	os    mem.OSCounts
 	stats Stats
-	busy  uint64   // shard clock at the end of the last task; drains are not busy time
-	q     chan job // the worker's FIFO
+	busy  uint64 // shard clock at the end of the last task; drains are not busy time
 }
 
 // emit is the engine's metrics source.
@@ -159,7 +137,7 @@ func (b *board) emit(s *metrics.Sink) {
 		s.Counter("regions_shard_failures_total"+sl.label, sl.stats.Failures)
 		s.Counter("regions_shard_busy_cycles_total"+sl.label, sl.busy)
 		s.Counter("regions_shard_steals_total"+sl.label, sl.stats.Steals)
-		s.Gauge("regions_shard_queue_depth"+sl.label, int64(len(sl.q)+len(b.held[i])))
+		s.Gauge("regions_shard_queue_depth"+sl.label, int64(len(b.held[i])))
 	}
 	s.Counter("regions_migrations_total", b.migrations)
 	s.Counter("regions_migrated_pages_total", b.migratedPages)
@@ -173,40 +151,32 @@ func (b *board) emit(s *metrics.Sink) {
 	}
 }
 
+// worker is one shard: its runtime's environment, its tally and its place
+// on the board.
 type worker struct {
 	id    int // position in the worker set; also the metric label and Env name
 	env   *appkit.CoreEnv
-	q     chan job // pinned tasks in submission order, then Close's dispatches
 	stats Stats
-	slot  *slot // on the engine's board; nil unless metered
+	busy  uint64 // shard clock at the end of the last task
+	slot  *slot  // on the engine's board; nil unless metered
 
 	profEvery int
 	lastProf  atomic.Value // *metrics.HeapReport
 }
 
-// job is one entry of a worker's FIFO. Close's dispatches carry a reply,
-// on which the worker sends its shard clock once the job is done; a
-// barrier runs nothing and only replies.
-type job struct {
-	Task
-	stolen, barrier bool
-	reply           chan<- uint64
-}
-
-// publish copies w's counts into its slot, if it has one; busy is the
-// shard clock at the end of its last task. The copy is publishSlot's, whose
-// frame holds a whole Spine, so an unmetered worker's stack never makes
-// room for it.
-func (w *worker) publish(b *board, busy uint64) {
+// publish copies w's counts into its slot, if it has one. The copy is
+// publishSlot's, whose frame holds a whole Spine, so an unmetered worker's
+// stack never makes room for it.
+func (w *worker) publish(b *board) {
 	if w.slot != nil {
-		w.publishSlot(b, busy)
+		w.publishSlot(b)
 	}
 }
 
 // publishSlot is publish on a metered worker. The runtime's site table is
 // copied into a buffer the slot owns, so once the buffer has grown to the
 // table publishSlot does not allocate.
-func (w *worker) publishSlot(b *board, busy uint64) {
+func (w *worker) publishSlot(b *board) {
 	sl := w.slot
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -214,32 +184,33 @@ func (w *worker) publishSlot(b *board, busy uint64) {
 	sl.spine = w.env.Runtime().Spine()
 	sl.spine.Sites = append(sites[:0], sl.spine.Sites...)
 	sl.os = w.env.Space().OSCounts()
-	sl.stats, sl.busy = w.stats, busy
+	sl.stats, sl.busy = w.stats, w.busy
 }
 
-// Engine distributes tasks over N shard workers, each running its tasks
-// serially on its own goroutine. A pinned task goes straight onto its home
-// shard's FIFO, and Submit blocks only while that FIFO is full, so every
-// shard starts on its first pinned task as soon as it is submitted. An
-// unpinned task is held on its home shard (Task.Home, or round-robin)
-// until Close. Close lets every pinned backlog drain, then dispatches the
+// Engine is a set of N shard runtimes that its caller drives; it starts no
+// goroutine. Run runs a task at once, on the calling goroutine, on the
+// task's home shard (Task.Home, or round-robin). Calls for different
+// shards may come from different goroutines at once, but never two calls
+// on one shard at once, so each shard stays the paper's single-threaded
+// runtime; internal/serve runs one goroutine per shard.
+//
+// Submit only holds a task on its home shard until Close, which runs the
 // held batch by the shards' simulated clocks: the shard with the lowest
 // clock (the lower id on a tie) runs its own newest held task, or else
 // steals the oldest held task of the first sibling, sweeping rightward,
 // that holds one. A task may cost no cycles, so each one finishes before
-// the next decision reads the clocks: an unpinned batch runs one task at
-// a time on the host, and its placement, per-shard cycles and steals are
-// a function of the submitted sequence alone.
+// the next decision reads the clocks: the batch runs one task at a time,
+// and its placement, per-shard cycles and steals are a function of the
+// submitted sequence alone.
 //
 // The worker set only grows: Resize appends fresh shards, so a worker's id
 // is its position for the engine's whole life. The live slice is published
-// through an atomic pointer, so Submit always acts on a consistent
-// snapshot; Resize must not race Submit/Close — the caller quiesces
-// submissions first (see Resize).
+// through an atomic pointer, so HeapReports, called from any goroutine,
+// always reads a consistent snapshot. Resize, MigrateRegion and Close run
+// only while no Run is in progress.
 type Engine struct {
 	ws     atomic.Pointer[[]*worker]
 	rr     atomic.Uint32
-	wg     sync.WaitGroup
 	set    settings // resolved options; template for workers Resize adds
 	closed atomic.Bool
 
@@ -249,7 +220,7 @@ type Engine struct {
 	board *board
 }
 
-// NewEngine starts an engine configured by functional options (see
+// NewEngine builds an engine configured by functional options (see
 // options.go), each worker owning an independent safe region runtime with a
 // batched free-page cache.
 func NewEngine(opts ...Option) *Engine {
@@ -269,16 +240,12 @@ func NewEngine(opts ...Option) *Engine {
 		ws[i] = e.newWorker(i)
 	}
 	e.ws.Store(&ws)
-	for _, w := range ws {
-		e.wg.Add(1)
-		go w.loop(e)
-	}
 	return e
 }
 
-// newWorker builds (but does not start) the worker at position id from the
-// engine's resolved settings, gives it an empty held list and, on a
-// metered engine, a slot on the board.
+// newWorker builds the worker at position id from the engine's resolved
+// settings, gives it an empty held list and, on a metered engine, a slot
+// on the board.
 func (e *Engine) newWorker(id int) *worker {
 	rt := core.NewRuntimeOpts(mem.NewSpace(&stats.Counters{}), core.Options{
 		Safe:           true,
@@ -291,14 +258,13 @@ func (e *Engine) newWorker(id int) *worker {
 	w := &worker{
 		id:        id,
 		env:       appkit.NewCoreEnv(shardName(id), rt),
-		q:         make(chan job, queueCap),
 		profEvery: e.set.heapProfileEvery,
 	}
 	w.stats.Shard = id
 	if e.set.metrics != nil {
 		w.env.Runtime().Meter(e.set.metrics)
-		w.slot = &slot{label: fmt.Sprintf(`{shard="%d"}`, id), q: w.q}
-		w.publish(e.board, 0)
+		w.slot = &slot{label: fmt.Sprintf(`{shard="%d"}`, id)}
+		w.publish(e.board)
 	}
 	e.board.mu.Lock()
 	e.board.held = append(e.board.held, nil)
@@ -316,10 +282,11 @@ func (e *Engine) workers() []*worker { return *e.ws.Load() }
 // Shards returns the number of live workers.
 func (e *Engine) Shards() int { return len(e.workers()) }
 
-// Env returns shard i's environment. The worker goroutine owns its
-// environment while tasks run, so callers may touch it only before the
-// first Submit (to install fault plans, page limits, cleanups), from a task
-// pinned to shard i, or after Close (to Verify the drained heap).
+// Env returns shard i's environment. A task running on shard i owns it, so
+// callers may touch it only while no task runs there: before the first
+// Run (to install fault plans, page limits, cleanups), from a task run on
+// shard i, between the caller's own Run calls, or after Close (to Verify
+// the drained heap).
 func (e *Engine) Env(i int) *appkit.CoreEnv { return e.workers()[i].env }
 
 // home returns t's home position among n shards: Home-1 mod n when Home is
@@ -332,22 +299,25 @@ func (e *Engine) home(t Task, n int) int {
 	return int((e.rr.Add(1) - 1) % uint32(n))
 }
 
-// Submit places t on its home shard: a pinned task on the shard's FIFO,
-// blocking only while the FIFO is full; an unpinned one on the shard's
-// held list, for Close to dispatch. A caller with many tasks submits them
-// one by one, in order: each shard starts on its first pinned task as soon
-// as it is queued, and FIFOs keep submission order. Submitting after Close
-// panics, like writing to a closed pipe.
+// Run runs t now, on the calling goroutine, on its home shard, and returns
+// its result. A panic in t.Run is recovered and recorded as a failure (see
+// runTask). Running after Close panics, like writing to a closed pipe.
+func (e *Engine) Run(t Task) TaskResult {
+	if e.closed.Load() {
+		panic("shard: Run after Close")
+	}
+	ws := e.workers()
+	return ws[e.home(t, len(ws))].run(e.board, t, false)
+}
+
+// Submit holds t on its home shard for Close to run. A caller with many
+// tasks submits them one by one, in order. Submitting after Close panics.
 func (e *Engine) Submit(t Task) {
 	if e.closed.Load() {
 		panic("shard: Submit after Close")
 	}
 	ws := e.workers()
 	h := e.home(t, len(ws))
-	if t.Pin {
-		ws[h].q <- job{Task: t}
-		return
-	}
 	b := e.board
 	b.mu.Lock()
 	b.held[h] = append(b.held[h], t)
@@ -355,21 +325,12 @@ func (e *Engine) Submit(t Task) {
 }
 
 // dispatch runs the held batch by the rule in Engine's comment, one task
-// at a time, once every pinned backlog has drained: a barrier on each
-// FIFO reads the shard's clock, and each dispatched task replies with it.
-// With nothing held (serving pins every task) it returns at once.
+// at a time: each shard's clock is read once, then advanced to the end of
+// each task the shard runs.
 func (e *Engine) dispatch(ws []*worker) {
-	e.board.mu.Lock()
-	idle := !slices.ContainsFunc(e.board.held, func(h []Task) bool { return len(h) > 0 })
-	e.board.mu.Unlock()
-	if idle {
-		return
-	}
-	reply := make(chan uint64)
 	clock := make([]uint64, len(ws))
 	for i, w := range ws {
-		w.q <- job{barrier: true, reply: reply}
-		clock[i] = <-reply
+		clock[i] = w.env.Counters().TotalCycles()
 	}
 	for {
 		s := 0
@@ -382,8 +343,7 @@ func (e *Engine) dispatch(ws []*worker) {
 		if !ok {
 			return
 		}
-		ws[s].q <- job{Task: t, stolen: from != s, reply: reply}
-		clock[s] = <-reply
+		clock[s] = ws[s].run(e.board, t, from != s).EndCycles
 	}
 }
 
@@ -411,8 +371,8 @@ func (b *board) take(s int) (t Task, from int, ok bool) {
 
 // HeapReports returns the most recent heap profile captured by each live
 // shard, in shard order, omitting shards that have not captured one yet.
-// Profiles are taken by the shard goroutines (see WithHeapProfileEvery);
-// reading them is safe at any time.
+// Profiles are taken as tasks complete (see WithHeapProfileEvery); reading
+// them is safe at any time, from any goroutine.
 func (e *Engine) HeapReports() []*metrics.HeapReport {
 	var out []*metrics.HeapReport
 	for _, w := range e.workers() {
@@ -434,8 +394,8 @@ func (w *worker) captureHeapProfile() {
 	w.lastProf.Store(rep)
 }
 
-// Close drains every pinned backlog, dispatches the held tasks, stops the
-// workers, and returns the aggregated stats in shard order.
+// Close runs the held tasks, closes every shard's books, and returns the
+// aggregated stats in shard order.
 func (e *Engine) Close() Aggregate {
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
@@ -443,9 +403,8 @@ func (e *Engine) Close() Aggregate {
 	if !e.closed.Swap(true) {
 		e.dispatch(ws)
 		for _, w := range ws {
-			close(w.q)
+			w.closeBooks(e)
 		}
-		e.wg.Wait()
 	}
 	agg := Aggregate{Shards: len(ws)}
 	for _, w := range ws {
@@ -466,20 +425,12 @@ func (e *Engine) Close() Aggregate {
 	return agg
 }
 
-func (w *worker) loop(e *Engine) {
-	defer e.wg.Done()
-	var busy uint64
-	for j := range w.q {
-		if !j.barrier {
-			busy = w.run(e.board, j.Task, j.stolen)
-		}
-		if j.reply != nil {
-			j.reply <- w.env.Counters().TotalCycles()
-		}
-	}
+// closeBooks is a shard's last work: it drains the remaining sweep debt,
+// so Close hands back fully poisoned heaps and debt provably returns to
+// zero, then records the shard's clock and OS memory, publishes, and takes
+// a last heap profile.
+func (w *worker) closeBooks(e *Engine) {
 	if e.set.deferredDelete {
-		// Drain remaining sweep debt before the books close, so Close hands
-		// back fully poisoned heaps and debt provably returns to zero.
 		rt := w.env.Runtime()
 		if rt.SweepDebt() > 0 {
 			before := w.env.Counters().TotalCycles()
@@ -491,24 +442,24 @@ func (w *worker) loop(e *Engine) {
 	}
 	w.stats.SimCycles = w.env.Counters().TotalCycles()
 	w.stats.OSBytes = w.env.Space().MappedBytes()
-	w.publish(e.board, busy)
+	w.publish(e.board)
 	if w.profEvery > 0 {
 		w.captureHeapProfile()
 	}
 }
 
-// run executes t on w, tallies and publishes it, and returns the shard
-// clock at the task's end.
-func (w *worker) run(b *board, t Task, stolen bool) uint64 {
-	simBefore := w.env.Counters().TotalCycles()
-	sum, err := w.runTask(t)
+// run executes t on w, tallies and publishes it, and returns its result;
+// stolen counts t as a steal.
+func (w *worker) run(b *board, t Task, stolen bool) TaskResult {
+	res := TaskResult{Shard: w.id, StartCycles: w.env.Counters().TotalCycles()}
+	res.Checksum, res.Err = w.runTask(t)
 	w.stats.Tasks++
 	if stolen {
 		w.stats.Steals++
 	}
-	if err != nil {
+	if res.Err != nil {
 		w.stats.Failures++
-		w.stats.LastError = err.Error()
+		w.stats.LastError = res.Err.Error()
 		// Pop the frames the failed task left, so the next task starts
 		// from an empty shadow stack. Regions it leaked stay allocated,
 		// which is safe, just unused.
@@ -516,24 +467,15 @@ func (w *worker) run(b *board, t Task, stolen bool) uint64 {
 			rt.PopFrame()
 		}
 	} else {
-		w.stats.Checksum += sum
+		w.stats.Checksum += res.Checksum
 	}
-	simAfter := w.env.Counters().TotalCycles()
-	if t.Done != nil {
-		w.runDone(t, TaskResult{
-			Shard:       w.id,
-			Stolen:      stolen,
-			Checksum:    sum,
-			Err:         err,
-			StartCycles: simBefore,
-			EndCycles:   simAfter,
-		})
-	}
-	w.publish(b, simAfter)
+	res.EndCycles = w.env.Counters().TotalCycles()
+	w.busy = res.EndCycles
+	w.publish(b)
 	if w.profEvery > 0 && (w.stats.Tasks == 1 || w.stats.Tasks%uint64(w.profEvery) == 0) {
 		w.captureHeapProfile()
 	}
-	return simAfter
+	return res
 }
 
 // runTask executes t, converting a panic (an app assertion, a runtime
@@ -546,16 +488,4 @@ func (w *worker) runTask(t Task) (sum uint32, err error) {
 		}
 	}()
 	return t.Run(w.env), nil
-}
-
-// runDone invokes t's completion callback, converting a panic in it into a
-// recorded failure rather than letting it kill the worker goroutine.
-func (w *worker) runDone(t Task, res TaskResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.stats.Failures++
-			w.stats.LastError = fmt.Sprintf("shard: done %q: %v", t.Name, r)
-		}
-	}()
-	t.Done(res)
 }

@@ -39,7 +39,7 @@ func recycleTask(seed uint32) Task {
 }
 
 // TestEngineExpositionGolden pins a metered two-shard engine's exposition
-// byte for byte: pinned placement, deferred deletion, string recycling and
+// byte for byte: homed placement, deferred deletion, string recycling and
 // one migration of a region that carries parked string blocks.
 // regions_mem_mapped_bytes is left out: the registry once kept whichever
 // shard mapped last, which depended on thread timing.
@@ -48,7 +48,7 @@ func TestEngineExpositionGolden(t *testing.T) {
 	eng := NewEngine(WithShards(2), WithMetrics(reg), WithDeferredDelete(2, 8))
 	registerSizeCleanups(t, eng, 8, 16)
 	var tenant *core.Region
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+	if err := runOn(eng, 0, func(rt *core.Runtime) {
 		tenant, _ = buildChain(rt, 40)
 		for i := 0; i < 3; i++ {
 			rt.RstrFree(tenant, rt.RstrAlloc(tenant, 60), 60)
@@ -57,13 +57,11 @@ func TestEngineExpositionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := func(from, n int) {
-		var ts []Task
 		for i := from; i < from+n; i++ {
 			tk := recycleTask(uint32(i))
-			tk.Home, tk.Pin = i%2+1, true
-			ts = append(ts, tk)
+			tk.Home = i%2 + 1
+			eng.Run(tk)
 		}
-		submitAll(eng, ts)
 	}
 	batch(0, 24)
 	if _, err := eng.MigrateRegion(tenant, 0, 1); err != nil {

@@ -7,15 +7,14 @@ import (
 )
 
 // TestNoStealGolden pins a static-placement run of the seed-7 randomized mix
-// to recorded values. Every task is pinned, so it runs on its home shard,
-// and per-shard cycle totals are a fingerprint of placement: a change that
-// moves any task to another shard fails here even though the summed
+// to recorded values. Every task is run at once, so it runs on its home
+// shard, and per-shard cycle totals are a fingerprint of placement: a change
+// that moves any task to another shard fails here even though the summed
 // checksum, which is placement-independent, would not notice.
 func TestNoStealGolden(t *testing.T) {
 	eng := NewEngine(WithShards(4))
 	for _, tk := range randomTasks(rand.New(rand.NewSource(7)), 300) {
-		tk.Pin = true
-		eng.Submit(tk)
+		eng.Run(tk.Task)
 	}
 	agg := eng.Close()
 	var perShard []uint64

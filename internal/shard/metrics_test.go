@@ -24,7 +24,7 @@ func TestSharedGaugesReadTheirSum(t *testing.T) {
 	sum := func(read func(rt *core.Runtime) int64) int64 {
 		var total int64
 		for i := 0; i < eng.Shards(); i++ {
-			if err := pinnedDo(eng, i, func(rt *core.Runtime) { total += read(rt) }); err != nil {
+			if err := runOn(eng, i, func(rt *core.Runtime) { total += read(rt) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -34,7 +34,7 @@ func TestSharedGaugesReadTheirSum(t *testing.T) {
 
 	kept := make([]*core.Region, 2)
 	for i := range kept {
-		if err := pinnedDo(eng, i, func(rt *core.Runtime) {
+		if err := runOn(eng, i, func(rt *core.Runtime) {
 			kept[i] = rt.NewRegion()
 			var blocks []core.Ptr
 			for j := 0; j < 4; j++ {
@@ -68,7 +68,7 @@ func TestSharedGaugesReadTheirSum(t *testing.T) {
 	if got := gauge(pool); got != 8 {
 		t.Errorf("%s = %d after the resize, want 8", pool, got)
 	}
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+	if err := runOn(eng, 0, func(rt *core.Runtime) {
 		for j := 0; j < 4; j++ {
 			rt.RstrAlloc(kept[0], 64)
 		}
@@ -86,7 +86,7 @@ func TestPublishDoesNotAllocate(t *testing.T) {
 	eng := NewEngine(WithMetrics(metrics.NewRegistry()))
 	defer eng.Close()
 	w := eng.workers()[0]
-	if n := testing.AllocsPerRun(100, func() { w.publish(eng.board, 1) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { w.publish(eng.board) }); n != 0 {
 		t.Errorf("publish costs %.1f allocations, want 0", n)
 	}
 }
@@ -171,7 +171,7 @@ func TestMetricsUnderConcurrentScrape(t *testing.T) {
 	}
 }
 
-// TestQueueDepthCountsHeldTasks: an unpinned task waits on its home shard
+// TestQueueDepthCountsHeldTasks: a submitted task waits on its home shard
 // until Close, and the shard's queue-depth gauge counts it while it waits.
 func TestQueueDepthCountsHeldTasks(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -191,7 +191,7 @@ func TestQueueDepthCountsHeldTasks(t *testing.T) {
 		t.Errorf("queue depths %v before Close, want [2 1]", got)
 	}
 	if got := reg.Snapshot().CounterSum("regions_shard_tasks_total"); got != 0 {
-		t.Errorf("%d unpinned tasks ran before Close", got)
+		t.Errorf("%d submitted tasks ran before Close", got)
 	}
 	if agg := eng.Close(); agg.Tasks != 3 {
 		t.Fatalf("ran %d tasks, want 3", agg.Tasks)

@@ -11,15 +11,15 @@ import (
 // This file is the engine's elastic-sharding layer: live migration of
 // regions between shard runtimes and live growth of the worker set.
 //
-// Work stealing moves *tasks*, but a task pinned to the shard that owns its
-// regions cannot move — a tenant whose state lives on shard 0 hammers shard
-// 0 no matter how idle its siblings are. Migration moves the *state*: the
-// donor exports a quiesced region (core.ExportRegion serializes pages and
-// remaps nothing), the receiver imports it into its own address space
-// (core.ImportRegion rewrites intra-region pointers in O(pages)), and from
-// then on the tenant's pinned tasks land on the receiver. Both steps run as
-// pinned tasks on the owning workers, so each runtime is only ever touched
-// by its own goroutine — the shared-nothing discipline survives.
+// Work stealing moves *tasks*, but a task that must run on the shard that
+// owns its regions cannot move — a tenant whose state lives on shard 0
+// hammers shard 0 no matter how idle its siblings are. Migration moves the
+// *state*: the donor exports a quiesced region (core.ExportRegion
+// serializes pages and remaps nothing), the receiver imports it into its
+// own address space (core.ImportRegion rewrites intra-region pointers in
+// O(pages)), and from then on the tenant's tasks run on the receiver. Both
+// steps run as tasks on the owning shards while no other task runs, so
+// shards still share nothing.
 //
 // Ownership moves only at explicit program points: the driver calls Resize
 // and MigrateRegion at a barrier of its choosing (internal/serve does so
@@ -61,28 +61,19 @@ func (e *Engine) Migrations() (count, pages uint64) {
 	return e.board.migrations, e.board.migratedPages
 }
 
-// onShard runs step as a pinned task on w, giving it exclusive use of w's
-// runtime, and returns the task's simulated cycles with step's error (or
-// the task's recovered panic).
+// onShard runs step as a task on w, giving it w's runtime, and returns the
+// task's simulated cycles with step's error (or the task's recovered
+// panic).
 func (e *Engine) onShard(w *worker, name string, step func(rt *core.Runtime) error) (uint64, error) {
-	var stepErr error
-	var cycles uint64
-	done := make(chan error, 1)
-	w.q <- job{Task: Task{
-		Name: name,
-		Run: func(appkit.RegionEnv) uint32 {
-			stepErr = step(w.env.Runtime())
-			return 0
-		},
-		Done: func(res TaskResult) {
-			cycles = res.EndCycles - res.StartCycles
-			done <- res.Err
-		},
-	}}
-	if err := <-done; err != nil {
-		return cycles, err
+	var err error
+	res := w.run(e.board, Task{Name: name, Run: func(appkit.RegionEnv) uint32 {
+		err = step(w.env.Runtime())
+		return 0
+	}}, false)
+	if res.Err != nil {
+		err = res.Err
 	}
-	return cycles, stepErr
+	return res.EndCycles - res.StartCycles, err
 }
 
 // mustVerify panics if rt's heap fails its structural checks: a migration
@@ -94,10 +85,11 @@ func mustVerify(rt *core.Runtime) {
 }
 
 // MigrateRegion moves r from shard from to shard to and returns the
-// completed Migration. The export and import run as pinned tasks on the
-// owning workers; between them the region exists only as a serialized
-// record, and afterwards r faults with core.FaultMigratedRegion while
-// Migration.New is the live handle.
+// completed Migration. The export and import run as tasks on the owning
+// shards; between them the region exists only as a serialized record, and
+// afterwards r faults with core.FaultMigratedRegion while Migration.New is
+// the live handle. A region shard from does not own is refused with a
+// core.FaultBadArgument *Fault before anything is charged.
 //
 // The region must be quiescent: unreferenced from other regions, frames,
 // and globals, with no outbound cross-region pointers (else
@@ -105,9 +97,8 @@ func mustVerify(rt *core.Runtime) {
 // cannot place the pages (OOM), the region is re-imported into the donor
 // and the error returned — the region survives either way.
 //
-// MigrateRegion blocks on worker queues and must not be called from a task
-// or Done callback (a worker waiting on its own queue deadlocks). After
-// Close it returns an error, as Resize does.
+// MigrateRegion runs only while no Run is in progress, and not from a task.
+// After Close it returns an error, as Resize does.
 func (e *Engine) MigrateRegion(r *core.Region, from, to int) (Migration, error) {
 	if r == nil {
 		return Migration{}, fmt.Errorf("shard: MigrateRegion: nil region")
@@ -174,8 +165,8 @@ func (e *Engine) MigrateRegion(r *core.Region, from, to int) (Migration, error) 
 // moves it with MigrateRegion. The worker set never shrinks: n below
 // Shards() is an error, and n equal to it does nothing.
 //
-// Resize must not race Submit — the caller quiesces submission first
-// (internal/serve resizes at a phase barrier).
+// Resize runs only while no Run is in progress (internal/serve resizes at a
+// phase barrier).
 func (e *Engine) Resize(n int) error {
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
@@ -191,9 +182,5 @@ func (e *Engine) Resize(n int) error {
 		grown = append(grown, e.newWorker(len(grown)))
 	}
 	e.ws.Store(&grown)
-	for _, w := range grown[len(ws):] {
-		e.wg.Add(1)
-		go w.loop(e)
-	}
 	return nil
 }

@@ -5,30 +5,23 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
 )
 
-// pinnedDo runs fn as a pinned task on shard i's worker goroutine — the
-// only legal way for a test's main goroutine to touch a live shard's
-// runtime — and returns the task's error (a recovered panic, e.g. a Fault
-// or a failed assertion fn raised).
-func pinnedDo(e *Engine, i int, fn func(rt *core.Runtime)) error {
-	w := e.workers()[i]
-	done := make(chan error, 1)
-	e.Submit(Task{
-		Name: "test-pinned",
+// runOn runs fn as a task on shard i, the way a caller touches a live
+// shard's runtime, and returns the task's error (a recovered panic, e.g. a
+// Fault or a failed assertion fn raised).
+func runOn(e *Engine, i int, fn func(rt *core.Runtime)) error {
+	return e.Run(Task{
+		Name: "test-run",
 		Home: i + 1,
-		Pin:  true,
-		Run: func(appkit.RegionEnv) uint32 {
-			fn(w.env.Runtime())
+		Run: func(env appkit.RegionEnv) uint32 {
+			fn(e.Env(i).Runtime())
 			return 0
 		},
-		Done: func(res TaskResult) { done <- res.Err },
-	})
-	return <-done
+	}).Err
 }
 
 // registerSizeCleanups registers the named size cleanups on every live
@@ -39,7 +32,7 @@ func pinnedDo(e *Engine, i int, fn func(rt *core.Runtime)) error {
 func registerSizeCleanups(t *testing.T, e *Engine, sizes ...int) {
 	t.Helper()
 	for i := range e.workers() {
-		if err := pinnedDo(e, i, func(rt *core.Runtime) {
+		if err := runOn(e, i, func(rt *core.Runtime) {
 			for _, s := range sizes {
 				rt.SizeCleanup(s)
 			}
@@ -65,12 +58,11 @@ func buildChain(rt *core.Runtime, nodes int) (*core.Region, uint32) {
 	return r, rt.ContentChecksum(r)
 }
 
-// TestMigrateRegionMovesState is the point-to-point tentpole check: a
-// region built on shard 0 moves to shard 1 with its content digest intact,
-// stays fully usable there, and the stale donor handle faults with
-// FaultMigratedRegion. Both runtimes Verify inside the migration tasks
-// themselves (exportOn/importOn), so a clean return already proves the
-// invariants held on each side.
+// TestMigrateRegionMovesState is the point-to-point check: a region built
+// on shard 0 moves to shard 1 with its content digest intact, stays fully
+// usable there, and the stale donor handle faults with FaultMigratedRegion.
+// Both runtimes Verify inside the migration tasks themselves (mustVerify),
+// so a clean return already proves the invariants held on each side.
 func TestMigrateRegionMovesState(t *testing.T) {
 	eng := NewEngine(WithShards(2))
 	defer eng.Close()
@@ -78,7 +70,7 @@ func TestMigrateRegionMovesState(t *testing.T) {
 
 	var r *core.Region
 	var want uint32
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+	if err := runOn(eng, 0, func(rt *core.Runtime) {
 		r, want = buildChain(rt, 40)
 	}); err != nil {
 		t.Fatalf("build: %v", err)
@@ -95,7 +87,7 @@ func TestMigrateRegionMovesState(t *testing.T) {
 		t.Fatalf("Migrations() = (%d, %d), want (1, %d)", count, pages, m.Pages)
 	}
 
-	if err := pinnedDo(eng, 1, func(rt *core.Runtime) {
+	if err := runOn(eng, 1, func(rt *core.Runtime) {
 		if got := rt.ContentChecksum(m.New); got != want {
 			panic(fmt.Sprintf("content digest %#x after migration, want %#x", got, want))
 		}
@@ -109,7 +101,7 @@ func TestMigrateRegionMovesState(t *testing.T) {
 		t.Fatalf("receiver-side use: %v", err)
 	}
 
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+	if err := runOn(eng, 0, func(rt *core.Runtime) {
 		_, err := rt.TryRalloc(r, 8, rt.SizeCleanup(8))
 		var f *core.Fault
 		if !errors.As(err, &f) || f.Kind != core.FaultMigratedRegion {
@@ -138,7 +130,7 @@ func TestMigrateRegionValidation(t *testing.T) {
 	}
 
 	var pinnedRegion *core.Region
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+	if err := runOn(eng, 0, func(rt *core.Runtime) {
 		a := rt.NewRegion()
 		b := rt.NewRegion()
 		p := rt.Ralloc(a, 8, rt.SizeCleanup(8))
@@ -151,7 +143,7 @@ func TestMigrateRegionValidation(t *testing.T) {
 	if _, err := eng.MigrateRegion(pinnedRegion, 0, 1); !errors.Is(err, core.ErrExportReferenced) {
 		t.Fatalf("referenced region export error %v, want ErrExportReferenced", err)
 	}
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+	if err := runOn(eng, 0, func(rt *core.Runtime) {
 		if pinnedRegion.Deleted() {
 			panic("refused export deleted the region")
 		}
@@ -164,38 +156,100 @@ func TestMigrateRegionValidation(t *testing.T) {
 	}
 }
 
+// TestMigrateRegionRefusesForeignRegion: a migration that names the wrong
+// donor is refused with a typed error, and no heap changes. Shard 1's
+// chain has its region header at the address of shard 0's own first
+// region, which a donor that trusted the address would release in its
+// place; shard 0's region is pointer-free in one case and holds pointers
+// in the other.
+func TestMigrateRegionRefusesForeignRegion(t *testing.T) {
+	for _, pointers := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pointers=%v", pointers), func(t *testing.T) {
+			eng := NewEngine(WithShards(3))
+			defer eng.Close()
+			registerSizeCleanups(t, eng, 8)
+			var own, r1 *core.Region
+			var ownSum, want uint32
+			if err := runOn(eng, 0, func(rt *core.Runtime) {
+				if pointers {
+					own, ownSum = buildChain(rt, 4)
+					return
+				}
+				own = rt.NewRegion()
+				rt.Space().Store(rt.RstrAlloc(own, 64), 7)
+				ownSum = rt.ContentChecksum(own)
+			}); err != nil {
+				t.Fatalf("build on shard 0: %v", err)
+			}
+			if err := runOn(eng, 1, func(rt *core.Runtime) { r1, want = buildChain(rt, 40) }); err != nil {
+				t.Fatalf("build on shard 1: %v", err)
+			}
+
+			_, err := eng.MigrateRegion(r1, 0, 2)
+			var f *core.Fault
+			if !errors.As(err, &f) || f.Kind != core.FaultBadArgument {
+				t.Fatalf("migrating shard 1's region from shard 0: %v, want a FaultBadArgument *Fault", err)
+			}
+			if count, _ := eng.Migrations(); count != 0 {
+				t.Errorf("Migrations() count = %d after a refusal, want 0", count)
+			}
+			checks := []func(rt *core.Runtime){
+				func(rt *core.Runtime) {
+					if rt.RegionOf(f.Addr) != own {
+						panic("shard 0's own region does not hold the refused header address")
+					}
+					if own.Deleted() || rt.ContentChecksum(own) != ownSum {
+						panic(fmt.Sprintf("shard 0's own region changed: %v", own))
+					}
+				},
+				func(rt *core.Runtime) {
+					if r1.Deleted() || r1.Migrated() {
+						panic(fmt.Sprintf("the refused region was retired: %v", r1))
+					}
+					if got := rt.ContentChecksum(r1); got != want {
+						panic(fmt.Sprintf("refused region digest %#x, want %#x", got, want))
+					}
+				},
+				func(*core.Runtime) {},
+			}
+			for i, check := range checks {
+				if err := runOn(eng, i, func(rt *core.Runtime) {
+					check(rt)
+					if err := rt.Verify(); err != nil {
+						panic(err)
+					}
+				}); err != nil {
+					t.Errorf("shard %d after the refusal: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
 // TestMigrateRegionAfterClose: a closed engine refuses a migration with an
-// error, as Resize does, instead of queueing the export on a worker that
-// has exited and waiting for it forever.
+// error, as Resize does, and leaves the region where it was.
 func TestMigrateRegionAfterClose(t *testing.T) {
 	eng := NewEngine(WithShards(2))
 	registerSizeCleanups(t, eng, 8)
 	var r *core.Region
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) { r, _ = buildChain(rt, 8) }); err != nil {
+	if err := runOn(eng, 0, func(rt *core.Runtime) { r, _ = buildChain(rt, 8) }); err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	eng.Close()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := eng.MigrateRegion(r, 0, 1)
-		errc <- err
-	}()
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("MigrateRegion after Close succeeded")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("MigrateRegion after Close still blocked after 5 s")
+	agg := eng.Close()
+	if _, err := eng.MigrateRegion(r, 0, 1); err == nil {
+		t.Fatal("MigrateRegion after Close succeeded")
+	}
+	if r.Migrated() || eng.Close().Tasks != agg.Tasks {
+		t.Fatal("a refused migration after Close moved the region or ran a task")
 	}
 }
 
-// TestMigrateUnderLoad is the randomized tentpole gate: a long-lived region
-// hops donor→receiver repeatedly while pinned work runs on every shard
-// (the unpinned work waits for Close), with Verify running on donor and
-// receiver inside each hop; the digest must survive every hop and the
-// engine's summed checksum must be bit-identical to the same task set run
-// with migration off.
+// TestMigrateUnderLoad is the randomized migration gate: a long-lived
+// region hops donor→receiver repeatedly between slices of work run on
+// every shard (the held work waits for Close), with Verify running on
+// donor and receiver inside each hop; the digest must survive every hop
+// and the engine's summed checksum must be bit-identical to the same task
+// set run with migration off.
 func TestMigrateUnderLoad(t *testing.T) {
 	const shards = 4
 	rng := rand.New(rand.NewSource(11))
@@ -206,7 +260,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 		registerSizeCleanups(t, eng, 8)
 		var r *core.Region
 		var want uint32
-		if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+		if err := runOn(eng, 0, func(rt *core.Runtime) {
 			r, want = buildChain(rt, 64)
 		}); err != nil {
 			t.Fatalf("build: %v", err)
@@ -215,21 +269,18 @@ func TestMigrateUnderLoad(t *testing.T) {
 		// task execution rather than running before or after it.
 		slice := len(tasks) / 8
 		at := 0
-		feed := func() {
+		next := func() {
 			if at < len(tasks) {
-				end := at + slice
-				if end > len(tasks) {
-					end = len(tasks)
-				}
-				submitAll(eng, tasks[at:end])
+				end := min(at+slice, len(tasks))
+				feed(eng, tasks[at:end])
 				at = end
 			}
 		}
-		feed()
+		next()
 		if migrate {
 			cur := 0
 			for hop := 0; hop < 7; hop++ {
-				feed()
+				next()
 				next := (cur + 1 + hop%(shards-1)) % shards
 				if next == cur {
 					next = (cur + 1) % shards
@@ -239,7 +290,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 					t.Fatalf("hop %d (%d→%d): %v", hop, cur, next, err)
 				}
 				r, cur = m.New, next
-				if err := pinnedDo(eng, cur, func(rt *core.Runtime) {
+				if err := runOn(eng, cur, func(rt *core.Runtime) {
 					if got := rt.ContentChecksum(r); got != want {
 						panic(fmt.Sprintf("hop %d: digest %#x, want %#x", hop, got, want))
 					}
@@ -252,7 +303,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 			}
 		}
 		for at < len(tasks) {
-			feed()
+			next()
 		}
 		// Delete the traveler wherever it ended up so every heap drains clean.
 		home := 0
@@ -260,7 +311,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 			found := false
 			for i := range eng.workers() {
 				var owned bool
-				if err := pinnedDo(eng, i, func(rt *core.Runtime) {
+				if err := runOn(eng, i, func(rt *core.Runtime) {
 					for _, lr := range rt.LiveRegions() {
 						if lr == r {
 							owned = true
@@ -278,7 +329,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 				t.Fatal("traveler region owned by no shard after its hops")
 			}
 		}
-		if err := pinnedDo(eng, home, func(rt *core.Runtime) {
+		if err := runOn(eng, home, func(rt *core.Runtime) {
 			if !rt.DeleteRegion(r) {
 				panic("traveler region not deletable")
 			}
@@ -316,7 +367,7 @@ func TestResizeGrowAndShrink(t *testing.T) {
 	var tr [2]traveler
 	for i := range tr {
 		i := i
-		if err := pinnedDo(eng, i, func(rt *core.Runtime) {
+		if err := runOn(eng, i, func(rt *core.Runtime) {
 			tr[i].r, tr[i].want = buildChain(rt, 24+8*i)
 		}); err != nil {
 			t.Fatalf("build on shard %d: %v", i, err)
@@ -329,18 +380,13 @@ func TestResizeGrowAndShrink(t *testing.T) {
 	if eng.Shards() != 4 {
 		t.Fatalf("Shards() = %d after grow, want 4", eng.Shards())
 	}
-	// Home one pinned task on each grown shard and confirm it runs there.
-	done := make(chan int, 2)
+	// Home one task on each grown shard and confirm it runs there.
 	for i := 2; i < 4; i++ {
 		tk := workTask(uint32(i), 8)
 		tk.Home = i + 1
-		tk.Pin = true
-		tk.Done = func(res TaskResult) { done <- res.Shard }
-		eng.Submit(tk)
-	}
-	got := map[int]bool{<-done: true, <-done: true}
-	if !got[2] || !got[3] {
-		t.Fatalf("pinned tasks ran on shards %v, want the grown shards 2 and 3", got)
+		if res := eng.Run(tk); res.Shard != i || res.Err != nil {
+			t.Fatalf("task homed on grown shard %d ran on shard %d (err %v)", i, res.Shard, res.Err)
+		}
 	}
 
 	for _, n := range []int{1, 0} {
@@ -356,7 +402,7 @@ func TestResizeGrowAndShrink(t *testing.T) {
 	}
 	for i := range tr {
 		i := i
-		if err := pinnedDo(eng, i, func(rt *core.Runtime) {
+		if err := runOn(eng, i, func(rt *core.Runtime) {
 			if got := rt.ContentChecksum(tr[i].r); got != tr[i].want {
 				panic(fmt.Sprintf("resident digest %#x, want %#x", got, tr[i].want))
 			}

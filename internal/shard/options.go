@@ -30,7 +30,7 @@ func WithShards(n int) Option { return func(s *settings) { s.shards = n } }
 // of its last completed task (each worker of a metered engine publishes a
 // copy after every task, so a scrape from any goroutine is safe);
 // per-shard labeled series report tasks, failures, busy simulated cycles,
-// steals and queue depth (the FIFO plus the held unpinned tasks), plus the
+// steals and queue depth (the tasks Submit holds for Close), plus the
 // engine's migration counters and histogram, and once the engine has
 // closed its makespan and utilization gauges. Nil attaches nothing, and
 // workers then publish nothing.
@@ -41,8 +41,9 @@ func WithMetrics(reg *metrics.Registry) Option {
 // WithHeapProfileEvery makes each shard capture a heap profile of its
 // runtime every n completed tasks (plus after its first task and once at
 // drain, so short runs still expose one), exposed via HeapReports — the
-// data behind regionbench's /heap endpoint. Capture runs on the shard's own
-// goroutine, so it is safe without locking the runtime. Zero disables it.
+// data behind regionbench's /heap endpoint. Capture runs right after the
+// shard's task, on the same goroutine, so it is safe without locking the
+// runtime. Zero disables it.
 func WithHeapProfileEvery(n int) Option {
 	return func(s *settings) { s.heapProfileEvery = n }
 }

@@ -20,12 +20,12 @@ type refResult struct {
 // refSchedule runs ts on fresh shard runtimes the way the engine's
 // documented rule says, one task at a time on the calling goroutine, with
 // none of the engine's code: homes are Home-1 mod shards or round-robin
-// over the unhomed tasks; each shard's pinned tasks run first, in order;
-// then, while any unpinned task is held, the shard with the lowest
+// over the unhomed tasks; each shard's tasks to run now run first, in
+// order; then, while any task is held, the shard with the lowest
 // (clock, id) runs its own newest held task, or else the oldest held task
 // of the first non-empty sibling to its right, wrapping. Tasks must not
 // fail.
-func refSchedule(ts []Task, shards int) refResult {
+func refSchedule(ts []mixTask, shards int) refResult {
 	res := refResult{
 		shard:  make([]int, len(ts)),
 		cycles: make([]uint64, shards),
@@ -43,7 +43,7 @@ func refSchedule(ts []Task, shards int) refResult {
 		res.checksum += ts[i].Run(envs[s])
 	}
 
-	pinned := make([][]int, shards)
+	now := make([][]int, shards)
 	held := make([][]int, shards)
 	next := 0
 	for i, t := range ts {
@@ -53,13 +53,13 @@ func refSchedule(ts []Task, shards int) refResult {
 		} else {
 			next++
 		}
-		if t.Pin {
-			pinned[home] = append(pinned[home], i)
+		if t.now {
+			now[home] = append(now[home], i)
 		} else {
 			held[home] = append(held[home], i)
 		}
 	}
-	for s, q := range pinned {
+	for s, q := range now {
 		for _, i := range q {
 			run(s, i)
 		}

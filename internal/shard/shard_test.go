@@ -2,8 +2,6 @@ package shard
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"regions/internal/apps/appkit"
@@ -87,24 +85,22 @@ func TestChecksumIsPlacementIndependent(t *testing.T) {
 func TestAffinityTasksShareAShard(t *testing.T) {
 	eng := NewEngine(WithShards(4))
 	// The first task of the pipeline creates a region and leaves it live;
-	// the second, sharing its home and pinned (a home alone is a soft
-	// preference), allocates in it and deletes it. This
-	// only works if both run, in order, on one runtime.
+	// the second, run with the same home (a held task's home is only a
+	// preference), allocates in it and deletes it. This only works if both
+	// run, in order, on one runtime.
 	var shared appkit.Region
-	eng.Submit(Task{
+	eng.Run(Task{
 		Name: "produce",
 		Home: 3,
-		Pin:  true,
 		Run: func(e appkit.RegionEnv) uint32 {
 			shared = e.NewRegion()
 			e.RstrAlloc(shared, 64)
 			return 1
 		},
 	})
-	eng.Submit(Task{
+	eng.Run(Task{
 		Name: "consume",
 		Home: 3,
-		Pin:  true,
 		Run: func(e appkit.RegionEnv) uint32 {
 			e.RstrAlloc(shared, 64)
 			if !e.DeleteRegion(shared) {
@@ -129,9 +125,8 @@ func TestAffinityTasksShareAShard(t *testing.T) {
 
 func TestTaskPanicIsIsolatedAndStackReset(t *testing.T) {
 	eng := NewEngine(WithShards(1))
-	eng.Submit(Task{
+	eng.Run(Task{
 		Name: "bad",
-		Pin:  true, // so it runs before the healthy task
 		Run: func(e appkit.RegionEnv) uint32 {
 			e.PushFrame(2) // left on the stack when the panic unwinds
 			r := e.NewRegion()
@@ -140,9 +135,7 @@ func TestTaskPanicIsIsolatedAndStackReset(t *testing.T) {
 			return 0
 		},
 	})
-	good := simpleTask(99)
-	good.Pin = true
-	eng.Submit(good)
+	eng.Run(simpleTask(99))
 	agg := eng.Close()
 	if agg.Failures != 1 {
 		t.Fatalf("failures = %d, want 1", agg.Failures)
@@ -196,40 +189,5 @@ func TestAppOnShardMatchesDedicatedEnv(t *testing.T) {
 	}
 	if err := eng.workers()[0].env.Runtime().Verify(); err != nil {
 		t.Fatalf("shard invariants violated after app runs: %v", err)
-	}
-}
-
-// TestSubmitFeedsEveryShardFromItsFirstTask: a caller submitting a long
-// run of pinned tasks in order keeps every shard fed from the start. Shard
-// 1 starts its first task while shard 0 is still early in its queue, so
-// the shards serve at once rather than one after the other.
-func TestSubmitFeedsEveryShardFromItsFirstTask(t *testing.T) {
-	eng := NewEngine(WithShards(2))
-	var completed [2]atomic.Int64
-	var atFirst atomic.Int64 // shard 0's completions when shard 1 started
-	atFirst.Store(-1)
-	var first sync.Once
-	tasks := make([]Task, 200)
-	for i := range tasks {
-		home := i % 2
-		tk := workTask(uint32(i), 16)
-		work := tk.Run
-		tk.Home, tk.Pin = home+1, true
-		tk.Run = func(e appkit.RegionEnv) uint32 {
-			if home == 1 {
-				first.Do(func() { atFirst.Store(completed[0].Load()) })
-			}
-			sum := work(e)
-			completed[home].Add(1)
-			return sum
-		}
-		tasks[i] = tk
-	}
-	submitAll(eng, tasks)
-	if agg := eng.Close(); agg.Tasks != 200 || agg.Failures != 0 {
-		t.Fatalf("ran %d tasks with %d failures, want 200 and 0", agg.Tasks, agg.Failures)
-	}
-	if n := atFirst.Load(); n < 0 || n >= 50 {
-		t.Errorf("shard 1 started its first task after shard 0 completed %d, want fewer than 50", n)
 	}
 }

@@ -45,41 +45,63 @@ func keyHome(key string) int {
 	return int(h) + 1
 }
 
-// submitAll submits ts in order, one Submit per task.
-func submitAll(eng *Engine, ts []Task) {
+// mixTask is one task of a randomized mix: run at once on its home shard
+// (Engine.Run), or held for Close (Engine.Submit).
+type mixTask struct {
+	Task
+	now bool
+}
+
+// feed hands ts to eng in order: Run for a task to run now, Submit for one
+// to hold.
+func feed(eng *Engine, ts []mixTask) {
 	for _, t := range ts {
-		eng.Submit(t)
+		if t.now {
+			eng.Run(t.Task)
+		} else {
+			eng.Submit(t.Task)
+		}
 	}
 }
 
 // randomTasks builds a reproducible mix of plain round-robin tasks, homed
-// unpinned tasks, and pinned tasks, with object counts spanning two orders
-// of magnitude. Each task is self-contained, so the summed checksum is a
-// pure function of the task set.
-func randomTasks(rng *rand.Rand, n int) []Task {
-	tasks := make([]Task, 0, n)
+// held tasks, and homed tasks run at once, with object counts spanning two
+// orders of magnitude. Each task is self-contained, so the summed checksum
+// is a pure function of the task set.
+func randomTasks(rng *rand.Rand, n int) []mixTask {
+	tasks := make([]mixTask, 0, n)
 	for i := 0; i < n; i++ {
-		tk := workTask(rng.Uint32(), 1+rng.Intn(96))
+		tk := mixTask{Task: workTask(rng.Uint32(), 1+rng.Intn(96))}
 		switch rng.Intn(4) {
 		case 0:
 			tk.Home = keyHome(fmt.Sprintf("key-%d", rng.Intn(5)))
 		case 1:
 			tk.Home = keyHome(fmt.Sprintf("pin-%d", rng.Intn(3)))
-			tk.Pin = true
+			tk.now = true
 		}
 		tasks = append(tasks, tk)
 	}
 	return tasks
 }
 
-// submitRecorded submits ts in order and returns a slice that, once the
-// engine has closed, holds the shard each task ran on.
-func submitRecorded(eng *Engine, ts []Task) []int {
+// feedRecorded feeds ts in order and returns a slice that, once the engine
+// has closed, holds the shard each task ran on.
+func feedRecorded(eng *Engine, ts []mixTask) []int {
 	ran := make([]int, len(ts))
+	recorded := make([]mixTask, len(ts))
 	for i, tk := range ts {
-		tk.Done = func(res TaskResult) { ran[i] = res.Shard }
-		eng.Submit(tk)
+		run := tk.Run
+		tk.Run = func(e appkit.RegionEnv) uint32 {
+			for s := range eng.Shards() {
+				if e == appkit.RegionEnv(eng.Env(s)) {
+					ran[i] = s
+				}
+			}
+			return run(e)
+		}
+		recorded[i] = tk
 	}
+	feed(eng, recorded)
 	return ran
 }
 
@@ -119,7 +141,7 @@ func TestStealingKeepsChecksumAndDrains(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
 				label := fmt.Sprintf("seed %d shards %d GOMAXPROCS %d", seed, n, procs)
 				eng := NewEngine(WithShards(n))
-				ran := submitRecorded(eng, tasks)
+				ran := feedRecorded(eng, tasks)
 				agg := eng.Close()
 				if agg.Tasks != uint64(len(tasks)) || agg.Failures != 0 {
 					t.Fatalf("%s: ran %d tasks with %d failures, want %d and 0", label, agg.Tasks, agg.Failures, len(tasks))
@@ -141,19 +163,19 @@ func TestStealingKeepsChecksumAndDrains(t *testing.T) {
 	}
 }
 
-// TestImbalancedWorkloadIsStolen homes 48 equal unpinned tasks on shard 2
-// of 4, so the other three shards hold nothing of their own and must
-// steal. The split is exact: the reference scheduler's, which is an even
-// 12 tasks per shard with every sibling's 12 stolen.
+// TestImbalancedWorkloadIsStolen homes 48 equal held tasks on shard 2 of
+// 4, so the other three shards hold nothing of their own and must steal.
+// The split is exact: the reference scheduler's, which is an even 12 tasks
+// per shard with every sibling's 12 stolen.
 func TestImbalancedWorkloadIsStolen(t *testing.T) {
 	const tasks, home = 48, 2
-	ts := make([]Task, tasks)
+	ts := make([]mixTask, tasks)
 	for i := range ts {
-		ts[i] = workTask(uint32(i), 128)
+		ts[i].Task = workTask(uint32(i), 128)
 		ts[i].Home = home + 1
 	}
 	eng := NewEngine(WithShards(4))
-	ran := submitRecorded(eng, ts)
+	ran := feedRecorded(eng, ts)
 	agg := eng.Close()
 	if agg.Failures != 0 || agg.Tasks != tasks {
 		t.Fatalf("tasks=%d failures=%d, want %d/0", agg.Tasks, agg.Failures, tasks)
@@ -170,23 +192,25 @@ func TestImbalancedWorkloadIsStolen(t *testing.T) {
 	}
 }
 
-// TestNoStealKeepsTasksHome pins down the A/B control: pinned tasks are
-// the static-placement scheduler — zero steals, and an imbalanced workload
+// TestNoStealKeepsTasksHome pins down the A/B control: Run is the
+// static-placement scheduler — zero steals, and an imbalanced workload
 // stays exactly where its home put it.
 func TestNoStealKeepsTasksHome(t *testing.T) {
 	eng := NewEngine(WithShards(4))
 	const tasks, home = 24, 2
 	for i := 0; i < tasks; i++ {
 		tk := workTask(uint32(i), 16)
-		tk.Home, tk.Pin = home+1, true
-		eng.Submit(tk)
+		tk.Home = home + 1
+		if res := eng.Run(tk); res.Shard != home {
+			t.Fatalf("task %d ran on shard %d, want its home %d", i, res.Shard, home)
+		}
 	}
 	agg := eng.Close()
 	if agg.Failures != 0 {
 		t.Fatalf("%d failures", agg.Failures)
 	}
 	if agg.Steals != 0 {
-		t.Fatalf("pinned tasks recorded %d steals", agg.Steals)
+		t.Fatalf("tasks run at once recorded %d steals", agg.Steals)
 	}
 	for i, s := range agg.PerShard {
 		want := uint64(0)
@@ -194,7 +218,7 @@ func TestNoStealKeepsTasksHome(t *testing.T) {
 			want = tasks
 		}
 		if s.Tasks != want {
-			t.Fatalf("shard %d ran %d tasks, want %d when pinned", i, s.Tasks, want)
+			t.Fatalf("shard %d ran %d tasks, want %d run at home", i, s.Tasks, want)
 		}
 	}
 }

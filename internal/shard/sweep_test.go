@@ -39,13 +39,12 @@ func blobTask(seed uint32) Task {
 
 // TestDeferredSweepRacesDeletes runs task-driven deletions under deferred
 // reclamation with the race detector on, in two interleavings: a flooded
-// unpinned submission that Close dispatches (debt is cancelled by reuse or
-// drained at close) and a paced pinned submission whose idle gaps let
-// workers sleep with debt outstanding between tasks. A shared metrics
-// registry is scraped concurrently throughout, like a live /metrics
-// endpoint. Both deferred interleavings must produce the synchronous run's
-// checksum, end with zero debt, and leave every shard's heap invariants
-// intact.
+// submission that Close dispatches (debt is cancelled by reuse or drained
+// at close) and a paced one, each task run at once with idle gaps between
+// them, so shards carry debt between tasks. A shared metrics registry is
+// scraped concurrently throughout, like a live /metrics endpoint. Both
+// deferred interleavings must produce the synchronous run's checksum, end
+// with zero debt, and leave every shard's heap invariants intact.
 func TestDeferredSweepRacesDeletes(t *testing.T) {
 	const tasks = 240
 	run := func(deferred, paced bool) uint32 {
@@ -73,10 +72,13 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 		}()
 		for i := 0; i < tasks; i++ {
 			tk := blobTask(uint32(i))
-			tk.Pin = paced // pinned tasks run as they arrive; unpinned ones wait for Close
-			eng.Submit(tk)
-			if paced && i%8 == 7 {
-				time.Sleep(time.Millisecond) // idle window: workers sleep in debt
+			if !paced {
+				eng.Submit(tk) // held for Close
+				continue
+			}
+			eng.Run(tk)
+			if i%8 == 7 {
+				time.Sleep(time.Millisecond) // idle window: the scraper reads shards in debt
 			}
 		}
 		agg := eng.Close()

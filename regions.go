@@ -413,8 +413,9 @@ var (
 )
 
 // ExportRegion serializes the quiesced region r into a portable record and
-// releases its pages: r must have a zero exact reference count (no heap,
-// global, or frame references — ErrExportReferenced otherwise) and no
+// releases its pages: r must be one of this System's regions (a
+// FaultBadArgument *Fault otherwise), with a zero exact reference count (no
+// heap, global, or frame references — ErrExportReferenced otherwise) and no
 // scanned pointers into other regions (ErrExportCrossRegion). On success r
 // is a tombstone: any later use faults with FaultMigratedRegion, exactly as
 // a deleted region faults with FaultDeletedRegion.
