@@ -17,7 +17,7 @@
 // The benchmark-report modes regenerate and gate the checked-in artifacts:
 // -bench-out FILE writes a fresh regions-bench/v2 report, and
 // -compare FILE re-measures and diffs against a checked-in report
-// (Snapshot.Sub over the embedded metrics, simulated cycles per op over the
+// (every series of the embedded metrics, simulated cycles per op over the
 // micro benchmarks), exiting nonzero when a micro benchmark regresses
 // beyond -compare-threshold.
 //

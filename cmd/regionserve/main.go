@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 
@@ -55,6 +56,7 @@ type options struct {
 	queue       int
 	burstEvery  uint64
 	burstLen    uint64
+	burstX      float64
 	faultProb   float64
 	deferDel    bool
 	sweepBud    int
@@ -79,8 +81,8 @@ func (o options) validate() error {
 	if o.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", o.shards)
 	}
-	if o.rate <= 0 {
-		return fmt.Errorf("-rate must be positive, got %g", o.rate)
+	if !(o.rate > 0) || math.IsInf(o.rate, 1) {
+		return fmt.Errorf("-rate must be positive and finite, got %g", o.rate)
 	}
 	if o.queue < 1 {
 		return fmt.Errorf("-queue must be at least 1, got %d", o.queue)
@@ -88,7 +90,12 @@ func (o options) validate() error {
 	if o.burstEvery > 0 && (o.burstLen == 0 || o.burstLen >= o.burstEvery) {
 		return fmt.Errorf("-burst-len must be in (0, -burst-every), got %d of %d", o.burstLen, o.burstEvery)
 	}
-	if o.faultProb < 0 || o.faultProb > 1 {
+	// serve.Config reads a burst factor at or below zero as "use the
+	// default", so a typed 0 or negative one would silently run at 4.
+	if !(o.burstX > 0) || math.IsInf(o.burstX, 1) {
+		return fmt.Errorf("-burst-x must be positive and finite, got %g", o.burstX)
+	}
+	if !(o.faultProb >= 0 && o.faultProb <= 1) {
 		return fmt.Errorf("-fault-prob must be in [0, 1], got %g", o.faultProb)
 	}
 	// Sweep tuning without deferred deletion would silently do nothing, and
@@ -120,7 +127,7 @@ func (o options) validate() error {
 	if o.resizeAfter != 0 && o.resizeTo == 0 {
 		return fmt.Errorf("-resize-after requires -resize")
 	}
-	if o.resizeAfter < 0 || o.resizeAfter >= 1 {
+	if !(o.resizeAfter >= 0 && o.resizeAfter < 1) {
 		return fmt.Errorf("-resize-after must be in (0, 1), got %g", o.resizeAfter)
 	}
 	// -top-slow tunes the -explain table; alone it silently does nothing.
@@ -188,6 +195,7 @@ func main() {
 		queue:       *queue,
 		burstEvery:  *burstEvery,
 		burstLen:    *burstLen,
+		burstX:      *burstX,
 		faultProb:   *faultProb,
 		deferDel:    *deferDel,
 		sweepBud:    *sweepBud,

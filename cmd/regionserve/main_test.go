@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 // goodOptions is a flag set validate accepts; each test case mutates one
 // knob off it.
 func goodOptions() options {
-	return options{sessions: 2000, shards: 4, rate: 700, queue: 64}
+	return options{sessions: 2000, shards: 4, rate: 700, burstX: 4, queue: 64}
 }
 
 // TestValidateFlagTable is the fail-fast audit of the CLI contract: every
@@ -26,12 +27,19 @@ func TestValidateFlagTable(t *testing.T) {
 		{"zero-shards", func(o *options) { o.shards = 0 }, "-shards"},
 		{"zero-rate", func(o *options) { o.rate = 0 }, "-rate"},
 		{"negative-rate", func(o *options) { o.rate = -1 }, "-rate"},
+		{"nan-rate", func(o *options) { o.rate = math.NaN() }, "-rate"},
+		{"infinite-rate", func(o *options) { o.rate = math.Inf(1) }, "-rate"},
 		{"zero-queue", func(o *options) { o.queue = 0 }, "-queue"},
 		{"burst-no-len", func(o *options) { o.burstEvery = 1000 }, "-burst-len"},
 		{"burst-len-too-long", func(o *options) { o.burstEvery = 1000; o.burstLen = 1000 }, "-burst-len"},
 		{"burst-ok", func(o *options) { o.burstEvery = 1000; o.burstLen = 100 }, ""},
+		{"zero-burst-x", func(o *options) { o.burstX = 0 }, "-burst-x"},
+		{"negative-burst-x", func(o *options) { o.burstX = -2 }, "-burst-x"},
+		{"nan-burst-x", func(o *options) { o.burstEvery = 1000; o.burstLen = 100; o.burstX = math.NaN() }, "-burst-x"},
+		{"infinite-burst-x", func(o *options) { o.burstEvery = 1000; o.burstLen = 100; o.burstX = math.Inf(1) }, "-burst-x"},
 		{"fault-prob-high", func(o *options) { o.faultProb = 1.5 }, "-fault-prob"},
 		{"fault-prob-negative", func(o *options) { o.faultProb = -0.1 }, "-fault-prob"},
+		{"fault-prob-nan", func(o *options) { o.faultProb = math.NaN() }, "-fault-prob"},
 		{"sweep-budget-without-defer", func(o *options) { o.sweepBud = 8 }, "-sweep-budget requires"},
 		{"sweep-highwater-without-defer", func(o *options) { o.sweepWater = 8 }, "-sweep-highwater requires"},
 		{"negative-sweep-budget", func(o *options) { o.deferDel = true; o.sweepBud = -1 }, "-sweep-budget"},
@@ -46,6 +54,8 @@ func TestValidateFlagTable(t *testing.T) {
 		{"resize-after-without-resize", func(o *options) { o.resizeAfter = 0.5 }, "-resize-after requires"},
 		{"resize-after-too-big", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = 1 }, "-resize-after"},
 		{"resize-after-negative", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = -0.5 }, "-resize-after"},
+		{"resize-after-nan", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = math.NaN() }, "-resize-after"},
+		{"resize-after-infinite", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = math.Inf(1) }, "-resize-after"},
 		{"resize-after-ok", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = 0.25 }, ""},
 		{"chrome-without-explain", func(o *options) { o.chrome = "spans.json" }, "-chrome requires -explain"},
 		{"jsonl-without-explain", func(o *options) { o.jsonl = "spans.jsonl" }, "-jsonl requires -explain"},

@@ -164,7 +164,7 @@ func runApp(app appkit.App, env string, scale int, cfg appkit.Config, heap bool)
 	e := appkit.NewRegionEnv(env, cfg).(*appkit.CoreEnv)
 	r := appRun{sum: app.Region(e, scale), counters: e.Counters()}
 	if heap {
-		prof, err := metrics.HeapProfile(e.Runtime())
+		prof, err := e.Runtime().HeapReport()
 		if err != nil {
 			fail(1, "heap profile: %v", err)
 		}

@@ -89,11 +89,11 @@ func (rt *Runtime) registered(cln CleanupID) bool {
 }
 
 // encodeCleanup builds the object header word: id (1-based, so headers are
-// never zero) plus an array flag bit.
+// never zero) plus an array flag bit. cln must be registered: the
+// allocators test it first, and materialize's ids come from walkObjects,
+// which faults on an id outside the table before visiting. Without a check
+// of its own it inlines into every allocation.
 func (rt *Runtime) encodeCleanup(cln CleanupID, array bool) Word {
-	if !rt.registered(cln) {
-		panic(fmt.Sprintf("core: invalid cleanup id %d", cln))
-	}
 	w := Word(cln)
 	if array {
 		w |= arrayFlag

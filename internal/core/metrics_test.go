@@ -75,8 +75,10 @@ func TestSitesAccumulateAcrossAttachments(t *testing.T) {
 	if v, _ := snap.Counter(`regions_alloc_site_objects_total{site="str:8"}`); v != 1 {
 		t.Errorf("str:8 site counts %d objects, want 1: the detached string counts nowhere", v)
 	}
-	if v, _ := snap.Sub(first).Counter(`regions_alloc_site_bytes_total{site="size16"}`); v != 16 {
-		t.Errorf("size16 site's bytes between two snapshots = %d, want 16", v)
+	const size16 = `regions_alloc_site_bytes_total{site="size16"}`
+	v1, _ := first.Counter(size16)
+	if v2, _ := snap.Counter(size16); v2-v1 != 16 {
+		t.Errorf("size16 site's bytes between two snapshots = %d, want 16", v2-v1)
 	}
 }
 

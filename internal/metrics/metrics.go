@@ -18,7 +18,8 @@
 // now": Snapshot() is cheap and diffable into per-interval rates,
 // WritePrometheus emits the text exposition format, WriteJSON a
 // schema-versioned JSON document (embedded in regionbench reports), and
-// HeapProfile turns the verifier's page walk into a per-region heap report.
+// HeapReport is the schema of the per-region heap report the verifier's
+// page walk produces (core.Runtime.HeapReport).
 // docs/OBSERVABILITY.md documents the semantics; cmd/regionstat drives
 // everything against the benchmark applications.
 package metrics

@@ -118,13 +118,19 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 	Observe(sizeBounds, sizes, &sizeSum, 100)
 	sites["x"] = [2]uint64{5, 40}
 	sites["z"] = [2]uint64{1, 4}
-	d := r.Snapshot().Sub(s1)
-	// Site counts are counters: the diff holds the interval's allocations,
-	// and a site new in the interval its whole count.
+	s2 := r.Snapshot()
+	// Two snapshots diff counter by counter. Site counts are counters: the
+	// difference holds the interval's allocations, and a site new in the
+	// interval its whole count.
+	delta := func(name string) uint64 {
+		v, _ := s2.Counter(name)
+		old, _ := s1.Counter(name)
+		return v - old
+	}
 	var gotSites []CounterValue
-	for _, c := range d.Counters {
+	for _, c := range s2.Counters {
 		if strings.HasPrefix(c.Name, "regions_alloc_site_") {
-			gotSites = append(gotSites, c)
+			gotSites = append(gotSites, CounterValue{c.Name, delta(c.Name)})
 		}
 	}
 	wantSites := []CounterValue{
@@ -138,14 +144,14 @@ func TestSnapshotLookupAndDiff(t *testing.T) {
 	if !reflect.DeepEqual(gotSites, wantSites) {
 		t.Errorf("diffed sites = %+v, want %+v", gotSites, wantSites)
 	}
-	if v, _ := d.Counter("a_total"); v != 5 {
+	if v := delta("a_total"); v != 5 {
 		t.Errorf("diffed a_total = %d, want 5", v)
 	}
-	if v, _ := d.Gauge("live"); v != 9 {
-		t.Errorf("diffed gauge = %d, want instantaneous 9", v)
+	if v, _ := s2.Gauge("live"); v != 9 {
+		t.Errorf("gauge = %d, want instantaneous 9", v)
 	}
-	if h := d.Histograms[0]; h.Count != 1 || h.Sum != 100 {
-		t.Errorf("diffed histogram count/sum = %d/%d, want 1/100", h.Count, h.Sum)
+	if h1, h2 := s1.Histograms[0], s2.Histograms[0]; h2.Count-h1.Count != 1 || h2.Sum-h1.Sum != 100 {
+		t.Errorf("diffed histogram count/sum = %d/%d, want 1/100", h2.Count-h1.Count, h2.Sum-h1.Sum)
 	}
 }
 

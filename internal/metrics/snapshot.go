@@ -126,37 +126,3 @@ func (s *Snapshot) CounterSum(prefix string) uint64 {
 	}
 	return sum
 }
-
-// Sub returns the per-interval delta s minus prev: counters and histogram
-// buckets subtract (a series missing from prev contributes its full value),
-// gauges keep their current values, since they are instantaneous. Sub
-// never mutates its receivers.
-func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
-	out := &Snapshot{
-		SchemaVersion: s.SchemaVersion,
-		Gauges:        append([]GaugeValue(nil), s.Gauges...),
-	}
-	for _, c := range s.Counters {
-		if old, ok := prev.Counter(c.Name); ok {
-			c.Value -= old
-		}
-		out.Counters = append(out.Counters, c)
-	}
-	prevHists := make(map[string]*HistogramValue, len(prev.Histograms))
-	for i := range prev.Histograms {
-		prevHists[prev.Histograms[i].Name] = &prev.Histograms[i]
-	}
-	for _, h := range s.Histograms {
-		hv := HistogramValue{Name: h.Name, Count: h.Count, Sum: h.Sum,
-			Buckets: append([]BucketValue(nil), h.Buckets...)}
-		if old := prevHists[h.Name]; old != nil && len(old.Buckets) == len(hv.Buckets) {
-			hv.Count -= old.Count
-			hv.Sum -= old.Sum
-			for i := range hv.Buckets {
-				hv.Buckets[i].Count -= old.Buckets[i].Count
-			}
-		}
-		out.Histograms = append(out.Histograms, hv)
-	}
-	return out
-}

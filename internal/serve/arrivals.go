@@ -11,20 +11,19 @@ import (
 // phases. Open-loop means arrival times come from the seeded PRNG alone and
 // never react to how the server is doing — the standard way to expose tail
 // latency, since a closed loop would politely slow its offered load exactly
-// when the server struggles. The driver draws each session as it submits
-// it, so the host holds only the sessions in flight, never the schedule; it
-// may block in host time (sending on a shard's full feed), but no draw
-// reads the simulated clock. Everything here is host-side modelling:
-// drawing charges no simulated cycles, and the same seed always yields the
-// same schedule, profiles, and weights, which is what makes a whole serving
-// run bit-reproducible.
+// when the server struggles. Each shard's goroutine draws the whole
+// schedule on a stream of its own, one session at a time, and serves the
+// sessions homed on its shard, so the host holds only the sessions in
+// service, never the schedule, and no draw reads the simulated clock.
+// Everything here is host-side modelling: drawing charges no simulated
+// cycles, and the same seed always yields the same schedule, profiles, and
+// weights, which is what makes a whole serving run bit-reproducible.
 
 // session is one request: its arrival time on the simulated clock, the
-// profile and weight drawn for it, its home shard, and — filled in as it
-// flows through the system — its outcome. A session is a value: it travels
-// on its shard's feed into that shard's shardState.cur, and what outlives
-// its service is the run's latency slice and, under Config.Spans, its
-// phase record.
+// profile and weight drawn for it, and its home shard. A session is a
+// value: its shard's goroutine draws it, and an admitted one becomes that
+// shard's shardState.cur. What outlives its service is the run's latency
+// slice and, under Config.Spans, its phase record.
 type session struct {
 	arrival uint64 // simulated cycles
 	// sweepCycles is the simulated cost of the idle-gap sweep slices
@@ -37,22 +36,12 @@ type session struct {
 	shard int32
 	// tenant is the session's tenant id in tenant mode (Config.Tenants > 0),
 	// -1 otherwise. A tenant session is homed on its tenant's current shard
-	// as the driver submits it, rather than round-robin, so a skewed tenant
-	// draw produces the shard imbalance the resize barrier exists to fix.
+	// (serve stamps it into shard), rather than round-robin, so a skewed
+	// tenant draw produces the shard imbalance the resize barrier exists to
+	// fix.
 	tenant int32
 	weight uint8 // 1-3 size multiplier applied to every site count
-
-	outcome uint8
-	waited  bool // entered the modelled queue (nonzero queue wait)
 }
-
-// Session outcomes.
-const (
-	outcomePending uint8 = iota
-	outcomeOK
-	outcomeShedQueue // rejected at admission: modelled queue full
-	outcomeShedOOM   // admitted, then aborted by a refused page mapping
-)
 
 // arrivals draws a run's schedule one session at a time: exponential
 // inter-arrival gaps at cfg.Rate arrivals per simulated Mcycle, multiplied
@@ -60,8 +49,7 @@ const (
 // BurstLen cycles of every BurstEvery-cycle period). Profiles are drawn by
 // weight and each session gets a 1-3x size weight, modelling the light/heavy
 // request mix every real service sees. Sessions come out in arrival order,
-// assigned round-robin to shards, so each shard's feed replays its own
-// arrival-ordered stream.
+// assigned round-robin to shards.
 type arrivals struct {
 	cfg      Config
 	rng      *rand.Rand
@@ -105,8 +93,8 @@ func (a *arrivals) next() session {
 	a.id++
 	// Tenant draws come after every legacy draw so a Tenants == 0 config
 	// consumes exactly the PRNG stream it always did: old seeds keep
-	// reproducing old schedules bit for bit. The driver homes a tenant
-	// session on its tenant's shard as it submits it.
+	// reproducing old schedules bit for bit. serve homes a tenant session
+	// on its tenant's current shard.
 	if cfg.Tenants > 0 {
 		s.tenant = int32(pickTenant(a.rng, cfg.Tenants))
 	}

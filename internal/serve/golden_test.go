@@ -81,7 +81,10 @@ func TestServeGolden(t *testing.T) {
 // TestServeQuantilesExact checks that Result's latency quantiles are exact
 // order statistics: on every golden run they equal trace.QuantileExact over
 // the per-request latencies the span stream reconstructs, MaxCycles is the
-// slowest of those requests, and no reported quantile exceeds it.
+// slowest of those requests, and no reported quantile exceeds it. The spans
+// also name the shard that served each request: every shard has as many
+// span requests as it completed sessions, tenant sessions on a resize run
+// included.
 func TestServeQuantilesExact(t *testing.T) {
 	for _, c := range goldenRuns() {
 		t.Run(c.name, func(t *testing.T) {
@@ -99,10 +102,20 @@ func TestServeQuantilesExact(t *testing.T) {
 				t.Fatalf("spans hold %d requests, run completed %d", len(p.Requests), res.Completed)
 			}
 			lat := make([]uint64, len(p.Requests))
+			perShard := make([]uint64, len(res.PerShard))
 			var slowest uint64
 			for i, r := range p.Requests {
 				lat[i] = r.Latency()
 				slowest = max(slowest, lat[i])
+				if r.Shard < 0 || r.Shard >= len(perShard) {
+					t.Fatalf("request %d names shard %d of %d", r.Request, r.Shard, len(perShard))
+				}
+				perShard[r.Shard]++
+			}
+			for i, ps := range res.PerShard {
+				if perShard[i] != ps.Completed {
+					t.Errorf("shard %d: %d span requests, %d completed", i, perShard[i], ps.Completed)
+				}
 			}
 			for _, q := range []struct {
 				name string

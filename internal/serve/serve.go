@@ -32,6 +32,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -79,7 +80,8 @@ func (e *OverloadError) Unwrap() []error {
 }
 
 // Config sizes a serving run. The zero value of every optional field picks
-// the documented default.
+// the documented default; a Rate, BurstFactor or ResizeAfter that is NaN or
+// infinite is an error from Run.
 type Config struct {
 	// Sessions is the number of requests to offer (required, > 0).
 	Sessions int
@@ -351,7 +353,7 @@ func (h *hist) observe(v uint64) { metrics.Observe(latencyBounds[:], h.buckets[:
 // server is one serving run: its configuration, the board its shards
 // publish their tallies to when metered, the sessions' latencies and phase
 // records, the engine and per-shard states it drives, and, in tenant mode,
-// the driver-side tenant table.
+// the tenant table.
 type server struct {
 	cfg   Config
 	board *board
@@ -371,9 +373,6 @@ type server struct {
 
 	eng    *shard.Engine
 	states []*shardState // indexed by shard position
-	// running counts the shards' goroutines that have not exited; serve
-	// waits on it.
-	running sync.WaitGroup
 
 	// Resize barrier readings (Config.ResizeTo only): each shard's busy
 	// cycles and the highest sweep-debt peak when phase 1 had drained.
@@ -393,35 +392,34 @@ const (
 	tenantNodes    = 3
 )
 
-// tenantState is one tenant's long-lived region and driver-held chain head.
+// tenantState is one tenant's long-lived region and host-held chain head.
 // Its region and head are touched only by sessions on the tenant's home
 // shard while the engine serves, and only by the barrier (engine idle)
-// when it migrates — so, like shardState, it needs no lock. The head is
-// deliberately held host-side and never in a frame: the region's counted
-// reference count stays zero between requests, which is exactly the
-// quiescence ExportRegion demands when the barrier moves the tenant.
+// when it migrates; home changes only at the barrier, so every shard's
+// goroutine may read it while serving. Like shardState, it needs no lock.
+// The head is deliberately held host-side and never in a frame: the
+// region's counted reference count stays zero between requests, which is
+// exactly the quiescence ExportRegion demands when the barrier moves the
+// tenant.
 type tenantState struct {
 	r    *core.Region
 	head core.Ptr
 	home int // current home shard position
 }
 
-// shardState is one shard's task, modelled queue and tally. The driver only
-// sends on its feed; everything else is touched only by the shard's
-// goroutine, which serves the sessions one at a time in the order they
-// were sent, and read by Run after that goroutine has exited, so it needs
-// no lock.
+// shardState is one shard's task, modelled queue and tally. It is touched
+// only by the shard's goroutine, which serves the shard's sessions one at a
+// time in arrival order, and read by Run after that goroutine has exited,
+// so it needs no lock.
 type shardState struct {
 	id  int
 	env *appkit.CoreEnv
 	cln []core.CleanupID // indexed like cleanupSites
 
-	// task is the shard's one task, run once per session: it serves cur,
-	// the session the shard's goroutine last received from feed. cause is
-	// the refused mapping that shed cur, if one did, kept until
-	// noteOverload reads it.
+	// task is the shard's one task, run once per admitted session: it
+	// serves cur. cause is the refused mapping that shed cur, if one did,
+	// kept until account reads it.
 	task  shard.Task
-	feed  chan session
 	cur   session
 	cause error
 	// taskErr is the shard's first task failure, naming its session.
@@ -519,34 +517,46 @@ func (b *board) publish(st *shardState) {
 	b.mu.Unlock()
 }
 
-// Run executes one serving run: draw each session as it is sent to its
-// home shard's goroutine, serve (in two phases around a resize barrier when
-// ResizeTo is set), drain, verify every shard's heap, and report. The only
-// error returns are infrastructure failures (a task panic, a corrupt heap
-// at drain); overload is never an error — it is the Shed* counters and
-// FirstOverload in the Result.
+// Run executes one serving run: serve the schedule (in two phases around a
+// resize barrier when ResizeTo is set), drain, verify every shard's heap,
+// and report. The only error returns are a configuration Run cannot serve
+// and infrastructure failures (a task panic, a corrupt heap at drain);
+// overload is never an error — it is the Shed* counters and FirstOverload
+// in the Result.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	sv := newServer(cfg)
 	sv.startEngine()
 
-	arr := newArrivals(cfg)
+	first := 0 // the last phase's first session
 	if cfg.ResizeTo > 0 {
-		sv.serve(arr, max(1, int(float64(cfg.Sessions)*cfg.ResizeAfter)))
+		first = max(1, int(float64(cfg.Sessions)*cfg.ResizeAfter))
+		sv.serve(0, first)
 		if err := sv.resizeBarrier(); err != nil {
 			return nil, err
 		}
 	}
-	sv.serve(arr, cfg.Sessions-int(arr.id))
+	sv.serve(first, cfg.Sessions)
 	return sv.report()
 }
 
-// validate rejects configurations Run cannot serve. cfg has its defaults
-// applied.
+// validate rejects configurations Run cannot serve: a rate, burst factor
+// or resize fraction that is not finite (checked before the defaults,
+// which would replace a negative infinity), then the rest with the
+// defaults applied.
 func (cfg Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Rate", cfg.Rate}, {"BurstFactor", cfg.BurstFactor}, {"ResizeAfter", cfg.ResizeAfter}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("serve: %s must be finite, got %g", f.name, f.v)
+		}
+	}
+	cfg = cfg.withDefaults()
 	if cfg.Sessions <= 0 {
 		return fmt.Errorf("serve: Sessions must be positive, got %d", cfg.Sessions)
 	}
@@ -646,69 +656,84 @@ func (sv *server) newShardState(i int) *shardState {
 	return st
 }
 
-// feedDepth is a shard feed's buffer: how far the driver may draw ahead of
-// a shard. The driver blocks on the first full feed, so the slack lets it
-// keep drawing for the other shards while one shard works through a run of
-// heavy sessions. It also bounds the sessions a shard holds: at most
-// feedDepth+1 are drawn and not yet complete.
-const feedDepth = 64
-
-// serve draws the next n sessions of arr and sends each to its home shard
-// as it is drawn, so every shard serves from the first session on and the
-// shards serve at once. It returns once every shard has served what it was
-// sent and its goroutine has exited — a full barrier, which the resize path
-// needs between its two phases, and no goroutine outlives it.
-func (sv *server) serve(arr *arrivals, n int) {
-	sv.start(n)
-	for range n {
-		sv.submit(arr.next())
-	}
-	sv.stop()
-}
-
-// start gives every shard a feed sized for n sessions and a goroutine that
-// serves them: it receives each session into st.cur, runs the shard's task
-// on the engine, and accounts the result, one session at a time.
-func (sv *server) start(n int) {
-	for _, st := range sv.states {
-		st.feed = make(chan session, min(n, feedDepth))
-		sv.running.Add(1)
+// serve serves sessions [first, last) of the schedule on one goroutine per
+// shard: the calling goroutine serves shard 0, whose stack has already
+// grown if it served before, and a goroutine of its own each other shard.
+// The shards share no session and serve at once. serve returns once every
+// shard has served its sessions and every goroutine it started has exited
+// — the barrier the resize path needs between its two phases — so no
+// goroutine outlives it.
+func (sv *server) serve(first, last int) {
+	var wg sync.WaitGroup
+	for _, st := range sv.states[1:] {
+		wg.Add(1)
 		go func() {
-			defer sv.running.Done()
-			for st.cur = range st.feed {
-				sv.complete(st, sv.eng.Run(st.task))
-			}
+			defer wg.Done()
+			sv.serveShard(st, first, last)
 		}()
 	}
+	sv.serveShard(sv.states[0], first, last)
+	wg.Wait()
 }
 
-// stop closes every feed and waits until each shard's goroutine has served
-// what was sent to it and exited.
-func (sv *server) stop() {
-	for _, st := range sv.states {
-		close(st.feed)
+// serveShard replays the schedule on an arrival stream of its own, from
+// session 0 so every draw comes in its order, skips the sessions before
+// first and offers, in arrival order, each later one homed on st: a tenant
+// session on its tenant's current home, which it stamps into s.shard so
+// the session's record and spans name the shard that served it.
+func (sv *server) serveShard(st *shardState, first, last int) {
+	arr := newArrivals(sv.cfg)
+	for range first {
+		arr.next()
 	}
-	sv.running.Wait()
+	for range last - first {
+		s := arr.next()
+		if s.tenant >= 0 {
+			s.shard = int32(sv.tenants[s.tenant].home)
+		}
+		if int(s.shard) == st.id {
+			sv.offer(st, s)
+		}
+	}
 }
 
-// submit homes s — a tenant session on its tenant's current shard — and
-// sends it on that shard's feed.
-func (sv *server) submit(s session) {
-	if s.tenant >= 0 {
-		s.shard = int32(sv.tenants[s.tenant].home)
+// offer admits s on its home shard st against the shard's modelled queue
+// and, unless the queue sheds it, serves it with the shard's task on the
+// engine and accounts it; on a metered run it then publishes the shard's
+// tally. Only st's goroutine calls it.
+func (sv *server) offer(st *shardState, s session) {
+	// Drain the modelled queue up to this session's arrival instant, then
+	// shed if MaxQueue sessions are still ahead of it. A shed session never
+	// becomes a task. A session arriving after busyUntil finds the queue
+	// empty, so only admitted sessions sweep in an idle gap (serveOne).
+	for st.npending > 0 && st.pending[st.pendHead] <= s.arrival {
+		st.pendHead = (st.pendHead + 1) % len(st.pending)
+		st.npending--
 	}
-	sv.states[s.shard].feed <- s
+	if st.npending >= sv.cfg.MaxQueue {
+		sv.lat[s.id] = shedMark
+		st.stats.ShedQueue++
+		st.noteOverload(s.id, nil)
+	} else {
+		st.cur = s
+		res := sv.eng.Run(st.task)
+		if res.Err != nil && st.taskErr == nil {
+			st.taskErr = fmt.Errorf("session %d: %w", s.id, res.Err)
+		}
+		sv.account(st, &st.cur, res)
+	}
+	sv.board.publish(st)
 }
 
 // resizeBarrier runs between the two phases of a resize run. Every phase-1
 // session has completed and every shard's goroutine has exited, so the
-// engine is idle and the driver may touch shard runtimes directly (the
-// same quiescence contract Env documents for before-first-Run access). It
+// engine is idle and Run may touch shard runtimes directly (the same
+// quiescence contract Env documents for before-first-Run access). It
 // records the phase-1 readings, grows the engine and sets up the new
 // shards, and rehomes every tenant under the weight-balanced placement,
 // moving each materialized one whose home shifts — translating the
-// driver-held chain head through the transfer record. Sessions drawn after
-// it follow their tenants' new homes.
+// host-held chain head through the transfer record. Phase-2 sessions
+// follow their tenants' new homes.
 func (sv *server) resizeBarrier() error {
 	cfg := sv.cfg
 	sv.phase1Busy = make([]uint64, cfg.Shards)
@@ -971,12 +996,11 @@ func busyRatio(busy []uint64) float64 {
 	return float64(max) / float64(min)
 }
 
-// serveOne is the shard task's body: admission control against the shard's
-// modelled queue, then the session lifecycle on the shard's runtime. It
-// never panics under resource pressure — every allocation goes through a
-// Try* primitive — and a shed session returns checksum 0 without touching
-// the runtime at all (queue shed) or after releasing its regions (OOM
-// shed).
+// serveOne is the shard task's body: the admitted session's lifecycle on
+// the shard's runtime. It never panics under resource pressure — every
+// allocation goes through a Try* primitive — and a session a refused page
+// mapping aborts returns checksum 0 after releasing its regions, leaving
+// the refusal in st.cause (an OOM shed).
 func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	// Modelled idle sweeping: the cycles between the previous session's
 	// completion and this arrival are shard idle time on the modelled
@@ -997,17 +1021,6 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 			s.sweepCycles += st.env.Counters().TotalCycles() - before
 		}
 	}
-	// Admission: drain the modelled queue up to this session's arrival
-	// instant, then shed if MaxQueue sessions are still ahead of it.
-	for st.npending > 0 && st.pending[st.pendHead] <= s.arrival {
-		st.pendHead = (st.pendHead + 1) % len(st.pending)
-		st.npending--
-	}
-	if st.npending >= sv.cfg.MaxQueue {
-		s.outcome = outcomeShedQueue
-		return 0
-	}
-	s.waited = st.npending > 0
 	rec := sv.record(s)
 	if rec != nil {
 		// Everything charged from here to the final cut is the session's
@@ -1020,7 +1033,6 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	}
 	sum, err := sv.lifecycle(st, s, rec)
 	if err != nil {
-		s.outcome = outcomeShedOOM
 		st.cause = err
 		return 0
 	}
@@ -1028,21 +1040,7 @@ func (sv *server) serveOne(st *shardState, s *session) uint32 {
 	// PopFrame has charged its stack-unscan cycles, so frame teardown lands
 	// in the delete phase and the segments tile the whole window.
 	rec.cut(st, trace.SpanDelete)
-	s.outcome = outcomeOK
 	return sum
-}
-
-// complete takes the result of the shard task that served st.cur: it
-// accounts the session, keeps the shard's first task failure with its
-// session's id, and on a metered run publishes the shard's tally. Only the
-// shard's goroutine calls it, so it is single-threaded per shard by
-// construction.
-func (sv *server) complete(st *shardState, res shard.TaskResult) {
-	if res.Err != nil && st.taskErr == nil {
-		st.taskErr = fmt.Errorf("session %d: %w", st.cur.id, res.Err)
-	}
-	sv.account(st, &st.cur, res)
-	sv.board.publish(st)
 }
 
 // shedMark is a shed session's entry in server.lat. It sorts after every
@@ -1059,21 +1057,12 @@ func (sv *server) record(s *session) *phaseRecord {
 }
 
 // account advances the shard's modelled clock by the simulated cycles the
-// session actually consumed (res.EndCycles - res.StartCycles, measured by
-// the engine around the task), records the session's latency and phases,
-// and updates the shard's tally.
+// admitted session actually consumed (res.EndCycles - res.StartCycles,
+// measured by the engine around the task), records the session's latency
+// and phases, and updates the shard's tally.
 func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
-	if s.outcome == outcomeShedQueue {
-		sv.lat[s.id] = shedMark
-		st.stats.ShedQueue++
-		st.noteOverload(s)
-		return
-	}
 	prevBusy := st.busyUntil // where this session's idle gap (if any) began
-	start := s.arrival
-	if st.busyUntil > start {
-		start = st.busyUntil
-	}
+	start := max(s.arrival, st.busyUntil)
 	// The session's service time is what it consumed on the shard runtime,
 	// minus any idle-gap sweep slices serveOne ran inside the same measured
 	// window — those belong to the shard's idle time, not this session.
@@ -1093,13 +1082,14 @@ func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 	st.depth = st.npending
 	st.stats.BusyUntilCycles = completion
 	st.stats.Admitted++
-	if s.waited {
+	if start > s.arrival {
 		st.stats.Queued++
 	}
-	if s.outcome == outcomeShedOOM {
+	if st.cause != nil {
 		sv.lat[s.id] = shedMark
 		st.stats.ShedOOM++
-		st.noteOverload(s)
+		st.noteOverload(s.id, st.cause)
+		st.cause = nil
 		return
 	}
 	st.stats.Completed++
@@ -1121,16 +1111,17 @@ func (sv *server) account(st *shardState, s *session, res shard.TaskResult) {
 	}
 }
 
-// noteOverload keeps the shard's earliest shed error.
-func (st *shardState) noteOverload(s *session) {
+// noteOverload keeps the shard's earliest shed error: session id's, shed
+// by the refused page mapping cause, or by a full queue if cause is nil.
+func (st *shardState) noteOverload(id int32, cause error) {
 	if st.firstOverload != nil {
 		return
 	}
-	e := &OverloadError{Session: int(s.id), Shard: st.id, Reason: "queue full"}
-	if s.outcome == outcomeShedOOM {
-		e.Reason, e.Err = "out of memory", st.cause
+	e := &OverloadError{Session: int(id), Shard: st.id, Reason: "queue full"}
+	if cause != nil {
+		e.Reason, e.Err = "out of memory", cause
 	}
-	st.firstOverload, st.firstSID = e, int(s.id)
+	st.firstOverload, st.firstSID = e, int(id)
 }
 
 // lifecycle runs one session on the shard's runtime: parse into a request

@@ -81,7 +81,8 @@ func TestServeSeedsDiffer(t *testing.T) {
 
 // TestServeBurstShedsQueue drives the burst arrival process hard enough to
 // fill the admission queue and checks the queue-shed path: typed ErrOverload
-// (not OOM), counted sheds, and a clean run.
+// (not OOM), counted sheds, a clean run, and no engine task for a shed
+// session: the shards ran one task per admitted session.
 func TestServeBurstShedsQueue(t *testing.T) {
 	cfg := testConfig()
 	cfg.Sessions = 1200
@@ -89,6 +90,7 @@ func TestServeBurstShedsQueue(t *testing.T) {
 	cfg.BurstLen = 300_000
 	cfg.BurstFactor = 8
 	cfg.MaxQueue = 16
+	cfg.Metrics = metrics.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -108,6 +110,10 @@ func TestServeBurstShedsQueue(t *testing.T) {
 	if got := res.Admitted + res.ShedQueue; got != uint64(cfg.Sessions) {
 		t.Errorf("admitted(%d) + shedQueue(%d) = %d, want %d sessions accounted",
 			res.Admitted, res.ShedQueue, got, cfg.Sessions)
+	}
+	if tasks := cfg.Metrics.Snapshot().CounterSum("regions_shard_tasks_total"); tasks != res.Admitted {
+		t.Errorf("the shards ran %d tasks, want one per admitted session (%d; %d shed at the queue)",
+			tasks, res.Admitted, res.ShedQueue)
 	}
 }
 
@@ -379,6 +385,35 @@ func TestServeUnknownProfileRejected(t *testing.T) {
 	}
 }
 
+// TestServeRejectsNonFiniteConfig: a rate, burst factor or resize fraction
+// that is NaN or infinite fails Run with an error naming the field. A NaN
+// rate would put every arrival at 2^63 cycles and an infinite one every
+// arrival at cycle 0, and a negative infinity must not pick the default.
+func TestServeRejectsNonFiniteConfig(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct {
+			field string
+			mut   func(*Config)
+		}{
+			{"Rate", func(c *Config) { c.Rate = v }},
+			{"BurstFactor", func(c *Config) { c.BurstEvery, c.BurstLen, c.BurstFactor = 1_000_000, 300_000, v }},
+			{"ResizeAfter", func(c *Config) { c.Tenants, c.ResizeTo, c.ResizeAfter = 8, 8, v }},
+		} {
+			t.Run(fmt.Sprintf("%s=%g", c.field, v), func(t *testing.T) {
+				cfg := Config{Sessions: 200, Seed: 1, Shards: 2}
+				c.mut(&cfg)
+				res, err := Run(cfg)
+				if err == nil {
+					t.Fatalf("config accepted: makespan %d sim cycles", res.MakespanCycles)
+				}
+				if !strings.Contains(err.Error(), c.field) {
+					t.Errorf("error %q does not name %s", err, c.field)
+				}
+			})
+		}
+	}
+}
+
 // TestOverloadErrorChains is the table-driven audit of the shed-error
 // contract: every OverloadError matches ErrOverload via errors.Is and
 // unwraps via errors.As; OOM-caused sheds additionally match
@@ -417,8 +452,7 @@ func TestOverloadErrorChains(t *testing.T) {
 
 // TestTaskFailureNamesSession: every session on a shard runs through the
 // shard's one task value, yet a session whose task panics fails the run
-// with an error naming that session. The sessions are drawn as they are
-// submitted, as Run's driver draws them.
+// with an error naming that session.
 func TestTaskFailureNamesSession(t *testing.T) {
 	if err := failingRun(); err == nil || !strings.Contains(err.Error(), "session 3:") {
 		t.Fatalf("err = %v, want a task failure naming session 3", err)
@@ -431,24 +465,25 @@ func failingRun() error {
 	cfg := Config{Sessions: 6, Seed: 1, Shards: 2}.withDefaults()
 	sv := newServer(cfg)
 	sv.startEngine()
-	arr := newArrivals(cfg)
-	sv.start(cfg.Sessions)
-	for range cfg.Sessions {
-		s := arr.next()
-		if s.id == 3 {
-			s.prof = nil // lifecycle reads the profile: the task panics
+	for _, st := range sv.states {
+		serve := st.task.Run
+		st.task.Run = func(env appkit.RegionEnv) uint32 {
+			if st.cur.id == 3 {
+				st.cur.prof = nil // lifecycle reads the profile: the task panics
+			}
+			return serve(env)
 		}
-		sv.submit(s)
 	}
-	sv.stop()
+	sv.serve(0, cfg.Sessions)
 	_, err := sv.report()
 	return err
 }
 
 // TestServeRunsShardsAtOnce: the shards of a run serve at once, each on a
-// goroutine of its own. Each shard's first session waits at a rendezvous
-// until the other shard's first session has started, which never happens
-// if sessions run on the driver's goroutine or one shard at a time.
+// goroutine of its own (shard 0 on the caller's). Each shard's first
+// session waits at a rendezvous until the other shard's first session has
+// started, which never happens if sessions run on one goroutine or one
+// shard at a time.
 func TestServeRunsShardsAtOnce(t *testing.T) {
 	cfg := Config{Sessions: 200, Seed: 1, Shards: 2}.withDefaults()
 	sv := newServer(cfg)
@@ -471,7 +506,7 @@ func TestServeRunsShardsAtOnce(t *testing.T) {
 			return serve(env)
 		}
 	}
-	sv.serve(newArrivals(cfg), cfg.Sessions)
+	sv.serve(0, cfg.Sessions)
 	res, err := sv.report()
 	if err != nil {
 		t.Fatal(err)
@@ -528,13 +563,13 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 
 // TestHostAllocsPerSession gates the serving path's host allocations: a
 // two-shard strheavy run allocates a bounded number of Go objects and bytes
-// per session. The driver draws each session as it submits it, each shard
-// has one task and a fixed modelled queue, and region states (string-pool
-// tables included) and region list slots are reused, so what a session
-// adds is its two Region handles and its latency word, plus, under Spans,
-// its phase record in one slice. The marginal subtest compares two
-// schedule lengths, so set-up cancels out: a session costs two 16-byte
-// handles and 8 bytes.
+// per session. Each shard draws the schedule a session at a time, has one
+// task and a fixed modelled queue, and region states (string-pool tables
+// included) and region list slots are reused, so what a session adds is
+// its two Region handles and its latency word, plus, under Spans, its
+// phase record in one slice. The marginal subtest compares two schedule
+// lengths, so set-up cancels out: a session costs two 16-byte handles and
+// 8 bytes.
 func TestHostAllocsPerSession(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -604,8 +639,9 @@ func TestHostAllocsSetup(t *testing.T) {
 		cfg   Config
 		maxKB float64
 	}{
-		// About 25% above the 32.9 and 100.3 KB measured; each shard
-		// backing its mapped batch read 315 and 868 KB.
+		// 38.1 and 106.0 KB measured, each shard's arrival stream
+		// included; each shard backing its mapped batch read 315 and
+		// 868 KB.
 		{"mix", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 350}, 41},
 		{"bulk", Config{Sessions: 1, Seed: 1, Shards: 2, Rate: 3250, Profile: "bulk", DeferredDelete: true}, 125},
 	} {
