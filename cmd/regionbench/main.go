@@ -6,6 +6,8 @@
 //
 //	regionbench [-scale-div N] [-table N] [-figure N] [-all] [-ablation]
 //	            [-related] [-json] [-verify=false]
+//	regionbench [-scale-div N] [-repeats N] -shards N | -bench-out FILE | -compare FILE
+//	            [-metrics-addr HOST:PORT [-heap-profile-every N]]
 //
 // With -scale-div 1 (the default) the workloads are paper-sized; larger
 // divisors shrink them proportionally for quick runs. Selections combine:
@@ -16,19 +18,22 @@
 //
 // The benchmark-report modes regenerate and gate the checked-in artifacts:
 // -bench-out FILE writes a fresh regions-bench/v2 report, and
-// -compare FILE re-measures and diffs against a checked-in report
-// (every series of the embedded metrics, simulated cycles per op over the
-// micro benchmarks), exiting nonzero when a micro benchmark regresses
-// beyond -compare-threshold.
+// -compare FILE re-measures and diffs every JSON leaf of the fresh report
+// against the checked-in one, exiting 1 on any gated difference: a micro
+// benchmark leaf at any configuration, and every other simulated leaf when
+// -scale-div and -repeats match the artifact's. Host timings are context.
 //
-// The throughput modes (-shards, -bench-out, -compare) accept -metrics-addr HOST:PORT
-// to serve live observability over HTTP while the workload runs:
-// GET /metrics is a Prometheus text-format scrape of the shared registry and
-// GET /heap is a JSON array of the latest per-shard heap profiles (see
-// docs/OBSERVABILITY.md).
+// The throughput modes (-shards, -bench-out, -compare) take -repeats and
+// -metrics-addr HOST:PORT, which serves live observability over HTTP while
+// the workload runs: GET /metrics is a Prometheus text-format scrape of the
+// shared registry and GET /heap is a JSON array of the latest per-shard heap
+// profiles (see docs/OBSERVABILITY.md). A flag the selected mode ignores is
+// an error (exit 2), as are a rendering flag in a throughput mode and an
+// argument that is not a flag.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,144 +46,176 @@ import (
 	"regions/internal/shard"
 )
 
-func main() {
-	var (
-		scaleDiv = flag.Int("scale-div", 1, "divide every app's default workload by this factor")
-		table    = flag.Int("table", 0, "render table N (1-3)")
-		figure   = flag.Int("figure", 0, "render figure N (8-11)")
-		all      = flag.Bool("all", false, "render every table and figure (default if nothing selected)")
-		ablation = flag.Bool("ablation", false, "render the ablation experiments")
-		related  = flag.Bool("related", false, "render the related-work allocator comparison and trace tables")
-		jsonOut  = flag.Bool("json", false, "emit the full measurement matrix as JSON")
-		verify   = flag.Bool("verify", true, "cross-check checksums across environments first")
-		shards   = flag.Int("shards", 0, "run the whole-app throughput workload on N shards")
-		repeats  = flag.Int("repeats", 4, "copies of each app per throughput run")
-		benchOut = flag.String("bench-out", "", "write the benchmark report (micro + shard sweep) to this file")
-		compare  = flag.String("compare", "", "compare a fresh benchmark run against this checked-in report; nonzero exit on regression")
-		compThr  = flag.Float64("compare-threshold", bench.DefaultCompareThreshold,
-			"allowed fractional sim-cycle increase per micro benchmark before -compare fails")
-		metAddr  = flag.String("metrics-addr", "", "serve /metrics and /heap on this address during throughput runs")
-		profEach = flag.Int("heap-profile-every", 64, "shard heap-profile cadence in tasks when -metrics-addr is set (0 disables)")
-	)
-	flag.Parse()
+// options are the parsed flag values; validate is the fail-fast audit main
+// runs before anything is measured, extracted so the flag contract is
+// testable.
+type options struct {
+	scaleDiv, shards, repeats, profEach int
+	benchOut, compare, metAddr          string
+	sel                                 selection
+	set                                 map[string]bool // flags given on the command line
+	args                                []string        // arguments after the flags
+}
 
-	// Validate every selection before any measurement runs: a typo'd flag
-	// should fail in milliseconds, not after the paper-sized workloads.
-	if *scaleDiv < 1 {
-		fmt.Fprintf(os.Stderr, "regionbench: -scale-div must be at least 1, got %d\n", *scaleDiv)
-		os.Exit(2)
+// parse reads the command line args into options.
+func parse(args []string) (options, error) {
+	o := options{set: map[string]bool{}}
+	fs := flag.NewFlagSet("regionbench", flag.ContinueOnError)
+	fs.IntVar(&o.scaleDiv, "scale-div", 1, "divide every app's default workload by this factor")
+	fs.IntVar(&o.sel.table, "table", 0, "render table N (1-3)")
+	fs.IntVar(&o.sel.figure, "figure", 0, "render figure N (8-11)")
+	fs.BoolVar(&o.sel.all, "all", false, "render every table and figure (default if nothing selected)")
+	fs.BoolVar(&o.sel.ablation, "ablation", false, "render the ablation experiments")
+	fs.BoolVar(&o.sel.related, "related", false, "render the related-work allocator comparison and trace tables")
+	fs.BoolVar(&o.sel.json, "json", false, "emit the full measurement matrix as JSON")
+	fs.BoolVar(&o.sel.verify, "verify", true, "cross-check checksums across environments first")
+	fs.IntVar(&o.shards, "shards", 0, "run the whole-app throughput workload on N shards")
+	fs.IntVar(&o.repeats, "repeats", 4, "copies of each app per throughput run")
+	fs.StringVar(&o.benchOut, "bench-out", "", "write the benchmark report (micro + shard sweep) to this file")
+	fs.StringVar(&o.compare, "compare", "", "compare a fresh benchmark run against this checked-in report; nonzero exit on any gated difference")
+	fs.StringVar(&o.metAddr, "metrics-addr", "", "serve /metrics and /heap on this address during throughput runs")
+	fs.IntVar(&o.profEach, "heap-profile-every", 64, "shard heap-profile cadence in tasks when -metrics-addr is set (0 disables)")
+	err := fs.Parse(args)
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	o.args = fs.Args()
+	return o, err
+}
+
+// throughput reports whether o selects one of the modes that run the shard
+// engine: -shards, -bench-out or -compare.
+func (o options) throughput() bool {
+	return o.shards > 0 || o.benchOut != "" || o.compare != ""
+}
+
+// validate returns the first mistake in o, nil for a runnable flag set: a
+// typo'd flag should fail in milliseconds, not after the paper-sized
+// workloads, and a flag the selected mode would ignore is a mistake too.
+func (o options) validate() error {
+	// The flag package stops at the first argument that is not a flag, so
+	// every flag after a stray argument would be dropped unread.
+	if len(o.args) > 0 {
+		return fmt.Errorf("unexpected argument %q: regionbench takes flags only", o.args[0])
 	}
-	if *table < 0 || *table > 3 {
-		fmt.Fprintf(os.Stderr, "regionbench: tables are 1-3, got %d\n", *table)
-		os.Exit(2)
+	if o.scaleDiv < 1 {
+		return fmt.Errorf("-scale-div must be at least 1, got %d", o.scaleDiv)
 	}
-	if *figure != 0 && (*figure < 8 || *figure > 11) {
-		fmt.Fprintf(os.Stderr, "regionbench: figures are 8-11, got %d\n", *figure)
-		os.Exit(2)
+	if o.sel.table < 0 || o.sel.table > 3 {
+		return fmt.Errorf("tables are 1-3, got %d", o.sel.table)
+	}
+	if o.sel.figure != 0 && (o.sel.figure < 8 || o.sel.figure > 11) {
+		return fmt.Errorf("figures are 8-11, got %d", o.sel.figure)
 	}
 	// -shards 0 is the "disabled" default; spelling it out explicitly is a
 	// mistake worth naming, as is any negative count.
-	explicitShards := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			explicitShards = true
+	if o.shards < 0 || (o.set["shards"] && o.shards == 0) {
+		return fmt.Errorf("-shards must be at least 1, got %d", o.shards)
+	}
+	if o.repeats < 1 {
+		return fmt.Errorf("-repeats must be at least 1, got %d", o.repeats)
+	}
+	if o.profEach < 0 {
+		return fmt.Errorf("-heap-profile-every must be at least 0, got %d", o.profEach)
+	}
+	if o.compare != "" && o.benchOut != "" {
+		return fmt.Errorf("-compare and -bench-out are mutually exclusive")
+	}
+	if o.shards > 0 && (o.benchOut != "" || o.compare != "") {
+		return fmt.Errorf("-shards runs one throughput run; the report modes run their own sweep")
+	}
+	if !o.throughput() {
+		for _, f := range []string{"repeats", "metrics-addr", "heap-profile-every"} {
+			if o.set[f] {
+				return fmt.Errorf("-%s requires -shards, -bench-out or -compare", f)
+			}
 		}
-	})
-	if *shards < 0 || (explicitShards && *shards == 0) {
-		fmt.Fprintf(os.Stderr, "regionbench: -shards must be at least 1, got %d\n", *shards)
-		os.Exit(2)
 	}
-	if *repeats < 1 {
-		fmt.Fprintf(os.Stderr, "regionbench: -repeats must be at least 1, got %d\n", *repeats)
-		os.Exit(2)
+	if o.set["heap-profile-every"] && o.metAddr == "" {
+		return fmt.Errorf("-heap-profile-every requires -metrics-addr")
 	}
-	if *profEach < 0 {
-		fmt.Fprintf(os.Stderr, "regionbench: -heap-profile-every must be at least 0, got %d\n", *profEach)
-		os.Exit(2)
+	if o.throughput() {
+		for _, f := range []string{"table", "figure", "all", "ablation", "related", "json", "verify"} {
+			if o.set[f] {
+				return fmt.Errorf("-%s selects what the paper's evaluation renders; -shards, -bench-out and -compare render none", f)
+			}
+		}
 	}
-	if *compare != "" && *benchOut != "" {
-		fmt.Fprintln(os.Stderr, "regionbench: -compare and -bench-out are mutually exclusive")
-		os.Exit(2)
+	return nil
+}
+
+func main() {
+	o, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if *compThr < 0 {
-		fmt.Fprintf(os.Stderr, "regionbench: -compare-threshold must be at least 0, got %g\n", *compThr)
+	if err != nil {
+		os.Exit(2) // the flag package has printed the error and the usage
+	}
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "regionbench:", err)
 		os.Exit(2)
 	}
 	// Load (and validate) the old report before measuring anything, so a
 	// missing file or wrong schema_version fails in milliseconds.
-	var oldReport *bench.Report
-	if *compare != "" {
-		var err error
-		if oldReport, err = bench.LoadReport(*compare); err != nil {
+	var old bench.Leaves
+	if o.compare != "" {
+		if old, err = bench.LoadReport(o.compare); err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
 			os.Exit(2)
 		}
 	}
 
-	s := bench.NewSuite(*scaleDiv)
 	w := os.Stdout
-
-	// The throughput/report modes are self-contained: run them and exit.
-	// Both accept -metrics-addr for live scraping while they run.
-	opts, reg := metricsOpts(*metAddr, *profEach)
-	if oldReport != nil {
-		rep, err := bench.BuildBenchReportOpts(*scaleDiv, *repeats, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "comparing against %s\n", *compare)
-		regressions := bench.CompareReports(w, oldReport, rep, *compThr)
-		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "regionbench: %d regression(s):\n", len(regressions))
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintln(w, "\nno regressions")
+	if o.throughput() {
+		runThroughput(w, o, old)
 		return
 	}
-	if *benchOut != "" {
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
-		}
-		rep, err := bench.BuildBenchReportOpts(*scaleDiv, *repeats, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
-		}
-		if err := bench.EncodeBenchReport(f, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "wrote %s\n", *benchOut)
-		return
-	}
-	if *shards > 0 {
-		r, err := bench.RunThroughputOpts(*shards, *scaleDiv, *repeats, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
-		}
-		bench.PrintThroughput(w, r)
-		if reg != nil {
-			allocs, _ := reg.Snapshot().Counter("regions_core_allocs_total")
-			fmt.Fprintf(w, "metrics: %d simulated allocs across the run\n", allocs)
-		}
-		return
-	}
-
-	sel := selection{all: *all, ablation: *ablation, related: *related, json: *jsonOut,
-		verify: *verify, table: *table, figure: *figure}
-	if err := render(w, s, sel); err != nil {
+	if err := render(w, bench.NewSuite(o.scaleDiv), o.sel); err != nil {
 		fmt.Fprintln(os.Stderr, "regionbench:", err)
+		os.Exit(1)
+	}
+}
+
+// runThroughput runs the mode o selects that drives the shard engine — the
+// -compare gate against the old report's leaves, -bench-out, or one -shards
+// run — with -metrics-addr serving live scrapes while it runs.
+func runThroughput(w io.Writer, o options, old bench.Leaves) {
+	failIf := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "regionbench:", err)
+			os.Exit(1)
+		}
+	}
+	opts, reg := metricsOpts(o.metAddr, o.profEach)
+	if o.shards > 0 {
+		r, err := bench.RunThroughputOpts(o.shards, o.scaleDiv, o.repeats, opts)
+		failIf(err)
+		bench.PrintThroughput(w, r)
+		allocs, _ := reg.Snapshot().Counter("regions_core_allocs_total")
+		fmt.Fprintf(w, "metrics: %d simulated allocs across the run\n", allocs)
+		return
+	}
+	var f *os.File // opened first, so a bad path fails before the sweep
+	if o.benchOut != "" {
+		var err error
+		f, err = os.Create(o.benchOut)
+		failIf(err)
+	}
+	rep, err := bench.BuildBenchReportOpts(o.scaleDiv, o.repeats, opts)
+	failIf(err)
+	if f != nil {
+		failIf(bench.EncodeBenchReport(f, rep))
+		failIf(f.Close())
+		fmt.Fprintf(w, "wrote %s\n", o.benchOut)
+		return
+	}
+	cur, err := bench.LeavesOf(rep)
+	failIf(err)
+	fmt.Fprintf(w, "comparing against %s\n", o.compare)
+	if regressions := bench.CompareReports(w, old, cur); len(regressions) > 0 {
+		fmt.Fprintf(os.Stderr, "regionbench: %d gated difference(s):\n", len(regressions))
+		for _, r := range regressions {
+			fmt.Fprintf(os.Stderr, "  %s\n", r)
+		}
 		os.Exit(1)
 	}
 }

@@ -54,6 +54,8 @@ type options struct {
 	shards      int
 	rate        float64
 	queue       int
+	sloP99      uint64
+	pageLimit   int
 	burstEvery  uint64
 	burstLen    uint64
 	burstX      float64
@@ -86,6 +88,14 @@ func (o options) validate() error {
 	}
 	if o.queue < 1 {
 		return fmt.Errorf("-queue must be at least 1, got %d", o.queue)
+	}
+	// serve.Config reads a zero SLO target as "use the default", so a typed
+	// 0 would silently judge the SLO against 1,000,000 cycles.
+	if o.sloP99 == 0 {
+		return fmt.Errorf("-slo-p99 must be at least 1, got 0")
+	}
+	if o.pageLimit < 0 {
+		return fmt.Errorf("-page-limit must be at least 0 (0 = unlimited), got %d", o.pageLimit)
 	}
 	if o.burstEvery > 0 && (o.burstLen == 0 || o.burstLen >= o.burstEvery) {
 		return fmt.Errorf("-burst-len must be in (0, -burst-every), got %d of %d", o.burstLen, o.burstEvery)
@@ -193,6 +203,8 @@ func main() {
 		shards:      *shards,
 		rate:        *rate,
 		queue:       *queue,
+		sloP99:      *sloP99,
+		pageLimit:   *pageLimit,
 		burstEvery:  *burstEvery,
 		burstLen:    *burstLen,
 		burstX:      *burstX,

@@ -9,7 +9,7 @@ import (
 // goodOptions is a flag set validate accepts; each test case mutates one
 // knob off it.
 func goodOptions() options {
-	return options{sessions: 2000, shards: 4, rate: 700, burstX: 4, queue: 64}
+	return options{sessions: 2000, shards: 4, rate: 700, burstX: 4, queue: 64, sloP99: 1_000_000}
 }
 
 // TestValidateFlagTable is the fail-fast audit of the CLI contract: every
@@ -30,6 +30,10 @@ func TestValidateFlagTable(t *testing.T) {
 		{"nan-rate", func(o *options) { o.rate = math.NaN() }, "-rate"},
 		{"infinite-rate", func(o *options) { o.rate = math.Inf(1) }, "-rate"},
 		{"zero-queue", func(o *options) { o.queue = 0 }, "-queue"},
+		{"zero-slo-p99", func(o *options) { o.sloP99 = 0 }, "-slo-p99"},
+		{"slo-p99-ok", func(o *options) { o.sloP99 = 1 }, ""},
+		{"negative-page-limit", func(o *options) { o.pageLimit = -5 }, "-page-limit"},
+		{"page-limit-ok", func(o *options) { o.pageLimit = 96 }, ""},
 		{"burst-no-len", func(o *options) { o.burstEvery = 1000 }, "-burst-len"},
 		{"burst-len-too-long", func(o *options) { o.burstEvery = 1000; o.burstLen = 1000 }, "-burst-len"},
 		{"burst-ok", func(o *options) { o.burstEvery = 1000; o.burstLen = 100 }, ""},

@@ -8,8 +8,8 @@ import (
 	"regions/internal/stats"
 )
 
-// MicroUnit* are the units a micro benchmark's regression gate is judged
-// in: simulated cycles per op for paths the simulator charges, wall-clock
+// MicroUnit* are the units a micro benchmark's figure is measured in:
+// simulated cycles per op for paths the simulator charges, wall-clock
 // nanoseconds per op for host-side-only paths (the regionof lookups).
 const (
 	MicroUnitSimCycles = "sim cycles/op"
@@ -19,9 +19,7 @@ const (
 // MicroResult is one measured micro-operation: wall-clock nanoseconds per
 // operation, plus the modelled simulated cycles per operation for paths the
 // simulator charges (lookups run host-side only, so those report 0). Unit
-// names the unit the benchmark's gated figure is measured in; it is
-// optional in the JSON so older checked-in reports still load, and an empty
-// value means MicroUnitSimCycles.
+// names the unit the benchmark's figure is measured in.
 type MicroResult struct {
 	Name           string  `json:"name"`
 	Ops            int     `json:"ops"`
@@ -31,15 +29,6 @@ type MicroResult struct {
 	// ReuseRatio is the pooled string allocator's hit fraction over the
 	// run, reported by the strallocs micros (0 elsewhere).
 	ReuseRatio float64 `json:"reuseRatio,omitempty"`
-}
-
-// unit returns the benchmark's unit, defaulting missing (pre-Unit report)
-// values to the sim-cycle gate unit.
-func (m MicroResult) unit() string {
-	if m.Unit == "" {
-		return MicroUnitSimCycles
-	}
-	return m.Unit
 }
 
 // RunMicro measures the runtime's primitive operations — allocation, the

@@ -1,17 +1,18 @@
 package bench
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
 	"regions/internal/metrics"
 )
 
-// simOnly drops a throughput result's host timings, leaving the fields
-// that must be exact.
-func simOnly(r ThroughputResult) ThroughputResult {
-	r.WallSeconds, r.TasksPerSec = 0, 0
-	return r
+// simDiffs lists the simulated fields in which a and b differ, by the
+// compare gate's own rule: every leaf of their encodings but the host ones.
+func simDiffs(t *testing.T, a, b any) []string {
+	t.Helper()
+	return CompareReports(io.Discard, leavesOf(t, a), leavesOf(t, b))
 }
 
 // TestThroughputSweepScalesAndAgrees runs the whole-app workload at 1, 2,
@@ -29,13 +30,10 @@ func TestThroughputSweepScalesAndAgrees(t *testing.T) {
 		if len(results) != 3 {
 			t.Fatalf("got %d results, want 3", len(results))
 		}
-		for j := range results {
-			results[j] = simOnly(results[j])
-		}
 		sweeps[i] = results
 	}
-	if !reflect.DeepEqual(sweeps[0], sweeps[1]) {
-		t.Fatalf("two sweeps differ:\n%+v\n%+v", sweeps[0], sweeps[1])
+	if d := simDiffs(t, sweeps[0], sweeps[1]); len(d) > 0 {
+		t.Fatalf("two sweeps differ: %q", d)
 	}
 	results := sweeps[0]
 	for _, r := range results[1:] {
@@ -64,8 +62,8 @@ func TestThroughputMetricsAttachAndAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(simOnly(metered), simOnly(bare)) {
-		t.Errorf("metered run diverged:\n%+v\nbare:\n%+v", simOnly(metered), simOnly(bare))
+	if d := simDiffs(t, metered, bare); len(d) > 0 {
+		t.Errorf("metered run diverged from bare: %q", d)
 	}
 	snap := reg.Snapshot()
 	if got := snap.CounterSum("regions_shard_tasks_total"); got != uint64(metered.Tasks) {
@@ -106,11 +104,21 @@ func TestImbalanceIsExact(t *testing.T) {
 
 // TestBenchReportEmbedsMetrics locks the report schema consumed from the
 // checked-in artifact: version 2, with the sweep's final metrics snapshot.
+// It builds the report twice, and the compare gate must find no gated
+// difference between the two: the determinism the gate rests on.
 func TestBenchReportEmbedsMetrics(t *testing.T) {
-	rep, err := BuildBenchReportOpts(96, 1, ThroughputOpts{Metrics: metrics.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
+	var reps [2]*Report
+	for i := range reps {
+		rep, err := BuildBenchReportOpts(96, 1, ThroughputOpts{Metrics: metrics.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = rep
 	}
+	if d := simDiffs(t, reps[0], reps[1]); len(d) > 0 {
+		t.Errorf("two builds of one report differ: %q", d)
+	}
+	rep := reps[0]
 	if rep.Schema != "regions-bench/v2" || rep.SchemaVersion != ReportSchemaVersion {
 		t.Errorf("schema = %q version %d, want regions-bench/v2 version %d",
 			rep.Schema, rep.SchemaVersion, ReportSchemaVersion)

@@ -81,7 +81,7 @@ func (e *OverloadError) Unwrap() []error {
 
 // Config sizes a serving run. The zero value of every optional field picks
 // the documented default; a Rate, BurstFactor or ResizeAfter that is NaN or
-// infinite is an error from Run.
+// infinite is an error from Run, as is a negative rate, factor or count.
 type Config struct {
 	// Sessions is the number of requests to offer (required, > 0).
 	Sessions int
@@ -189,16 +189,16 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.Shards <= 0 {
+	if cfg.Shards == 0 {
 		cfg.Shards = 4
 	}
-	if cfg.Rate <= 0 {
+	if cfg.Rate == 0 {
 		cfg.Rate = 700
 	}
-	if cfg.BurstFactor <= 0 {
+	if cfg.BurstFactor == 0 {
 		cfg.BurstFactor = 4
 	}
-	if cfg.MaxQueue <= 0 {
+	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 64
 	}
 	if cfg.SLOP99 == 0 {
@@ -210,7 +210,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.SpanTracer != nil {
 		cfg.Spans = true
 	}
-	if cfg.TopSlow <= 0 {
+	if cfg.TopSlow == 0 {
 		cfg.TopSlow = 5
 	}
 	return cfg
@@ -544,9 +544,9 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // validate rejects configurations Run cannot serve: a rate, burst factor
-// or resize fraction that is not finite (checked before the defaults,
-// which would replace a negative infinity), then the rest with the
-// defaults applied.
+// or resize fraction that is not finite or is negative, and a negative
+// count (zero picks the default, so a negative value would silently run as
+// something else), then the rest with the defaults applied.
 func (cfg Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -555,6 +555,19 @@ func (cfg Config) validate() error {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("serve: %s must be finite, got %g", f.name, f.v)
 		}
+		if f.v < 0 {
+			return fmt.Errorf("serve: %s must not be negative, got %g", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Shards", cfg.Shards}, {"MaxQueue", cfg.MaxQueue}, {"PageLimit", cfg.PageLimit},
+		{"SweepBudget", cfg.SweepBudget}, {"SweepHighWater", cfg.SweepHighWater},
+		{"Tenants", cfg.Tenants}, {"ResizeTo", cfg.ResizeTo}, {"TopSlow", cfg.TopSlow}} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: %s must not be negative, got %d", f.name, f.v)
+		}
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Sessions <= 0 {
@@ -562,9 +575,6 @@ func (cfg Config) validate() error {
 	}
 	if cfg.Profile != "" && profileByName(cfg.Profile) == nil {
 		return fmt.Errorf("serve: unknown profile %q", cfg.Profile)
-	}
-	if cfg.Tenants < 0 {
-		return fmt.Errorf("serve: Tenants must not be negative, got %d", cfg.Tenants)
 	}
 	if cfg.ResizeTo > 0 {
 		if cfg.Tenants == 0 {

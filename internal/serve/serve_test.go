@@ -386,11 +386,12 @@ func TestServeUnknownProfileRejected(t *testing.T) {
 }
 
 // TestServeRejectsNonFiniteConfig: a rate, burst factor or resize fraction
-// that is NaN or infinite fails Run with an error naming the field. A NaN
-// rate would put every arrival at 2^63 cycles and an infinite one every
-// arrival at cycle 0, and a negative infinity must not pick the default.
+// that is NaN, infinite or negative, and a negative count, fails Run with
+// an error naming the field. A NaN rate would put every arrival at 2^63
+// cycles and an infinite one every arrival at cycle 0, and a negative value
+// must not pick the default that zero picks.
 func TestServeRejectsNonFiniteConfig(t *testing.T) {
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3} {
 		for _, c := range []struct {
 			field string
 			mut   func(*Config)
@@ -411,6 +412,29 @@ func TestServeRejectsNonFiniteConfig(t *testing.T) {
 				}
 			})
 		}
+	}
+	for _, c := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Shards", func(c *Config) { c.Shards = -1 }},
+		{"MaxQueue", func(c *Config) { c.MaxQueue = -1 }},
+		{"PageLimit", func(c *Config) { c.PageLimit = -1 }},
+		{"SweepBudget", func(c *Config) { c.DeferredDelete, c.SweepBudget = true, -1 }},
+		{"SweepHighWater", func(c *Config) { c.DeferredDelete, c.SweepHighWater = true, -1 }},
+		{"Tenants", func(c *Config) { c.Tenants = -1 }},
+		{"ResizeTo", func(c *Config) { c.Tenants, c.ResizeTo = 8, -1 }},
+		{"TopSlow", func(c *Config) { c.Spans, c.TopSlow = true, -1 }},
+	} {
+		t.Run(c.field+"=-1", func(t *testing.T) {
+			cfg := Config{Sessions: 200, Seed: 1, Shards: 2}
+			c.mut(&cfg)
+			if res, err := Run(cfg); err == nil {
+				t.Fatalf("config accepted: makespan %d sim cycles", res.MakespanCycles)
+			} else if !strings.Contains(err.Error(), c.field+" must not be negative") {
+				t.Errorf("error %q does not name %s", err, c.field)
+			}
+		})
 	}
 }
 
