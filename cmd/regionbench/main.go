@@ -27,7 +27,9 @@
 // -metrics-addr HOST:PORT, which serves live observability over HTTP while
 // the workload runs: GET /metrics is a Prometheus text-format scrape of the
 // shared registry and GET /heap is a JSON array of the latest per-shard heap
-// profiles (see docs/OBSERVABILITY.md). A flag the selected mode ignores is
+// profiles (see docs/OBSERVABILITY.md). The listener is bound before the
+// workload runs: the "serving" line prints the bound address, and an
+// address that cannot be bound exits 1. A flag the selected mode ignores is
 // an error (exit 2), as are a rendering flag in a throughput mode and an
 // argument that is not a flag.
 package main
@@ -37,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sync/atomic"
 
@@ -185,7 +186,8 @@ func runThroughput(w io.Writer, o options, old bench.Leaves) {
 			os.Exit(1)
 		}
 	}
-	opts, reg := metricsOpts(o.metAddr, o.profEach)
+	opts, reg, err := metricsOpts(o.metAddr, o.profEach)
+	failIf(err)
 	if o.shards > 0 {
 		r, err := bench.RunThroughputOpts(o.shards, o.scaleDiv, o.repeats, opts)
 		failIf(err)
@@ -289,30 +291,26 @@ func render(w io.Writer, s *bench.Suite, sel selection) error {
 // it still attaches a registry (so the report embeds a metrics snapshot)
 // but starts no server; with an address it serves GET /metrics (Prometheus
 // text format) and GET /heap (JSON heap profiles, populated once shards
-// start capturing) for the lifetime of the process.
-func metricsOpts(addr string, profEvery int) (bench.ThroughputOpts, *metrics.Registry) {
+// start capturing) for the lifetime of the process, and an address it
+// cannot bind is an error.
+func metricsOpts(addr string, profEvery int) (bench.ThroughputOpts, *metrics.Registry, error) {
 	reg := metrics.NewRegistry()
 	opts := bench.ThroughputOpts{Metrics: reg}
 	if addr == "" {
-		return opts, reg
+		return opts, reg, nil
 	}
 	var eng atomic.Value // *shard.Engine
 	opts.HeapProfileEvery = profEvery
 	opts.OnEngine = func(e *shard.Engine) { eng.Store(e) }
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics.Handler(reg))
-	mux.Handle("/heap", metrics.HeapHandler(func() ([]*metrics.HeapReport, error) {
+	ln, err := metrics.Serve(addr, reg, func() ([]*metrics.HeapReport, error) {
 		if e, ok := eng.Load().(*shard.Engine); ok {
 			return e.HeapReports(), nil
 		}
 		return nil, nil
-	}))
-	ln := &http.Server{Addr: addr, Handler: mux}
-	go func() {
-		if err := ln.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "regionbench: metrics server:", err)
-		}
-	}()
-	fmt.Printf("serving /metrics and /heap on %s\n", addr)
-	return opts, reg
+	})
+	if err != nil {
+		return opts, reg, err
+	}
+	fmt.Printf("serving /metrics and /heap on %s\n", ln.Addr())
+	return opts, reg, nil
 }

@@ -18,13 +18,21 @@
 //	regionserve -sessions 2400 -shards 2 -tenants 8 -resize 4  # live shard grow
 //	regionserve -sessions 600 -explain -chrome spans.json -jsonl spans.jsonl
 //
+// Each serving flag sets the serve.Config field its usage line names, and
+// serve.Config.Validate is the rule set they are checked by; the CLI adds
+// only its own rules (no stray argument, no typed 0 where the field reads 0
+// as its default, no -chrome or -jsonl without -explain). A refused flag
+// set exits 2 before an output file is opened or a session runs.
+//
 // All latency figures are simulated cycles, so output is bit-identical for
 // a given flag set and seed — `regionserve -sessions 2000 -seed 1` twice
 // yields byte-for-byte the same report. The exit code is 0 whenever the run
 // itself completes, even when load was shed (overload is an outcome, not an
 // error); infrastructure failures (a panicking session, a corrupt heap at
-// drain, an unwritable output file) exit 1. See docs/SERVING.md for the
-// workload model.
+// drain, an unwritable output file, a -metrics-addr that cannot be bound)
+// exit 1. With -metrics-addr the listener is bound before anything runs,
+// and the "serving /metrics on" line prints the bound address: with port 0,
+// the port the system chose. See docs/SERVING.md for the workload model.
 //
 // With -explain, -chrome and -jsonl export the run's request-level spans:
 // a Chrome trace_event timeline (one process per shard, one row per
@@ -35,10 +43,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
-	"net/http"
 	"os"
 
 	"regions/internal/mem"
@@ -47,233 +54,124 @@ import (
 	"regions/internal/trace"
 )
 
-// options are the parsed flag values; validate is the fail-fast audit main
-// runs before anything serves, extracted so the flag contract is testable.
+// options are what parse read from the command line: the serving run's
+// serve.Config and the CLI's own values.
 type options struct {
-	sessions    int
-	shards      int
-	rate        float64
-	queue       int
-	sloP99      uint64
-	pageLimit   int
-	burstEvery  uint64
-	burstLen    uint64
-	burstX      float64
-	faultProb   float64
-	deferDel    bool
-	sweepBud    int
-	sweepWater  int
-	tenants     int
-	resizeTo    int
-	resizeAfter float64
-	explain     bool
-	topSlow     int
-	chrome      string
-	jsonl       string
-	args        []string
+	cfg           serve.Config
+	jsonOut       bool
+	metAddr       string
+	chrome, jsonl string
+	args          []string // arguments after the flags
 }
 
-// validate returns the first configuration mistake, nil for a runnable flag
-// set. Every rule here is a run not worth starting: either the flag value
-// is nonsense on its own, or it silently does nothing without a companion.
+// parse reads the command line args into options. Each serving flag sets
+// the serve.Config field its usage line names; the fault flags set the
+// fields of a FaultPlan that is dropped when it would inject nothing.
+func parse(args []string) (options, error) {
+	plan := &mem.FaultPlan{}
+	o := options{cfg: serve.Config{FaultPlan: plan}}
+	c := &o.cfg
+	fs := flag.NewFlagSet("regionserve", flag.ContinueOnError)
+	fs.IntVar(&c.Sessions, "sessions", 2000, "number of sessions to offer (Config.Sessions)")
+	fs.Int64Var(&c.Seed, "seed", 1, "seed for arrivals, profiles, and session weights (Config.Seed)")
+	fs.IntVar(&c.Shards, "shards", 4, "number of shard runtimes serving (Config.Shards)")
+	fs.Float64Var(&c.Rate, "rate", 700, "offered load in arrivals per simulated Mcycle (Config.Rate)")
+
+	fs.Uint64Var(&c.BurstEvery, "burst-every", 0, "burst period in simulated cycles, 0 disables bursts (Config.BurstEvery)")
+	fs.Uint64Var(&c.BurstLen, "burst-len", 0, "burst window length in simulated cycles (Config.BurstLen)")
+	fs.Float64Var(&c.BurstFactor, "burst-x", 4, "arrival-rate multiplier inside burst windows (Config.BurstFactor)")
+
+	fs.IntVar(&c.MaxQueue, "queue", 64, "per-shard admission queue cap; arrivals beyond it are shed (Config.MaxQueue)")
+	fs.Uint64Var(&c.SLOP99, "slo-p99", 1_000_000, "p99 latency target in simulated cycles for the SLO line (Config.SLOP99)")
+
+	fs.IntVar(&c.PageLimit, "page-limit", 0, "cap each shard's simulated OS at N 4 KiB pages, 0 = unlimited (Config.PageLimit)")
+	fs.Uint64Var(&plan.FailNth, "fault-nth", 0, "fail every Nth page-mapping call on each shard, 0 disables (Config.FaultPlan.FailNth)")
+	fs.Float64Var(&plan.FailProb, "fault-prob", 0, "fail each page-mapping call with this probability (Config.FaultPlan.FailProb)")
+	fs.Int64Var(&plan.Seed, "fault-seed", 1, "seed for -fault-prob draws (Config.FaultPlan.Seed)")
+	fs.Uint64Var(&plan.ByteBudget, "fault-budget", 0, "per-shard mapped-byte budget before mappings fail, 0 = unlimited (Config.FaultPlan.ByteBudget)")
+
+	fs.StringVar(&c.Profile, "profile", "", "serve only the named session profile; default the weighted six-app mix (Config.Profile)")
+	fs.BoolVar(&c.NoStrPool, "no-strpool", false, "disable the pooled string allocator on every shard, the A/B baseline where all string allocations bump (Config.NoStrPool)")
+	fs.BoolVar(&c.DeferredDelete, "defer-delete", false, "deferred reclamation: deletes detach, pages are swept incrementally on idle cycles (Config.DeferredDelete)")
+	fs.IntVar(&c.SweepBudget, "sweep-budget", 0, "pages per sweep slice, 0 = runtime default (Config.SweepBudget)")
+	fs.IntVar(&c.SweepHighWater, "sweep-highwater", 0, "sweep-debt pages above which allocations pay a sweep tax, 0 = runtime default (Config.SweepHighWater)")
+
+	fs.IntVar(&c.Tenants, "tenants", 0, "tenant mode: sessions belong to N tenants with long-lived state regions, 0 disables (Config.Tenants)")
+	fs.IntVar(&c.ResizeTo, "resize", 0, "grow the engine live to N shards mid-run, migrating tenant regions (Config.ResizeTo)")
+	fs.Float64Var(&c.ResizeAfter, "resize-after", 0, "fraction of sessions served before the resize barrier, 0 = 0.5 (Config.ResizeAfter)")
+
+	fs.StringVar(&o.metAddr, "metrics-addr", "", "serve GET /metrics (Prometheus text format) on this address during the run")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the full result as JSON instead of the text report")
+	fs.BoolVar(&c.Spans, "explain", false, "record request-level spans and report per-phase latency attribution (Config.Spans)")
+	fs.IntVar(&c.TopSlow, "top-slow", 0, "slowest requests shown in the -explain breakdown, 0 = 5 (Config.TopSlow)")
+	fs.StringVar(&o.chrome, "chrome", "", "write the -explain spans as a Chrome trace_event timeline to this file")
+	fs.StringVar(&o.jsonl, "jsonl", "", "write the -explain span events as JSON Lines to this file")
+	err := fs.Parse(args)
+	o.args = fs.Args()
+	if *plan == (mem.FaultPlan{Seed: plan.Seed}) {
+		c.FaultPlan = nil
+	}
+	return o, err
+}
+
+// validate returns the first mistake in o, nil for a runnable command line:
+// the CLI's own rules, then serve.Config.Validate, so a mistake fails in
+// milliseconds, before an output file is opened or a session runs.
 func (o options) validate() error {
-	if o.sessions < 1 {
-		return fmt.Errorf("-sessions must be at least 1, got %d", o.sessions)
-	}
-	if o.shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", o.shards)
-	}
-	if !(o.rate > 0) || math.IsInf(o.rate, 1) {
-		return fmt.Errorf("-rate must be positive and finite, got %g", o.rate)
-	}
-	if o.queue < 1 {
-		return fmt.Errorf("-queue must be at least 1, got %d", o.queue)
-	}
-	// serve.Config reads a zero SLO target as "use the default", so a typed
-	// 0 would silently judge the SLO against 1,000,000 cycles.
-	if o.sloP99 == 0 {
-		return fmt.Errorf("-slo-p99 must be at least 1, got 0")
-	}
-	if o.pageLimit < 0 {
-		return fmt.Errorf("-page-limit must be at least 0 (0 = unlimited), got %d", o.pageLimit)
-	}
-	if o.burstEvery > 0 && (o.burstLen == 0 || o.burstLen >= o.burstEvery) {
-		return fmt.Errorf("-burst-len must be in (0, -burst-every), got %d of %d", o.burstLen, o.burstEvery)
-	}
-	// serve.Config reads a burst factor at or below zero as "use the
-	// default", so a typed 0 or negative one would silently run at 4.
-	if !(o.burstX > 0) || math.IsInf(o.burstX, 1) {
-		return fmt.Errorf("-burst-x must be positive and finite, got %g", o.burstX)
-	}
-	if !(o.faultProb >= 0 && o.faultProb <= 1) {
-		return fmt.Errorf("-fault-prob must be in [0, 1], got %g", o.faultProb)
-	}
-	// Sweep tuning without deferred deletion would silently do nothing, and
-	// a zero-or-negative budget would mean "sweep no pages per slice" —
-	// both are configuration mistakes, not runs worth starting.
-	if o.sweepBud != 0 && !o.deferDel {
-		return fmt.Errorf("-sweep-budget requires -defer-delete")
-	}
-	if o.sweepWater != 0 && !o.deferDel {
-		return fmt.Errorf("-sweep-highwater requires -defer-delete")
-	}
-	if o.deferDel && o.sweepBud < 0 {
-		return fmt.Errorf("-sweep-budget must be at least 1 (or 0 for the default), got %d", o.sweepBud)
-	}
-	if o.deferDel && o.sweepWater < 0 {
-		return fmt.Errorf("-sweep-highwater must be at least 1 (or 0 for the default), got %d", o.sweepWater)
-	}
-	if o.tenants < 0 {
-		return fmt.Errorf("-tenants must not be negative, got %d", o.tenants)
-	}
-	// Elastic resharding only makes sense over tenant state, and only as a
-	// grow: a -resize at or below -shards has nothing to rebalance onto.
-	if o.resizeTo != 0 && o.tenants == 0 {
-		return fmt.Errorf("-resize requires -tenants")
-	}
-	if o.resizeTo != 0 && o.resizeTo <= o.shards {
-		return fmt.Errorf("-resize (%d) must exceed -shards (%d)", o.resizeTo, o.shards)
-	}
-	if o.resizeAfter != 0 && o.resizeTo == 0 {
-		return fmt.Errorf("-resize-after requires -resize")
-	}
-	if !(o.resizeAfter >= 0 && o.resizeAfter < 1) {
-		return fmt.Errorf("-resize-after must be in (0, 1), got %g", o.resizeAfter)
-	}
-	// -top-slow tunes the -explain table; alone it silently does nothing.
-	if o.topSlow != 0 && !o.explain {
-		return fmt.Errorf("-top-slow requires -explain")
-	}
-	if o.topSlow < 0 {
-		return fmt.Errorf("-top-slow must be at least 1 (or 0 for the default), got %d", o.topSlow)
-	}
-	if o.chrome != "" && !o.explain {
-		return fmt.Errorf("-chrome requires -explain")
-	}
-	if o.jsonl != "" && !o.explain {
-		return fmt.Errorf("-jsonl requires -explain")
-	}
+	// The flag package stops at the first argument that is not a flag, so
+	// every flag after a stray argument would be dropped unread.
 	if len(o.args) > 0 {
 		return fmt.Errorf("unexpected argument %q: regionserve takes flags only", o.args[0])
 	}
-	return nil
+	// serve.Config reads 0 in these fields as "use the default", and no
+	// flag defaults to 0, so a 0 here was typed and would silently run as
+	// the default.
+	for _, f := range []struct {
+		flag, field string
+		zero        bool
+	}{
+		{"shards", "Shards", o.cfg.Shards == 0},
+		{"rate", "Rate", o.cfg.Rate == 0},
+		{"queue", "MaxQueue", o.cfg.MaxQueue == 0},
+		{"slo-p99", "SLOP99", o.cfg.SLOP99 == 0},
+		{"burst-x", "BurstFactor", o.cfg.BurstFactor == 0},
+	} {
+		if f.zero {
+			return fmt.Errorf("-%s must not be 0: Config.%s reads 0 as its default", f.flag, f.field)
+		}
+	}
+	if o.chrome != "" && !o.cfg.Spans {
+		return fmt.Errorf("-chrome requires -explain")
+	}
+	if o.jsonl != "" && !o.cfg.Spans {
+		return fmt.Errorf("-jsonl requires -explain")
+	}
+	return o.cfg.Validate()
 }
 
 func main() {
-	var (
-		sessions = flag.Int("sessions", 2000, "number of sessions to offer")
-		seed     = flag.Int64("seed", 1, "seed for arrivals, profiles, and session weights")
-		shards   = flag.Int("shards", 4, "number of shard runtimes serving")
-		rate     = flag.Float64("rate", 700, "offered load in arrivals per simulated Mcycle")
-
-		burstEvery = flag.Uint64("burst-every", 0, "burst period in simulated cycles (0 disables bursts)")
-		burstLen   = flag.Uint64("burst-len", 0, "burst window length in simulated cycles")
-		burstX     = flag.Float64("burst-x", 4, "arrival-rate multiplier inside burst windows")
-
-		queue  = flag.Int("queue", 64, "per-shard admission queue cap; arrivals beyond it are shed")
-		sloP99 = flag.Uint64("slo-p99", 1_000_000, "p99 latency target in simulated cycles for the SLO line")
-
-		pageLimit = flag.Int("page-limit", 0, "cap each shard's simulated OS at N 4 KiB pages (0 = unlimited)")
-		faultNth  = flag.Uint64("fault-nth", 0, "fail every Nth page-mapping call on each shard (0 disables)")
-		faultProb = flag.Float64("fault-prob", 0, "fail each page-mapping call with this probability")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for -fault-prob draws")
-		faultBud  = flag.Uint64("fault-budget", 0, "per-shard mapped-byte budget before mappings fail (0 = unlimited)")
-
-		profile    = flag.String("profile", "", "serve only the named session profile (default: the weighted six-app mix)")
-		noStrPool  = flag.Bool("no-strpool", false, "disable the pooled string allocator on every shard (A/B baseline: all string allocations bump)")
-		deferDel   = flag.Bool("defer-delete", false, "deferred reclamation: deletes detach, pages are swept incrementally on idle cycles")
-		sweepBud   = flag.Int("sweep-budget", 0, "pages per sweep slice (0 = runtime default; requires -defer-delete)")
-		sweepWater = flag.Int("sweep-highwater", 0, "sweep-debt pages above which allocations pay a sweep tax (0 = runtime default; requires -defer-delete)")
-
-		tenants     = flag.Int("tenants", 0, "tenant mode: sessions belong to N tenants with long-lived state regions (0 disables)")
-		resizeTo    = flag.Int("resize", 0, "grow the engine live to N shards mid-run, migrating tenant regions (requires -tenants; must exceed -shards)")
-		resizeAfter = flag.Float64("resize-after", 0, "fraction of sessions served before the resize barrier (default 0.5; requires -resize)")
-
-		metAddr = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text format) on this address during the run")
-		jsonOut = flag.Bool("json", false, "emit the full result as JSON instead of the text report")
-		explain = flag.Bool("explain", false, "record request-level spans and report per-phase latency attribution")
-		topSlow = flag.Int("top-slow", 0, "slowest requests shown in the -explain breakdown (0 = default 5)")
-		chrome  = flag.String("chrome", "", "write the -explain spans as a Chrome trace_event timeline to this file")
-		jsonl   = flag.String("jsonl", "", "write the -explain span events as JSON Lines to this file")
-	)
-	flag.Parse()
-
-	opts := options{
-		sessions:    *sessions,
-		shards:      *shards,
-		rate:        *rate,
-		queue:       *queue,
-		sloP99:      *sloP99,
-		pageLimit:   *pageLimit,
-		burstEvery:  *burstEvery,
-		burstLen:    *burstLen,
-		burstX:      *burstX,
-		faultProb:   *faultProb,
-		deferDel:    *deferDel,
-		sweepBud:    *sweepBud,
-		sweepWater:  *sweepWater,
-		tenants:     *tenants,
-		resizeTo:    *resizeTo,
-		resizeAfter: *resizeAfter,
-		explain:     *explain,
-		topSlow:     *topSlow,
-		chrome:      *chrome,
-		jsonl:       *jsonl,
-		args:        flag.Args(),
+	o, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if err := opts.validate(); err != nil {
+	if err != nil {
+		os.Exit(2) // the flag package has printed the error and the usage
+	}
+	if err := o.validate(); err != nil {
 		fail(2, "%v", err)
 	}
-
-	cfg := serve.Config{
-		Sessions:    *sessions,
-		Seed:        *seed,
-		Shards:      *shards,
-		Rate:        *rate,
-		BurstEvery:  *burstEvery,
-		BurstLen:    *burstLen,
-		BurstFactor: *burstX,
-		MaxQueue:    *queue,
-		SLOP99:      *sloP99,
-		PageLimit:   *pageLimit,
-
-		Profile:        *profile,
-		NoStrPool:      *noStrPool,
-		DeferredDelete: *deferDel,
-		SweepBudget:    *sweepBud,
-		SweepHighWater: *sweepWater,
-
-		Tenants:     *tenants,
-		ResizeTo:    *resizeTo,
-		ResizeAfter: *resizeAfter,
-
-		Spans:   *explain,
-		TopSlow: *topSlow,
-	}
-	if *faultNth > 0 || *faultProb > 0 || *faultBud > 0 {
-		cfg.FaultPlan = &mem.FaultPlan{
-			FailNth:    *faultNth,
-			FailProb:   *faultProb,
-			Seed:       *faultSeed,
-			ByteBudget: *faultBud,
+	cfg := o.cfg
+	if o.metAddr != "" {
+		cfg.Metrics = metrics.NewRegistry()
+		ln, err := metrics.Serve(o.metAddr, cfg.Metrics, nil)
+		if err != nil {
+			fail(1, "%v", err)
 		}
-	}
-	if *metAddr != "" {
-		reg := metrics.NewRegistry()
-		cfg.Metrics = reg
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler(reg))
-		srv := &http.Server{Addr: *metAddr, Handler: mux}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "regionserve: metrics server:", err)
-			}
-		}()
-		fmt.Printf("serving /metrics on %s\n", *metAddr)
+		fmt.Printf("serving /metrics on %s\n", ln.Addr())
 	}
 
 	// Open the span outputs before serving, so a bad path fails at once.
-	chromeFile, jsonlFile := createFile(*chrome), createFile(*jsonl)
+	chromeFile, jsonlFile := createFile(o.chrome), createFile(o.jsonl)
 	if chromeFile != nil || jsonlFile != nil {
 		// Run writes at most 24 span events per session, 4 per migration and
 		// 2 per shard (serve.Config.SpanTracer).
@@ -292,7 +190,7 @@ func main() {
 		writeAndClose(chromeFile, func(f *os.File) error { return trace.WriteSpanChromeTrace(f, evs) })
 		writeAndClose(jsonlFile, func(f *os.File) error { return trace.WriteJSONL(f, evs) })
 	}
-	if *jsonOut {
+	if o.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {

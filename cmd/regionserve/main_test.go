@@ -1,88 +1,106 @@
 package main
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
 
-// goodOptions is a flag set validate accepts; each test case mutates one
-// knob off it.
-func goodOptions() options {
-	return options{sessions: 2000, shards: 4, rate: 700, burstX: 4, queue: 64, sloP99: 1_000_000}
-}
-
-// TestValidateFlagTable is the fail-fast audit of the CLI contract: every
-// bad flag combination is rejected with a message naming the flag, and the
-// good combinations — including the full tenant/resize shape — pass.
+// TestValidateFlagTable is the fail-fast audit of the CLI contract: each
+// command line below is parsed and validated, and a bad one must be
+// refused — by the CLI's own rules, naming the flag, or by
+// serve.Config.Validate, naming the field the flag sets — while the good
+// ones, the full tenant/resize shape among them, pass.
 func TestValidateFlagTable(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*options)
-		want string // "" means the flag set must validate
+		args string
+		want string // "" means the command line must validate
 	}{
-		{"defaults", func(o *options) {}, ""},
-		{"zero-sessions", func(o *options) { o.sessions = 0 }, "-sessions"},
-		{"negative-sessions", func(o *options) { o.sessions = -5 }, "-sessions"},
-		{"zero-shards", func(o *options) { o.shards = 0 }, "-shards"},
-		{"zero-rate", func(o *options) { o.rate = 0 }, "-rate"},
-		{"negative-rate", func(o *options) { o.rate = -1 }, "-rate"},
-		{"nan-rate", func(o *options) { o.rate = math.NaN() }, "-rate"},
-		{"infinite-rate", func(o *options) { o.rate = math.Inf(1) }, "-rate"},
-		{"zero-queue", func(o *options) { o.queue = 0 }, "-queue"},
-		{"zero-slo-p99", func(o *options) { o.sloP99 = 0 }, "-slo-p99"},
-		{"slo-p99-ok", func(o *options) { o.sloP99 = 1 }, ""},
-		{"negative-page-limit", func(o *options) { o.pageLimit = -5 }, "-page-limit"},
-		{"page-limit-ok", func(o *options) { o.pageLimit = 96 }, ""},
-		{"burst-no-len", func(o *options) { o.burstEvery = 1000 }, "-burst-len"},
-		{"burst-len-too-long", func(o *options) { o.burstEvery = 1000; o.burstLen = 1000 }, "-burst-len"},
-		{"burst-ok", func(o *options) { o.burstEvery = 1000; o.burstLen = 100 }, ""},
-		{"zero-burst-x", func(o *options) { o.burstX = 0 }, "-burst-x"},
-		{"negative-burst-x", func(o *options) { o.burstX = -2 }, "-burst-x"},
-		{"nan-burst-x", func(o *options) { o.burstEvery = 1000; o.burstLen = 100; o.burstX = math.NaN() }, "-burst-x"},
-		{"infinite-burst-x", func(o *options) { o.burstEvery = 1000; o.burstLen = 100; o.burstX = math.Inf(1) }, "-burst-x"},
-		{"fault-prob-high", func(o *options) { o.faultProb = 1.5 }, "-fault-prob"},
-		{"fault-prob-negative", func(o *options) { o.faultProb = -0.1 }, "-fault-prob"},
-		{"fault-prob-nan", func(o *options) { o.faultProb = math.NaN() }, "-fault-prob"},
-		{"sweep-budget-without-defer", func(o *options) { o.sweepBud = 8 }, "-sweep-budget requires"},
-		{"sweep-highwater-without-defer", func(o *options) { o.sweepWater = 8 }, "-sweep-highwater requires"},
-		{"negative-sweep-budget", func(o *options) { o.deferDel = true; o.sweepBud = -1 }, "-sweep-budget"},
-		{"negative-sweep-highwater", func(o *options) { o.deferDel = true; o.sweepWater = -1 }, "-sweep-highwater"},
-		{"defer-ok", func(o *options) { o.deferDel = true; o.sweepBud = 4; o.sweepWater = 16 }, ""},
-		{"negative-tenants", func(o *options) { o.tenants = -1 }, "-tenants"},
-		{"tenants-ok", func(o *options) { o.tenants = 8 }, ""},
-		{"resize-without-tenants", func(o *options) { o.resizeTo = 8 }, "-resize requires -tenants"},
-		{"resize-equal-shards", func(o *options) { o.tenants = 8; o.resizeTo = 4 }, "must exceed -shards"},
-		{"resize-shrink", func(o *options) { o.tenants = 8; o.resizeTo = 2 }, "must exceed -shards"},
-		{"resize-ok", func(o *options) { o.tenants = 8; o.resizeTo = 8 }, ""},
-		{"resize-after-without-resize", func(o *options) { o.resizeAfter = 0.5 }, "-resize-after requires"},
-		{"resize-after-too-big", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = 1 }, "-resize-after"},
-		{"resize-after-negative", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = -0.5 }, "-resize-after"},
-		{"resize-after-nan", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = math.NaN() }, "-resize-after"},
-		{"resize-after-infinite", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = math.Inf(1) }, "-resize-after"},
-		{"resize-after-ok", func(o *options) { o.tenants = 8; o.resizeTo = 8; o.resizeAfter = 0.25 }, ""},
-		{"chrome-without-explain", func(o *options) { o.chrome = "spans.json" }, "-chrome requires -explain"},
-		{"jsonl-without-explain", func(o *options) { o.jsonl = "spans.jsonl" }, "-jsonl requires -explain"},
-		{"explain-exports-ok", func(o *options) { o.explain = true; o.chrome = "spans.json"; o.jsonl = "spans.jsonl" }, ""},
+		{"defaults", "", ""},
+		{"stray-argument", "-sessions 10 stray -explain", `unexpected argument "stray"`},
+		{"zero-sessions", "-sessions 0", "Sessions"},
+		{"negative-sessions", "-sessions -5", "Sessions"},
+		{"zero-shards", "-shards 0", "-shards"},
+		{"zero-rate", "-rate 0", "-rate"},
+		{"negative-rate", "-rate -1", "Rate"},
+		{"nan-rate", "-rate NaN", "Rate"},
+		{"infinite-rate", "-rate Inf", "Rate"},
+		{"zero-queue", "-queue 0", "-queue"},
+		{"zero-slo-p99", "-slo-p99 0", "-slo-p99"},
+		{"slo-p99-ok", "-slo-p99 1", ""},
+		{"negative-page-limit", "-page-limit -5", "PageLimit"},
+		{"page-limit-ok", "-page-limit 96", ""},
+		{"burst-no-len", "-burst-every 1000", "BurstLen"},
+		{"burst-len-too-long", "-burst-every 1000 -burst-len 1000", "BurstLen"},
+		{"burst-ok", "-burst-every 1000 -burst-len 100", ""},
+		{"zero-burst-x", "-burst-x 0", "-burst-x"},
+		{"negative-burst-x", "-burst-x -2", "BurstFactor"},
+		{"nan-burst-x", "-burst-every 1000 -burst-len 100 -burst-x NaN", "BurstFactor"},
+		{"infinite-burst-x", "-burst-every 1000 -burst-len 100 -burst-x Inf", "BurstFactor"},
+		{"fault-prob-high", "-fault-prob 1.5", "FailProb"},
+		{"fault-prob-negative", "-fault-prob -0.1", "FailProb"},
+		{"fault-prob-nan", "-fault-prob NaN", "FailProb"},
+		{"fault-ok", "-fault-nth 5 -fault-prob 0.5 -fault-budget 65536", ""},
+		{"sweep-budget-without-defer", "-sweep-budget 8", "SweepBudget requires DeferredDelete"},
+		{"sweep-highwater-without-defer", "-sweep-highwater 8", "SweepHighWater requires DeferredDelete"},
+		{"negative-sweep-budget", "-defer-delete -sweep-budget -1", "SweepBudget"},
+		{"negative-sweep-highwater", "-defer-delete -sweep-highwater -1", "SweepHighWater"},
+		{"defer-ok", "-defer-delete -sweep-budget 4 -sweep-highwater 16", ""},
+		{"negative-tenants", "-tenants -1", "Tenants"},
+		{"tenants-ok", "-tenants 8", ""},
+		{"resize-without-tenants", "-resize 8", "ResizeTo requires Tenants"},
+		{"resize-equal-shards", "-tenants 8 -resize 4", "ResizeTo (4) must exceed Shards (4)"},
+		{"resize-shrink", "-tenants 8 -resize 2", "ResizeTo (2) must exceed Shards (4)"},
+		{"resize-ok", "-tenants 8 -resize 8", ""},
+		{"resize-after-without-resize", "-resize-after 0.5", "ResizeAfter requires ResizeTo"},
+		{"resize-after-too-big", "-tenants 8 -resize 8 -resize-after 1", "ResizeAfter"},
+		{"resize-after-negative", "-tenants 8 -resize 8 -resize-after -0.5", "ResizeAfter"},
+		{"resize-after-nan", "-tenants 8 -resize 8 -resize-after NaN", "ResizeAfter"},
+		{"resize-after-infinite", "-tenants 8 -resize 8 -resize-after Inf", "ResizeAfter"},
+		{"resize-after-ok", "-tenants 8 -resize 8 -resize-after 0.25", ""},
+		{"profile-unknown", "-profile nope", "Profile"},
+		{"profile-ok", "-profile bulk", ""},
+		{"top-slow-without-explain", "-top-slow 3", "TopSlow requires Spans"},
+		{"negative-top-slow", "-explain -top-slow -1", "TopSlow"},
+		{"chrome-without-explain", "-chrome spans.json", "-chrome requires -explain"},
+		{"jsonl-without-explain", "-jsonl spans.jsonl", "-jsonl requires -explain"},
+		{"explain-exports-ok", "-explain -top-slow 3 -chrome spans.json -jsonl spans.jsonl", ""},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			o := goodOptions()
-			tc.mut(&o)
-			err := o.validate()
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("flag set rejected: %v (%+v)", err, o)
-				}
-				return
+			o, err := parse(strings.Fields(tc.args))
+			if err != nil {
+				t.Fatalf("%q: parse: %v", tc.args, err)
 			}
-			if err == nil {
-				t.Fatalf("flag set accepted: %+v", o)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
+			err = o.validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%q rejected: %v", tc.args, err)
+			case tc.want != "" && err == nil:
+				t.Errorf("%q accepted", tc.args)
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%q: error %q does not mention %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseBindsConfig: the flags land in the serve.Config fields their
+// usage lines name, and the fault plan is kept only when it injects
+// something.
+func TestParseBindsConfig(t *testing.T) {
+	o, err := parse(strings.Fields("-sessions 50 -shards 2 -explain -fault-seed 9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := o.cfg; c.Sessions != 50 || c.Shards != 2 || !c.Spans || c.FaultPlan != nil {
+		t.Errorf("config %+v: want 50 sessions, 2 shards, spans and no fault plan", c)
+	}
+	o, err = parse(strings.Fields("-fault-nth 3 -fault-seed 9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := o.cfg.FaultPlan; p == nil || p.FailNth != 3 || p.Seed != 9 {
+		t.Errorf("fault plan %+v: want FailNth 3, Seed 9", p)
 	}
 }

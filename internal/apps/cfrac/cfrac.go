@@ -21,6 +21,7 @@ import (
 	"regions/internal/apps/appkit"
 	"regions/internal/apps/bignum"
 	"regions/internal/mem"
+	"regions/internal/rng"
 )
 
 //go:embed malloc.go
@@ -53,10 +54,10 @@ func App() appkit.App {
 
 // Inputs returns the seeded semiprimes (and their factors, for tests).
 func Inputs(scale int) (ns []uint64, ps, qs []uint64) {
-	g := lcg{s: 0xfac7}
+	g := rng.LCG(0xfac7)
 	for len(ns) < scale {
-		p := nextPrime(uint64(24_000_000 + g.pick(8_000_000)))
-		q := nextPrime(uint64(33_000_000 + g.pick(9_000_000)))
+		p := nextPrime(uint64(24_000_000 + g.Pick(8_000_000)))
+		q := nextPrime(uint64(33_000_000 + g.Pick(9_000_000)))
 		if p == q {
 			continue
 		}
@@ -66,15 +67,6 @@ func Inputs(scale int) (ns []uint64, ps, qs []uint64) {
 	}
 	return
 }
-
-type lcg struct{ s uint32 }
-
-func (g *lcg) next() uint32 {
-	g.s = g.s*1664525 + 1013904223
-	return g.s >> 8
-}
-
-func (g *lcg) pick(n int) int { return int(g.next()) % n }
 
 // --- host-side number theory (machine arithmetic, the program's "registers")
 

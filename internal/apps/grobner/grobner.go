@@ -18,6 +18,7 @@ import (
 	_ "embed"
 
 	"regions/internal/apps/appkit"
+	"regions/internal/rng"
 )
 
 //go:embed malloc.go
@@ -127,19 +128,19 @@ type genTerm struct {
 func systems(scale int) [][][]genTerm {
 	out := make([][][]genTerm, scale)
 	for s := range out {
-		g := lcg{s: uint32(0x9b0 + s*2654435761)}
+		g := rng.LCG(0x9b0 + s*2654435761)
 		sys := make([][]genTerm, 3)
 		for p := range sys {
-			nt := 3 + g.pick(3)
+			nt := 3 + g.Pick(3)
 			seen := map[uint32]bool{}
 			var terms []genTerm
 			for len(terms) < nt {
-				m := mono(uint32(g.pick(3)), uint32(g.pick(3)), uint32(g.pick(3)))
+				m := mono(uint32(g.Pick(3)), uint32(g.Pick(3)), uint32(g.Pick(3)))
 				if seen[m] {
 					continue
 				}
 				seen[m] = true
-				terms = append(terms, genTerm{coef: 1 + uint32(g.pick(P-1)), mono: m})
+				terms = append(terms, genTerm{coef: 1 + uint32(g.Pick(P-1)), mono: m})
 			}
 			// Sort descending by monomial so lists are born ordered.
 			for i := 1; i < len(terms); i++ {
@@ -153,15 +154,6 @@ func systems(scale int) [][][]genTerm {
 	}
 	return out
 }
-
-type lcg struct{ s uint32 }
-
-func (g *lcg) next() uint32 {
-	g.s = g.s*1664525 + 1013904223
-	return g.s >> 8
-}
-
-func (g *lcg) pick(n int) int { return int(g.next()) % n }
 
 // checksum folds per-system basis summaries into one comparable value.
 func checksum(parts []uint32) uint32 {

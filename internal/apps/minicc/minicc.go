@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"regions/internal/apps/appkit"
+	"regions/internal/rng"
 )
 
 //go:embed region.go
@@ -75,7 +76,7 @@ func Source() []byte { return SourceSeeded(0x1cc) }
 // SourceSeeded generates a program from an arbitrary seed; every seed
 // yields a valid, terminating program, which the fuzz tests rely on.
 func SourceSeeded(seed uint32) []byte {
-	g := lcg{s: seed}
+	g := rng.LCG(seed)
 	const nfns = 120
 	const nglobals = 8
 	// Estimated execution cost per function keeps the random call graph
@@ -95,20 +96,20 @@ func SourceSeeded(seed uint32) []byte {
 	// expression over params p0..(arity-1), locals given by names, earlier fns
 	var expr func(depth, fnIdx int, locals []string) string
 	expr = func(depth, fnIdx int, locals []string) string {
-		if depth == 0 || g.pick(4) == 0 {
-			switch g.pick(3) {
+		if depth == 0 || g.Pick(4) == 0 {
+			switch g.Pick(3) {
 			case 0:
 				if len(locals) > 0 {
-					return locals[g.pick(len(locals))]
+					return locals[g.Pick(len(locals))]
 				}
-				return fmt.Sprintf("%d", 1+g.pick(99))
+				return fmt.Sprintf("%d", 1+g.Pick(99))
 			case 1:
-				return fmt.Sprintf("g%d", g.pick(nglobals))
+				return fmt.Sprintf("g%d", g.Pick(nglobals))
 			default:
-				return fmt.Sprintf("%d", 1+g.pick(99))
+				return fmt.Sprintf("%d", 1+g.Pick(99))
 			}
 		}
-		switch g.pick(8) {
+		switch g.Pick(8) {
 		case 0:
 			return fmt.Sprintf("(%s + %s)", expr(depth-1, fnIdx, locals), expr(depth-1, fnIdx, locals))
 		case 1:
@@ -116,11 +117,11 @@ func SourceSeeded(seed uint32) []byte {
 		case 2:
 			return fmt.Sprintf("(%s * %s)", expr(depth-1, fnIdx, locals), expr(depth-1, fnIdx, locals))
 		case 3:
-			return fmt.Sprintf("(%s / %d)", expr(depth-1, fnIdx, locals), 2+g.pick(17))
+			return fmt.Sprintf("(%s / %d)", expr(depth-1, fnIdx, locals), 2+g.Pick(17))
 		case 4:
-			return fmt.Sprintf("(%s %% %d)", expr(depth-1, fnIdx, locals), 3+g.pick(13))
+			return fmt.Sprintf("(%s %% %d)", expr(depth-1, fnIdx, locals), 3+g.Pick(13))
 		case 5:
-			op := []string{"<", "<=", "==", "!="}[g.pick(4)]
+			op := []string{"<", "<=", "==", "!="}[g.Pick(4)]
 			return fmt.Sprintf("(%s %s %s)", expr(depth-1, fnIdx, locals), op, expr(depth-1, fnIdx, locals))
 		case 6:
 			return fmt.Sprintf("(-%s)", expr(depth-1, fnIdx, locals))
@@ -129,7 +130,7 @@ func SourceSeeded(seed uint32) []byte {
 			if fnIdx > 0 {
 				// Pick an affordable callee; give up after a few tries.
 				for try := 0; try < 4; try++ {
-					cand := g.pick(fnIdx)
+					cand := g.Pick(fnIdx)
 					if estCost[cand] <= calleeBudget {
 						callee = cand
 						break
@@ -154,25 +155,25 @@ func SourceSeeded(seed uint32) []byte {
 	stmts := func(fnIdx int, params []string) string {
 		locals := append([]string{}, params...)
 		body := ""
-		n := 6 + g.pick(8)
+		n := 6 + g.Pick(8)
 		for s := 0; s < n; s++ {
-			switch g.pick(6) {
+			switch g.Pick(6) {
 			case 0, 1:
 				name := fmt.Sprintf("v%d", len(locals))
 				body += fmt.Sprintf("  int %s = %s;\n", name, expr(2, fnIdx, locals))
 				locals = append(locals, name)
 			case 2:
 				if len(locals) > 0 {
-					body += fmt.Sprintf("  %s = %s;\n", locals[g.pick(len(locals))], expr(2, fnIdx, locals))
+					body += fmt.Sprintf("  %s = %s;\n", locals[g.Pick(len(locals))], expr(2, fnIdx, locals))
 				} else {
-					body += fmt.Sprintf("  g%d = %s;\n", g.pick(nglobals), expr(2, fnIdx, locals))
+					body += fmt.Sprintf("  g%d = %s;\n", g.Pick(nglobals), expr(2, fnIdx, locals))
 				}
 			case 3:
-				body += fmt.Sprintf("  g%d = %s;\n", g.pick(nglobals), expr(2, fnIdx, locals))
+				body += fmt.Sprintf("  g%d = %s;\n", g.Pick(nglobals), expr(2, fnIdx, locals))
 			case 4:
 				body += fmt.Sprintf("  if (%s) { g%d = %s; } else { g%d = %s; }\n",
-					expr(1, fnIdx, locals), g.pick(nglobals), expr(1, fnIdx, locals),
-					g.pick(nglobals), expr(1, fnIdx, locals))
+					expr(1, fnIdx, locals), g.Pick(nglobals), expr(1, fnIdx, locals),
+					g.Pick(nglobals), expr(1, fnIdx, locals))
 			default:
 				i := fmt.Sprintf("i%d", len(locals))
 				acc := fmt.Sprintf("a%d", len(locals)+1)
@@ -180,7 +181,7 @@ func SourceSeeded(seed uint32) []byte {
 				cond := expr(1, fnIdx, locals)
 				loopMul = 1
 				body += fmt.Sprintf("  int %s = 0;\n  int %s = 0;\n  while (%s < %d) { %s = (%s + %s); %s = (%s + 1); }\n",
-					i, acc, i, 2+g.pick(8), acc, acc, cond, i, i)
+					i, acc, i, 2+g.Pick(8), acc, acc, cond, i, i)
 				locals = append(locals, i, acc)
 			}
 		}
@@ -189,7 +190,7 @@ func SourceSeeded(seed uint32) []byte {
 	}
 
 	for i := 0; i < nfns; i++ {
-		arity[i] = g.pick(4)
+		arity[i] = g.Pick(4)
 		sig := ""
 		var params []string
 		for p := 0; p < arity[i]; p++ {
@@ -219,7 +220,7 @@ func SourceSeeded(seed uint32) []byte {
 			if a > 0 {
 				call += ", "
 			}
-			call += fmt.Sprintf("%d", 1+g.pick(20))
+			call += fmt.Sprintf("%d", 1+g.Pick(20))
 		}
 		call += ")"
 		body += fmt.Sprintf("  r = (r + %s);\n", call)
@@ -231,15 +232,6 @@ func SourceSeeded(seed uint32) []byte {
 	out = append(out, fmt.Sprintf("int main() {\n%s}\n", body)...)
 	return out
 }
-
-type lcg struct{ s uint32 }
-
-func (g *lcg) next() uint32 {
-	g.s = g.s*1664525 + 1013904223
-	return g.s >> 8
-}
-
-func (g *lcg) pick(n int) int { return int(g.next()) % n }
 
 func mix(h *uint32, v uint32) {
 	for k := 0; k < 4; k++ {

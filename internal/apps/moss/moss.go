@@ -23,6 +23,7 @@ import (
 
 	"regions/internal/apps/appkit"
 	"regions/internal/mem"
+	"regions/internal/rng"
 )
 
 //go:embed malloc.go
@@ -57,23 +58,23 @@ func App() appkit.App {
 // plagiarized blocks, so the detector has real matches to find.
 func Inputs(scale int) [][]byte {
 	idioms := make([]string, 40)
-	g := lcg{s: 0x5eed}
+	g := rng.LCG(0x5eed)
 	for i := range idioms {
 		idioms[i] = fmt.Sprintf("for (i = 0; i < n%d; i++) { total_%d += buf[i] * %d; }\n",
-			g.pick(10), g.pick(10), 3+g.pick(97))
+			g.Pick(10), g.Pick(10), 3+g.Pick(97))
 	}
 	docs := make([][]byte, scale)
 	for d := range docs {
-		dg := lcg{s: uint32(0xd0c + d*2654435761)}
+		dg := rng.LCG(0xd0c + d*2654435761)
 		var out []byte
 		out = append(out, fmt.Sprintf("/* submission %d */\n", d)...)
 		for line := 0; line < 60; line++ {
 			switch {
-			case dg.pick(10) < 4:
-				out = append(out, idioms[dg.pick(len(idioms))]...)
+			case dg.Pick(10) < 4:
+				out = append(out, idioms[dg.Pick(len(idioms))]...)
 			default:
 				out = append(out, fmt.Sprintf("int v_%d_%d = f_%d(x_%d + %d);\n",
-					d, line, dg.pick(30), dg.pick(30), dg.pick(1000))...)
+					d, line, dg.Pick(30), dg.Pick(30), dg.Pick(1000))...)
 			}
 		}
 		docs[d] = out
@@ -86,15 +87,6 @@ func Inputs(scale int) [][]byte {
 	}
 	return docs
 }
-
-type lcg struct{ s uint32 }
-
-func (g *lcg) next() uint32 {
-	g.s = g.s*1664525 + 1013904223
-	return g.s >> 8
-}
-
-func (g *lcg) pick(n int) int { return int(g.next()) % n }
 
 // fingerprint is one winnowed (hash, position) pair of a document.
 type fingerprint struct {

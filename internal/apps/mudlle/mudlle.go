@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"regions/internal/apps/appkit"
+	"regions/internal/rng"
 )
 
 //go:embed region.go
@@ -63,7 +64,7 @@ func Source() []byte { return SourceSeeded(0x3cde) }
 // SourceSeeded generates a program from an arbitrary seed; every seed
 // yields a valid, terminating program, which the fuzz tests rely on.
 func SourceSeeded(seed uint32) []byte {
-	g := lcg{s: seed}
+	g := rng.LCG(seed)
 	const nfns = 120
 	// As in minicc's generator, a per-function cost estimate keeps the
 	// random call graph from compounding past the VM's step bound.
@@ -75,13 +76,13 @@ func SourceSeeded(seed uint32) []byte {
 
 	var expr func(depth, params, fnIdx int) string
 	expr = func(depth, params, fnIdx int) string {
-		if depth == 0 || g.pick(5) == 0 {
-			if params > 0 && g.pick(3) != 0 {
-				return fmt.Sprintf("p%d", g.pick(params))
+		if depth == 0 || g.Pick(5) == 0 {
+			if params > 0 && g.Pick(3) != 0 {
+				return fmt.Sprintf("p%d", g.Pick(params))
 			}
-			return fmt.Sprintf("%d", g.pick(100))
+			return fmt.Sprintf("%d", g.Pick(100))
 		}
-		switch g.pick(7) {
+		switch g.Pick(7) {
 		case 0:
 			return fmt.Sprintf("(+ %s %s)", expr(depth-1, params, fnIdx), expr(depth-1, params, fnIdx))
 		case 1:
@@ -99,7 +100,7 @@ func SourceSeeded(seed uint32) []byte {
 			callee := -1
 			if fnIdx > 0 {
 				for try := 0; try < 4; try++ {
-					cand := g.pick(fnIdx)
+					cand := g.Pick(fnIdx)
 					if estCost[cand] <= calleeBudget {
 						callee = cand
 						break
@@ -119,7 +120,7 @@ func SourceSeeded(seed uint32) []byte {
 	}
 
 	for i := 0; i < nfns; i++ {
-		arity[i] = 1 + g.pick(3)
+		arity[i] = 1 + g.Pick(3)
 		params := ""
 		for p := 0; p < arity[i]; p++ {
 			params += fmt.Sprintf(" p%d", p)
@@ -140,22 +141,13 @@ func SourceSeeded(seed uint32) []byte {
 	for _, i := range mains {
 		args := ""
 		for a := 0; a < arity[i]; a++ {
-			args += fmt.Sprintf(" %d", g.pick(50))
+			args += fmt.Sprintf(" %d", g.Pick(50))
 		}
 		body = fmt.Sprintf("(+ %s (f%d%s))", body, i, args)
 	}
 	out = append(out, fmt.Sprintf("(define (main) %s)\n", body)...)
 	return out
 }
-
-type lcg struct{ s uint32 }
-
-func (g *lcg) next() uint32 {
-	g.s = g.s*1664525 + 1013904223
-	return g.s >> 8
-}
-
-func (g *lcg) pick(n int) int { return int(g.next()) % n }
 
 // checksum folds one compile+run outcome.
 func mix(h *uint32, v uint32) {

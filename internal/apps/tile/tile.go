@@ -16,6 +16,7 @@ import (
 	_ "embed"
 
 	"regions/internal/apps/appkit"
+	"regions/internal/rng"
 )
 
 //go:embed malloc.go
@@ -48,24 +49,14 @@ func App() appkit.App {
 // twenty copies of a 14 KB text). Topic shifts give the tiler real
 // boundaries to find.
 func Input(scale int) []byte {
-	var g lcg
-	doc := g.document()
+	g := rng.LCG(20260706)
+	doc := document(&g)
 	out := make([]byte, 0, len(doc)*scale)
 	for i := 0; i < scale; i++ {
 		out = append(out, doc...)
 	}
 	return out
 }
-
-// lcg is a small deterministic generator for the synthetic corpus.
-type lcg struct{ s uint32 }
-
-func (g *lcg) next() uint32 {
-	g.s = g.s*1664525 + 1013904223
-	return g.s >> 8
-}
-
-func (g *lcg) pick(n int) int { return int(g.next()) % n }
 
 // topics are synthetic vocabularies; each text segment draws mostly from
 // one topic plus common glue words, so adjacent segments differ.
@@ -79,20 +70,19 @@ var topics = [][]string{
 
 var glue = []string{"the", "a", "of", "and", "to", "in", "is", "it", "for", "with", "on", "as"}
 
-func (g *lcg) document() []byte {
-	g.s = 20260706
+func document(g *rng.LCG) []byte {
 	var out []byte
 	for seg := 0; seg < 10; seg++ {
 		topic := topics[seg%len(topics)]
 		for w := 0; w < 240; w++ {
 			var word string
-			if g.pick(10) < 4 {
-				word = glue[g.pick(len(glue))]
+			if g.Pick(10) < 4 {
+				word = glue[g.Pick(len(glue))]
 			} else {
-				word = topic[g.pick(len(topic))]
+				word = topic[g.Pick(len(topic))]
 			}
 			out = append(out, word...)
-			if g.pick(12) == 0 {
+			if g.Pick(12) == 0 {
 				out = append(out, '.')
 			}
 			out = append(out, ' ')

@@ -90,20 +90,7 @@ func RunImbalance(shards, scaleDiv int, reg *metrics.Registry) (*ImbalanceResult
 				eng.Run(t)
 			}
 		}
-		agg := eng.Close()
-		if agg.Failures > 0 {
-			return ThroughputResult{}, fmt.Errorf("bench: imbalance run had %d failures", agg.Failures)
-		}
-		res := ThroughputResult{
-			Shards:             shards,
-			Tasks:              int(agg.Tasks),
-			SimMakespanMcycles: float64(agg.MakespanCycles) / 1e6,
-			SimTotalMcycles:    float64(agg.TotalCycles) / 1e6,
-			Checksum:           agg.Checksum,
-			Steals:             agg.Steals,
-		}
-		res.PerShardMcycles, res.BusyRatio = perShardBalance(agg)
-		return res, nil
+		return throughputResult(shards, eng.Close())
 	}
 
 	noSteal, err := run(false, nil)

@@ -84,6 +84,18 @@ func RunThroughputOpts(shards, scaleDiv, repeats int, opts ThroughputOpts) (Thro
 	}
 	agg := eng.Close()
 	wall := time.Since(start).Seconds()
+	res, err := throughputResult(shards, agg)
+	if err != nil {
+		return res, err
+	}
+	res.WallSeconds, res.TasksPerSec = wall, float64(agg.Tasks)/wall
+	return res, nil
+}
+
+// throughputResult is a closed engine's aggregate as a ThroughputResult
+// of the given shard count, with the host timings left at zero for the
+// caller; an error if any task failed.
+func throughputResult(shards int, agg shard.Aggregate) (ThroughputResult, error) {
 	if agg.Failures > 0 {
 		for _, s := range agg.PerShard {
 			if s.LastError != "" {
@@ -95,40 +107,19 @@ func RunThroughputOpts(shards, scaleDiv, repeats int, opts ThroughputOpts) (Thro
 	res := ThroughputResult{
 		Shards:             shards,
 		Tasks:              int(agg.Tasks),
-		WallSeconds:        wall,
-		TasksPerSec:        float64(agg.Tasks) / wall,
 		SimMakespanMcycles: float64(agg.MakespanCycles) / 1e6,
 		SimTotalMcycles:    float64(agg.TotalCycles) / 1e6,
 		Checksum:           agg.Checksum,
 		Steals:             agg.Steals,
+		PerShardMcycles:    make([]float64, len(agg.PerShard)),
 	}
-	res.PerShardMcycles, res.BusyRatio = perShardBalance(agg)
-	return res, nil
-}
-
-// perShardBalance extracts each shard's simulated busy cycles and the
-// max/min balance ratio (1.0 = perfect balance; min is floored at one cycle
-// so a shard the scheduler left idle yields a huge ratio, not a division by
-// zero).
-func perShardBalance(agg shard.Aggregate) ([]float64, float64) {
-	if len(agg.PerShard) == 0 {
-		return nil, 0
-	}
-	per := make([]float64, len(agg.PerShard))
-	min, max := agg.PerShard[0].SimCycles, agg.PerShard[0].SimCycles
+	busy := make([]uint64, len(agg.PerShard))
 	for i, s := range agg.PerShard {
-		per[i] = float64(s.SimCycles) / 1e6
-		if s.SimCycles < min {
-			min = s.SimCycles
-		}
-		if s.SimCycles > max {
-			max = s.SimCycles
-		}
+		busy[i] = s.SimCycles
+		res.PerShardMcycles[i] = float64(s.SimCycles) / 1e6
 	}
-	if min == 0 {
-		min = 1
-	}
-	return per, float64(max) / float64(min)
+	res.BusyRatio = shard.BusyRatio(busy)
+	return res, nil
 }
 
 // ThroughputSweepOpts runs the same workload at every shard count, checks

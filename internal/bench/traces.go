@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"regions/internal/mem"
+	"regions/internal/rng"
 	"regions/internal/stats"
 	"regions/internal/xmalloc"
 )
@@ -62,19 +63,10 @@ const (
 // traceProfiles lists all workload shapes.
 var traceProfiles = []traceProfile{profileUniform, profileBimodal, profilePhased}
 
-type lcg struct{ s uint32 }
-
-func (g *lcg) next() uint32 {
-	g.s = g.s*1664525 + 1013904223
-	return g.s >> 8
-}
-
-func (g *lcg) pick(n int) int { return int(g.next()) % n }
-
 // generateTrace builds a deterministic trace of roughly nOps operations
 // (allocs plus the matching frees; every object is freed exactly once).
 func generateTrace(profile traceProfile, nOps int, seed uint32) []traceOp {
-	g := lcg{s: seed ^ 0x7ace}
+	g := rng.LCG(seed ^ 0x7ace)
 	var ops []traceOp
 	nextID := 0
 	type liveObj struct {
@@ -98,8 +90,8 @@ func generateTrace(profile traceProfile, nOps int, seed uint32) []traceOp {
 	switch profile {
 	case profileUniform:
 		for len(ops) < nOps {
-			size := 8 + g.pick(248)
-			life := 1 + g.pick(200)
+			size := 8 + g.Pick(248)
+			life := 1 + g.Pick(200)
 			ops = append(ops, traceOp{kind: opAlloc, id: nextID, size: size})
 			live = append(live, liveObj{id: nextID, death: len(ops) + life})
 			nextID++
@@ -109,9 +101,9 @@ func generateTrace(profile traceProfile, nOps int, seed uint32) []traceOp {
 		for len(ops) < nOps {
 			var size, life int
 			if nextID%2 == 0 {
-				size, life = 16, 20+g.pick(30) // small, hot, short
+				size, life = 16, 20+g.Pick(30) // small, hot, short
 			} else {
-				size, life = 256+g.pick(256), 400+g.pick(400) // large, cold, long
+				size, life = 256+g.Pick(256), 400+g.Pick(400) // large, cold, long
 			}
 			ops = append(ops, traceOp{kind: opAlloc, id: nextID, size: size})
 			live = append(live, liveObj{id: nextID, death: len(ops) + life})
@@ -120,10 +112,10 @@ func generateTrace(profile traceProfile, nOps int, seed uint32) []traceOp {
 		}
 	case profilePhased:
 		for len(ops) < nOps {
-			phase := 50 + g.pick(150)
+			phase := 50 + g.Pick(150)
 			born := make([]int, 0, phase)
 			for i := 0; i < phase && len(ops) < nOps; i++ {
-				size := 8 + g.pick(56)
+				size := 8 + g.Pick(56)
 				ops = append(ops, traceOp{kind: opAlloc, id: nextID, size: size})
 				born = append(born, nextID)
 				nextID++

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -369,6 +372,47 @@ func TestHandlerServesScrape(t *testing.T) {
 	}
 	if !bytes.Contains(rec.Body.Bytes(), []byte("up_total 1")) {
 		t.Errorf("scrape body missing counter:\n%s", rec.Body.String())
+	}
+}
+
+// TestServeBindsFirst: Serve returns only once its listener is bound. An
+// address another socket holds is an error, and with port 0 the listener
+// carries the port the system chose and answers GET /metrics and, given a
+// provider, GET /heap.
+func TestServeBindsFirst(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	r := NewRegistry()
+	r.AddSource(func(s *Sink) { s.Counter("up_total", 1) })
+	if ln, err := Serve(held.Addr().String(), r, nil); err == nil {
+		ln.Close()
+		t.Fatalf("Serve bound %s, which another socket holds", held.Addr())
+	}
+
+	ln, err := Serve("127.0.0.1:0", r, func() ([]*HeapReport, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if port := ln.Addr().(*net.TCPAddr).Port; port == 0 {
+		t.Fatalf("bound address %s has port 0", ln.Addr())
+	}
+	for path, want := range map[string]string{"/metrics": "up_total 1", "/heap": "[\n]"} {
+		resp, err := http.Get("http://" + ln.Addr().String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s: status %d, body %q; want 200 and %q", path, resp.StatusCode, body, want)
+		}
 	}
 }
 

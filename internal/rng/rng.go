@@ -1,4 +1,7 @@
-// Package rng is math/rand's default source, seeded lazily.
+// Package rng holds the simulator's two seeded generators: Source,
+// math/rand's default source seeded lazily, which serving arrivals and
+// fault plans draw from, and LCG, which builds the paper applications'
+// inputs and the synthetic allocation traces.
 //
 // math/rand's source is an additive lagged Fibonacci generator over 607
 // words (x[n] = x[n-607] + x[n-273] mod 2^64). Seeding it fills all 607

@@ -80,8 +80,7 @@ func (e *OverloadError) Unwrap() []error {
 }
 
 // Config sizes a serving run. The zero value of every optional field picks
-// the documented default; a Rate, BurstFactor or ResizeAfter that is NaN or
-// infinite is an error from Run, as is a negative rate, factor or count.
+// the documented default; Validate lists the configurations Run refuses.
 type Config struct {
 	// Sessions is the number of requests to offer (required, > 0).
 	Sessions int
@@ -97,7 +96,8 @@ type Config struct {
 	// BurstEvery/BurstLen/BurstFactor overlay burst phases on the arrival
 	// process: during the first BurstLen cycles of every BurstEvery-cycle
 	// period the rate is multiplied by BurstFactor (default 4; bursts are
-	// off while BurstEvery is 0).
+	// off while BurstEvery is 0, and otherwise BurstLen must lie in
+	// (0, BurstEvery)).
 	BurstEvery  uint64
 	BurstLen    uint64
 	BurstFactor float64
@@ -111,7 +111,8 @@ type Config struct {
 	SLOP99 uint64
 	// PageLimit, when > 0, caps each shard's simulated OS at that many 4 KB
 	// pages — the overload lever. FaultPlan, when non-nil, installs a copy
-	// of the injected-failure schedule on every shard.
+	// of the injected-failure schedule on every shard; its FailProb must
+	// lie in [0, 1].
 	PageLimit int
 	FaultPlan *mem.FaultPlan
 	// Profile, when non-empty, restricts every session to the named profile
@@ -132,7 +133,7 @@ type Config struct {
 	DeferredDelete bool
 	// SweepBudget and SweepHighWater tune deferred reclamation (pages per
 	// slice, debt level that triggers the allocation tax); zero keeps the
-	// core defaults. Meaningless unless DeferredDelete is set.
+	// core defaults. A nonzero value requires DeferredDelete.
 	SweepBudget    int
 	SweepHighWater int
 	// NoStrPool serves with the pooled string allocator's free lists
@@ -157,7 +158,7 @@ type Config struct {
 	// ResizeTo > Shards.
 	ResizeTo int
 	// ResizeAfter is the fraction of sessions served before the resize
-	// barrier (default 0.5). Only meaningful with ResizeTo.
+	// barrier (default 0.5). A nonzero value requires ResizeTo.
 	ResizeAfter float64
 	// Metrics, when non-nil, receives the serve series — the regions_serve_*
 	// counters and queue-depth gauges, the latency histogram, and with Spans
@@ -184,7 +185,8 @@ type Config struct {
 	// clock-less: the spans carry their own cycle stamps.
 	SpanTracer *trace.Tracer
 	// TopSlow is how many slowest requests Result.Spans lists with their
-	// phase breakdowns (default 5; meaningful only with Spans).
+	// phase breakdowns (default 5). A nonzero value requires Spans or
+	// SpanTracer.
 	TopSlow int
 }
 
@@ -524,7 +526,7 @@ func (b *board) publish(st *shardState) {
 // overload is never an error — it is the Shed* counters and FirstOverload
 // in the Result.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -543,11 +545,15 @@ func Run(cfg Config) (*Result, error) {
 	return sv.report()
 }
 
-// validate rejects configurations Run cannot serve: a rate, burst factor
-// or resize fraction that is not finite or is negative, and a negative
-// count (zero picks the default, so a negative value would silently run as
-// something else), then the rest with the defaults applied.
-func (cfg Config) validate() error {
+// Validate returns the first reason Run would refuse cfg, naming the field
+// at fault, or nil. It checks the caller's values before the defaults
+// apply, since zero picks a default and a negative value would silently
+// run as something else: a rate, burst factor or resize fraction that is
+// not finite or is negative, a negative count, a burst window that is
+// empty or fills its period, a fault probability outside [0, 1], and a
+// field that does nothing without its companion. Then it checks the rest
+// with the defaults applied.
+func (cfg Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -569,12 +575,31 @@ func (cfg Config) validate() error {
 			return fmt.Errorf("serve: %s must not be negative, got %d", f.name, f.v)
 		}
 	}
+	if cfg.BurstEvery > 0 && (cfg.BurstLen == 0 || cfg.BurstLen >= cfg.BurstEvery) {
+		return fmt.Errorf("serve: BurstLen must be in (0, BurstEvery), got %d of %d", cfg.BurstLen, cfg.BurstEvery)
+	}
+	if p := cfg.FaultPlan; p != nil && !(p.FailProb >= 0 && p.FailProb <= 1) {
+		return fmt.Errorf("serve: FaultPlan.FailProb must be in [0, 1], got %g", p.FailProb)
+	}
+	for _, f := range []struct {
+		name, needs string
+		set, has    bool
+	}{
+		{"SweepBudget", "DeferredDelete", cfg.SweepBudget != 0, cfg.DeferredDelete},
+		{"SweepHighWater", "DeferredDelete", cfg.SweepHighWater != 0, cfg.DeferredDelete},
+		{"ResizeAfter", "ResizeTo", cfg.ResizeAfter != 0, cfg.ResizeTo != 0},
+		{"TopSlow", "Spans or SpanTracer", cfg.TopSlow != 0, cfg.Spans || cfg.SpanTracer != nil},
+	} {
+		if f.set && !f.has {
+			return fmt.Errorf("serve: %s requires %s", f.name, f.needs)
+		}
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Sessions <= 0 {
 		return fmt.Errorf("serve: Sessions must be positive, got %d", cfg.Sessions)
 	}
 	if cfg.Profile != "" && profileByName(cfg.Profile) == nil {
-		return fmt.Errorf("serve: unknown profile %q", cfg.Profile)
+		return fmt.Errorf("serve: Profile: unknown profile %q", cfg.Profile)
 	}
 	if cfg.ResizeTo > 0 {
 		if cfg.Tenants == 0 {
@@ -917,7 +942,7 @@ func (sv *server) report() (*Result, error) {
 		}
 	}
 	if cfg.ResizeTo > 0 {
-		res.Phase1BusyRatio = busyRatio(sv.phase1Busy)
+		res.Phase1BusyRatio = shard.BusyRatio(sv.phase1Busy)
 		phase2Busy := make([]uint64, len(agg.PerShard))
 		peak2 := 0
 		for i, s := range agg.PerShard {
@@ -929,7 +954,7 @@ func (sv *server) report() (*Result, error) {
 				peak2 = s.SweepDebtPeak
 			}
 		}
-		res.Phase2BusyRatio = busyRatio(phase2Busy)
+		res.Phase2BusyRatio = shard.BusyRatio(phase2Busy)
 		if cfg.DeferredDelete {
 			res.SweepDebtPeakPhases = []int{sv.phase1SweepPeak, peak2}
 		}
@@ -983,27 +1008,6 @@ func tenantHomes(tenants, shards int) []int {
 		load[best] += tenants - t
 	}
 	return homes
-}
-
-// busyRatio is max/min over per-shard busy cycles, min floored at one cycle
-// so an idle shard yields a huge ratio rather than a division by zero.
-func busyRatio(busy []uint64) float64 {
-	if len(busy) == 0 {
-		return 0
-	}
-	min, max := busy[0], busy[0]
-	for _, b := range busy {
-		if b < min {
-			min = b
-		}
-		if b > max {
-			max = b
-		}
-	}
-	if min == 0 {
-		min = 1
-	}
-	return float64(max) / float64(min)
 }
 
 // serveOne is the shard task's body: the admitted session's lifecycle on

@@ -438,6 +438,44 @@ func TestServeRejectsNonFiniteConfig(t *testing.T) {
 	}
 }
 
+// TestServeRejectsInertConfig: Run refuses, with an error naming the field,
+// a burst window that is empty or fills its period, a fault probability
+// outside [0, 1], and a field that would do nothing without its companion,
+// so a library caller cannot run silently as some other configuration.
+// TopSlow with only a SpanTracer is a span run and passes.
+func TestServeRejectsInertConfig(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mut  func(*Config)
+		want string // "" means Run must accept the configuration
+	}{
+		{"burst-no-len", func(c *Config) { c.BurstEvery = 1000 }, "BurstLen"},
+		{"burst-len-fills-period", func(c *Config) { c.BurstEvery, c.BurstLen = 1000, 1000 }, "BurstLen"},
+		{"fail-prob-high", func(c *Config) { c.FaultPlan = &mem.FaultPlan{FailProb: 1.5} }, "FailProb"},
+		{"fail-prob-negative", func(c *Config) { c.FaultPlan = &mem.FaultPlan{FailProb: -0.1} }, "FailProb"},
+		{"fail-prob-nan", func(c *Config) { c.FaultPlan = &mem.FaultPlan{FailProb: math.NaN()} }, "FailProb"},
+		{"sweep-budget-without-defer", func(c *Config) { c.SweepBudget = 8 }, "SweepBudget requires DeferredDelete"},
+		{"sweep-highwater-without-defer", func(c *Config) { c.SweepHighWater = 8 }, "SweepHighWater requires DeferredDelete"},
+		{"resize-after-without-resize", func(c *Config) { c.ResizeAfter = 0.5 }, "ResizeAfter requires ResizeTo"},
+		{"top-slow-without-spans", func(c *Config) { c.TopSlow = 3 }, "TopSlow requires Spans"},
+		{"top-slow-with-tracer", func(c *Config) { c.SpanTracer, c.TopSlow = trace.New(1<<14), 3 }, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Sessions: 200, Seed: 1, Shards: 2}
+			c.mut(&cfg)
+			res, err := Run(cfg)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("config rejected: %v", err)
+			case c.want != "" && err == nil:
+				t.Fatalf("config accepted: makespan %d sim cycles", res.MakespanCycles)
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Errorf("error %q does not name %s", err, c.want)
+			}
+		})
+	}
+}
+
 // TestOverloadErrorChains is the table-driven audit of the shed-error
 // contract: every OverloadError matches ErrOverload via errors.Is and
 // unwraps via errors.As; OOM-caused sheds additionally match

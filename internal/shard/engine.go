@@ -91,6 +91,16 @@ type Aggregate struct {
 	PerShard    []Stats
 }
 
+// BusyRatio is the balance of per-shard busy cycles: max/min, 1.0 when
+// perfectly even, with the minimum floored at one cycle so that a shard
+// left idle yields a large ratio, not a division by zero; 0 for no shards.
+func BusyRatio(busy []uint64) float64 {
+	if len(busy) == 0 {
+		return 0
+	}
+	return float64(slices.Max(busy)) / float64(max(slices.Min(busy), 1))
+}
+
 // board is the engine state its metrics source reads. After every task,
 // and once more after the close-time drain, a metered engine's worker
 // copies its runtime's spine, its OS counts and its Stats into its slot;
